@@ -81,20 +81,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *protocol != "" {
-		known := false
-		for _, name := range dsm.Protocols() {
-			if name == *protocol {
-				known = true
-			}
-		}
-		if !known {
-			fatal(fmt.Errorf("unknown protocol %q (registered: %v)", *protocol, dsm.Protocols()))
-		}
-	}
-	if *homePolicy != "" && *protocol != "hlrc" {
-		fatal(fmt.Errorf("-home-policy given but -protocol is not hlrc"))
-	}
 	opt := harness.Options{Procs: *procs, Scale: sc, Verify: *verify, Workers: *workers, Protocol: *protocol,
 		HomePolicy: *homePolicy, NodeScaleJSON: *nsJSON, RaceCheck: *raceCheck}
 	if *nsProcs != "" {
@@ -116,6 +102,12 @@ func main() {
 		}
 	}
 	session := harness.NewSession(opt)
+	// Every run starts from the session's base machine, so a bad -procs,
+	// -protocol or -home-policy is reported once, here; machines an
+	// experiment derives (e.g. -nodescale-procs) are checked by Session.Sim.
+	if err := session.Config("", harness.VarO).Validate(); err != nil {
+		fatal(err)
+	}
 
 	var selected []harness.Experiment
 	if *exp == "all" {

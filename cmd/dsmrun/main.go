@@ -72,144 +72,143 @@ import (
 	"godsm/internal/sim"
 )
 
-func main() {
-	app := flag.String("app", "SOR", "application name(s): FFT, LU-NCONT, LU-CONT, OCEAN, RADIX, SOR, WATER-NSQ, WATER-SP; comma-separated list or \"all\"")
-	procs := flag.Int("procs", 8, "simulated processors")
-	threads := flag.Int("threads", 1, "user-level threads per processor")
-	prefetch := flag.Bool("prefetch", false, "execute inserted prefetches")
-	swMiss := flag.Bool("switch-miss", false, "switch threads on remote misses")
-	swSync := flag.Bool("switch-sync", false, "switch threads on synchronization stalls")
-	scale := flag.String("scale", "small", "input scale: unit, small or paper")
-	protocol := flag.String("protocol", "", "coherence protocol: "+strings.Join(dsm.Protocols(), ", ")+" (default lrc)")
-	homePolicy := flag.String("home-policy", "", "hlrc page-home assignment: "+strings.Join(dsm.HomePolicies(), ", ")+" (default static)")
-	gcThreshold := flag.Int64("gc-threshold", 0, "diff-GC trigger in bytes at barriers, diff-based protocols only (0 = off)")
-	topology := flag.String("topology", "", "interconnect topology: single (default, the paper's one-switch LAN) or fattree")
-	fatTreeRadix := flag.Int("fattree-radix", 0, "fat-tree downward ports per switch, a power of two >= 2 (0 = default)")
-	barrier := flag.String("barrier", "", "barrier algorithm: central (default) or tree (combining tree)")
-	barrierFanout := flag.Int("barrier-fanout", 0, "combining-tree arity, >= 2 (0 = default)")
-	gossip := flag.Bool("gossip", false, "disseminate write notices by gossip instead of erc's release broadcast (diff-based protocols only)")
-	gossipFanout := flag.Int("gossip-fanout", 0, "peers per gossip round (0 = default)")
-	gossipSeed := flag.Int64("gossip-seed", 0, "gossip peer-selection seed")
-	throttle := flag.Int("throttle", 0, "drop every k-th prefetch (0 = off)")
-	verify := flag.Bool("verify", false, "verify output against the sequential golden")
-	kinds := flag.Bool("kinds", false, "print per-message-kind traffic table")
-	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace_event JSON of the run to this file (single app only)")
-	workers := flag.Int("workers", 0, "max simulations running concurrently (0 = GOMAXPROCS)")
-	raceCheck := flag.Bool("race-check", false, "detect data races against the Lock/Barrier happens-before order (exit 1 on the first race)")
-	raceGran := flag.String("race-granularity", "", "race-detector conflict unit: word (default) or page")
-	loss := flag.Float64("loss", 0, "message loss probability (nonzero enables fault injection)")
-	dup := flag.Float64("dup", 0, "message duplication probability")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed")
-	flag.Parse()
+// options is everything the command line selects: the machine to simulate
+// (cfg) and how to run and report it.
+type options struct {
+	cfg       dsm.Config
+	names     []string // applications, in the requested order
+	scale     apps.Scale
+	verify    bool
+	kinds     bool
+	tracePath string
+	workers   int
+}
 
-	sc, err := apps.ParseScale(*scale)
-	if err != nil {
-		fatal(err)
+// parseFlags registers the flags on fs — each machine flag bound straight
+// onto the dsm.Config field it sets — parses args, and checks the result.
+// A returned error is a usage error: incoherent flag combinations and
+// machines the simulator cannot build (cfg.Validate) are rejected here
+// rather than silently running something the user did not ask for.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{cfg: dsm.DefaultConfig()}
+	cfg, faults := &o.cfg, &o.cfg.Net.Faults
+	app := fs.String("app", "SOR", "application name(s): FFT, LU-NCONT, LU-CONT, OCEAN, RADIX, SOR, WATER-NSQ, WATER-SP; comma-separated list or \"all\"")
+	fs.IntVar(&cfg.Procs, "procs", 8, "simulated processors")
+	fs.IntVar(&cfg.ThreadsPerProc, "threads", 1, "user-level threads per processor")
+	fs.BoolVar(&cfg.Prefetch, "prefetch", false, "execute inserted prefetches")
+	fs.BoolVar(&cfg.SwitchOnMiss, "switch-miss", false, "switch threads on remote misses")
+	fs.BoolVar(&cfg.SwitchOnSync, "switch-sync", false, "switch threads on synchronization stalls")
+	scale := fs.String("scale", "small", "input scale: unit, small or paper")
+	fs.StringVar(&cfg.Protocol, "protocol", "", "coherence protocol: "+strings.Join(dsm.Protocols(), ", ")+" (default lrc)")
+	fs.StringVar(&cfg.HomePolicy, "home-policy", "", "hlrc page-home assignment: "+strings.Join(dsm.HomePolicies(), ", ")+" (default static)")
+	fs.Int64Var(&cfg.GCThreshold, "gc-threshold", 0, "diff-GC trigger in bytes at barriers, diff-based protocols only (0 = off)")
+	fs.StringVar(&cfg.Net.Topology, "topology", "", "interconnect topology: single (default, the paper's one-switch LAN) or fattree")
+	fs.IntVar(&cfg.Net.FatTreeRadix, "fattree-radix", 0, "fat-tree downward ports per switch, a power of two >= 2 (0 = default)")
+	fs.StringVar(&cfg.Barrier, "barrier", "", "barrier algorithm: central (default) or tree (combining tree)")
+	fs.IntVar(&cfg.BarrierFanout, "barrier-fanout", 0, "combining-tree arity, >= 2 (0 = default)")
+	fs.BoolVar(&cfg.Gossip, "gossip", false, "disseminate write notices by gossip instead of erc's release broadcast (diff-based protocols only)")
+	fs.IntVar(&cfg.GossipFanout, "gossip-fanout", 0, "peers per gossip round (0 = default)")
+	fs.Int64Var(&cfg.GossipSeed, "gossip-seed", 0, "gossip peer-selection seed")
+	fs.IntVar(&cfg.ThrottlePf, "throttle", 0, "drop every k-th prefetch (0 = off)")
+	fs.BoolVar(&o.verify, "verify", false, "verify output against the sequential golden")
+	fs.BoolVar(&o.kinds, "kinds", false, "print per-message-kind traffic table")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome/Perfetto trace_event JSON of the run to this file (single app only)")
+	fs.IntVar(&o.workers, "workers", 0, "max simulations running concurrently (0 = GOMAXPROCS)")
+	fs.BoolVar(&cfg.RaceCheck, "race-check", false, "detect data races against the Lock/Barrier happens-before order (exit 1 on the first race)")
+	fs.StringVar(&cfg.RaceGranularity, "race-granularity", "", "race-detector conflict unit: word (default) or page")
+	fs.Float64Var(&faults.Loss, "loss", 0, "message loss probability (nonzero enables fault injection)")
+	fs.Float64Var(&faults.Dup, "dup", 0, "message duplication probability")
+	fs.Int64Var(&faults.Seed, "fault-seed", 1, "fault-injection PRNG seed")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
-	// Reject incoherent flag combinations up front rather than silently
-	// running something the user did not ask for.
-	if *procs < 1 {
-		usageErr("-procs must be at least 1 (got %d)", *procs)
+	var err error
+	if o.scale, err = apps.ParseScale(*scale); err != nil {
+		return nil, err
 	}
-	if *threads < 1 {
-		usageErr("-threads must be at least 1 (got %d)", *threads)
+	if faults.Loss < 0 || faults.Loss > 1 {
+		return nil, fmt.Errorf("-loss must be a probability in [0,1] (got %g)", faults.Loss)
 	}
-	if *loss < 0 || *loss > 1 {
-		usageErr("-loss must be a probability in [0,1] (got %g)", *loss)
+	if faults.Dup < 0 || faults.Dup > 1 {
+		return nil, fmt.Errorf("-dup must be a probability in [0,1] (got %g)", faults.Dup)
 	}
-	if *dup < 0 || *dup > 1 {
-		usageErr("-dup must be a probability in [0,1] (got %g)", *dup)
-	}
-	faultsOn := *loss > 0 || *dup > 0
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["fault-seed"] && !faultsOn {
-		usageErr("-fault-seed given but fault injection is off; set -loss or -dup (or drop -fault-seed)")
-	}
+	faultsOn := faults.Loss > 0 || faults.Dup > 0
+
 	// Reject dependent knobs whose master switch is off: silently ignoring
 	// them would run a different machine than the user asked for.
-	if set["fattree-radix"] && *topology != "fattree" {
-		usageErr("-fattree-radix given but -topology is not fattree")
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, d := range []struct {
+		flag     string
+		masterOn bool
+		requires string
+	}{
+		{"fault-seed", faultsOn, "fault injection is off; set -loss or -dup (or drop -fault-seed)"},
+		{"fattree-radix", cfg.Net.Topology == "fattree", "-topology is not fattree"},
+		{"barrier-fanout", cfg.Barrier == "tree", "-barrier is not tree"},
+		{"gossip-fanout", cfg.Gossip, "-gossip is off"},
+		{"gossip-seed", cfg.Gossip, "-gossip is off"},
+		{"race-granularity", cfg.RaceCheck, "-race-check is off"},
+		{"home-policy", cfg.Protocol == "hlrc", "-protocol is not hlrc (adp keeps homes static and adapts per-page modes instead)"},
+	} {
+		if set[d.flag] && !d.masterOn {
+			return nil, fmt.Errorf("-%s given but %s", d.flag, d.requires)
+		}
 	}
-	if set["barrier-fanout"] && *barrier != "tree" {
-		usageErr("-barrier-fanout given but -barrier is not tree")
+	if !faultsOn {
+		*faults = dsm.FaultPlan{} // the default seed alone is not a plan
+	} else if faults.Seed == 0 {
+		return nil, fmt.Errorf("-fault-seed 0 is reserved (it reads as unset); pick a nonzero seed")
 	}
-	if (set["gossip-fanout"] || set["gossip-seed"]) && !*gossip {
-		usageErr("gossip knobs given but -gossip is off")
-	}
-	if set["race-granularity"] && !*raceCheck {
-		usageErr("-race-granularity given but -race-check is off")
-	}
-	if set["home-policy"] && *protocol != "hlrc" {
-		usageErr("-home-policy given but -protocol is not hlrc (adp keeps homes static and adapts per-page modes instead)")
-	}
-	if faultsOn && *faultSeed == 0 {
-		usageErr("-fault-seed 0 is reserved (it reads as unset); pick a nonzero seed")
-	}
-	var names []string
+
 	if *app == "all" {
 		for _, spec := range apps.All {
-			names = append(names, spec.Name)
+			o.names = append(o.names, spec.Name)
 		}
 	} else {
 		for _, a := range strings.Split(*app, ",") {
-			names = append(names, strings.TrimSpace(a))
+			o.names = append(o.names, strings.TrimSpace(a))
 		}
 	}
-	for _, name := range names {
+	for _, name := range o.names {
 		if _, err := apps.ByName(name); err != nil {
-			fatal(err)
+			return nil, err
 		}
+	}
+	if o.tracePath != "" && len(o.names) != 1 {
+		return nil, fmt.Errorf("-trace needs a single -app (one trace file describes one run)")
 	}
 
-	cfg := dsm.DefaultConfig()
-	cfg.Procs = *procs
-	cfg.ThreadsPerProc = *threads
-	cfg.Prefetch = *prefetch
-	cfg.SwitchOnMiss = *swMiss
-	cfg.SwitchOnSync = *swSync || *threads > 1
-	cfg.Protocol = *protocol
-	cfg.HomePolicy = *homePolicy
-	cfg.GCThreshold = *gcThreshold
-	cfg.ThrottlePf = *throttle
-	cfg.Net.Topology = *topology
-	cfg.Net.FatTreeRadix = *fatTreeRadix
-	cfg.Barrier = *barrier
-	cfg.BarrierFanout = *barrierFanout
-	cfg.Gossip = *gossip
-	cfg.GossipFanout = *gossipFanout
-	cfg.GossipSeed = *gossipSeed
-	cfg.RaceCheck = *raceCheck
-	cfg.RaceGranularity = *raceGran
-	if err := validateMachine(cfg); err != nil {
+	cfg.SwitchOnSync = cfg.SwitchOnSync || cfg.ThreadsPerProc > 1
+	return o, cfg.Validate()
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		usageErr("%v", err)
 	}
-	if faultsOn {
-		cfg.Net.Faults = dsm.FaultPlan{Seed: *faultSeed, Loss: *loss, Dup: *dup}
-	}
+	cfg, names := o.cfg, o.names
 
 	// Open the trace file before simulating anything: an unwritable path is
 	// a usage error, not something to discover after minutes of simulation.
 	var traceFile *os.File
-	if *tracePath != "" {
-		if len(names) != 1 {
-			usageErr("-trace needs a single -app (one trace file describes one run)")
-		}
-		traceFile, err = os.Create(*tracePath)
+	if o.tracePath != "" {
+		traceFile, err = os.Create(o.tracePath)
 		if err != nil {
 			usageErr("-trace: %v", err)
 		}
 	}
 
 	if len(names) == 1 {
-		runOne(names[0], cfg, sc, *verify, *kinds, traceFile)
+		runOne(names[0], cfg, o.scale, o.verify, o.kinds, traceFile)
 		return
 	}
 
 	// Fan the independent runs out over a bounded worker pool; print the
 	// reports in the requested order as they complete.
-	pool := *workers
+	pool := o.workers
 	if pool <= 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
@@ -237,7 +236,7 @@ func main() {
 				return
 			}
 			sys := dsm.NewSystem(cfg)
-			inst := spec.Build(sys, apps.Options{Scale: sc, Verify: *verify})
+			inst := spec.Build(sys, apps.Options{Scale: o.scale, Verify: o.verify})
 			rep, err := runChecked(sys, inst.Run)
 			if err != nil {
 				r.err = fmt.Errorf("%s: %w", name, err)
@@ -260,7 +259,7 @@ func main() {
 			fmt.Println()
 		}
 		printReport(name, r.rep)
-		if *kinds {
+		if o.kinds {
 			printKinds(r.sys)
 		}
 	}
@@ -372,17 +371,6 @@ func printReport(app string, r *dsm.Report) {
 			n.Retransmits, n.Timeouts, n.MaxBackoff/sim.Millisecond,
 			n.AcksSent, n.DupSuppressed, n.PfReqDropped, n.PfReplyDropped)
 	}
-}
-
-// validateMachine checks the machine- and protocol-selection flags before
-// anything simulates: -protocol must name a registered backend, the backend
-// must accept the knob combination (hlrc, for example, has no diff GC, so
-// it rejects a nonzero -gc-threshold), and the machine must be buildable —
-// a fat tree needs a power-of-two -procs, a combining tree an arity of at
-// least 2. Split from main so the usage-error table test can exercise it
-// directly.
-func validateMachine(cfg dsm.Config) error {
-	return dsm.ValidateMachineConfig(cfg)
 }
 
 func fatal(err error) {

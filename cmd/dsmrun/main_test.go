@@ -1,25 +1,27 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
 	"godsm/dsm"
 )
 
-// TestValidateMachine exercises the up-front flag validation: registered
-// protocol names pass (with any knobs they support), unknown names fail
-// with the registered list, knob combinations a backend cannot honor are
-// rejected, and machine shapes the simulator cannot build — a fat tree
-// over a non-power-of-two -procs, a degenerate combining-tree arity — are
-// reported as plain usage errors instead of panics in core.NewSystem.
+// TestValidateMachine exercises dsm.Config.Validate, the one validator every
+// front end reports bad input through: registered protocol names pass (with
+// any knobs they support), unknown names fail with the registered list, knob
+// combinations a backend cannot honor are rejected, and machine shapes the
+// simulator cannot build — a fat tree over a non-power-of-two -procs, a
+// degenerate combining-tree arity — are plain errors instead of panics in
+// core.NewSystem.
 func TestValidateMachine(t *testing.T) {
 	cases := []struct {
 		name        string
 		procs       int // 0 = leave DefaultConfig's 8
 		protocol    string
 		gcThreshold int64
-		eagerRC     bool
 		topology    string
 		radix       int
 		barrier     string
@@ -35,16 +37,12 @@ func TestValidateMachine(t *testing.T) {
 		{name: "hlrc", protocol: "hlrc"},
 		{name: "lrc with gc threshold", protocol: "lrc", gcThreshold: 1 << 20},
 		{name: "default with gc threshold", gcThreshold: 1 << 20},
-		{name: "legacy eager-rc switch maps to erc", eagerRC: true},
-		{name: "eager-rc switch with matching protocol", protocol: "erc", eagerRC: true},
 		{name: "unknown protocol lists registered ones", protocol: "treadmarks",
 			wantErr: []string{"unknown protocol", "treadmarks", "erc", "hlrc", "lrc"}},
 		{name: "hlrc rejects gc threshold", protocol: "hlrc", gcThreshold: 1 << 20,
 			wantErr: []string{"hlrc", "GCThreshold"}},
-		{name: "hlrc rejects shared pf-heap gc", protocol: "hlrc", eagerRC: false,
+		{name: "hlrc rejects shared pf-heap gc", protocol: "hlrc",
 			wantErr: []string{"hlrc", "PfHeapSharedGC"}},
-		{name: "eager-rc switch conflicts with hlrc", protocol: "hlrc", eagerRC: true,
-			wantErr: []string{"EagerRC", "hlrc"}},
 
 		{name: "zero procs", procs: -1,
 			wantErr: []string{"Procs", "positive"}},
@@ -87,7 +85,6 @@ func TestValidateMachine(t *testing.T) {
 			}
 			cfg.Protocol = tc.protocol
 			cfg.GCThreshold = tc.gcThreshold
-			cfg.EagerRC = tc.eagerRC
 			cfg.Net.Topology = tc.topology
 			cfg.Net.FatTreeRadix = tc.radix
 			cfg.Barrier = tc.barrier
@@ -98,7 +95,7 @@ func TestValidateMachine(t *testing.T) {
 			if tc.name == "hlrc rejects shared pf-heap gc" {
 				cfg.PfHeapSharedGC = true
 			}
-			err := validateMachine(cfg)
+			err := cfg.Validate()
 			if len(tc.wantErr) == 0 {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -114,5 +111,50 @@ func TestValidateMachine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBadFlagIsUsageError checks the flag binding end to end: parseFlags
+// sets the dsm.Config fields the flags name, and a bad value or combination
+// comes back as the error main turns into exit status 2 — never a panic.
+func TestBadFlagIsUsageError(t *testing.T) {
+	parse := func(args ...string) (*options, error) {
+		fs := flag.NewFlagSet("dsmrun", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return parseFlags(fs, args)
+	}
+	o, err := parse("-app", "FFT,SOR", "-procs", "16", "-threads", "2", "-protocol", "erc",
+		"-topology", "fattree", "-barrier", "tree", "-gossip", "-gossip-seed", "5", "-loss", "0.01")
+	if err != nil {
+		t.Fatalf("valid flags rejected: %v", err)
+	}
+	c := o.cfg
+	if len(o.names) != 2 || c.Procs != 16 || c.ThreadsPerProc != 2 || !c.SwitchOnSync ||
+		c.Protocol != "erc" || c.Net.Topology != "fattree" || c.Barrier != "tree" ||
+		!c.Gossip || c.GossipSeed != 5 || c.Net.Faults.Loss != 0.01 || c.Net.Faults.Seed != 1 {
+		t.Errorf("flags not bound onto the config: %+v", o)
+	}
+	if o, _ := parse(); o.cfg.Net.Faults.Active() || o.cfg.Net.Faults.Seed != 0 {
+		t.Errorf("no fault flags must leave the zero plan, got %+v", o.cfg.Net.Faults)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-procs", "0"}, "Procs"},
+		{[]string{"-protocol", "bogus"}, "unknown protocol"},
+		{[]string{"-topology", "fattree", "-procs", "12"}, "power-of-two"},
+		{[]string{"-home-policy", "migrate"}, "-protocol is not hlrc"},
+		{[]string{"-gossip-seed", "3"}, "-gossip is off"},
+		{[]string{"-fault-seed", "3"}, "fault injection is off"},
+		{[]string{"-loss", "0.1", "-fault-seed", "0"}, "reserved"},
+		{[]string{"-loss", "2"}, "probability"},
+		{[]string{"-app", "NOPE"}, "unknown application"},
+		{[]string{"-app", "SOR,FFT", "-trace", "t.json"}, "single -app"},
+		{[]string{"-no-such-flag"}, "not defined"},
+	} {
+		if _, err := parse(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: want usage error mentioning %q, got %v", tc.args, tc.want, err)
+		}
 	}
 }

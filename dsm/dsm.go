@@ -65,8 +65,10 @@ const PageSize = pagemem.PageSize
 // Prefetch/PrefetchRange, Compute, and identification helpers.
 type Env = core.Env
 
-// Config selects the cluster size, latency-tolerance mode, network
-// parameters and protocol cost model.
+// Config selects the cluster size, latency-tolerance mode, coherence
+// protocol, network parameters and protocol cost model. Config.Validate
+// reports a configuration NewSystem cannot build as a plain error; NewSystem
+// panics on the same mistakes, so front ends validate user input first.
 type Config = core.Config
 
 // System is one simulated cluster; create with NewSystem, then Run once.
@@ -143,23 +145,3 @@ func Protocols() []string { return proto.Names() }
 // Config.HomePolicy together with Protocol "hlrc"; the empty string selects
 // "static", the paper's fixed page-mod-N assignment.
 func HomePolicies() []string { return proto.HomePolicies() }
-
-// ValidateProtocolConfig checks that cfg names a registered coherence
-// protocol and that the protocol accepts cfg's knob combination (for
-// example, HLRC has no diff GC, so it rejects a nonzero GCThreshold).
-// NewSystem panics on an invalid combination; front ends validate user
-// input with this first to report a plain error instead.
-func ValidateProtocolConfig(cfg Config) error {
-	_, err := core.ProtoConfig(cfg)
-	return err
-}
-
-// ValidateMachineConfig checks the whole machine configuration — processor
-// and thread counts, interconnect topology (the fat tree needs power-of-two
-// node counts and radices), barrier and gossip knobs, and the protocol
-// combination — and reports the first problem as a plain error. NewSystem
-// panics on the same mistakes; front ends validate user input with this
-// first.
-func ValidateMachineConfig(cfg Config) error {
-	return core.ValidateMachine(cfg)
-}

@@ -197,9 +197,9 @@ func rpConfigs() []Config {
 	reliable := mk(4, 1, true, false, 0)
 	reliable.PfReliable = true
 	eager := mk(4, 1, false, false, 0)
-	eager.EagerRC = true
+	eager.Protocol = "erc"
 	eagerMT := mk(2, 2, true, false, 8192)
-	eagerMT.EagerRC = true
+	eagerMT.Protocol = "erc"
 	// Faulty-network configurations: the oracle must hold while the
 	// reliable transport recovers lost, duplicated and reordered messages.
 	faulty := mk(4, 1, false, false, 0)

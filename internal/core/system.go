@@ -21,15 +21,11 @@ type Config struct {
 	Procs          int // processors (paper: 8)
 	ThreadsPerProc int // user-level threads per processor (1 = original)
 
-	// Protocol names the registered coherence backend to run ("lrc",
-	// "erc", "hlrc", "adp"). Empty selects the default "lrc" — or "erc"
-	// when the legacy EagerRC ablation switch is set.
-	Protocol string
-
-	// HomePolicy selects the home-based backend's page→home assignment:
-	// "static" (page mod N; the default), "firsttouch", or "migrate".
-	// Only meaningful with Protocol "hlrc"; others reject a non-empty value.
-	HomePolicy string
+	// Spec selects the coherence backend and its policy knobs (Protocol,
+	// HomePolicy, ThrottlePf, GCThreshold, Barrier, Gossip, ... and the
+	// protocol-level ablation switches). It is embedded, so the fields read
+	// as cfg.Protocol, cfg.Gossip, ...; proto.Spec documents each one.
+	proto.Spec
 
 	// SwitchOnMiss makes a thread yield the processor on a remote memory
 	// miss; SwitchOnSync does the same for remote synchronization stalls.
@@ -42,34 +38,9 @@ type Config struct {
 	// calls (Section 3).
 	Prefetch bool
 
-	// ThrottlePf drops every k-th dynamic prefetch (Section 5.1, RADIX).
-	ThrottlePf int
-
-	// GCThreshold triggers diff garbage collection at a barrier once a
-	// node's diff storage exceeds it (bytes). Zero disables GC.
-	GCThreshold int64
-
-	// Ablation switches (normally all false; see the ablation experiment).
-	NoTokenCache   bool // locks return to their manager at every release
-	PfReliable     bool // prefetch messages are never dropped
-	PfHeapSharedGC bool // prefetch cache counts toward the GC trigger
-	NoPfSuppress   bool // disable redundant-prefetch suppression (Sec. 5.1)
-	EagerRC        bool // eager release consistency (broadcast notices at release)
-
-	// Barrier selects the barrier implementation: "" or "central" is the
-	// paper's single-manager barrier at node 0; "tree" is the deterministic
-	// combining tree (BarrierFanout-ary, default 4), which bounds any one
-	// node's per-episode barrier work at large cluster sizes.
-	Barrier       string
-	BarrierFanout int
-
-	// Gossip disseminates write notices through seeded deterministic
-	// fanout-k push rounds instead of ERC's O(N) release broadcast (and
-	// pre-spreads notices under plain LRC). lrc/erc backends only.
-	Gossip         bool
-	GossipFanout   int      // peers pushed to per round (0 = default 2)
-	GossipSeed     int64    // seeds the per-node peer choice
-	GossipInterval sim.Time // round period (0 = default 50 µs)
+	// NoPfSuppress disables redundant-prefetch suppression between sibling
+	// threads (Section 5.1); an ablation switch, normally false.
+	NoPfSuppress bool
 
 	// RaceCheck enables the deterministic happens-before race detector
 	// (internal/race): every shared access is checked against the ordering
@@ -145,72 +116,39 @@ type System struct {
 	snapPeakBack sim.Time
 }
 
-// ProtoConfig maps the cluster Config onto the protocol engine's Config and
-// validates it against the registry: the protocol must be registered and
-// must accept the knob combination. NewSystem panics on an error; front
-// ends call this first to report user mistakes as plain errors.
-func ProtoConfig(cfg Config) (proto.Config, error) {
-	pcfg := proto.Config{
-		Protocol:       cfg.Protocol,
-		HomePolicy:     cfg.HomePolicy,
-		ThrottlePf:     cfg.ThrottlePf,
-		GCThreshold:    cfg.GCThreshold,
-		NoTokenCache:   cfg.NoTokenCache,
-		PfReliable:     cfg.PfReliable,
-		PfHeapSharedGC: cfg.PfHeapSharedGC,
-		Barrier:        cfg.Barrier,
-		BarrierFanout:  cfg.BarrierFanout,
-		Gossip:         cfg.Gossip,
-		GossipFanout:   cfg.GossipFanout,
-		GossipSeed:     cfg.GossipSeed,
-		GossipInterval: cfg.GossipInterval,
-	}
-	if cfg.EagerRC {
-		// EagerRC predates the protocol registry; it maps to the "erc"
-		// backend and cannot combine with an explicit other protocol.
-		if cfg.Protocol != "" && cfg.Protocol != "erc" {
-			return pcfg, fmt.Errorf("EagerRC conflicts with Protocol %q", cfg.Protocol)
-		}
-		pcfg.Protocol = "erc"
-	}
-	return pcfg, proto.ValidateConfig(pcfg)
-}
-
-// ValidateMachine checks the whole machine configuration — processor and
-// thread counts, thread-switching rules, interconnect topology, and the
-// protocol knob combination — and reports the first problem as a plain
-// error. NewSystem enforces the same rules by panicking; front ends
-// validate user input with this first so mistakes surface as usage errors.
-func ValidateMachine(cfg Config) error {
-	if cfg.Procs <= 0 || cfg.ThreadsPerProc <= 0 {
+// Validate checks the whole configuration — processor and thread counts,
+// thread-switching rules, race-detector granularity, interconnect topology,
+// and the protocol spec — and reports the first problem as a plain error.
+// It is the only validator: NewSystem panics on its error, and front ends
+// call it first so user mistakes surface as usage errors.
+func (c Config) Validate() error {
+	if c.Procs <= 0 || c.ThreadsPerProc <= 0 {
 		return fmt.Errorf("Procs and ThreadsPerProc must be positive (got %d and %d)",
-			cfg.Procs, cfg.ThreadsPerProc)
+			c.Procs, c.ThreadsPerProc)
 	}
-	if cfg.ThreadsPerProc > 1 && !cfg.SwitchOnSync {
+	if c.ThreadsPerProc > 1 && !c.SwitchOnSync {
 		// A thread spin-waiting at a barrier would starve its siblings of
 		// the CPU forever; multithreaded configurations must switch on
 		// synchronization stalls (as all of the paper's do).
 		return fmt.Errorf("ThreadsPerProc > 1 requires SwitchOnSync")
 	}
-	if cfg.RaceGranularity != "" && !cfg.RaceCheck {
+	if c.RaceGranularity != "" && !c.RaceCheck {
 		return fmt.Errorf("RaceGranularity set without RaceCheck")
 	}
-	if _, err := race.ParseGranularity(cfg.RaceGranularity); err != nil {
+	if _, err := race.ParseGranularity(c.RaceGranularity); err != nil {
 		return err
 	}
-	if err := cfg.Net.Validate(cfg.Procs); err != nil {
+	if err := c.Net.Validate(c.Procs); err != nil {
 		return err
 	}
-	_, err := ProtoConfig(cfg)
-	return err
+	return c.Spec.Validate()
 }
 
 // NewSystem builds the cluster.
 func NewSystem(cfg Config) *System {
-	if err := ValidateMachine(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic("core: " + err.Error())
 	}
-	pcfg, _ := ProtoConfig(cfg)
 	s := &System{Cfg: cfg, K: sim.NewKernel(), Alloc: pagemem.NewAllocator()}
 	if cfg.Limit > 0 {
 		s.K.SetLimit(cfg.Limit)
@@ -225,7 +163,7 @@ func NewSystem(cfg Config) *System {
 	s.K.Bus().Subscribe(stats.NewCollector(s.NodeSt))
 	for i := 0; i < cfg.Procs; i++ {
 		cpu := sim.NewCPU(s.K)
-		node := proto.NewNode(i, cfg.Procs, s.K, cpu, &cfg.Costs, pcfg)
+		node := proto.NewNode(i, cfg.Procs, s.K, cpu, &cfg.Costs, cfg.Spec)
 		node.Send = s.Net.Send
 		node.SetMT(cfg.MT())
 		if cfg.Net.Faults.Active() {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"godsm/dsm"
 	"godsm/internal/sim"
@@ -17,7 +18,8 @@ type ablation struct {
 	detail  string
 	apps    []string
 	variant Variant
-	mutate  func(*dsm.Config)
+	setup   func(*dsm.Config) // applied to the full and the ablated run; may be nil
+	mutate  func(*dsm.Config) // applied to the ablated run only
 }
 
 var ablations = []ablation{
@@ -54,17 +56,17 @@ var ablations = []ablation{
 		detail:  "write notices broadcast at every release (Munin-style) instead of lazily",
 		apps:    []string{"OCEAN", "WATER-NSQ", "SOR"},
 		variant: VarO,
-		mutate:  func(c *dsm.Config) { c.EagerRC = true },
+		mutate:  func(c *dsm.Config) { c.Protocol = "erc" },
 	},
 	{
 		name:    "shared-prefetch-heap",
 		detail:  "prefetch cache counts toward the GC trigger (paper footnote 6)",
 		apps:    []string{"LU-NCONT", "FFT"},
 		variant: VarP,
-		mutate: func(c *dsm.Config) {
-			c.PfHeapSharedGC = true
-			c.GCThreshold = 256 * 1024
-		},
+		// Full and ablated both collect at the same threshold, so the ratio
+		// isolates the heap-sharing choice.
+		setup:  func(c *dsm.Config) { c.GCThreshold = 256 * 1024 },
+		mutate: func(c *dsm.Config) { c.PfHeapSharedGC = true },
 	},
 }
 
@@ -74,75 +76,51 @@ var ablations = []ablation{
 // rows simulate concurrently on the session's worker pool; rendering waits
 // and prints in table order.
 func RunAblations(s *Session, w io.Writer) error {
-	type row struct {
-		ab        ablation
-		app       string
-		base, abl *dsm.Report
+	type cell struct {
+		ab      int // index into ablations
+		app     string
+		ablated bool
 	}
-	var rows []*row
-	for _, ab := range ablations {
+	var cells []cell
+	for i, ab := range ablations {
 		for _, app := range ab.apps {
-			if contains(s.AppNames(), app) {
-				rows = append(rows, &row{ab: ab, app: app})
+			if slices.Contains(s.AppNames(), app) {
+				cells = append(cells, cell{i, app, false}, cell{i, app, true})
 			}
 		}
 	}
-	if err := each(len(rows), func(i int) error {
-		r := rows[i]
-		// Ablated runs bypass the variant cache (configs differ).
-		cfg := s.Config(r.app, r.ab.variant)
-		if r.ab.name == "shared-prefetch-heap" {
-			// Compare against the same GC threshold with the separate
-			// heap, so the ratio isolates the heap-sharing choice.
-			cfgBase := cfg
-			cfgBase.GCThreshold = 256 * 1024
-			base, err := s.RunConfig(r.app, cfgBase)
-			if err != nil {
-				return err
-			}
-			r.base = base
-		} else {
-			base, err := s.Run(r.app, r.ab.variant)
-			if err != nil {
-				return err
-			}
-			r.base = base
+	reps, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
+		ab := ablations[c.ab]
+		cfg := s.Config(c.app, ab.variant)
+		if ab.setup != nil {
+			ab.setup(&cfg)
 		}
-		r.ab.mutate(&cfg)
-		abl, err := s.RunConfig(r.app, cfg)
-		if err != nil {
-			return err
+		if c.ablated {
+			ab.mutate(&cfg)
 		}
-		r.abl = abl
-		return nil
-	}); err != nil {
+		return c.app, cfg, s.Opt.Verify
+	})
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "Ablation study: cost of removing each design mechanism")
 	fmt.Fprintf(w, "%-28s %-10s %-5s %12s %12s %8s\n",
 		"Mechanism removed", "App", "Cfg", "Full", "Ablated", "Ratio")
-	i := 0
-	for _, ab := range ablations {
-		for ; i < len(rows) && rows[i].ab.name == ab.name; i++ {
-			r := rows[i]
+	for i, ab := range ablations {
+		for _, app := range ab.apps {
+			base, abl := reps[cell{i, app, false}], reps[cell{i, app, true}]
+			if base == nil {
+				continue // app not selected
+			}
 			fmt.Fprintf(w, "%-28s %-10s %-5s %10dus %10dus %7.2fx\n",
-				ab.name, r.app, ab.variant,
-				r.base.Elapsed/sim.Microsecond, r.abl.Elapsed/sim.Microsecond,
-				float64(r.abl.Elapsed)/float64(r.base.Elapsed))
+				ab.name, app, ab.variant,
+				base.Elapsed/sim.Microsecond, abl.Elapsed/sim.Microsecond,
+				float64(abl.Elapsed)/float64(base.Elapsed))
 		}
 		fmt.Fprintf(w, "  (%s)\n", ab.detail)
 	}
 	return nil
-}
-
-func contains(ss []string, v string) bool {
-	for _, s := range ss {
-		if s == v {
-			return true
-		}
-	}
-	return false
 }
 
 func init() {

@@ -18,7 +18,9 @@ import (
 // better of the two regimes without knowing the application in advance.
 
 // AdaptiveBackend is one column of the adaptive comparison: a display
-// label, a protocol name, and (for hlrc) a home policy.
+// label, a protocol name, and (for hlrc) a home policy. Static hlrc leaves
+// the policy empty — the same configuration, hence the same cached runs, as
+// the protocols experiment's hlrc column.
 type AdaptiveBackend struct {
 	Label    string
 	Protocol string
@@ -30,7 +32,7 @@ type AdaptiveBackend struct {
 // and migrate move homes but keep every page home-based.
 var AdaptiveBackends = []AdaptiveBackend{
 	{Label: "lrc", Protocol: "lrc"},
-	{Label: "hlrc", Protocol: "hlrc", Policy: "static"},
+	{Label: "hlrc", Protocol: "hlrc"},
 	{Label: "hlrc/ft", Protocol: "hlrc", Policy: "firsttouch"},
 	{Label: "hlrc/mig", Protocol: "hlrc", Policy: "migrate"},
 	{Label: "adp", Protocol: "adp"},
@@ -43,28 +45,21 @@ func RunAdaptive(s *Session, w io.Writer) error {
 		app string
 		v   Variant
 		b   AdaptiveBackend
-		rep *dsm.Report
 	}
-	var cells []*cell
-	idx := make(map[string]*cell)
+	var cells []cell
 	for _, b := range AdaptiveBackends {
 		for _, app := range s.AppNames() {
 			for _, v := range ProtocolVariants {
-				c := &cell{app: app, v: v, b: b}
-				cells = append(cells, c)
-				idx[c.app+"/"+c.b.Label+"/"+string(c.v)] = c
+				cells = append(cells, cell{app, v, b})
 			}
 		}
 	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := s.RunProtocolPolicy(c.app, c.v, c.b.Protocol, c.b.Policy)
-		if err != nil {
-			return err
-		}
-		c.rep = rep
-		return nil
-	}); err != nil {
+	reps, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
+		cfg := s.Config(c.app, c.v)
+		cfg.Protocol, cfg.HomePolicy = c.b.Protocol, c.b.Policy
+		return c.app, cfg, true
+	})
+	if err != nil {
 		return err
 	}
 
@@ -75,10 +70,10 @@ func RunAdaptive(s *Session, w io.Writer) error {
 			"App", "Cfg", "Elapsed", "Msgs", "VolKB", "DiffAppl", "HomeFlsh", "HomeFtch", "Migr", "ToHome", "ToDiff")
 		for _, app := range s.AppNames() {
 			for _, v := range ProtocolVariants {
-				c := idx[app+"/"+b.Label+"/"+string(v)]
-				n := c.rep.Sum()
+				rep := reps[cell{app, v, b}]
+				n := rep.Sum()
 				fmt.Fprintf(w, "%-10s %-4s %8sus %8d %7s %8d %8d %8d %7d %7d %7d\n",
-					app, v, usec(c.rep.Elapsed), c.rep.MsgsTotal, kb(c.rep.BytesTotal),
+					app, v, usec(rep.Elapsed), rep.MsgsTotal, kb(rep.BytesTotal),
 					n.DiffsApplied, n.HomeFlushes, n.HomeFetches,
 					n.HomeMigrations, n.ModeToHome, n.ModeToDiff)
 			}
@@ -93,17 +88,18 @@ func RunAdaptive(s *Session, w io.Writer) error {
 	fmt.Fprintf(w, " %8s\n", "adp/best")
 	for _, app := range s.AppNames() {
 		for _, v := range ProtocolVariants {
-			base := idx[app+"/lrc/"+string(v)].rep
+			base := reps[cell{app, v, AdaptiveBackends[0]}]
 			fmt.Fprintf(w, "%-10s %-4s", app, v)
-			best := base.Elapsed
+			best, adp := base.Elapsed, base
 			for _, b := range AdaptiveBackends[1:] {
-				rep := idx[app+"/"+b.Label+"/"+string(v)].rep
+				rep := reps[cell{app, v, b}]
 				fmt.Fprintf(w, " %8.3f", float64(rep.Elapsed)/float64(base.Elapsed))
-				if b.Label != "adp" && rep.Elapsed < best {
+				if b.Label == "adp" {
+					adp = rep
+				} else if rep.Elapsed < best {
 					best = rep.Elapsed
 				}
 			}
-			adp := idx[app+"/adp/"+string(v)].rep
 			fmt.Fprintf(w, " %8.3f\n", float64(adp.Elapsed)/float64(best))
 		}
 	}

@@ -42,11 +42,11 @@ func TestAdaptiveCrossWorkerDeterminism(t *testing.T) {
 	for _, b := range AdaptiveBackends {
 		for _, app := range seq.AppNames() {
 			for _, v := range ProtocolVariants {
-				a, err := seq.RunProtocolPolicy(app, v, b.Protocol, b.Policy)
+				a, err := protoSim(seq, app, v, b.Protocol, b.Policy)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := par.RunProtocolPolicy(app, v, b.Protocol, b.Policy)
+				c, err := protoSim(par, app, v, b.Protocol, b.Policy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +119,7 @@ func TestAdaptiveGridRaceCheckClean(t *testing.T) {
 				cfg.Protocol = b.Protocol
 				cfg.HomePolicy = b.Policy
 				cfg.RaceCheck = true
-				if _, err := s.RunConfigVerified(app, cfg); err != nil {
+				if _, err := s.Sim(app, cfg, true); err != nil {
 					t.Errorf("%s/%s under %s: %v", app, v, b.Label, err)
 				}
 			}

@@ -57,31 +57,16 @@ var FaultVariants = []Variant{VarO, VarP, Var4T, Var4TP}
 // whose faults never exercised the transport (all counters zero) is an
 // error, since it would mean the soak soaked nothing.
 func RunFaults(s *Session, w io.Writer) error {
-	type cell struct {
-		app string
-		v   Variant
-		rep *dsm.Report
-	}
+	cells := s.Grid(FaultVariants)
 	fmt.Fprintln(w, "Chaos soak: full grid under escalating fault schedules, outputs verified against goldens")
 	for _, sched := range faultSchedules {
-		cells := make([]*cell, 0, len(s.AppNames())*len(FaultVariants))
-		for _, app := range s.AppNames() {
-			for _, v := range FaultVariants {
-				cells = append(cells, &cell{app: app, v: v})
-			}
-		}
-		if err := each(len(cells), func(i int) error {
-			c := cells[i]
-			cfg := s.Config(c.app, c.v)
+		reps, err := simGrid(s, cells, func(c RunKey) (string, dsm.Config, bool) {
+			cfg := s.Config(c.App, c.Variant)
 			cfg.Net.Faults = sched.plan
-			rep, err := s.RunConfigVerified(c.app, cfg)
-			if err != nil {
-				return fmt.Errorf("%s/%s under %s faults: %w", c.app, c.v, sched.name, err)
-			}
-			c.rep = rep
-			return nil
-		}); err != nil {
-			return err
+			return c.App, cfg, true
+		})
+		if err != nil {
+			return fmt.Errorf("%s faults: %w", sched.name, err)
 		}
 
 		p := sched.plan
@@ -92,14 +77,15 @@ func RunFaults(s *Session, w io.Writer) error {
 			"App", "Cfg", "Elapsed", "Retx", "Tmout", "DupSupp", "Acks", "MaxRTO", "NetDrop", "verify")
 		var retx, tmout, dups int64
 		for _, c := range cells {
-			n := c.rep.Sum()
+			rep := reps[c]
+			n := rep.Sum()
 			retx += n.Retransmits
 			tmout += n.Timeouts
 			dups += n.DupSuppressed
 			fmt.Fprintf(w, "%-10s %-4s %8sus %7d %7d %8d %7d %6sms %8d %7s\n",
-				c.app, c.v, usec(c.rep.Elapsed),
+				c.App, c.Variant, usec(rep.Elapsed),
 				n.Retransmits, n.Timeouts, n.DupSuppressed, n.AcksSent,
-				fmt.Sprint(n.MaxBackoff/sim.Millisecond), c.rep.Drops, "ok")
+				fmt.Sprint(n.MaxBackoff/sim.Millisecond), rep.Drops, "ok")
 		}
 		if retx == 0 && tmout == 0 && dups == 0 {
 			return fmt.Errorf("schedule %s: no retransmits, timeouts or suppressed duplicates across the grid — faults were not injected", sched.name)

@@ -105,8 +105,8 @@ func DefaultOptions() Options {
 // runs out over a bounded worker pool.
 //
 // Thread-safety contract: every Session method may be called from any
-// number of goroutines concurrently. Run deduplicates in-flight work
-// (singleflight): concurrent calls for the same app/variant trigger exactly
+// number of goroutines concurrently. Sim deduplicates in-flight work
+// (singleflight): concurrent calls for the same configuration trigger exactly
 // one simulation and all receive the same *dsm.Report. The number of
 // simulations executing at once never exceeds Options.Workers, no matter
 // how many goroutines call in; excess callers queue. Experiment render
@@ -119,7 +119,7 @@ type Session struct {
 	mu    sync.Mutex
 	cache map[string]*flight
 
-	simCount atomic.Int64 // simulations executed (cache misses + RunConfig)
+	simCount atomic.Int64 // simulations executed (cache misses)
 	simWall  atomic.Int64 // cumulative wall nanoseconds spent simulating
 }
 
@@ -188,98 +188,61 @@ func (s *Session) Config(app string, v Variant) dsm.Config {
 	return cfg
 }
 
-// Run simulates one application under one variant (cached, singleflight).
-// If another goroutine is already simulating the same pair, Run waits for
-// its result instead of simulating again — so Fig2's "O" run and Fig4's
-// "O" run simulate once even when the experiments render concurrently.
+// Run simulates one application under one of the paper's variants: Sim on
+// the session's configuration for the pair, verified when the session is.
 func (s *Session) Run(app string, v Variant) (*dsm.Report, error) {
-	return s.cached(app+"/"+string(v), func() (*dsm.Report, error) {
-		rep, err := s.RunConfig(app, s.Config(app, v))
-		if err != nil {
-			err = fmt.Errorf("%s/%s: %w", app, v, err)
-		}
-		return rep, err
-	})
-}
-
-// RunProtocol simulates one application under one variant with the named
-// coherence protocol, with golden-output verification forced on (a protocol
-// comparison is only meaningful between runs that all computed the right
-// answer). Results are cached and singleflighted like Run's.
-func (s *Session) RunProtocol(app string, v Variant, protocol string) (*dsm.Report, error) {
-	return s.RunProtocolPolicy(app, v, protocol, "")
-}
-
-// RunProtocolPolicy is RunProtocol with an explicit home policy for the
-// home-based backend (empty = the protocol's default assignment). The cache
-// key includes the policy, so "hlrc" under different policies are distinct
-// runs.
-func (s *Session) RunProtocolPolicy(app string, v Variant, protocol, policy string) (*dsm.Report, error) {
-	key := app + "/" + protocol
-	if policy != "" {
-		key += "@" + policy
+	rep, err := s.Sim(app, s.Config(app, v), s.Opt.Verify)
+	if err != nil {
+		err = fmt.Errorf("%s/%s: %w", app, v, err)
 	}
-	return s.cached(key+"/"+string(v)+"/verified", func() (*dsm.Report, error) {
-		cfg := s.Config(app, v)
-		cfg.Protocol = protocol
-		cfg.HomePolicy = policy
-		rep, err := s.runConfig(app, cfg, true)
-		if err != nil {
-			label := protocol
-			if policy != "" {
-				label += "/" + policy
-			}
-			err = fmt.Errorf("%s/%s under %s: %w", app, v, label, err)
-		}
-		return rep, err
-	})
+	return rep, err
 }
 
-// cached returns the result stored under key, simulating it with sim on the
-// first call. Concurrent calls for the same key trigger exactly one
-// simulation and all receive the same result (singleflight).
-func (s *Session) cached(key string, sim func() (*dsm.Report, error)) (*dsm.Report, error) {
-	s.mu.Lock()
-	if f, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		return f.rep, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.cache[key] = f
-	s.mu.Unlock()
-
-	f.rep, f.err = sim()
-	close(f.done)
-	return f.rep, f.err
+// simKey renders the identity of one simulation. The simulator is
+// deterministic, so (app, verify, cfg) determines the report completely;
+// %#v quotes strings and covers every field of cfg, nested structs and
+// slices included, so no field list needs maintaining (TestSimKey guards
+// the assumptions).
+func simKey(app string, cfg dsm.Config, verify bool) string {
+	return fmt.Sprintf("%q|%t|%#v", app, verify, cfg)
 }
 
-// RunConfig simulates one application under an explicit configuration,
-// outside the variant cache (ablations and sweeps use non-variant
-// configs). The call counts against the session's worker pool, so
-// arbitrarily many goroutines may invoke it concurrently.
-func (s *Session) RunConfig(app string, cfg dsm.Config) (*dsm.Report, error) {
-	return s.runConfig(app, cfg, s.Opt.Verify)
-}
-
-// RunConfigVerified is RunConfig with golden-output verification forced on,
-// regardless of the session's Verify option. The chaos soak uses it: under
-// fault injection, completing is not enough — the computed results must
-// still match the sequential goldens.
-func (s *Session) RunConfigVerified(app string, cfg dsm.Config) (*dsm.Report, error) {
-	return s.runConfig(app, cfg, true)
-}
-
-func (s *Session) runConfig(app string, cfg dsm.Config, verify bool) (*dsm.Report, error) {
+// Sim simulates one application under one configuration, with golden-output
+// verification when verify is set. It is the session's only way to run a
+// simulation: results are cached under the configuration itself, and
+// concurrent calls for the same (app, cfg, verify) trigger exactly one
+// simulation whose result all of them receive (singleflight) — so Fig2's
+// "O" run and Fig4's "O" run, or the adaptive experiment's hlrc column and
+// the protocols experiment's, simulate once even when the experiments render
+// concurrently. A configuration NewSystem could not build is a plain error,
+// reported before the call takes a worker slot.
+func (s *Session) Sim(app string, cfg dsm.Config, verify bool) (*dsm.Report, error) {
 	spec, err := apps.ByName(app)
 	if err != nil {
 		return nil, err
 	}
-	// Reject bad protocol/knob combinations as a plain error here rather
-	// than letting dsm.NewSystem panic inside a worker goroutine.
-	if err := dsm.ValidateProtocolConfig(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	key := simKey(app, cfg, verify)
+	s.mu.Lock()
+	f, ok := s.cache[key]
+	if !ok {
+		f = &flight{done: make(chan struct{})}
+		s.cache[key] = f
+	}
+	s.mu.Unlock()
+	if ok {
+		<-f.done
+		return f.rep, f.err
+	}
+	f.rep, f.err = s.simulate(spec, cfg, verify)
+	close(f.done)
+	return f.rep, f.err
+}
+
+// simulate builds and runs one simulation on a worker slot.
+func (s *Session) simulate(spec apps.Spec, cfg dsm.Config, verify bool) (*dsm.Report, error) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	start := Wallclock()
@@ -352,9 +315,9 @@ func (s *Session) RunAll(keys []RunKey) error {
 }
 
 // each runs job(0) … job(n-1) concurrently, waits for all of them, and
-// returns the lowest-index error. Jobs typically call Run or RunConfig,
-// which bound actual simulation concurrency at the session's worker pool —
-// each itself spawns freely.
+// returns the lowest-index error. Jobs typically call Run or Sim, which
+// bound actual simulation concurrency at the session's worker pool — each
+// itself spawns freely.
 func each(n int, job func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -372,6 +335,28 @@ func each(n int, job func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// simGrid simulates one run per cell concurrently on the session's worker
+// pool and returns the reports keyed by cell. spec maps a cell to the
+// (app, cfg, verify) triple Sim takes; cells with equal triples share one
+// simulation. The first failing cell (in cell order) is the error.
+func simGrid[C comparable](s *Session, cells []C, spec func(C) (string, dsm.Config, bool)) (map[C]*dsm.Report, error) {
+	reps := make([]*dsm.Report, len(cells))
+	if err := each(len(cells), func(i int) (err error) {
+		app, cfg, verify := spec(cells[i])
+		if reps[i], err = s.Sim(app, cfg, verify); err != nil {
+			err = fmt.Errorf("%+v: %w", cells[i], err)
+		}
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	byCell := make(map[C]*dsm.Report, len(cells))
+	for i, c := range cells {
+		byCell[c] = reps[i]
+	}
+	return byCell, nil
 }
 
 // Experiment regenerates one paper artifact.

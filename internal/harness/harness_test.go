@@ -14,6 +14,14 @@ func testSession() *Session {
 	return NewSession(Options{Procs: 4, Scale: apps.Unit})
 }
 
+// protoSim runs one golden-verified cell under a named protocol and home
+// policy, the way the protocols and adaptive experiments do.
+func protoSim(s *Session, app string, v Variant, protocol, policy string) (*dsm.Report, error) {
+	cfg := s.Config(app, v)
+	cfg.Protocol, cfg.HomePolicy = protocol, policy
+	return s.Sim(app, cfg, true)
+}
+
 // TestEveryExperimentRuns executes each experiment end to end at unit scale
 // on a reduced app set and sanity-checks the rendered output.
 func TestEveryExperimentRuns(t *testing.T) {
@@ -174,16 +182,16 @@ func TestCrossProtocolDeterminism(t *testing.T) {
 		s := s
 		if err := each(len(grid), func(i int) error {
 			c := grid[i]
-			_, err := s.RunProtocol(c.app, c.v, c.proto)
+			_, err := protoSim(s, c.app, c.v, c.proto, "")
 			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, c := range grid {
-		a, _ := seq.RunProtocol(c.app, c.v, c.proto)
-		b, _ := par.RunProtocol(c.app, c.v, c.proto)
-		d, _ := rerun.RunProtocol(c.app, c.v, c.proto)
+		a, _ := protoSim(seq, c.app, c.v, c.proto, "")
+		b, _ := protoSim(par, c.app, c.v, c.proto, "")
+		d, _ := protoSim(rerun, c.app, c.v, c.proto, "")
 		fa, fb, fd := a.Fingerprint(), b.Fingerprint(), d.Fingerprint()
 		if fa != fb {
 			t.Errorf("%s/%s under %s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s",
@@ -196,10 +204,13 @@ func TestCrossProtocolDeterminism(t *testing.T) {
 	}
 }
 
-// TestSingleflight: many goroutines racing on the same key must trigger
-// exactly one simulation and all observe the same report pointer.
+// TestSingleflight: many goroutines racing on the same configuration — an
+// explicit one no variant names, as the sweeps and ablations use — must
+// trigger exactly one simulation and all observe the same report pointer.
 func TestSingleflight(t *testing.T) {
 	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Workers: 4})
+	cfg := s.Config("SOR", VarO)
+	cfg.Net.PropDelay *= 2
 	const callers = 16
 	reps := make([]*dsm.Report, callers)
 	var wg sync.WaitGroup
@@ -207,7 +218,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := s.Run("SOR", VarO)
+			rep, err := s.Sim("SOR", cfg, false)
 			if err != nil {
 				t.Error(err)
 				return

@@ -95,23 +95,46 @@ func (s *Session) nodeScaleApps() []string {
 	return nodeScaleDefaultApps
 }
 
+// nodeScaleCell names one run of the sweep.
+type nodeScaleCell struct {
+	app, protocol string
+	procs         int
+	machine       string // "baseline" or "scaled"
+}
+
 // nodeScaleConfig builds one cell's configuration.
-func (s *Session) nodeScaleConfig(app, protocol string, procs int, scaled bool) dsm.Config {
-	cfg := s.Config(app, VarO)
-	cfg.Procs = procs
-	cfg.Protocol = protocol
-	if scaled {
+func (s *Session) nodeScaleConfig(c nodeScaleCell) dsm.Config {
+	cfg := s.Config(c.app, VarO)
+	cfg.Procs = c.procs
+	cfg.Protocol = c.protocol
+	if c.machine == "scaled" {
 		cfg.Net.Topology = "fattree"
 		cfg.Barrier = "tree"
 		// Gossip replaces erc's O(N) release broadcast. lrc sends no eager
 		// notices (gossip would only add traffic) and hlrc routes notices
 		// through page homes, so both keep their notice paths.
-		if protocol == "erc" {
+		if c.protocol == "erc" {
 			cfg.Gossip = true
 			cfg.GossipSeed = nodeScaleSeed
 		}
 	}
 	return cfg
+}
+
+// nodeScaleRow extracts one cell's metrics from its report.
+func nodeScaleRow(c nodeScaleCell, rep *dsm.Report) NodeScaleRow {
+	sum := rep.Sum()
+	return NodeScaleRow{
+		App: c.app, Protocol: c.protocol, Procs: c.procs, Machine: c.machine,
+		ElapsedUs:    int64(rep.Elapsed / sim.Microsecond),
+		Msgs:         rep.MsgsTotal,
+		BarrierUs:    int64(sum.BarrierStall / sim.Time(len(rep.Nodes)) / sim.Microsecond),
+		BarrierMsgs:  rep.KindMsgs[proto.KindBarArrive] + rep.KindMsgs[proto.KindBarRelease],
+		NoticeMsgs:   rep.KindMsgs[proto.KindEagerNotice] + rep.KindMsgs[proto.KindGossip],
+		GossipRounds: sum.GossipRounds,
+		PeakLink:     rep.PeakLink,
+		PeakLinkUs:   int64(rep.PeakLinkBacklog / sim.Microsecond),
+	}
 }
 
 // RunNodeScale runs the machine-scaling sweep.
@@ -121,47 +144,25 @@ func RunNodeScale(s *Session, w io.Writer) error {
 	protocols := ProtocolNames
 	machines := []string{"baseline", "scaled"}
 
-	type cell struct {
-		row NodeScaleRow
-		rep *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
-	key := func(app, protocol string, procs int, machine string) string {
-		return fmt.Sprintf("%s/%s/%d/%s", app, protocol, procs, machine)
-	}
+	var cells []nodeScaleCell
 	for _, app := range apps {
 		for _, protocol := range protocols {
 			for _, procs := range procsList {
 				for _, machine := range machines {
-					c := &cell{row: NodeScaleRow{App: app, Protocol: protocol, Procs: procs, Machine: machine}}
-					cells = append(cells, c)
-					idx[key(app, protocol, procs, machine)] = c
+					cells = append(cells, nodeScaleCell{app, protocol, procs, machine})
 				}
 			}
 		}
 	}
-
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		cfg := s.nodeScaleConfig(c.row.App, c.row.Protocol, c.row.Procs, c.row.Machine == "scaled")
-		rep, err := s.RunConfig(c.row.App, cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", key(c.row.App, c.row.Protocol, c.row.Procs, c.row.Machine), err)
-		}
-		c.rep = rep
-		sum := rep.Sum()
-		c.row.ElapsedUs = int64(rep.Elapsed / sim.Microsecond)
-		c.row.Msgs = rep.MsgsTotal
-		c.row.BarrierUs = int64(sum.BarrierStall / sim.Time(len(rep.Nodes)) / sim.Microsecond)
-		c.row.BarrierMsgs = rep.KindMsgs[proto.KindBarArrive] + rep.KindMsgs[proto.KindBarRelease]
-		c.row.NoticeMsgs = rep.KindMsgs[proto.KindEagerNotice] + rep.KindMsgs[proto.KindGossip]
-		c.row.GossipRounds = sum.GossipRounds
-		c.row.PeakLink = rep.PeakLink
-		c.row.PeakLinkUs = int64(rep.PeakLinkBacklog / sim.Microsecond)
-		return nil
-	}); err != nil {
+	reps, err := simGrid(s, cells, func(c nodeScaleCell) (string, dsm.Config, bool) {
+		return c.app, s.nodeScaleConfig(c), s.Opt.Verify
+	})
+	if err != nil {
 		return err
+	}
+	rows := make(map[nodeScaleCell]NodeScaleRow, len(cells))
+	for _, c := range cells {
+		rows[c] = nodeScaleRow(c, reps[c])
 	}
 
 	fmt.Fprintln(w, "Node scaling: one switch + central barrier (+ erc broadcast) vs fat tree + combining tree + gossip")
@@ -172,7 +173,7 @@ func RunNodeScale(s *Session, w io.Writer) error {
 				"Procs", "Machine", "Elapsed", "Msgs", "BarStall", "BarMsgs", "Notices", "Rounds", "PeakLink", "PeakWait")
 			for _, procs := range procsList {
 				for _, machine := range machines {
-					r := idx[key(app, protocol, procs, machine)].row
+					r := rows[nodeScaleCell{app, protocol, procs, machine}]
 					fmt.Fprintf(w, "%-6d %-9s %10dus %9d %8dus %8d %8d %7d %14s %7dus\n",
 						procs, machine, r.ElapsedUs, r.Msgs, r.BarrierUs,
 						r.BarrierMsgs, r.NoticeMsgs, r.GossipRounds, r.PeakLink, r.PeakLinkUs)
@@ -193,8 +194,8 @@ func RunNodeScale(s *Session, w io.Writer) error {
 				if procs < 64 {
 					continue
 				}
-				base := idx[key(app, protocol, procs, "baseline")].row
-				scal := idx[key(app, protocol, procs, "scaled")].row
+				base := rows[nodeScaleCell{app, protocol, procs, "baseline"}]
+				scal := rows[nodeScaleCell{app, protocol, procs, "scaled"}]
 				ck := NodeScaleCheck{
 					App: app, Protocol: protocol, Procs: procs,
 					BarrierLower: scal.BarrierUs < base.BarrierUs,
@@ -218,7 +219,7 @@ func RunNodeScale(s *Session, w io.Writer) error {
 			Procs: procsList,
 		}
 		for _, c := range cells {
-			snap.Rows = append(snap.Rows, c.row)
+			snap.Rows = append(snap.Rows, rows[c])
 		}
 		snap.Checks = checks
 		buf, err := json.MarshalIndent(snap, "", "  ")

@@ -26,15 +26,15 @@ func TestTreeBarrierDegeneratesToCentral(t *testing.T) {
 			tree.Barrier = "tree"
 			tree.BarrierFanout = base.Procs - 1
 
-			rd, err := s.RunConfig(app, base)
+			rd, err := s.Sim(app, base, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc, err := s.RunConfig(app, central)
+			rc, err := s.Sim(app, central, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := s.RunConfig(app, tree)
+			rt, err := s.Sim(app, tree, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,8 +57,8 @@ func TestTreeBarrierDegeneratesToCentral(t *testing.T) {
 func TestScaledMachineDeterminism(t *testing.T) {
 	run := func(workers int) string {
 		s := NewSession(Options{Procs: 16, Scale: apps.Unit, Workers: workers})
-		cfg := s.nodeScaleConfig("SOR", "erc", 16, true)
-		rep, err := s.RunConfig("SOR", cfg)
+		cfg := s.nodeScaleConfig(nodeScaleCell{"SOR", "erc", 16, "scaled"})
+		rep, err := s.Sim("SOR", cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}

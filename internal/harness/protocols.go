@@ -26,37 +26,37 @@ var ProtocolVariants = []Variant{VarO, VarP, Var4T, Var4TP}
 // "adaptive" experiment.
 var ProtocolNames = []string{"lrc", "erc", "hlrc", "adp"}
 
+// protocolCell is one cell of the protocol × application × variant grid the
+// protocols and racecheck experiments share.
+type protocolCell struct {
+	app   string
+	v     Variant
+	proto string
+}
+
+func protocolGrid(s *Session) []protocolCell {
+	var cells []protocolCell
+	for _, proto := range ProtocolNames {
+		for _, app := range s.AppNames() {
+			for _, v := range ProtocolVariants {
+				cells = append(cells, protocolCell{app, v, proto})
+			}
+		}
+	}
+	return cells
+}
+
 // RunProtocols runs the protocol-comparison grid and renders per-protocol
 // tables plus a cross-protocol elapsed-time summary. The traffic columns
 // attribute data movement to its protocol mechanism: diff fetches for the
 // diff-based backends, home flushes and whole-page home fetches for HLRC.
 func RunProtocols(s *Session, w io.Writer) error {
-	type cell struct {
-		app   string
-		v     Variant
-		proto string
-		rep   *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
-	for _, proto := range ProtocolNames {
-		for _, app := range s.AppNames() {
-			for _, v := range ProtocolVariants {
-				c := &cell{app: app, v: v, proto: proto}
-				cells = append(cells, c)
-				idx[c.app+"/"+c.proto+"/"+string(c.v)] = c
-			}
-		}
-	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := s.RunProtocol(c.app, c.v, c.proto)
-		if err != nil {
-			return err
-		}
-		c.rep = rep
-		return nil
-	}); err != nil {
+	reps, err := simGrid(s, protocolGrid(s), func(c protocolCell) (string, dsm.Config, bool) {
+		cfg := s.Config(c.app, c.v)
+		cfg.Protocol, cfg.HomePolicy = c.proto, ""
+		return c.app, cfg, true
+	})
+	if err != nil {
 		return err
 	}
 
@@ -67,10 +67,10 @@ func RunProtocols(s *Session, w io.Writer) error {
 			"App", "Cfg", "Elapsed", "Msgs", "VolKB", "RemMiss", "DiffAppl", "HomeFlsh", "HomeFtch", "HomeKB", "verify")
 		for _, app := range s.AppNames() {
 			for _, v := range ProtocolVariants {
-				c := idx[app+"/"+proto+"/"+string(v)]
-				n := c.rep.Sum()
+				rep := reps[protocolCell{app, v, proto}]
+				n := rep.Sum()
 				fmt.Fprintf(w, "%-10s %-4s %8sus %8d %7s %8d %8d %8d %8d %8s %7s\n",
-					app, v, usec(c.rep.Elapsed), c.rep.MsgsTotal, kb(c.rep.BytesTotal),
+					app, v, usec(rep.Elapsed), rep.MsgsTotal, kb(rep.BytesTotal),
 					n.Misses, n.DiffsApplied, n.HomeFlushes, n.HomeFetches,
 					kb(n.HomeFlushBytes+n.HomeFetchBytes), "ok")
 			}
@@ -85,10 +85,10 @@ func RunProtocols(s *Session, w io.Writer) error {
 	fmt.Fprintln(w)
 	for _, app := range s.AppNames() {
 		for _, v := range ProtocolVariants {
-			base := idx[app+"/lrc/"+string(v)].rep
+			base := reps[protocolCell{app, v, "lrc"}]
 			fmt.Fprintf(w, "%-10s %-4s", app, v)
 			for _, proto := range ProtocolNames[1:] {
-				rep := idx[app+"/"+proto+"/"+string(v)].rep
+				rep := reps[protocolCell{app, v, proto}]
 				fmt.Fprintf(w, " %8.3f", float64(rep.Elapsed)/float64(base.Elapsed))
 			}
 			fmt.Fprintln(w)

@@ -22,32 +22,14 @@ import (
 // the detector charges no simulated time — so the table doubles as a
 // byte-level witness that checking is observation-free.
 func RunRaceCheck(s *Session, w io.Writer) error {
-	type cell struct {
-		app   string
-		v     Variant
-		proto string
-		rep   *dsm.Report
-	}
-	var cells []*cell
-	idx := make(map[string]*cell)
-	for _, proto := range ProtocolNames {
-		for _, app := range s.AppNames() {
-			for _, v := range ProtocolVariants {
-				c := &cell{app: app, v: v, proto: proto}
-				cells = append(cells, c)
-				idx[c.app+"/"+c.proto+"/"+string(c.v)] = c
-			}
-		}
-	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
-		rep, err := s.RunRaceChecked(c.app, c.v, c.proto)
-		if err != nil {
-			return err
-		}
-		c.rep = rep
-		return nil
-	}); err != nil {
+	cells := protocolGrid(s)
+	reps, err := simGrid(s, cells, func(c protocolCell) (string, dsm.Config, bool) {
+		cfg := s.Config(c.app, c.v)
+		cfg.Protocol = c.proto
+		cfg.RaceCheck = true
+		return c.app, cfg, true
+	})
+	if err != nil {
 		return err
 	}
 
@@ -61,29 +43,13 @@ func RunRaceCheck(s *Session, w io.Writer) error {
 		for _, v := range ProtocolVariants {
 			fmt.Fprintf(w, "%-10s %-4s", app, v)
 			for _, proto := range ProtocolNames {
-				fmt.Fprintf(w, " %10sus", usec(idx[app+"/"+proto+"/"+string(v)].rep.Elapsed))
+				fmt.Fprintf(w, " %10sus", usec(reps[protocolCell{app, v, proto}].Elapsed))
 			}
 			fmt.Fprintln(w)
 		}
 	}
 	fmt.Fprintf(w, "\n%d runs, 0 data races: the applications are data-race-free under every protocol\n", len(cells))
 	return nil
-}
-
-// RunRaceChecked simulates one application/variant/protocol cell with the
-// race detector on and golden verification forced, cached and
-// singleflighted like the other session runs.
-func (s *Session) RunRaceChecked(app string, v Variant, protocol string) (*dsm.Report, error) {
-	return s.cached(app+"/"+protocol+"/"+string(v)+"/raced", func() (*dsm.Report, error) {
-		cfg := s.Config(app, v)
-		cfg.Protocol = protocol
-		cfg.RaceCheck = true
-		rep, err := s.runConfig(app, cfg, true)
-		if err != nil {
-			err = fmt.Errorf("%s/%s under %s with race checking: %w", app, v, protocol, err)
-		}
-		return rep, err
-	})
 }
 
 func init() {

@@ -37,15 +37,20 @@ func TestRaceCheckedDeterminism(t *testing.T) {
 	for _, proto := range ProtocolNames {
 		for _, app := range seq.AppNames() {
 			for _, v := range ProtocolVariants {
-				a, err := seq.RunRaceChecked(app, v, proto)
+				raced := func(s *Session) (*dsm.Report, error) {
+					cfg := s.Config(app, v)
+					cfg.Protocol, cfg.RaceCheck = proto, true
+					return s.Sim(app, cfg, true)
+				}
+				a, err := raced(seq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := par.RunRaceChecked(app, v, proto)
+				b, err := raced(par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				off, err := seq.RunProtocol(app, v, proto)
+				off, err := protoSim(seq, app, v, proto, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +77,7 @@ func TestRacyFixturesFailDeterministically(t *testing.T) {
 		s := NewSession(Options{Procs: 4, Scale: apps.Unit, Workers: 1})
 		cfg := s.Config(app, VarO)
 		cfg.RaceCheck = true
-		_, err := s.RunConfig(app, cfg)
+		_, err := s.Sim(app, cfg, false)
 		if err == nil {
 			return "", nil
 		}

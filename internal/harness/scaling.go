@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"godsm/dsm"
 	"godsm/internal/sim"
 )
 
@@ -17,49 +18,45 @@ import (
 func RunScaling(s *Session, w io.Writer) error {
 	procs := []int{1, 2, 4, 8}
 	variants := []Variant{VarO, VarP}
-	type job struct {
-		app     string
-		v       Variant
-		procs   int
-		elapsed sim.Time
+	type cell struct {
+		app   string
+		v     Variant
+		procs int
 	}
-	var jobs []*job
+	var cells []cell
 	for _, app := range s.AppNames() {
 		for _, v := range variants {
 			for _, p := range procs {
-				jobs = append(jobs, &job{app: app, v: v, procs: p})
+				cells = append(cells, cell{app, v, p})
 			}
 		}
 	}
-	if err := each(len(jobs), func(i int) error {
-		j := jobs[i]
-		cfg := s.Config(j.app, j.v)
-		cfg.Procs = j.procs
-		rep, err := s.RunConfig(j.app, cfg)
-		if err != nil {
-			return err
-		}
-		j.elapsed = rep.Elapsed
-		return nil
-	}); err != nil {
+	reps, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
+		cfg := s.Config(c.app, c.v)
+		cfg.Procs = c.procs
+		return c.app, cfg, s.Opt.Verify
+	})
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "Scaling: elapsed time and speedup vs processor count")
 	fmt.Fprintf(w, "%-10s %-4s %12s %12s %12s %12s\n",
 		"App", "Cfg", "1p", "2p", "4p", "8p")
-	for i := 0; i < len(jobs); i += len(procs) {
-		row := jobs[i : i+len(procs)]
-		fmt.Fprintf(w, "%-10s %-4s", row[0].app, row[0].v)
-		for _, j := range row {
-			fmt.Fprintf(w, " %10dus", j.elapsed/sim.Microsecond)
+	for _, app := range s.AppNames() {
+		for _, v := range variants {
+			fmt.Fprintf(w, "%-10s %-4s", app, v)
+			for _, p := range procs {
+				fmt.Fprintf(w, " %10dus", reps[cell{app, v, p}].Elapsed/sim.Microsecond)
+			}
+			fmt.Fprintln(w)
+			fmt.Fprintf(w, "%-10s %-4s", "", "↳spd")
+			one := reps[cell{app, v, procs[0]}].Elapsed
+			for _, p := range procs {
+				fmt.Fprintf(w, " %11.2fx", float64(one)/float64(reps[cell{app, v, p}].Elapsed))
+			}
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-10s %-4s", "", "↳spd")
-		for _, j := range row {
-			fmt.Fprintf(w, " %11.2fx", float64(row[0].elapsed)/float64(j.elapsed))
-		}
-		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "(speedups are relative to the same configuration on 1 processor)")
 	return nil

@@ -44,41 +44,37 @@ func RunNetSweep(s *Session, w io.Writer) error {
 		np  netPoint
 		app string
 		v   Variant
-		rep *dsm.Report
 	}
-	var cells []*cell
+	var cells []cell
 	for _, np := range netPoints {
 		for _, app := range appsToRun {
 			for _, v := range sweepVariants {
-				cells = append(cells, &cell{np: np, app: app, v: v})
+				cells = append(cells, cell{np, app, v})
 			}
 		}
 	}
-	if err := each(len(cells), func(i int) error {
-		c := cells[i]
+	reps, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
 		cfg := s.Config(c.app, c.v)
 		cfg.Net.PropDelay = c.np.prop
 		cfg.Net.NsPerByte = 8000 / c.np.mbps
-		rep, err := s.RunConfig(c.app, cfg)
-		c.rep = rep
-		return err
-	}); err != nil {
+		return c.app, cfg, s.Opt.Verify
+	})
+	if err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "Network sensitivity: speedup of each technique vs. interconnect")
 	fmt.Fprintf(w, "%-22s %-10s %10s %8s %8s %8s\n",
 		"Network", "App", "O elapsed", "P", "4T", "4TP")
-	for i := 0; i < len(cells); i += len(sweepVariants) {
-		reps := make(map[Variant]*dsm.Report)
-		for j, v := range sweepVariants {
-			reps[v] = cells[i+j].rep
+	for _, np := range netPoints {
+		for _, app := range appsToRun {
+			base := reps[cell{np, app, VarO}]
+			fmt.Fprintf(w, "%-22s %-10s %8dus %7.2fx %7.2fx %7.2fx\n",
+				np.label, app, base.Elapsed/sim.Microsecond,
+				reps[cell{np, app, VarP}].Speedup(base),
+				reps[cell{np, app, Var4T}].Speedup(base),
+				reps[cell{np, app, Var4TP}].Speedup(base))
 		}
-		fmt.Fprintf(w, "%-22s %-10s %8dus %7.2fx %7.2fx %7.2fx\n",
-			cells[i].np.label, cells[i].app, reps[VarO].Elapsed/sim.Microsecond,
-			reps[VarP].Speedup(reps[VarO]),
-			reps[Var4T].Speedup(reps[VarO]),
-			reps[Var4TP].Speedup(reps[VarO]))
 	}
 	return nil
 }

@@ -194,6 +194,7 @@ func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
 			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropBrownout))
 			src.stats.Dropped++
 			src.stats.BytesDropped += int64(m.Size)
+			src.stats.FaultDrops++
 			return -1
 		}
 		// Probabilistic loss. The frame still occupied every link it crossed.
@@ -202,6 +203,7 @@ func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
 			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropLoss))
 			src.stats.Dropped++
 			src.stats.BytesDropped += int64(m.Size)
+			src.stats.FaultDrops++
 			return -1
 		}
 	}

@@ -5,26 +5,38 @@ import (
 	"testing"
 	"testing/quick"
 
+	"godsm/internal/event"
 	"godsm/internal/sim"
 )
 
 // faultTrafficResult summarizes one randomized traffic run under a fault plan.
 type faultTrafficResult struct {
 	sent, recv int64
+	injected   int64      // loss and brown-out drop events seen on the bus
 	arrivals   []sim.Time // delivery times, in delivery order
 	stats      LinkStats
 }
 
+// Event counts the injected (non-congestion) drops the network announces.
+func (r *faultTrafficResult) Event(e event.Event) {
+	if e.Kind == event.KindNetDrop && e.Aux != event.DropCongestion {
+		r.injected++
+	}
+}
+
 // runFaultTraffic replays a fixed random traffic pattern (derived from
-// trafficSeed) through a network configured with the given fault plan and
-// returns what happened.
-func runFaultTraffic(trafficSeed int64, plan FaultPlan) faultTrafficResult {
+// trafficSeed) through a network of the given topology configured with the
+// given fault plan and returns what happened. The fat tree uses radix 2, so
+// the four nodes span two switch levels.
+func runFaultTraffic(trafficSeed int64, plan FaultPlan, topology string) *faultTrafficResult {
 	rng := rand.New(rand.NewSource(trafficSeed))
 	cfg := testConfig()
 	cfg.DropThreshold = sim.Time(1 + rng.Intn(2000))
 	cfg.Faults = plan
+	cfg.Topology, cfg.FatTreeRadix = topology, 2
 	k := sim.NewKernel()
-	var res faultTrafficResult
+	res := new(faultTrafficResult)
+	k.Bus().Subscribe(res)
 	n := New(k, 4, cfg, func(m *Message) {
 		res.recv++
 		res.arrivals = append(res.arrivals, k.Now())
@@ -47,29 +59,41 @@ func runFaultTraffic(trafficSeed int64, plan FaultPlan) faultTrafficResult {
 // Property: under probabilistic loss and duplication, the counters conserve:
 // every message sent is either received, dropped, or received more than once
 // via duplication — MsgsRecv + Dropped == MsgsSent + Duplicated, and the
-// same for bytes.
+// same for bytes — and FaultDrops counts exactly the injected (loss and
+// brown-out) drops, on the single switch and on the fat tree alike.
 func TestFaultConservationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		plan := FaultPlan{
-			Seed:      seed,
-			Loss:      0.15,
-			Dup:       0.15,
-			Reorder:   0.10,
-			MaxJitter: 2 * sim.Millisecond,
+	for _, topology := range []string{"single", "fattree"} {
+		var injected int64
+		f := func(seed int64) bool {
+			plan := FaultPlan{
+				Seed:      seed,
+				Loss:      0.15,
+				Dup:       0.15,
+				Reorder:   0.10,
+				MaxJitter: 2 * sim.Millisecond,
+				Brownouts: []LinkFault{{Node: 2, From: 1000, To: 2500}},
+			}
+			res := runFaultTraffic(seed^0x5dee7, plan, topology)
+			s := res.stats
+			if s.MsgsRecv+s.Dropped != s.MsgsSent+s.Duplicated {
+				return false
+			}
+			if s.BytesRecv+s.BytesDropped != s.BytesSent+s.BytesDup {
+				return false
+			}
+			injected += res.injected
+			if s.FaultDrops != res.injected || s.FaultDrops > s.Dropped {
+				return false
+			}
+			// The deliver callback and the counters must agree.
+			return s.MsgsSent == res.sent && s.MsgsRecv == res.recv
 		}
-		res := runFaultTraffic(seed^0x5dee7, plan)
-		s := res.stats
-		if s.MsgsRecv+s.Dropped != s.MsgsSent+s.Duplicated {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", topology, err)
 		}
-		if s.BytesRecv+s.BytesDropped != s.BytesSent+s.BytesDup {
-			return false
+		if injected == 0 {
+			t.Fatalf("%s: the plan never injected a drop", topology)
 		}
-		// The deliver callback and the counters must agree.
-		return s.MsgsSent == res.sent && s.MsgsRecv == res.recv
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -77,8 +101,8 @@ func TestFaultConservationProperty(t *testing.T) {
 // identical across runs. A different fault seed perturbs the run.
 func TestFaultDeterminism(t *testing.T) {
 	plan := FaultPlan{Seed: 42, Loss: 0.2, Dup: 0.1, Reorder: 0.2, MaxJitter: sim.Millisecond}
-	a := runFaultTraffic(7, plan)
-	b := runFaultTraffic(7, plan)
+	a := runFaultTraffic(7, plan, "")
+	b := runFaultTraffic(7, plan, "")
 	if a.stats != b.stats {
 		t.Fatalf("same seed, different stats:\n%+v\n%+v", a.stats, b.stats)
 	}
@@ -91,7 +115,7 @@ func TestFaultDeterminism(t *testing.T) {
 		}
 	}
 	plan.Seed = 43
-	c := runFaultTraffic(7, plan)
+	c := runFaultTraffic(7, plan, "")
 	if c.stats == a.stats {
 		t.Fatal("different fault seed produced identical stats — PRNG not in play?")
 	}
@@ -105,8 +129,8 @@ func TestZeroPlanIsInert(t *testing.T) {
 	if zero.Active() {
 		t.Fatal("zero FaultPlan reports Active")
 	}
-	a := runFaultTraffic(11, zero)
-	b := runFaultTraffic(11, FaultPlan{Seed: 999}) // seed alone is not a fault
+	a := runFaultTraffic(11, zero, "")
+	b := runFaultTraffic(11, FaultPlan{Seed: 999}, "") // seed alone is not a fault
 	if a.stats != b.stats || len(a.arrivals) != len(b.arrivals) {
 		t.Fatalf("zero plan not inert:\n%+v\n%+v", a.stats, b.stats)
 	}

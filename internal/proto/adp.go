@@ -95,7 +95,7 @@ const (
 	adpPageFrac = 4
 )
 
-func validateADP(cfg Config) error {
+func validateADP(cfg Spec) error {
 	if cfg.GCThreshold != 0 {
 		return fmt.Errorf("protocol adp has no diff GC; GCThreshold must be 0, got %d", cfg.GCThreshold)
 	}
@@ -111,7 +111,7 @@ func validateADP(cfg Config) error {
 	return nil
 }
 
-func buildADP(n *Node, cfg Config) Subsystems {
+func buildADP(n *Node, cfg Spec) Subsystems {
 	hl, hpf := newHLRC(n, cfg, staticPolicy{})
 	hl.xin = make(map[pagemem.PageID]*xferIn) // fills buffer arriving flushes here
 	lc := &lrcCoherence{n: n, pfReliable: cfg.PfReliable}

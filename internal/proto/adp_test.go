@@ -11,7 +11,7 @@ import (
 // invariant (an ex-home must commit its open twin before serving a hybrid
 // base).
 
-func adpRig(n int) *rig { return newRigCfg(n, Config{Protocol: "adp"}) }
+func adpRig(n int) *rig { return newRigCfg(n, Spec{Protocol: "adp"}) }
 
 func (r *rig) adp(node int) *adpCoherence { return r.nodes[node].coh.(*adpCoherence) }
 

@@ -7,7 +7,7 @@ import (
 	"godsm/internal/sim"
 )
 
-// Combining-tree barrier (Config.Barrier: "tree"). The centralized barrier
+// Combining-tree barrier (Spec.Barrier: "tree"). The centralized barrier
 // (barrier.go) makes node 0 do O(N) work per episode: N arrivals to record
 // and N-1 releases to build, each release scanning the arriver's missing
 // intervals. The combining tree spreads that work over interior nodes: the

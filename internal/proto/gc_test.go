@@ -9,7 +9,7 @@ import (
 // gcRig writes distinct pages from both nodes across barriers with a tiny
 // GC threshold, forcing collections, and checks correctness afterwards.
 func TestGCCollectsAndPreservesData(t *testing.T) {
-	r := newRigCfg(2, Config{GCThreshold: 1}) // collect at every barrier with any diff stored
+	r := newRigCfg(2, Spec{GCThreshold: 1}) // collect at every barrier with any diff stored
 	// Round 1: node 0 writes page 1, node 1 writes page 2; barrier; both
 	// read both pages (creating diffs); barrier (GC fires).
 	r.k.At(0, func() {
@@ -63,7 +63,7 @@ func TestGCCollectsAndPreservesData(t *testing.T) {
 // TestGCValidatesPendingPages: a node with invalid pages at the GC barrier
 // must fetch them during validation, not lose the notices.
 func TestGCValidatesPendingPages(t *testing.T) {
-	r := newRigCfg(3, Config{GCThreshold: 1})
+	r := newRigCfg(3, Spec{GCThreshold: 1})
 	r.k.At(0, func() {
 		r.write(0, pagemem.Addr(1*pagemem.PageSize), 5)
 		r.write(1, pagemem.Addr(2*pagemem.PageSize), 6)

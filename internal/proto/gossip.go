@@ -10,7 +10,7 @@ import (
 	"godsm/internal/sim"
 )
 
-// Deterministic gossip write-notice dissemination (Config.Gossip). ERC's
+// Deterministic gossip write-notice dissemination (Spec.Gossip). ERC's
 // release broadcast sends N-1 messages per interval close, so total notice
 // traffic grows as O(N) per release and the sender serializes N-1 MsgSend
 // charges on its own CPU. Gossip caps the per-node cost: each node pushes
@@ -19,7 +19,7 @@ import (
 // sends at most k messages per round.
 //
 // Determinism. The peer set is fixed at construction from
-// rand.New(rand.NewSource(Config.GossipSeed + node-id mixing)) — the
+// rand.New(rand.NewSource(Spec.GossipSeed + node-id mixing)) — the
 // netsim.FaultPlan pattern — so it is a pure function of (N, fanout, seed).
 // Rounds fire on a sim.Timer at a fixed interval, batches are sorted by
 // (creator, seq) before sending, and peers are walked in slice order, so
@@ -65,7 +65,7 @@ const gossipSeedMix = 0x9e3779b9
 
 // newGossiper builds node n's gossip engine, or returns nil when the
 // cluster has no peers to gossip with.
-func newGossiper(n *Node, cfg Config) *gossiper {
+func newGossiper(n *Node, cfg Spec) *gossiper {
 	if n.N < 2 {
 		return nil
 	}

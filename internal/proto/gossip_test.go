@@ -16,7 +16,7 @@ import (
 
 // runGossipProgram drives the scenario on n nodes under cfg and returns the
 // drained rig.
-func runGossipProgram(t *testing.T, n int, cfg Config) *rig {
+func runGossipProgram(t *testing.T, n int, cfg Spec) *rig {
 	t.Helper()
 	r := newRigCfg(n, cfg)
 	for i := 0; i < n; i++ {
@@ -60,7 +60,7 @@ func checkConverged(t *testing.T, r *rig) {
 // bound.
 func TestGossipConvergence(t *testing.T) {
 	const n = 8
-	r := runGossipProgram(t, n, Config{Protocol: "erc", Gossip: true, GossipSeed: 11})
+	r := runGossipProgram(t, n, Spec{Protocol: "erc", Gossip: true, GossipSeed: 11})
 	checkConverged(t, r)
 
 	msgs, _ := r.net.KindStats(KindGossip)
@@ -86,13 +86,13 @@ func gossipFingerprint(r *rig) string {
 // TestGossipDeterminism: equal seeds reproduce a run byte for byte;
 // a different seed still converges (via a different peer graph).
 func TestGossipDeterminism(t *testing.T) {
-	cfg := Config{Protocol: "erc", Gossip: true, GossipSeed: 11}
+	cfg := Spec{Protocol: "erc", Gossip: true, GossipSeed: 11}
 	a := runGossipProgram(t, 8, cfg)
 	b := runGossipProgram(t, 8, cfg)
 	if fa, fb := gossipFingerprint(a), gossipFingerprint(b); fa != fb {
 		t.Fatalf("same seed, different runs:\n1st: %s\n2nd: %s", fa, fb)
 	}
-	checkConverged(t, runGossipProgram(t, 8, Config{Protocol: "erc", Gossip: true, GossipSeed: 12}))
+	checkConverged(t, runGossipProgram(t, 8, Spec{Protocol: "erc", Gossip: true, GossipSeed: 12}))
 }
 
 // TestGossipQuiescesAtBarriers: a barrier release hands every node the
@@ -102,7 +102,7 @@ func TestGossipDeterminism(t *testing.T) {
 // completion, so a correct implementation sends no gossip messages at all.
 func TestGossipQuiescesAtBarriers(t *testing.T) {
 	const n = 8
-	r := newRigCfg(n, Config{Protocol: "erc", Gossip: true, GossipSeed: 11,
+	r := newRigCfg(n, Spec{Protocol: "erc", Gossip: true, GossipSeed: 11,
 		GossipInterval: 10 * sim.Millisecond})
 	for i := 0; i < n; i++ {
 		addr := pagemem.Addr(i+1) * pagemem.PageSize

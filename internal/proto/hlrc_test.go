@@ -9,7 +9,7 @@ import (
 // HLRC white-box tests: diffs flush to each page's home at release, homes
 // apply them eagerly, and faults fetch whole pages from the home.
 
-func hlrcRig(n int) *rig { return newRigCfg(n, Config{Protocol: "hlrc"}) }
+func hlrcRig(n int) *rig { return newRigCfg(n, Spec{Protocol: "hlrc"}) }
 
 // A remote write must reach the page's home at the barrier, and a non-home
 // reader must fetch the page (not diffs) from the home.

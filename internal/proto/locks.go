@@ -24,7 +24,7 @@ type syncManager struct {
 	tree *treeBarrier // non-nil iff cfg.Barrier == "tree" (barriertree.go)
 }
 
-func newSyncManager(n *Node, cfg Config) *syncManager {
+func newSyncManager(n *Node, cfg Spec) *syncManager {
 	sm := &syncManager{n: n, noTokenCache: cfg.NoTokenCache, locks: make(map[int]*lockState)}
 	if cfg.Barrier == "tree" {
 		sm.tree = newTreeBarrier(n, cfg.BarrierFanout)

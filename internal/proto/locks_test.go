@@ -30,7 +30,7 @@ func acquireRelease(t *testing.T, r *rig, nd int, id int, at sim.Time, body func
 }
 
 func TestNoTokenCacheReturnsToManager(t *testing.T) {
-	r := newRigCfg(3, Config{NoTokenCache: true})
+	r := newRigCfg(3, Spec{NoTokenCache: true})
 	// Lock 1's manager is node 1. Node 0 acquires and releases; the token
 	// must go home, so node 2's later acquire is served by the manager
 	// (not forwarded to node 0).
@@ -54,7 +54,7 @@ func TestNoTokenCacheReturnsToManager(t *testing.T) {
 }
 
 func TestNoTokenCacheNoLocalReacquire(t *testing.T) {
-	r := newRigCfg(2, Config{NoTokenCache: true})
+	r := newRigCfg(2, Spec{NoTokenCache: true})
 	// Node 0 is lock 0's manager; with caching its acquires are free.
 	// Without caching they still complete but count as remote.
 	done := 0
@@ -74,7 +74,7 @@ func TestNoTokenCacheNoLocalReacquire(t *testing.T) {
 }
 
 func TestNoTokenCacheRedirectRace(t *testing.T) {
-	r := newRigCfg(3, Config{NoTokenCache: true})
+	r := newRigCfg(3, Spec{NoTokenCache: true})
 	// Node 0 holds lock 1 (manager node 1) and releases; node 2's request
 	// is forwarded to node 0 around the same time the token returns. Every
 	// interleaving must end with node 2 acquiring.
@@ -93,7 +93,7 @@ func TestNoTokenCacheRedirectRace(t *testing.T) {
 }
 
 func TestNoTokenCacheChainUnderContention(t *testing.T) {
-	r := newRigCfg(4, Config{NoTokenCache: true})
+	r := newRigCfg(4, Spec{NoTokenCache: true})
 	// All four nodes repeatedly increment a lock-protected cell; mutual
 	// exclusion and consistency must hold through returns and redirects.
 	const rounds = 6

@@ -3,7 +3,7 @@
 // backend shares — vector time, interval records, page table, diff store,
 // in-flight fetch table, reliable transport — and delegates policy to the
 // Coherence, SyncManager, Prefetcher and DiffGC implementations selected by
-// a declarative Config through the protocol registry.
+// a declarative Spec through the protocol registry.
 //
 // Registered backends: "lrc" (TreadMarks-style lazy release consistency,
 // the default), "erc" (eager release consistency: notices broadcast at
@@ -14,7 +14,7 @@
 //
 // File ownership:
 //
-//	protocol.go   Config and the subsystem interfaces
+//	protocol.go   Spec and the subsystem interfaces
 //	registry.go   backend registry (Register/Lookup/Names) and builders
 //	node.go       the Node chassis: construction, page table, dispatch
 //	intervals.go  interval records, write notices, vector-time intake
@@ -165,21 +165,12 @@ type pfState struct {
 // NewNode constructs a protocol node running the backend cfg selects. Wire
 // Send before use. Protocol occurrences are emitted on k's event bus;
 // subscribe a stats.Collector to derive per-node counters. NewNode panics
-// on an invalid Config — callers validate user input with ValidateConfig
-// first.
-func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Config) *Node {
-	b, err := Lookup(cfg.Protocol)
-	if err != nil {
+// on an invalid Spec — callers validate user input with Spec.Validate first.
+func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
+	if err := cfg.Validate(); err != nil {
 		configInvariantf("proto: %v", err)
 	}
-	if err := validateCommon(cfg); err != nil {
-		configInvariantf("proto: %v", err)
-	}
-	if b.Validate != nil {
-		if err := b.Validate(cfg); err != nil {
-			configInvariantf("proto: %v", err)
-		}
-	}
+	b, _ := Lookup(cfg.Protocol) // Validate resolved it
 	nd := &Node{
 		ID:      id,
 		N:       n,

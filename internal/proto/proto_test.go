@@ -19,11 +19,11 @@ type rig struct {
 	costs Costs
 }
 
-func newRig(n int) *rig { return newRigCfg(n, Config{}) }
+func newRig(n int) *rig { return newRigCfg(n, Spec{}) }
 
 // newRigCfg builds a rig whose nodes run under cfg (protocol selection and
 // per-backend knobs).
-func newRigCfg(n int, cfg Config) *rig {
+func newRigCfg(n int, cfg Spec) *rig {
 	r := &rig{k: sim.NewKernel(), costs: DefaultCosts()}
 	r.st = make([]stats.Node, n)
 	r.k.Bus().Subscribe(stats.NewCollector(r.st))

@@ -7,11 +7,14 @@ import (
 	"godsm/internal/sim"
 )
 
-// Config declaratively selects a protocol backend and its policy knobs.
-// The zero value is the default TreadMarks-style lazy release consistency
-// engine with every knob off. A Config is validated once (ValidateConfig)
-// and then used to build one Subsystems set per node.
-type Config struct {
+// Spec declaratively selects a protocol backend and its policy knobs. It is
+// the only declaration of these fields: the cluster configuration
+// (core.Config, public as dsm.Config) embeds it, so cfg.Protocol,
+// cfg.Gossip, ... are the fields below. The zero value is the default
+// TreadMarks-style lazy release consistency engine with every knob off. A
+// Spec is validated once (Validate) and then used to build one Subsystems
+// set per node.
+type Spec struct {
 	// Protocol names a registered backend ("lrc", "erc", "hlrc", "adp");
 	// empty selects the default "lrc". Lookup lists the registered names.
 	Protocol string

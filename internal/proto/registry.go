@@ -15,13 +15,13 @@ type Backend struct {
 	Name string
 	Doc  string
 
-	// Validate rejects Config combinations the backend cannot honor; nil
+	// Validate rejects Spec combinations the backend cannot honor; nil
 	// accepts everything.
-	Validate func(cfg Config) error
+	Validate func(cfg Spec) error
 
 	// Build constructs the backend's subsystems for one node. It runs
 	// during NewNode, after the chassis state is initialized.
-	Build func(n *Node, cfg Config) Subsystems
+	Build func(n *Node, cfg Spec) Subsystems
 }
 
 // The registry is populated at init time (and by tests); simulations only
@@ -65,9 +65,10 @@ func Names() []string {
 	return out
 }
 
-// ValidateConfig checks that cfg names a registered backend and that the
-// backend accepts its knob combination.
-func ValidateConfig(cfg Config) error {
+// Validate checks that cfg names a registered backend, that the
+// backend-independent knobs are in range, and that the backend accepts the
+// combination.
+func (cfg Spec) Validate() error {
 	b, err := Lookup(cfg.Protocol)
 	if err != nil {
 		return err
@@ -83,7 +84,7 @@ func ValidateConfig(cfg Config) error {
 
 // validateCommon checks the backend-independent machine knobs (barrier
 // topology, gossip parameters).
-func validateCommon(cfg Config) error {
+func validateCommon(cfg Spec) error {
 	switch cfg.Barrier {
 	case "", "central", "tree":
 	default:
@@ -103,7 +104,7 @@ func validateCommon(cfg Config) error {
 
 // rejectHomePolicy is the validation shared by every backend without
 // pluggable homes.
-func rejectHomePolicy(proto string, cfg Config) error {
+func rejectHomePolicy(proto string, cfg Spec) error {
 	if cfg.HomePolicy != "" {
 		return fmt.Errorf("protocol %s has no home assignment; HomePolicy must be empty, got %q", proto, cfg.HomePolicy)
 	}
@@ -114,13 +115,13 @@ func init() {
 	Register(&Backend{
 		Name:     "lrc",
 		Doc:      "TreadMarks-style lazy release consistency: distributed diff fetch at fault time, diff GC at barriers",
-		Validate: func(cfg Config) error { return rejectHomePolicy("lrc", cfg) },
+		Validate: func(cfg Spec) error { return rejectHomePolicy("lrc", cfg) },
 		Build:    buildDiffBased(false),
 	})
 	Register(&Backend{
 		Name:     "erc",
 		Doc:      "eager release consistency (Munin-style): write notices broadcast at every release; data still moves as lazy diffs",
-		Validate: func(cfg Config) error { return rejectHomePolicy("erc", cfg) },
+		Validate: func(cfg Spec) error { return rejectHomePolicy("erc", cfg) },
 		Build:    buildDiffBased(true),
 	})
 	Register(&Backend{
@@ -139,8 +140,8 @@ func init() {
 
 // buildDiffBased builds the shared LRC/ERC subsystem set; eager selects the
 // eager-release-consistency notice broadcast at interval close.
-func buildDiffBased(eager bool) func(n *Node, cfg Config) Subsystems {
-	return func(n *Node, cfg Config) Subsystems {
+func buildDiffBased(eager bool) func(n *Node, cfg Spec) Subsystems {
+	return func(n *Node, cfg Spec) Subsystems {
 		coh := &lrcCoherence{n: n, eager: eager, pfReliable: cfg.PfReliable}
 		if cfg.Gossip {
 			n.gossip = newGossiper(n, cfg) // nil on one-node clusters
@@ -154,7 +155,7 @@ func buildDiffBased(eager bool) func(n *Node, cfg Config) Subsystems {
 	}
 }
 
-func validateHLRC(cfg Config) error {
+func validateHLRC(cfg Spec) error {
 	if cfg.GCThreshold != 0 {
 		return fmt.Errorf("protocol hlrc has no diff GC (homes apply diffs eagerly); GCThreshold must be 0, got %d", cfg.GCThreshold)
 	}
@@ -172,7 +173,7 @@ func validateHLRC(cfg Config) error {
 
 // newHLRC builds the home-based coherence pair. The adaptive backend embeds
 // one with the static policy and tracking off (it counts at its own layer).
-func newHLRC(n *Node, cfg Config, policy HomePolicy) (*hlrcCoherence, *hlrcPrefetcher) {
+func newHLRC(n *Node, cfg Spec, policy HomePolicy) (*hlrcCoherence, *hlrcPrefetcher) {
 	pf := &hlrcPrefetcher{
 		n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable,
 		cache: make(map[pagemem.PageID]*pfPage),
@@ -196,7 +197,7 @@ func newHLRC(n *Node, cfg Config, policy HomePolicy) (*hlrcCoherence, *hlrcPrefe
 	return coh, pf
 }
 
-func buildHLRC(n *Node, cfg Config) Subsystems {
+func buildHLRC(n *Node, cfg Spec) Subsystems {
 	policy, err := newHomePolicy(cfg.HomePolicy)
 	if err != nil {
 		configInvariantf("proto: %v", err)

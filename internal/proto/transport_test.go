@@ -22,7 +22,7 @@ func newFaultRig(n int, plan netsim.FaultPlan) *rig {
 		r.nodes[m.Dst].Deliver(m)
 	})
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, n, r.k, sim.NewCPU(r.k), &r.costs, Config{})
+		nd := NewNode(i, n, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
 		nd.Send = r.net.Send
 		nd.EnableTransport()
 		r.nodes = append(r.nodes, nd)
