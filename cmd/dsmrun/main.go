@@ -127,13 +127,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if o.scale, err = apps.ParseScale(*scale); err != nil {
 		return nil, err
 	}
-	if faults.Loss < 0 || faults.Loss > 1 {
-		return nil, fmt.Errorf("-loss must be a probability in [0,1] (got %g)", faults.Loss)
-	}
-	if faults.Dup < 0 || faults.Dup > 1 {
-		return nil, fmt.Errorf("-dup must be a probability in [0,1] (got %g)", faults.Dup)
-	}
-	faultsOn := faults.Loss > 0 || faults.Dup > 0
+	// Any nonzero value turns the plan on; cfg.Validate rejects the ones
+	// that are not probabilities.
+	faultsOn := faults.Loss != 0 || faults.Dup != 0
 
 	// Reject dependent knobs whose master switch is off: silently ignoring
 	// them would run a different machine than the user asked for.

@@ -3,16 +3,17 @@ package harness
 import (
 	"testing"
 
+	"godsm/dsm"
 	"godsm/internal/apps"
 )
 
-// TestTreeBarrierDegeneratesToCentral: with a fanout covering all N-1
-// non-root nodes the combining tree has depth 1 — node 0 is every leaf's
-// parent — and the tree's wire format, charging pattern, and release
-// filtering are the central barrier's, message for message. The whole
-// measurement report must therefore be byte-identical across the default
-// barrier, the explicit central barrier, and the degenerate tree, for
-// every protocol.
+// TestTreeBarrierDegeneratesToCentral: the central barrier is the barrier
+// tree with a fanout covering all N-1 non-root nodes — depth 1, node 0 every
+// leaf's parent. The spellings that select it ("", "central", and "tree"
+// with fanout N-1) must therefore be one machine: the whole measurement
+// report is byte-identical across them, for every protocol. (That the
+// machine is also the one earlier commits simulated is
+// TestGoldenFingerprints' job.)
 func TestTreeBarrierDegeneratesToCentral(t *testing.T) {
 	s := NewSession(Options{Procs: 8, Scale: apps.Unit, Workers: 1})
 	for _, app := range []string{"SOR", "FFT"} {
@@ -70,5 +71,53 @@ func TestScaledMachineDeterminism(t *testing.T) {
 	}
 	if seq != rerun {
 		t.Errorf("scaled machine did not reproduce on rerun:\n1st: %s\n2nd: %s", seq, rerun)
+	}
+}
+
+// TestSyncMatrixVerifies: every application must compute its golden result,
+// race-check clean, when the barrier is a deep combining tree and the
+// synchronization messages also carry a backend's extra duties — GC verdicts
+// (lrc), gossip racing the releases (erc), home moves (hlrc's dynamic
+// policies) and mode switches (adp). These are the configurations whose
+// message orders the default machine never produces: a release reaching one
+// node long before another, a relayed notice overtaking the notices it
+// depends on, a page request reaching a home-elect before its own release.
+func TestSyncMatrixVerifies(t *testing.T) {
+	rows := []struct {
+		name string
+		set  func(*dsm.Config)
+	}{
+		{"lrc+gc", func(c *dsm.Config) { c.GCThreshold = 2000 }},
+		{"erc+gossip1", func(c *dsm.Config) { c.Protocol, c.Gossip, c.GossipFanout = "erc", true, 1 }},
+		{"erc+gossip2", func(c *dsm.Config) { c.Protocol, c.Gossip, c.GossipFanout = "erc", true, 2 }},
+		{"hlrc+migrate", func(c *dsm.Config) { c.Protocol, c.HomePolicy = "hlrc", "migrate" }},
+		{"hlrc+firsttouch", func(c *dsm.Config) { c.Protocol, c.HomePolicy = "hlrc", "firsttouch" }},
+		{"adp", func(c *dsm.Config) { c.Protocol = "adp" }},
+	}
+	type cell struct {
+		app, row string
+		fanout   int
+	}
+	s := NewSession(Options{Procs: 8, Scale: apps.Unit, RaceCheck: true})
+	var cells []cell
+	for _, app := range s.AppNames() {
+		for _, row := range rows {
+			for _, fanout := range []int{2, 3} {
+				cells = append(cells, cell{app, row.name, fanout})
+			}
+		}
+	}
+	_, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
+		cfg := s.Config(c.app, VarO)
+		cfg.Barrier, cfg.BarrierFanout = "tree", c.fanout
+		for _, row := range rows {
+			if row.name == c.row {
+				row.set(&cfg)
+			}
+		}
+		return c.app, cfg, true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,142 +7,147 @@ import (
 	"godsm/internal/sim"
 )
 
-// Fat-tree topology. Nodes hang off leaf switches of the configured radix;
-// switches aggregate recursively until one root covers the cluster. A
-// message climbs to the lowest common ancestor of source and destination and
-// descends, paying serialization on every link it crosses and
-// store-and-forward latency in every switch it passes through. Links fatten
-// toward the root: a link at level l serializes at base/2^l (fatness 2 per
-// level), the classic fat-tree compromise between a skinny tree's root
-// bottleneck and a full Clos.
+// Topologies and the one send path. A topology is a slice of directed links
+// plus a route — the ordered links a message crosses from one node to
+// another. Send plans a message over its route link by link (queueing behind
+// each link's earlier traffic, serialization, store-and-forward latency in
+// the switch between two links), decides its fate, then commits the
+// occupancy. Every link tracks its occupancy (messages, busy time, peak
+// backlog); Network.LinkLoads surfaces them.
 //
-// When the cluster fits under one leaf switch (nodes <= radix) every path is
-// edge-up, one switch, edge-down — term for term the single-switch timing
-// formula — so the degenerate fat tree reproduces single-switch arrival
-// times exactly. (The event stream still differs: fat-tree sends emit one
-// NetHop per link, which the single switch never does.)
+// The star ("" / "single", the paper's LAN): one switch, and every route is
+// the two level-0 links [source's outbound, destination's inbound]. Any
+// node count works, including one.
 //
-// Every directed link tracks its occupancy (messages, busy time, peak
-// backlog); Network.LinkLoads surfaces them for the nodescale experiment's
-// per-link congestion figures.
+// The fat tree: nodes hang off leaf switches of the configured radix;
+// switches aggregate recursively until one root covers the cluster. A route
+// climbs to the lowest common ancestor of source and destination and
+// descends. Links fatten toward the root: a link at level l serializes at
+// base/2^l (fatness 2 per level), the classic fat-tree compromise between a
+// skinny tree's root bottleneck and a full Clos. When the cluster fits under
+// one leaf switch (nodes <= radix) every route is the star's, so arrival
+// times and link loads equal the star's exactly (test-pinned); the event
+// stream still differs, because only the fat tree emits one NetHop per link.
 
-// topoLink is one directed link of the fat tree.
-type topoLink struct {
-	name      string
-	idx       int // position in construction order; the id NetHop carries
-	level     int // 0 = node<->leaf-switch edge link
+// link is one directed link of the topology.
+type link struct {
+	level     int // 0 = node<->switch edge link
 	busyUntil sim.Time
 
 	msgs int64
-	busy sim.Time
-	peak sim.Time
+	busy sim.Time // total serialization time the link was held
+	peak sim.Time // largest ready-to-drained backlog of one message
 }
 
 // hop is one planned link crossing of a message in flight: when the message
 // was ready for the link, when serialization starts (after queueing), and
 // when the link drains it.
 type hop struct {
-	link             *topoLink
+	link             int // index into topology.links; the id NetHop carries
 	ready, start, en sim.Time
 	ser              sim.Time
 }
 
-type fatTree struct {
-	radix int
-	top   int // level of the lowest switch covering the whole cluster
-
-	edgeUp, edgeDown []*topoLink   // per node
-	up, down         [][]*topoLink // [level l][switch at level l-1]: link to/from its parent
-	links            []*topoLink   // all links, in construction order
+// topology holds the links in a fixed order: node i's outbound and inbound
+// edge links at 2i and 2i+1, then — fat tree only — for each level l >= 1 the
+// link pair (up, down) joining every level-(l-1) switch to its parent.
+type topology struct {
+	radix int   // fat tree's downward ports per switch; 0 = the star
+	base  []int // fat tree: base[l] is the index of level l's first link, l >= 1, plus a final len(links)
+	links []link
 
 	path []hop // reusable scratch; the simulation is single-threaded
 }
 
-// switchOf returns the index of the switch at level l covering node i.
-func (t *fatTree) switchOf(i, l int) int {
-	s := i
-	for k := 0; k <= l; k++ {
-		s /= t.radix
+func newTopology(nodes int, cfg Config) topology {
+	t := topology{links: make([]link, 2*nodes)}
+	if cfg.Topology != "fattree" {
+		return t
 	}
-	return s
-}
-
-func newFatTree(nodes, radix int) *fatTree {
-	t := &fatTree{radix: radix}
+	t.radix = cfg.FatTreeRadix
+	if t.radix == 0 {
+		t.radix = DefaultFatTreeRadix
+	}
 	// Height: the top level is the lowest whose one switch spans all nodes.
-	span := radix
-	for span < nodes {
-		span *= radix
-		t.top++
-	}
-	t.edgeUp = make([]*topoLink, nodes)
-	t.edgeDown = make([]*topoLink, nodes)
-	for i := 0; i < nodes; i++ {
-		t.edgeUp[i] = t.addLink(fmt.Sprintf("edge%d.up", i), 0)
-		t.edgeDown[i] = t.addLink(fmt.Sprintf("edge%d.down", i), 0)
-	}
-	t.up = make([][]*topoLink, t.top+1)
-	t.down = make([][]*topoLink, t.top+1)
-	nsw := (nodes + radix - 1) / radix // switches at level 0
-	for l := 1; l <= t.top; l++ {
-		t.up[l] = make([]*topoLink, nsw)
-		t.down[l] = make([]*topoLink, nsw)
-		for s := 0; s < nsw; s++ {
-			t.up[l][s] = t.addLink(fmt.Sprintf("l%d.sw%d.up", l, s), l)
-			t.down[l][s] = t.addLink(fmt.Sprintf("l%d.sw%d.down", l, s), l)
+	t.base = []int{0}
+	nsw := (nodes + t.radix - 1) / t.radix // switches at level 0
+	for span, l := t.radix, 1; span < nodes; span, l = span*t.radix, l+1 {
+		t.base = append(t.base, len(t.links))
+		for s := 0; s < 2*nsw; s++ {
+			t.links = append(t.links, link{level: l})
 		}
-		nsw = (nsw + radix - 1) / radix
+		nsw = (nsw + t.radix - 1) / t.radix
 	}
+	t.base = append(t.base, len(t.links))
 	return t
 }
 
-func (t *fatTree) addLink(name string, level int) *topoLink {
-	l := &topoLink{name: name, idx: len(t.links), level: level}
-	t.links = append(t.links, l)
-	return l
-}
-
-func (t *fatTree) loads() []LinkLoad {
-	out := make([]LinkLoad, len(t.links))
-	for i, l := range t.links {
-		out[i] = LinkLoad{Name: l.name, Msgs: l.msgs, Busy: l.busy, Peak: l.peak}
+// linkName renders link i's name: "node3.out"/"node3.in" on the star,
+// "edge3.up"/"edge3.down" and "l2.sw5.up"/"l2.sw5.down" on the fat tree.
+func (t *topology) linkName(i int) string {
+	switch {
+	case t.radix == 0:
+		return fmt.Sprintf("node%d.%s", i/2, [2]string{"out", "in"}[i%2])
+	case i < t.base[1]: // the edge links end where level 1 (or the sentinel) starts
+		return fmt.Sprintf("edge%d.%s", i/2, [2]string{"up", "down"}[i%2])
 	}
-	return out
+	l := 1
+	for i >= t.base[l+1] {
+		l++
+	}
+	return fmt.Sprintf("l%d.sw%d.%s", l, (i-t.base[l])/2, [2]string{"up", "down"}[i%2])
 }
 
-// serLevel is the serialization time of size bytes on a level-l link: links
-// double in capacity per level toward the root.
-func (n *Network) serLevel(size, level int) sim.Time {
-	return sim.Time(float64(size) * n.cfg.NsPerByte / float64(int64(1)<<level))
+// route appends the links a message from src to dst crosses, in order.
+func (t *topology) route(src, dst int, path []hop) []hop {
+	path = append(path, hop{link: 2 * src})
+	if t.radix > 0 {
+		// Climb until one switch covers both nodes (the lowest common
+		// ancestor), then descend. span is the node count under one
+		// level-(l-1) switch.
+		l, span := 1, t.radix
+		for ; src/span != dst/span; l, span = l+1, span*t.radix {
+			path = append(path, hop{link: t.base[l] + 2*(src/span)})
+		}
+		for l, span = l-1, span/t.radix; l >= 1; l, span = l-1, span/t.radix {
+			path = append(path, hop{link: t.base[l] + 2*(dst/span) + 1})
+		}
+	}
+	return append(path, hop{link: 2*dst + 1})
 }
 
-// sendFatTree routes m through the fat tree. It mirrors the single-switch
-// Send step for step — same fault-decision order, same statistics — but over
-// the multi-link path: plan the whole path first (computing each link's
-// queueing without committing it), decide congestion/brown-out/loss exactly
-// as the single switch would, then commit occupancy and schedule delivery.
-func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
-	t := n.topo
-	src, dst := &n.nics[m.Src], &n.nics[m.Dst]
+// Send transmits m at the current virtual time. It returns the delivery
+// time, or -1 if the message was dropped. Loopback (Src == Dst) is
+// delivered after the switch latency only, mirroring local IPC.
+func (n *Network) Send(m *Message) sim.Time {
+	if m.Src < 0 || int(m.Src) >= len(n.stats) {
+		panic(fmt.Sprintf("netsim: bad source %d", m.Src))
+	}
+	if m.Dst < 0 || int(m.Dst) >= len(n.stats) {
+		panic(fmt.Sprintf("netsim: bad destination %d", m.Dst))
+	}
+	now := n.k.Now()
+	t := &n.topo
+	src, dst := &n.stats[m.Src], &n.stats[m.Dst]
 	esrc, edst, ekind := int(m.Src), int(m.Dst), uint8(m.Kind)
 	f := &n.cfg.Faults
 
-	// Lowest common ancestor level of the two leaf switches.
-	anc := 0
-	for t.switchOf(int(m.Src), anc) != t.switchOf(int(m.Dst), anc) {
-		anc++
+	n.bus.Emit(event.NetEnqueue(esrc, edst, ekind, m.Size, m.Seq))
+	src.MsgsSent++
+	src.BytesSent += int64(m.Size)
+	n.kindMsgs[m.Kind]++
+	n.kindBytes[m.Kind] += int64(m.Size)
+
+	if m.Src == m.Dst {
+		at := now + n.cfg.SwitchLatency
+		dst.MsgsRecv++
+		dst.BytesRecv += int64(m.Size)
+		n.bus.Emit(event.NetTransmit(esrc, edst, ekind, at, 0))
+		n.deliverAt(at, m)
+		return at
 	}
 
-	// Assemble the path: edge up, climb to the ancestor, descend, edge down.
-	path := t.path[:0]
-	path = append(path, hop{link: t.edgeUp[m.Src]})
-	for l := 1; l <= anc; l++ {
-		path = append(path, hop{link: t.up[l][t.switchOf(int(m.Src), l-1)]})
-	}
-	for l := anc; l >= 1; l-- {
-		path = append(path, hop{link: t.down[l][t.switchOf(int(m.Dst), l-1)]})
-	}
-	path = append(path, hop{link: t.edgeDown[m.Dst]})
+	path := t.route(esrc, edst, t.path[:0])
 	t.path = path // retain the (possibly regrown) scratch for the next send
 
 	// Plan: walk the path accumulating queueing, store-and-forward latency
@@ -150,15 +155,17 @@ func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
 	// models the host adapter/driver/UDP-stack path (see DefaultConfig),
 	// which exists at the two endpoint NICs, not on switch-to-switch hops.
 	// NIC stall windows likewise apply to the two edge links, keyed by the
-	// node whose adapter is wedged — identical to the single switch.
+	// node whose adapter is wedged. Nothing is committed yet.
 	at := now
 	var queueing sim.Time
 	for i := range path {
 		h := &path[i]
+		l := &t.links[h.link]
 		h.ready = at
-		h.ser = n.serLevel(m.Size, h.link.level)
-		h.start = max(at, h.link.busyUntil)
-		if n.rng != nil && h.link.level == 0 {
+		// Links double in capacity per level toward the root.
+		h.ser = sim.Time(float64(m.Size) * n.cfg.NsPerByte / float64(int64(1)<<l.level))
+		h.start = max(at, l.busyUntil)
+		if n.rng != nil && l.level == 0 {
 			stallNode := m.Src
 			if i == len(path)-1 {
 				stallNode = m.Dst
@@ -171,7 +178,7 @@ func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
 		h.en = h.start + h.ser
 		queueing += h.start - h.ready
 		at = h.en
-		if h.link.level == 0 {
+		if l.level == 0 {
 			at += n.cfg.PropDelay
 		}
 		if i < len(path)-1 {
@@ -182,51 +189,51 @@ func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
 
 	if !m.Reliable && n.cfg.DropThreshold > 0 && queueing > n.cfg.DropThreshold {
 		n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropCongestion))
-		src.stats.Dropped++
-		src.stats.BytesDropped += int64(m.Size)
+		src.Dropped++
+		src.BytesDropped += int64(m.Size)
 		return -1
 	}
 
-	first, last := &path[0], &path[len(path)-1]
 	if n.rng != nil {
 		// Brown-outs eat the frame while it occupies a faulted edge link.
-		if f.brownedOut(m.Src, first.start, first.en) || f.brownedOut(m.Dst, last.start, last.en) {
-			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropBrownout))
-			src.stats.Dropped++
-			src.stats.BytesDropped += int64(m.Size)
-			src.stats.FaultDrops++
-			return -1
-		}
-		// Probabilistic loss. The frame still occupied every link it crossed.
-		if f.Loss > 0 && n.rng.Float64() < f.Loss {
-			t.commit(n, path, esrc, edst, ekind)
-			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropLoss))
-			src.stats.Dropped++
-			src.stats.BytesDropped += int64(m.Size)
-			src.stats.FaultDrops++
+		first, last := &path[0], &path[len(path)-1]
+		browned := f.brownedOut(m.Src, first.start, first.en) || f.brownedOut(m.Dst, last.start, last.en)
+		if browned || (f.Loss > 0 && n.rng.Float64() < f.Loss) {
+			reason := event.DropBrownout
+			if !browned {
+				// Probabilistic loss. The frame still occupied every link it crossed.
+				reason = event.DropLoss
+				n.commit(path, esrc, edst, ekind)
+			}
+			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, reason))
+			src.Dropped++
+			src.BytesDropped += int64(m.Size)
+			src.FaultDrops++
 			return -1
 		}
 	}
 
-	t.commit(n, path, esrc, edst, ekind)
-	dst.stats.MsgsRecv++
-	dst.stats.BytesRecv += int64(m.Size)
+	n.commit(path, esrc, edst, ekind)
+	dst.MsgsRecv++
+	dst.BytesRecv += int64(m.Size)
 
 	if n.rng != nil {
+		// Reordering: extra jitter lets later traffic overtake this frame.
 		if f.Reorder > 0 && f.MaxJitter > 0 && n.rng.Float64() < f.Reorder {
 			arrive += 1 + n.rng.Int63n(f.MaxJitter)
 			n.bus.Emit(event.NetFault(esrc, edst, ekind, event.FaultJitter))
 		}
+		// Duplication: a second copy pops out of the switch a beat later.
 		if f.Dup > 0 && n.rng.Float64() < f.Dup {
 			dupAt := arrive + n.cfg.SwitchLatency
 			if f.Reorder > 0 && f.MaxJitter > 0 && n.rng.Float64() < f.Reorder {
 				dupAt += n.rng.Int63n(f.MaxJitter)
 			}
 			n.bus.Emit(event.NetFault(esrc, edst, ekind, event.FaultDup))
-			src.stats.Duplicated++
-			src.stats.BytesDup += int64(m.Size)
-			dst.stats.MsgsRecv++
-			dst.stats.BytesRecv += int64(m.Size)
+			src.Duplicated++
+			src.BytesDup += int64(m.Size)
+			dst.MsgsRecv++
+			dst.BytesRecv += int64(m.Size)
 			n.deliverAt(dupAt, m)
 		}
 	}
@@ -236,17 +243,18 @@ func (n *Network) sendFatTree(m *Message, now sim.Time) sim.Time {
 	return arrive
 }
 
-// commit stamps the planned occupancy onto every link of the path and emits
-// one NetHop per crossing. The scratch slice is retained for the next send.
-func (t *fatTree) commit(n *Network, path []hop, esrc, edst int, ekind uint8) {
+// commit stamps the planned occupancy onto every link of the path; the fat
+// tree also emits one NetHop per crossing.
+func (n *Network) commit(path []hop, esrc, edst int, ekind uint8) {
 	for i := range path {
 		h := &path[i]
-		h.link.busyUntil = h.en
-		h.link.msgs++
-		h.link.busy += h.ser
-		if backlog := h.en - h.ready; backlog > h.link.peak {
-			h.link.peak = backlog
+		l := &n.topo.links[h.link]
+		l.busyUntil = h.en
+		l.msgs++
+		l.busy += h.ser
+		l.peak = max(l.peak, h.en-h.ready)
+		if n.topo.radix > 0 {
+			n.bus.Emit(event.NetHop(esrc, edst, ekind, h.link, h.start-h.ready))
 		}
-		n.bus.Emit(event.NetHop(esrc, edst, ekind, h.link.idx, h.start-h.ready))
 	}
 }

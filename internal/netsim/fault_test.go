@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +17,7 @@ type faultTrafficResult struct {
 	injected   int64      // loss and brown-out drop events seen on the bus
 	arrivals   []sim.Time // delivery times, in delivery order
 	stats      LinkStats
+	loads      []LinkLoad
 }
 
 // Event counts the injected (non-congestion) drops the network announces.
@@ -26,14 +29,14 @@ func (r *faultTrafficResult) Event(e event.Event) {
 
 // runFaultTraffic replays a fixed random traffic pattern (derived from
 // trafficSeed) through a network of the given topology configured with the
-// given fault plan and returns what happened. The fat tree uses radix 2, so
-// the four nodes span two switch levels.
-func runFaultTraffic(trafficSeed int64, plan FaultPlan, topology string) *faultTrafficResult {
+// given fault plan and returns what happened. With radix 2 the fat tree's
+// four nodes span two switch levels; with radix 4 they share one switch.
+func runFaultTraffic(trafficSeed int64, plan FaultPlan, topology string, radix int) *faultTrafficResult {
 	rng := rand.New(rand.NewSource(trafficSeed))
 	cfg := testConfig()
 	cfg.DropThreshold = sim.Time(1 + rng.Intn(2000))
 	cfg.Faults = plan
-	cfg.Topology, cfg.FatTreeRadix = topology, 2
+	cfg.Topology, cfg.FatTreeRadix = topology, radix
 	k := sim.NewKernel()
 	res := new(faultTrafficResult)
 	k.Bus().Subscribe(res)
@@ -53,6 +56,7 @@ func runFaultTraffic(trafficSeed int64, plan FaultPlan, topology string) *faultT
 	}
 	k.Run()
 	res.stats = n.TotalStats()
+	res.loads = n.LinkLoads()
 	return res
 }
 
@@ -73,7 +77,7 @@ func TestFaultConservationProperty(t *testing.T) {
 				MaxJitter: 2 * sim.Millisecond,
 				Brownouts: []LinkFault{{Node: 2, From: 1000, To: 2500}},
 			}
-			res := runFaultTraffic(seed^0x5dee7, plan, topology)
+			res := runFaultTraffic(seed^0x5dee7, plan, topology, 2)
 			s := res.stats
 			if s.MsgsRecv+s.Dropped != s.MsgsSent+s.Duplicated {
 				return false
@@ -97,12 +101,51 @@ func TestFaultConservationProperty(t *testing.T) {
 	}
 }
 
+// The star is the fat tree whose one switch covers the cluster: with radix >=
+// nodes every fat-tree route is [source's edge up, destination's edge down],
+// the star's two links. Arrival times, traffic counters and every link's
+// occupancy figures must then be equal for the same traffic — clean, and
+// under a fault plan that exercises loss, duplication, jitter, a brown-out
+// and a stall, which also pins that both consume the PRNG identically. Only
+// the link names (and the fat tree's NetHop events) differ.
+func TestStarEqualsOneSwitchFatTree(t *testing.T) {
+	plans := []FaultPlan{{}, {
+		Seed: 9, Loss: 0.1, Dup: 0.1, Reorder: 0.1, MaxJitter: sim.Millisecond,
+		Brownouts: []LinkFault{{Node: 2, From: 1000, To: 2500}},
+		Stalls:    []LinkFault{{Node: 1, From: 3000, To: 4000}},
+	}}
+	for _, plan := range plans {
+		for seed := int64(1); seed <= 20; seed++ {
+			star := runFaultTraffic(seed, plan, "single", 0)
+			tree := runFaultTraffic(seed, plan, "fattree", 4)
+			if star.stats != tree.stats {
+				t.Fatalf("seed %d: counters differ:\nstar %+v\ntree %+v", seed, star.stats, tree.stats)
+			}
+			if !slices.Equal(star.arrivals, tree.arrivals) {
+				t.Fatalf("seed %d: arrival times differ:\nstar %v\ntree %v", seed, star.arrivals, tree.arrivals)
+			}
+			if len(star.loads) != len(tree.loads) {
+				t.Fatalf("seed %d: %d star links, %d fat-tree links", seed, len(star.loads), len(tree.loads))
+			}
+			for i, s := range star.loads {
+				f := tree.loads[i]
+				if s.Msgs != f.Msgs || s.Busy != f.Busy || s.Peak != f.Peak {
+					t.Fatalf("seed %d: link %d loads differ: %+v vs %+v", seed, i, s, f)
+				}
+			}
+			if star.loads[5].Name != "node2.in" || tree.loads[5].Name != "edge2.down" {
+				t.Fatalf("link names: %q, %q", star.loads[5].Name, tree.loads[5].Name)
+			}
+		}
+	}
+}
+
 // Same fault seed, same traffic: the delivery schedule and every counter are
 // identical across runs. A different fault seed perturbs the run.
 func TestFaultDeterminism(t *testing.T) {
 	plan := FaultPlan{Seed: 42, Loss: 0.2, Dup: 0.1, Reorder: 0.2, MaxJitter: sim.Millisecond}
-	a := runFaultTraffic(7, plan, "")
-	b := runFaultTraffic(7, plan, "")
+	a := runFaultTraffic(7, plan, "", 0)
+	b := runFaultTraffic(7, plan, "", 0)
 	if a.stats != b.stats {
 		t.Fatalf("same seed, different stats:\n%+v\n%+v", a.stats, b.stats)
 	}
@@ -115,7 +158,7 @@ func TestFaultDeterminism(t *testing.T) {
 		}
 	}
 	plan.Seed = 43
-	c := runFaultTraffic(7, plan, "")
+	c := runFaultTraffic(7, plan, "", 0)
 	if c.stats == a.stats {
 		t.Fatal("different fault seed produced identical stats — PRNG not in play?")
 	}
@@ -129,8 +172,8 @@ func TestZeroPlanIsInert(t *testing.T) {
 	if zero.Active() {
 		t.Fatal("zero FaultPlan reports Active")
 	}
-	a := runFaultTraffic(11, zero, "")
-	b := runFaultTraffic(11, FaultPlan{Seed: 999}, "") // seed alone is not a fault
+	a := runFaultTraffic(11, zero, "", 0)
+	b := runFaultTraffic(11, FaultPlan{Seed: 999}, "", 0) // seed alone is not a fault
 	if a.stats != b.stats || len(a.arrivals) != len(b.arrivals) {
 		t.Fatalf("zero plan not inert:\n%+v\n%+v", a.stats, b.stats)
 	}
@@ -174,5 +217,52 @@ func TestBrownoutAndStallWindows(t *testing.T) {
 	}
 	if at < stallTo || at <= baseAt {
 		t.Fatalf("stalled delivery at %d, want after window end %d (base %d)", at, stallTo, baseAt)
+	}
+}
+
+// Validate rejects fault plans that cannot mean what they say, for every
+// caller — library, harness or CLI — instead of leaving them to surface as a
+// transport retry-cap failure or to sit silently inert.
+func TestValidateRejectsBadFaultPlans(t *testing.T) {
+	win := func(node NodeID, from, to sim.Time) []LinkFault { return []LinkFault{{Node: node, From: from, To: to}} }
+	for _, tc := range []struct {
+		name string
+		plan FaultPlan
+		want string // "" = valid
+	}{
+		{"zero", FaultPlan{}, ""},
+		{"full", FaultPlan{Loss: 1, Dup: 0.5, Reorder: 0.2, MaxJitter: 5, Brownouts: win(3, 0, 10), Stalls: win(0, 7, 7)}, ""},
+		{"loss above one", FaultPlan{Loss: 2}, "probability"},
+		{"negative dup", FaultPlan{Dup: -0.1}, "probability"},
+		{"reorder above one", FaultPlan{Reorder: 1.5, MaxJitter: 5}, "probability"},
+		{"negative jitter", FaultPlan{Reorder: 0.5, MaxJitter: -1}, "MaxJitter"},
+		{"brown-out on node N", FaultPlan{Brownouts: win(4, 0, 10)}, "names node 4"},
+		{"stall on node -1", FaultPlan{Stalls: win(-1, 0, 10)}, "names node -1"},
+		{"brown-out ends before it starts", FaultPlan{Brownouts: win(1, 10, 5)}, "before it starts"},
+		{"stall ends before it starts", FaultPlan{Stalls: win(1, 10, 5)}, "before it starts"},
+	} {
+		cfg := testConfig()
+		cfg.Faults = tc.plan
+		err := cfg.Validate(4)
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: want an error mentioning %q, got %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// Send rejects a source outside the cluster the way it rejects a destination.
+func TestSendRejectsBadEndpoints(t *testing.T) {
+	for _, m := range []*Message{{Src: 4, Dst: 0}, {Src: -1, Dst: 0}, {Src: 0, Dst: 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Send(%d -> %d) on a 4-node network did not panic", m.Src, m.Dst)
+				}
+			}()
+			New(sim.NewKernel(), 4, testConfig(), func(*Message) {}).Send(m)
+		}()
 	}
 }

@@ -1,9 +1,13 @@
-// Package netsim models the cluster interconnect: a single ATM-style switch
-// with one full-duplex link per node. Messages experience sender-side
-// serialization, store-and-forward switching, and receiver-side link
-// occupancy, so concurrent traffic to one node queues on that node's inbound
-// link — reproducing the hot-spotting the paper observes when all processors
-// fetch their initial data from the master.
+// Package netsim models the cluster interconnect as a set of directed links
+// and a route between every pair of nodes (fattree.go). A message pays
+// serialization on every link of its route and store-and-forward latency in
+// every switch between two links, and waits for each link to drain the
+// traffic ahead of it. The default topology is the paper's LAN — one
+// ATM-style switch with one full-duplex link per node, i.e. the two-link
+// route [source's outbound link, destination's inbound link] — so concurrent
+// traffic to one node queues on that node's inbound link, reproducing the
+// hot-spotting the paper observes when all processors fetch their initial
+// data from the master. The fat tree routes the same send over more links.
 //
 // Unreliable messages (the paper's prefetch requests and replies) are
 // dropped deterministically when the queueing delay they would suffer
@@ -112,6 +116,37 @@ func (p *FaultPlan) brownedOut(id NodeID, from, to sim.Time) bool {
 	return false
 }
 
+// validate rejects plans that cannot mean what they say: probabilities
+// outside [0,1], negative jitter, and windows that name a node the cluster
+// does not have or end before they start (which would never fire).
+func (p *FaultPlan) validate(nodes int) error {
+	for _, pr := range []struct {
+		name string
+		v    float64
+	}{{"Loss", p.Loss}, {"Dup", p.Dup}, {"Reorder", p.Reorder}} {
+		if !(pr.v >= 0 && pr.v <= 1) {
+			return fmt.Errorf("fault plan: %s must be a probability in [0,1] (got %g)", pr.name, pr.v)
+		}
+	}
+	if p.MaxJitter < 0 {
+		return fmt.Errorf("fault plan: MaxJitter %d is negative", p.MaxJitter)
+	}
+	for _, ws := range []struct {
+		name    string
+		windows []LinkFault
+	}{{"brown-out", p.Brownouts}, {"stall", p.Stalls}} {
+		for _, w := range ws.windows {
+			if w.Node < 0 || int(w.Node) >= nodes {
+				return fmt.Errorf("fault plan: %s window names node %d of a %d-node cluster", ws.name, w.Node, nodes)
+			}
+			if w.From > w.To {
+				return fmt.Errorf("fault plan: %s window on node %d ends (%d) before it starts (%d)", ws.name, w.Node, w.To, w.From)
+			}
+		}
+	}
+	return nil
+}
+
 // DefaultFatTreeRadix is the switch radix used when Config.FatTreeRadix is
 // zero: four downward ports per switch, so eight nodes need two levels and
 // 1024 nodes need five.
@@ -142,10 +177,13 @@ type Config struct {
 	Faults FaultPlan
 }
 
-// Validate checks the topology parameters against a node count. The single
-// switch accepts any cluster (including one node); the fat tree's routing
-// arithmetic assumes power-of-two node counts and radices.
+// Validate checks the fault plan and the topology parameters against a node
+// count. The single switch accepts any cluster (including one node); the fat
+// tree's routing arithmetic assumes power-of-two node counts and radices.
 func (c *Config) Validate(nodes int) error {
+	if err := c.Faults.validate(nodes); err != nil {
+		return err
+	}
 	switch c.Topology {
 	case "", "single":
 		return nil
@@ -194,34 +232,6 @@ type LinkStats struct {
 	BytesDup             int64
 }
 
-type nic struct {
-	outBusyUntil sim.Time // sender-side link free time
-	inBusyUntil  sim.Time // receiver-side link free time
-	stats        LinkStats
-
-	// Passive occupancy accounting for LinkLoads (never read by the timing
-	// model, so recording it cannot perturb existing goldens).
-	outMsgs, inMsgs int64
-	outBusy, inBusy sim.Time // total serialization time the link was held
-	outPeak, inPeak sim.Time // largest ready-to-drained backlog of one message
-}
-
-func (c *nic) noteOut(ser, backlog sim.Time) {
-	c.outMsgs++
-	c.outBusy += ser
-	if backlog > c.outPeak {
-		c.outPeak = backlog
-	}
-}
-
-func (c *nic) noteIn(ser, backlog sim.Time) {
-	c.inMsgs++
-	c.inBusy += ser
-	if backlog > c.inPeak {
-		c.inPeak = backlog
-	}
-}
-
 // LinkLoad is the observed load on one directed link of the topology: how
 // many messages crossed it, how long it was busy serializing in total, and
 // the largest backlog one message saw (time from the message being ready for
@@ -239,10 +249,10 @@ type Network struct {
 	k       *sim.Kernel
 	bus     *event.Bus
 	cfg     Config
-	nics    []nic
+	stats   []LinkStats // per node
 	deliver func(*Message)
 	rng     *rand.Rand // non-nil iff cfg.Faults.Active()
-	topo    *fatTree   // non-nil iff cfg.Topology == "fattree"
+	topo    topology
 
 	kindMsgs  [MaxKinds]int64
 	kindBytes [MaxKinds]int64
@@ -257,34 +267,22 @@ func New(k *sim.Kernel, n int, cfg Config, deliver func(*Message)) *Network {
 	if err := cfg.Validate(n); err != nil {
 		panic("netsim: " + err.Error())
 	}
-	net := &Network{k: k, bus: k.Bus(), cfg: cfg, nics: make([]nic, n), deliver: deliver}
+	net := &Network{k: k, bus: k.Bus(), cfg: cfg, stats: make([]LinkStats, n), deliver: deliver,
+		topo: newTopology(n, cfg)}
 	if cfg.Faults.Active() {
 		net.rng = rand.New(rand.NewSource(cfg.Faults.Seed))
-	}
-	if cfg.Topology == "fattree" {
-		radix := cfg.FatTreeRadix
-		if radix == 0 {
-			radix = DefaultFatTreeRadix
-		}
-		net.topo = newFatTree(n, radix)
 	}
 	return net
 }
 
 // LinkLoads returns the per-link occupancy observed so far, in a fixed
-// deterministic order. Under the single switch each node contributes its
-// outbound and inbound link; under the fat tree every edge and inter-switch
-// link (both directions) is reported.
+// deterministic order: each node's outbound and inbound link, then (fat tree
+// only) every inter-switch link, both directions.
 func (n *Network) LinkLoads() []LinkLoad {
-	if n.topo != nil {
-		return n.topo.loads()
-	}
-	out := make([]LinkLoad, 0, 2*len(n.nics))
-	for i := range n.nics {
-		c := &n.nics[i]
-		out = append(out,
-			LinkLoad{Name: fmt.Sprintf("node%d.out", i), Msgs: c.outMsgs, Busy: c.outBusy, Peak: c.outPeak},
-			LinkLoad{Name: fmt.Sprintf("node%d.in", i), Msgs: c.inMsgs, Busy: c.inBusy, Peak: c.inPeak})
+	out := make([]LinkLoad, len(n.topo.links))
+	for i := range n.topo.links {
+		l := &n.topo.links[i]
+		out[i] = LinkLoad{Name: n.topo.linkName(i), Msgs: l.msgs, Busy: l.busy, Peak: l.peak}
 	}
 	return out
 }
@@ -293,16 +291,16 @@ func (n *Network) LinkLoads() []LinkLoad {
 func (n *Network) FaultsActive() bool { return n.rng != nil }
 
 // Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return len(n.nics) }
+func (n *Network) Nodes() int { return len(n.stats) }
 
 // Stats returns the traffic counters for node id.
-func (n *Network) Stats(id NodeID) LinkStats { return n.nics[id].stats }
+func (n *Network) Stats(id NodeID) LinkStats { return n.stats[id] }
 
 // TotalStats sums traffic over all nodes (sent-side counters).
 func (n *Network) TotalStats() LinkStats {
 	var t LinkStats
-	for i := range n.nics {
-		s := &n.nics[i].stats
+	for i := range n.stats {
+		s := &n.stats[i]
 		t.MsgsSent += s.MsgsSent
 		t.MsgsRecv += s.MsgsRecv
 		t.BytesSent += s.BytesSent
@@ -321,10 +319,6 @@ func (n *Network) KindStats(kind Kind) (msgs, bytes int64) {
 	return n.kindMsgs[kind], n.kindBytes[kind]
 }
 
-func (n *Network) serialization(size int) sim.Time {
-	return sim.Time(float64(size) * n.cfg.NsPerByte)
-}
-
 // deliverAt schedules m's arrival at time at, emitting the delivery event
 // at the moment it happens.
 func (n *Network) deliverAt(at sim.Time, m *Message) {
@@ -332,125 +326,4 @@ func (n *Network) deliverAt(at sim.Time, m *Message) {
 		n.bus.Emit(event.NetDeliver(int(m.Src), int(m.Dst), uint8(m.Kind), m.Size, m.Seq))
 		n.deliver(m)
 	})
-}
-
-// Send transmits m at the current virtual time. It returns the delivery
-// time, or -1 if the message was dropped. Loopback (Src == Dst) is
-// delivered after the switch latency only, mirroring local IPC.
-func (n *Network) Send(m *Message) sim.Time {
-	if m.Dst < 0 || int(m.Dst) >= len(n.nics) {
-		panic(fmt.Sprintf("netsim: bad destination %d", m.Dst))
-	}
-	now := n.k.Now()
-	src, dst := &n.nics[m.Src], &n.nics[m.Dst]
-	esrc, edst, ekind := int(m.Src), int(m.Dst), uint8(m.Kind)
-
-	n.bus.Emit(event.NetEnqueue(esrc, edst, ekind, m.Size, m.Seq))
-	src.stats.MsgsSent++
-	src.stats.BytesSent += int64(m.Size)
-	n.kindMsgs[m.Kind]++
-	n.kindBytes[m.Kind] += int64(m.Size)
-
-	if m.Src == m.Dst {
-		at := now + n.cfg.SwitchLatency
-		dst.stats.MsgsRecv++
-		dst.stats.BytesRecv += int64(m.Size)
-		n.bus.Emit(event.NetTransmit(esrc, edst, ekind, at, 0))
-		n.deliverAt(at, m)
-		return at
-	}
-
-	if n.topo != nil {
-		return n.sendFatTree(m, now)
-	}
-
-	ser := n.serialization(m.Size)
-	f := &n.cfg.Faults
-
-	// Sender-side link. A stalled NIC holds traffic until its window ends.
-	outStart := max(now, src.outBusyUntil)
-	if n.rng != nil {
-		if stalled := f.stallEnd(m.Src, outStart); stalled != outStart {
-			outStart = stalled
-			n.bus.Emit(event.NetFault(esrc, edst, ekind, event.FaultStall))
-		}
-	}
-	outEnd := outStart + ser
-
-	// Switch + propagation.
-	atSwitchOut := outEnd + n.cfg.PropDelay + n.cfg.SwitchLatency
-
-	// Receiver-side link (store-and-forward from the switch).
-	inStart := max(atSwitchOut, dst.inBusyUntil)
-	if n.rng != nil {
-		if stalled := f.stallEnd(m.Dst, inStart); stalled != inStart {
-			inStart = stalled
-			n.bus.Emit(event.NetFault(esrc, edst, ekind, event.FaultStall))
-		}
-	}
-	inEnd := inStart + ser
-	arrive := inEnd + n.cfg.PropDelay
-
-	queueing := (outStart - now) + (inStart - atSwitchOut)
-	if !m.Reliable && n.cfg.DropThreshold > 0 && queueing > n.cfg.DropThreshold {
-		n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropCongestion))
-		src.stats.Dropped++
-		src.stats.BytesDropped += int64(m.Size)
-		return -1
-	}
-
-	if n.rng != nil {
-		// Brown-outs eat the frame while it occupies a faulted link.
-		if f.brownedOut(m.Src, outStart, outEnd) || f.brownedOut(m.Dst, inStart, inEnd) {
-			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropBrownout))
-			src.stats.Dropped++
-			src.stats.BytesDropped += int64(m.Size)
-			src.stats.FaultDrops++
-			return -1
-		}
-		// Probabilistic loss. The frame still occupied both links.
-		if f.Loss > 0 && n.rng.Float64() < f.Loss {
-			src.outBusyUntil = outEnd
-			dst.inBusyUntil = inEnd
-			src.noteOut(ser, outEnd-now)
-			dst.noteIn(ser, inEnd-atSwitchOut)
-			n.bus.Emit(event.NetDrop(esrc, edst, ekind, m.Size, event.DropLoss))
-			src.stats.Dropped++
-			src.stats.BytesDropped += int64(m.Size)
-			src.stats.FaultDrops++
-			return -1
-		}
-	}
-
-	src.outBusyUntil = outEnd
-	dst.inBusyUntil = inEnd
-	src.noteOut(ser, outEnd-now)
-	dst.noteIn(ser, inEnd-atSwitchOut)
-	dst.stats.MsgsRecv++
-	dst.stats.BytesRecv += int64(m.Size)
-
-	if n.rng != nil {
-		// Reordering: extra jitter lets later traffic overtake this frame.
-		if f.Reorder > 0 && f.MaxJitter > 0 && n.rng.Float64() < f.Reorder {
-			arrive += 1 + n.rng.Int63n(f.MaxJitter)
-			n.bus.Emit(event.NetFault(esrc, edst, ekind, event.FaultJitter))
-		}
-		// Duplication: a second copy pops out of the switch a beat later.
-		if f.Dup > 0 && n.rng.Float64() < f.Dup {
-			dupAt := arrive + n.cfg.SwitchLatency
-			if f.Reorder > 0 && f.MaxJitter > 0 && n.rng.Float64() < f.Reorder {
-				dupAt += n.rng.Int63n(f.MaxJitter)
-			}
-			n.bus.Emit(event.NetFault(esrc, edst, ekind, event.FaultDup))
-			src.stats.Duplicated++
-			src.stats.BytesDup += int64(m.Size)
-			dst.stats.MsgsRecv++
-			dst.stats.BytesRecv += int64(m.Size)
-			n.deliverAt(dupAt, m)
-		}
-	}
-
-	n.bus.Emit(event.NetTransmit(esrc, edst, ekind, arrive, queueing))
-	n.deliverAt(arrive, m)
-	return arrive
 }

@@ -111,7 +111,7 @@ func validateADP(cfg Spec) error {
 	return nil
 }
 
-func buildADP(n *Node, cfg Spec) Subsystems {
+func buildADP(n *Node, cfg Spec) (Coherence, Prefetcher) {
 	hl, hpf := newHLRC(n, cfg, staticPolicy{})
 	hl.xin = make(map[pagemem.PageID]*xferIn) // fills buffer arriving flushes here
 	lc := &lrcCoherence{n: n, pfReliable: cfg.PfReliable}
@@ -125,12 +125,7 @@ func buildADP(n *Node, cfg Spec) Subsystems {
 		burned:     make(map[pagemem.PageID]bool),
 		everMulti:  make(map[pagemem.PageID]bool),
 	}
-	return Subsystems{
-		Coherence: coh,
-		Prefetch:  &adpPrefetcher{c: coh, hpf: hpf, lpf: lpf},
-		Sync:      newSyncManager(n, cfg),
-		GC:        noGC{n: n},
-	}
+	return coh, &adpPrefetcher{c: coh, hpf: hpf, lpf: lpf}
 }
 
 func (c *adpCoherence) homeMode(p pagemem.PageID) bool { return c.mode[p] == ModeHome }
@@ -206,7 +201,7 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 	cl.faults++
 	home := c.hl.home(p)
 	if home != n.ID {
-		if pg := c.hpf.cache[p]; pg == nil || ps.twinned || anyOutsideSet(ps.pending, pg.covers) {
+		if pg := c.hpf.cache[p]; pg == nil || ps.twinned || anyOutside(ps.pending, pg.covers) {
 			cl.msgs++
 		}
 	}
@@ -238,30 +233,11 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onValid func()) {
 	n := c.n
 	ps := n.page(p)
-	pfst := n.pf[p]
-	delete(n.pf, p)
+	outcome := n.takePf(p, ps.pending)
 	cl := c.acc.cell(p)
 	cl.faults++
-
-	var outcome int64
-	switch {
-	case pfst == nil:
-		outcome = event.OutcomeNoPf
-	case anyOutside(ps.pending, pfst.requested):
-		outcome = event.OutcomePfInvalided
-	default:
-		outcome = event.OutcomePfLate
-	}
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(ps.pending)))
-
-	f := &fetch{
-		page:    p,
-		needed:  make(map[lrc.IntervalID]bool),
-		waiters: []func(){onValid},
-		start:   n.K.Now(),
-		hybrid:  true,
-	}
-	n.fetches[p] = f
+	n.startFetch(p, nil, onValid).hybrid = true
 
 	if home := c.hl.home(p); home != n.ID {
 		// One base request naming only the flush-era intervals: the home's
@@ -351,55 +327,12 @@ func (c *adpCoherence) finishHybrid(p pagemem.PageID, f *fetch, post []lrc.Inter
 		n.bus.Emit(event.HomeFetch(n.ID, c.hl.home(p), int64(p), pagemem.PageSize))
 		cost += n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(pagemem.PageSize))
 	}
-	cost += c.applyIDs(p, post)
+	cost += n.applyDiffs(p, post)
 	if f.pageData != nil && lm != nil && len(lm.Runs) > 0 {
 		lm.Apply(n.Store.Frame(p))
 	}
 	ps.pending = ps.pending[:0]
-	delete(n.fetches, p)
-	done := n.CPU.Service(cost, sim.CatDSM)
-	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
-	waiters := f.waiters
-	n.K.At(done, func() {
-		for _, w := range waiters {
-			w()
-		}
-	})
-}
-
-// applyIDs applies the stored diffs of the given pending intervals to p's
-// frame in causal order — a subset apply; the caller resolves the rest of
-// the pending list by other means. Returns the CPU cost.
-func (c *adpCoherence) applyIDs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
-	n := c.n
-	if len(ids) == 0 {
-		return 0
-	}
-	ivs := make([]*lrc.Interval, 0, len(ids))
-	for _, id := range ids {
-		iv := n.ivs[id.Node][id.Seq-1]
-		if iv == nil {
-			n.pageInvariantf(p, "pending interval %v on page %d without record", id, p)
-		}
-		ivs = append(ivs, iv)
-	}
-	lrc.SortCausally(ivs)
-	frame := n.Store.Frame(p)
-	var cost sim.Time
-	for _, iv := range ivs {
-		d, ok := n.storedDiff(iv.ID, p)
-		if !ok {
-			n.pageInvariantf(p, "node %d applying page %d without diff for %v", n.ID, p, iv.ID)
-		}
-		if d != nil && len(d.Runs) > 0 {
-			n.bus.Emit(event.DiffApply(n.ID, int64(p), d.DataBytes()))
-			d.Apply(frame)
-			cost += n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(d.DataBytes()))
-		} else {
-			cost += n.C.DiffApply / 2
-		}
-	}
-	return cost
+	n.finishFetch(f, n.CPU.Service(cost, sim.CatDSM))
 }
 
 // AfterClose counts the interval's writes and flushes home-mode pages; diff-
@@ -553,15 +486,8 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.
 		}
 	}
 	hl.xin[p] = &xferIn{fill: true}
-	f := &fetch{
-		page:   p,
-		needed: make(map[lrc.IntervalID]bool, len(want)),
-		start:  n.K.Now(),
-		fill:   true,
-		fillVC: switchVC.Clone(),
-		fillEx: prevEx,
-	}
-	n.fetches[p] = f
+	f := n.startFetch(p, want)
+	f.fill, f.fillVC, f.fillEx = true, switchVC.Clone(), prevEx
 	if len(want) > 0 {
 		c.lc.issueDiffRequests(f, want, 0)
 		return 0
@@ -601,7 +527,7 @@ func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
 	if ps.twinned && len(apply) > 0 {
 		cost += n.makeOwnDiff(p)
 	}
-	cost += c.applyIDs(p, apply)
+	cost += n.applyDiffs(p, apply)
 	rest := ps.pending[:0]
 	for _, id := range ps.pending {
 		if f.fillEx != nil && id.Seq <= f.fillEx[id.Node] {
@@ -628,26 +554,11 @@ func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
 	}
 	if len(uncovered) > 0 {
 		// Flush-era stragglers: wait for their flushes like a home fault.
-		f2 := &fetch{
-			page:    p,
-			needed:  make(map[lrc.IntervalID]bool, len(uncovered)),
-			waiters: f.waiters,
-			start:   f.start,
-		}
-		for _, id := range uncovered {
-			f2.needed[id] = true
-		}
-		n.fetches[p] = f2
+		n.startFetch(p, uncovered, f.waiters...).start = f.start
 		return
 	}
 	ps.pending = ps.pending[:0]
-	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
-	waiters := f.waiters
-	n.K.At(done, func() {
-		for _, w := range waiters {
-			w()
-		}
-	})
+	n.finishFetch(f, done)
 }
 
 // episodeAcc drains this node's per-page counters for a barrier arrival.
@@ -808,9 +719,7 @@ func (pf *adpPrefetcher) Prefetch(p pagemem.PageID) int {
 		// demand fault resolves these through the hybrid path instead.
 		n := c.n
 		n.bus.Emit(event.PfCall(n.ID, int64(p)))
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
+		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
 	// An issued prefetch is a remote gather like a fault: count it, so the
 	// diff->home rule sees multi-writer collection even when prefetching

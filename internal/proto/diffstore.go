@@ -95,9 +95,20 @@ func (n *Node) applyPending(p pagemem.PageID) sim.Time {
 	if ps.twinned {
 		cost += n.makeOwnDiff(p)
 	}
+	cost += n.applyDiffs(p, ps.pending)
+	ps.pending = ps.pending[:0]
+	return cost
+}
 
-	ivs := make([]*lrc.Interval, 0, len(ps.pending))
-	for _, id := range ps.pending {
+// applyDiffs applies the stored diffs of the given pending intervals to p's
+// frame in causal order and returns the CPU cost. It leaves the pending list
+// alone: a caller that applies a subset resolves the rest by other means.
+func (n *Node) applyDiffs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
+	if len(ids) == 0 {
+		return 0
+	}
+	ivs := make([]*lrc.Interval, 0, len(ids))
+	for _, id := range ids {
 		iv := n.ivs[id.Node][id.Seq-1]
 		if iv == nil {
 			n.pageInvariantf(p, "pending interval %v on page %d without record", id, p)
@@ -107,6 +118,7 @@ func (n *Node) applyPending(p pagemem.PageID) sim.Time {
 	lrc.SortCausally(ivs)
 
 	frame := n.Store.Frame(p)
+	var cost sim.Time
 	for _, iv := range ivs {
 		d, ok := n.storedDiff(iv.ID, p)
 		if !ok {
@@ -121,7 +133,6 @@ func (n *Node) applyPending(p pagemem.PageID) sim.Time {
 			cost += n.C.DiffApply / 2
 		}
 	}
-	ps.pending = ps.pending[:0]
 	return cost
 }
 

@@ -35,7 +35,11 @@ type msgGCDone struct{ From int }
 // barrier waiters.
 type msgGCFlush struct{}
 
-// lrcGC is the diff garbage collector used by the diff-based backends.
+// lrcGC is the diff garbage collector, driven from the barrier code:
+// arrivals report storage, the root decides whether a collection runs before
+// the release completes. Every node has one; with threshold 0 (the default,
+// and always under hlrc and adp, whose homes apply diffs eagerly so storage
+// never accumulates) it reports raw diff bytes and never triggers.
 type lrcGC struct {
 	n            *Node
 	threshold    int64    // trigger a collection above this many bytes (0 = off)
@@ -204,20 +208,11 @@ func (g *lrcGC) handleGCFlush() {
 // resume runs once the global collection completes.
 func (g *lrcGC) Begin(resume func()) {
 	n := g.n
+	if g.threshold == 0 {
+		n.invariantf("node %d: GC begin with no collector configured", n.ID)
+	}
 	n.bus.Emit(event.GCBegin(n.ID))
 	g.resume = resume
 	g.start = n.K.Now()
 	g.gcValidate(func() { g.gcSendDone() })
-}
-
-// noGC is the DiffGC of backends without consistency-record collection
-// (HLRC: homes apply diffs eagerly, so storage never accumulates). Barrier
-// arrivals still report raw diff bytes — always zero — and never trigger.
-type noGC struct{ n *Node }
-
-func (g noGC) ReportBytes() int64          { return g.n.diffBytes }
-func (g noGC) Exceeds(int64) bool          { return false }
-func (g noGC) Handle(*netsim.Message) bool { return false }
-func (g noGC) Begin(func()) {
-	g.n.invariantf("node %d: GC begin under a backend with no collector", g.n.ID)
 }

@@ -48,13 +48,14 @@ import (
 // never creates interval records during a GC round: new intervals only
 // close at sync operations, and every node is parked at the barrier while
 // validate/flush runs. A gossiped record that arrives after the collection
-// that subsumed it carries Seq <= gcBase[creator] and is skipped; fire()
-// applies the same filter to its own backlog.
+// that subsumed it carries Seq <= gcBase[creator] <= vc[creator] and is
+// skipped as already covered; fire() filters its own backlog by gcBase.
 type gossiper struct {
 	n        *Node
 	peers    []int // fixed push targets; peers[0] is the ring successor
 	interval sim.Time
 	hot      []*lrc.Interval // records learned but not yet pushed
+	held     []*lrc.Interval // records learned but not yet causally closed (drain)
 	covered  lrc.VC          // barrier-released supremum: globally known records
 	timer    *sim.Timer
 	round    int64
@@ -113,8 +114,8 @@ func (g *gossiper) Publish(iv *lrc.Interval) {
 
 // Cover records a barrier release's vector time: everything at or below it
 // has been handed to every node by the release path, so pending pushes of
-// those records are dropped. Called by both barrier implementations on
-// every release (manager and leaf sides).
+// those records are dropped. Called by the barrier on every release (root
+// and receiving sides).
 func (g *gossiper) Cover(vc lrc.VC) {
 	for q, s := range vc {
 		if s > g.covered[q] {
@@ -175,47 +176,92 @@ func (g *gossiper) fire() {
 	}
 }
 
-// handle takes in one gossip push: record fresh intervals (invalidating
-// their pages), queue them for relay, and advance this node's vector time
-// over any now-contiguous prefix of each creator's records.
-//
-// Unlike ERC's handleEagerNotice, the creator's vector entry must NOT jump
-// straight to the received Seq: relayed records arrive out of creator
-// order (peer A may learn (q,5) before (q,4)), and a vector time covering
-// a record this node has not seen breaks the contiguity invariant. The
-// walk below advances each entry only across records that are present and
-// not held deferred (a deferred record's pages are not invalidated yet, so
-// claiming coverage of it would let stale data survive).
+// handle takes in one gossip push. A record this node has not seen is
+// queued for relay at once, but it is only recorded (its pages invalidated)
+// when it is causally closed here — see drain — and until then it waits on
+// the held list. Unlike ERC's handleEagerNotice, which may record on arrival
+// because per-pair FIFO delivers a creator's records in order, relayed
+// records arrive in any order: peer A may learn (q,5) before (q,4), or
+// before a third node's interval that (q,5) was created after.
 func (g *gossiper) handle(m *msgGossip) {
 	n := g.n
-	var cost sim.Time
 	fresh := false
 	for _, iv := range m.Ivs {
 		q := iv.ID.Node
-		if q == n.ID || iv.ID.Seq <= n.gcBase[q] {
-			continue
+		if q == n.ID || iv.ID.Seq <= n.vc[q] || g.seen(iv.ID) {
+			continue // own, already covered (or collected), or known
 		}
-		idx := int(iv.ID.Seq) - 1
-		isNew := idx >= len(n.ivs[q]) || n.ivs[q][idx] == nil
-		cost += n.recordInterval(iv)
-		if isNew && iv.ID.Seq > g.covered[q] {
+		g.held = append(g.held, iv)
+		if iv.ID.Seq > g.covered[q] {
 			g.hot = append(g.hot, iv)
 			fresh = true
 		}
 	}
-	for _, iv := range m.Ivs {
-		q := iv.ID.Node
-		if q == n.ID {
-			continue
-		}
-		for int(n.vc[q]) < len(n.ivs[q]) &&
-			n.ivs[q][n.vc[q]] != nil &&
-			!n.deferredSet[lrc.IntervalID{Node: q, Seq: n.vc[q] + 1}] {
-			n.vc[q]++
-		}
-	}
-	n.CPU.Service(cost, sim.CatDSM)
+	n.CPU.Service(g.drain(), sim.CatDSM)
 	if fresh && !g.timer.Active() {
 		g.timer.Arm(g.interval)
 	}
+}
+
+// seen reports whether this node already has id's record: recorded (possibly
+// deferred, in the barrier-server role) or waiting on the held list.
+func (g *gossiper) seen(id lrc.IntervalID) bool {
+	if recs := g.n.ivs[id.Node]; int(id.Seq) <= len(recs) && recs[id.Seq-1] != nil {
+		return true
+	}
+	for _, iv := range g.held {
+		if iv.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// drain records every held record that is causally closed: this node's
+// vector time covers the creator's previous interval and every third-party
+// interval the record was created after. Recording invalidates the record's
+// pages and advances the creator's vector entry to it in one step, so the
+// node never holds an invalidation whose causal predecessors it does not
+// know — a fault in that state would apply the newer diff alone and let the
+// older one overwrite it later — and never claims an interval it has not
+// invalidated. Each recording can close others, so drain repeats to a fixed
+// point. Records a lock grant or barrier release delivered meanwhile are
+// dropped. Returns the CPU cost to charge.
+func (g *gossiper) drain() sim.Time {
+	n := g.n
+	var cost sim.Time
+	for progress := true; progress; {
+		progress = false
+		keep := g.held[:0]
+		for _, iv := range g.held {
+			q := iv.ID.Node
+			switch {
+			case iv.ID.Seq <= n.vc[q]:
+			case g.closed(iv):
+				cost += n.recordInterval(iv)
+				n.vc[q] = iv.ID.Seq
+				progress = true
+			default:
+				keep = append(keep, iv)
+			}
+		}
+		g.held = keep
+	}
+	return cost
+}
+
+// closed reports whether this node's vector time covers everything iv was
+// created after: the creator's previous interval and every other node's
+// intervals in iv's vector time (its own entry aside — a node knows its own).
+func (g *gossiper) closed(iv *lrc.Interval) bool {
+	n := g.n
+	for x, s := range iv.VC {
+		if x == iv.ID.Node {
+			s-- // the creator's previous interval
+		}
+		if x != n.ID && s > n.vc[x] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"maps"
+
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/netsim"
@@ -26,8 +28,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		return
 	}
 	ps := n.page(p)
-	pfst := n.pf[p]
-	delete(n.pf, p)
+	outcome := n.takePf(p, ps.pending)
 	if c.track {
 		c.acc.cell(p).faults++
 	}
@@ -40,7 +41,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	// Whole-page prefetch cache hit: the cached copy must cover every
 	// pending interval AND the page must carry no unflushed local writes
 	// (the stale copy would clobber them).
-	if pg := c.pf.take(p); pg != nil && !ps.twinned && !anyOutsideSet(ps.pending, pg.covers) {
+	if pg := c.pf.take(p); pg != nil && !ps.twinned && !anyOutside(ps.pending, pg.covers) {
 		copy(n.Store.Frame(p), pg.data)
 		ps.pending = ps.pending[:0]
 		n.bus.Emit(event.FaultLocal(n.ID, int64(p), event.OutcomePfHit))
@@ -48,17 +49,6 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		done := n.CPU.Service(cost, sim.CatDSM)
 		n.K.At(done, onValid)
 		return
-	}
-
-	// Classify the fault for Figure 3.
-	var outcome int64
-	switch {
-	case pfst == nil:
-		outcome = event.OutcomeNoPf
-	case anyOutside(ps.pending, pfst.requested):
-		outcome = event.OutcomePfInvalided
-	default:
-		outcome = event.OutcomePfLate
 	}
 
 	if ps.twinned {
@@ -71,19 +61,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 
 	need := append([]lrc.IntervalID(nil), ps.pending...)
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(need)))
-	f := &fetch{
-		page:    p,
-		needed:  make(map[lrc.IntervalID]bool, len(need)),
-		waiters: []func(){onValid},
-		start:   n.K.Now(),
-	}
-	asked := make(map[lrc.IntervalID]bool, len(need))
-	for _, id := range need {
-		f.needed[id] = true
-		asked[id] = true
-	}
-	n.fetches[p] = f
-	c.asked[p] = asked
+	c.asked[p] = maps.Clone(n.startFetch(p, need, onValid).needed)
 	if c.track {
 		c.acc.cell(p).msgs++
 	}
@@ -94,10 +72,6 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		Reliable: true, Kind: KindPageReq,
 		Payload: &msgPageReq{From: n.ID, Page: p, Need: need},
 	})
-}
-
-func anyOutsideSet(ids []lrc.IntervalID, set map[lrc.IntervalID]bool) bool {
-	return anyOutside(ids, set)
 }
 
 // homeFault handles a fault on a page homed at this node: the frame is
@@ -120,16 +94,7 @@ func (c *hlrcCoherence) homeFault(p pagemem.PageID, ps *pageState, onValid func(
 		return
 	}
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), event.OutcomeNoPf, len(uncovered)))
-	f := &fetch{
-		page:    p,
-		needed:  make(map[lrc.IntervalID]bool, len(uncovered)),
-		waiters: []func(){onValid},
-		start:   n.K.Now(),
-	}
-	for _, id := range uncovered {
-		f.needed[id] = true
-	}
-	n.fetches[p] = f
+	n.startFetch(p, uncovered, onValid)
 	n.CPU.Service(n.C.FaultEntry, sim.CatDSM)
 }
 
@@ -184,14 +149,7 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 	ps.pending = ps.pending[:0]
 	cost := n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(pagemem.PageSize))
 	done := n.CPU.Service(cost, sim.CatDSM)
-	delete(n.fetches, rep.Page)
 	delete(c.asked, rep.Page)
 	n.bus.Emit(event.HomeFetch(n.ID, c.home(rep.Page), int64(rep.Page), pagemem.PageSize))
-	n.bus.Emit(event.FetchDone(n.ID, int64(rep.Page), done-f.start))
-	waiters := f.waiters
-	n.K.At(done, func() {
-		for _, w := range waiters {
-			w()
-		}
-	})
+	n.finishFetch(f, done)
 }

@@ -129,14 +129,7 @@ func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 		return
 	}
 	ps.pending = ps.pending[:0]
-	delete(n.fetches, p)
-	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
-	waiters := f.waiters
-	n.K.At(done, func() {
-		for _, w := range waiters {
-			w()
-		}
-	})
+	n.finishFetch(f, done)
 }
 
 // handlePageReq serves a page request at the home. Demand requests whose
@@ -158,9 +151,15 @@ func (c *hlrcCoherence) handlePageReq(req *msgPageReq) {
 			c.replyPage(req, nil)
 			return
 		}
+		if c.xin[req.Page] == nil && c.dyn && !c.away[req.Page] {
+			// The requester's release (naming us the new home) outran ours,
+			// as a writer's can in handleHomeFlush: open the transfer-in
+			// ourselves; our own release completes the picture.
+			c.xin[req.Page] = &xferIn{}
+		}
 		if c.xin[req.Page] != nil {
-			// Demand request from a node whose release (like ours) named us
-			// the home: park until the base installs.
+			// Demand request from a node whose release named us the home:
+			// park until the base installs.
 			c.parked[req.Page] = append(c.parked[req.Page], req)
 			return
 		}

@@ -83,27 +83,16 @@ func (pf *hlrcPrefetcher) Prefetch(p pagemem.PageID) int {
 	if pf.throttle > 0 {
 		pf.counter++
 		if pf.counter%pf.throttle == 0 {
-			n.bus.Emit(event.PfThrottle(n.ID, int64(p)))
-			n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-			return 0
+			return n.dropPrefetch(event.PfThrottle(n.ID, int64(p)))
 		}
 	}
 
-	if n.PageValid(p) || n.fetches[p] != nil || pf.coh.home(p) == n.ID {
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
-	}
-	if st, ok := n.pf[p]; ok && st.inflight > 0 {
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
+	if n.PageValid(p) || n.fetches[p] != nil || pf.coh.home(p) == n.ID || n.pfInflight(p) {
+		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
 	ps := n.page(p)
-	if pg, ok := pf.cache[p]; ok && !anyOutsideSet(ps.pending, pg.covers) {
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
+	if pg, ok := pf.cache[p]; ok && !anyOutside(ps.pending, pg.covers) {
+		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
 
 	st, ok := n.pf[p]

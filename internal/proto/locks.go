@@ -6,37 +6,36 @@ import (
 	"godsm/internal/sim"
 )
 
-// syncManager implements the SyncManager interface shared by every backend:
-// TreadMarks's distributed queue locks (this file) and the centralized
-// barrier manager (barrier.go). Consistency metadata piggybacks on the
-// synchronization messages through the chassis's intake/missingIvs helpers,
-// so the same manager works for all coherence policies.
+// syncManager is the synchronization side of the protocol, shared by every
+// backend: TreadMarks's distributed queue locks (this file) and the
+// combining-tree barrier (barriertree.go). Consistency metadata piggybacks
+// on the synchronization messages through the chassis's intake/missingIvs
+// helpers, so the same manager works for all coherence policies.
 type syncManager struct {
 	n            *Node
 	noTokenCache bool
 
 	locks map[int]*lockState
-
-	barrier  *barrierState // non-nil only on the barrier manager (node 0)
-	barWait  func()        // continuation for an in-progress barrier wait
-	barStart sim.Time      // when this node arrived at the barrier
-
-	tree *treeBarrier // non-nil iff cfg.Barrier == "tree" (barriertree.go)
+	bar   *treeBarrier
 }
 
+// newSyncManager builds the lock table and the barrier tree. The paper's
+// central barrier is the depth-one tree — node 0 the parent of every other
+// node — so "central" is a fanout, not a second implementation.
 func newSyncManager(n *Node, cfg Spec) *syncManager {
-	sm := &syncManager{n: n, noTokenCache: cfg.NoTokenCache, locks: make(map[int]*lockState)}
+	fanout := max(n.N-1, 1)
 	if cfg.Barrier == "tree" {
-		sm.tree = newTreeBarrier(n, cfg.BarrierFanout)
-		return sm
+		fanout = cfg.BarrierFanout
+		if fanout == 0 {
+			fanout = DefaultBarrierFanout
+		}
 	}
-	if n.ID == 0 {
-		sm.barrier = &barrierState{}
-	}
-	return sm
+	return &syncManager{n: n, noTokenCache: cfg.NoTokenCache, locks: make(map[int]*lockState),
+		bar: newTreeBarrier(n, fanout)}
 }
 
-// Handle dispatches the lock and barrier messages.
+// Handle dispatches the lock and barrier messages; it reports false for
+// payloads the synchronization layer does not own.
 func (sm *syncManager) Handle(m *netsim.Message) bool {
 	switch pl := m.Payload.(type) {
 	case *msgLockAcq:
@@ -57,17 +56,9 @@ func (sm *syncManager) Handle(m *netsim.Message) bool {
 			sm.handleLockGrant(pl)
 		}
 	case *msgBarArrive:
-		if sm.tree != nil {
-			sm.tree.arrive(pl)
-		} else {
-			sm.handleBarArrive(pl)
-		}
+		sm.bar.arrive(pl)
 	case *msgBarRelease:
-		if sm.tree != nil {
-			sm.tree.handleRelease(pl)
-		} else {
-			sm.handleBarRelease(pl)
-		}
+		sm.bar.handleRelease(pl)
 	default:
 		return false
 	}

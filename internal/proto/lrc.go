@@ -36,14 +36,12 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	}
 
 	missing := n.missingDiffs(p)
-	pfst := n.pf[p]
-	delete(n.pf, p)
+	outcome := n.takePf(p, missing)
 
 	if len(missing) == 0 {
 		// Everything needed is already local (prefetch diff cache): apply
 		// without any network traffic. This is the paper's "pf-hit".
-		outcome := event.OutcomeNoPf
-		if pfst != nil {
+		if outcome != event.OutcomeNoPf {
 			outcome = event.OutcomePfHit
 		}
 		n.bus.Emit(event.FaultLocal(n.ID, int64(p), outcome))
@@ -53,26 +51,8 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		return
 	}
 
-	// Classify the fault for Figure 3.
-	var outcome int64
-	switch {
-	case pfst == nil:
-		outcome = event.OutcomeNoPf
-	case anyOutside(missing, pfst.requested):
-		outcome = event.OutcomePfInvalided
-	default:
-		outcome = event.OutcomePfLate
-	}
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(missing)))
-
-	f := &fetch{
-		page:    p,
-		needed:  make(map[lrc.IntervalID]bool, len(missing)),
-		waiters: []func(){onValid},
-		start:   n.K.Now(),
-	}
-	n.fetches[p] = f
-	c.issueDiffRequests(f, missing, n.C.FaultEntry)
+	c.issueDiffRequests(n.startFetch(p, missing, onValid), missing, n.C.FaultEntry)
 }
 
 func anyOutside(ids []lrc.IntervalID, set map[lrc.IntervalID]bool) bool {
@@ -196,16 +176,7 @@ func (c *lrcCoherence) handleDiffReply(rep *msgDiffReply) {
 		c.issueDiffRequests(f, missing, 0)
 		return
 	}
-	cost := n.applyPending(f.page)
-	done := n.CPU.Service(cost, sim.CatDSM)
-	delete(n.fetches, f.page)
-	n.bus.Emit(event.FetchDone(n.ID, int64(f.page), done-f.start))
-	waiters := f.waiters
-	n.K.At(done, func() {
-		for _, w := range waiters {
-			w()
-		}
-	})
+	n.finishFetch(f, n.CPU.Service(n.applyPending(f.page), sim.CatDSM))
 }
 
 // AfterClose publishes the just-closed interval's write notices: to the

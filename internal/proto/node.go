@@ -1,9 +1,11 @@
 // Package proto implements the software DSM protocol engine as a chassis
-// plus pluggable policy subsystems. The chassis (Node) owns the state every
-// backend shares — vector time, interval records, page table, diff store,
-// in-flight fetch table, reliable transport — and delegates policy to the
-// Coherence, SyncManager, Prefetcher and DiffGC implementations selected by
-// a declarative Spec through the protocol registry.
+// plus two pluggable policy seams. The chassis (Node) owns the state and the
+// mechanisms every backend shares — vector time, interval records, page
+// table, diff store, in-flight fetch table and its lifecycle, reliable
+// transport, the synchronization manager (locks, barrier tree) and the diff
+// collector — and delegates the coherence and prefetch decisions to the
+// Coherence and Prefetcher implementations selected by a declarative Spec
+// through the protocol registry.
 //
 // Registered backends: "lrc" (TreadMarks-style lazy release consistency,
 // the default), "erc" (eager release consistency: notices broadcast at
@@ -14,18 +16,18 @@
 //
 // File ownership:
 //
-//	protocol.go   Spec and the subsystem interfaces
+//	protocol.go   Spec and the two seams: Coherence, Prefetcher
 //	registry.go   backend registry (Register/Lookup/Names) and builders
-//	node.go       the Node chassis: construction, page table, dispatch
+//	node.go       the Node chassis: construction, page table, fetch
+//	              lifecycle (startFetch/takePf/finishFetch), dispatch
 //	intervals.go  interval records, write notices, vector-time intake
 //	diffstore.go  diff storage, lazy own-diff creation, causal apply
 //	lrc.go        lrcCoherence: demand diff fetch, eager-RC broadcast
 //	prefetch.go   lrcPrefetcher: non-binding prefetch issue policy
 //	locks.go      syncManager: distributed queue locks with token caching
-//	barrier.go    syncManager: centralized barrier manager
-//	barriertree.go deterministic combining-tree barrier (Barrier: "tree")
+//	barriertree.go the barrier: a combining tree; "central" is its depth-1 case
 //	gossip.go     seeded deterministic gossip write-notice dissemination
-//	gc.go         lrcGC (diff garbage collection) and noGC
+//	gc.go         lrcGC: diff garbage collection (threshold 0 = never)
 //	hlrc.go       hlrcCoherence: protocol overview, types, release flush
 //	hlrchome.go   hlrc home side: flush apply, parked requests, page serve
 //	hlrcfault.go  hlrc requester side: whole-page fetch, home-local faults
@@ -69,11 +71,12 @@ type Node struct {
 
 	mt bool // multithreading active: arrivals pay the async-signal surcharge
 
-	// Policy subsystems, built by the configured backend (registry.go).
+	// The two policy seams, built by the configured backend (registry.go),
+	// and the synchronization manager and diff collector every backend shares.
 	coh  Coherence
 	pfr  Prefetcher
-	sync SyncManager
-	gc   DiffGC
+	sync *syncManager
+	gc   *lrcGC
 
 	// nf is coh's write-notice filter, cached to keep the intake path's
 	// type assertion out of the per-notice loop; nil when coh has none.
@@ -162,6 +165,48 @@ type pfState struct {
 	inflight  int                     // outstanding request messages
 }
 
+// startFetch registers the in-flight fetch for page p, born now, waiting on
+// the needed intervals.
+func (n *Node) startFetch(p pagemem.PageID, needed []lrc.IntervalID, waiters ...func()) *fetch {
+	f := &fetch{page: p, needed: make(map[lrc.IntervalID]bool, len(needed)), waiters: waiters, start: n.K.Now()}
+	for _, id := range needed {
+		f.needed[id] = true
+	}
+	n.fetches[p] = f
+	return f
+}
+
+// finishFetch retires f once its page is valid: the fetch leaves the table
+// and its waiters run (in kernel context) at done, when the CPU work that
+// validated the page completes.
+func (n *Node) finishFetch(f *fetch, done sim.Time) {
+	delete(n.fetches, f.page)
+	n.bus.Emit(event.FetchDone(n.ID, int64(f.page), done-f.start))
+	waiters := f.waiters
+	n.K.At(done, func() {
+		for _, w := range waiters {
+			w()
+		}
+	})
+}
+
+// takePf removes p's prefetch bookkeeping at a fault and classifies the
+// fault for Figure 3 against ids, the intervals the fault must resolve: no
+// prefetch was issued, the prefetch predates some of them (invalidated), or
+// it asked for all of them and has not landed (late).
+func (n *Node) takePf(p pagemem.PageID, ids []lrc.IntervalID) (outcome int64) {
+	pfst := n.pf[p]
+	delete(n.pf, p)
+	switch {
+	case pfst == nil:
+		return event.OutcomeNoPf
+	case anyOutside(ids, pfst.requested):
+		return event.OutcomePfInvalided
+	default:
+		return event.OutcomePfLate
+	}
+}
+
 // NewNode constructs a protocol node running the backend cfg selects. Wire
 // Send before use. Protocol occurrences are emitted on k's event bus;
 // subscribe a stats.Collector to derive per-node counters. NewNode panics
@@ -187,11 +232,9 @@ func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 		pf:      make(map[pagemem.PageID]*pfState),
 		gcBase:  lrc.NewVC(n),
 	}
-	sub := b.Build(nd, cfg)
-	nd.coh = sub.Coherence
-	nd.pfr = sub.Prefetch
-	nd.sync = sub.Sync
-	nd.gc = sub.GC
+	nd.coh, nd.pfr = b.Build(nd, cfg)
+	nd.sync = newSyncManager(nd, cfg)
+	nd.gc = &lrcGC{n: nd, threshold: cfg.GCThreshold, sharedPfHeap: cfg.PfHeapSharedGC}
 	if f, ok := nd.coh.(noticeFilter); ok {
 		nd.nf = f
 	}
@@ -256,14 +299,18 @@ func (n *Node) Fault(p pagemem.PageID, onValid func()) { n.coh.Fault(p, onValid)
 // returning the number of request messages sent.
 func (n *Node) Prefetch(p pagemem.PageID) int { return n.pfr.Prefetch(p) }
 
-// AcquireLock acquires lock id (see SyncManager.AcquireLock).
+// AcquireLock acquires lock id, reporting true if the acquire completed
+// immediately (cached token); otherwise onGranted runs (in kernel context)
+// when the grant arrives.
 func (n *Node) AcquireLock(id int, onGranted func()) bool { return n.sync.AcquireLock(id, onGranted) }
 
-// ReleaseLock releases lock id (see SyncManager.ReleaseLock).
+// ReleaseLock releases lock id, closing the current interval (the
+// release-consistency boundary).
 func (n *Node) ReleaseLock(id int) { n.sync.ReleaseLock(id) }
 
-// Barrier arrives at barrier id (see SyncManager.Barrier).
-func (n *Node) Barrier(id int, onRelease func()) { n.sync.Barrier(id, onRelease) }
+// Barrier arrives at barrier id; onRelease runs (in kernel context) when the
+// barrier releases.
+func (n *Node) Barrier(id int, onRelease func()) { n.sync.bar.Barrier(id, onRelease) }
 
 // PfHeapBytes returns the current size of the prefetch cache (the
 // "separate heap managed by the garbage collector" in the paper).

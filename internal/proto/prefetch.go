@@ -18,6 +18,21 @@ type lrcPrefetcher struct {
 	reliable bool // send prefetch traffic reliably
 }
 
+// dropPrefetch discards a prefetch after the cheap check, for the reason ev
+// names (unnecessary or throttled). It returns the zero messages sent.
+func (n *Node) dropPrefetch(ev event.Event) int {
+	n.bus.Emit(ev)
+	n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
+	return 0
+}
+
+// pfInflight reports whether an earlier prefetch of p still has requests
+// outstanding.
+func (n *Node) pfInflight(p pagemem.PageID) bool {
+	st, ok := n.pf[p]
+	return ok && st.inflight > 0
+}
+
 // Prefetch issues a software-controlled non-binding prefetch for page p,
 // as inserted by the application (Section 3 of the paper). The call is
 // non-blocking: replies land in the prefetch diff cache and are applied at
@@ -37,28 +52,17 @@ func (pf *lrcPrefetcher) Prefetch(p pagemem.PageID) int {
 	if pf.throttle > 0 {
 		pf.counter++
 		if pf.counter%pf.throttle == 0 {
-			n.bus.Emit(event.PfThrottle(n.ID, int64(p)))
-			n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-			return 0
+			return n.dropPrefetch(event.PfThrottle(n.ID, int64(p)))
 		}
 	}
 
-	if n.PageValid(p) || n.fetches[p] != nil {
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
-	}
-	if st, ok := n.pf[p]; ok && st.inflight > 0 {
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
+	if n.PageValid(p) || n.fetches[p] != nil || n.pfInflight(p) {
+		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
 	missing := n.missingDiffs(p)
 	if len(missing) == 0 {
 		// Invalid but fully cached already — nothing to request.
-		n.bus.Emit(event.PfUnnecessary(n.ID, int64(p)))
-		n.CPU.Service(n.C.PfCheck, sim.CatPrefetchOv)
-		return 0
+		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
 
 	st, ok := n.pf[p]

@@ -12,8 +12,7 @@ import (
 // (core.Config, public as dsm.Config) embeds it, so cfg.Protocol,
 // cfg.Gossip, ... are the fields below. The zero value is the default
 // TreadMarks-style lazy release consistency engine with every knob off. A
-// Spec is validated once (Validate) and then used to build one Subsystems
-// set per node.
+// Spec is validated once (Validate) and then used to build every node.
 type Spec struct {
 	// Protocol names a registered backend ("lrc", "erc", "hlrc", "adp");
 	// empty selects the default "lrc". Lookup lists the registered names.
@@ -51,16 +50,15 @@ type Spec struct {
 	// it along with the other diff-GC knobs.
 	PfHeapSharedGC bool
 
-	// Barrier selects the barrier implementation: "central" (the paper's
-	// single manager on node 0; empty selects it, keeping the default path
-	// byte-identical) or "tree" (a deterministic combining tree whose
-	// arrivals combine interval/VC payloads upward and whose releases fan
-	// down; see barriertree.go).
+	// Barrier selects the shape of the barrier's combining tree
+	// (barriertree.go), whose arrivals combine interval/VC payloads upward
+	// and whose releases fan down: "central" (the paper's single manager —
+	// node 0 the parent of every other node; empty selects it) or "tree"
+	// (arity BarrierFanout, so no node serves more than that many children).
 	Barrier string
 
-	// BarrierFanout is the combining tree's arity; zero means
-	// DefaultBarrierFanout. A fanout >= N-1 degenerates the tree to depth
-	// one, which reproduces the central barrier's behaviour exactly.
+	// BarrierFanout is the arity under Barrier "tree"; zero means
+	// DefaultBarrierFanout. A fanout >= N-1 is the central barrier.
 	BarrierFanout int
 
 	// Gossip replaces broadcast write-notice dissemination with seeded
@@ -97,13 +95,14 @@ const (
 	DefaultGossipInterval = 2 * sim.Millisecond
 )
 
-// The protocol engine is decomposed into four policy subsystems behind the
-// interfaces below. The Node (node.go) is the shared chassis: it owns the
-// vector time, interval records, page table, diff store, in-flight fetch
-// table and transport, and delegates every policy decision to the
-// subsystem set its backend built. Implementations are matched per
-// backend — a backend's coherence half may reach into its own prefetcher
-// directly — but the Node only ever calls through these seams.
+// The protocol engine has two policy seams, behind the interfaces below.
+// The Node (node.go) is the shared chassis: it owns the vector time,
+// interval records, page table, diff store, in-flight fetch table,
+// transport, synchronization manager and diff collector, and delegates the
+// coherence and prefetch decisions to the pair its backend built.
+// Implementations are matched per backend — a backend's coherence half may
+// reach into its own prefetcher directly — but the Node only ever calls
+// through these seams.
 
 // Coherence is the fault/validate/write-notice policy: what happens on an
 // access to an invalid page, what happens when an interval closes, and how
@@ -124,59 +123,9 @@ type Coherence interface {
 	Handle(m *netsim.Message) bool
 }
 
-// SyncManager implements the synchronization side of the protocol: locks
-// and barriers, including the consistency metadata they piggyback.
-type SyncManager interface {
-	// AcquireLock acquires lock id, reporting true if the acquire
-	// completed immediately (cached token); otherwise onGranted runs (in
-	// kernel context) when the grant arrives.
-	AcquireLock(id int, onGranted func()) bool
-
-	// ReleaseLock releases lock id, closing the current interval (the
-	// release-consistency boundary).
-	ReleaseLock(id int)
-
-	// Barrier arrives at barrier id; onRelease runs (in kernel context)
-	// when the barrier releases.
-	Barrier(id int, onRelease func())
-
-	// Handle dispatches one in-order synchronization message.
-	Handle(m *netsim.Message) bool
-}
-
 // Prefetcher is the non-binding prefetch issue policy.
 type Prefetcher interface {
 	// Prefetch issues a software-controlled non-binding prefetch for page
 	// p, returning the number of request messages sent (0 when dropped).
 	Prefetch(p pagemem.PageID) int
-}
-
-// DiffGC is the consistency-record garbage collection policy, driven from
-// the barrier code: arrivals report storage, the manager decides whether a
-// collection runs before the release completes.
-type DiffGC interface {
-	// ReportBytes returns the storage figure this node reports with its
-	// barrier arrival.
-	ReportBytes() int64
-
-	// Exceeds reports whether a reported figure should trigger a
-	// collection at the next release.
-	Exceeds(reported int64) bool
-
-	// Begin starts a collection after a GC-flagged barrier release;
-	// resume runs (in kernel context) once the global collection
-	// completes.
-	Begin(resume func())
-
-	// Handle dispatches one in-order collection message.
-	Handle(m *netsim.Message) bool
-}
-
-// Subsystems bundles the four policy implementations one backend built for
-// one node.
-type Subsystems struct {
-	Coherence Coherence
-	Prefetch  Prefetcher
-	Sync      SyncManager
-	GC        DiffGC
 }

@@ -10,7 +10,7 @@ import (
 
 // Backend is one registered coherence protocol: a name, a one-line
 // description, an optional config validator, and a builder producing the
-// per-node subsystem set.
+// per-node coherence policy and prefetcher.
 type Backend struct {
 	Name string
 	Doc  string
@@ -19,9 +19,9 @@ type Backend struct {
 	// accepts everything.
 	Validate func(cfg Spec) error
 
-	// Build constructs the backend's subsystems for one node. It runs
-	// during NewNode, after the chassis state is initialized.
-	Build func(n *Node, cfg Spec) Subsystems
+	// Build constructs the backend's policies for one node. It runs during
+	// NewNode, after the chassis state is initialized.
+	Build func(n *Node, cfg Spec) (Coherence, Prefetcher)
 }
 
 // The registry is populated at init time (and by tests); simulations only
@@ -138,20 +138,15 @@ func init() {
 	})
 }
 
-// buildDiffBased builds the shared LRC/ERC subsystem set; eager selects the
+// buildDiffBased builds the shared LRC/ERC policy pair; eager selects the
 // eager-release-consistency notice broadcast at interval close.
-func buildDiffBased(eager bool) func(n *Node, cfg Spec) Subsystems {
-	return func(n *Node, cfg Spec) Subsystems {
-		coh := &lrcCoherence{n: n, eager: eager, pfReliable: cfg.PfReliable}
+func buildDiffBased(eager bool) func(n *Node, cfg Spec) (Coherence, Prefetcher) {
+	return func(n *Node, cfg Spec) (Coherence, Prefetcher) {
 		if cfg.Gossip {
 			n.gossip = newGossiper(n, cfg) // nil on one-node clusters
 		}
-		return Subsystems{
-			Coherence: coh,
-			Prefetch:  &lrcPrefetcher{n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable},
-			Sync:      newSyncManager(n, cfg),
-			GC:        &lrcGC{n: n, threshold: cfg.GCThreshold, sharedPfHeap: cfg.PfHeapSharedGC},
-		}
+		return &lrcCoherence{n: n, eager: eager, pfReliable: cfg.PfReliable},
+			&lrcPrefetcher{n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable}
 	}
 }
 
@@ -197,16 +192,10 @@ func newHLRC(n *Node, cfg Spec, policy HomePolicy) (*hlrcCoherence, *hlrcPrefetc
 	return coh, pf
 }
 
-func buildHLRC(n *Node, cfg Spec) Subsystems {
+func buildHLRC(n *Node, cfg Spec) (Coherence, Prefetcher) {
 	policy, err := newHomePolicy(cfg.HomePolicy)
 	if err != nil {
 		configInvariantf("proto: %v", err)
 	}
-	coh, pf := newHLRC(n, cfg, policy)
-	return Subsystems{
-		Coherence: coh,
-		Prefetch:  pf,
-		Sync:      newSyncManager(n, cfg),
-		GC:        noGC{n: n},
-	}
+	return newHLRC(n, cfg, policy)
 }
