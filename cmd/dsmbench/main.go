@@ -62,7 +62,11 @@ type experimentTimes struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (all, fig1, fig2, table1, fig3, fig4, table2, fig5, ablation, netsweep, scaling, faults, protocols, chaos, nodescale, racecheck, adaptive)")
+	ids := "all"
+	for _, e := range harness.Experiments {
+		ids += ", " + e.ID
+	}
+	exp := flag.String("exp", "all", "experiment id ("+ids+")")
 	scale := flag.String("scale", "small", "input scale: unit, small or paper")
 	procs := flag.Int("procs", 8, "number of simulated processors")
 	appList := flag.String("apps", "", "comma-separated application subset (default all)")

@@ -15,7 +15,7 @@
 //	       [-loss P] [-dup P] [-fault-seed N] [-trace out.json]
 //	       [-race-check] [-race-granularity word|page]
 //
-// -protocol selects the coherence backend from the protocol registry
+// -protocol selects the coherence backend from the protocol table
 // (default lrc, the TreadMarks baseline). Unknown names and knob
 // combinations the backend cannot honor (e.g. hlrc with -gc-threshold,
 // which only the diff-based backends use) are rejected up front — as are

@@ -122,11 +122,3 @@ func RunAblations(s *Session, w io.Writer) error {
 	}
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "ablation",
-		Title: "Ablation study of the design mechanisms",
-		Run:   RunAblations,
-	})
-}

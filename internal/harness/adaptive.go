@@ -105,11 +105,3 @@ func RunAdaptive(s *Session, w io.Writer) error {
 	}
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "adaptive",
-		Title: "Adaptive coherence: home policies and per-page diff/home switching",
-		Run:   RunAdaptive,
-	})
-}

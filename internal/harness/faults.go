@@ -95,11 +95,3 @@ func RunFaults(s *Session, w io.Writer) error {
 	}
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "faults",
-		Title: "Chaos soak: fault injection vs the reliable transport",
-		Run:   RunFaults,
-	})
-}

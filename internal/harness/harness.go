@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -371,7 +372,9 @@ type Experiment struct {
 	Variants []Variant
 }
 
-// Experiments lists every artifact in paper order.
+// Experiments lists every artifact: the paper's seven in paper order, then
+// the extensions. It is the order `dsmbench -exp all` runs and prints them
+// in, and the list its -exp help and ByID's error name.
 var Experiments = []Experiment{
 	{ID: "fig1", Title: "Figure 1: execution time breakdown, TreadMarks baseline",
 		Run: RunFig1, Variants: []Variant{VarO}},
@@ -387,6 +390,17 @@ var Experiments = []Experiment{
 		Run: RunTable2, Variants: []Variant{VarO, Var2T, Var4T, Var8T}},
 	{ID: "fig5", Title: "Figure 5: combining prefetching and multithreading",
 		Run: RunFig5, Variants: AllVariants},
+	{ID: "ablation", Title: "Ablation study of the design mechanisms", Run: RunAblations},
+	{ID: "adaptive", Title: "Adaptive coherence: home policies and per-page diff/home switching",
+		Run: RunAdaptive},
+	{ID: "faults", Title: "Chaos soak: fault injection vs the reliable transport", Run: RunFaults},
+	{ID: "nodescale", Title: "Machine scaling: topologies, combining-tree barriers, gossip (extension)",
+		Run: RunNodeScale},
+	{ID: "protocols", Title: "Protocol comparison: LRC vs ERC vs home-based LRC", Run: RunProtocols},
+	{ID: "racecheck", Title: "Race-checked grid: happens-before detection over every app x protocol",
+		Run: RunRaceCheck},
+	{ID: "scaling", Title: "Processor-count scaling (extension)", Run: RunScaling},
+	{ID: "netsweep", Title: "Network latency/bandwidth sensitivity (extension)", Run: RunNetSweep},
 }
 
 // PrewarmKeys returns the union of the cached-run grids the given
@@ -407,10 +421,12 @@ func PrewarmKeys(s *Session, exps []Experiment) []RunKey {
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, error) {
-	for _, e := range Experiments {
+	ids := make([]string, len(Experiments))
+	for i, e := range Experiments {
 		if e.ID == id {
 			return e, nil
 		}
+		ids[i] = e.ID
 	}
-	return Experiment{}, fmt.Errorf("unknown experiment %q", id)
+	return Experiment{}, fmt.Errorf("unknown experiment %q (have: all, %s)", id, strings.Join(ids, ", "))
 }

@@ -240,11 +240,3 @@ func verdict(ok bool) string {
 	}
 	return "NOT LOWER"
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "nodescale",
-		Title: "Machine scaling: topologies, combining-tree barriers, gossip (extension)",
-		Run:   RunNodeScale,
-	})
-}

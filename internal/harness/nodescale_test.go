@@ -121,3 +121,29 @@ func TestSyncMatrixVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTreeBarrierCollectsLikeCentral: a subtree's GC verdict belongs to one
+// barrier episode. An interior node that kept reporting it after its subtree
+// first tripped the threshold made a deep tree collect at every later
+// barrier (121 collections where the central barrier runs 8, on this cell);
+// the shape of the tree must not change how often the machine collects.
+func TestTreeBarrierCollectsLikeCentral(t *testing.T) {
+	s := NewSession(Options{Procs: 8, Scale: apps.Unit, Workers: 1})
+	gcRuns := func(barrier string, fanout int) int64 {
+		cfg := s.Config("OCEAN", VarO)
+		cfg.GCThreshold = 60000
+		cfg.Barrier, cfg.BarrierFanout = barrier, fanout
+		rep, err := s.Sim("OCEAN", cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Sum().GCRuns
+	}
+	central, tree := gcRuns("central", 0), gcRuns("tree", 2)
+	if central == 0 {
+		t.Fatal("the cell never collects: the threshold no longer exercises the GC verdict")
+	}
+	if tree != central {
+		t.Errorf("fanout-2 tree ran %d collections, central barrier %d", tree, central)
+	}
+}

@@ -96,11 +96,3 @@ func RunProtocols(s *Session, w io.Writer) error {
 	}
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "protocols",
-		Title: "Protocol comparison: LRC vs ERC vs home-based LRC",
-		Run:   RunProtocols,
-	})
-}

@@ -51,11 +51,3 @@ func RunRaceCheck(s *Session, w io.Writer) error {
 	fmt.Fprintf(w, "\n%d runs, 0 data races: the applications are data-race-free under every protocol\n", len(cells))
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "racecheck",
-		Title: "Race-checked grid: happens-before detection over every app x protocol",
-		Run:   RunRaceCheck,
-	})
-}

@@ -61,11 +61,3 @@ func RunScaling(s *Session, w io.Writer) error {
 	fmt.Fprintln(w, "(speedups are relative to the same configuration on 1 processor)")
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "scaling",
-		Title: "Processor-count scaling (extension)",
-		Run:   RunScaling,
-	})
-}

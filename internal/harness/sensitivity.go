@@ -78,11 +78,3 @@ func RunNetSweep(s *Session, w io.Writer) error {
 	}
 	return nil
 }
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		ID:    "netsweep",
-		Title: "Network latency/bandwidth sensitivity (extension)",
-		Run:   RunNetSweep,
-	})
-}

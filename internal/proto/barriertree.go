@@ -3,7 +3,6 @@ package proto
 import (
 	"godsm/internal/event"
 	"godsm/internal/lrc"
-	"godsm/internal/netsim"
 	"godsm/internal/sim"
 )
 
@@ -88,14 +87,9 @@ func (tb *treeBarrier) Barrier(id int, onRelease func()) {
 	tb.wait = onRelease
 
 	a := &msgBarArrive{Barrier: id, From: n.ID, VC: n.vc.Clone(), Ivs: own,
-		DiffBytes: n.diffBytes, Acc: n.episodeAcc()}
+		DiffBytes: n.diffBytes, Acc: n.coh.episodeAcc()}
 	if len(tb.children) == 0 && n.ID != 0 {
-		size := n.C.HeaderBytes + 4*n.N + n.C.ivsWireSize(own, n.N) + accWireSize(a.Acc)
-		done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-		n.sendAfter(done, &netsim.Message{
-			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(tb.parent),
-			Size: size, Reliable: true, Kind: KindBarArrive, Payload: a,
-		})
+		n.post(0, n.msg(tb.parent, KindBarArrive, a))
 		return
 	}
 	a.DiffBytes = n.gc.ReportBytes()
@@ -164,9 +158,10 @@ func (tb *treeBarrier) arrive(a *msgBarArrive) {
 }
 
 // mergeInto ends the combining phase: it raises dst to the subtree's merged
-// (max) VC and clears the arrival state for the next episode. childMn
-// survives — the release fan-down filters by it.
-func (tb *treeBarrier) mergeInto(dst lrc.VC) {
+// (max) VC, clears the arrival state for the next episode and returns the
+// subtree's GC verdict. childMn survives — the release fan-down filters by
+// it.
+func (tb *treeBarrier) mergeInto(dst lrc.VC) (gcWant bool) {
 	dst.Merge(tb.selfVC)
 	for i := range tb.childVC {
 		dst.Merge(tb.childVC[i])
@@ -176,6 +171,8 @@ func (tb *treeBarrier) mergeInto(dst lrc.VC) {
 	tb.arrived = 0
 	tb.accIvs = nil
 	tb.accAcc = nil
+	gcWant, tb.gcWant = tb.gcWant, false
+	return gcWant
 }
 
 // rootComplete runs at the tree root once the whole cluster has arrived:
@@ -184,13 +181,11 @@ func (tb *treeBarrier) mergeInto(dst lrc.VC) {
 func (tb *treeBarrier) rootComplete(cost sim.Time) {
 	n := tb.n
 	acc := tb.accAcc
-	tb.mergeInto(n.vc)
+	gc := tb.mergeInto(n.vc)
 	n.flushDeferred()
 	n.checkContiguity()
 	n.gossipCover(n.vc)
-	gc := tb.gcWant
-	tb.gcWant = false
-	tb.fanDown(&msgBarRelease{Barrier: tb.barID, GC: gc, Moves: n.decideMoves(acc)}, cost)
+	tb.fanDown(&msgBarRelease{Barrier: tb.barID, GC: gc, Moves: n.coh.decideMoves(acc)}, cost)
 }
 
 // sendUp ships the combined subtree arrival to the parent: max VC for the
@@ -205,17 +200,10 @@ func (tb *treeBarrier) sendUp(cost sim.Time) {
 	}
 	ivs, acc := tb.accIvs, tb.accAcc
 	maxVC := lrc.NewVC(n.N)
-	tb.mergeInto(maxVC)
+	gcWant := tb.mergeInto(maxVC)
 
-	size := n.C.HeaderBytes + 8 + 8*n.N + n.C.ivsWireSize(ivs, n.N) + accWireSize(acc)
-	cost += n.C.MsgSend
-	done := n.CPU.Service(cost, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(tb.parent),
-		Size: size, Reliable: true, Kind: KindBarArrive,
-		Payload: &msgBarArrive{Barrier: tb.barID, From: n.ID, VC: maxVC, Ivs: ivs,
-			MinVC: minVC, GCWant: tb.gcWant, Acc: acc},
-	})
+	n.post(cost, n.msg(tb.parent, KindBarArrive, &msgBarArrive{Barrier: tb.barID, From: n.ID,
+		VC: maxVC, Ivs: ivs, MinVC: minVC, GCWant: gcWant, Acc: acc}))
 }
 
 // handleRelease completes the barrier at a non-root node: take in the
@@ -247,18 +235,11 @@ func (tb *treeBarrier) fanDown(r *msgBarRelease, cost sim.Time) {
 		}
 		ivs := n.missingIvs(tb.childMn[i], exclude)
 		tb.childMn[i] = nil
-		size := n.C.HeaderBytes + 4*n.N + n.C.ivsWireSize(ivs, n.N) + movesWireSize(r.Moves)
-		cost += n.C.MsgSend
-		done := n.CPU.Service(cost, sim.CatDSM)
+		n.post(cost, n.msg(c, KindBarRelease, &msgBarRelease{Barrier: r.Barrier, VC: n.vc.Clone(),
+			Ivs: ivs, GC: r.GC, Moves: r.Moves}))
 		cost = 0
-		n.sendAfter(done, &netsim.Message{
-			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(c),
-			Size: size, Reliable: true, Kind: KindBarRelease,
-			Payload: &msgBarRelease{Barrier: r.Barrier, VC: n.vc.Clone(), Ivs: ivs, GC: r.GC,
-				Moves: r.Moves},
-		})
 	}
-	n.applyMoves(r.Moves)
+	n.coh.applyMoves(r.Moves)
 	done := n.CPU.Service(cost, sim.CatDSM)
 	n.bus.Emit(event.BarRelease(n.ID, r.Barrier, done-tb.start))
 	cb := tb.wait

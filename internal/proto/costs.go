@@ -71,11 +71,11 @@ func DefaultCosts() Costs {
 }
 
 // Charging helpers. Every message leaving a node pays its CPU send cost
-// (MsgSend and friends, charged through CPU.Service by the caller) before
-// it reaches the wire. The two helpers below are the only sanctioned
-// routes from protocol code to the network; dsmvet's chargecost analyzer
-// flags direct Node.Send/Node.xmit calls anywhere else, so a message
-// cannot leave a node for free.
+// (MsgSend and friends, charged through CPU.Service) before it reaches the
+// wire. The two helpers below are the only sanctioned routes from protocol
+// code to the network; dsmvet's chargecost analyzer flags direct
+// Node.Send/Node.xmit calls anywhere else, so a message cannot leave a node
+// for free.
 
 // sendAfter schedules m to be transmitted once the sending CPU work
 // charged for it completes at time t. Transmission goes through the
@@ -85,15 +85,9 @@ func (n *Node) sendAfter(t sim.Time, m *netsim.Message) {
 	n.K.At(t, func() { n.xmit(m) }) //dsmvet:allow chargecost — choke point: t is the send charge's completion time
 }
 
-// sendUnreliable schedules the unsequenced message m to be transmitted at
-// time done (the completion of its CPU charge), invoking onDrop in kernel
-// context if the network drops it. Prefetch-class traffic uses it: loss is
-// tolerated by design, so drops feed pacing counters instead of the
-// reliable transport's retransmission machinery.
-func (n *Node) sendUnreliable(done sim.Time, m *netsim.Message, onDrop func()) {
-	n.K.At(done, func() {
-		if n.Send(m) < 0 { //dsmvet:allow chargecost — choke point for lossy datagrams; charged by the caller
-			onDrop()
-		}
-	})
+// post charges extra plus one MsgSend of protocol overhead and transmits m
+// when that CPU work completes: the common case of sendAfter, where one
+// charge pays for one message.
+func (n *Node) post(extra sim.Time, m *netsim.Message) {
+	n.sendAfter(n.CPU.Service(extra+n.C.MsgSend, sim.CatDSM), m)
 }

@@ -39,6 +39,19 @@ func (n *Node) putDiff(id lrc.IntervalID, p pagemem.PageID, d *pagemem.Diff, pre
 	}
 }
 
+// bankDiffs stores an arriving diff reply's diffs (prefetched ones in the
+// separate prefetch heap) and retires the prefetch request it answers.
+func (n *Node) bankDiffs(rep *msgDiffReply) {
+	for _, it := range rep.Items {
+		n.putDiff(it.ID, rep.Page, it.Diff, rep.Prefetch)
+	}
+	if pfst, ok := n.pf[rep.Page]; ok && rep.Prefetch && pfst.inflight > 0 {
+		// Clamped: a fault-injected duplicate reply must not drive the
+		// outstanding-request count negative.
+		pfst.inflight--
+	}
+}
+
 // makeOwnDiff lazily creates the diff for this node's undiffed write notice
 // on page p (if any), clearing the twin. Returns the CPU cost incurred.
 func (n *Node) makeOwnDiff(p pagemem.PageID) sim.Time {

@@ -92,7 +92,7 @@ func (n *Node) newInvariantError(page int64, format string, args ...any) *Invari
 }
 
 // configInvariantf panics with a structured InvariantError for a
-// construction-time failure (bad registration or Spec); there is no node
+// construction-time failure (a bad Spec or kind); there is no node
 // state or event history to attach yet.
 func configInvariantf(format string, args ...any) {
 	panic(&InvariantError{Node: -1, Page: -1, Msg: fmt.Sprintf(format, args...)})

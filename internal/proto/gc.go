@@ -28,13 +28,6 @@ import (
 // GC-FLUSH, nodes discard diffs/records below the current vector time, and
 // only then do the barrier's waiters resume.
 
-// msgGCDone tells the manager this node has validated all its pages.
-type msgGCDone struct{ From int }
-
-// msgGCFlush tells every node to discard collected state and release the
-// barrier waiters.
-type msgGCFlush struct{}
-
 // lrcGC is the diff garbage collector, driven from the barrier code:
 // arrivals report storage, the root decides whether a collection runs before
 // the release completes. Every node has one; with threshold 0 (the default,
@@ -159,12 +152,7 @@ func (g *lrcGC) gcSendDone() {
 		g.gcDoneAtManager(0)
 		return
 	}
-	done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: 0,
-		Size: n.C.HeaderBytes, Reliable: true, Kind: KindGCDone,
-		Payload: &msgGCDone{From: n.ID},
-	})
+	n.post(0, n.msg(0, KindGCDone, &msgGCDone{From: n.ID}))
 }
 
 // gcDoneAtManager counts completions; the N-th broadcasts the flush.
@@ -175,17 +163,8 @@ func (g *lrcGC) gcDoneAtManager(from int) {
 		return
 	}
 	g.doneCount = 0
-	var cost sim.Time
 	for q := 1; q < n.N; q++ {
-		cost += n.C.MsgSend
-		done := n.CPU.Service(cost, sim.CatDSM)
-		cost = 0
-		q := q
-		n.sendAfter(done, &netsim.Message{
-			Src: 0, Dst: netsim.NodeID(q),
-			Size: n.C.HeaderBytes, Reliable: true, Kind: KindGCFlush,
-			Payload: &msgGCFlush{},
-		})
+		n.post(0, n.msg(q, KindGCFlush, &msgGCFlush{}))
 	}
 	g.handleGCFlush()
 }

@@ -6,7 +6,6 @@ import (
 
 	"godsm/internal/event"
 	"godsm/internal/lrc"
-	"godsm/internal/netsim"
 	"godsm/internal/sim"
 )
 
@@ -161,18 +160,9 @@ func (g *gossiper) fire() {
 	g.round++
 	n.bus.Emit(event.GossipPush(n.ID, g.round, len(batch), len(g.peers)))
 
-	size := n.C.HeaderBytes + 8 + n.C.ivsWireSize(batch, n.N)
 	pl := &msgGossip{From: n.ID, Ivs: batch}
-	var cost sim.Time
 	for _, q := range g.peers {
-		cost += n.C.MsgSend
-		done := n.CPU.Service(cost, sim.CatDSM)
-		cost = 0
-		n.sendAfter(done, &netsim.Message{
-			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(q),
-			Size: size, Reliable: true, Kind: KindGossip,
-			Payload: pl,
-		})
+		n.post(0, n.msg(q, KindGossip, pl))
 	}
 }
 

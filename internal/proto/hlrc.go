@@ -25,37 +25,14 @@ import (
 // sequence order — which lets the home compress "intervals applied" into a
 // per-page vector time (applied), with max sequence equal to full coverage.
 
-// msgHomeFlush carries one interval's diff of one page to the page's home.
-type msgHomeFlush struct {
-	From int
-	ID   lrc.IntervalID
-	Page pagemem.PageID
-	Diff *pagemem.Diff // nil when the twin comparison found no changes
-}
-
-// msgPageReq asks the home for a copy of Page covering the Need intervals.
-// Prefetch requests use the same shape, served immediately with whatever
-// the home currently covers.
-type msgPageReq struct {
-	From     int
-	Page     pagemem.PageID
-	Need     []lrc.IntervalID
-	Prefetch bool
-}
-
-// msgPageReply returns a whole-page snapshot and the intervals it covers.
-type msgPageReply struct {
-	Page     pagemem.PageID
-	Data     []byte
-	Covers   []lrc.IntervalID
-	Prefetch bool
-}
-
 // hlrcCoherence implements the home-based coherence policy.
 type hlrcCoherence struct {
-	n          *Node
-	pf         *hlrcPrefetcher
-	pfReliable bool
+	n        *Node
+	throttle pfThrottle // Section 5.1 prefetch throttling
+
+	// pfCache holds the whole-page prefetch replies awaiting their real
+	// access (hlrcpf.go).
+	pfCache map[pagemem.PageID]*pfPage
 
 	// Home assignment: the table replica plus the policy that moves it.
 	// dyn enables the dynamic machinery (counters, transfers, the notice
@@ -151,9 +128,7 @@ func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.
 		c.acc.cells[p].bytes += int64(db)
 	}
 	n.bus.Emit(event.HomeFlush(n.ID, home, int64(p), db))
-	cost += n.C.MsgSend
-	done := n.CPU.Service(cost, sim.CatDSM)
-	n.sendAfter(done, c.flushMsg(home, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
+	n.post(cost, n.msg(home, KindHomeFlush, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
 	return 0
 }
 

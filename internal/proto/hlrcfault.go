@@ -20,9 +20,6 @@ import (
 // them. Concurrent faults join the in-flight fetch as under LRC.
 func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	n := c.n
-	if n.PageValid(p) {
-		n.pageInvariantf(p, "Fault on valid page %d", p)
-	}
 	if f, ok := n.fetches[p]; ok {
 		f.waiters = append(f.waiters, onValid)
 		return
@@ -41,7 +38,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	// Whole-page prefetch cache hit: the cached copy must cover every
 	// pending interval AND the page must carry no unflushed local writes
 	// (the stale copy would clobber them).
-	if pg := c.pf.take(p); pg != nil && !ps.twinned && !anyOutside(ps.pending, pg.covers) {
+	if pg := c.takePfPage(p); pg != nil && !ps.twinned && !anyOutside(ps.pending, pg.covers) {
 		copy(n.Store.Frame(p), pg.data)
 		ps.pending = ps.pending[:0]
 		n.bus.Emit(event.FaultLocal(n.ID, int64(p), event.OutcomePfHit))
@@ -65,13 +62,17 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	if c.track {
 		c.acc.cell(p).msgs++
 	}
-	done := n.CPU.Service(n.C.FaultEntry+n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(c.home(p)),
-		Size:     n.C.HeaderBytes + n.C.ReqBytes + 12*len(need),
-		Reliable: true, Kind: KindPageReq,
-		Payload: &msgPageReq{From: n.ID, Page: p, Need: need},
-	})
+	n.post(n.C.FaultEntry, c.pageReq(p, need, false))
+}
+
+// pageReq builds the request asking p's home for a copy covering need: a
+// demand request, or a prefetch datagram.
+func (c *hlrcCoherence) pageReq(p pagemem.PageID, need []lrc.IntervalID, prefetch bool) *netsim.Message {
+	kind := KindPageReq
+	if prefetch {
+		kind = KindPfReq
+	}
+	return c.n.msg(c.home(p), kind, &msgPageReq{From: c.n.ID, Page: p, Need: need, Prefetch: prefetch})
 }
 
 // homeFault handles a fault on a page homed at this node: the frame is
@@ -102,7 +103,7 @@ func (c *hlrcCoherence) homeFault(p pagemem.PageID, ps *pageState, onValid func(
 func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 	n := c.n
 	if rep.Prefetch {
-		c.pf.cacheReply(rep)
+		c.cachePfReply(rep)
 		return
 	}
 	f, ok := n.fetches[rep.Page]
@@ -133,13 +134,7 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 		if c.track {
 			c.acc.cell(rep.Page).msgs++
 		}
-		done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-		n.sendAfter(done, &netsim.Message{
-			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(c.home(rep.Page)),
-			Size:     n.C.HeaderBytes + n.C.ReqBytes + 12*len(fresh),
-			Reliable: true, Kind: KindPageReq,
-			Payload: &msgPageReq{From: n.ID, Page: rep.Page, Need: fresh},
-		})
+		n.post(0, c.pageReq(rep.Page, fresh, false))
 		return
 	}
 	// Complete: the final reply's snapshot is the newest and the home frame

@@ -3,7 +3,6 @@ package proto
 import (
 	"godsm/internal/event"
 	"godsm/internal/lrc"
-	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/sim"
 )
@@ -27,8 +26,7 @@ func (c *hlrcCoherence) handleHomeFlush(fl *msgHomeFlush) {
 		if c.dyn {
 			if c.away[fl.Page] {
 				// Late flush for a page transferred away: relay it.
-				done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-				n.sendAfter(done, c.flushMsg(c.home(fl.Page), fl))
+				n.post(0, n.msg(c.home(fl.Page), KindHomeFlush, fl))
 				return
 			}
 			// The writer's release (naming us the new home) outran ours:
@@ -184,21 +182,15 @@ func (c *hlrcCoherence) handlePageReq(req *msgPageReq) {
 }
 
 // replyPage snapshots the home frame and ships it to the requester. The
-// snapshot copy is charged like a page-length scan; prefetch replies ride
-// the lossy path (xmit emits the drop event) unless PfReliable.
+// snapshot copy is charged like a page-length scan; a prefetch's reply is a
+// datagram like its request.
 func (c *hlrcCoherence) replyPage(req *msgPageReq, covers []lrc.IntervalID) {
 	n := c.n
 	data := append([]byte(nil), n.Store.Frame(req.Page)...)
-	m := &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(req.From),
-		Size:     n.C.HeaderBytes + pagemem.PageSize + 12*len(covers),
-		Reliable: !req.Prefetch || c.pfReliable,
-		Kind:     KindPageReply,
-		Payload:  &msgPageReply{Page: req.Page, Data: data, Covers: covers, Prefetch: req.Prefetch},
-	}
+	kind := KindPageReply
 	if req.Prefetch {
-		m.Kind = KindPfReply
+		kind = KindPfReply
 	}
-	done := n.CPU.Service(n.C.MsgSend+sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), sim.CatDSM)
-	n.sendAfter(done, m)
+	n.post(sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), n.msg(req.From, kind,
+		&msgPageReply{Page: req.Page, Data: data, Covers: covers, Prefetch: req.Prefetch}))
 }

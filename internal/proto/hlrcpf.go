@@ -3,25 +3,13 @@ package proto
 import (
 	"godsm/internal/event"
 	"godsm/internal/lrc"
-	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
-	"godsm/internal/sim"
 )
 
-// hlrcPrefetcher is the whole-page prefetch policy of the home-based
-// backend: a prefetch asks the page's home for a copy covering the pending
-// intervals, and the reply lands in a per-page cache consumed at the real
-// access (the same separate-heap accounting as LRC's diff cache, one page
-// per entry).
-type hlrcPrefetcher struct {
-	n        *Node
-	coh      *hlrcCoherence
-	throttle int  // drop every throttle-th prefetch (0 = never)
-	counter  int  // dynamic prefetch count for the throttle
-	reliable bool // send prefetch traffic reliably
-
-	cache map[pagemem.PageID]*pfPage
-}
+// The whole-page prefetch policy of the home-based backend: a prefetch asks
+// the page's home for a copy covering the pending intervals, and the reply
+// lands in a per-page cache consumed at the real access (the same
+// separate-heap accounting as LRC's diff cache, one page per entry).
 
 // pfPage is one cached whole-page prefetch reply.
 type pfPage struct {
@@ -29,39 +17,37 @@ type pfPage struct {
 	covers map[lrc.IntervalID]bool // intervals the snapshot is known to cover
 }
 
-// take removes and returns the cached copy of p, if any, releasing its
-// prefetch-heap accounting. A fault always consumes the entry: either it
-// hits, or the copy is stale and worthless.
-func (pf *hlrcPrefetcher) take(p pagemem.PageID) *pfPage {
-	pg, ok := pf.cache[p]
+// takePfPage removes and returns the cached copy of p, if any, releasing
+// its prefetch-heap accounting. A fault always consumes the entry: either
+// it hits, or the copy is stale and worthless. A home move or mode switch
+// discards it the same way: the snapshot's covers are untrustworthy for the
+// new era.
+func (c *hlrcCoherence) takePfPage(p pagemem.PageID) *pfPage {
+	pg, ok := c.pfCache[p]
 	if !ok {
 		return nil
 	}
-	delete(pf.cache, p)
-	pf.n.pfHeap -= pagemem.PageSize
+	delete(c.pfCache, p)
+	c.n.pfHeap -= pagemem.PageSize
 	return pg
 }
 
-// drop discards any cached copy of p: a home move or mode switch makes the
-// snapshot's covers untrustworthy for the new era.
-func (pf *hlrcPrefetcher) drop(p pagemem.PageID) { pf.take(p) }
-
-// cacheReply stores an arriving prefetch reply. Duplicates (the lossy path
+// cachePfReply stores an arriving prefetch reply. Duplicates (the lossy path
 // can retransmit nothing, but a fault plan can duplicate) merge into the
 // existing entry without double-counting the heap.
-func (pf *hlrcPrefetcher) cacheReply(rep *msgPageReply) {
-	n := pf.n
+func (c *hlrcCoherence) cachePfReply(rep *msgPageReply) {
+	n := c.n
 	if st, ok := n.pf[rep.Page]; ok && st.inflight > 0 {
 		st.inflight--
 	}
-	pg, ok := pf.cache[rep.Page]
+	pg, ok := c.pfCache[rep.Page]
 	if !ok {
 		pg = &pfPage{covers: make(map[lrc.IntervalID]bool)}
-		pf.cache[rep.Page] = pg
+		c.pfCache[rep.Page] = pg
 		n.pfHeap += pagemem.PageSize
 	}
 	pg.data = append(pg.data[:0], rep.Data...)
-	if pf.coh.dyn {
+	if c.dyn {
 		// Under a dynamic home policy successive replies can come from
 		// different servers (the home moved mid-flight), so a union of
 		// covers could claim intervals the latest data does not contain.
@@ -76,43 +62,15 @@ func (pf *hlrcPrefetcher) cacheReply(rep *msgPageReply) {
 // Prefetch issues a whole-page prefetch to p's home. Pages homed here never
 // need one (home faults are message-free), and a cached copy that already
 // covers everything pending makes a new request pointless.
-func (pf *hlrcPrefetcher) Prefetch(p pagemem.PageID) int {
-	n := pf.n
-	n.bus.Emit(event.PfCall(n.ID, int64(p)))
-
-	if pf.throttle > 0 {
-		pf.counter++
-		if pf.counter%pf.throttle == 0 {
-			return n.dropPrefetch(event.PfThrottle(n.ID, int64(p)))
-		}
-	}
-
-	if n.PageValid(p) || n.fetches[p] != nil || pf.coh.home(p) == n.ID || n.pfInflight(p) {
-		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
+func (c *hlrcCoherence) Prefetch(p pagemem.PageID) int {
+	n := c.n
+	if !n.admitPrefetch(p, &c.throttle, c.home(p) == n.ID) {
+		return 0
 	}
 	ps := n.page(p)
-	if pg, ok := pf.cache[p]; ok && !anyOutside(ps.pending, pg.covers) {
+	if pg, ok := c.pfCache[p]; ok && !anyOutside(ps.pending, pg.covers) {
 		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
-
-	st, ok := n.pf[p]
-	if !ok {
-		st = &pfState{requested: make(map[lrc.IntervalID]bool)}
-		n.pf[p] = st
-	}
 	need := append([]lrc.IntervalID(nil), ps.pending...)
-	for _, id := range need {
-		st.requested[id] = true
-	}
-	st.inflight++
-	n.bus.Emit(event.PfIssue(n.ID, int64(p), 1))
-	done := n.CPU.Service(n.C.PfIssue, sim.CatPrefetchOv)
-	n.sendUnreliable(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(pf.coh.home(p)),
-		Size:     n.C.HeaderBytes + n.C.ReqBytes + 12*len(need),
-		Reliable: pf.reliable,
-		Kind:     KindPfReq,
-		Payload:  &msgPageReq{From: n.ID, Page: p, Need: need, Prefetch: true},
-	}, func() { n.bus.Emit(event.PfReqDrop(n.ID, int64(p))) })
-	return 1
+	return n.issuePrefetch(p, need, c.pageReq(p, need, true))
 }

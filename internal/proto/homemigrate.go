@@ -5,7 +5,6 @@ import (
 
 	"godsm/internal/event"
 	"godsm/internal/lrc"
-	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/sim"
 )
@@ -30,14 +29,6 @@ import (
 // (the release outruns the transfer). The install then degenerates to a
 // forward: the intermediate node relays the base and its buffered flushes
 // to the next home over one FIFO pair, preserving their order.
-
-// msgHomeXfer ships a demoted home's base copy of a page to the new home.
-type msgHomeXfer struct {
-	From    int
-	Page    pagemem.PageID
-	Data    []byte
-	Applied lrc.VC // per-writer flushed-interval coverage of Data
-}
 
 // xferIn tracks one page whose home base has not yet been installed here.
 type xferIn struct {
@@ -85,31 +76,14 @@ func (c *hlrcCoherence) coverVC(p pagemem.PageID) lrc.VC {
 	return cv
 }
 
-// flushMsg builds the wire message for one home flush addressed to `to`.
-func (c *hlrcCoherence) flushMsg(to int, fl *msgHomeFlush) *netsim.Message {
-	n := c.n
-	return &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(to),
-		Size:     n.C.HeaderBytes + 20 + fl.Diff.WireSize(),
-		Reliable: true, Kind: KindHomeFlush,
-		Payload: fl,
-	}
-}
-
 // sendXfer ships the base copy of p to its new home, freezing this node's
 // serving state. cost is the running CPU charge; the send drains it.
 func (c *hlrcCoherence) sendXfer(p pagemem.PageID, to int, cost sim.Time) sim.Time {
 	n := c.n
 	c.away[p] = true
 	data := append([]byte(nil), n.Store.Frame(p)...)
-	cost += n.C.MsgSend + sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize))
-	done := n.CPU.Service(cost, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(to),
-		Size:     n.C.HeaderBytes + pagemem.PageSize + 4*n.N + 8,
-		Reliable: true, Kind: KindHomeXfer,
-		Payload: &msgHomeXfer{From: n.ID, Page: p, Data: data, Applied: c.coverVC(p)},
-	})
+	n.post(cost+sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), n.msg(to, KindHomeXfer,
+		&msgHomeXfer{From: n.ID, Page: p, Data: data, Applied: c.coverVC(p)}))
 	return 0
 }
 
@@ -156,16 +130,9 @@ func (c *hlrcCoherence) forwardXfer(p pagemem.PageID, st *xferIn) {
 	x := st.xfer
 	delete(c.xin, p)
 	c.away[p] = true
-	done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(to),
-		Size:     n.C.HeaderBytes + pagemem.PageSize + 4*n.N + 8,
-		Reliable: true, Kind: KindHomeXfer,
-		Payload: x,
-	})
+	n.post(0, n.msg(to, KindHomeXfer, x))
 	for _, fl := range buf {
-		done = n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-		n.sendAfter(done, c.flushMsg(to, fl))
+		n.post(0, n.msg(to, KindHomeFlush, fl))
 	}
 }
 
@@ -253,7 +220,7 @@ func (c *hlrcCoherence) applyMoves(moves []HomeMove) {
 		if nh == n.ID {
 			delete(c.away, p)
 			delete(c.applied, p) // stale coverage from an earlier tenure
-			c.pf.drop(p)         // cached copies predate the new tenure
+			c.takePfPage(p)      // cached copies predate the new tenure
 			st := c.xin[p]
 			if st == nil {
 				st = &xferIn{}

@@ -51,9 +51,6 @@ type HomeMove struct {
 // homeMoveWire is the estimated on-wire size of one HomeMove record.
 const homeMoveWire = 16
 
-func accWireSize(acc []PageAcc) int   { return pageAccWire * len(acc) }
-func movesWireSize(mv []HomeMove) int { return homeMoveWire * len(mv) }
-
 // homeTable is one node's replica of the page → home assignment.
 type homeTable struct {
 	n         int
@@ -297,50 +294,9 @@ func (s *accSet) drain(node int) []PageAcc {
 	return out
 }
 
-// The barrier code consults these optional chassis hooks so it stays
-// agnostic of which backend (if any) adapts at episode boundaries.
-
-// homeHooks is implemented by coherence backends whose page→home or
-// page→mode assignment adapts at barrier episodes.
-type homeHooks interface {
-	// episodeAcc drains this node's access counters for the arrival.
-	episodeAcc() []PageAcc
-	// decideMoves runs at the barrier root with every node's records.
-	decideMoves(acc []PageAcc) []HomeMove
-	// applyMoves applies the root's decisions to this node's replica; it
-	// runs on every node after release intake, before threads resume.
-	applyMoves(moves []HomeMove)
-}
-
 // noticeFilter is implemented by backends that can prove a write notice's
 // data is already in the local frame (a home whose applied vector covers
 // the interval), suppressing the invalidation.
 type noticeFilter interface {
 	filterNotice(p pagemem.PageID, id lrc.IntervalID) bool
-}
-
-func (n *Node) episodeAcc() []PageAcc {
-	if h, ok := n.coh.(homeHooks); ok {
-		return h.episodeAcc()
-	}
-	return nil
-}
-
-func (n *Node) decideMoves(acc []PageAcc) []HomeMove {
-	if h, ok := n.coh.(homeHooks); ok {
-		return h.decideMoves(acc)
-	}
-	return nil
-}
-
-func (n *Node) applyMoves(moves []HomeMove) {
-	if len(moves) == 0 {
-		return
-	}
-	h, ok := n.coh.(homeHooks)
-	if !ok {
-		n.invariantf("node %d received %d home moves but runs a fixed-home backend",
-			n.ID, len(moves))
-	}
-	h.applyMoves(moves)
 }

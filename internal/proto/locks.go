@@ -2,6 +2,7 @@ package proto
 
 import (
 	"godsm/internal/event"
+	"godsm/internal/lrc"
 	"godsm/internal/netsim"
 	"godsm/internal/sim"
 )
@@ -139,12 +140,7 @@ func (sm *syncManager) AcquireLock(id int, onGranted func()) (immediate bool) {
 		n.K.At(done, func() { sm.handleLockAcqAtManager(req) })
 		return false
 	}
-	done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(mgr),
-		Size:     n.C.HeaderBytes + n.C.ReqBytes + 4*n.N,
-		Reliable: true, Kind: KindLockAcq, Payload: req,
-	})
+	n.post(0, n.msg(mgr, KindLockAcq, req))
 	return false
 }
 
@@ -167,12 +163,7 @@ func (sm *syncManager) handleLockAcqAtManager(req *msgLockAcq) {
 		sm.handleLockForward(req)
 		return
 	}
-	done := n.CPU.Service(n.C.LockMgr+n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(prev),
-		Size:     n.C.HeaderBytes + n.C.ReqBytes + 4*n.N,
-		Reliable: true, Kind: KindLockForward, Payload: req,
-	})
+	n.post(n.C.LockMgr, n.msg(prev, KindLockForward, req))
 }
 
 // handleLockForward runs at the previous requester: grant now if the token
@@ -208,13 +199,7 @@ func (sm *syncManager) handleLockForward(req *msgLockAcq) {
 		n.invariantf("node %d forwarded lock %d it does not own", n.ID, req.Lock)
 	}
 	// The token is on its way back to the manager: redirect the request.
-	mgr := sm.lockManager(req.Lock)
-	done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(mgr),
-		Size:     n.C.HeaderBytes + n.C.ReqBytes + 4*n.N,
-		Reliable: true, Kind: KindLockRetry, Payload: req,
-	})
+	n.post(0, n.msg(sm.lockManager(req.Lock), KindLockRetry, req))
 }
 
 // handleLockRetry runs at the manager: grant from the (possibly still
@@ -231,23 +216,21 @@ func (sm *syncManager) handleLockRetry(req *msgLockAcq) {
 	ls.retryQ = req
 }
 
+// passToken ships lock id's token to node `to` (kind tells a grant from a
+// return to the manager) with the write notices `to` lacks, judged by its
+// vector time have. The caller must own the token and the lock must be free.
+func (sm *syncManager) passToken(kind netsim.Kind, id, to int, have lrc.VC) {
+	n := sm.n
+	sm.lock(id).owned = false
+	n.post(n.C.GrantMake, n.msg(to, kind, &msgLockGrant{Lock: id, VC: n.vc.Clone(), Ivs: n.missingIvs(have, to)}))
+}
+
 // returnToken ships the token back to the manager (noTokenCache), carrying
 // everything this node knows above the GC base so later manager grants are
 // consistent.
 func (sm *syncManager) returnToken(id int) {
-	n := sm.n
-	n.bus.Emit(event.LockReturn(n.ID, id))
-	ls := sm.lock(id)
-	ls.owned = false
-	mgr := sm.lockManager(id)
-	ivs := n.missingIvs(n.gcBase.Clone(), mgr)
-	size := n.C.HeaderBytes + 4*n.N + n.C.ivsWireSize(ivs, n.N)
-	done := n.CPU.Service(n.C.GrantMake+n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(mgr),
-		Size: size, Reliable: true, Kind: KindLockReturn,
-		Payload: &msgLockGrant{Lock: id, VC: n.vc.Clone(), Ivs: ivs},
-	})
+	sm.n.bus.Emit(event.LockReturn(sm.n.ID, id))
+	sm.passToken(KindLockReturn, id, sm.lockManager(id), sm.n.gcBase.Clone())
 }
 
 // handleLockReturn restores manager ownership and serves any redirected
@@ -266,19 +249,9 @@ func (sm *syncManager) handleLockReturn(g *msgLockGrant) {
 }
 
 // grantLock transfers the token to req.Requester with piggybacked write
-// notices. The caller must own the token and the lock must be free.
+// notices.
 func (sm *syncManager) grantLock(req *msgLockAcq) {
-	n := sm.n
-	ls := sm.lock(req.Lock)
-	ls.owned = false
-	ivs := n.missingIvs(req.VC, req.Requester)
-	size := n.C.HeaderBytes + 4*n.N + n.C.ivsWireSize(ivs, n.N)
-	done := n.CPU.Service(n.C.GrantMake+n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(req.Requester),
-		Size: size, Reliable: true, Kind: KindLockGrant,
-		Payload: &msgLockGrant{Lock: req.Lock, VC: n.vc.Clone(), Ivs: ivs},
-	})
+	sm.passToken(KindLockGrant, req.Lock, req.Requester, req.VC)
 }
 
 // handleLockGrant completes a remote acquire.

@@ -15,9 +15,9 @@ import (
 // its write notices to all nodes (Munin-style), while data still moves as
 // lazily-fetched diffs.
 type lrcCoherence struct {
-	n          *Node
-	eager      bool // broadcast write notices at every interval close (ERC)
-	pfReliable bool // prefetch replies ride the reliable transport
+	n        *Node
+	eager    bool       // broadcast write notices at every interval close (ERC)
+	throttle pfThrottle // Section 5.1 prefetch throttling
 }
 
 // Fault resolves an access to an invalid page. onValid runs (in kernel
@@ -27,9 +27,6 @@ type lrcCoherence struct {
 // with the page invalid.
 func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	n := c.n
-	if n.PageValid(p) {
-		n.pageInvariantf(p, "Fault on valid page %d", p)
-	}
 	if f, ok := n.fetches[p]; ok {
 		f.waiters = append(f.waiters, onValid)
 		return
@@ -64,30 +61,51 @@ func anyOutside(ids []lrc.IntervalID, set map[lrc.IntervalID]bool) bool {
 	return false
 }
 
-// issueDiffRequests sends one reliable diff request per distinct creator
-// for the missing intervals, charging extraCost plus per-message send cost.
+// diffReqs builds one diff request for page p per distinct creator of the
+// wanted intervals: a demand request, or a prefetch datagram.
+func (c *lrcCoherence) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
+	n := c.n
+	kind := KindDiffReq
+	if prefetch {
+		kind = KindPfReq
+	}
+	nodes, groups := groupByNode(want)
+	msgs := make([]*netsim.Message, 0, len(nodes))
+	for _, node := range nodes {
+		msgs = append(msgs, n.msg(node, kind,
+			&msgDiffReq{From: n.ID, Page: p, Wants: groups[node], Prefetch: prefetch}))
+	}
+	return msgs
+}
+
+// issueDiffRequests asks the creators of the missing intervals for their
+// diffs on f's behalf, charging extraCost plus per-message send cost.
 func (c *lrcCoherence) issueDiffRequests(f *fetch, missing []lrc.IntervalID, extraCost sim.Time) {
 	n := c.n
-	nodes, groups := groupByNode(missing)
-	var msgs []*netsim.Message
-	for _, node := range nodes {
-		ids := groups[node]
-		for _, id := range ids {
-			f.needed[id] = true
-		}
-		msgs = append(msgs, &netsim.Message{
-			Src:      netsim.NodeID(n.ID),
-			Dst:      netsim.NodeID(node),
-			Size:     n.C.HeaderBytes + n.C.ReqBytes + 8*len(ids),
-			Reliable: true,
-			Kind:     KindDiffReq,
-			Payload:  &msgDiffReq{From: n.ID, Page: f.page, Wants: ids},
-		})
+	for _, id := range missing {
+		f.needed[id] = true
 	}
+	msgs := c.diffReqs(f.page, missing, false)
 	done := n.CPU.Service(extraCost+sim.Time(len(msgs))*n.C.MsgSend, sim.CatDSM)
 	for _, m := range msgs {
 		n.sendAfter(done, m)
 	}
+}
+
+// Prefetch issues a non-binding prefetch for page p: the missing diffs are
+// requested from their creators, land in the separate prefetch diff cache,
+// and are applied at the real access. A page whose pending diffs are all
+// cached already has nothing to request.
+func (c *lrcCoherence) Prefetch(p pagemem.PageID) int {
+	n := c.n
+	if !n.admitPrefetch(p, &c.throttle, false) {
+		return 0
+	}
+	missing := n.missingDiffs(p)
+	if len(missing) == 0 {
+		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
+	}
+	return n.issuePrefetch(p, missing, c.diffReqs(p, missing, true)...)
 }
 
 // groupByNode buckets interval ids by creator. The returned node list is in
@@ -130,35 +148,19 @@ func (c *lrcCoherence) handleDiffReq(req *msgDiffReq) {
 		}
 		items = append(items, diffItem{ID: id, Diff: d})
 	}
-	reply := &msgDiffReply{Page: req.Page, Items: items, Prefetch: req.Prefetch}
-	m := &netsim.Message{
-		Src:      netsim.NodeID(n.ID),
-		Dst:      netsim.NodeID(req.From),
-		Size:     n.C.diffReplySize(items),
-		Reliable: !req.Prefetch || c.pfReliable,
-		Kind:     KindDiffReply,
-		Payload:  reply,
-	}
+	kind := KindDiffReply
 	if req.Prefetch {
-		m.Kind = KindPfReply
+		kind = KindPfReply
 	}
-	done := n.CPU.Service(cost+n.C.MsgSend, sim.CatDSM)
-	n.sendAfter(done, m)
+	n.post(cost, n.msg(req.From, kind,
+		&msgDiffReply{Page: req.Page, Items: items, Prefetch: req.Prefetch}))
 }
 
 // handleDiffReply stores arriving diffs and completes any in-flight demand
 // fetch they satisfy.
 func (c *lrcCoherence) handleDiffReply(rep *msgDiffReply) {
 	n := c.n
-	for _, it := range rep.Items {
-		n.putDiff(it.ID, rep.Page, it.Diff, rep.Prefetch)
-	}
-	if pfst, ok := n.pf[rep.Page]; ok && rep.Prefetch && pfst.inflight > 0 {
-		// Clamped: a fault-injected duplicate reply must not drive the
-		// outstanding-request count negative.
-		pfst.inflight--
-	}
-
+	n.bankDiffs(rep)
 	f, ok := n.fetches[rep.Page]
 	if !ok {
 		return
@@ -197,20 +199,10 @@ func (c *lrcCoherence) AfterClose(iv *lrc.Interval) {
 // other node (eager release consistency).
 func (c *lrcCoherence) broadcastNotice(iv *lrc.Interval) {
 	n := c.n
-	size := n.C.HeaderBytes + 8 + 4*n.N + n.C.PerNoticeByt*len(iv.Pages)
-	var cost sim.Time
 	for q := 0; q < n.N; q++ {
-		if q == n.ID {
-			continue
+		if q != n.ID {
+			n.post(0, n.msg(q, KindEagerNotice, &msgEagerNotice{Iv: iv}))
 		}
-		cost += n.C.MsgSend
-		done := n.CPU.Service(cost, sim.CatDSM)
-		cost = 0
-		n.sendAfter(done, &netsim.Message{
-			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(q),
-			Size: size, Reliable: true, Kind: KindEagerNotice,
-			Payload: &msgEagerNotice{Iv: iv},
-		})
 	}
 }
 
@@ -228,6 +220,15 @@ func (c *lrcCoherence) handleEagerNotice(m *msgEagerNotice) {
 		n.vc[iv.ID.Node] = iv.ID.Seq
 	}
 	n.CPU.Service(cost, sim.CatDSM)
+}
+
+// The diff-based engine adapts nothing at barrier episodes.
+func (c *lrcCoherence) episodeAcc() []PageAcc            { return nil }
+func (c *lrcCoherence) decideMoves([]PageAcc) []HomeMove { return nil }
+func (c *lrcCoherence) applyMoves(moves []HomeMove) {
+	if len(moves) > 0 {
+		c.n.invariantf("node %d received %d home moves but runs a fixed-home backend", c.n.ID, len(moves))
+	}
 }
 
 // Handle dispatches the diff-fetch and eager-notice messages.

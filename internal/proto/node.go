@@ -1,43 +1,47 @@
 // Package proto implements the software DSM protocol engine as a chassis
-// plus two pluggable policy seams. The chassis (Node) owns the state and the
+// plus one pluggable policy seam. The chassis (Node) owns the state and the
 // mechanisms every backend shares — vector time, interval records, page
-// table, diff store, in-flight fetch table and its lifecycle, reliable
-// transport, the synchronization manager (locks, barrier tree) and the diff
-// collector — and delegates the coherence and prefetch decisions to the
-// Coherence and Prefetcher implementations selected by a declarative Spec
-// through the protocol registry.
+// table, diff store, in-flight fetch table and its lifecycle, the wire
+// format, reliable transport, the synchronization manager (locks, barrier
+// tree) and the diff collector — and delegates the coherence and prefetch
+// decisions to the Coherence implementation selected by a declarative Spec
+// from the backend table.
 //
-// Registered backends: "lrc" (TreadMarks-style lazy release consistency,
-// the default), "erc" (eager release consistency: notices broadcast at
-// every release), "hlrc" (home-based LRC: diffs flushed to per-page homes at
-// release, whole-page fetches at fault time, no diff GC), and "adp"
-// (adaptive: per-page switching between the diff-based and home-based
-// regimes, driven by access counters at barrier episodes).
+// Backends: "lrc" (TreadMarks-style lazy release consistency, the default),
+// "erc" (eager release consistency: notices broadcast at every release),
+// "hlrc" (home-based LRC: diffs flushed to per-page homes at release,
+// whole-page fetches at fault time, no diff GC), and "adp" (adaptive:
+// per-page switching between the diff-based and home-based regimes, driven
+// by access counters at barrier episodes).
 //
 // File ownership:
 //
-//	protocol.go   Spec and the two seams: Coherence, Prefetcher
-//	registry.go   backend registry (Register/Lookup/Names) and builders
+//	protocol.go   Spec and the policy seam: Coherence
+//	registry.go   the backend table (Lookup/Names), Spec.Validate, builders
 //	node.go       the Node chassis: construction, page table, fetch
 //	              lifecycle (startFetch/takePf/finishFetch), dispatch
+//	messages.go   the wire module: kind table, payload types and their wire
+//	              sizes, the one message constructor
+//	costs.go      CPU cost model and the charging send helpers (post)
+//	transport.go  reliable ack/retransmit transport (fault injection)
 //	intervals.go  interval records, write notices, vector-time intake
 //	diffstore.go  diff storage, lazy own-diff creation, causal apply
-//	lrc.go        lrcCoherence: demand diff fetch, eager-RC broadcast
-//	prefetch.go   lrcPrefetcher: non-binding prefetch issue policy
+//	prefetch.go   the shared prefetch chassis: admit, throttle, issue
+//	lrc.go        lrcCoherence: demand and prefetch diff fetch, eager-RC
+//	              broadcast
 //	locks.go      syncManager: distributed queue locks with token caching
 //	barriertree.go the barrier: a combining tree; "central" is its depth-1 case
 //	gossip.go     seeded deterministic gossip write-notice dissemination
 //	gc.go         lrcGC: diff garbage collection (threshold 0 = never)
-//	hlrc.go       hlrcCoherence: protocol overview, types, release flush
+//	hlrc.go       hlrcCoherence: protocol overview, state, release flush
 //	hlrchome.go   hlrc home side: flush apply, parked requests, page serve
 //	hlrcfault.go  hlrc requester side: whole-page fetch, home-local faults
-//	hlrcpf.go     hlrcPrefetcher: whole-page prefetch cache
+//	hlrcpf.go     hlrc whole-page prefetch and its cache
 //	homepolicy.go pluggable page→home policies, episode access counters
 //	homemigrate.go home-base transfers and late-flush forwarding (dynamic)
-//	adp.go        adpCoherence: per-page diff/home mode switching
-//	messages.go   wire message kinds and payload types
-//	costs.go      CPU cost model and the sanctioned send choke points
-//	transport.go  reliable ack/retransmit transport (fault injection)
+//	adp.go        adpCoherence: modes, fault and message routing
+//	adpdecide.go  adp's decide rule and lockstep mode flips
+//	adpfetch.go   adp's transition fetches: hybrid (base + diffs) and fill
 //	errors.go     InvariantError and deterministic failure dumps
 //
 // Each simulated processor owns one Node. Nodes communicate only through
@@ -69,12 +73,12 @@ type Node struct {
 
 	Store *pagemem.Store
 
-	mt bool // multithreading active: arrivals pay the async-signal surcharge
+	mt         bool // multithreading active: arrivals pay the async-signal surcharge
+	pfReliable bool // Spec.PfReliable: prefetch datagrams are sent reliable (never dropped)
 
-	// The two policy seams, built by the configured backend (registry.go),
-	// and the synchronization manager and diff collector every backend shares.
+	// The policy seam, built by the configured backend (registry.go), and
+	// the synchronization manager and diff collector every backend shares.
 	coh  Coherence
-	pfr  Prefetcher
 	sync *syncManager
 	gc   *lrcGC
 
@@ -231,8 +235,10 @@ func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 		fetches: make(map[pagemem.PageID]*fetch),
 		pf:      make(map[pagemem.PageID]*pfState),
 		gcBase:  lrc.NewVC(n),
+
+		pfReliable: cfg.PfReliable,
 	}
-	nd.coh, nd.pfr = b.Build(nd, cfg)
+	nd.coh = b.Build(nd, cfg)
 	nd.sync = newSyncManager(nd, cfg)
 	nd.gc = &lrcGC{n: nd, threshold: cfg.GCThreshold, sharedPfHeap: cfg.PfHeapSharedGC}
 	if f, ok := nd.coh.(noticeFilter); ok {
@@ -293,11 +299,16 @@ func (n *Node) EnsureWritable(p pagemem.PageID) {
 
 // Fault resolves an access to an invalid page through the backend's
 // coherence policy. See Coherence.Fault.
-func (n *Node) Fault(p pagemem.PageID, onValid func()) { n.coh.Fault(p, onValid) }
+func (n *Node) Fault(p pagemem.PageID, onValid func()) {
+	if n.PageValid(p) {
+		n.pageInvariantf(p, "Fault on valid page %d", p)
+	}
+	n.coh.Fault(p, onValid)
+}
 
 // Prefetch issues a non-binding prefetch through the backend's policy,
 // returning the number of request messages sent.
-func (n *Node) Prefetch(p pagemem.PageID) int { return n.pfr.Prefetch(p) }
+func (n *Node) Prefetch(p pagemem.PageID) int { return n.coh.Prefetch(p) }
 
 // AcquireLock acquires lock id, reporting true if the acquire completed
 // immediately (cached token); otherwise onGranted runs (in kernel context)
@@ -311,10 +322,6 @@ func (n *Node) ReleaseLock(id int) { n.sync.ReleaseLock(id) }
 // Barrier arrives at barrier id; onRelease runs (in kernel context) when the
 // barrier releases.
 func (n *Node) Barrier(id int, onRelease func()) { n.sync.bar.Barrier(id, onRelease) }
-
-// PfHeapBytes returns the current size of the prefetch cache (the
-// "separate heap managed by the garbage collector" in the paper).
-func (n *Node) PfHeapBytes() int64 { return n.pfHeap }
 
 // DiffHeapBytes returns the bytes of ordinary stored diffs.
 func (n *Node) DiffHeapBytes() int64 { return n.diffBytes }
@@ -337,21 +344,25 @@ func (n *Node) Deliver(m *netsim.Message) {
 	n.dispatch(m)
 }
 
-// dispatch routes one in-order message through the subsystem handlers; a
-// message no subsystem owns is a protocol invariant violation.
+// dispatch hands one in-order message to the subsystem that owns its kind;
+// a kind nobody owns, or a payload its owner does not know, is a protocol
+// invariant violation.
 func (n *Node) dispatch(m *netsim.Message) {
-	if n.sync.Handle(m) {
-		return
+	ok := false
+	switch kinds[m.Kind].owner {
+	case ownSync:
+		ok = n.sync.Handle(m)
+	case ownCoherence:
+		ok = n.coh.Handle(m)
+	case ownGC:
+		ok = n.gc.Handle(m)
+	case ownGossip:
+		pl, isGossip := m.Payload.(*msgGossip)
+		if ok = isGossip && n.gossip != nil; ok {
+			n.gossip.handle(pl)
+		}
 	}
-	if n.coh.Handle(m) {
-		return
+	if !ok {
+		n.invariantf("node %d: unknown message payload %T (kind %s)", n.ID, m.Payload, KindName(m.Kind))
 	}
-	if n.gc.Handle(m) {
-		return
-	}
-	if pl, ok := m.Payload.(*msgGossip); ok && n.gossip != nil {
-		n.gossip.handle(pl)
-		return
-	}
-	n.invariantf("node %d: unknown message payload %T (kind %s)", n.ID, m.Payload, KindName(m.Kind))
 }

@@ -14,8 +14,8 @@ import (
 // TreadMarks-style lazy release consistency engine with every knob off. A
 // Spec is validated once (Validate) and then used to build every node.
 type Spec struct {
-	// Protocol names a registered backend ("lrc", "erc", "hlrc", "adp");
-	// empty selects the default "lrc". Lookup lists the registered names.
+	// Protocol names a backend ("lrc", "erc", "hlrc", "adp"); empty selects
+	// the default "lrc". Names lists them.
 	Protocol string
 
 	// HomePolicy selects the page→home assignment policy of the home-based
@@ -95,37 +95,41 @@ const (
 	DefaultGossipInterval = 2 * sim.Millisecond
 )
 
-// The protocol engine has two policy seams, behind the interfaces below.
-// The Node (node.go) is the shared chassis: it owns the vector time,
-// interval records, page table, diff store, in-flight fetch table,
-// transport, synchronization manager and diff collector, and delegates the
-// coherence and prefetch decisions to the pair its backend built.
-// Implementations are matched per backend — a backend's coherence half may
-// reach into its own prefetcher directly — but the Node only ever calls
-// through these seams.
+// The protocol engine has one policy seam, the interface below. The Node
+// (node.go) is the shared chassis: it owns the vector time, interval
+// records, page table, diff store, in-flight fetch table, transport,
+// synchronization manager and diff collector, and delegates the coherence
+// and prefetch decisions to the implementation its backend built.
 
 // Coherence is the fault/validate/write-notice policy: what happens on an
-// access to an invalid page, what happens when an interval closes, and how
-// the backend's own wire messages are handled.
+// access to an invalid page, how a page is prefetched, what happens when an
+// interval closes, and how the backend's own wire messages are handled.
 type Coherence interface {
-	// Fault resolves an access to an invalid page. onValid runs (in
-	// kernel context) once the page is valid; the caller parks the
+	// Fault resolves an access to a page the chassis found invalid. onValid
+	// runs (in kernel context) once the page is valid; the caller parks the
 	// faulting thread until then. Concurrent faults on the same page must
 	// join the in-flight fetch (request combining).
 	Fault(p pagemem.PageID, onValid func())
+
+	// Prefetch issues a software-controlled non-binding prefetch for page
+	// p, returning the number of request messages sent (0 when dropped).
+	Prefetch(p pagemem.PageID) int
 
 	// AfterClose runs immediately after the chassis closes a non-empty
 	// interval: eager backends push write notices or flush diffs here.
 	AfterClose(iv *lrc.Interval)
 
-	// Handle dispatches one in-order coherence message; it reports false
-	// for kinds the subsystem does not own.
+	// Handle dispatches one in-order message of a coherence-owned kind; it
+	// reports false for a payload the backend does not know.
 	Handle(m *netsim.Message) bool
-}
 
-// Prefetcher is the non-binding prefetch issue policy.
-type Prefetcher interface {
-	// Prefetch issues a software-controlled non-binding prefetch for page
-	// p, returning the number of request messages sent (0 when dropped).
-	Prefetch(p pagemem.PageID) int
+	// The barrier's hooks for backends whose page→home or page→mode
+	// assignment adapts at episode boundaries (a fixed backend reports and
+	// decides nothing): episodeAcc drains this node's access counters for
+	// its arrival, decideMoves runs at the root with every node's records,
+	// and applyMoves applies the root's decisions to this node's replica,
+	// on every node after release intake, before threads resume.
+	episodeAcc() []PageAcc
+	decideMoves(acc []PageAcc) []HomeMove
+	applyMoves(moves []HomeMove)
 }

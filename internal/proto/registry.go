@@ -2,66 +2,66 @@ package proto
 
 import (
 	"fmt"
-	"sort"
 
 	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
 )
 
-// Backend is one registered coherence protocol: a name, a one-line
-// description, an optional config validator, and a builder producing the
-// per-node coherence policy and prefetcher.
+// Backend is one coherence protocol: a name, a config validator, and a
+// builder producing the per-node coherence policy.
 type Backend struct {
 	Name string
-	Doc  string
 
-	// Validate rejects Spec combinations the backend cannot honor; nil
-	// accepts everything.
+	// Validate rejects Spec combinations the backend cannot honor.
 	Validate func(cfg Spec) error
 
-	// Build constructs the backend's policies for one node. It runs during
+	// Build constructs the backend's policy for one node. It runs during
 	// NewNode, after the chassis state is initialized.
-	Build func(n *Node, cfg Spec) (Coherence, Prefetcher)
+	Build func(n *Node, cfg Spec) Coherence
 }
 
-// The registry is populated at init time (and by tests); simulations only
-// read it, so no locking is needed beyond Go's init ordering.
-var registry = map[string]*Backend{}
-
-// Register adds a backend to the protocol registry. It panics on a
-// duplicate or empty name — registration happens at init time, where a
-// conflict is a programming error.
-func Register(b *Backend) {
-	if b.Name == "" {
-		configInvariantf("proto: Register with empty backend name")
-	}
-	if _, dup := registry[b.Name]; dup {
-		configInvariantf("proto: duplicate backend %s", b.Name)
-	}
-	registry[b.Name] = b
+// backends is the closed set of protocols, in the (sorted) order Names
+// reports them.
+var backends = []Backend{
+	// Adaptive coherence: per-page switching between the diff-based (lrc)
+	// and home-based (hlrc) regimes at barrier episodes.
+	{Name: "adp", Validate: validateADP, Build: buildADP},
+	// Eager release consistency (Munin-style): write notices broadcast at
+	// every release; data still moves as lazy diffs.
+	{Name: "erc",
+		Validate: func(cfg Spec) error { return rejectHomePolicy("erc", cfg) },
+		Build:    func(n *Node, cfg Spec) Coherence { return newLRC(n, cfg, true) }},
+	// Home-based LRC: writers flush diffs to each page's home at release;
+	// faults fetch the whole page from home; no diff GC.
+	{Name: "hlrc", Validate: validateHLRC, Build: buildHLRC},
+	// TreadMarks-style lazy release consistency: distributed diff fetch at
+	// fault time, diff GC at barriers.
+	{Name: "lrc",
+		Validate: func(cfg Spec) error { return rejectHomePolicy("lrc", cfg) },
+		Build:    func(n *Node, cfg Spec) Coherence { return newLRC(n, cfg, false) }},
 }
 
 // Lookup resolves a protocol name to its backend. The empty name resolves
 // to the default ("lrc"). Unknown names return an error listing the
-// registered protocols.
+// protocols.
 func Lookup(name string) (*Backend, error) {
 	if name == "" {
 		name = "lrc"
 	}
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (registered: %v)", name, Names())
+	for i := range backends {
+		if backends[i].Name == name {
+			return &backends[i], nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("unknown protocol %q (registered: %v)", name, Names())
 }
 
-// Names returns the registered protocol names, sorted.
+// Names returns the protocol names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(backends))
+	for i := range backends {
+		out[i] = backends[i].Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -76,10 +76,7 @@ func (cfg Spec) Validate() error {
 	if err := validateCommon(cfg); err != nil {
 		return err
 	}
-	if b.Validate != nil {
-		return b.Validate(cfg)
-	}
-	return nil
+	return b.Validate(cfg)
 }
 
 // validateCommon checks the backend-independent machine knobs (barrier
@@ -111,43 +108,14 @@ func rejectHomePolicy(proto string, cfg Spec) error {
 	return nil
 }
 
-func init() {
-	Register(&Backend{
-		Name:     "lrc",
-		Doc:      "TreadMarks-style lazy release consistency: distributed diff fetch at fault time, diff GC at barriers",
-		Validate: func(cfg Spec) error { return rejectHomePolicy("lrc", cfg) },
-		Build:    buildDiffBased(false),
-	})
-	Register(&Backend{
-		Name:     "erc",
-		Doc:      "eager release consistency (Munin-style): write notices broadcast at every release; data still moves as lazy diffs",
-		Validate: func(cfg Spec) error { return rejectHomePolicy("erc", cfg) },
-		Build:    buildDiffBased(true),
-	})
-	Register(&Backend{
-		Name:     "hlrc",
-		Doc:      "home-based LRC: writers flush diffs to each page's home at release; faults fetch the whole page from home; no diff GC",
-		Validate: validateHLRC,
-		Build:    buildHLRC,
-	})
-	Register(&Backend{
-		Name:     "adp",
-		Doc:      "adaptive coherence: per-page switching between diff-based (lrc) and home-based (hlrc) regimes at barrier episodes",
-		Validate: validateADP,
-		Build:    buildADP,
-	})
-}
-
-// buildDiffBased builds the shared LRC/ERC policy pair; eager selects the
-// eager-release-consistency notice broadcast at interval close.
-func buildDiffBased(eager bool) func(n *Node, cfg Spec) (Coherence, Prefetcher) {
-	return func(n *Node, cfg Spec) (Coherence, Prefetcher) {
-		if cfg.Gossip {
-			n.gossip = newGossiper(n, cfg) // nil on one-node clusters
-		}
-		return &lrcCoherence{n: n, eager: eager, pfReliable: cfg.PfReliable},
-			&lrcPrefetcher{n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable}
+// newLRC builds the diff-based engine (and its gossiper, when configured);
+// eager selects the eager-release-consistency notice broadcast at interval
+// close. The adaptive backend embeds one.
+func newLRC(n *Node, cfg Spec, eager bool) *lrcCoherence {
+	if cfg.Gossip {
+		n.gossip = newGossiper(n, cfg) // nil on one-node clusters
 	}
+	return &lrcCoherence{n: n, eager: eager, throttle: pfThrottle{every: cfg.ThrottlePf}}
 }
 
 func validateHLRC(cfg Spec) error {
@@ -166,15 +134,12 @@ func validateHLRC(cfg Spec) error {
 	return nil
 }
 
-// newHLRC builds the home-based coherence pair. The adaptive backend embeds
-// one with the static policy and tracking off (it counts at its own layer).
-func newHLRC(n *Node, cfg Spec, policy HomePolicy) (*hlrcCoherence, *hlrcPrefetcher) {
-	pf := &hlrcPrefetcher{
-		n: n, throttle: cfg.ThrottlePf, reliable: cfg.PfReliable,
-		cache: make(map[pagemem.PageID]*pfPage),
-	}
+// newHLRC builds the home-based engine. The adaptive backend embeds one
+// with the static policy and tracking off (it counts at its own layer).
+func newHLRC(n *Node, cfg Spec, policy HomePolicy) *hlrcCoherence {
 	coh := &hlrcCoherence{
-		n: n, pf: pf, pfReliable: cfg.PfReliable,
+		n: n, throttle: pfThrottle{every: cfg.ThrottlePf},
+		pfCache: make(map[pagemem.PageID]*pfPage),
 		homes:   newHomeTable(n.N),
 		policy:  policy,
 		dyn:     policy.Dynamic(),
@@ -188,11 +153,10 @@ func newHLRC(n *Node, cfg Spec, policy HomePolicy) (*hlrcCoherence, *hlrcPrefetc
 		coh.xin = make(map[pagemem.PageID]*xferIn)
 		coh.away = make(map[pagemem.PageID]bool)
 	}
-	pf.coh = coh
-	return coh, pf
+	return coh
 }
 
-func buildHLRC(n *Node, cfg Spec) (Coherence, Prefetcher) {
+func buildHLRC(n *Node, cfg Spec) Coherence {
 	policy, err := newHomePolicy(cfg.HomePolicy)
 	if err != nil {
 		configInvariantf("proto: %v", err)

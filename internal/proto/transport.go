@@ -81,32 +81,16 @@ func (n *Node) EnableTransport() {
 	}
 }
 
-// sequenced reports whether the transport sequences this kind of message.
-func sequenced(k netsim.Kind) bool {
-	return k != KindPfReq && k != KindPfReply && k != KindAck
-}
-
-// pfReplyPage extracts the page id from a prefetch reply payload, which is
-// a diff reply under the diff-based backends and a page reply under HLRC.
-func pfReplyPage(payload any) int64 {
-	switch pl := payload.(type) {
-	case *msgDiffReply:
-		return int64(pl.Page)
-	case *msgPageReply:
-		return int64(pl.Page)
-	}
-	return -1
-}
-
 // xmit is the node's single transmission choke point. Without transport (or
-// for loopback and unsequenced kinds) it is a plain network send; otherwise
-// it assigns the sequence number, records the frame for retransmission, and
-// sends a copy with the current cumulative ack piggybacked.
+// for loopback and datagram kinds) it is a plain network send, and a dropped
+// datagram emits its kind's drop event at the sender; otherwise it assigns
+// the sequence number, records the frame for retransmission, and sends a
+// copy with the current cumulative ack piggybacked.
 func (n *Node) xmit(m *netsim.Message) {
-	if n.xp == nil || m.Src == m.Dst || !sequenced(m.Kind) {
+	if k := &kinds[m.Kind]; n.xp == nil || m.Src == m.Dst || k.datagram {
 		//dsmvet:allow chargecost — transport choke point; the charge was paid at the sendAfter call site
-		if n.Send(m) < 0 && m.Kind == KindPfReply {
-			n.bus.Emit(event.PfReplyDrop(n.ID, pfReplyPage(m.Payload)))
+		if n.Send(m) < 0 && k.drop != nil {
+			n.bus.Emit(k.drop(n.ID, int64(m.Payload.(pagePayload).page())))
 		}
 		return
 	}
