@@ -233,7 +233,7 @@ func main() {
 			}
 			sys := dsm.NewSystem(cfg)
 			inst := spec.Build(sys, apps.Options{Scale: o.scale, Verify: o.verify})
-			rep, err := runChecked(sys, inst.Run)
+			rep, err := dsm.RunChecked(sys, inst.Run)
 			if err != nil {
 				r.err = fmt.Errorf("%s: %w", name, err)
 				return
@@ -278,7 +278,7 @@ func runOne(name string, cfg dsm.Config, sc apps.Scale, verify, kinds bool, trac
 	}
 
 	inst := spec.Build(sys, apps.Options{Scale: sc, Verify: verify})
-	rep, err := runChecked(sys, inst.Run)
+	rep, err := dsm.RunChecked(sys, inst.Run)
 	if err != nil {
 		fatal(err)
 	}
@@ -295,22 +295,6 @@ func runOne(name string, cfg dsm.Config, sc apps.Scale, verify, kinds bool, trac
 	if kinds {
 		printKinds(sys)
 	}
-}
-
-// runChecked calls sys.Run, converting the race detector's *dsm.RaceError
-// panic into an error so a detected race prints as its structured two-site
-// report (and exits 1) instead of a stack trace.
-func runChecked(sys *dsm.System, body func(*dsm.Env)) (rep *dsm.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			re, ok := r.(*dsm.RaceError)
-			if !ok {
-				panic(r)
-			}
-			err = re
-		}
-	}()
-	return sys.Run(body), nil
 }
 
 // printKinds prints the per-message-kind traffic table (whole run,

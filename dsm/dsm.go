@@ -132,6 +132,33 @@ type LinkFault = netsim.LinkFault
 //	}()
 type RaceError = race.RaceError
 
+// AddrError is the panic value System.Run raises when a thread reads or
+// writes an address outside the shared heap: address 0 (page 0 is kept
+// unmapped to catch zero-address bugs) or anything at or past
+// System.Alloc.Brk(). It names the thread, the address and the heap bounds,
+// renders deterministically, and is recovered the same way as a RaceError.
+type AddrError = core.AddrError
+
+// RunChecked is sys.Run with the application's own faults — a *RaceError or
+// an *AddrError — returned as the error instead of panicking: they are
+// properties of the program under test, so front ends print the structured
+// report and fail that run rather than crash with a stack trace. Any other
+// panic (a simulator bug, a protocol invariant) still propagates.
+func RunChecked(sys *System, body func(*Env)) (rep *Report, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *RaceError:
+			err = r
+		case *AddrError:
+			err = r
+		default:
+			panic(r)
+		}
+	}()
+	return sys.Run(body), nil
+}
+
 // DefaultCosts returns the calibrated protocol CPU cost model.
 func DefaultCosts() proto.Costs { return proto.DefaultCosts() }
 

@@ -1,6 +1,7 @@
 package dsm_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -188,4 +189,21 @@ func TestHLRCLastPartialPage(t *testing.T) {
 	if rep.Sum().HomeFlushes == 0 {
 		t.Fatal("no home flushes: the home-based backend did not run")
 	}
+}
+
+// TestRunCheckedReturnsApplicationFaults: a stray address (like a race) is
+// the application's bug and comes back from RunChecked as an error carrying
+// the structured report; any other panic still propagates.
+func TestRunCheckedReturnsApplicationFaults(t *testing.T) {
+	_, err := dsm.RunChecked(dsm.NewSystem(dsm.DefaultConfig()), func(e *dsm.Env) { e.ReadU64(0) })
+	var ae *dsm.AddrError
+	if !errors.As(err, &ae) || ae.Addr != 0 {
+		t.Fatalf("want a *dsm.AddrError for address 0, got %T: %v", err, err)
+	}
+	defer func() {
+		if r := recover(); r != "not the application's fault" {
+			t.Fatalf("RunChecked swallowed or changed a foreign panic: %v", r)
+		}
+	}()
+	dsm.RunChecked(dsm.NewSystem(dsm.DefaultConfig()), func(e *dsm.Env) { panic("not the application's fault") })
 }

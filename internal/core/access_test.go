@@ -1,0 +1,179 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"godsm/internal/pagemem"
+)
+
+// hitRig is one processor over 16 resident pages — the shape bench's
+// core.access_hit_ns rig uses, so `go test -bench AccessHit` and
+// `bench -trace 1` measure the same thing. body runs as the only thread,
+// after every page has been read and written once.
+func hitRig(raceCheck bool, body func(e *Env, base Addr)) {
+	cfg := DefaultConfig()
+	cfg.Procs = 1
+	cfg.RaceCheck = raceCheck
+	sys := NewSystem(cfg)
+	base := sys.Alloc.AllocPages(16)
+	sys.Run(func(e *Env) {
+		for p := 0; p < 16; p++ {
+			a := base + Addr(p*pagemem.PageSize)
+			e.WriteF64(a, e.ReadF64(a))
+		}
+		body(e, base)
+	})
+}
+
+var sink float64
+
+func BenchmarkAccessHit(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		write, race bool
+	}{{"read", false, false}, {"write", true, false}, {"read-race", false, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			hitRig(bc.race, func(e *Env, base Addr) {
+				var sum float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a := base + Addr(8*(i&8191))
+					if bc.write {
+						e.WriteF64(a, sum)
+					} else {
+						sum += e.ReadF64(a)
+					}
+				}
+				b.StopTimer()
+				sink = sum
+			})
+		})
+	}
+}
+
+// TestAccessHitDoesNotAllocate: a read or write of a resident, writable
+// page is one page-table lookup and allocates nothing, the same contract
+// event.Bus.Emit has.
+func TestAccessHitDoesNotAllocate(t *testing.T) {
+	var reads, writes float64
+	hitRig(false, func(e *Env, base Addr) {
+		i := 0
+		reads = testing.AllocsPerRun(1000, func() {
+			sink += e.ReadF64(base + Addr(8*(i&8191)))
+			i++
+		})
+		writes = testing.AllocsPerRun(1000, func() {
+			e.WriteF64(base+Addr(8*(i&8191)), 1)
+			i++
+		})
+	})
+	if reads != 0 || writes != 0 {
+		t.Fatalf("allocations per hit: read %v, write %v; want 0", reads, writes)
+	}
+}
+
+// addrFault runs body on a fresh 2-processor machine with one allocated
+// page and returns the *AddrError it ends in.
+func addrFault(t *testing.T, body func(e *Env, page Addr)) *AddrError {
+	t.Helper()
+	sys := NewSystem(smallConfig(2, 1))
+	page := sys.Alloc.AllocPages(1)
+	var ae *AddrError
+	func() {
+		defer func() {
+			r := recover()
+			var ok bool
+			if ae, ok = r.(*AddrError); !ok {
+				t.Fatalf("Run ended with %v, want an *AddrError", r)
+			}
+		}()
+		sys.Run(func(e *Env) {
+			e.Barrier(0)
+			if e.ThreadID() == 1 {
+				body(e, page)
+			}
+			e.Barrier(1)
+		})
+	}()
+	return ae
+}
+
+// TestUnmappedAddressIsAStructuredError: address 0, an address past the
+// allocator's break, and one beyond 2^44 (whose page id truncates onto a
+// low page) each end the run in an AddrError naming the thread, the
+// address and the heap bounds — the same bytes every time — instead of
+// materialising a page.
+func TestUnmappedAddressIsAStructuredError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write bool
+		addr  func(page Addr) Addr
+	}{
+		{"zero", false, func(Addr) Addr { return 0 }},
+		{"past-brk", true, func(page Addr) Addr { return page + pagemem.PageSize }},
+		{"aliases-page-0", false, func(Addr) Addr { return 1<<44 + 8 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() *AddrError {
+				return addrFault(t, func(e *Env, page Addr) {
+					e.ReadF64(page) // a mapped access first: the check must not be a one-shot
+					if tc.write {
+						e.WriteF64(tc.addr(page), 1)
+					} else {
+						e.ReadF64(tc.addr(page))
+					}
+				})
+			}
+			a, b := run(), run()
+			if a.Error() != b.Error() {
+				t.Fatalf("two runs, two reports:\n%s\n---\n%s", a.Error(), b.Error())
+			}
+			brk := Addr(2 * pagemem.PageSize)
+			if a.Addr != tc.addr(pagemem.PageSize) || a.Write != tc.write || a.Thread != 1 || a.Proc != 1 ||
+				a.HeapLo != pagemem.PageSize || a.HeapHi != brk {
+				t.Fatalf("wrong report: %+v", a)
+			}
+			want := fmt.Sprintf("0x%x by thread 1 (proc 1)", uint64(a.Addr))
+			if msg := a.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "[0x1000, 0x2000)") || len(a.Events) == 0 {
+				t.Fatalf("report lacks the site, the heap bounds or the event trace:\n%s", msg)
+			}
+		})
+	}
+}
+
+// TestBigMachineTouchesOneLeafPerTable: the page tables are two-level so
+// that 1024 nodes each pay for the leaves they touch, not for the heap.
+// Every node reads one page of its own, far apart in the heap; the bytes
+// that costs per node must stay under one frame slab plus one leaf per
+// table. A flat table (or a leaf per directory slot up to the page) would
+// cost tens of KB more.
+func TestBigMachineTouchesOneLeafPerTable(t *testing.T) {
+	const procs = 1024
+	runBytes := func(touch bool) uint64 {
+		cfg := DefaultConfig()
+		cfg.Procs = procs
+		cfg.Net.Topology = "fattree"
+		cfg.Barrier = "tree"
+		sys := NewSystem(cfg)
+		base := sys.Alloc.AllocPages(procs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys.Run(func(e *Env) {
+			if touch {
+				e.ReadF64(base + Addr(e.ProcID()*pagemem.PageSize))
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const slab = 64 * pagemem.PageSize // pagemem's frame slab, paid on a node's first frame
+	const leaves = 8 << 10             // two leaves and two directories are ~5.5 KB
+	perNode := (int64(runBytes(true)) - int64(runBytes(false))) / procs
+	if perNode > slab+leaves {
+		t.Fatalf("touching one page costs %d bytes per node, want at most %d", perNode, slab+leaves)
+	}
+	t.Logf("one page touched: %d bytes per node beyond the %d-byte frame slab", perNode-slab, slab)
+}

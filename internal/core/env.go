@@ -83,9 +83,10 @@ func (e *Env) noteBlock() {
 	e.runSince = 0
 }
 
-// access resolves the page for a, faulting until it is valid (and twinned,
-// for writes), and returns the local frame. The per-access busy cost
-// accumulates; faults flush and block the thread.
+// access returns the local frame of the page holding a, ready for the read
+// or write. The per-access busy cost accumulates; a hit — the page is
+// valid (and twinned, for writes) — is one page-table lookup, as free of
+// protocol work as the MMU check it stands in for.
 func (e *Env) access(a Addr, write bool) []byte {
 	if d := e.t.proc.race; d != nil {
 		// Synchronous happens-before check: charges no simulated time and
@@ -96,6 +97,20 @@ func (e *Env) access(a Addr, write bool) []byte {
 	e.busy += e.t.proc.sys.Cfg.AccessNs
 	e.runSince += e.t.proc.sys.Cfg.AccessNs
 	p := pagemem.PageOf(a)
+	if f := e.t.proc.node.Hit(p, write); f != nil {
+		return f
+	}
+	return e.miss(a, p, write)
+}
+
+// miss is access's slow path, what a fault handler would do: reject an
+// unmapped address, then fault until p is valid (and twinned, for writes).
+// Faults flush busy time and block the thread.
+func (e *Env) miss(a Addr, p pagemem.PageID, write bool) []byte {
+	if brk := e.t.proc.sys.Alloc.Brk(); a < pagemem.PageSize || a >= brk {
+		panic(&AddrError{Addr: a, Write: write, Thread: e.t.id, Proc: e.t.proc.id,
+			At: e.Now(), HeapLo: pagemem.PageSize, HeapHi: brk})
+	}
 	node := e.t.proc.node
 	for {
 		for !node.PageValid(p) {

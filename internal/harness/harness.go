@@ -249,7 +249,7 @@ func (s *Session) simulate(spec apps.Spec, cfg dsm.Config, verify bool) (*dsm.Re
 	start := Wallclock()
 	sys := dsm.NewSystem(cfg)
 	inst := spec.Build(sys, apps.Options{Scale: s.Opt.Scale, Verify: verify})
-	rep, err := runSim(sys, inst.Run)
+	rep, err := dsm.RunChecked(sys, inst.Run)
 	s.simCount.Add(1)
 	s.simWall.Add(int64(Wallclock().Sub(start)))
 	if err != nil {
@@ -259,23 +259,6 @@ func (s *Session) simulate(spec apps.Spec, cfg dsm.Config, verify bool) (*dsm.Re
 		return nil, fmt.Errorf("verification failed: %w", err)
 	}
 	return rep, nil
-}
-
-// runSim calls sys.Run, converting a *dsm.RaceError panic into a plain
-// error: a data race is a property of the application under test, not a
-// harness bug, so it must surface as a run failure (with the full
-// two-site report) rather than crash the whole experiment fan-out.
-func runSim(sys *dsm.System, body func(*dsm.Env)) (rep *dsm.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			re, ok := r.(*dsm.RaceError)
-			if !ok {
-				panic(r)
-			}
-			err = re
-		}
-	}()
-	return sys.Run(body), nil
 }
 
 // RunKey names one cached simulation: an application/variant pair.

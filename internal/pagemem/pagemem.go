@@ -179,9 +179,15 @@ func (d *Diff) DataBytes() int {
 	return n
 }
 
-// Store holds one node's local copies of shared pages and their twins.
-// Frames are allocated lazily and are zero-filled, matching the convention
-// that the shared heap starts zeroed everywhere.
+// Store holds one node's local copies of shared pages and their twins, one
+// page-table entry per page. Frames are allocated lazily and are
+// zero-filled, matching the convention that the shared heap starts zeroed
+// everywhere.
+//
+// Frames never move: once Frame(p) has materialised p's buffer, every later
+// Frame(p) returns the same backing array — across MakeTwin/DropTwin of p,
+// table growth caused by other pages, and anything the protocol does to the
+// contents. The protocol's page table caches the frame on that promise.
 //
 // Page-sized buffers are carved out of multi-page slabs rather than
 // allocated one by one, and twin buffers retired by DropTwin are kept on a
@@ -190,77 +196,77 @@ func (d *Diff) DataBytes() int {
 // concurrent use; concurrently running simulations each have their own
 // stores.
 type Store struct {
-	frames map[PageID][]byte
-	twins  map[PageID][]byte
+	pages Table[storeEntry]
 
-	slab      []byte   // remainder of the current zeroed allocation slab
-	freeTwins [][]byte // retired twin buffers, reused by MakeTwin
+	slab      []pageBuf  // remainder of the current zeroed allocation slab
+	freeTwins []*pageBuf // retired twin buffers, reused by MakeTwin
 }
+
+type pageBuf = [PageSize]byte
+
+// storeEntry is one page's frame and twin; nil until materialised.
+type storeEntry struct{ frame, twin *pageBuf }
 
 // slabPages is how many page frames one allocation slab provides.
 const slabPages = 64
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{frames: make(map[PageID][]byte), twins: make(map[PageID][]byte)}
-}
+func NewStore() *Store { return &Store{} }
 
 // newPageBuf carves one zeroed page-sized buffer out of the current slab.
-func (s *Store) newPageBuf() []byte {
-	if len(s.slab) < PageSize {
-		s.slab = make([]byte, slabPages*PageSize)
+func (s *Store) newPageBuf() *pageBuf {
+	if len(s.slab) == 0 {
+		s.slab = make([]pageBuf, slabPages)
 	}
-	b := s.slab[:PageSize:PageSize]
-	s.slab = s.slab[PageSize:]
+	b := &s.slab[0]
+	s.slab = s.slab[1:]
 	return b
 }
 
 // Frame returns the local copy of page p, allocating a zeroed frame on
 // first touch.
-func (s *Store) Frame(p PageID) []byte {
-	f, ok := s.frames[p]
-	if !ok {
-		f = s.newPageBuf()
-		s.frames[p] = f
-	}
-	return f
-}
+func (s *Store) Frame(p PageID) []byte { return s.frame(s.pages.Entry(p))[:] }
 
-// HasFrame reports whether a frame for p has been materialized.
-func (s *Store) HasFrame(p PageID) bool { _, ok := s.frames[p]; return ok }
+func (s *Store) frame(e *storeEntry) *pageBuf {
+	if e.frame == nil {
+		e.frame = s.newPageBuf()
+	}
+	return e.frame
+}
 
 // MakeTwin snapshots page p's current contents as its twin. It panics if a
 // twin already exists: the protocol must discard the old twin first.
 func (s *Store) MakeTwin(p PageID) {
-	if _, ok := s.twins[p]; ok {
+	e := s.pages.Entry(p)
+	if e.twin != nil {
 		panic(fmt.Sprintf("pagemem: twin for page %d already exists", p))
 	}
-	var twin []byte
 	if n := len(s.freeTwins); n > 0 {
-		twin = s.freeTwins[n-1]
+		e.twin = s.freeTwins[n-1]
 		s.freeTwins = s.freeTwins[:n-1]
 	} else {
-		twin = s.newPageBuf()
+		e.twin = s.newPageBuf()
 	}
-	copy(twin, s.Frame(p)) // overwrites the whole buffer; no zeroing needed
-	s.twins[p] = twin
+	*e.twin = *s.frame(e) // overwrites the whole buffer; no zeroing needed
 }
 
 // Twin returns page p's twin, or nil if none exists. The returned slice is
 // only valid until DropTwin(p): the buffer is then recycled for a future
 // twin.
-func (s *Store) Twin(p PageID) []byte { return s.twins[p] }
+func (s *Store) Twin(p PageID) []byte {
+	if e := s.pages.Lookup(p); e != nil && e.twin != nil {
+		return e.twin[:]
+	}
+	return nil
+}
 
 // DropTwin discards page p's twin and recycles its buffer.
 func (s *Store) DropTwin(p PageID) {
-	if twin, ok := s.twins[p]; ok {
-		s.freeTwins = append(s.freeTwins, twin)
-		delete(s.twins, p)
+	if e := s.pages.Lookup(p); e != nil && e.twin != nil {
+		s.freeTwins = append(s.freeTwins, e.twin)
+		e.twin = nil
 	}
 }
-
-// TwinCount returns the number of live twins (diagnostics / GC accounting).
-func (s *Store) TwinCount() int { return len(s.twins) }
 
 // Allocator is a bump allocator for the shared heap. All nodes run the same
 // allocation sequence deterministically, so addresses agree without

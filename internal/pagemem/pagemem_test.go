@@ -233,9 +233,6 @@ func TestMakeDiffWordBoundaryEdges(t *testing.T) {
 
 func TestStoreFrameLazyZero(t *testing.T) {
 	s := NewStore()
-	if s.HasFrame(5) {
-		t.Fatal("frame exists before touch")
-	}
 	f := s.Frame(5)
 	if len(f) != PageSize {
 		t.Fatalf("frame len = %d", len(f))
@@ -245,11 +242,8 @@ func TestStoreFrameLazyZero(t *testing.T) {
 			t.Fatal("frame not zeroed")
 		}
 	}
-	if !s.HasFrame(5) {
-		t.Fatal("frame missing after touch")
-	}
 	f[0] = 42
-	if s.Frame(5)[0] != 42 {
+	if g := s.Frame(5); &g[0] != &f[0] || g[0] != 42 {
 		t.Fatal("frame not stable across calls")
 	}
 }
@@ -259,8 +253,8 @@ func TestTwinLifecycle(t *testing.T) {
 	f := s.Frame(1)
 	f[10] = 7
 	s.MakeTwin(1)
-	if s.TwinCount() != 1 {
-		t.Fatalf("twin count = %d", s.TwinCount())
+	if s.Twin(2) != nil {
+		t.Fatal("MakeTwin(1) twinned page 2")
 	}
 	f[10] = 99
 	if s.Twin(1)[10] != 7 {
@@ -271,9 +265,36 @@ func TestTwinLifecycle(t *testing.T) {
 		t.Fatalf("diff = %+v", d)
 	}
 	s.DropTwin(1)
-	if s.Twin(1) != nil || s.TwinCount() != 0 {
+	if s.Twin(1) != nil {
 		t.Fatal("twin not dropped")
 	}
+}
+
+// TestFramesNeverMove pins the invariant proto's page table caches frames
+// on: Frame(p) is the same backing array after a twin cycle of p and after
+// other pages have grown the table and used up the slab.
+func TestFramesNeverMove(t *testing.T) {
+	s := NewStore()
+	f := s.Frame(3)
+	f[0] = 9
+	same := func(when string) {
+		t.Helper()
+		if g := s.Frame(3); &g[0] != &f[0] || g[0] != 9 {
+			t.Fatalf("frame of page 3 moved or changed after %s", when)
+		}
+	}
+	s.MakeTwin(3)
+	same("MakeTwin")
+	s.DropTwin(3)
+	same("DropTwin")
+	for p := PageID(4); p < 40*leafPages; p += 7 { // new leaves, a longer directory, new slabs
+		s.Frame(p)
+		s.MakeTwin(p)
+	}
+	same("growth by other pages")
+	s.MakeTwin(3) // takes a fresh buffer: every recycled one is in use
+	s.DropTwin(3)
+	same("a second twin cycle")
 }
 
 func TestDoubleTwinPanics(t *testing.T) {

@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"sort"
-
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/netsim"
@@ -82,13 +80,12 @@ func (g *lrcGC) gcValidate(onDone func()) {
 	// splits while serving, eager-RC broadcasts), so re-scan until clean.
 	var wave func()
 	wave = func() {
-		var pages []pagemem.PageID
-		for p, ps := range n.pages {
+		var pages []pagemem.PageID // ascending: Each walks in page order
+		for p, ps := range n.pages.Each {
 			if len(ps.pending) > 0 {
 				pages = append(pages, p)
 			}
 		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 		if len(pages) == 0 {
 			onDone()
 			return
@@ -125,16 +122,11 @@ func (g *lrcGC) gcFlush() {
 		n.gcBase[q] = n.vc[q]
 	}
 	// Sanity: validation must have drained every pending list and created
-	// every outstanding own diff (each notice was pending somewhere).
-	// Sorted so a violation deterministically reports the lowest offending
-	// page — the chaos soak's failure dumps must reproduce byte-identically.
-	var check []pagemem.PageID
-	for p := range n.pages {
-		check = append(check, p)
-	}
-	sort.Slice(check, func(i, j int) bool { return check[i] < check[j] })
-	for _, p := range check {
-		ps := n.pages[p]
+	// every outstanding own diff (each notice was pending somewhere). Each
+	// walks in page order, so a violation deterministically reports the
+	// lowest offending page — the chaos soak's failure dumps must reproduce
+	// byte-identically.
+	for p, ps := range n.pages.Each {
 		if len(ps.pending) != 0 {
 			n.pageInvariantf(p, "gcFlush with pending diffs on page %d", p)
 		}

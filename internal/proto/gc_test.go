@@ -27,7 +27,12 @@ func TestGCCollectsAndPreservesData(t *testing.T) {
 	if done != 2 {
 		t.Fatal("cross faults did not complete")
 	}
+	// Frames never move, a GC flush included: pageState.frame caches them.
+	frame := &r.nodes[0].Frame(2)[0]
 	r.barrierAll(1) // GC triggers here (diffBytes > 1)
+	if &r.nodes[0].Frame(2)[0] != frame || &r.nodes[0].Store.Frame(2)[0] != frame {
+		t.Fatal("node 0's frame of page 2 moved across the GC flush")
+	}
 
 	if r.st[0].GCRuns == 0 || r.st[1].GCRuns == 0 {
 		t.Fatalf("GC did not run: %d/%d", r.st[0].GCRuns, r.st[1].GCRuns)

@@ -95,8 +95,10 @@ type Node struct {
 	// that produced no changes for the page.
 	diffs map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff
 
-	// Per-page protocol state (created lazily; absence means valid+clean).
-	pages map[pagemem.PageID]*pageState
+	// Per-page protocol state. Entries appear a leaf at a time; the zero
+	// pageState means valid+clean, so an untouched entry and a missing leaf
+	// read the same.
+	pages pagemem.Table[pageState]
 
 	// Pages twinned during the current (open) interval; becomes the next
 	// interval's write notices.
@@ -130,19 +132,25 @@ type Node struct {
 	xp []*xpPeer
 }
 
-// pageState tracks one page's coherence state at this node.
+// pageState tracks one page's coherence state at this node. The zero value
+// is a valid, clean page nobody has accessed yet.
 type pageState struct {
 	// pending are write-notice intervals (by other nodes) whose diffs have
 	// not yet been applied to the local frame. Non-empty means invalid.
 	pending []lrc.IntervalID
 
-	// twinned: the page has a twin and is collecting local modifications.
-	twinned bool
+	// frame caches Store.Frame for the access fast path (Hit); nil until
+	// the first access through Frame. Never invalidated: pagemem.Store
+	// promises frames never move once materialised.
+	frame *[pagemem.PageSize]byte
 
 	// undiffed: the (single) own write notice whose diff has not yet been
 	// created; zero Node+Seq when none. See DESIGN.md §4.
 	undiffed    lrc.IntervalID
 	hasUndiffed bool
+
+	// twinned: the page has a twin and is collecting local modifications.
+	twinned bool
 }
 
 type fetch struct {
@@ -231,7 +239,6 @@ func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 		vc:      lrc.NewVC(n),
 		ivs:     make([][]*lrc.Interval, n),
 		diffs:   make(map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff),
-		pages:   make(map[pagemem.PageID]*pageState),
 		fetches: make(map[pagemem.PageID]*fetch),
 		pf:      make(map[pagemem.PageID]*pfState),
 		gcBase:  lrc.NewVC(n),
@@ -253,30 +260,42 @@ func (n *Node) SetMT(on bool) { n.mt = on }
 // VC returns the node's current vector time (read-only; do not mutate).
 func (n *Node) VC() lrc.VC { return n.vc }
 
-func (n *Node) page(p pagemem.PageID) *pageState {
-	ps, ok := n.pages[p]
-	if !ok {
-		ps = &pageState{}
-		n.pages[p] = ps
-	}
-	return ps
-}
+func (n *Node) page(p pagemem.PageID) *pageState { return n.pages.Entry(p) }
 
 // PageValid reports whether page p may be read locally without a fault.
 func (n *Node) PageValid(p pagemem.PageID) bool {
-	ps, ok := n.pages[p]
-	return !ok || len(ps.pending) == 0
+	ps := n.pages.Lookup(p)
+	return ps == nil || len(ps.pending) == 0
 }
 
 // PageWritable reports whether p is valid and already twinned, i.e. a write
 // needs no protocol action.
 func (n *Node) PageWritable(p pagemem.PageID) bool {
-	ps, ok := n.pages[p]
-	return ok && len(ps.pending) == 0 && ps.twinned
+	ps := n.pages.Lookup(p)
+	return ps != nil && len(ps.pending) == 0 && ps.twinned
 }
 
-// Frame exposes the local frame for direct data access by the env layer.
-func (n *Node) Frame(p pagemem.PageID) []byte { return n.Store.Frame(p) }
+// Hit is the access fast path, the one page-table lookup a simulated load
+// or store pays: it returns p's frame if the access needs no protocol
+// action — p is valid, twinned if write is set, and was accessed through
+// Frame before — and nil otherwise. It never allocates or changes state.
+func (n *Node) Hit(p pagemem.PageID, write bool) []byte {
+	ps := n.pages.Lookup(p)
+	if ps == nil || ps.frame == nil || len(ps.pending) != 0 || write && !ps.twinned {
+		return nil
+	}
+	return ps.frame[:]
+}
+
+// Frame exposes the local frame for direct data access by the env layer,
+// and arms Hit for p.
+func (n *Node) Frame(p pagemem.PageID) []byte {
+	ps := n.page(p)
+	if ps.frame == nil {
+		ps.frame = (*[pagemem.PageSize]byte)(n.Store.Frame(p))
+	}
+	return ps.frame[:]
+}
 
 // EnsureWritable prepares a valid page for local modification: on the first
 // write since the page was last clean it creates the twin and records the
