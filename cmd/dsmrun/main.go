@@ -45,6 +45,10 @@
 // accepts the intentionally-racy fixtures RACY, RACY-STALE and RACY-EXEMPT
 // (never part of "all") for exercising the detector.
 //
+// An application that wedges — the fixture STUCK deadlocks at a barrier —
+// also exits 1, with a report naming every unfinished thread and the page,
+// lock or barrier it waits for; never a panic or a goroutine dump.
+//
 // -trace streams the run's event bus as Chrome trace_event JSON, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing: one track per simulated
 // processor plus a network track. Same seed, same trace — byte for byte.
@@ -62,7 +66,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 
 	"godsm/dsm"
 	"godsm/internal/apps"
@@ -76,7 +79,7 @@ import (
 // (cfg) and how to run and report it.
 type options struct {
 	cfg       dsm.Config
-	names     []string // applications, in the requested order
+	specs     []apps.Spec // applications, in the requested order
 	scale     apps.Scale
 	verify    bool
 	kinds     bool
@@ -159,20 +162,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 
 	if *app == "all" {
-		for _, spec := range apps.All {
-			o.names = append(o.names, spec.Name)
-		}
+		o.specs = apps.All
 	} else {
 		for _, a := range strings.Split(*app, ",") {
-			o.names = append(o.names, strings.TrimSpace(a))
+			spec, err := apps.ByName(strings.TrimSpace(a))
+			if err != nil {
+				return nil, err
+			}
+			o.specs = append(o.specs, spec)
 		}
 	}
-	for _, name := range o.names {
-		if _, err := apps.ByName(name); err != nil {
-			return nil, err
-		}
-	}
-	if o.tracePath != "" && len(o.names) != 1 {
+	if o.tracePath != "" && len(o.specs) != 1 {
 		return nil, fmt.Errorf("-trace needs a single -app (one trace file describes one run)")
 	}
 
@@ -185,21 +185,20 @@ func main() {
 	if err != nil {
 		usageErr("%v", err)
 	}
-	cfg, names := o.cfg, o.names
 
 	// Open the trace file before simulating anything: an unwritable path is
 	// a usage error, not something to discover after minutes of simulation.
-	var traceFile *os.File
+	// parseFlags admits -trace for a single application only, so the one
+	// writer below never sees two runs.
+	var tw *event.TraceWriter
+	var sinks []event.Sink
 	if o.tracePath != "" {
-		traceFile, err = os.Create(o.tracePath)
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			usageErr("-trace: %v", err)
 		}
-	}
-
-	if len(names) == 1 {
-		runOne(names[0], cfg, o.scale, o.verify, o.kinds, traceFile)
-		return
+		tw = event.NewTraceWriter(f)
+		sinks = append(sinks, tw)
 	}
 
 	// Fan the independent runs out over a bounded worker pool; print the
@@ -215,41 +214,28 @@ func main() {
 		err  error
 		done chan struct{}
 	}
-	results := make([]*result, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		results[i] = &result{done: make(chan struct{})}
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			r := results[i]
+	results := make([]*result, len(o.specs))
+	for i, spec := range o.specs {
+		r := &result{done: make(chan struct{})}
+		results[i] = r
+		go func() {
 			defer close(r.done)
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			spec, err := apps.ByName(name)
-			if err != nil {
-				r.err = err
-				return
-			}
-			sys := dsm.NewSystem(cfg)
-			inst := spec.Build(sys, apps.Options{Scale: o.scale, Verify: o.verify})
-			rep, err := dsm.RunChecked(sys, inst.Run)
-			if err != nil {
-				r.err = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			if err := inst.Err(); err != nil {
-				r.err = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			r.sys, r.rep = sys, rep
-		}(i, name)
+			r.sys, r.rep, r.err = spec.Run(o.cfg, apps.Options{Scale: o.scale, Verify: o.verify}, sinks...)
+		}()
 	}
-	for i, name := range names {
-		r := results[i]
+	for i, r := range results {
 		<-r.done
+		name := o.specs[i].Name
 		if r.err != nil {
-			fatal(r.err)
+			fatal(fmt.Errorf("%s: %w", name, r.err))
+		}
+		if tw != nil {
+			if err := tw.Close(); err != nil {
+				fatal(fmt.Errorf("writing trace: %w", err))
+			}
+			fmt.Fprintf(os.Stderr, "dsmrun: trace written to %s (open at ui.perfetto.dev)\n", o.tracePath)
 		}
 		if i > 0 {
 			fmt.Println()
@@ -258,42 +244,6 @@ func main() {
 		if o.kinds {
 			printKinds(r.sys)
 		}
-	}
-	wg.Wait()
-}
-
-// runOne runs the single-application path, optionally streaming the event
-// bus to a Perfetto trace file.
-func runOne(name string, cfg dsm.Config, sc apps.Scale, verify, kinds bool, traceFile *os.File) {
-	spec, err := apps.ByName(name)
-	if err != nil {
-		fatal(err)
-	}
-	sys := dsm.NewSystem(cfg)
-
-	var tw *event.TraceWriter
-	if traceFile != nil {
-		tw = event.NewTraceWriter(traceFile)
-		sys.K.Bus().Subscribe(tw)
-	}
-
-	inst := spec.Build(sys, apps.Options{Scale: sc, Verify: verify})
-	rep, err := dsm.RunChecked(sys, inst.Run)
-	if err != nil {
-		fatal(err)
-	}
-	if err := inst.Err(); err != nil {
-		fatal(err)
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			fatal(fmt.Errorf("writing trace: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "dsmrun: trace written to %s (open at ui.perfetto.dev)\n", traceFile.Name())
-	}
-	printReport(name, rep)
-	if kinds {
-		printKinds(sys)
 	}
 }
 

@@ -139,11 +139,20 @@ type RaceError = race.RaceError
 // renders deterministically, and is recovered the same way as a RaceError.
 type AddrError = core.AddrError
 
-// RunChecked is sys.Run with the application's own faults — a *RaceError or
-// an *AddrError — returned as the error instead of panicking: they are
-// properties of the program under test, so front ends print the structured
-// report and fail that run rather than crash with a stack trace. Any other
-// panic (a simulator bug, a protocol invariant) still propagates.
+// StallError is the panic value System.Run raises when the simulation ends
+// with threads unfinished: the event queue drained under them (a deadlock)
+// or Config.Limit cut the run short. It names every unfinished thread in id
+// order — processor, scheduler state, and the page, lock or barrier it
+// waits for — renders deterministically, and is recovered the same way as a
+// RaceError.
+type StallError = core.StallError
+
+// RunChecked is sys.Run with the application's own faults — a *RaceError,
+// an *AddrError or a *StallError — returned as the error instead of
+// panicking: they are properties of the program under test, so front ends
+// print the structured report and fail that run rather than crash with a
+// stack trace. Any other panic (a simulator bug, a protocol invariant)
+// still propagates.
 func RunChecked(sys *System, body func(*Env)) (rep *Report, err error) {
 	defer func() {
 		switch r := recover().(type) {
@@ -151,6 +160,8 @@ func RunChecked(sys *System, body func(*Env)) (rep *Report, err error) {
 		case *RaceError:
 			err = r
 		case *AddrError:
+			err = r
+		case *StallError:
 			err = r
 		default:
 			panic(r)

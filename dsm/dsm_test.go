@@ -3,6 +3,9 @@ package dsm_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"godsm/dsm"
@@ -206,4 +209,72 @@ func TestRunCheckedReturnsApplicationFaults(t *testing.T) {
 		}
 	}()
 	dsm.RunChecked(dsm.NewSystem(dsm.DefaultConfig()), func(e *dsm.Env) { panic("not the application's fault") })
+}
+
+// TestRunCheckedReturnsStallError: a run that ends with threads unfinished
+// comes back as a *dsm.StallError saying whether the machine deadlocked or
+// the limit cut it short and naming who waits for what — the same bytes
+// every time, with every simulated thread's goroutine gone.
+func TestRunCheckedReturnsStallError(t *testing.T) {
+	deadlock := func(e *dsm.Env) {
+		if e.ThreadID() != 0 {
+			e.Barrier(0) // thread 0 never arrives
+		}
+	}
+	slow := func(e *dsm.Env) {
+		e.Compute(10 * dsm.Millisecond)
+		e.Barrier(0)
+	}
+	for _, tc := range []struct {
+		name    string
+		limit   dsm.Time
+		body    func(*dsm.Env)
+		threads []int
+		want    []string
+	}{
+		{"deadlock", 0, deadlock, []int{1, 2, 3},
+			[]string{"deadlocked", "queue drained", "3 threads never finished",
+				"thread 1 (p1.t0, proc 1): spinning, Synchronization Idle on barrier 0",
+				"thread 2 (p2.t0, proc 2)", "thread 3 (p3.t0, proc 3)", "last "}},
+		{"limit", dsm.Millisecond, slow, []int{0, 1, 2, 3},
+			[]string{"time limit (1000000ns)", "events pending", "4 threads never finished",
+				"thread 0 (p0.t0, proc 0): running"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			run := func() *dsm.StallError {
+				cfg := dsm.DefaultConfig()
+				cfg.Procs = 4
+				cfg.Limit = tc.limit
+				rep, err := dsm.RunChecked(dsm.NewSystem(cfg), tc.body)
+				var se *dsm.StallError
+				if rep != nil || !errors.As(err, &se) {
+					t.Fatalf("want a *dsm.StallError and no report, got %v and %T: %v", rep, err, err)
+				}
+				return se
+			}
+			se, again := run(), run()
+			if se.Error() != again.Error() {
+				t.Errorf("two runs rendered differently:\n%s\n---\n%s", se, again)
+			}
+			if (se.Pending > 0) != (tc.limit > 0) {
+				t.Errorf("Pending = %d with Limit %d", se.Pending, tc.limit)
+			}
+			var ids []int
+			for _, th := range se.Threads {
+				ids = append(ids, th.Thread)
+			}
+			if !slices.Equal(ids, tc.threads) {
+				t.Errorf("unfinished threads %v, want %v", ids, tc.threads)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(se.Error(), want) {
+					t.Errorf("report is missing %q:\n%s", want, se)
+				}
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after the runs, %d before", n, base)
+			}
+		})
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"godsm/dsm"
+	"godsm/internal/event"
 )
 
 // Scale selects input sizes.
@@ -79,6 +80,27 @@ type Spec struct {
 	Build func(sys *dsm.System, opt Options) *Instance
 }
 
+// Run builds the application on a fresh System for cfg and runs it to
+// completion — the one NewSystem → Build → RunChecked → Err sequence behind
+// every front end. sinks subscribe to the system's event bus before the run.
+// The error is the application's own fault (dsm.RunChecked) or its failed
+// golden verification.
+func (s Spec) Run(cfg dsm.Config, opt Options, sinks ...event.Sink) (*dsm.System, *dsm.Report, error) {
+	sys := dsm.NewSystem(cfg)
+	for _, sink := range sinks {
+		sys.K.Bus().Subscribe(sink)
+	}
+	inst := s.Build(sys, opt)
+	rep, err := dsm.RunChecked(sys, inst.Run)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := inst.Err(); err != nil {
+		return nil, nil, fmt.Errorf("verification failed: %w", err)
+	}
+	return sys, rep, nil
+}
+
 // All lists the eight applications in the paper's figure order.
 var All = []Spec{
 	{"FFT", BuildFFT},
@@ -133,16 +155,7 @@ func chunk(n, parts, id int) (lo, hi int) {
 	return lo, hi
 }
 
-// threadChunk splits n items over all worker threads such that processor
-// loads stay balanced regardless of the thread count: items are first
-// chunked over processors, then over each processor's threads, keeping a
-// thread's range contiguous and adjacent to its siblings' (good locality
-// for multithreading, as the paper observes).
-func threadChunk(n int, e *dsm.Env) (lo, hi int) {
-	return threadChunkFor(n, e.NumProcs(), e.NumThreads()/e.NumProcs(), e.ThreadID())
-}
-
-// threadChunkFor is threadChunk for an arbitrary global thread id.
+// threadChunkFor is Env.ThreadRange for an arbitrary global thread id.
 func threadChunkFor(n, procs, tpp, threadID int) (lo, hi int) {
 	pLo, pHi := chunk(n, procs, threadID/tpp)
 	tLo, tHi := chunk(pHi-pLo, tpp, threadID%tpp)

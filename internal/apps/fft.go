@@ -183,7 +183,7 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 			}
 		}
 		e.Barrier(0)
-		lo, hi := threadChunk(m, e)
+		lo, hi := e.ThreadRange(m)
 
 		transpose(e, b, a, lo, hi)
 		e.Barrier(1)

@@ -86,7 +86,7 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 		}
 		e.Barrier(0)
 
-		lo, hi := threadChunk(p.g, e)
+		lo, hi := e.ThreadRange(p.g)
 		lo, hi = lo+1, hi+1
 		bar := 1
 		for it := 0; it < p.maxIters; it++ {

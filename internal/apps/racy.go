@@ -6,19 +6,36 @@ import (
 	"godsm/dsm"
 )
 
-// This file holds the intentionally-racy mini-fixtures behind the race
-// detector's negative tests (dsmrun -race-check, the CI racy-fixture smoke,
-// and the harness determinism tests). They live in Fixtures, not All, so
-// dsmrun's "all" selection and the experiment grids never run them by
-// accident; they are only reachable by explicit name.
+// This file holds the intentionally-broken mini-fixtures behind the negative
+// tests of the race detector and the stall report (dsmrun -race-check, the
+// CI racy-fixture and wedged-run smokes, and the harness determinism tests).
+// They live in Fixtures, not All, so dsmrun's "all" selection and the
+// experiment grids never run them by accident; they are only reachable by
+// explicit name.
 
-// Fixtures lists the race-detector fixtures: RACY and RACY-STALE always
-// race; RACY-EXEMPT is the same pattern as RACY wrapped in Env.RaceExempt
-// and must stay clean under -race-check.
+// Fixtures lists the fixtures: RACY and RACY-STALE always race; RACY-EXEMPT
+// is the same pattern as RACY wrapped in Env.RaceExempt and must stay clean
+// under -race-check; STUCK deadlocks.
 var Fixtures = []Spec{
 	{"RACY", BuildRacy},
 	{"RACY-STALE", BuildRacyStale},
 	{"RACY-EXEMPT", BuildRacyExempt},
+	{"STUCK", BuildStuck},
+}
+
+// BuildStuck is a barrier thread 0 never reaches: every other thread waits
+// at it forever, the event queue drains, and the run ends in a
+// *dsm.StallError naming them.
+func BuildStuck(*dsm.System, Options) *Instance {
+	return &Instance{
+		Name: "STUCK",
+		Run: func(e *dsm.Env) {
+			if e.ThreadID() != 0 {
+				e.Barrier(0)
+			}
+		},
+		Err: func() error { return nil },
+	}
 }
 
 // BuildRacy is an unsynchronized shared counter: every thread increments

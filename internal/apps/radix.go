@@ -69,7 +69,7 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 	run := func(e *dsm.Env) {
 		me := e.ThreadID()
 		nT := e.NumThreads()
-		lo, hi := threadChunk(p.n, e)
+		lo, hi := e.ThreadRange(p.n)
 
 		if me == 0 {
 			for i, k := range input {
@@ -107,7 +107,7 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 			// SPLASH-2: each thread scans its own digit chunk and writes
 			// relative offsets plus its chunk total; thread 0 prefixes the
 			// chunk totals; each thread then adds its chunk base.
-			dLo, dHi := threadChunk(radix, e)
+			dLo, dHi := e.ThreadRange(radix)
 			var local int64
 			for d := dLo; d < dHi; d++ {
 				for t := 0; t < nT; t++ {

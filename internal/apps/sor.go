@@ -90,7 +90,7 @@ func BuildSOR(sys *dsm.System, opt Options) *Instance {
 		}
 		e.Barrier(0)
 
-		lo, hi := threadChunk(p.rows, e)
+		lo, hi := e.ThreadRange(p.rows)
 		lo, hi = lo+1, hi+1 // interior rows are 1..rows
 		bar := 1
 		for it := 0; it < p.iters; it++ {

@@ -124,7 +124,7 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 		me := e.ThreadID()
 		nT := e.NumThreads()
 		tpp := nT / e.NumProcs()
-		lo, hi := threadChunk(n, e)
+		lo, hi := e.ThreadRange(n)
 		if e.LocalThread() == 0 {
 			procAcc[e.ProcID()] = make([]int64, 3*n)
 		}

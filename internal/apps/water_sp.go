@@ -133,8 +133,8 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 	run := func(e *dsm.Env) {
 		nT := e.NumThreads()
 		tpp := nT / e.NumProcs()
-		mlo, mhi := threadChunk(n, e)      // owned molecules
-		clo, chi := threadChunk(ncells, e) // owned cells
+		mlo, mhi := e.ThreadRange(n)      // owned molecules
+		clo, chi := e.ThreadRange(ncells) // owned cells
 		if e.LocalThread() == 0 {
 			procAcc[e.ProcID()] = make([]int64, 3*n)
 		}

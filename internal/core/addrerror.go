@@ -43,12 +43,7 @@ func (e *AddrError) Error() string {
 	fmt.Fprintf(&b, "unmapped shared address: %s of 0x%x by thread %d (proc %d) at t=%dns\n",
 		kind, uint64(e.Addr), e.Thread, e.Proc, e.At)
 	fmt.Fprintf(&b, "  the shared heap is [0x%x, 0x%x)", uint64(e.HeapLo), uint64(e.HeapHi))
-	if len(e.Events) > 0 {
-		fmt.Fprintf(&b, "\n  last %d events:", len(e.Events))
-		for _, ev := range e.Events {
-			fmt.Fprintf(&b, "\n    %s", ev.String())
-		}
-	}
+	writeEvents(&b, e.Events)
 	return b.String()
 }
 

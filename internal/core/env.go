@@ -121,7 +121,7 @@ func (e *Env) miss(a Addr, p pagemem.PageID, write bool) []byte {
 				break
 			}
 			e.t.proc.touch(p)
-			e.t.block(sim.CatMemIdle, func(onDone func()) {
+			e.t.block(sim.CatMemIdle, waitFor{"page", int(p)}, func(onDone func()) {
 				node.Fault(p, onDone)
 			})
 		}
@@ -225,7 +225,7 @@ func (e *Env) lockAcquire(id int) {
 	ll := pr.llock(id)
 	if ll.holder != nil {
 		// Local hand-off queue (Section 4.1).
-		e.t.block(sim.CatSyncIdle, func(onDone func()) {
+		e.t.block(sim.CatSyncIdle, waitFor{"lock", id}, func(onDone func()) {
 			ll.queue = append(ll.queue, e.t)
 			ll.wakers = append(ll.wakers, onDone)
 		})
@@ -235,14 +235,11 @@ func (e *Env) lockAcquire(id int) {
 		return
 	}
 	ll.holder = e.t // reserve before any yield so siblings queue locally
-	immediate := false
-	e.t.block(sim.CatSyncIdle, func(onDone func()) {
+	e.t.block(sim.CatSyncIdle, waitFor{"lock", id}, func(onDone func()) {
 		if pr.node.AcquireLock(id, onDone) {
-			immediate = true
 			onDone()
 		}
 	})
-	_ = immediate
 }
 
 // Unlock releases lock id, passing it to a locally queued thread first.
@@ -286,7 +283,7 @@ func (e *Env) Barrier(id int) {
 	}
 	e.flushBusy()
 	pr := e.t.proc
-	e.t.block(sim.CatSyncIdle, func(onDone func()) {
+	e.t.block(sim.CatSyncIdle, waitFor{"barrier", id}, func(onDone func()) {
 		pr.barWakers = append(pr.barWakers, onDone)
 		if len(pr.barWakers) == pr.live {
 			// Last local arrival: perform the global barrier arrival.
@@ -294,7 +291,7 @@ func (e *Env) Barrier(id int) {
 				wakers := pr.barWakers
 				pr.barWakers = nil
 				// A new phase begins: reset the redundant-prefetch flags.
-				clearFlags(pr.pfFlags)
+				clear(pr.pfFlags)
 				for _, w := range wakers {
 					w()
 				}
@@ -321,12 +318,6 @@ func (e *Env) RaceExempt(reason string, body func()) {
 	d.ExemptPush(e.t.id)
 	defer d.ExemptPop(e.t.id)
 	body()
-}
-
-func clearFlags(m map[uint64]bool) {
-	for k := range m {
-		delete(m, k)
-	}
 }
 
 // ThreadRange splits n work items over all threads and returns this

@@ -20,6 +20,10 @@ const (
 	tDone
 )
 
+func (s threadState) String() string {
+	return [...]string{"running", "ready", "blocked", "spinning", "done"}[s]
+}
+
 // Thread is one simulated user-level thread.
 type Thread struct {
 	proc  *Processor
@@ -27,7 +31,8 @@ type Thread struct {
 	local int // index within the processor
 	id    int // global thread id
 	state threadState
-	cause sim.Category // what a blocked thread is waiting for
+	cause sim.Category // what a blocked thread's wait is charged to
+	wait  waitFor      // the page, lock or barrier it blocked on
 	env   *Env
 }
 
@@ -105,7 +110,7 @@ func newProcessor(s *System, id int, node *proto.Node, cpu *sim.CPU) *Processor 
 	}
 }
 
-func (pr *Processor) spawnThreads(app func(*Env), onExit func()) {
+func (pr *Processor) spawnThreads(app func(*Env)) {
 	tpp := pr.sys.Cfg.ThreadsPerProc
 	for i := 0; i < tpp; i++ {
 		t := &Thread{
@@ -127,7 +132,6 @@ func (pr *Processor) spawnThreads(app func(*Env), onExit func()) {
 			}
 			t.state = tDone
 			pr.live--
-			onExit()
 			pr.current = nil
 			pr.dispatchNext()
 		})
@@ -149,12 +153,13 @@ func (pr *Processor) shouldSwitch(cause sim.Category) bool {
 	return pr.sys.Cfg.SwitchOnSync
 }
 
-// block suspends the current thread until register's callback fires.
-// register receives the completion callback and starts the asynchronous
-// operation; if the operation completes synchronously (callback invoked
-// before register returns), block returns without yielding. Must be called
-// from the thread's own goroutine with busy time flushed.
-func (t *Thread) block(cause sim.Category, register func(onDone func())) {
+// block suspends the current thread, waiting on w, until register's
+// callback fires. register receives the completion callback and starts the
+// asynchronous operation; if the operation completes synchronously
+// (callback invoked before register returns), block returns without
+// yielding. Must be called from the thread's own goroutine with busy time
+// flushed.
+func (t *Thread) block(cause sim.Category, w waitFor, register func(onDone func())) {
 	pr := t.proc
 	if pr.current != t {
 		panic("core: block by a non-current thread")
@@ -174,7 +179,7 @@ func (t *Thread) block(cause sim.Category, register func(onDone func())) {
 	registered = true
 
 	t.env.noteBlock()
-	t.cause = cause
+	t.cause, t.wait = cause, w
 	if pr.shouldSwitch(cause) {
 		t.state = tBlocked
 		pr.current = nil

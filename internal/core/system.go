@@ -101,19 +101,9 @@ type System struct {
 	Procs   []*Processor
 	started bool
 
-	// Measurement snapshot taken at EndMeasurement, so that verification
+	// snap is the report frozen at EndMeasurement, so that verification
 	// reads after the timed region do not pollute the reported metrics.
-	snapped      bool
-	snapTime     sim.Time
-	snapNodes    []stats.Node
-	snapCPUs     [][sim.NumCategories]sim.Time
-	snapMsgs     int64
-	snapBytes    int64
-	snapDrops    int64
-	snapKindMsgs []int64
-	snapKindByt  []int64
-	snapPeakLink string
-	snapPeakBack sim.Time
+	snap *stats.Report
 }
 
 // Validate checks the whole configuration — processor and thread counts,
@@ -196,90 +186,61 @@ func (s *System) TotalThreads() int { return s.Cfg.Procs * s.Cfg.ThreadsPerProc 
 // Run executes app on every thread of the cluster and returns the
 // measurement report. app receives each thread's Env; thread 0 of
 // processor 0 conventionally initializes shared data before the first
-// barrier. Run panics if any thread is still blocked when the simulation
-// drains (a deadlock in the application or the model).
+// barrier. Run panics with a *StallError if any thread is unfinished when
+// the simulation ends (a deadlock in the application or the model, or
+// Config.Limit).
 func (s *System) Run(app func(*Env)) *stats.Report {
 	if s.started {
 		panic("core: System.Run called twice")
 	}
 	s.started = true
-
-	remaining := s.TotalThreads()
 	for _, p := range s.Procs {
-		p.spawnThreads(app, func() { remaining-- })
+		p.spawnThreads(app)
 	}
 	end := s.K.Run()
-	if remaining != 0 {
-		panic(fmt.Sprintf("core: %d threads never finished (deadlock or time limit)", remaining))
+	if stalled := s.stalledThreads(); len(stalled) > 0 {
+		panic(&StallError{At: end, Pending: s.K.Pending(), Limit: s.Cfg.Limit,
+			Threads: stalled, Events: s.K.Bus().Recent()})
+	}
+	if s.snap != nil {
+		return s.snap
 	}
 	return s.report(end)
 }
 
 // snapshot freezes the measurement state; called via Env.EndMeasurement.
 func (s *System) snapshot() {
-	if s.snapped {
-		return
+	if s.snap == nil {
+		s.snap = s.report(s.K.Now())
 	}
-	s.snapped = true
-	s.snapTime = s.K.Now()
-	s.snapNodes = append([]stats.Node(nil), s.NodeSt...)
-	for _, cpu := range s.CPUs {
-		s.snapCPUs = append(s.snapCPUs, cpu.Accounts())
-	}
-	tot := s.Net.TotalStats()
-	s.snapMsgs, s.snapBytes, s.snapDrops = tot.MsgsSent, tot.BytesSent, tot.Dropped
-	s.snapKindMsgs, s.snapKindByt, s.snapPeakLink, s.snapPeakBack = s.traffic()
 }
 
-// traffic reads the network's per-kind counters and the busiest link seen.
-func (s *System) traffic() (kindMsgs, kindBytes []int64, peakLink string, peakBacklog sim.Time) {
-	kindMsgs = make([]int64, netsim.MaxKinds)
-	kindBytes = make([]int64, netsim.MaxKinds)
-	for k := 0; k < netsim.MaxKinds; k++ {
-		kindMsgs[k], kindBytes[k] = s.Net.KindStats(netsim.Kind(k))
+// report computes the measurement report for a run that ended at end.
+func (s *System) report(end sim.Time) *stats.Report {
+	tot := s.Net.TotalStats()
+	r := &stats.Report{
+		Procs:      s.Cfg.Procs,
+		Threads:    s.Cfg.ThreadsPerProc,
+		Elapsed:    end,
+		Nodes:      append([]stats.Node(nil), s.NodeSt...),
+		MsgsTotal:  tot.MsgsSent,
+		BytesTotal: tot.BytesSent,
+		Drops:      tot.Dropped,
+		KindMsgs:   make([]int64, netsim.MaxKinds),
+		KindBytes:  make([]int64, netsim.MaxKinds),
+	}
+	for k := range r.KindMsgs {
+		r.KindMsgs[k], r.KindBytes[k] = s.Net.KindStats(netsim.Kind(k))
 	}
 	for _, l := range s.Net.LinkLoads() {
-		if l.Peak > peakBacklog {
-			peakBacklog, peakLink = l.Peak, l.Name
+		if l.Peak > r.PeakLinkBacklog {
+			r.PeakLinkBacklog, r.PeakLink = l.Peak, l.Name
 		}
 	}
-	return
-}
-
-func (s *System) report(end sim.Time) *stats.Report {
-	nodes := s.NodeSt
-	accounts := make([][sim.NumCategories]sim.Time, len(s.CPUs))
-	for i, cpu := range s.CPUs {
-		accounts[i] = cpu.Accounts()
-	}
-	tot := s.Net.TotalStats()
-	msgs, bytes, drops := tot.MsgsSent, tot.BytesSent, tot.Dropped
-	kindMsgs, kindBytes, peakLink, peakBack := s.traffic()
-	if s.snapped {
-		end = s.snapTime
-		nodes = s.snapNodes
-		accounts = s.snapCPUs
-		msgs, bytes, drops = s.snapMsgs, s.snapBytes, s.snapDrops
-		kindMsgs, kindBytes, peakLink, peakBack = s.snapKindMsgs, s.snapKindByt, s.snapPeakLink, s.snapPeakBack
-	}
-
-	r := &stats.Report{
-		Procs:   s.Cfg.Procs,
-		Threads: s.Cfg.ThreadsPerProc,
-		Elapsed: end,
-		Nodes:   nodes,
-	}
-	r.MsgsTotal = msgs
-	r.BytesTotal = bytes
-	r.Drops = drops
-	r.KindMsgs = kindMsgs
-	r.KindBytes = kindBytes
-	r.PeakLink = peakLink
-	r.PeakLinkBacklog = peakBack
 
 	var avg stats.Breakdown
-	for i := range accounts {
-		b := stats.Breakdown{Cat: accounts[i], Elapsed: end}
+	for _, cpu := range s.CPUs {
+		b := stats.Breakdown{Cat: cpu.Accounts(), Elapsed: end}
 		// Active categories are exact; raw idle attribution can over- or
 		// under-count around service overlap, so rescale the two idle
 		// categories to exactly fill the processor's unaccounted time.
@@ -299,7 +260,6 @@ func (s *System) report(end sim.Time) *stats.Report {
 		for c := range avg.Cat {
 			avg.Cat[c] += b.Cat[c]
 		}
-		_ = i
 	}
 	for c := range avg.Cat {
 		avg.Cat[c] /= sim.Time(s.Cfg.Procs)

@@ -96,11 +96,6 @@ type Options struct {
 	RaceCheck bool
 }
 
-// DefaultOptions mirrors the paper's platform: 8 processors, small scale.
-func DefaultOptions() Options {
-	return Options{Procs: 8, Scale: apps.Small}
-}
-
 // Session caches run results so that experiments sharing configurations
 // (e.g. Table 1 and Figure 3) do not re-simulate, and fans independent
 // runs out over a bounded worker pool.
@@ -247,18 +242,10 @@ func (s *Session) simulate(spec apps.Spec, cfg dsm.Config, verify bool) (*dsm.Re
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	start := Wallclock()
-	sys := dsm.NewSystem(cfg)
-	inst := spec.Build(sys, apps.Options{Scale: s.Opt.Scale, Verify: verify})
-	rep, err := dsm.RunChecked(sys, inst.Run)
+	_, rep, err := spec.Run(cfg, apps.Options{Scale: s.Opt.Scale, Verify: verify})
 	s.simCount.Add(1)
 	s.simWall.Add(int64(Wallclock().Sub(start)))
-	if err != nil {
-		return nil, err
-	}
-	if err := inst.Err(); err != nil {
-		return nil, fmt.Errorf("verification failed: %w", err)
-	}
-	return rep, nil
+	return rep, err
 }
 
 // RunKey names one cached simulation: an application/variant pair.

@@ -287,9 +287,6 @@ func (n *Network) LinkLoads() []LinkLoad {
 	return out
 }
 
-// FaultsActive reports whether this network injects faults.
-func (n *Network) FaultsActive() bool { return n.rng != nil }
-
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int { return len(n.stats) }
 

@@ -115,6 +115,3 @@ func (c *CPU) ThreadCompute(p *Proc, d Time, cat Category) {
 	}
 	c.inCompute = false
 }
-
-// BusyUntil reports when currently queued service work completes.
-func (c *CPU) BusyUntil() Time { return c.svcUntil }

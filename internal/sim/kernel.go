@@ -4,8 +4,8 @@
 // with category-based time accounting.
 //
 // The kernel is strictly single-threaded from the simulation's point of
-// view: events execute one at a time in (time, sequence) order, and process
-// goroutines run only while the kernel is blocked waiting for them to park.
+// view: events execute one at a time in (time, sequence) order, and a
+// process runs only while the kernel has switched to it and until it parks.
 // Given identical inputs, a simulation therefore always produces identical
 // results.
 package sim
@@ -106,10 +106,8 @@ type Kernel struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	control chan struct{} // handoff from a process back to the kernel
-	procs   map[*Proc]struct{}
+	procs   []*Proc // every process spawned since the last shutdown, in spawn order
 	running bool
-	stopped bool
 	limit   Time // if > 0, Run stops once the clock would pass this
 
 	bus *event.Bus // per-kernel event bus; every layer emits through it
@@ -117,10 +115,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
-		control: make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
-	}
+	k := &Kernel{}
 	k.bus = event.NewBus(func() int64 { return k.now })
 	return k
 }
@@ -172,7 +167,6 @@ type Timer struct {
 	k    *Kernel
 	fn   func()
 	dead *bool // cancellation flag of the pending firing; nil when idle
-	at   Time
 }
 
 // NewTimer creates an idle timer that runs fn when it fires.
@@ -184,9 +178,9 @@ func (t *Timer) Arm(d Time) {
 	t.Stop()
 	dead := new(bool)
 	t.dead = dead
-	t.at = t.k.now + d
-	t.k.bus.Emit(event.TimerArm(t.at, t.fn))
-	t.k.atCancelable(t.at, func() {
+	at := t.k.now + d
+	t.k.bus.Emit(event.TimerArm(at, t.fn))
+	t.k.atCancelable(at, func() {
 		t.dead = nil
 		t.fn()
 	}, dead)
@@ -204,16 +198,13 @@ func (t *Timer) Stop() {
 // Active reports whether a firing is pending.
 func (t *Timer) Active() bool { return t.dead != nil }
 
-// When returns the virtual time of the pending firing (valid while Active).
-func (t *Timer) When() Time { return t.at }
-
 // SetLimit makes Run stop (without error) before executing any event whose
 // time exceeds t. Zero means no limit.
 func (k *Kernel) SetLimit(t Time) { k.limit = t }
 
 // Run executes events until the queue is empty (or the limit is reached),
-// then shuts down any process goroutines that are still parked. It returns
-// the final virtual time.
+// then unwinds any process that has not finished. It returns the final
+// virtual time.
 //
 // If an event panics with a value implementing EventTraceAttacher, Run
 // attaches the last few dispatched events to it before re-raising, turning
@@ -223,16 +214,19 @@ func (k *Kernel) Run() Time {
 		panic("sim: Kernel.Run called reentrantly")
 	}
 	k.running = true
+	// Deferred, so that processes are unwound however the loop ends: queue
+	// drained, limit reached, a panic out of an event or a process body
+	// (callers that recover it — race fixtures, chaos tests — must not be
+	// left a parked coroutine per simulated thread), or a runtime.Goexit
+	// passing through from a body (a test's t.Fatal).
 	defer func() {
-		if r := recover(); r != nil {
-			if a, ok := r.(EventTraceAttacher); ok {
-				a.AttachEventTrace(k.bus.Recent())
-			}
-			// Unwind the surviving process goroutines before re-raising:
-			// callers that recover the panic (race fixtures, chaos tests)
-			// must not leak a parked goroutine per simulated thread.
-			k.running = false
-			k.shutdown()
+		r := recover()
+		if a, ok := r.(EventTraceAttacher); ok {
+			a.AttachEventTrace(k.bus.Recent())
+		}
+		k.running = false
+		k.shutdown()
+		if r != nil {
 			panic(r)
 		}
 	}()
@@ -248,21 +242,18 @@ func (k *Kernel) Run() Time {
 		k.bus.Emit(event.Dispatch(e.seq, e.fn))
 		e.fn()
 	}
-	k.running = false
-	k.shutdown()
 	return k.now
 }
 
-// shutdown unwinds every still-parked process goroutine so that a finished
-// simulation leaks no goroutines.
+// shutdown unwinds every unfinished process, in spawn order: a parked body
+// panics out of its park, and one whose start event never ran is dropped
+// without running.
 func (k *Kernel) shutdown() {
-	k.stopped = true
-	//dsmvet:allow mapiter — each parked goroutine unwinds exactly once after the clock has stopped; order is unobservable
-	for p := range k.procs {
-		if p.parked {
-			p.resume <- struct{}{} // park() sees k.stopped and unwinds
-			<-k.control
+	for _, p := range k.procs {
+		if p.stop != nil {
+			p.stop()
+			p.release()
 		}
-		delete(k.procs, p)
 	}
+	k.procs = nil
 }
