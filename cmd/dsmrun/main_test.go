@@ -149,6 +149,7 @@ func TestBadFlagIsUsageError(t *testing.T) {
 		{[]string{"-fault-seed", "3"}, "fault injection is off"},
 		{[]string{"-loss", "0.1", "-fault-seed", "0"}, "reserved"},
 		{[]string{"-loss", "2"}, "probability"},
+		{[]string{"-procs", "16384", "-threads", "4", "-race-check"}, "fewer than 65536 threads"},
 		{[]string{"-app", "NOPE"}, "unknown application"},
 		{[]string{"-app", "SOR,FFT", "-trace", "t.json"}, "single -app"},
 		{[]string{"-no-such-flag"}, "not defined"},

@@ -77,9 +77,11 @@ func TestAccessHitDoesNotAllocate(t *testing.T) {
 
 // addrFault runs body on a fresh 2-processor machine with one allocated
 // page and returns the *AddrError it ends in.
-func addrFault(t *testing.T, body func(e *Env, page Addr)) *AddrError {
+func addrFault(t *testing.T, raceCheck bool, body func(e *Env, page Addr)) *AddrError {
 	t.Helper()
-	sys := NewSystem(smallConfig(2, 1))
+	cfg := smallConfig(2, 1)
+	cfg.RaceCheck = raceCheck
+	sys := NewSystem(cfg)
 	page := sys.Alloc.AllocPages(1)
 	var ae *AddrError
 	func() {
@@ -102,10 +104,12 @@ func addrFault(t *testing.T, body func(e *Env, page Addr)) *AddrError {
 }
 
 // TestUnmappedAddressIsAStructuredError: address 0, an address past the
-// allocator's break, and one beyond 2^44 (whose page id truncates onto a
-// low page) each end the run in an AddrError naming the thread, the
-// address and the heap bounds — the same bytes every time — instead of
-// materialising a page.
+// allocator's break, one beyond 2^44 (whose page id truncates onto a low
+// page) and one far above the heap but below 2^44 each end the run in an
+// AddrError naming the thread, the address and the heap bounds — the same
+// bytes every time, with the race detector on or off — instead of
+// materialising a page or, under RaceCheck, sizing the detector's shadow
+// directory by the stray address.
 func TestUnmappedAddressIsAStructuredError(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -115,21 +119,36 @@ func TestUnmappedAddressIsAStructuredError(t *testing.T) {
 		{"zero", false, func(Addr) Addr { return 0 }},
 		{"past-brk", true, func(page Addr) Addr { return page + pagemem.PageSize }},
 		{"aliases-page-0", false, func(Addr) Addr { return 1<<44 + 8 }},
+		{"far-above-heap", false, func(Addr) Addr { return 1<<43 + 8 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func() *AddrError {
-				return addrFault(t, func(e *Env, page Addr) {
+			// run returns the report and the bytes allocated from just
+			// before the stray access until the run has unwound.
+			run := func(raceCheck bool) (*AddrError, uint64) {
+				var before, after runtime.MemStats
+				ae := addrFault(t, raceCheck, func(e *Env, page Addr) {
 					e.ReadF64(page) // a mapped access first: the check must not be a one-shot
+					runtime.ReadMemStats(&before)
 					if tc.write {
 						e.WriteF64(tc.addr(page), 1)
 					} else {
 						e.ReadF64(tc.addr(page))
 					}
 				})
+				runtime.ReadMemStats(&after)
+				return ae, after.TotalAlloc - before.TotalAlloc
 			}
-			a, b := run(), run()
+			a, _ := run(false)
+			b, _ := run(false)
 			if a.Error() != b.Error() {
 				t.Fatalf("two runs, two reports:\n%s\n---\n%s", a.Error(), b.Error())
+			}
+			checked, grew := run(true)
+			if a.Error() != checked.Error() {
+				t.Fatalf("RaceCheck changes the report:\n%s\n---\n%s", a.Error(), checked.Error())
+			}
+			if grew >= 1<<20 {
+				t.Fatalf("the stray access allocated %d bytes under RaceCheck, want under 1 MB", grew)
 			}
 			brk := Addr(2 * pagemem.PageSize)
 			if a.Addr != tc.addr(pagemem.PageSize) || a.Write != tc.write || a.Thread != 1 || a.Proc != 1 ||

@@ -18,7 +18,10 @@ import (
 // The check is the fault handler's, so it runs only when an access misses
 // the page table: a stray address inside a resident page (the tail of the
 // heap's last page, or one beyond 2^44 that truncates onto a resident page
-// id) reads that page, as a real MMU would let it.
+// id) reads that page, as a real MMU would let it. Under Config.RaceCheck
+// the check runs on every access, before the race detector sees the
+// address, so the debugging mode is stricter than the MMU: the same stray
+// address that hits when unchecked is an AddrError when checked.
 type AddrError struct {
 	Addr   Addr
 	Write  bool

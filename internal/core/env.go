@@ -91,7 +91,9 @@ func (e *Env) access(a Addr, write bool) []byte {
 	if d := e.t.proc.race; d != nil {
 		// Synchronous happens-before check: charges no simulated time and
 		// emits no events, so a clean checked run is byte-identical to an
-		// unchecked one.
+		// unchecked one. The shadow memory is sized by the addresses it is
+		// handed, so a stray one is rejected here, not at the miss.
+		e.checkAddr(a, write)
 		d.Access(e.t.id, uint64(a), write)
 	}
 	e.busy += e.t.proc.sys.Cfg.AccessNs
@@ -103,14 +105,19 @@ func (e *Env) access(a Addr, write bool) []byte {
 	return e.miss(a, p, write)
 }
 
-// miss is access's slow path, what a fault handler would do: reject an
-// unmapped address, then fault until p is valid (and twinned, for writes).
-// Faults flush busy time and block the thread.
-func (e *Env) miss(a Addr, p pagemem.PageID, write bool) []byte {
+// checkAddr panics with an *AddrError unless a is inside the shared heap.
+func (e *Env) checkAddr(a Addr, write bool) {
 	if brk := e.t.proc.sys.Alloc.Brk(); a < pagemem.PageSize || a >= brk {
 		panic(&AddrError{Addr: a, Write: write, Thread: e.t.id, Proc: e.t.proc.id,
 			At: e.Now(), HeapLo: pagemem.PageSize, HeapHi: brk})
 	}
+}
+
+// miss is access's slow path, what a fault handler would do: reject an
+// unmapped address, then fault until p is valid (and twinned, for writes).
+// Faults flush busy time and block the thread.
+func (e *Env) miss(a Addr, p pagemem.PageID, write bool) []byte {
+	e.checkAddr(a, write)
 	node := e.t.proc.node
 	for {
 		for !node.PageValid(p) {

@@ -128,6 +128,10 @@ func (c Config) Validate() error {
 	if _, err := race.ParseGranularity(c.RaceGranularity); err != nil {
 		return err
 	}
+	if n := c.Procs * c.ThreadsPerProc; c.RaceCheck && n >= race.MaxThreads {
+		return fmt.Errorf("RaceCheck supports fewer than %d threads (got %d × %d = %d)",
+			race.MaxThreads, c.Procs, c.ThreadsPerProc, n)
+	}
 	if err := c.Net.Validate(c.Procs); err != nil {
 		return err
 	}

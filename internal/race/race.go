@@ -103,10 +103,15 @@ func (v vclock) join(o vclock) {
 
 // epoch packs one (clock, thread) scalar timestamp. The zero epoch is the
 // bottom element ⊥ (no access recorded): thread clocks start at 1, so a
-// real epoch is never zero.
+// real epoch is never zero. Bit 63 is never part of an epoch — a shadow cell
+// keeps a flag there — which leaves the clock 47 bits.
 type epoch uint64
 
 const epochTIDBits = 16
+
+// MaxThreads bounds Config.Threads: a thread id must fit an epoch's 16-bit
+// field, so a detector takes fewer than MaxThreads threads.
+const MaxThreads = 1 << epochTIDBits
 
 func makeEpoch(tid int, clk uint64) epoch {
 	return epoch(clk<<epochTIDBits | uint64(tid))
@@ -119,33 +124,70 @@ func (e epoch) clock() uint64 { return uint64(e) >> epochTIDBits }
 // thread owning v does from now on.
 func (e epoch) ordered(v vclock) bool { return e.clock() <= v[e.tid()] }
 
-// location is the per-granule shadow state: the last write as an epoch and
-// the reads adaptively as either one epoch or, after the first pair of
-// concurrent reads, a full vector clock (FastTrack's read-shared state).
+// Shadow memory is paged: a directory of fixed-size shadow pages, each
+// allocated when its first granule is touched. A granule's key is its
+// address shifted by the granularity; the key's low cellShift bits index the
+// cell within its shadow page and the rest index the directory. At word
+// granularity one shadow page covers exactly one coherence page; at page
+// granularity it covers 512 of them.
+const (
+	cellShift = 9
+	pageCells = 1 << cellShift
+)
+
+// A cell keeps one flag in bit 63 of each of its epoch words.
+const (
+	// exemptBit, in cell.w, marks a granule that was touched inside an
+	// Exempt region: races on it are audited as benign and never reported.
+	// It belongs to the granule, so every write carries it over.
+	exemptBit epoch = 1 << 63
+	// sharedBit, in cell.r, marks FastTrack's read-shared state: the other
+	// 63 bits index the granule's stripe in Detector.shared.
+	sharedBit epoch = 1 << 63
+)
+
+// cell is the per-granule shadow state: the last write as an epoch and the
+// reads adaptively as either one epoch or, after the first pair of
+// concurrent reads, a stripe of per-thread read clocks held out of line.
 // The *At fields remember each recorded access's virtual time purely for
-// error reporting.
-type location struct {
-	w    epoch
-	wAt  int64
-	r    epoch // last read when rvc == nil; ⊥ if none
-	rAt  int64
-	rvc  vclock  // read-shared: per-thread last-read clocks (0 = none)
-	rAts []int64 // read-shared: per-thread last-read times
-	// exempt marks a granule that was touched inside an Exempt region:
-	// races on it are audited as benign and never reported.
-	exempt bool
+// error reporting. A cell holds no pointer, so the collector allocates a
+// shadow page as one no-scan block and never walks it.
+type cell struct {
+	w   epoch // last write, with exemptBit
+	r   epoch // last read (⊥ if none), or sharedBit | stripe index
+	wAt int64
+	rAt int64
+}
+
+type shadowPage [pageCells]cell
+
+// readSlot is one thread's entry in a read-shared stripe: the clock and
+// virtual time of its last read. clk 0 = the thread has not read.
+type readSlot struct {
+	clk uint64
+	at  int64
 }
 
 // Detector holds the happens-before state of one simulated machine. It is
 // owned by the kernel's event loop (all calls arrive from simulated-thread
 // context, which the kernel serializes), so it needs no locking.
+//
+// The shadow directory is sized by the largest address Access is handed, so
+// callers bound addr (core.Env rejects an address outside the shared heap
+// before the detector sees it).
 type Detector struct {
 	cfg    Config
 	shift  uint
 	vcs    []vclock // per-thread clocks; vcs[t][t] is t's own epoch clock
 	locks  map[int]vclock
-	words  map[uint64]*location
+	shadow pagemem.Table[*shadowPage]
 	exempt []int // per-thread Exempt nesting depth
+
+	// Read-shared side table: shared[i] is stripe i, Threads wide, indexed
+	// by thread. free lists the stripes an ordered write has collapsed: all
+	// zero, ready for reuse.
+	shared [][]readSlot
+	free   []int
 
 	// Barrier episode state: arrivals are joined into barVC; when every
 	// live thread has arrived the join is redistributed.
@@ -158,7 +200,7 @@ type Detector struct {
 
 // NewDetector returns a detector with every thread at its initial clock.
 func NewDetector(cfg Config) *Detector {
-	if cfg.Threads <= 0 || cfg.Threads >= 1<<epochTIDBits {
+	if cfg.Threads <= 0 || cfg.Threads >= MaxThreads {
 		panic(fmt.Sprintf("race: %d threads out of range", cfg.Threads))
 	}
 	d := &Detector{
@@ -166,7 +208,6 @@ func NewDetector(cfg Config) *Detector {
 		shift:   cfg.Granularity.shift(),
 		vcs:     make([]vclock, cfg.Threads),
 		locks:   make(map[int]vclock),
-		words:   make(map[uint64]*location),
 		exempt:  make([]int, cfg.Threads),
 		barVC:   make(vclock, cfg.Threads),
 		arrived: make([]bool, cfg.Threads),
@@ -180,13 +221,24 @@ func NewDetector(cfg Config) *Detector {
 	return d
 }
 
-func (d *Detector) loc(key uint64) *location {
-	s := d.words[key]
-	if s == nil {
-		s = &location{}
-		d.words[key] = s
+func (d *Detector) loc(key uint64) *cell {
+	pg := d.shadow.Entry(pagemem.PageID(key >> cellShift))
+	if *pg == nil {
+		*pg = new(shadowPage)
 	}
-	return s
+	return &(*pg)[key&(pageCells-1)]
+}
+
+// newStripe returns the index of an all-zero stripe: a recycled one if any,
+// else a fresh one appended to the table.
+func (d *Detector) newStripe() int {
+	if n := len(d.free); n > 0 {
+		i := d.free[n-1]
+		d.free = d.free[:n-1]
+		return i
+	}
+	d.shared = append(d.shared, make([]readSlot, d.cfg.Threads))
+	return len(d.shared) - 1
 }
 
 // Access records a shared-memory access by thread t and panics with a
@@ -196,7 +248,7 @@ func (d *Detector) Access(t int, addr uint64, write bool) {
 	s := d.loc(key)
 	ct := d.vcs[t]
 	if d.exempt[t] > 0 {
-		s.exempt = true
+		s.w |= exemptBit
 	}
 	if write {
 		d.write(t, key, s, ct)
@@ -205,14 +257,13 @@ func (d *Detector) Access(t int, addr uint64, write bool) {
 	}
 }
 
-func (d *Detector) read(t int, key uint64, s *location, ct vclock) {
-	if s.w != 0 && !s.w.ordered(ct) {
-		d.report(key, s, prevWrite(s), Access{Write: false, Thread: t, Clock: ct[t], At: d.cfg.Now()})
-	}
+func (d *Detector) read(t int, key uint64, s *cell, ct vclock) {
 	now := d.cfg.Now()
-	if s.rvc != nil {
-		s.rvc[t] = ct[t]
-		s.rAts[t] = now
+	if w := s.w &^ exemptBit; w != 0 && !w.ordered(ct) {
+		d.report(key, s, prevWrite(s), Access{Write: false, Thread: t, Clock: ct[t], At: now})
+	}
+	if s.r&sharedBit != 0 {
+		d.shared[s.r&^sharedBit][t] = readSlot{ct[t], now}
 		return
 	}
 	if s.r == 0 || s.r.tid() == t || s.r.ordered(ct) {
@@ -222,48 +273,53 @@ func (d *Detector) read(t int, key uint64, s *location, ct vclock) {
 		s.rAt = now
 		return
 	}
-	// Two concurrent reads: promote to the read-shared vector clock.
-	s.rvc = make(vclock, d.cfg.Threads)
-	s.rAts = make([]int64, d.cfg.Threads)
-	s.rvc[s.r.tid()] = s.r.clock()
-	s.rAts[s.r.tid()] = s.rAt
-	s.rvc[t] = ct[t]
-	s.rAts[t] = now
-	s.r = 0
+	// Two concurrent reads: promote to a read-shared stripe.
+	i := d.newStripe()
+	st := d.shared[i]
+	st[s.r.tid()] = readSlot{s.r.clock(), s.rAt}
+	st[t] = readSlot{ct[t], now}
+	s.r = sharedBit | epoch(i)
 }
 
-func (d *Detector) write(t int, key uint64, s *location, ct vclock) {
-	cur := Access{Write: true, Thread: t, Clock: ct[t], At: d.cfg.Now()}
-	if s.w != 0 && !s.w.ordered(ct) {
+func (d *Detector) write(t int, key uint64, s *cell, ct vclock) {
+	now := d.cfg.Now()
+	cur := Access{Write: true, Thread: t, Clock: ct[t], At: now}
+	if w := s.w &^ exemptBit; w != 0 && !w.ordered(ct) {
 		d.report(key, s, prevWrite(s), cur)
 	}
-	if s.rvc == nil {
+	if s.r&sharedBit == 0 {
 		if s.r != 0 && !s.r.ordered(ct) {
 			d.report(key, s, Access{Write: false, Thread: s.r.tid(), Clock: s.r.clock(), At: s.rAt}, cur)
 		}
 	} else {
-		for u, c := range s.rvc {
-			if c != 0 && c > ct[u] {
-				d.report(key, s, Access{Write: false, Thread: u, Clock: c, At: s.rAts[u]}, cur)
+		i := int(s.r &^ sharedBit)
+		st := d.shared[i]
+		for u, rd := range st {
+			if rd.clk > ct[u] {
+				d.report(key, s, Access{Write: false, Thread: u, Clock: rd.clk, At: rd.at}, cur)
 			}
 		}
 		// All shared reads are ordered before this write; collapse the
-		// read state back to ⊥ (FastTrack's write-shared transition).
-		s.rvc, s.rAts = nil, nil
+		// read state back to ⊥ (FastTrack's write-shared transition) and
+		// hand the stripe back, zeroed.
+		clear(st)
+		d.free = append(d.free, i)
+		s.r = 0
 	}
-	s.w = makeEpoch(t, ct[t])
-	s.wAt = d.cfg.Now()
+	s.w = makeEpoch(t, ct[t]) | s.w&exemptBit
+	s.wAt = now
 }
 
-func prevWrite(s *location) Access {
-	return Access{Write: true, Thread: s.w.tid(), Clock: s.w.clock(), At: s.wAt}
+func prevWrite(s *cell) Access {
+	w := s.w &^ exemptBit
+	return Access{Write: true, Thread: w.tid(), Clock: w.clock(), At: s.wAt}
 }
 
 // report panics with a structured *RaceError — unless the granule was ever
 // touched inside an Exempt region, in which case the race is audited as
 // benign and recording simply continues.
-func (d *Detector) report(key uint64, s *location, prev, cur Access) {
-	if s.exempt {
+func (d *Detector) report(key uint64, s *cell, prev, cur Access) {
+	if s.w&exemptBit != 0 {
 		return
 	}
 	base := key << d.shift
