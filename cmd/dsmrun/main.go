@@ -219,10 +219,12 @@ func main() {
 		r := &result{done: make(chan struct{})}
 		results[i] = r
 		go func() {
-			defer close(r.done)
 			sem <- struct{}{}
-			defer func() { <-sem }()
 			r.sys, r.rep, r.err = spec.Run(o.cfg, apps.Options{Scale: o.scale, Verify: o.verify}, sinks...)
+			<-sem
+			// Not deferred: a panic unwinding this goroutine must take the
+			// process down by itself, not wake main on a half-written result.
+			close(r.done)
 		}()
 	}
 	for i, r := range results {

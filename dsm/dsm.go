@@ -147,12 +147,20 @@ type AddrError = core.AddrError
 // RaceError.
 type StallError = core.StallError
 
-// RunChecked is sys.Run with the application's own faults — a *RaceError,
-// an *AddrError or a *StallError — returned as the error instead of
-// panicking: they are properties of the program under test, so front ends
-// print the structured report and fail that run rather than crash with a
-// stack trace. Any other panic (a simulator bug, a protocol invariant)
-// still propagates.
+// InvariantError is the panic value System.Run raises when the protocol
+// engine catches itself breaking one of its own invariants: the failing
+// node, its vector time, the page involved and the recent event-bus history,
+// rendered deterministically. Unlike the three above it is the simulator's
+// fault, not the program's, but it is recovered the same way.
+type InvariantError = proto.InvariantError
+
+// RunChecked is sys.Run with the run's structured failures — a *RaceError,
+// an *AddrError or a *StallError, which are properties of the program under
+// test, and an *InvariantError, which is a protocol bug caught in the act —
+// returned as the error instead of panicking: front ends print the
+// structured report and fail that run rather than crash with a stack trace.
+// Any other panic (a simulator bug with no report of its own) still
+// propagates.
 func RunChecked(sys *System, body func(*Env)) (rep *Report, err error) {
 	defer func() {
 		switch r := recover().(type) {
@@ -162,6 +170,8 @@ func RunChecked(sys *System, body func(*Env)) (rep *Report, err error) {
 		case *AddrError:
 			err = r
 		case *StallError:
+			err = r
+		case *InvariantError:
 			err = r
 		default:
 			panic(r)

@@ -80,6 +80,8 @@ func TestPublicAPISurface(t *testing.T) {
 	if rep.Sum().PfCalls == 0 {
 		t.Fatal("prefetch calls not recorded")
 	}
+	// The structured failures RunChecked returns are part of the surface.
+	_ = []error{(*dsm.RaceError)(nil), (*dsm.AddrError)(nil), (*dsm.StallError)(nil), (*dsm.InvariantError)(nil)}
 }
 
 // TestConfigKnobs: every public knob must be accepted.
@@ -196,12 +198,19 @@ func TestHLRCLastPartialPage(t *testing.T) {
 
 // TestRunCheckedReturnsApplicationFaults: a stray address (like a race) is
 // the application's bug and comes back from RunChecked as an error carrying
-// the structured report; any other panic still propagates.
+// the structured report, and so does a protocol invariant the engine catches
+// itself breaking; any other panic still propagates.
 func TestRunCheckedReturnsApplicationFaults(t *testing.T) {
 	_, err := dsm.RunChecked(dsm.NewSystem(dsm.DefaultConfig()), func(e *dsm.Env) { e.ReadU64(0) })
 	var ae *dsm.AddrError
 	if !errors.As(err, &ae) || ae.Addr != 0 {
 		t.Fatalf("want a *dsm.AddrError for address 0, got %T: %v", err, err)
+	}
+	sys := dsm.NewSystem(dsm.DefaultConfig())
+	rep, err := dsm.RunChecked(sys, func(e *dsm.Env) { sys.Nodes[0].Fault(1, func() {}) })
+	var ie *dsm.InvariantError
+	if rep != nil || !errors.As(err, &ie) || ie.Node != 0 || ie.Page != 1 {
+		t.Fatalf("want a *dsm.InvariantError for node 0, page 1 and no report, got %v and %T: %v", rep, err, err)
 	}
 	defer func() {
 		if r := recover(); r != "not the application's fault" {

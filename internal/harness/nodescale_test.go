@@ -122,6 +122,47 @@ func TestSyncMatrixVerifies(t *testing.T) {
 	}
 }
 
+// TestChaosMatrixVerifies: every home-based row must compute every
+// application's golden result on a network that loses and duplicates
+// messages. A retransmitted flush is overtaken by the traffic behind it — a
+// prefetch datagram, a barrier release that moves the page's home or
+// switches its mode — and these are the orders the home-based engine's two
+// ordering rules (proto/hlrc.go) exist for. A protocol invariant fails its
+// cell by name like a wrong answer does (dsm.RunChecked).
+func TestChaosMatrixVerifies(t *testing.T) {
+	type cell struct {
+		app, protocol, policy string
+		v                     Variant
+		fanout                int // 0: the central barrier
+		seed                  int64
+	}
+	s := NewSession(Options{Procs: 8, Scale: apps.Unit})
+	var cells []cell
+	for _, app := range s.AppNames() {
+		for _, row := range [][2]string{{"hlrc", ""}, {"hlrc", "firsttouch"}, {"hlrc", "migrate"}, {"adp", ""}} {
+			for _, v := range []Variant{VarO, VarP, Var4TP} {
+				for _, fanout := range []int{0, 2} {
+					for seed := int64(1); seed <= 3; seed++ {
+						cells = append(cells, cell{app, row[0], row[1], v, fanout, seed})
+					}
+				}
+			}
+		}
+	}
+	_, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
+		cfg := s.Config(c.app, c.v)
+		cfg.Protocol, cfg.HomePolicy = c.protocol, c.policy
+		if c.fanout > 0 {
+			cfg.Barrier, cfg.BarrierFanout = "tree", c.fanout
+		}
+		cfg.Net.Faults = dsm.FaultPlan{Seed: c.seed, Loss: 0.04, Dup: 0.01}
+		return c.app, cfg, true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTreeBarrierCollectsLikeCentral: a subtree's GC verdict belongs to one
 // barrier episode. An interior node that kept reporting it after its subtree
 // first tripped the threshold made a deep tree collect at every later

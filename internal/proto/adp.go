@@ -159,42 +159,30 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 			c.hybridFault(p, old, onValid)
 			return
 		}
-		cl := c.acc.cell(p)
-		cl.faults++
-		if missing := n.missingDiffs(p); len(missing) > 0 {
-			nodes, _ := groupByNode(missing)
-			cl.msgs += int32(len(nodes))
-		}
+		c.acc.cell(p).faults++
 		c.lc.Fault(p, onValid)
 		return
 	}
 
 	// Home regime. Count at this layer (the embedded engine's tracking is
-	// off); one round trip unless the fault resolves from the local frame or
-	// the whole-page prefetch cache.
+	// off).
 	ps := n.page(p)
-	cl := c.acc.cell(p)
-	cl.faults++
-	home := c.hl.home(p)
-	if home != n.ID {
-		if pg := c.hl.pfCache[p]; pg == nil || ps.twinned || anyOutside(ps.pending, pg.covers) {
-			cl.msgs++
-		}
-	}
+	c.acc.cell(p).faults++
 	if ps.twinned && ps.hasUndiffed {
 		// A diff-era twin survived into the home regime (its interval closed
 		// lazily, later writes kept folding in). Commit it and flush the
-		// diff home ahead of the page request — per-pair FIFO then puts these
-		// writes in the reply's copy instead of under it.
+		// diff home ahead of the page request, which names it as Own: these
+		// writes are then in the reply's copy instead of under it.
 		id := ps.undiffed
 		cost := n.makeOwnDiff(p)
-		if home == n.ID {
+		if home := c.hl.home(p); home == n.ID {
 			n.CPU.Service(cost, sim.CatDSM)
 		} else {
 			d, ok := n.storedDiff(id, p)
 			if !ok {
 				n.pageInvariantf(p, "page %d lost its own diff for %v", p, id)
 			}
+			ps.flushed = id.Seq
 			n.post(cost, n.msg(home, KindHomeFlush, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
 		}
 	}
@@ -232,6 +220,14 @@ func (c *adpCoherence) Handle(m *netsim.Message) bool {
 	n := c.n
 	switch pl := m.Payload.(type) {
 	case *msgHomeFlush:
+		if !c.homeMode(pl.Page) && pl.ID.Seq > n.vc[pl.ID.Node] && c.hl.xin[pl.Page] == nil {
+			// The writer's release (switching the page to home mode) outran
+			// ours: this frame is not the home copy until our fill has run,
+			// so buffer the flush for it. A flush-era straggler after a
+			// home -> diff switch is at or below our vector time instead, and
+			// still applies at once.
+			c.hl.xin[pl.Page] = &xferIn{fill: true}
+		}
 		c.hl.handleHomeFlush(pl)
 		if f := n.fetches[pl.Page]; f != nil && f.hybrid {
 			c.tryCompleteHybrid(pl.Page)
@@ -323,9 +319,7 @@ func (c *adpCoherence) Prefetch(p pagemem.PageID) int {
 		sent = c.lc.Prefetch(p)
 	}
 	if sent > 0 {
-		cl := c.acc.cell(p)
-		cl.faults++
-		cl.msgs += int32(sent)
+		c.acc.cell(p).faults++
 	}
 	return sent
 }

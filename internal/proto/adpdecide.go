@@ -59,10 +59,10 @@ func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
 		if wc >= 2 {
 			c.everMulti[t.page] = true
 		}
-		writes, faults, _, bytes := t.total()
+		writes, faults := t.total()
 		if c.homeMode(t.page) {
 			smallDiffs := wc == 1 && sole != int(t.page)%c.n.N &&
-				bytes < writes*pagemem.PageSize/adpPageFrac
+				t.bytes < writes*pagemem.PageSize/adpPageFrac
 			if wc >= 2 || smallDiffs {
 				moves = append(moves, HomeMove{Page: t.page, Mode: ModeDiff})
 				c.lastSwitch[t.page] = c.episode
@@ -86,7 +86,7 @@ func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
 		// still being written each episode (SOR boundary rows, the WATER
 		// molecular arrays, OCEAN stencil borders) stay diff-based.
 		if wc == 0 && faults >= adpMinFaults &&
-			bytes >= faults*pagemem.PageSize/adpPageFrac {
+			t.bytes >= faults*pagemem.PageSize/adpPageFrac {
 			moves = append(moves, HomeMove{Page: t.page, Mode: ModeHome})
 			c.lastSwitch[t.page] = c.episode
 		}

@@ -19,8 +19,7 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 	n := c.n
 	ps := n.page(p)
 	outcome := n.takePf(p, ps.pending)
-	cl := c.acc.cell(p)
-	cl.faults++
+	c.acc.cell(p).faults++
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(ps.pending)))
 	n.startFetch(p, nil, onValid).hybrid = true
 
@@ -29,7 +28,6 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 		// applied vector reaches exCover once its in-flight flushes land, so
 		// the request parks at worst briefly and can never park on an
 		// interval the home will not learn of.
-		cl.msgs++
 		n.post(n.C.FaultEntry, c.hl.pageReq(p, old, false))
 	} else {
 		// The flush-era data lands in this frame by itself (we are the home);
@@ -78,8 +76,6 @@ func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 	}
 	if missing {
 		if len(fresh) > 0 {
-			nodes, _ := groupByNode(fresh)
-			c.acc.cell(p).msgs += int32(len(nodes))
 			c.lc.issueDiffRequests(f, fresh, 0)
 		}
 		return
@@ -131,13 +127,11 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.
 		// in flight); the fill supersedes it.
 		delete(n.fetches, p)
 	}
-	if hl.xin[p] != nil {
-		n.pageInvariantf(p, "mode switch to home for page %d with a fill already pending", p)
-	}
 	ps := n.page(p)
 	if len(ps.pending) == 0 {
 		// The frame is already current: nothing to collect.
 		hl.applied[p] = switchVC.Clone()
+		c.replayEarly(p)
 		return 0
 	}
 	var want []lrc.IntervalID
@@ -149,7 +143,9 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.
 			want = append(want, id)
 		}
 	}
-	hl.xin[p] = &xferIn{fill: true}
+	if hl.xin[p] == nil { // else a flush that outran our release opened it
+		hl.xin[p] = &xferIn{fill: true}
+	}
 	f := n.startFetch(p, want)
 	f.fill, f.fillVC, f.fillEx = true, switchVC.Clone(), prevEx
 	if len(want) > 0 {
@@ -158,6 +154,21 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.
 	}
 	c.tryCompleteFill(p)
 	return 0
+}
+
+// replayEarly runs once p's frame is the home copy: it closes the fill
+// buffer, applies in arrival order the flushes that reached this home first,
+// and serves the demand requests that parked meanwhile — like the flushes,
+// some can have outrun this node's own release.
+func (c *adpCoherence) replayEarly(p pagemem.PageID) {
+	hl := c.hl
+	if st := hl.xin[p]; st != nil {
+		delete(hl.xin, p)
+		for _, fl := range st.buf {
+			hl.handleHomeFlush(fl)
+		}
+	}
+	hl.serveParked(p)
 }
 
 // tryCompleteFill installs a fill once every requested diff has arrived:
@@ -202,14 +213,7 @@ func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
 	hl.applied[p] = f.fillVC.Clone()
 	delete(n.fetches, p)
 	done := n.CPU.Service(cost, sim.CatDSM)
-	if st := hl.xin[p]; st != nil {
-		buf := st.buf
-		delete(hl.xin, p)
-		for _, fl := range buf {
-			hl.handleHomeFlush(fl)
-		}
-	}
-	hl.serveParked(p)
+	c.replayEarly(p)
 	var uncovered []lrc.IntervalID
 	for _, id := range ps.pending {
 		if !hl.covered(p, id) {

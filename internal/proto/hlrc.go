@@ -18,12 +18,23 @@ import (
 // changes. Since diffs are applied at the home on arrival and never stored,
 // there is no diff accumulation and no garbage collection.
 //
-// Ordering argument: a flush precedes any later request by the same node to
-// the same home (per-pair FIFO, preserved by the reliable transport), so by
-// the time the home serves a request the requester's own writes are already
-// in the home frame, and a writer's flushed intervals arrive in increasing
-// sequence order — which lets the home compress "intervals applied" into a
-// per-page vector time (applied), with max sequence equal to full coverage.
+// Ordering contract, two rules the engine checks instead of assuming:
+//
+//  1. A home moves whole: the release that moves a home is a cut, and the
+//     old home ships its frame only once every interval at or below the cut
+//     is in it (homemigrate.go). Every flush of one (writer, page) therefore
+//     reaches the frame that counts in increasing sequence order — which
+//     lets the home compress "intervals applied" into a per-page vector time
+//     (applied), with max sequence equal to full coverage. Static homes
+//     never move, and the rule is vacuous.
+//  2. A copy is served past the requester's own writes. A page request
+//     carries Own, the sequence of the requester's last flushed interval of
+//     the page, and the home treats {From, Own} as one more needed interval:
+//     a demand request parks until the flush lands, a prefetch request is
+//     answered with no covers (hlrchome.go). Per-pair FIFO makes this free
+//     for a demand request to a home that has not moved, but a prefetch
+//     request is an unsequenced datagram that overtakes a retransmitted
+//     flush.
 
 // hlrcCoherence implements the home-based coherence policy.
 type hlrcCoherence struct {
@@ -59,18 +70,19 @@ type hlrcCoherence struct {
 
 	// Dynamic-policy state (nil map reads are safe, so these stay nil under
 	// the static policy): pages whose home base has not been installed here
-	// yet, and pages this node was home for and transferred away.
-	xin  map[pagemem.PageID]*xferIn
-	away map[pagemem.PageID]bool
+	// yet, and pages this node lost and still owes the base of.
+	xin map[pagemem.PageID]*xferIn
+	out map[pagemem.PageID]*xferOut
 }
 
 func (c *hlrcCoherence) home(p pagemem.PageID) int { return c.homes.home(p) }
 
 // covered reports (at the home) whether interval id's writes to page p are
 // already in the local frame. The home's own intervals are always covered:
-// its writes go straight to its frame.
+// its writes go straight to its frame. So is sequence zero, the Own of a
+// requester that never flushed the page.
 func (c *hlrcCoherence) covered(p pagemem.PageID, id lrc.IntervalID) bool {
-	if id.Node == c.n.ID {
+	if id.Node == c.n.ID || id.Seq == 0 {
 		return true
 	}
 	ap := c.applied[p]
@@ -111,9 +123,9 @@ func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.
 	n.Store.DropTwin(p)
 	ps.twinned = false
 	ps.hasUndiffed = false
+	ps.flushed = id.Seq
 	if c.track {
-		cl := c.acc.cell(p)
-		cl.writes++
+		c.acc.cell(p).writes++
 	}
 	home := c.home(p)
 	if home == n.ID {

@@ -50,29 +50,27 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 
 	if ps.twinned {
 		// Close the interval so our diff is flushed home ahead of the
-		// request (per-pair FIFO): the reply's page copy then includes our
-		// own writes, and the twin is gone before the copy overwrites the
-		// frame.
+		// request, which then names it as Own: the reply's page copy includes
+		// our own writes, and the twin is gone before the copy overwrites
+		// the frame.
 		n.closeInterval()
 	}
 
 	need := append([]lrc.IntervalID(nil), ps.pending...)
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(need)))
 	c.asked[p] = maps.Clone(n.startFetch(p, need, onValid).needed)
-	if c.track {
-		c.acc.cell(p).msgs++
-	}
 	n.post(n.C.FaultEntry, c.pageReq(p, need, false))
 }
 
-// pageReq builds the request asking p's home for a copy covering need: a
-// demand request, or a prefetch datagram.
+// pageReq builds the request asking p's home for a copy covering need and
+// this node's own flushed writes: a demand request, or a prefetch datagram.
 func (c *hlrcCoherence) pageReq(p pagemem.PageID, need []lrc.IntervalID, prefetch bool) *netsim.Message {
 	kind := KindPageReq
 	if prefetch {
 		kind = KindPfReq
 	}
-	return c.n.msg(c.home(p), kind, &msgPageReq{From: c.n.ID, Page: p, Need: need, Prefetch: prefetch})
+	return c.n.msg(c.home(p), kind,
+		&msgPageReq{From: c.n.ID, Page: p, Own: c.n.page(p).flushed, Need: need, Prefetch: prefetch})
 }
 
 // homeFault handles a fault on a page homed at this node: the frame is
@@ -130,9 +128,6 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 		for _, id := range fresh {
 			f.needed[id] = true
 			asked[id] = true
-		}
-		if c.track {
-			c.acc.cell(rep.Page).msgs++
 		}
 		n.post(0, c.pageReq(rep.Page, fresh, false))
 		return

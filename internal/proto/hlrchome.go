@@ -17,31 +17,31 @@ import (
 // transport) are dropped by the sequence guard.
 func (c *hlrcCoherence) handleHomeFlush(fl *msgHomeFlush) {
 	n := c.n
-	if st := c.xin[fl.Page]; st != nil {
+	p := fl.Page
+	if st := c.xin[p]; st != nil {
 		// Our base is still in flight: buffer until the install replays us.
 		st.buf = append(st.buf, fl)
 		return
 	}
-	if c.home(fl.Page) != n.ID {
-		if c.dyn {
-			if c.away[fl.Page] {
-				// Late flush for a page transferred away: relay it.
-				n.post(0, n.msg(c.home(fl.Page), KindHomeFlush, fl))
-				return
-			}
-			// The writer's release (naming us the new home) outran ours:
-			// start buffering; our own release completes the picture.
-			st := &xferIn{buf: []*msgHomeFlush{fl}}
-			c.xin[fl.Page] = st
-			return
-		}
-		n.pageInvariantf(fl.Page, "node %d got a home flush for page %d homed at %d",
-			n.ID, fl.Page, c.home(fl.Page))
+	out := c.out[p]
+	if out != nil && fl.ID.Seq > out.cut[fl.ID.Node] {
+		n.pageInvariantf(p, "node %d, demoted from page %d at cut %v, got the flush of %v from above it",
+			n.ID, p, out.cut, fl.ID)
 	}
-	ap := c.applied[fl.Page]
+	if out == nil && c.home(p) != n.ID {
+		if !c.dyn {
+			n.pageInvariantf(p, "node %d got a home flush for page %d homed at %d", n.ID, p, c.home(p))
+		}
+		// Neither the home nor draining: the writer's release (naming us
+		// the new home) outran ours. Start buffering; our own release
+		// completes the picture.
+		c.xin[p] = &xferIn{buf: []*msgHomeFlush{fl}}
+		return
+	}
+	ap := c.applied[p]
 	if ap == nil {
 		ap = lrc.NewVC(n.N)
-		c.applied[fl.Page] = ap
+		c.applied[p] = ap
 	}
 	if fl.ID.Seq <= ap[fl.ID.Node] {
 		return
@@ -51,18 +51,37 @@ func (c *hlrcCoherence) handleHomeFlush(fl *msgHomeFlush) {
 	// Apply to the frame only. If the home is itself collecting writes the
 	// twin is NOT patched, so the home's next diff of this page will also
 	// carry these bytes — harmless, because a home's diffs of its own home
-	// pages never leave the node.
+	// pages never leave the node. (A demoted home draining the page has no
+	// twin of it: see maybeShip.)
 	var cost sim.Time
 	if fl.Diff != nil && len(fl.Diff.Runs) > 0 {
-		n.bus.Emit(event.DiffApply(n.ID, int64(fl.Page), fl.Diff.DataBytes()))
-		fl.Diff.Apply(n.Store.Frame(fl.Page))
+		n.bus.Emit(event.DiffApply(n.ID, int64(p), fl.Diff.DataBytes()))
+		fl.Diff.Apply(n.Store.Frame(p))
 		cost = n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(fl.Diff.DataBytes()))
 	} else {
 		cost = n.C.DiffApply / 2
 	}
 	done := n.CPU.Service(cost, sim.CatDSM)
-	c.serveParked(fl.Page)
-	c.completeHomeFetch(fl.Page, done)
+	if out != nil {
+		c.maybeShip(p, out.to, out.cut, 0)
+		return
+	}
+	c.serveParked(p)
+	c.completeHomeFetch(p, done)
+}
+
+// servable reports whether the frame holds everything req asks for: the
+// needed intervals and the requester's own flushed writes through req.Own.
+func (c *hlrcCoherence) servable(req *msgPageReq) bool {
+	if !c.covered(req.Page, lrc.IntervalID{Node: req.From, Seq: req.Own}) {
+		return false
+	}
+	for _, id := range req.Need {
+		if !c.covered(req.Page, id) {
+			return false
+		}
+	}
+	return true
 }
 
 // serveParked replies to every parked demand request the current coverage
@@ -74,7 +93,7 @@ func (c *hlrcCoherence) serveParked(p pagemem.PageID) {
 	}
 	var still []*msgPageReq
 	for _, req := range q {
-		if anyUncovered(c, p, req.Need) {
+		if !c.servable(req) {
 			still = append(still, req)
 			continue
 		}
@@ -85,15 +104,6 @@ func (c *hlrcCoherence) serveParked(p pagemem.PageID) {
 	} else {
 		c.parked[p] = still
 	}
-}
-
-func anyUncovered(c *hlrcCoherence, p pagemem.PageID, ids []lrc.IntervalID) bool {
-	for _, id := range ids {
-		if !c.covered(p, id) {
-			return true
-		}
-	}
-	return false
 }
 
 // completeHomeFetch finishes a home node's own parked fault once flush
@@ -130,15 +140,17 @@ func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 	n.finishFetch(f, done)
 }
 
-// handlePageReq serves a page request at the home. Demand requests whose
-// Need is not fully covered park until the flushes arrive; prefetch
-// requests are answered immediately with whatever is covered now.
+// handlePageReq serves a page request at the home. Demand requests park
+// until the frame covers their Need and the requester's own flushed writes;
+// prefetch requests are answered immediately with whatever is covered now.
 func (c *hlrcCoherence) handlePageReq(req *msgPageReq) {
 	n := c.n
-	if c.home(req.Page) != n.ID || c.xin[req.Page] != nil {
-		if !c.dyn && c.xin[req.Page] == nil {
-			n.pageInvariantf(req.Page, "node %d got a page request for page %d homed at %d",
-				n.ID, req.Page, c.home(req.Page))
+	p := req.Page
+	if c.home(p) != n.ID || c.xin[p] != nil {
+		// Static homes never move, and no demand fetch spans the barrier
+		// that demoted a home still draining.
+		if c.home(p) != n.ID && (!c.dyn || !req.Prefetch && c.out[p] != nil) {
+			n.pageInvariantf(p, "node %d got a page request for page %d homed at %d", n.ID, p, c.home(p))
 		}
 		if req.Prefetch {
 			// An in-flight prefetch can target a stale home (or a home-elect
@@ -149,33 +161,33 @@ func (c *hlrcCoherence) handlePageReq(req *msgPageReq) {
 			c.replyPage(req, nil)
 			return
 		}
-		if c.xin[req.Page] == nil && c.dyn && !c.away[req.Page] {
-			// The requester's release (naming us the new home) outran ours,
-			// as a writer's can in handleHomeFlush: open the transfer-in
-			// ourselves; our own release completes the picture.
-			c.xin[req.Page] = &xferIn{}
+		if c.xin[p] == nil {
+			// Neither the home nor draining: the requester's release
+			// (naming us the new home) outran ours, as a writer's can in
+			// handleHomeFlush. Open the transfer-in ourselves.
+			c.xin[p] = &xferIn{}
 		}
-		if c.xin[req.Page] != nil {
-			// Demand request from a node whose release named us the home:
-			// park until the base installs.
-			c.parked[req.Page] = append(c.parked[req.Page], req)
-			return
-		}
-		n.pageInvariantf(req.Page, "node %d got a demand page request for page %d homed at %d",
-			n.ID, req.Page, c.home(req.Page))
+		// Park until the base installs.
+		c.parked[p] = append(c.parked[p], req)
+		return
 	}
 	if req.Prefetch {
+		// A prefetch request is a datagram: it does not queue behind the
+		// requester's retransmitted flush, so a copy that lacks the
+		// requester's own writes is one more copy that claims nothing.
 		var covers []lrc.IntervalID
-		for _, id := range req.Need {
-			if c.covered(req.Page, id) {
-				covers = append(covers, id)
+		if c.covered(p, lrc.IntervalID{Node: req.From, Seq: req.Own}) {
+			for _, id := range req.Need {
+				if c.covered(p, id) {
+					covers = append(covers, id)
+				}
 			}
 		}
 		c.replyPage(req, covers)
 		return
 	}
-	if anyUncovered(c, req.Page, req.Need) {
-		c.parked[req.Page] = append(c.parked[req.Page], req)
+	if !c.servable(req) {
+		c.parked[p] = append(c.parked[p], req)
 		return
 	}
 	c.replyPage(req, req.Need)

@@ -32,9 +32,12 @@ func (c *hlrcCoherence) takePfPage(p pagemem.PageID) *pfPage {
 	return pg
 }
 
-// cachePfReply stores an arriving prefetch reply. Duplicates (the lossy path
-// can retransmit nothing, but a fault plan can duplicate) merge into the
-// existing entry without double-counting the heap.
+// cachePfReply stores an arriving prefetch reply, replacing any earlier one:
+// an entry is one reply's (data, covers) pair, never a union. Datagrams can
+// arrive in any order (a fault plan duplicates and delays them, the home can
+// move mid-flight), and a reply that claims nothing — its copy lacks the
+// requester's own writes, or is not the home copy — must not inherit an
+// earlier reply's claims for its data.
 func (c *hlrcCoherence) cachePfReply(rep *msgPageReply) {
 	n := c.n
 	if st, ok := n.pf[rep.Page]; ok && st.inflight > 0 {
@@ -47,13 +50,7 @@ func (c *hlrcCoherence) cachePfReply(rep *msgPageReply) {
 		n.pfHeap += pagemem.PageSize
 	}
 	pg.data = append(pg.data[:0], rep.Data...)
-	if c.dyn {
-		// Under a dynamic home policy successive replies can come from
-		// different servers (the home moved mid-flight), so a union of
-		// covers could claim intervals the latest data does not contain.
-		// Keep each entry a self-consistent (data, covers) pair instead.
-		pg.covers = make(map[lrc.IntervalID]bool, len(rep.Covers))
-	}
+	clear(pg.covers)
 	for _, id := range rep.Covers {
 		pg.covers[id] = true
 	}

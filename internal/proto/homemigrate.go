@@ -11,33 +11,54 @@ import (
 
 // Home migration for the "hlrc" backend's dynamic policies. When the
 // barrier root decides a page moves, every replica updates its home table
-// in lockstep at release intake; the demoted home then ships its frame (the
-// base) plus the applied vector to the new home, and keeps forwarding any
-// late flushes that still arrive addressed to it. The new home buffers
-// flushes and parks demand requests until the base lands, installs it, and
-// replays the buffer — the per-writer sequence guard in handleHomeFlush
-// makes the replay idempotent against anything the base already covered.
+// in lockstep at release intake. The release is a cut: its merged vector
+// time is the same on every node, every interval at or below it was flushed
+// to the old home and every later one goes to the new. A home moves whole:
+// the demoted home ships its frame (the base) only once its coverage
+// reaches the cut, draining the flushes still in flight to it first
+// (maybeShip), so nothing is ever relayed. The new home buffers flushes and
+// parks demand requests until the base lands, installs it, and replays the
+// buffer: every buffered flush is from above the cut, so none is in the base
+// and none is missing from it.
 //
-// Ordering argument: a demand request can never reach a demoted home,
-// because moves apply at barrier releases and no demand fetch is in flight
-// across a barrier (the faulting thread has not arrived). Prefetch requests
-// CAN span the episode; a node whose frame is not the live home copy
-// answers them with an empty cover list, which the requester's cache check
-// (pending ⊆ covers) can never accept for an invalid page.
+// "In lockstep" means per node, at its own release: a message for a page a
+// node is neither home of nor still draining can only come from a node
+// whose release, naming this one the new home, outran this node's own, so
+// the handlers open the transfer-in themselves. A demand request can never
+// reach a demoted home, because moves apply at barrier releases and no
+// demand fetch is in flight across a barrier (the faulting thread has not
+// arrived). Prefetch requests CAN span the episode; a node whose frame is
+// not the live home copy answers them with an empty cover list, which the
+// requester's cache check (pending ⊆ covers) can never accept for an
+// invalid page.
 //
-// Back-to-back episodes can demote a home-elect before its base arrives
-// (the release outruns the transfer). The install then degenerates to a
-// forward: the intermediate node relays the base and its buffered flushes
-// to the next home over one FIFO pair, preserving their order.
+// At most one transfer per page is open. The first barrier arrival after a
+// move is inside the policy's hold (migrateHold); a transfer still open at
+// the one after that marks the page Busy on the arrival's PageAcc, and the
+// policy leaves a busy page where it is. So a home-elect is never demoted
+// before its base arrives, and a demoted home is never named home again
+// while it still owes the base: both are invariants in applyMoves.
 
 // xferIn tracks one page whose home base has not yet been installed here.
 type xferIn struct {
 	buf       []*msgHomeFlush // flushes buffered until the base installs
 	xfer      *msgHomeXfer    // the base, when it arrives before our release
 	expecting bool            // our release named us the new home
-	forward   bool            // demoted again before install: relay instead
 	fill      bool            // adaptive backend: base comes from a local diff fill
+	waited    bool            // open across a barrier arrival already (episodeAcc)
 }
+
+// xferOut tracks one page this node was demoted from and has not shipped
+// yet: flushes from at or below the cut are still in flight to it.
+type xferOut struct {
+	to     int
+	cut    lrc.VC // the moving release's merged vector time
+	waited bool   // open across a barrier arrival already (episodeAcc)
+}
+
+// The first arrival after a move needs no Busy mark only because the hold
+// already pins the page there.
+const _ = uint(migrateHold - 2)
 
 // ivNames reports whether interval iv wrote page p (Pages is sorted).
 func ivNames(iv *lrc.Interval, p pagemem.PageID) bool {
@@ -76,14 +97,29 @@ func (c *hlrcCoherence) coverVC(p pagemem.PageID) lrc.VC {
 	return cv
 }
 
-// sendXfer ships the base copy of p to its new home, freezing this node's
-// serving state. cost is the running CPU charge; the send drains it.
-func (c *hlrcCoherence) sendXfer(p pagemem.PageID, to int, cost sim.Time) sim.Time {
+// maybeShip ships the base copy of p to its new home if the local frame
+// holds every interval at or below the cut, and otherwise leaves the
+// transfer open for handleHomeFlush to retry as the stragglers land. cost is
+// the running CPU charge; the send drains it.
+func (c *hlrcCoherence) maybeShip(p pagemem.PageID, to int, cut lrc.VC, cost sim.Time) sim.Time {
 	n := c.n
-	c.away[p] = true
-	data := append([]byte(nil), n.Store.Frame(p)...)
+	cv := c.coverVC(p)
+	if !cv.Covers(cut) {
+		if c.out[p] == nil {
+			c.out[p] = &xferOut{to: to, cut: cut.Clone()}
+		}
+		return cost
+	}
+	delete(c.out, p)
+	if n.page(p).twinned {
+		// No twin at the cut (the barrier closed every interval), and none
+		// since: while a flush from below the cut is outstanding its notice
+		// is pending here, so this copy is invalid, and this node's faults on
+		// it go to the new home, which serves nothing before the base lands.
+		n.pageInvariantf(p, "node %d ships the base of page %d with writes of its own open", n.ID, p)
+	}
 	n.post(cost+sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), n.msg(to, KindHomeXfer,
-		&msgHomeXfer{From: n.ID, Page: p, Data: data, Applied: c.coverVC(p)}))
+		&msgHomeXfer{From: n.ID, Page: p, Data: append([]byte(nil), n.Store.Frame(p)...), Applied: cv}))
 	return 0
 }
 
@@ -107,32 +143,8 @@ func (c *hlrcCoherence) handleHomeXfer(x *msgHomeXfer) {
 // maybeInstall completes a pending transfer once both the base and this
 // node's own release decision are in.
 func (c *hlrcCoherence) maybeInstall(p pagemem.PageID, st *xferIn) {
-	if st.xfer == nil {
-		return
-	}
-	if st.forward {
-		c.forwardXfer(p, st)
-		return
-	}
-	if !st.expecting {
-		return
-	}
-	c.installXfer(p, st)
-}
-
-// forwardXfer relays a base (and the flushes buffered behind it) to the
-// page's next home: this node was demoted again before its install. One
-// FIFO pair keeps base-before-flushes ordering at the receiver.
-func (c *hlrcCoherence) forwardXfer(p pagemem.PageID, st *xferIn) {
-	n := c.n
-	to := c.home(p)
-	buf := st.buf
-	x := st.xfer
-	delete(c.xin, p)
-	c.away[p] = true
-	n.post(0, n.msg(to, KindHomeXfer, x))
-	for _, fl := range buf {
-		n.post(0, n.msg(to, KindHomeFlush, fl))
+	if st.xfer != nil && st.expecting {
+		c.installXfer(p, st)
 	}
 }
 
@@ -169,12 +181,29 @@ func (c *hlrcCoherence) installXfer(p pagemem.PageID, st *xferIn) {
 	c.completeHomeFetch(p, done)
 }
 
-// episodeAcc drains this node's per-page counters for a barrier arrival.
+// episodeAcc drains this node's per-page counters for a barrier arrival,
+// marking Busy every page whose transfer has been open across an earlier
+// arrival already.
 func (c *hlrcCoherence) episodeAcc() []PageAcc {
 	if !c.track {
 		return nil
 	}
+	//dsmvet:allow mapiter — marks distinct cells; drain sorts them by page
+	for p, st := range c.xin {
+		c.markBusy(p, &st.waited)
+	}
+	//dsmvet:allow mapiter — as above
+	for p, out := range c.out {
+		c.markBusy(p, &out.waited)
+	}
 	return c.acc.drain(c.n.ID)
+}
+
+func (c *hlrcCoherence) markBusy(p pagemem.PageID, waited *bool) {
+	if *waited {
+		c.acc.cell(p).busy = true
+	}
+	*waited = true
 }
 
 // decideMoves runs the configured policy at the barrier root.
@@ -187,7 +216,7 @@ func (c *hlrcCoherence) decideMoves(acc []PageAcc) []HomeMove {
 
 // applyMoves updates this node's home-table replica and starts the base
 // transfer for pages this node just lost. It runs after release intake on
-// every node, before threads resume.
+// every node, before threads resume, so the node's vector time is the cut.
 func (c *hlrcCoherence) applyMoves(moves []HomeMove) {
 	n := c.n
 	var cost sim.Time
@@ -204,21 +233,16 @@ func (c *hlrcCoherence) applyMoves(moves []HomeMove) {
 			continue // first-touch freezing the page on its static home
 		}
 		if old == n.ID {
-			if len(c.parked[p]) > 0 {
-				n.pageInvariantf(p, "node %d demoted from page %d with parked demand requests", n.ID, p)
+			if len(c.parked[p]) > 0 || c.xin[p] != nil {
+				n.pageInvariantf(p, "node %d demoted from page %d with parked demand requests or before its base arrived", n.ID, p)
 			}
-			if st := c.xin[p]; st != nil {
-				// Demoted before our own base arrived: relay it when it lands.
-				st.forward = true
-				st.expecting = false
-				c.maybeInstall(p, st)
-				continue
-			}
-			cost = c.sendXfer(p, nh, cost)
+			cost = c.maybeShip(p, nh, n.vc, cost)
 			continue
 		}
 		if nh == n.ID {
-			delete(c.away, p)
+			if c.out[p] != nil {
+				n.pageInvariantf(p, "node %d made home of page %d while it still owes the base", n.ID, p)
+			}
 			delete(c.applied, p) // stale coverage from an earlier tenure
 			c.takePfPage(p)      // cached copies predate the new tenure
 			st := c.xin[p]

@@ -24,7 +24,7 @@ type PageAcc struct {
 	Node   int32
 	Writes int32 // intervals closed here that wrote the page
 	Faults int32 // faults taken here on the page
-	Msgs   int32 // data-carrying message round trips the faults needed
+	Busy   bool  // a home transfer of the page has been open here since before the previous arrival
 	Bytes  int64 // diff bytes this node shipped for the page
 }
 
@@ -73,16 +73,14 @@ type pageTotals struct {
 	page   pagemem.PageID
 	writes []int64 // per node
 	faults []int64
-	msgs   []int64
-	bytes  []int64
+	bytes  int64
+	busy   bool // some node still has a home transfer of the page open
 }
 
-func (t *pageTotals) total() (writes, faults, msgs, bytes int64) {
+func (t *pageTotals) total() (writes, faults int64) {
 	for q := range t.writes {
 		writes += t.writes[q]
 		faults += t.faults[q]
-		msgs += t.msgs[q]
-		bytes += t.bytes[q]
 	}
 	return
 }
@@ -119,15 +117,13 @@ func aggregateAcc(nprocs int, acc []PageAcc) []pageTotals {
 				page:   a.Page,
 				writes: make([]int64, nprocs),
 				faults: make([]int64, nprocs),
-				msgs:   make([]int64, nprocs),
-				bytes:  make([]int64, nprocs),
 			})
 		}
 		t := &out[i]
 		t.writes[a.Node] += int64(a.Writes)
 		t.faults[a.Node] += int64(a.Faults)
-		t.msgs[a.Node] += int64(a.Msgs)
-		t.bytes[a.Node] += int64(a.Bytes)
+		t.bytes += a.Bytes
+		t.busy = t.busy || a.Busy
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].page < out[j].page })
 	return out
@@ -190,8 +186,8 @@ func (firstTouchPolicy) Decide(tbl *homeTable, agg []pageTotals) []HomeMove {
 // migratePolicy re-homes a page whenever some node's access score dominates
 // the current home's by more than 2x (with a minimum absolute score, and at
 // most one move per page every migrateHold episodes — hysteresis against
-// ping-ponging and against a move being decided while the previous
-// transfer is still in flight).
+// ping-ponging). A page some node reports Busy stays where it is: its
+// previous transfer is still open, and a page has at most one.
 type migratePolicy struct {
 	episode  int64
 	lastMove map[pagemem.PageID]int64
@@ -210,7 +206,7 @@ func (m *migratePolicy) Decide(tbl *homeTable, agg []pageTotals) []HomeMove {
 	var moves []HomeMove
 	for i := range agg {
 		t := &agg[i]
-		if last, ok := m.lastMove[t.page]; ok && m.episode-last < migrateHold {
+		if last, ok := m.lastMove[t.page]; t.busy || ok && m.episode-last < migrateHold {
 			continue
 		}
 		cur := tbl.home(t.page)
@@ -249,8 +245,9 @@ func newHomePolicy(name string) (HomePolicy, error) {
 
 // accCell is one page's local counters for the episode in progress.
 type accCell struct {
-	writes, faults, msgs int32
-	bytes                int64
+	writes, faults int32
+	busy           bool
+	bytes          int64
 }
 
 // accSet collects this node's per-page access counters between barriers.
@@ -286,7 +283,7 @@ func (s *accSet) drain(node int) []PageAcc {
 		c := s.cells[p]
 		out = append(out, PageAcc{
 			Page: p, Node: int32(node),
-			Writes: c.writes, Faults: c.faults, Msgs: c.msgs, Bytes: c.bytes,
+			Writes: c.writes, Faults: c.faults, Busy: c.busy, Bytes: c.bytes,
 		})
 		delete(s.cells, p)
 	}

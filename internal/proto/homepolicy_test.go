@@ -51,13 +51,16 @@ func TestAggregateAccMergesAndSorts(t *testing.T) {
 	if len(agg) != 2 || agg[0].page != 4 || agg[1].page != 9 {
 		t.Fatalf("aggregate pages = %+v, want [4 9]", agg)
 	}
-	w, f, _, b := agg[1].total()
-	if w != 2 || f != 4 || b != 120 {
+	w, f := agg[1].total()
+	if b := agg[1].bytes; w != 2 || f != 4 || b != 120 {
 		t.Fatalf("page 9 totals = writes %d faults %d bytes %d, want 2/4/120", w, f, b)
 	}
 	wc, sole := agg[1].writers()
 	if wc != 1 || sole != 2 {
 		t.Fatalf("page 9 writers = %d (sole %d), want 1 (sole 2)", wc, sole)
+	}
+	if agg[0].busy || agg[1].busy {
+		t.Fatalf("busy pages = %v/%v with no node reporting one", agg[0].busy, agg[1].busy)
 	}
 }
 
@@ -117,8 +120,8 @@ func TestFirstTouchDecide(t *testing.T) {
 }
 
 // Migrate needs a challenger with more than twice the current home's score
-// and at least migrateMinScore, and at most one move per page every
-// migrateHold episodes.
+// and at least migrateMinScore, at most one move per page every migrateHold
+// episodes, and none while the page's previous transfer is still open.
 func TestMigrateDecide(t *testing.T) {
 	tbl := newHomeTable(4)
 	pol, _ := newHomePolicy("migrate")
@@ -143,7 +146,16 @@ func TestMigrateDecide(t *testing.T) {
 		t.Fatalf("page moved again within the hold window: %+v", moves)
 	}
 
-	// After the hold expires the dominant node takes it.
+	// After the hold expires a page whose transfer some node still has open
+	// (Busy) stays where it is, however dominant the challenger.
+	if moves = pol.Decide(tbl, aggregateAcc(4, []PageAcc{
+		acc(5, 0, 3, 0, 0),
+		{Page: 5, Node: 3, Busy: true},
+	})); len(moves) != 0 {
+		t.Fatalf("busy page moved: %+v", moves)
+	}
+
+	// Once nobody reports it busy the dominant node takes it.
 	if moves = pol.Decide(tbl, aggregateAcc(4, []PageAcc{
 		acc(5, 3, 0, 0, 0),
 		acc(5, 0, 3, 0, 0),

@@ -286,12 +286,14 @@ type msgHomeFlush struct {
 
 func (m *msgHomeFlush) wireSize(*Costs, int) int { return 20 + m.Diff.WireSize() }
 
-// msgPageReq asks the home for a copy of Page covering the Need intervals.
-// Prefetch requests use the same shape, served immediately with whatever
-// the home currently covers.
+// msgPageReq asks the home for a copy of Page covering the Need intervals
+// and the requester's own flushed writes through sequence Own (one of the
+// header words ReqBytes already counts). Prefetch requests use the same
+// shape, served immediately with whatever the home currently covers.
 type msgPageReq struct {
 	From     int
 	Page     pagemem.PageID
+	Own      int32
 	Need     []lrc.IntervalID
 	Prefetch bool
 }

@@ -38,7 +38,7 @@
 //	hlrcfault.go  hlrc requester side: whole-page fetch, home-local faults
 //	hlrcpf.go     hlrc whole-page prefetch and its cache
 //	homepolicy.go pluggable page→home policies, episode access counters
-//	homemigrate.go home-base transfers and late-flush forwarding (dynamic)
+//	homemigrate.go home moves: the cut, drain-then-ship, install (dynamic)
 //	adp.go        adpCoherence: modes, fault and message routing
 //	adpdecide.go  adp's decide rule and lockstep mode flips
 //	adpfetch.go   adp's transition fetches: hybrid (base + diffs) and fill
@@ -151,6 +151,11 @@ type pageState struct {
 
 	// twinned: the page has a twin and is collecting local modifications.
 	twinned bool
+
+	// flushed is the sequence of the last own interval whose diff of this
+	// page was flushed to a home (home-based engines; zero when none). A
+	// page request carries it, and the home serves no copy older than it.
+	flushed int32
 }
 
 type fetch struct {

@@ -151,7 +151,7 @@ func newHLRC(n *Node, cfg Spec, policy HomePolicy) *hlrcCoherence {
 		coh.track = true
 		coh.acc = newAccSet()
 		coh.xin = make(map[pagemem.PageID]*xferIn)
-		coh.away = make(map[pagemem.PageID]bool)
+		coh.out = make(map[pagemem.PageID]*xferOut)
 	}
 	return coh
 }
