@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -12,7 +13,7 @@ import (
 	"godsm/internal/apps"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden from this tree")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/ from this tree")
 
 const goldenPath = "testdata/fingerprints.golden"
 
@@ -80,5 +81,48 @@ func TestGoldenFingerprints(t *testing.T) {
 		if lines[i] != wantLines[i] {
 			t.Errorf("simulated result moved:\n golden: %s\n   this: %s", wantLines[i], lines[i])
 		}
+	}
+}
+
+const experimentsGoldenPath = "testdata/experiments-unit.golden"
+
+// TestExperimentsGolden pins every rendered byte of every experiment: each
+// entry of Experiments at unit scale, 4 processors, all eight applications,
+// with the nodescale sweep cut to {8, 64}. The simulator is deterministic,
+// so the text is too; this file is what lets a harness refactor say "no
+// rendered byte moved". Regenerate with -update only when a change is meant
+// to move a table, and say so in CHANGES.md.
+func TestExperimentsGolden(t *testing.T) {
+	s := NewSession(Options{Procs: 4, Scale: apps.Unit, NodeScaleProcs: []int{8, 64}})
+	out := make([]bytes.Buffer, len(Experiments))
+	if err := each(len(Experiments), func(i int) error {
+		fmt.Fprintf(&out[i], "== %s: %s\n", Experiments[i].ID, Experiments[i].Title)
+		return Experiments[i].Run(s, &out[i])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for i := range out {
+		got = append(got, out[i].Bytes()...)
+	}
+	if *update {
+		if err := os.WriteFile(experimentsGoldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(experimentsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("rendered output moved at %s:%d:\n golden: %s\n   this: %s",
+				experimentsGoldenPath, i+1, wantLines[i], gotLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s has %d lines, this tree renders %d", experimentsGoldenPath, len(wantLines), len(gotLines))
 	}
 }
