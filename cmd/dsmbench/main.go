@@ -13,12 +13,13 @@
 // input sizes.
 //
 // Independent simulations fan out over a worker pool (-workers, default
-// GOMAXPROCS): the full run grid is prewarmed up front and the experiments
-// render concurrently, while output still appears in paper order. Every
-// simulation is single-threaded and deterministic, so results are
-// byte-identical for any worker count. -json writes a machine-readable
-// summary (wall clock per experiment, aggregate simulation time, effective
-// speedup over a sequential run) for tracking performance across commits.
+// GOMAXPROCS): the experiments run concurrently, each queueing its whole
+// grid at once, while output still appears in paper order. Every
+// simulation is single-threaded and deterministic, so standard output is
+// byte-identical for any worker count, host and rerun; wall-clock timing
+// goes to standard error. -json writes a machine-readable summary (wall
+// clock per experiment, aggregate simulation time, effective speedup over a
+// sequential run) for tracking performance across commits.
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"godsm/dsm"
@@ -125,47 +125,37 @@ func main() {
 	}
 
 	start := harness.Wallclock()
-	// Schedule the full cached-run grid before any rendering starts, so
-	// the worker pool is busy end to end; experiments then render
-	// concurrently into buffers and print in paper order.
-	session.Prewarm(harness.PrewarmKeys(session, selected))
-
+	// Every experiment starts at once, so the worker pool is busy end to
+	// end; each renders into a buffer and they print in paper order.
 	type rendered struct {
-		out  strings.Builder
+		out  string
 		err  error
 		wall time.Duration
-		done chan struct{}
 	}
-	results := make([]*rendered, len(selected))
-	var wg sync.WaitGroup
+	results := make([]chan rendered, len(selected))
 	for i, e := range selected {
-		results[i] = &rendered{done: make(chan struct{})}
-		wg.Add(1)
-		go func(i int, e harness.Experiment) {
-			defer wg.Done()
-			r := results[i]
+		results[i] = make(chan rendered, 1)
+		go func() {
+			var out strings.Builder
 			t0 := harness.Wallclock()
-			r.err = e.Run(session, &r.out)
-			r.wall = harness.Wallclock().Sub(t0)
-			close(r.done)
-		}(i, e)
+			err := e.Run(session, &out)
+			results[i] <- rendered{out.String(), err, harness.Wallclock().Sub(t0)}
+		}()
 	}
 
 	var times []experimentTimes
 	for i, e := range selected {
-		r := results[i]
-		<-r.done
+		r := <-results[i]
 		if r.err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, r.err))
 		}
 		if i > 0 {
 			fmt.Println()
 		}
-		os.Stdout.WriteString(r.out.String())
-		fmt.Printf("[%s done in %.1fs wall]\n", e.ID, r.wall.Seconds())
+		os.Stdout.WriteString(r.out)
+		fmt.Fprintf(os.Stderr, "[%s done in %.1fs wall]\n", e.ID, r.wall.Seconds())
 		times = append(times, experimentTimes{ID: e.ID, WallS: r.wall.Seconds()})
 	}
-	wg.Wait()
 	total := harness.Wallclock().Sub(start)
 
 	simRuns, simWall := session.SimStats()
@@ -173,7 +163,7 @@ func main() {
 	if total > 0 {
 		speedup = simWall.Seconds() / total.Seconds()
 	}
-	fmt.Printf("\n%d simulations, %.1fs simulation time on %d workers, %.1fs wall (%.2fx vs sequential)\n",
+	fmt.Fprintf(os.Stderr, "%d simulations, %.1fs simulation time on %d workers, %.1fs wall (%.2fx vs sequential)\n",
 		simRuns, simWall.Seconds(), session.Workers(), total.Seconds(), speedup)
 
 	if *jsonPath != "" {
@@ -197,7 +187,7 @@ func main() {
 		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 	}
 }
 

@@ -3,10 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"godsm/dsm"
-	"godsm/internal/sim"
 )
 
 // Ablations of the design choices the protocol (and the paper) relies on.
@@ -56,7 +54,7 @@ var ablations = []ablation{
 		detail:  "write notices broadcast at every release (Munin-style) instead of lazily",
 		apps:    []string{"OCEAN", "WATER-NSQ", "SOR"},
 		variant: VarO,
-		mutate:  func(c *dsm.Config) { c.Protocol = "erc" },
+		mutate:  backend("erc", ""),
 	},
 	{
 		name:    "shared-prefetch-heap",
@@ -70,53 +68,66 @@ var ablations = []ablation{
 	},
 }
 
-// RunAblations regenerates the design-choice ablation table. Each row runs
-// the full system and the ablated system under the same configuration and
-// reports the elapsed-time ratio (>1 means the mechanism was helping). All
-// rows simulate concurrently on the session's worker pool; rendering waits
-// and prints in table order.
-func RunAblations(s *Session, w io.Writer) error {
-	type cell struct {
-		ab      int // index into ablations
-		app     string
-		ablated bool
+// grid declares one ablation: its applications (filtered, not replaced, by
+// -apps) under its variant, full system against ablated.
+func (ab ablation) grid() Grid {
+	return Grid{
+		Outer:    []Axis{{"mechanism", []Point{{ab.name, ab.setup}}}},
+		Apps:     ab.apps,
+		Pinned:   true,
+		Variants: []Variant{ab.variant},
+		Axes:     []Axis{{"system", []Point{{Label: "full"}, {"ablated", ab.mutate}}}},
 	}
-	var cells []cell
-	for i, ab := range ablations {
-		for _, app := range ab.apps {
-			if slices.Contains(s.AppNames(), app) {
-				cells = append(cells, cell{i, app, false}, cell{i, app, true})
-			}
-		}
-	}
-	reps, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
-		ab := ablations[c.ab]
-		cfg := s.Config(c.app, ab.variant)
-		if ab.setup != nil {
-			ab.setup(&cfg)
-		}
-		if c.ablated {
-			ab.mutate(&cfg)
-		}
-		return c.app, cfg, s.Opt.Verify
-	})
-	if err != nil {
-		return err
-	}
+}
 
+// unsupported reports why the session's backend cannot run the ablation —
+// its Validate rejecting the knob, as hlrc and adp reject a GC threshold —
+// or nil.
+func (ab ablation) unsupported(s *Session) error {
+	cfg := s.Config(ab.apps[0], ab.variant)
+	if ab.setup != nil {
+		ab.setup(&cfg)
+	}
+	ab.mutate(&cfg)
+	return cfg.Validate()
+}
+
+func ablationGrids(s *Session) []Grid {
+	var grids []Grid
+	for _, ab := range ablations {
+		if ab.unsupported(s) == nil {
+			grids = append(grids, ab.grid())
+		}
+	}
+	return grids
+}
+
+// ablationTable prints a row pivoted on "system": the row is the full
+// system's run, Across[1] the ablated one.
+var ablationTable = table{
+	"Mechanism removed            App        Cfg           Full      Ablated    Ratio",
+	"%-28s %-10s %-5s %10dus %10dus %7.2fx",
+	func(r Run) []any {
+		abl := r.Across[1]
+		return []any{r.Label("mechanism"), r.App, r.Variant, usec(r.Elapsed), usec(abl.Elapsed), slowdown(abl, r)}
+	},
+}
+
+// renderAblations regenerates the design-choice ablation table. Each row
+// runs the full system and the ablated system under the same configuration
+// and reports the elapsed-time ratio (>1 means the mechanism was helping).
+// A mechanism the session's backend does not have is one n/a line.
+func renderAblations(s *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Ablation study: cost of removing each design mechanism")
-	fmt.Fprintf(w, "%-28s %-10s %-5s %12s %12s %8s\n",
-		"Mechanism removed", "App", "Cfg", "Full", "Ablated", "Ratio")
-	for i, ab := range ablations {
-		for _, app := range ab.apps {
-			base, abl := reps[cell{i, app, false}], reps[cell{i, app, true}]
-			if base == nil {
-				continue // app not selected
+	fmt.Fprintln(w, ablationTable.head)
+	for _, ab := range ablations {
+		if err := ab.unsupported(s); err != nil {
+			fmt.Fprintf(w, "%-28s n/a (%v)\n", ab.name, err)
+		} else {
+			for _, r := range res[0].Pivot("system") {
+				ablationTable.writeRow(w, r)
 			}
-			fmt.Fprintf(w, "%-28s %-10s %-5s %10dus %10dus %7.2fx\n",
-				ab.name, app, ab.variant,
-				base.Elapsed/sim.Microsecond, abl.Elapsed/sim.Microsecond,
-				float64(abl.Elapsed)/float64(base.Elapsed))
+			res = res[1:]
 		}
 		fmt.Fprintf(w, "  (%s)\n", ab.detail)
 	}

@@ -28,10 +28,10 @@ func TestAdaptiveCrossWorkerDeterminism(t *testing.T) {
 	seq, par := NewSession(optSeq), NewSession(optPar)
 
 	var bufSeq, bufPar bytes.Buffer
-	if err := RunAdaptive(par, &bufPar); err != nil {
+	if err := render("adaptive", par, &bufPar); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAdaptive(seq, &bufSeq); err != nil {
+	if err := render("adaptive", seq, &bufSeq); err != nil {
 		t.Fatal(err)
 	}
 	if bufSeq.String() != bufPar.String() {
@@ -39,22 +39,17 @@ func TestAdaptiveCrossWorkerDeterminism(t *testing.T) {
 			bufSeq.String(), bufPar.String())
 	}
 
-	for _, b := range AdaptiveBackends {
-		for _, app := range seq.AppNames() {
-			for _, v := range ProtocolVariants {
-				a, err := protoSim(seq, app, v, b.Protocol, b.Policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := protoSim(par, app, v, b.Protocol, b.Policy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fa, fb := a.Fingerprint(), c.Fingerprint(); fa != fb {
-					t.Errorf("%s/%s under %s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s",
-						app, v, b.Label, fa, fb)
-				}
-			}
+	a, err := seq.RunGrid(adaptiveGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := par.RunGrid(adaptiveGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range a.Runs {
+		if fa, fb := r.Fingerprint(), c.Runs[i].Fingerprint(); fa != fb {
+			t.Errorf("%s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s", r.Cell, fa, fb)
 		}
 	}
 }
@@ -111,18 +106,8 @@ func TestAdaptiveTraceDeterministic(t *testing.T) {
 // happens-before race detector with verification on: the apps are race-free
 // under every backend, and checking must not break a single cell.
 func TestAdaptiveGridRaceCheckClean(t *testing.T) {
-	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}})
-	for _, b := range AdaptiveBackends {
-		for _, app := range s.AppNames() {
-			for _, v := range ProtocolVariants {
-				cfg := s.Config(app, v)
-				cfg.Protocol = b.Protocol
-				cfg.HomePolicy = b.Policy
-				cfg.RaceCheck = true
-				if _, err := s.Sim(app, cfg, true); err != nil {
-					t.Errorf("%s/%s under %s: %v", app, v, b.Label, err)
-				}
-			}
-		}
+	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}, RaceCheck: true})
+	if _, err := s.RunGrid(adaptiveGrid); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,207 +1,147 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
-	"godsm/internal/stats"
+	"godsm/internal/sim"
 )
 
-// RunFig1 regenerates Figure 1: the execution-time breakdown of the
+// renderFig1 regenerates Figure 1: the execution-time breakdown of the
 // original (no latency tolerance) runs of all applications.
-func RunFig1(s *Session, w io.Writer) error {
+func renderFig1(s *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Figure 1: execution time breakdown (TreadMarks baseline, "+
 		fmt.Sprint(s.Opt.Procs)+" processors)")
-	writeBreakdownHeader(w)
-	for _, app := range s.AppNames() {
-		rep, err := s.Run(app, VarO)
-		if err != nil {
-			return err
-		}
-		writeBreakdownRow(w, app, VarO, rep, rep.Elapsed)
-		fmt.Fprintf(w, "%-15s |%s|\n", "", bar(rep, rep.Elapsed))
+	fmt.Fprintln(w, breakdownHead)
+	for _, r := range res[0].Runs {
+		writeBreakdownRow(w, r.App, r, r.Elapsed)
+		fmt.Fprintf(w, "%-15s |%s|\n", "", bar(r.Report, r.Elapsed))
 	}
 	fmt.Fprintln(w, "legend: B=Busy D=DSM overhead M=Memory miss idle S=Sync idle p=Prefetch ov t=MT ov")
 	return nil
 }
 
-// RunFig2 regenerates Figure 2: original vs prefetching breakdowns,
+// writeBreakdowns prints one application's variants as breakdown rows
+// normalized to its first (the original's) execution time, the
+// application named on that first row only.
+func writeBreakdowns(w io.Writer, o Run) {
+	for i, r := range o.Across {
+		label := ""
+		if i == 0 {
+			label = r.App
+		}
+		writeBreakdownRow(w, label, r, o.Elapsed)
+	}
+}
+
+// renderFig2 regenerates Figure 2: original vs prefetching breakdowns,
 // normalized to the original execution time.
-func RunFig2(s *Session, w io.Writer) error {
+func renderFig2(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Figure 2: performance impact of prefetching (O = original, P = with prefetching)")
-	writeBreakdownHeader(w)
-	for _, app := range s.AppNames() {
-		repO, err := s.Run(app, VarO)
-		if err != nil {
-			return err
-		}
-		repP, err := s.Run(app, VarP)
-		if err != nil {
-			return err
-		}
-		writeBreakdownRow(w, app, VarO, repO, repO.Elapsed)
-		writeBreakdownRow(w, "", VarP, repP, repO.Elapsed)
-		stallO := repO.Sum().MissStall
-		stallP := repP.Sum().MissStall
+	fmt.Fprintln(w, breakdownHead)
+	for _, o := range res[0].Pivot("cfg") {
+		p := o.Across[1]
+		writeBreakdowns(w, o)
 		reduction := 0.0
-		if stallO > 0 {
-			reduction = 100 * (1 - float64(stallP)/float64(stallO))
+		if o.N.MissStall > 0 {
+			reduction = 100 * (1 - float64(p.N.MissStall)/float64(o.N.MissStall))
 		}
 		fmt.Fprintf(w, "%-15s speedup %.2fx, miss-stall reduction %.0f%%\n", "",
-			repP.Speedup(repO), reduction)
+			p.Speedup(o.Report), reduction)
 	}
 	return nil
 }
 
-// RunTable1 regenerates Table 1: prefetching statistics.
-func RunTable1(s *Session, w io.Writer) error {
+// table1 prints a row pivoted on the variant: the row is the original run,
+// Across[1] the prefetching one.
+var table1 = table{
+	"Benchmark    Unnec%  Covrge% |   TrafficO   TrafficP |  MissesO  MissesP |   AvgLatO   AvgLatP | ReqDrop RepDrop",
+	"%-10s %7.2f%% %7.2f%% | %9dK %9dK | %8d %8d | %7dus %7dus | %7d %7d",
+	func(o Run) []any {
+		p := o.Across[1]
+		return []any{o.App, p.UnnecessaryPfPct(), p.CoverageFactor(), kb(o.BytesTotal), kb(p.BytesTotal),
+			o.N.Misses, p.N.Misses, usec(o.AvgMissLatency()), usec(p.AvgMissLatency()),
+			p.N.PfReqDropped, p.N.PfReplyDropped}
+	},
+}
+
+// renderTable1 regenerates Table 1: prefetching statistics.
+func renderTable1(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Table 1: prefetching statistics (O = original, P = with prefetching)")
-	fmt.Fprintf(w, "%-10s %8s %8s | %10s %10s | %8s %8s | %9s %9s | %7s %7s\n",
-		"Benchmark", "Unnec%", "Covrge%", "TrafficO", "TrafficP",
-		"MissesO", "MissesP", "AvgLatO", "AvgLatP", "ReqDrop", "RepDrop")
-	for _, app := range s.AppNames() {
-		repO, err := s.Run(app, VarO)
-		if err != nil {
-			return err
-		}
-		repP, err := s.Run(app, VarP)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, table1Row(app, repO, repP))
-	}
+	table1.write(w, res[0].Pivot("cfg"))
 	return nil
 }
 
-// table1Row renders one application's Table 1 line from its original (O) and
-// prefetching (P) reports. Split out so the rendering — in particular the
-// request/reply drop split — is testable against fabricated reports.
-func table1Row(app string, repO, repP *stats.Report) string {
-	nP := repP.Sum()
-	return fmt.Sprintf("%-10s %7.2f%% %7.2f%% | %9sK %9sK | %8d %8d | %7sus %7sus | %7d %7d\n",
-		app,
-		repP.UnnecessaryPfPct(), repP.CoverageFactor(),
-		kb(repO.BytesTotal), kb(repP.BytesTotal),
-		repO.TotalMisses(), repP.TotalMisses(),
-		usec(repO.AvgMissLatency()), usec(repP.AvgMissLatency()),
-		nP.PfReqDropped, nP.PfReplyDropped)
+var fig3 = table{
+	"App        OrigMiss   no-pf%    pf-invalid%     pf-late%  pf-hit%    drops",
+	"%-10s %8d %7.1f%% %13.1f%% %11.1f%% %7.1f%% %8d",
+	func(r Run) []any {
+		// At least 1, so the shares divide.
+		total := max(1, r.N.FaultNoPf+r.N.FaultPfHit+r.N.FaultPfLate+r.N.FaultPfInvalided)
+		pct := func(v int64) float64 { return 100 * float64(v) / float64(total) }
+		return []any{r.App, total, pct(r.N.FaultNoPf), pct(r.N.FaultPfInvalided),
+			pct(r.N.FaultPfLate), pct(r.N.FaultPfHit), r.Drops}
+	},
 }
 
-// RunFig3 regenerates Figure 3: what happened to each original remote miss
+// renderFig3 regenerates Figure 3: what happened to each original remote miss
 // under prefetching (not prefetched / invalidated / too late / hit),
 // normalized to the number of original misses.
-func RunFig3(s *Session, w io.Writer) error {
+func renderFig3(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Figure 3: breakdown of the original remote misses under prefetching")
-	fmt.Fprintf(w, "%-10s %8s %8s %14s %12s %8s %8s\n",
-		"App", "OrigMiss", "no-pf%", "pf-invalid%", "pf-late%", "pf-hit%", "drops")
-	for _, app := range s.AppNames() {
-		rep, err := s.Run(app, VarP)
-		if err != nil {
-			return err
-		}
-		n := rep.Sum()
-		total := float64(n.FaultNoPf + n.FaultPfHit + n.FaultPfLate + n.FaultPfInvalided)
-		if total == 0 {
-			total = 1
-		}
-		pct := func(v int64) float64 { return 100 * float64(v) / total }
-		fmt.Fprintf(w, "%-10s %8d %7.1f%% %13.1f%% %11.1f%% %7.1f%% %8d\n",
-			app, int64(total), pct(n.FaultNoPf), pct(n.FaultPfInvalided),
-			pct(n.FaultPfLate), pct(n.FaultPfHit), rep.Drops)
-	}
+	fig3.write(w, res[0].Runs)
 	return nil
 }
 
-// RunFig4 regenerates Figure 4: multithreading with 2, 4 and 8 threads per
+// renderFig4 regenerates Figure 4: multithreading with 2, 4 and 8 threads per
 // processor vs the original, normalized to the original execution time.
-func RunFig4(s *Session, w io.Writer) error {
+func renderFig4(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Figure 4: performance impact of multithreading (nT = n threads per processor)")
-	writeBreakdownHeader(w)
-	for _, app := range s.AppNames() {
-		repO, err := s.Run(app, VarO)
-		if err != nil {
-			return err
-		}
-		writeBreakdownRow(w, app, VarO, repO, repO.Elapsed)
-		for _, v := range []Variant{Var2T, Var4T, Var8T} {
-			rep, err := s.Run(app, v)
-			if err != nil {
-				return err
-			}
-			writeBreakdownRow(w, "", v, rep, repO.Elapsed)
-		}
+	fmt.Fprintln(w, breakdownHead)
+	for _, o := range res[0].Pivot("cfg") {
+		writeBreakdowns(w, o)
 	}
 	return nil
 }
 
-// RunTable2 regenerates Table 2: multithreading statistics.
-func RunTable2(s *Session, w io.Writer) error {
+// avgUs is a mean stall in whole microseconds, 0 when nothing stalled.
+func avgUs(total sim.Time, events int64) int64 {
+	if events == 0 {
+		return 0
+	}
+	return int64(total) / events / 1000
+}
+
+var table2 = table{
+	"Benchmark  Cfg   AvgStall    AvgRun |     Msgs     VolKB |  RemMiss  MissStal | RemLock  LockStal |   Barrs  BarrStal",
+	"%-10s %-4s %7dus %7dus | %8d %9d | %8d %7dus | %7d %7dus | %7d %7dus",
+	func(r Run) []any {
+		return []any{r.App, r.Variant, usec(r.AvgStall()), usec(r.AvgRunLength()), r.MsgsTotal, kb(r.BytesTotal),
+			r.N.Misses, avgUs(r.N.MissStall, r.N.Misses),
+			r.N.RemoteLockAcqs, avgUs(r.N.LockStall, r.N.RemoteLockAcqs),
+			r.N.BarrierArrives, avgUs(r.N.BarrierStall, r.N.BarrierArrives)}
+	},
+}
+
+// renderTable2 regenerates Table 2: multithreading statistics.
+func renderTable2(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Table 2: multithreading statistics")
-	fmt.Fprintf(w, "%-10s %-4s %9s %9s | %8s %9s | %8s %9s | %7s %9s | %7s %9s\n",
-		"Benchmark", "Cfg", "AvgStall", "AvgRun",
-		"Msgs", "VolKB", "RemMiss", "MissStal", "RemLock", "LockStal", "Barrs", "BarrStal")
-	for _, app := range s.AppNames() {
-		for _, v := range []Variant{VarO, Var2T, Var4T, Var8T} {
-			rep, err := s.Run(app, v)
-			if err != nil {
-				return err
-			}
-			n := rep.Sum()
-			avgMiss := int64(0)
-			if n.Misses > 0 {
-				avgMiss = int64(n.MissStall) / n.Misses
-			}
-			avgLock := int64(0)
-			if n.RemoteLockAcqs > 0 {
-				avgLock = int64(n.LockStall) / n.RemoteLockAcqs
-			}
-			avgBar := int64(0)
-			if n.BarrierArrives > 0 {
-				avgBar = int64(n.BarrierStall) / n.BarrierArrives
-			}
-			fmt.Fprintf(w, "%-10s %-4s %7sus %7sus | %8d %9s | %8d %7dus | %7d %7dus | %7d %7dus\n",
-				app, v, usec(rep.AvgStall()), usec(rep.AvgRunLength()),
-				rep.MsgsTotal, kb(rep.BytesTotal),
-				n.Misses, avgMiss/1000,
-				n.RemoteLockAcqs, avgLock/1000,
-				n.BarrierArrives, avgBar/1000)
-		}
-	}
+	table2.write(w, res[0].Runs)
 	return nil
 }
 
-// RunFig5 regenerates Figure 5: all eight configurations per application,
+// renderFig5 regenerates Figure 5: all eight configurations per application,
 // normalized to the original execution time, with the winner marked.
-func RunFig5(s *Session, w io.Writer) error {
+func renderFig5(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Figure 5: combining prefetching and multithreading")
 	fmt.Fprintln(w, "(nTP = n threads switching on synchronization only, plus prefetching)")
-	writeBreakdownHeader(w)
-	order := []Variant{VarO, Var2T, Var4T, Var8T, VarP, Var2TP, Var4TP, Var8TP}
-	for _, app := range s.AppNames() {
-		repO, err := s.Run(app, VarO)
-		if err != nil {
-			return err
-		}
-		best, bestVar := repO.Elapsed, VarO
-		for _, v := range order {
-			rep, err := s.Run(app, v)
-			if err != nil {
-				return err
-			}
-			writeBreakdownRow(w, appLabel(app, v), v, rep, repO.Elapsed)
-			if rep.Elapsed < best {
-				best, bestVar = rep.Elapsed, v
-			}
-		}
-		fmt.Fprintf(w, "%-15s best: %s (%.2fx over O)\n", "", bestVar,
-			float64(repO.Elapsed)/float64(best))
+	fmt.Fprintln(w, breakdownHead)
+	for _, o := range res[0].Pivot("cfg") {
+		writeBreakdowns(w, o)
+		best := slices.MinFunc(o.Across, func(a, b Run) int { return cmp.Compare(a.Elapsed, b.Elapsed) })
+		fmt.Fprintf(w, "%-15s best: %s (%.2fx over O)\n", "", best.Variant, best.Speedup(o.Report))
 	}
 	return nil
-}
-
-func appLabel(app string, v Variant) string {
-	if v == VarO {
-		return app
-	}
-	return ""
 }

@@ -52,43 +52,44 @@ var faultSchedules = []faultSchedule{
 // and combined — the transport must hold up under every traffic shape.
 var FaultVariants = []Variant{VarO, VarP, Var4T, Var4TP}
 
-// RunFaults runs the chaos soak and renders per-run transport statistics.
-// Every run verifies its output against the sequential golden; a schedule
-// whose faults never exercised the transport (all counters zero) is an
-// error, since it would mean the soak soaked nothing.
-func RunFaults(s *Session, w io.Writer) error {
-	cells := s.Grid(FaultVariants)
-	fmt.Fprintln(w, "Chaos soak: full grid under escalating fault schedules, outputs verified against goldens")
-	for _, sched := range faultSchedules {
-		reps, err := simGrid(s, cells, func(c RunKey) (string, dsm.Config, bool) {
-			cfg := s.Config(c.App, c.Variant)
-			cfg.Net.Faults = sched.plan
-			return c.App, cfg, true
-		})
-		if err != nil {
-			return fmt.Errorf("%s faults: %w", sched.name, err)
-		}
+var faultsGrid = Grid{
+	Outer: []Axis{axisOf("schedule", faultSchedules, func(sched faultSchedule) Point {
+		return Point{sched.name, func(c *dsm.Config) { c.Net.Faults = sched.plan }}
+	})},
+	Variants: FaultVariants,
+	Verify:   true,
+}
 
-		p := sched.plan
-		fmt.Fprintf(w, "\nSchedule %-8s loss=%.1f%% dup=%.1f%% reorder=%.1f%% jitter<=%s brownouts=%d stalls=%d\n",
-			sched.name, 100*p.Loss, 100*p.Dup, 100*p.Reorder, usec(p.MaxJitter)+"us",
+var faultTable = table{
+	"App        Cfg     Elapsed    Retx   Tmout  DupSupp    Acks   MaxRTO  NetDrop  verify",
+	"%-10s %-4s %8dus %7d %7d %8d %7d %6dms %8d %7s",
+	func(r Run) []any {
+		return []any{r.App, r.Variant, usec(r.Elapsed), r.N.Retransmits, r.N.Timeouts, r.N.DupSuppressed,
+			r.N.AcksSent, r.N.MaxBackoff / sim.Millisecond, r.Drops, "ok"}
+	},
+}
+
+// renderFaults renders per-run transport statistics, one table per
+// schedule. Every run verified its output against the sequential golden; a
+// schedule whose faults never exercised the transport (all counters zero)
+// is an error, since it would mean the soak soaked nothing.
+func renderFaults(_ *Session, w io.Writer, res []Results) error {
+	fmt.Fprintln(w, "Chaos soak: full grid under escalating fault schedules, outputs verified against goldens")
+	rows := res[0].Pivot("schedule")
+	for k, sched := range faultSchedules {
+		name, p, runs := sched.name, sched.plan, column(rows, k)
+		fmt.Fprintf(w, "\nSchedule %-8s loss=%.1f%% dup=%.1f%% reorder=%.1f%% jitter<=%dus brownouts=%d stalls=%d\n",
+			name, 100*p.Loss, 100*p.Dup, 100*p.Reorder, usec(p.MaxJitter),
 			len(p.Brownouts), len(p.Stalls))
-		fmt.Fprintf(w, "%-10s %-4s %10s %7s %7s %8s %7s %8s %8s %7s\n",
-			"App", "Cfg", "Elapsed", "Retx", "Tmout", "DupSupp", "Acks", "MaxRTO", "NetDrop", "verify")
+		faultTable.write(w, runs)
 		var retx, tmout, dups int64
-		for _, c := range cells {
-			rep := reps[c]
-			n := rep.Sum()
-			retx += n.Retransmits
-			tmout += n.Timeouts
-			dups += n.DupSuppressed
-			fmt.Fprintf(w, "%-10s %-4s %8sus %7d %7d %8d %7d %6sms %8d %7s\n",
-				c.App, c.Variant, usec(rep.Elapsed),
-				n.Retransmits, n.Timeouts, n.DupSuppressed, n.AcksSent,
-				fmt.Sprint(n.MaxBackoff/sim.Millisecond), rep.Drops, "ok")
+		for _, r := range runs {
+			retx += r.N.Retransmits
+			tmout += r.N.Timeouts
+			dups += r.N.DupSuppressed
 		}
 		if retx == 0 && tmout == 0 && dups == 0 {
-			return fmt.Errorf("schedule %s: no retransmits, timeouts or suppressed duplicates across the grid — faults were not injected", sched.name)
+			return fmt.Errorf("schedule %s: no retransmits, timeouts or suppressed duplicates across the grid — faults were not injected", name)
 		}
 		fmt.Fprintf(w, "schedule totals: %d retransmits, %d timeouts, %d duplicates suppressed\n",
 			retx, tmout, dups)

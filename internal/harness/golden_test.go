@@ -9,22 +9,12 @@ import (
 	"strings"
 	"testing"
 
-	"godsm/dsm"
 	"godsm/internal/apps"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/ from this tree")
 
 const goldenPath = "testdata/fingerprints.golden"
-
-// goldenCell is one pinned simulation: app × backend × variant × procs at
-// unit scale on the default machine.
-type goldenCell struct {
-	App      string
-	Protocol string
-	Variant  Variant
-	Procs    int
-}
 
 // TestGoldenFingerprints pins the default machine across commits: the
 // committed file holds, per cell, the elapsed virtual time, the traffic
@@ -38,28 +28,23 @@ type goldenCell struct {
 func TestGoldenFingerprints(t *testing.T) {
 	var lines []string
 	for _, procs := range []int{4, 8} {
-		s := NewSession(Options{Procs: procs, Scale: apps.Unit})
-		var cells []goldenCell
-		for _, app := range s.AppNames() {
-			for _, protocol := range ProtocolNames {
-				for _, v := range ProtocolVariants {
-					cells = append(cells, goldenCell{app, protocol, v, procs})
-				}
-			}
-		}
-		reps, err := simGrid(s, cells, func(c goldenCell) (string, dsm.Config, bool) {
-			cfg := s.Config(c.App, c.Variant)
-			cfg.Protocol = c.Protocol
-			return c.App, cfg, false
-		})
+		// One pinned simulation per app × backend × variant × procs, at unit
+		// scale on the default machine.
+		res, err := NewSession(Options{Procs: procs, Scale: apps.Unit}).RunGrid(
+			Grid{Variants: ProtocolVariants, Axes: []Axis{protocolAxis}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range cells {
-			r := reps[c]
-			lines = append(lines, fmt.Sprintf("%s/%s/%s/%d elapsed=%d msgs=%d bytes=%d fp=%x",
-				c.App, c.Protocol, c.Variant, c.Procs, r.Elapsed, r.MsgsTotal, r.BytesTotal,
-				sha256.Sum256([]byte(r.Fingerprint()))))
+		// The file lists each application's cells protocol by protocol.
+		perApp := len(ProtocolVariants)
+		for rows := res.Pivot("protocol"); len(rows) > 0; rows = rows[perApp:] {
+			for k, protocol := range ProtocolNames {
+				for _, r := range column(rows[:perApp], k) {
+					lines = append(lines, fmt.Sprintf("%s/%s/%s/%d elapsed=%d msgs=%d bytes=%d fp=%x",
+						r.App, protocol, r.Variant, procs, r.Elapsed, r.MsgsTotal, r.BytesTotal,
+						sha256.Sum256([]byte(r.Fingerprint()))))
+				}
+			}
 		}
 	}
 	got := strings.Join(lines, "\n") + "\n"

@@ -7,9 +7,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,10 +147,16 @@ func (s *Session) SimStats() (runs int64, wall time.Duration) {
 	return s.simCount.Load(), time.Duration(s.simWall.Load())
 }
 
-// AppNames returns the selected application names in figure order.
-func (s *Session) AppNames() []string {
+// AppNames resolves an application list against -apps, the one place the
+// option is honoured: the selection when there is one, else the given
+// default subset (nodescale and netsweep keep their sweeps affordable with
+// one), else all eight in figure order.
+func (s *Session) AppNames(def ...string) []string {
 	if len(s.Opt.Apps) > 0 {
 		return s.Opt.Apps
+	}
+	if len(def) > 0 {
+		return def
 	}
 	names := make([]string, len(apps.All))
 	for i, a := range apps.All {
@@ -248,47 +252,23 @@ func (s *Session) simulate(spec apps.Spec, cfg dsm.Config, verify bool) (*dsm.Re
 	return rep, err
 }
 
-// RunKey names one cached simulation: an application/variant pair.
-type RunKey struct {
-	App     string
-	Variant Variant
-}
-
-// Grid returns the cross product of the session's selected applications
-// and the given variants, in rendering order.
-func (s *Session) Grid(variants []Variant) []RunKey {
-	var keys []RunKey
-	for _, app := range s.AppNames() {
-		for _, v := range variants {
-			keys = append(keys, RunKey{app, v})
+// RunAll simulates the given cells on the session's own machine across the
+// worker pool and blocks until all complete, returning the first error. A
+// cell of a grid with axes names another machine: run its grid.
+func (s *Session) RunAll(cells []Cell) error {
+	return each(len(cells), func(i int) error {
+		if cells[i].Labels != (Cell{}).Labels {
+			return fmt.Errorf("%s: not a cell of the session's own machine", cells[i])
 		}
-	}
-	return keys
-}
-
-// Prewarm schedules the given runs on the worker pool and returns
-// immediately. Rendering code later calls Run in paper order and picks the
-// finished (or in-flight) results out of the cache; errors surface there
-// too.
-func (s *Session) Prewarm(keys []RunKey) {
-	for _, k := range keys {
-		go s.Run(k.App, k.Variant)
-	}
-}
-
-// RunAll simulates the given runs across the worker pool and blocks until
-// all complete, returning the first error.
-func (s *Session) RunAll(keys []RunKey) error {
-	return each(len(keys), func(i int) error {
-		_, err := s.Run(keys[i].App, keys[i].Variant)
+		_, err := s.Run(cells[i].App, cells[i].Variant)
 		return err
 	})
 }
 
 // each runs job(0) … job(n-1) concurrently, waits for all of them, and
-// returns the lowest-index error. Jobs typically call Run or Sim, which
-// bound actual simulation concurrency at the session's worker pool — each
-// itself spawns freely.
+// returns the lowest-index error. Jobs end in Sim, which bounds actual
+// simulation concurrency at the session's worker pool — each itself spawns
+// freely.
 func each(n int, job func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -306,97 +286,4 @@ func each(n int, job func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// simGrid simulates one run per cell concurrently on the session's worker
-// pool and returns the reports keyed by cell. spec maps a cell to the
-// (app, cfg, verify) triple Sim takes; cells with equal triples share one
-// simulation. The first failing cell (in cell order) is the error.
-func simGrid[C comparable](s *Session, cells []C, spec func(C) (string, dsm.Config, bool)) (map[C]*dsm.Report, error) {
-	reps := make([]*dsm.Report, len(cells))
-	if err := each(len(cells), func(i int) (err error) {
-		app, cfg, verify := spec(cells[i])
-		if reps[i], err = s.Sim(app, cfg, verify); err != nil {
-			err = fmt.Errorf("%+v: %w", cells[i], err)
-		}
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	byCell := make(map[C]*dsm.Report, len(cells))
-	for i, c := range cells {
-		byCell[c] = reps[i]
-	}
-	return byCell, nil
-}
-
-// Experiment regenerates one paper artifact.
-type Experiment struct {
-	ID    string
-	Title string
-	Run   func(s *Session, w io.Writer) error
-	// Variants is the cached-run grid the experiment reads (crossed with
-	// the session's applications); drivers prewarm it so the whole grid
-	// simulates in parallel while rendering stays in paper order. Nil for
-	// experiments that fan out over explicit configs internally.
-	Variants []Variant
-}
-
-// Experiments lists every artifact: the paper's seven in paper order, then
-// the extensions. It is the order `dsmbench -exp all` runs and prints them
-// in, and the list its -exp help and ByID's error name.
-var Experiments = []Experiment{
-	{ID: "fig1", Title: "Figure 1: execution time breakdown, TreadMarks baseline",
-		Run: RunFig1, Variants: []Variant{VarO}},
-	{ID: "fig2", Title: "Figure 2: performance impact of prefetching",
-		Run: RunFig2, Variants: []Variant{VarO, VarP}},
-	{ID: "table1", Title: "Table 1: prefetching statistics",
-		Run: RunTable1, Variants: []Variant{VarO, VarP}},
-	{ID: "fig3", Title: "Figure 3: breakdown of the original remote misses",
-		Run: RunFig3, Variants: []Variant{VarP}},
-	{ID: "fig4", Title: "Figure 4: performance impact of multithreading",
-		Run: RunFig4, Variants: []Variant{VarO, Var2T, Var4T, Var8T}},
-	{ID: "table2", Title: "Table 2: multithreading statistics",
-		Run: RunTable2, Variants: []Variant{VarO, Var2T, Var4T, Var8T}},
-	{ID: "fig5", Title: "Figure 5: combining prefetching and multithreading",
-		Run: RunFig5, Variants: AllVariants},
-	{ID: "ablation", Title: "Ablation study of the design mechanisms", Run: RunAblations},
-	{ID: "adaptive", Title: "Adaptive coherence: home policies and per-page diff/home switching",
-		Run: RunAdaptive},
-	{ID: "faults", Title: "Chaos soak: fault injection vs the reliable transport", Run: RunFaults},
-	{ID: "nodescale", Title: "Machine scaling: topologies, combining-tree barriers, gossip (extension)",
-		Run: RunNodeScale},
-	{ID: "protocols", Title: "Protocol comparison: LRC vs ERC vs home-based LRC", Run: RunProtocols},
-	{ID: "racecheck", Title: "Race-checked grid: happens-before detection over every app x protocol",
-		Run: RunRaceCheck},
-	{ID: "scaling", Title: "Processor-count scaling (extension)", Run: RunScaling},
-	{ID: "netsweep", Title: "Network latency/bandwidth sensitivity (extension)", Run: RunNetSweep},
-}
-
-// PrewarmKeys returns the union of the cached-run grids the given
-// experiments will read, deduplicated, in first-use order.
-func PrewarmKeys(s *Session, exps []Experiment) []RunKey {
-	seen := make(map[RunKey]bool)
-	var keys []RunKey
-	for _, e := range exps {
-		for _, k := range s.Grid(e.Variants) {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	return keys
-}
-
-// ByID returns the experiment with the given id.
-func ByID(id string) (Experiment, error) {
-	ids := make([]string, len(Experiments))
-	for i, e := range Experiments {
-		if e.ID == id {
-			return e, nil
-		}
-		ids[i] = e.ID
-	}
-	return Experiment{}, fmt.Errorf("unknown experiment %q (have: all, %s)", id, strings.Join(ids, ", "))
 }

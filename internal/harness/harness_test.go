@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -22,8 +23,20 @@ func protoSim(s *Session, app string, v Variant, protocol, policy string) (*dsm.
 	return s.Sim(app, cfg, true)
 }
 
+// render runs one experiment by id.
+func render(id string, s *Session, w io.Writer) error {
+	e, err := ByID(id)
+	if err != nil {
+		return err
+	}
+	return e.Run(s, w)
+}
+
 // TestEveryExperimentRuns executes each experiment end to end at unit scale
-// on a reduced app set and sanity-checks the rendered output.
+// on a reduced app set and sanity-checks the rendered output — under the
+// default backend and under every other one a session can select, since an
+// experiment that sweeps backends (or ablates a knob the session's backend
+// lacks) must not trip over the session's own.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantMarker := map[string]string{
 		"fig1":      "Figure 1",
@@ -37,24 +50,32 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"protocols": "relative to lrc",
 		"racecheck": "0 data races",
 	}
-	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}})
-	for _, e := range Experiments {
-		var buf bytes.Buffer
-		if err := e.Run(s, &buf); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		out := buf.String()
-		if !strings.Contains(out, wantMarker[e.ID]) {
-			t.Errorf("%s output missing %q:\n%s", e.ID, wantMarker[e.ID], out)
-		}
-		if !strings.Contains(out, "SOR") {
-			t.Errorf("%s output missing app row", e.ID)
+	for _, b := range [][2]string{{"", ""}, {"erc", ""}, {"adp", ""},
+		{"hlrc", ""}, {"hlrc", "firsttouch"}, {"hlrc", "migrate"}} {
+		s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"},
+			NodeScaleProcs: []int{8, 64}, Protocol: b[0], HomePolicy: b[1]})
+		for _, e := range Experiments {
+			var buf bytes.Buffer
+			if err := e.Run(s, &buf); err != nil {
+				t.Fatalf("%s under %q: %v", e.ID, b, err)
+			}
+			out := buf.String()
+			if !strings.Contains(out, wantMarker[e.ID]) {
+				t.Errorf("%s under %q: output missing %q:\n%s", e.ID, b, wantMarker[e.ID], out)
+			}
+			if !strings.Contains(out, "SOR") {
+				t.Errorf("%s under %q: output missing app row", e.ID, b)
+			}
+			if na := strings.Contains(out, "n/a ("); na != (e.ID == "ablation" && b[0] != "" && b[0] != "erc") {
+				t.Errorf("%s under %q: n/a line present = %v:\n%s", e.ID, b, na, out)
+			}
 		}
 	}
 }
 
 // TestSessionCaching: repeated runs of the same configuration must come
-// from the cache (same pointer).
+// from the cache (same pointer), and rendering after the experiments' cells
+// have run re-simulates nothing.
 func TestSessionCaching(t *testing.T) {
 	s := testSession()
 	a, err := s.Run("SOR", VarO)
@@ -68,6 +89,42 @@ func TestSessionCaching(t *testing.T) {
 	if a != b {
 		t.Fatal("session did not cache the report")
 	}
+
+	s = NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR"}, Workers: 2})
+	keys := PrewarmKeys(s, Experiments[:4]) // fig1..fig3: SOR × {O, P}
+	if len(keys) != 2 {
+		t.Fatalf("prewarm keys = %v, want SOR×{O,P}", keys)
+	}
+	if err := s.RunAll(keys); err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := s.SimStats(); runs != 2 {
+		t.Fatalf("%d simulations after RunAll, want 2", runs)
+	}
+	if err := render("fig2", s, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := s.SimStats(); runs != 2 {
+		t.Errorf("rendering after RunAll re-simulated: 2 -> %d runs", runs)
+	}
+}
+
+// runGrids runs one grid on a fresh session per option set and returns the
+// results in the same order.
+func runGrids(t *testing.T, g Grid, opts ...Options) []Results {
+	t.Helper()
+	res := make([]Results, len(opts))
+	for i, opt := range opts {
+		s := NewSession(opt)
+		var err error
+		if res[i], err = s.RunGrid(g); err != nil {
+			t.Fatal(err)
+		}
+		if runs, _ := s.SimStats(); runs != int64(len(res[i].Runs)) {
+			t.Errorf("workers=%d simulated %d runs, want %d (no duplicates)", opt.Workers, runs, len(res[i].Runs))
+		}
+	}
+	return res
 }
 
 // TestCrossWorkerDeterminism proves the parallel runner's central claim:
@@ -75,35 +132,14 @@ func TestSessionCaching(t *testing.T) {
 // breakdowns, all counters) whether simulations run strictly sequentially
 // (workers=1) or fanned out over 8 workers.
 func TestCrossWorkerDeterminism(t *testing.T) {
-	opt := Options{Procs: 4, Scale: apps.Unit}
-	optSeq, optPar := opt, opt
-	optSeq.Workers = 1
+	optSeq := Options{Procs: 4, Scale: apps.Unit, Workers: 1}
+	optPar := optSeq
 	optPar.Workers = 8
-	seq := NewSession(optSeq)
-	par := NewSession(optPar)
-	if err := par.RunAll(par.Grid(AllVariants)); err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunAll(seq.Grid(AllVariants)); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range seq.Grid(AllVariants) {
-		a, err := seq.Run(k.App, k.Variant)
-		if err != nil {
-			t.Fatal(err)
+	res := runGrids(t, Grid{Variants: AllVariants}, optPar, optSeq)
+	for i, a := range res[1].Runs {
+		if fa, fb := a.Fingerprint(), res[0].Runs[i].Fingerprint(); fa != fb {
+			t.Errorf("%s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s", a.Cell, fa, fb)
 		}
-		b, err := par.Run(k.App, k.Variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
-			t.Errorf("%s/%s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s",
-				k.App, k.Variant, fa, fb)
-		}
-	}
-	if runs, _ := par.SimStats(); runs != int64(len(par.Grid(AllVariants))) {
-		t.Errorf("parallel session simulated %d runs, want %d (no duplicates)",
-			runs, len(par.Grid(AllVariants)))
 	}
 }
 
@@ -115,39 +151,21 @@ func TestCrossWorkerDeterminism(t *testing.T) {
 func TestFaultedCrossWorkerDeterminism(t *testing.T) {
 	plan := dsm.FaultPlan{Seed: 77, Loss: 0.02, Dup: 0.01,
 		Reorder: 0.05, MaxJitter: dsm.Millisecond}
-	opt := Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "OCEAN"},
-		Verify: true, Faults: plan}
-	optSeq, optPar := opt, opt
-	optSeq.Workers = 1
+	optSeq := Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "OCEAN"},
+		Verify: true, Faults: plan, Workers: 1}
+	optPar := optSeq
 	optPar.Workers = 8
-	seq, par := NewSession(optSeq), NewSession(optPar)
-	grid := seq.Grid(FaultVariants)
-	if err := par.RunAll(par.Grid(FaultVariants)); err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.RunAll(grid); err != nil {
-		t.Fatal(err)
-	}
-	rerun := NewSession(optSeq)
-	if err := rerun.RunAll(grid); err != nil {
-		t.Fatal(err)
-	}
+	res := runGrids(t, Grid{Variants: FaultVariants}, optPar, optSeq, optSeq)
 	var exercised int64
-	for _, k := range grid {
-		a, _ := seq.Run(k.App, k.Variant)
-		b, _ := par.Run(k.App, k.Variant)
-		c, _ := rerun.Run(k.App, k.Variant)
-		fa, fb, fc := a.Fingerprint(), b.Fingerprint(), c.Fingerprint()
+	for i, a := range res[1].Runs {
+		fa, fb, fc := a.Fingerprint(), res[0].Runs[i].Fingerprint(), res[2].Runs[i].Fingerprint()
 		if fa != fb {
-			t.Errorf("%s/%s: faulted reports differ across worker counts:\nseq: %s\npar: %s",
-				k.App, k.Variant, fa, fb)
+			t.Errorf("%s: faulted reports differ across worker counts:\nseq: %s\npar: %s", a.Cell, fa, fb)
 		}
 		if fa != fc {
-			t.Errorf("%s/%s: same fault seed did not reproduce:\n1st: %s\n2nd: %s",
-				k.App, k.Variant, fa, fc)
+			t.Errorf("%s: same fault seed did not reproduce:\n1st: %s\n2nd: %s", a.Cell, fa, fc)
 		}
-		n := a.Sum()
-		exercised += n.Retransmits + n.Timeouts + n.DupSuppressed + n.AcksSent
+		exercised += a.N.Retransmits + a.N.Timeouts + a.N.DupSuppressed + a.N.AcksSent
 	}
 	if exercised == 0 {
 		t.Error("fault plan never exercised the reliable transport")
@@ -159,47 +177,22 @@ func TestFaultedCrossWorkerDeterminism(t *testing.T) {
 // byte-identical report whether simulations run sequentially (workers=1) or
 // fanned out over 8 workers, and a rerun must reproduce it again.
 func TestCrossProtocolDeterminism(t *testing.T) {
-	opt := Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}}
-	optSeq, optPar := opt, opt
-	optSeq.Workers = 1
+	optSeq := Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}, Workers: 1}
+	optPar := optSeq
 	optPar.Workers = 8
-	seq, par, rerun := NewSession(optSeq), NewSession(optPar), NewSession(optPar)
-
-	type pcell struct {
-		app   string
-		v     Variant
-		proto string
+	registered := Axis{Name: "protocol"}
+	for _, name := range dsm.Protocols() {
+		registered.Points = append(registered.Points, Point{name, backend(name, "")})
 	}
-	var grid []pcell
-	for _, proto := range dsm.Protocols() {
-		for _, app := range opt.Apps {
-			for _, v := range ProtocolVariants {
-				grid = append(grid, pcell{app, v, proto})
-			}
-		}
-	}
-	for _, s := range []*Session{par, rerun, seq} {
-		s := s
-		if err := each(len(grid), func(i int) error {
-			c := grid[i]
-			_, err := protoSim(s, c.app, c.v, c.proto, "")
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range grid {
-		a, _ := protoSim(seq, c.app, c.v, c.proto, "")
-		b, _ := protoSim(par, c.app, c.v, c.proto, "")
-		d, _ := protoSim(rerun, c.app, c.v, c.proto, "")
-		fa, fb, fd := a.Fingerprint(), b.Fingerprint(), d.Fingerprint()
+	grid := Grid{Outer: []Axis{registered}, Variants: ProtocolVariants, Verify: true}
+	res := runGrids(t, grid, optPar, optPar, optSeq)
+	for i, a := range res[2].Runs {
+		fa, fb, fd := a.Fingerprint(), res[0].Runs[i].Fingerprint(), res[1].Runs[i].Fingerprint()
 		if fa != fb {
-			t.Errorf("%s/%s under %s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s",
-				c.app, c.v, c.proto, fa, fb)
+			t.Errorf("%s: workers=1 and workers=8 reports differ:\nseq: %s\npar: %s", a.Cell, fa, fb)
 		}
 		if fb != fd {
-			t.Errorf("%s/%s under %s: rerun did not reproduce:\n1st: %s\n2nd: %s",
-				c.app, c.v, c.proto, fb, fd)
+			t.Errorf("%s: rerun did not reproduce:\n1st: %s\n2nd: %s", a.Cell, fb, fd)
 		}
 	}
 }
@@ -234,30 +227,6 @@ func TestSingleflight(t *testing.T) {
 	}
 	if runs, _ := s.SimStats(); runs != 1 {
 		t.Fatalf("%d simulations ran, want 1 (singleflight)", runs)
-	}
-}
-
-// TestPrewarm: prewarming the grid leaves rendering with pure cache hits.
-func TestPrewarm(t *testing.T) {
-	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR"}, Workers: 2})
-	keys := PrewarmKeys(s, Experiments[:4]) // fig1..fig3: SOR × {O, P}
-	if len(keys) != 2 {
-		t.Fatalf("prewarm keys = %v, want SOR×{O,P}", keys)
-	}
-	s.Prewarm(keys)
-	if err := s.RunAll(keys); err != nil {
-		t.Fatal(err)
-	}
-	runsBefore, _ := s.SimStats()
-	if runsBefore != 2 {
-		t.Fatalf("%d simulations after prewarm, want 2", runsBefore)
-	}
-	var buf bytes.Buffer
-	if err := RunFig2(s, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if runsAfter, _ := s.SimStats(); runsAfter != runsBefore {
-		t.Errorf("rendering after prewarm re-simulated: %d -> %d runs", runsBefore, runsAfter)
 	}
 }
 
@@ -358,8 +327,7 @@ func TestByID(t *testing.T) {
 func TestVerifiedExperimentRun(t *testing.T) {
 	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Verify: true,
 		Apps: []string{"OCEAN"}})
-	var buf bytes.Buffer
-	if err := RunFig2(s, &buf); err != nil {
+	if err := render("fig2", s, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -81,6 +81,29 @@ type nodeScaleSnapshot struct {
 	Checks []NodeScaleCheck `json:"checks"`
 }
 
+// procsAxis sweeps the machine's processor count.
+func procsAxis(procs ...int) Axis {
+	return axisOf("procs", procs, func(p int) Point {
+		return Point{fmt.Sprint(p), func(c *dsm.Config) { c.Procs = p }}
+	})
+}
+
+// scaledMachine is the large-machine configuration of whatever protocol the
+// cell runs.
+func scaledMachine(cfg *dsm.Config) {
+	cfg.Net.Topology = "fattree"
+	cfg.Barrier = "tree"
+	// Gossip replaces erc's O(N) release broadcast. lrc sends no eager
+	// notices (gossip would only add traffic) and hlrc routes notices
+	// through page homes, so both keep their notice paths.
+	if cfg.Protocol == "erc" {
+		cfg.Gossip = true
+		cfg.GossipSeed = nodeScaleSeed
+	}
+}
+
+var machineAxis = Axis{"machine", []Point{{Label: "baseline"}, {"scaled", scaledMachine}}}
+
 func (s *Session) nodeScaleProcs() []int {
 	if len(s.Opt.NodeScaleProcs) > 0 {
 		return s.Opt.NodeScaleProcs
@@ -88,98 +111,48 @@ func (s *Session) nodeScaleProcs() []int {
 	return NodeScaleDefaultProcs
 }
 
-func (s *Session) nodeScaleApps() []string {
-	if len(s.Opt.Apps) > 0 {
-		return s.Opt.Apps
-	}
-	return nodeScaleDefaultApps
-}
-
-// nodeScaleCell names one run of the sweep.
-type nodeScaleCell struct {
-	app, protocol string
-	procs         int
-	machine       string // "baseline" or "scaled"
-}
-
-// nodeScaleConfig builds one cell's configuration.
-func (s *Session) nodeScaleConfig(c nodeScaleCell) dsm.Config {
-	cfg := s.Config(c.app, VarO)
-	cfg.Procs = c.procs
-	cfg.Protocol = c.protocol
-	if c.machine == "scaled" {
-		cfg.Net.Topology = "fattree"
-		cfg.Barrier = "tree"
-		// Gossip replaces erc's O(N) release broadcast. lrc sends no eager
-		// notices (gossip would only add traffic) and hlrc routes notices
-		// through page homes, so both keep their notice paths.
-		if c.protocol == "erc" {
-			cfg.Gossip = true
-			cfg.GossipSeed = nodeScaleSeed
-		}
-	}
-	return cfg
+func nodeScaleGrid(s *Session) []Grid {
+	return []Grid{{
+		Apps:     nodeScaleDefaultApps,
+		Variants: []Variant{VarO},
+		Axes:     []Axis{protocolAxis, procsAxis(s.nodeScaleProcs()...), machineAxis},
+	}}
 }
 
 // nodeScaleRow extracts one cell's metrics from its report.
-func nodeScaleRow(c nodeScaleCell, rep *dsm.Report) NodeScaleRow {
-	sum := rep.Sum()
+func nodeScaleRow(r Run) NodeScaleRow {
 	return NodeScaleRow{
-		App: c.app, Protocol: c.protocol, Procs: c.procs, Machine: c.machine,
-		ElapsedUs:    int64(rep.Elapsed / sim.Microsecond),
-		Msgs:         rep.MsgsTotal,
-		BarrierUs:    int64(sum.BarrierStall / sim.Time(len(rep.Nodes)) / sim.Microsecond),
-		BarrierMsgs:  rep.KindMsgs[proto.KindBarArrive] + rep.KindMsgs[proto.KindBarRelease],
-		NoticeMsgs:   rep.KindMsgs[proto.KindEagerNotice] + rep.KindMsgs[proto.KindGossip],
-		GossipRounds: sum.GossipRounds,
-		PeakLink:     rep.PeakLink,
-		PeakLinkUs:   int64(rep.PeakLinkBacklog / sim.Microsecond),
+		App: r.App, Protocol: r.Label("protocol"), Procs: len(r.Nodes), Machine: r.Label("machine"),
+		ElapsedUs:    usec(r.Elapsed),
+		Msgs:         r.MsgsTotal,
+		BarrierUs:    usec(r.N.BarrierStall / sim.Time(len(r.Nodes))),
+		BarrierMsgs:  r.KindMsgs[proto.KindBarArrive] + r.KindMsgs[proto.KindBarRelease],
+		NoticeMsgs:   r.KindMsgs[proto.KindEagerNotice] + r.KindMsgs[proto.KindGossip],
+		GossipRounds: r.N.GossipRounds,
+		PeakLink:     r.PeakLink,
+		PeakLinkUs:   usec(r.PeakLinkBacklog),
 	}
 }
 
-// RunNodeScale runs the machine-scaling sweep.
-func RunNodeScale(s *Session, w io.Writer) error {
-	apps := s.nodeScaleApps()
-	procsList := s.nodeScaleProcs()
-	protocols := ProtocolNames
-	machines := []string{"baseline", "scaled"}
+var nodeScaleTable = table{
+	"Procs  Machine        Elapsed      Msgs   BarStall  BarMsgs  Notices  Rounds       PeakLink  PeakWait",
+	"%-6d %-9s %10dus %9d %8dus %8d %8d %7d %14s %7dus",
+	func(r Run) []any {
+		row := nodeScaleRow(r)
+		return []any{row.Procs, row.Machine, row.ElapsedUs, row.Msgs, row.BarrierUs, row.BarrierMsgs,
+			row.NoticeMsgs, row.GossipRounds, row.PeakLink, row.PeakLinkUs}
+	},
+}
 
-	var cells []nodeScaleCell
-	for _, app := range apps {
-		for _, protocol := range protocols {
-			for _, procs := range procsList {
-				for _, machine := range machines {
-					cells = append(cells, nodeScaleCell{app, protocol, procs, machine})
-				}
-			}
-		}
-	}
-	reps, err := simGrid(s, cells, func(c nodeScaleCell) (string, dsm.Config, bool) {
-		return c.app, s.nodeScaleConfig(c), s.Opt.Verify
-	})
-	if err != nil {
-		return err
-	}
-	rows := make(map[nodeScaleCell]NodeScaleRow, len(cells))
-	for _, c := range cells {
-		rows[c] = nodeScaleRow(c, reps[c])
-	}
-
+// renderNodeScale renders the machine-scaling sweep: one table per
+// application and protocol, the acceptance summary, and the JSON snapshot.
+func renderNodeScale(s *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Node scaling: one switch + central barrier (+ erc broadcast) vs fat tree + combining tree + gossip")
-	for _, app := range apps {
-		for _, protocol := range protocols {
-			fmt.Fprintf(w, "\n%s under %s\n", app, protocol)
-			fmt.Fprintf(w, "%-6s %-9s %12s %9s %10s %8s %8s %7s %14s %9s\n",
-				"Procs", "Machine", "Elapsed", "Msgs", "BarStall", "BarMsgs", "Notices", "Rounds", "PeakLink", "PeakWait")
-			for _, procs := range procsList {
-				for _, machine := range machines {
-					r := rows[nodeScaleCell{app, protocol, procs, machine}]
-					fmt.Fprintf(w, "%-6d %-9s %10dus %9d %8dus %8d %8d %7d %14s %7dus\n",
-						procs, machine, r.ElapsedUs, r.Msgs, r.BarrierUs,
-						r.BarrierMsgs, r.NoticeMsgs, r.GossipRounds, r.PeakLink, r.PeakLinkUs)
-				}
-			}
-		}
+	// One table per application and protocol: the runs are in that order.
+	perTable := len(res[0].Labels("procs")) * len(res[0].Labels("machine"))
+	for runs := res[0].Runs; len(runs) > 0; runs = runs[perTable:] {
+		fmt.Fprintf(w, "\n%s under %s\n", runs[0].App, runs[0].Label("protocol"))
+		nodeScaleTable.write(w, runs[:perTable])
 	}
 
 	// Acceptance summary: at 64+ nodes the scaled machine must strictly
@@ -188,40 +161,35 @@ func RunNodeScale(s *Session, w io.Writer) error {
 	var checks []NodeScaleCheck
 	fmt.Fprintln(w, "\nScaled-machine wins at 64+ nodes (strictly lower than baseline)")
 	fmt.Fprintf(w, "%-10s %-6s %-6s %12s %12s\n", "App", "Proto", "Procs", "BarStall", "NoticeMsgs")
-	for _, app := range apps {
-		for _, protocol := range protocols {
-			for _, procs := range procsList {
-				if procs < 64 {
-					continue
-				}
-				base := rows[nodeScaleCell{app, protocol, procs, "baseline"}]
-				scal := rows[nodeScaleCell{app, protocol, procs, "scaled"}]
-				ck := NodeScaleCheck{
-					App: app, Protocol: protocol, Procs: procs,
-					BarrierLower: scal.BarrierUs < base.BarrierUs,
-				}
-				notices := "-"
-				if protocol == "erc" {
-					ck.NoticeMsgsLower = scal.NoticeMsgs < base.NoticeMsgs
-					notices = verdict(ck.NoticeMsgsLower)
-				}
-				checks = append(checks, ck)
-				fmt.Fprintf(w, "%-10s %-6s %-6d %12s %12s\n",
-					app, protocol, procs, verdict(ck.BarrierLower), notices)
-			}
+	for _, r := range res[0].Pivot("machine") {
+		base, scal := nodeScaleRow(r), nodeScaleRow(r.Across[1])
+		if base.Procs < 64 {
+			continue
 		}
+		ck := NodeScaleCheck{
+			App: base.App, Protocol: base.Protocol, Procs: base.Procs,
+			BarrierLower: scal.BarrierUs < base.BarrierUs,
+		}
+		notices := "-"
+		if ck.Protocol == "erc" {
+			ck.NoticeMsgsLower = scal.NoticeMsgs < base.NoticeMsgs
+			notices = verdict(ck.NoticeMsgsLower)
+		}
+		checks = append(checks, ck)
+		fmt.Fprintf(w, "%-10s %-6s %-6d %12s %12s\n",
+			ck.App, ck.Protocol, ck.Procs, verdict(ck.BarrierLower), notices)
 	}
 
 	if path := s.Opt.NodeScaleJSON; path != "" {
 		snap := nodeScaleSnapshot{
-			Scale: s.Opt.Scale.String(),
-			Apps:  apps,
-			Procs: procsList,
+			Scale:  s.Opt.Scale.String(),
+			Apps:   res[0].Labels("app"),
+			Procs:  s.nodeScaleProcs(),
+			Checks: checks,
 		}
-		for _, c := range cells {
-			snap.Rows = append(snap.Rows, rows[c])
+		for _, r := range res[0].Runs {
+			snap.Rows = append(snap.Rows, nodeScaleRow(r))
 		}
-		snap.Checks = checks
 		buf, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"godsm/dsm"
@@ -58,7 +59,9 @@ func TestTreeBarrierDegeneratesToCentral(t *testing.T) {
 func TestScaledMachineDeterminism(t *testing.T) {
 	run := func(workers int) string {
 		s := NewSession(Options{Procs: 16, Scale: apps.Unit, Workers: workers})
-		cfg := s.nodeScaleConfig(nodeScaleCell{"SOR", "erc", 16, "scaled"})
+		cfg := s.Config("SOR", VarO)
+		backend("erc", "")(&cfg)
+		scaledMachine(&cfg)
 		rep, err := s.Sim("SOR", cfg, false)
 		if err != nil {
 			t.Fatal(err)
@@ -83,43 +86,36 @@ func TestScaledMachineDeterminism(t *testing.T) {
 // node long before another, a relayed notice overtaking the notices it
 // depends on, a page request reaching a home-elect before its own release.
 func TestSyncMatrixVerifies(t *testing.T) {
-	rows := []struct {
-		name string
-		set  func(*dsm.Config)
-	}{
+	rows := Axis{"row", []Point{
 		{"lrc+gc", func(c *dsm.Config) { c.GCThreshold = 2000 }},
 		{"erc+gossip1", func(c *dsm.Config) { c.Protocol, c.Gossip, c.GossipFanout = "erc", true, 1 }},
 		{"erc+gossip2", func(c *dsm.Config) { c.Protocol, c.Gossip, c.GossipFanout = "erc", true, 2 }},
-		{"hlrc+migrate", func(c *dsm.Config) { c.Protocol, c.HomePolicy = "hlrc", "migrate" }},
-		{"hlrc+firsttouch", func(c *dsm.Config) { c.Protocol, c.HomePolicy = "hlrc", "firsttouch" }},
-		{"adp", func(c *dsm.Config) { c.Protocol = "adp" }},
-	}
-	type cell struct {
-		app, row string
-		fanout   int
-	}
+		{"hlrc+migrate", backend("hlrc", "migrate")},
+		{"hlrc+firsttouch", backend("hlrc", "firsttouch")},
+		{"adp", backend("adp", "")},
+	}}
 	s := NewSession(Options{Procs: 8, Scale: apps.Unit, RaceCheck: true})
-	var cells []cell
-	for _, app := range s.AppNames() {
-		for _, row := range rows {
-			for _, fanout := range []int{2, 3} {
-				cells = append(cells, cell{app, row.name, fanout})
-			}
-		}
-	}
-	_, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
-		cfg := s.Config(c.app, VarO)
-		cfg.Barrier, cfg.BarrierFanout = "tree", c.fanout
-		for _, row := range rows {
-			if row.name == c.row {
-				row.set(&cfg)
-			}
-		}
-		return c.app, cfg, true
-	})
-	if err != nil {
+	if _, err := s.RunGrid(Grid{
+		Variants: []Variant{VarO},
+		Axes:     []Axis{rows, fanoutAxis(2, 3)},
+		Verify:   true,
+	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fanoutAxis sweeps the barrier: a combining tree of each fanout, 0 being
+// the central barrier.
+func fanoutAxis(fanouts ...int) Axis {
+	ax := Axis{Name: "fanout"}
+	for _, f := range fanouts {
+		ax.Points = append(ax.Points, Point{fmt.Sprint(f), func(c *dsm.Config) {
+			if f > 0 {
+				c.Barrier, c.BarrierFanout = "tree", f
+			}
+		}})
+	}
+	return ax
 }
 
 // TestChaosMatrixVerifies: every home-based row must compute every
@@ -130,35 +126,24 @@ func TestSyncMatrixVerifies(t *testing.T) {
 // ordering rules (proto/hlrc.go) exist for. A protocol invariant fails its
 // cell by name like a wrong answer does (dsm.RunChecked).
 func TestChaosMatrixVerifies(t *testing.T) {
-	type cell struct {
-		app, protocol, policy string
-		v                     Variant
-		fanout                int // 0: the central barrier
-		seed                  int64
+	backends := Axis{"backend", []Point{
+		{"hlrc", backend("hlrc", "")},
+		{"hlrc/firsttouch", backend("hlrc", "firsttouch")},
+		{"hlrc/migrate", backend("hlrc", "migrate")},
+		{"adp", backend("adp", "")},
+	}}
+	seeds := Axis{Name: "seed"}
+	for seed := int64(1); seed <= 3; seed++ {
+		seeds.Points = append(seeds.Points, Point{fmt.Sprint(seed), func(c *dsm.Config) {
+			c.Net.Faults = dsm.FaultPlan{Seed: seed, Loss: 0.04, Dup: 0.01}
+		}})
 	}
 	s := NewSession(Options{Procs: 8, Scale: apps.Unit})
-	var cells []cell
-	for _, app := range s.AppNames() {
-		for _, row := range [][2]string{{"hlrc", ""}, {"hlrc", "firsttouch"}, {"hlrc", "migrate"}, {"adp", ""}} {
-			for _, v := range []Variant{VarO, VarP, Var4TP} {
-				for _, fanout := range []int{0, 2} {
-					for seed := int64(1); seed <= 3; seed++ {
-						cells = append(cells, cell{app, row[0], row[1], v, fanout, seed})
-					}
-				}
-			}
-		}
-	}
-	_, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
-		cfg := s.Config(c.app, c.v)
-		cfg.Protocol, cfg.HomePolicy = c.protocol, c.policy
-		if c.fanout > 0 {
-			cfg.Barrier, cfg.BarrierFanout = "tree", c.fanout
-		}
-		cfg.Net.Faults = dsm.FaultPlan{Seed: c.seed, Loss: 0.04, Dup: 0.01}
-		return c.app, cfg, true
-	})
-	if err != nil {
+	if _, err := s.RunGrid(Grid{
+		Variants: []Variant{VarO, VarP, Var4TP},
+		Axes:     []Axis{backends, fanoutAxis(0, 2), seeds},
+		Verify:   true,
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,10 +23,10 @@ func TestRaceCheckedDeterminism(t *testing.T) {
 	seq, par := NewSession(optSeq), NewSession(optPar)
 
 	var bufSeq, bufPar bytes.Buffer
-	if err := RunRaceCheck(par, &bufPar); err != nil {
+	if err := render("racecheck", par, &bufPar); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunRaceCheck(seq, &bufSeq); err != nil {
+	if err := render("racecheck", seq, &bufSeq); err != nil {
 		t.Fatal(err)
 	}
 	if bufSeq.String() != bufPar.String() {

@@ -16,65 +16,56 @@ import (
 // while higher bandwidth shrinks the serialization and queueing components
 // that neither technique addresses.
 
-type netPoint struct {
-	label string
-	prop  sim.Time // per-link-traversal latency
-	mbps  float64  // link bandwidth
+// network is the edit to an interconnect of the given per-link-traversal
+// latency and link bandwidth.
+func network(prop sim.Time, mbps float64) func(*dsm.Config) {
+	return func(c *dsm.Config) { c.Net.PropDelay, c.Net.NsPerByte = prop, 8000/mbps }
 }
 
-var netPoints = []netPoint{
-	{"fast-lan (10us, 1Gb)", 10 * sim.Microsecond, 1000},
-	{"atm/2 (150us, 155Mb)", 150 * sim.Microsecond, 155},
-	{"paper (300us, 155Mb)", 300 * sim.Microsecond, 155},
-	{"atm*2 (600us, 155Mb)", 600 * sim.Microsecond, 155},
-	{"wan-ish (2ms, 45Mb)", 2 * sim.Millisecond, 45},
+// netSweepGrid is each network point × a representative app pair × the
+// original and the three techniques.
+var netSweepGrid = Grid{
+	Outer: []Axis{{"network", []Point{
+		{"fast-lan (10us, 1Gb)", network(10*sim.Microsecond, 1000)},
+		{"atm/2 (150us, 155Mb)", network(150*sim.Microsecond, 155)},
+		{"paper (300us, 155Mb)", network(300*sim.Microsecond, 155)},
+		{"atm*2 (600us, 155Mb)", network(600*sim.Microsecond, 155)},
+		{"wan-ish (2ms, 45Mb)", network(2*sim.Millisecond, 45)},
+	}}},
+	Apps:     []string{"SOR", "WATER-NSQ"},
+	Variants: []Variant{VarO, VarP, Var4T, Var4TP},
 }
 
-// RunNetSweep regenerates the network sensitivity table: for each network
-// point and a representative app pair, the speedup of P, 4T and the
-// combined 4TP over the original. All network points simulate concurrently
-// on the session's worker pool; rendering prints in table order.
-func RunNetSweep(s *Session, w io.Writer) error {
-	appsToRun := []string{"SOR", "WATER-NSQ"}
-	if len(s.Opt.Apps) > 0 {
-		appsToRun = s.Opt.Apps
-	}
-	sweepVariants := []Variant{VarO, VarP, Var4T, Var4TP}
-	type cell struct {
-		np  netPoint
-		app string
-		v   Variant
-	}
-	var cells []cell
-	for _, np := range netPoints {
-		for _, app := range appsToRun {
-			for _, v := range sweepVariants {
-				cells = append(cells, cell{np, app, v})
-			}
-		}
-	}
-	reps, err := simGrid(s, cells, func(c cell) (string, dsm.Config, bool) {
-		cfg := s.Config(c.app, c.v)
-		cfg.Net.PropDelay = c.np.prop
-		cfg.Net.NsPerByte = 8000 / c.np.mbps
-		return c.app, cfg, s.Opt.Verify
-	})
-	if err != nil {
-		return err
-	}
-
+// renderNetSweep regenerates the network sensitivity table: for each
+// network point and application, the speedup of P, 4T and the combined 4TP
+// over the original.
+func renderNetSweep(_ *Session, w io.Writer, res []Results) error {
 	fmt.Fprintln(w, "Network sensitivity: speedup of each technique vs. interconnect")
-	fmt.Fprintf(w, "%-22s %-10s %10s %8s %8s %8s\n",
-		"Network", "App", "O elapsed", "P", "4T", "4TP")
-	for _, np := range netPoints {
-		for _, app := range appsToRun {
-			base := reps[cell{np, app, VarO}]
-			fmt.Fprintf(w, "%-22s %-10s %8dus %7.2fx %7.2fx %7.2fx\n",
-				np.label, app, base.Elapsed/sim.Microsecond,
-				reps[cell{np, app, VarP}].Speedup(base),
-				reps[cell{np, app, Var4T}].Speedup(base),
-				reps[cell{np, app, Var4TP}].Speedup(base))
-		}
+	table{"Network                App         O elapsed", "%-22s %-10s %8dus", func(r Run) []any {
+		return []any{r.Label("network"), r.App, usec(r.Elapsed)}
+	}}.across(res[0].Labels("cfg"), 1, 8, "%7.2fx", speedup).write(w, res[0].Pivot("cfg"))
+	return nil
+}
+
+// The processor-count scaling table (an extension: the paper fixes 8
+// processors). For each application it reports elapsed time and
+// self-relative speedup at 1, 2, 4 and 8 processors under the original and
+// prefetching configurations — showing how communication grows with the
+// machine and how much of it prefetching recovers.
+var scalingGrid = Grid{Variants: []Variant{VarO, VarP}, Axes: []Axis{procsAxis(1, 2, 4, 8)}}
+
+func renderScaling(_ *Session, w io.Writer, res []Results) error {
+	heads := []string{"1p", "2p", "4p", "8p"}
+	elapsed := appCfg.across(heads, 0, 12, "%10dus", elapsedUs)
+	speedups := table{row: "%-10s %-4s", vals: func(Run) []any { return []any{"", "↳spd"} }}.
+		across(heads, 0, 12, "%11.2fx", speedup)
+
+	fmt.Fprintln(w, "Scaling: elapsed time and speedup vs processor count")
+	fmt.Fprintln(w, elapsed.head)
+	for _, r := range res[0].Pivot("procs") {
+		elapsed.writeRow(w, r)
+		speedups.writeRow(w, r)
 	}
+	fmt.Fprintln(w, "(speedups are relative to the same configuration on 1 processor)")
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestBadMachinesAreErrors(t *testing.T) {
 	}
 
 	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR"}, NodeScaleProcs: []int{12}})
-	err := RunNodeScale(s, &bytes.Buffer{})
+	err := render("nodescale", s, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "fattree: 12 nodes") {
 		t.Errorf("nodescale over 12 procs: want the fat tree's power-of-two error, got %v", err)
 	}
@@ -140,23 +141,20 @@ func TestBadMachinesAreErrors(t *testing.T) {
 // there are distinct cells.
 func TestExperimentsShareRuns(t *testing.T) {
 	s := NewSession(Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}})
-	if err := RunProtocols(s, &bytes.Buffer{}); err != nil {
+	if err := render("protocols", s, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	perBackend := int64(len(s.AppNames()) * len(ProtocolVariants))
 	if runs, _ := s.SimStats(); runs != int64(len(ProtocolNames))*perBackend {
 		t.Fatalf("protocols: %d simulations, want %d", runs, int64(len(ProtocolNames))*perBackend)
 	}
-	if err := RunAdaptive(s, &bytes.Buffer{}); err != nil {
+	if err := render("adaptive", s, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	type backend struct{ protocol, policy string }
-	distinct := map[backend]bool{}
-	for _, p := range ProtocolNames {
-		distinct[backend{p, ""}] = true
-	}
-	for _, b := range AdaptiveBackends {
-		distinct[backend{b.Protocol, b.Policy}] = true
+	// A label names one backend in both experiments.
+	distinct := map[string]bool{}
+	for _, p := range slices.Concat(protocolAxis.Points, adaptiveAxis.Points) {
+		distinct[p.Label] = true
 	}
 	if runs, _ := s.SimStats(); runs != int64(len(distinct))*perBackend {
 		t.Errorf("protocols then adaptive: %d simulations, want %d (one per distinct cell)",

@@ -61,7 +61,7 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// table1Row must surface the prefetch request/reply drop split from
+// Table 1's row must surface the prefetch request/reply drop split from
 // fabricated reports, so a regression in the counters or the rendering is
 // caught without running a faulty network end to end.
 func TestTable1RowDropSplit(t *testing.T) {
@@ -80,14 +80,18 @@ func TestTable1RowDropSplit(t *testing.T) {
 	repP.Nodes[1] = stats.Node{PfReplyDropped: 3}
 	repP.BytesTotal = 1024 * 1024
 
-	row := table1Row("SOR", repO, repP)
+	var buf strings.Builder
+	o := Run{Cell: Cell{App: "SOR"}, Report: repO, N: repO.Sum()}
+	o.Across = []Run{o, {Report: repP, N: repP.Sum()}}
+	table1.writeRow(&buf, o)
+	row := buf.String()
 	for _, frag := range []string{
 		"SOR", "25.00%", "85.71%", // 20/80 unnecessary, 60/70 covered
 		"2048K", "1024K", "100", "30", "1700us", "2000us",
 		"      7       3", // the request/reply drop split, right-aligned
 	} {
 		if !strings.Contains(row, frag) {
-			t.Errorf("table1Row lacks %q:\n%s", frag, row)
+			t.Errorf("Table 1 row lacks %q:\n%s", frag, row)
 		}
 	}
 }
