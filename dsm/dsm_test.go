@@ -1,8 +1,10 @@
 package dsm_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -54,6 +56,14 @@ func TestPublicAPISurface(t *testing.T) {
 			if e.ReadU32(flag) != 7 {
 				panic("flag lost")
 			}
+			// A hit in bulk: after one access through the accessors the
+			// page's own bytes, then the charge for reading one of them.
+			e.ReadF64(arr)
+			v := e.View(arr, dsm.PageSize, false)
+			if v == nil || math.Float64frombits(binary.LittleEndian.Uint64(v[8*511:])) != 511 {
+				panic("no view of a page just read, or not the page's bytes")
+			}
+			e.Accessed(1)
 		}
 		e.Barrier(2)
 	})

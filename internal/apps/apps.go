@@ -18,6 +18,7 @@ import (
 
 	"godsm/dsm"
 	"godsm/internal/event"
+	"godsm/internal/pagemem"
 )
 
 // Scale selects input sizes.
@@ -170,6 +171,77 @@ func allocF64s(sys *dsm.System, n int) f64s {
 }
 
 func (a f64s) at(i int) dsm.Addr { return a.base + dsm.Addr(8*i) }
+
+// f64row is a run of float64s in shared memory's own byte layout: a page
+// view (dsm.Env.View), or a stretch of a sequential golden's matrix. The row
+// kernels are written over f64rows, so the parallel application — whenever a
+// row's pages all hit — and its golden run the same code. A thread's views
+// are dead once it yields: the applications re-take them after every access
+// they make through Read*/Write*.
+type f64row []byte
+
+func (r f64row) get(i int) float64    { return pagemem.GetF64(r, 8*i) }
+func (r f64row) set(i int, v float64) { pagemem.PutF64(r, 8*i, v) }
+
+// from returns the row starting at element i.
+func (r f64row) from(i int) f64row { return r[8*i:] }
+
+// f64rowOf lays vals out as shared memory holds them.
+func f64rowOf(vals []float64) f64row {
+	r := make(f64row, 8*len(vals))
+	for i, v := range vals {
+		r.set(i, v)
+	}
+	return r
+}
+
+// inPage returns how many float64s, counting the one at a, lie between a
+// and the end of a's page: the longest run at a that one view can cover.
+func inPage(a dsm.Addr) int { return (dsm.PageSize - pagemem.OffsetOf(a)) / 8 }
+
+// writeF64s stores vals at a, a+8, …, charging cost of computation after
+// each store, a page's worth per view where the page is writable.
+func writeF64s(e *dsm.Env, a dsm.Addr, vals []float64, cost dsm.Time) {
+	for len(vals) > 0 {
+		n := min(len(vals), inPage(a))
+		if v := f64row(e.View(a, 8*n, true)); v != nil {
+			for x, val := range vals[:n] {
+				v.set(x, val)
+			}
+			e.Accessed(n)
+			e.Compute(dsm.Time(n) * cost)
+		} else {
+			n = 1
+			e.WriteF64(a, vals[0])
+			e.Compute(cost)
+		}
+		a, vals = a+dsm.Addr(8*n), vals[n:]
+	}
+}
+
+// firstDiff reads len(want)/8 float64s at a, a+8, … and returns the index of
+// the first that is not the one in want, and its value; -1 if all match.
+func firstDiff(e *dsm.Env, a dsm.Addr, want f64row) (int, float64) {
+	for i, n := 0, len(want)/8; i < n; {
+		w := min(n-i, inPage(a))
+		if v := f64row(e.View(a, 8*w, false)); v != nil {
+			for x := 0; x < w; x++ {
+				if got := v.get(x); got != want.get(i+x) {
+					e.Accessed(x + 1)
+					return i + x, got
+				}
+			}
+			e.Accessed(w)
+		} else {
+			w = 1
+			if got := e.ReadF64(a); got != want.get(i) {
+				return i, got
+			}
+		}
+		i, a = i+w, a+dsm.Addr(8*w)
+	}
+	return -1, 0
+}
 
 // i64s is a shared array of int64.
 type i64s struct{ base dsm.Addr }

@@ -80,13 +80,12 @@ func (l luLayout) at(i, j int) dsm.Addr {
 	return l.arr.at((bi*nb+bj)*l.b*l.b + oi*l.b + oj)
 }
 
-// blockAddr returns the address of the first element of row r within block
-// (I,J), and the number of contiguous elements that follow it in memory.
-func (l luLayout) blockRow(I, J, r int) (dsm.Addr, int) {
-	return l.at(I*l.b+r, J*l.b), l.b
-}
+// blockRow returns the address of row r of block (I,J); the row's b
+// elements are contiguous in either layout.
+func (l luLayout) blockRow(I, J, r int) dsm.Addr { return l.at(I*l.b+r, J*l.b) }
 
-// luOwner computes the 2D-scatter block distribution.
+// luGrid factors T threads into the pr×pc grid of the 2D-scatter block
+// distribution, as square as T allows.
 func luGrid(T int) (pr, pc int) {
 	pr = 1
 	for d := 1; d*d <= T; d++ {
@@ -97,81 +96,229 @@ func luGrid(T int) (pr, pc int) {
 	return pr, T / pr
 }
 
-// seqBlockLU factors the matrix in place with exactly the block order and
-// inner loops of the parallel version, so results compare bitwise.
-func seqBlockLU(a []float64, n, b int) {
+// The four block kernels are each written twice: once a row at a time over
+// f64rows — what the sequential golden runs on its own matrix and a thread
+// runs on page views — and once an element at a time through the shared
+// accessors, in luThread, for the elements whose pages do not all hit. Both
+// perform the same operations on an element in the same order, so results
+// compare bitwise whichever path an element took.
+
+// luEliminate subtracts l times the pivot row rj from row ri of a diagonal
+// block, columns from..b-1: the inner loop of the unblocked LU.
+func luEliminate(ri, rj f64row, l float64, from, b int) {
+	for jj := from; jj < b; jj++ {
+		ri.set(jj, ri.get(jj)-l*rj.get(jj))
+	}
+}
+
+// luSolveRowCol computes rows from..b-1 of column c of U(k,j) = L(k,k)^-1
+// A(k,j) (unit lower triangular) in place; a and d are the rows of A(k,j)
+// and of the diagonal block.
+func luSolveRowCol(a, d []f64row, c, from, b int) {
+	for r := from; r < b; r++ {
+		v := a[r].get(c)
+		for t := 0; t < r; t++ {
+			v -= d[r].get(t) * a[t].get(c)
+		}
+		a[r].set(c, v)
+	}
+}
+
+// luSolveColRow computes columns from..b-1 of one row of L(i,k) = A(i,k)
+// U(k,k)^-1 in place; a is the row, d the rows of the diagonal block.
+func luSolveColRow(a f64row, d []f64row, from, b int) {
+	for c := from; c < b; c++ {
+		v := a.get(c)
+		for t := 0; t < c; t++ {
+			v -= a.get(t) * d[t].get(c)
+		}
+		a.set(c, v/d[c].get(c))
+	}
+}
+
+// luUpdateRow computes columns from..b-1 of one row of A(i,j) -= L(i,k)
+// U(k,j); a and l are that row of A(i,j) and of L(i,k), u the rows of U(k,j).
+func luUpdateRow(a, l f64row, u []f64row, from, b int) {
+	for c := from; c < b; c++ {
+		v := a.get(c)
+		for t := 0; t < b; t++ {
+			v -= l.get(t) * u[t].get(c)
+		}
+		a.set(c, v)
+	}
+}
+
+// seqBlockLU factors the n×n row-major matrix m in place with exactly the
+// block order and kernels of the parallel version, so results compare
+// bitwise.
+func seqBlockLU(m f64row, n, b int) {
 	nb := n / b
-	get := func(i, j int) float64 { return a[i*n+j] }
-	set := func(i, j int, v float64) { a[i*n+j] = v }
+	// block points dst at the rows of block (I,J).
+	block := func(dst []f64row, I, J int) {
+		for r := range dst {
+			dst[r] = m.from((I*b+r)*n + J*b)[:8*b]
+		}
+	}
+	d, a, l, u := make([]f64row, b), make([]f64row, b), make([]f64row, b), make([]f64row, b)
 	for k := 0; k < nb; k++ {
-		luFactorBlock(n, b, k, get, set)
+		block(d, k, k)
+		for j := 0; j < b; j++ {
+			pivot := d[j].get(j)
+			for i := j + 1; i < b; i++ {
+				f := d[i].get(j) / pivot
+				d[i].set(j, f)
+				luEliminate(d[i], d[j], f, j+1, b)
+			}
+		}
 		for j := k + 1; j < nb; j++ {
-			luSolveRow(n, b, k, j, get, set)
+			block(a, k, j)
+			for c := 0; c < b; c++ {
+				luSolveRowCol(a, d, c, 1, b)
+			}
 		}
 		for i := k + 1; i < nb; i++ {
-			luSolveCol(n, b, k, i, get, set)
+			block(a, i, k)
+			for r := 0; r < b; r++ {
+				luSolveColRow(a[r], d, 0, b)
+			}
 		}
 		for i := k + 1; i < nb; i++ {
+			block(l, i, k)
 			for j := k + 1; j < nb; j++ {
-				luUpdate(n, b, k, i, j, get, set)
+				block(u, k, j)
+				block(a, i, j)
+				for r := 0; r < b; r++ {
+					luUpdateRow(a[r], l[r], u, 0, b)
+				}
 			}
 		}
 	}
 }
 
-// luFactorBlock performs the in-place unblocked LU of diagonal block k.
-func luFactorBlock(n, b, k int, get func(int, int) float64, set func(int, int, float64)) {
-	o := k * b
+// luThread is one thread's handle on the shared matrix. Each block kernel
+// walks its block in the order the element path defines; before an element
+// it asks for views of every row the rest of its matrix row (column, for
+// solveRow) touches. If they are all there it finishes the row on them and
+// charges the accesses at once; if not it performs that one element through
+// get/set — which faults, twins and flushes busy time exactly where it
+// always did — and asks again.
+type luThread struct {
+	e    *dsm.Env
+	lay  luLayout
+	a, u []f64row // scratch: the row views of a block
+}
+
+func (t *luThread) get(i, j int) float64    { return t.e.ReadF64(t.lay.at(i, j)) }
+func (t *luThread) set(i, j int, v float64) { t.e.WriteF64(t.lay.at(i, j), v) }
+
+// row returns a view of row r of block (I,J), or nil.
+func (t *luThread) row(I, J, r int, write bool) f64row {
+	return t.e.View(t.lay.blockRow(I, J, r), 8*t.lay.b, write)
+}
+
+// block takes views of rows from..b-1 of block (I,J) into dst and reports
+// whether it got them all.
+func (t *luThread) block(dst []f64row, I, J, from int, write bool) bool {
+	for r := from; r < t.lay.b; r++ {
+		if dst[r] = t.row(I, J, r, write); dst[r] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// factor performs the in-place unblocked LU of diagonal block k.
+func (t *luThread) factor(k int) {
+	b, o := t.lay.b, k*t.lay.b
 	for j := 0; j < b; j++ {
-		d := get(o+j, o+j)
+		d := t.get(o+j, o+j)
 		for i := j + 1; i < b; i++ {
-			l := get(o+i, o+j) / d
-			set(o+i, o+j, l)
+			l := t.get(o+i, o+j) / d
+			t.set(o+i, o+j, l)
 			for jj := j + 1; jj < b; jj++ {
-				set(o+i, o+jj, get(o+i, o+jj)-l*get(o+j, o+jj))
+				if ri := t.row(k, k, i, true); ri != nil {
+					if rj := t.row(k, k, j, false); rj != nil {
+						luEliminate(ri, rj, l, jj, b)
+						t.e.Accessed(3 * (b - jj))
+						break
+					}
+				}
+				t.set(o+i, o+jj, t.get(o+i, o+jj)-l*t.get(o+j, o+jj))
 			}
 		}
 	}
 }
 
-// luSolveRow computes U(k,j) = L(k,k)^-1 A(k,j) (unit lower triangular).
-func luSolveRow(n, b, k, j int, get func(int, int) float64, set func(int, int, float64)) {
-	ro, co := k*b, j*b
-	for c := 0; c < b; c++ {
+// solveRow computes U(k,j) = L(k,k)^-1 A(k,j) (unit lower triangular).
+func (t *luThread) solveRow(k, j int) {
+	b, ro, co := t.lay.b, k*t.lay.b, j*t.lay.b
+	a, d := t.a, t.u
+	for c, ok := 0, false; c < b; c++ {
 		for r := 1; r < b; r++ {
-			v := get(ro+r, co+c)
-			for t := 0; t < r; t++ {
-				v -= get(ro+r, ro+t) * get(ro+t, co+c)
+			// Row 0 of A(k,j) is only read, and the first row of a page
+			// that nobody writes is never twinned.
+			if !ok {
+				a[0] = t.row(k, j, 0, false)
+				ok = a[0] != nil && t.block(a, k, j, 1, true) && t.block(d, k, k, 1, false)
 			}
-			set(ro+r, co+c, v)
+			if ok {
+				luSolveRowCol(a, d, c, r, b)
+				t.e.Accessed((b - r) * (b + r + 1))
+				break
+			}
+			v := t.get(ro+r, co+c)
+			for x := 0; x < r; x++ {
+				v -= t.get(ro+r, ro+x) * t.get(ro+x, co+c)
+			}
+			t.set(ro+r, co+c, v)
 		}
 	}
 }
 
-// luSolveCol computes L(i,k) = A(i,k) U(k,k)^-1.
-func luSolveCol(n, b, k, i int, get func(int, int) float64, set func(int, int, float64)) {
-	ro, co := i*b, k*b
-	for r := 0; r < b; r++ {
+// solveCol computes L(i,k) = A(i,k) U(k,k)^-1.
+func (t *luThread) solveCol(k, i int) {
+	b, ro, co := t.lay.b, i*t.lay.b, k*t.lay.b
+	d := t.u
+	for r, ok := 0, false; r < b; r++ {
 		for c := 0; c < b; c++ {
-			v := get(ro+r, co+c)
-			for t := 0; t < c; t++ {
-				v -= get(ro+r, co+t) * get(co+t, co+c)
+			if a := t.row(i, k, r, true); a != nil {
+				if ok = ok || t.block(d, k, k, 0, false); ok {
+					luSolveColRow(a, d, c, b)
+					t.e.Accessed((b - c) * (b + c + 2))
+					break
+				}
 			}
-			set(ro+r, co+c, v/get(co+c, co+c))
+			ok = false
+			v := t.get(ro+r, co+c)
+			for x := 0; x < c; x++ {
+				v -= t.get(ro+r, co+x) * t.get(co+x, co+c)
+			}
+			t.set(ro+r, co+c, v/t.get(co+c, co+c))
 		}
 	}
 }
 
-// luUpdate computes A(i,j) -= L(i,k) U(k,j).
-func luUpdate(n, b, k, i, j int, get func(int, int) float64, set func(int, int, float64)) {
-	io, jo, ko := i*b, j*b, k*b
-	for r := 0; r < b; r++ {
+// update computes A(i,j) -= L(i,k) U(k,j).
+func (t *luThread) update(k, i, j int) {
+	b, io, jo, ko := t.lay.b, i*t.lay.b, j*t.lay.b, k*t.lay.b
+	u := t.u
+	for r, ok := 0, false; r < b; r++ {
 		for c := 0; c < b; c++ {
-			v := get(io+r, jo+c)
-			for t := 0; t < b; t++ {
-				v -= get(io+r, ko+t) * get(ko+t, jo+c)
+			if a := t.row(i, j, r, true); a != nil {
+				if l := t.row(i, k, r, false); l != nil {
+					if ok = ok || t.block(u, k, j, 0, false); ok {
+						luUpdateRow(a, l, u, c, b)
+						t.e.Accessed((b - c) * (2 + 2*b))
+						break
+					}
+				}
 			}
-			set(io+r, jo+c, v)
+			ok = false
+			v := t.get(io+r, jo+c)
+			for x := 0; x < b; x++ {
+				v -= t.get(io+r, ko+x) * t.get(ko+x, jo+c)
+			}
+			t.set(io+r, jo+c, v)
 		}
 	}
 }
@@ -193,34 +340,33 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 		pr, pc := luGrid(T)
 		owner := func(I, J int) int { return (I%pr)*pc + J%pc }
 		me := e.ThreadID()
-
-		get := func(i, j int) float64 { return e.ReadF64(lay.at(i, j)) }
-		set := func(i, j int, v float64) { e.WriteF64(lay.at(i, j), v) }
+		t := &luThread{e: e, lay: lay, a: make([]f64row, b), u: make([]f64row, b)}
 
 		pfBlock := func(I, J int) {
+			if cont {
+				// The whole block is one contiguous range.
+				e.PrefetchRange(lay.blockRow(I, J, 0), 8*b*b)
+				return
+			}
 			for r := 0; r < b; r++ {
-				addr, cnt := lay.blockRow(I, J, r)
-				e.PrefetchRange(addr, 8*cnt)
-				if cont {
-					return // the whole block is one contiguous range
-				}
+				e.PrefetchRange(lay.blockRow(I, J, r), 8*b)
 			}
 		}
 
 		if me == 0 {
 			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					set(i, j, input[i*n+j])
-					e.Compute(20)
+				for J := 0; J < nb; J++ {
+					writeF64s(e, lay.at(i, J*b), input[i*n+J*b:][:b], 20)
 				}
 			}
 		}
 		e.Barrier(0)
 
 		bar := 1
+		var mine [][2]int // the interior blocks this thread owns at step k
 		for k := 0; k < nb; k++ {
 			if owner(k, k) == me {
-				luFactorBlock(n, b, k, get, set)
+				t.factor(k)
 				e.Compute(dsm.Time(b*b*b/3) * costMulSub)
 			}
 			e.Barrier(bar)
@@ -238,13 +384,13 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 			}
 			for j := k + 1; j < nb; j++ {
 				if owner(k, j) == me {
-					luSolveRow(n, b, k, j, get, set)
+					t.solveRow(k, j)
 					e.Compute(dsm.Time(b*b*b/2) * costMulSub)
 				}
 			}
 			for i := k + 1; i < nb; i++ {
 				if owner(i, k) == me {
-					luSolveCol(n, b, k, i, get, set)
+					t.solveCol(k, i)
 					e.Compute(dsm.Time(b*b*b/2) * costMulSub)
 				}
 			}
@@ -253,7 +399,7 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 
 			// Interior update, software-pipelined prefetching of the
 			// source blocks for the next owned block.
-			var mine [][2]int
+			mine = mine[:0]
 			for i := k + 1; i < nb; i++ {
 				for j := k + 1; j < nb; j++ {
 					if owner(i, j) == me {
@@ -276,11 +422,11 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 			if e.Prefetching() {
 				pfSources(0)
 			}
-			for t, ij := range mine {
+			for x, ij := range mine {
 				if e.Prefetching() {
-					pfSources(t + 1)
+					pfSources(x + 1)
 				}
-				luUpdate(n, b, k, ij[0], ij[1], get, set)
+				t.update(k, ij[0], ij[1])
 				e.Compute(dsm.Time(b*b*b) * costMulSub)
 			}
 			e.Barrier(bar)
@@ -290,7 +436,7 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 		if me == 0 {
 			e.EndMeasurement()
 			if opt.Verify {
-				box.set(luVerify(e, lay, input, n, b, name))
+				box.set(luVerify(e, lay, input, name))
 			}
 		}
 		e.Barrier(bar)
@@ -299,14 +445,14 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 	return &Instance{Name: name, Run: run, Err: box.get}
 }
 
-func luVerify(e *dsm.Env, lay luLayout, input []float64, n, b int, name string) error {
-	want := append([]float64(nil), input...)
+func luVerify(e *dsm.Env, lay luLayout, input []float64, name string) error {
+	n, b := lay.n, lay.b
+	want := f64rowOf(input)
 	seqBlockLU(want, n, b)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			got := e.ReadF64(lay.at(i, j))
-			if got != want[i*n+j] {
-				return fmt.Errorf("%s: element (%d,%d) = %v, want %v", name, i, j, got, want[i*n+j])
+		for j := 0; j < n; j += b {
+			if x, got := firstDiff(e, lay.at(i, j), want.from(i*n + j)[:8*b]); x >= 0 {
+				return fmt.Errorf("%s: element (%d,%d) = %v, want %v", name, i, j+x, got, want.get(i*n+j+x))
 			}
 		}
 	}

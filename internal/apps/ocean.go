@@ -62,6 +62,38 @@ func oceanInit(i, j, g int) float64 {
 	return float64((i*13+j*7)%89) / 890.0
 }
 
+// The two sweeps' arithmetic, a run of cells at a time over f64rows: what a
+// thread runs when the pages under the run all hit and what the sequential
+// golden runs on its own grids. BuildOcean states each once more, an access
+// at a time, for the cells whose pages do not. up, mid and down are laid out
+// as in sorRow.
+
+// oceanVorRow computes the vorticity of the w cells of row i from column j:
+// the psi stencil plus the forcing term.
+func oceanVorRow(up, mid, down, vor f64row, i, j, w, g int) {
+	for x := 0; x < w; x++ {
+		lap := up.get(x) + down.get(x) + mid.get(x) + mid.get(x+2) - 4*mid.get(x+1)
+		vor.set(x, lap+oceanForcing(i, j+x, g))
+	}
+}
+
+// oceanRelaxRow relaxes q psi cells of one colour, two columns apart, toward
+// the vorticity field and returns their fixed-point residual.
+func oceanRelaxRow(up, mid, down, vor f64row, q int) (res int64) {
+	for x := 0; x < 2*q; x += 2 {
+		c := mid.get(x + 1)
+		target := (up.get(x) + down.get(x) + mid.get(x) + mid.get(x+2)) / 4
+		nv := c + oceanRelax*(target-c+vor.get(x))
+		mid.set(x+1, nv)
+		d := nv - c
+		if d < 0 {
+			d = -d
+		}
+		res += int64(d * oceanScale)
+	}
+	return res
+}
+
 // BuildOcean constructs the OCEAN application.
 func BuildOcean(sys *dsm.System, opt Options) *Instance {
 	p := oceanSizes(opt.Scale)
@@ -78,8 +110,22 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 		if me == 0 {
 			for i := 0; i < G; i++ {
 				for j := 0; j < G; j++ {
-					e.WriteF64(psi.at(idx(i, j)), oceanInit(i, j, p.g))
-					e.WriteF64(vor.at(idx(i, j)), 0)
+					pa, va := psi.at(idx(i, j)), vor.at(idx(i, j))
+					w := min(G-j, inPage(pa), inPage(va))
+					if ps := f64row(e.View(pa, 8*w, true)); ps != nil {
+						if vo := f64row(e.View(va, 8*w, true)); vo != nil {
+							for x := 0; x < w; x++ {
+								ps.set(x, oceanInit(i, j+x, p.g))
+								vo.set(x, 0)
+							}
+							e.Accessed(2 * w)
+							e.Compute(dsm.Time(w) * 25)
+							j += w - 1
+							continue
+						}
+					}
+					e.WriteF64(pa, oceanInit(i, j, p.g))
+					e.WriteF64(va, 0)
 					e.Compute(25)
 				}
 			}
@@ -97,10 +143,19 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 			}
 			for i := lo; i < hi; i++ {
 				for j := 1; j <= p.g; j++ {
-					lap := e.ReadF64(psi.at(idx(i-1, j))) + e.ReadF64(psi.at(idx(i+1, j))) +
-						e.ReadF64(psi.at(idx(i, j-1))) + e.ReadF64(psi.at(idx(i, j+1))) -
-						4*e.ReadF64(psi.at(idx(i, j)))
-					e.WriteF64(vor.at(idx(i, j)), lap+oceanForcing(i, j, p.g))
+					ua, ma, da := psi.at(idx(i-1, j)), psi.at(idx(i, j-1)), psi.at(idx(i+1, j))
+					va := vor.at(idx(i, j))
+					if u, m, d, w := stencilViews(e, ua, ma, da, min(p.g+1-j, inPage(va)), false); w > 0 {
+						if v := f64row(e.View(va, 8*w, true)); v != nil {
+							oceanVorRow(u, m, d, v, i, j, w, p.g)
+							e.Accessed(6 * w)
+							e.Compute(dsm.Time(w) * costStencil)
+							j += w - 1
+							continue
+						}
+					}
+					lap := e.ReadF64(ua) + e.ReadF64(da) + e.ReadF64(ma) + e.ReadF64(ma+16) - 4*e.ReadF64(ma+8)
+					e.WriteF64(va, lap+oceanForcing(i, j, p.g))
 					e.Compute(costStencil)
 				}
 			}
@@ -119,11 +174,22 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 				}
 				for i := lo; i < hi; i++ {
 					for j := 1 + (i+color+1)%2; j <= p.g; j += 2 {
-						c := e.ReadF64(psi.at(idx(i, j)))
-						target := (e.ReadF64(psi.at(idx(i-1, j))) + e.ReadF64(psi.at(idx(i+1, j))) +
-							e.ReadF64(psi.at(idx(i, j-1))) + e.ReadF64(psi.at(idx(i, j+1)))) / 4
-						nv := c + oceanRelax*(target-c+e.ReadF64(vor.at(idx(i, j))))
-						e.WriteF64(psi.at(idx(i, j)), nv)
+						ua, ma, da := psi.at(idx(i-1, j)), psi.at(idx(i, j-1)), psi.at(idx(i+1, j))
+						va := vor.at(idx(i, j))
+						if u, m, d, w := stencilViews(e, ua, ma, da, min(p.g+1-j, inPage(va)), true); w > 0 {
+							if v := f64row(e.View(va, 8*w, false)); v != nil {
+								q := (w + 1) / 2
+								localErr += oceanRelaxRow(u, m, d, v, q)
+								e.Accessed(7 * q)
+								e.Compute(dsm.Time(q) * (costStencil + 40))
+								j += 2 * (q - 1)
+								continue
+							}
+						}
+						c := e.ReadF64(ma + 8)
+						target := (e.ReadF64(ua) + e.ReadF64(da) + e.ReadF64(ma) + e.ReadF64(ma+16)) / 4
+						nv := c + oceanRelax*(target-c+e.ReadF64(va))
+						e.WriteF64(ma+8, nv)
 						d := nv - c
 						if d < 0 {
 							d = -d
@@ -164,7 +230,7 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 		if me == 0 {
 			e.EndMeasurement()
 			if opt.Verify {
-				box.set(oceanVerify(e, psi, p, idx))
+				box.set(oceanVerify(e, psi, p))
 			}
 		}
 		e.Barrier(1001)
@@ -176,49 +242,39 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 // oceanVerify recomputes the run sequentially (identical operation order
 // per cell; the fixed-point reduction makes the iteration count identical)
 // and compares the stream function bitwise.
-func oceanVerify(e *dsm.Env, psi f64s, p oceanParams, idx func(i, j int) int) error {
+func oceanVerify(e *dsm.Env, psi f64s, p oceanParams) error {
 	G := p.g + 2
-	ps := make([]float64, G*G)
-	vo := make([]float64, G*G)
+	ps := make(f64row, 8*G*G)
+	vo := make(f64row, 8*G*G)
 	for i := 0; i < G; i++ {
 		for j := 0; j < G; j++ {
-			ps[idx(i, j)] = oceanInit(i, j, p.g)
+			ps.set(i*G+j, oceanInit(i, j, p.g))
 		}
+	}
+	// stencil returns the rows above, at (from one cell to the left) and
+	// below cell (i,j).
+	stencil := func(i, j int) (up, mid, down f64row) {
+		return ps.from((i-1)*G + j), ps.from(i*G + j - 1), ps.from((i+1)*G + j)
 	}
 	for it := 0; it < p.maxIters; it++ {
 		for i := 1; i <= p.g; i++ {
-			for j := 1; j <= p.g; j++ {
-				lap := ps[idx(i-1, j)] + ps[idx(i+1, j)] + ps[idx(i, j-1)] + ps[idx(i, j+1)] - 4*ps[idx(i, j)]
-				vo[idx(i, j)] = lap + oceanForcing(i, j, p.g)
-			}
+			up, mid, down := stencil(i, 1)
+			oceanVorRow(up, mid, down, vo.from(i*G+1), i, 1, p.g, p.g)
 		}
 		var total int64
 		for color := 0; color < 2; color++ {
 			for i := 1; i <= p.g; i++ {
-				for j := 1 + (i+color+1)%2; j <= p.g; j += 2 {
-					c := ps[idx(i, j)]
-					target := (ps[idx(i-1, j)] + ps[idx(i+1, j)] + ps[idx(i, j-1)] + ps[idx(i, j+1)]) / 4
-					nv := c + oceanRelax*(target-c+vo[idx(i, j)])
-					ps[idx(i, j)] = nv
-					d := nv - c
-					if d < 0 {
-						d = -d
-					}
-					total += int64(d * oceanScale)
-				}
+				j := 1 + (i+color+1)%2
+				up, mid, down := stencil(i, j)
+				total += oceanRelaxRow(up, mid, down, vo.from(i*G+j), (p.g-j)/2+1)
 			}
 		}
 		if total < p.tol {
 			break
 		}
 	}
-	for i := 0; i < G; i++ {
-		for j := 0; j < G; j++ {
-			got := e.ReadF64(psi.at(idx(i, j)))
-			if got != ps[idx(i, j)] {
-				return fmt.Errorf("OCEAN: psi(%d,%d) = %v, want %v", i, j, got, ps[idx(i, j)])
-			}
-		}
+	if x, got := firstDiff(e, psi.at(0), ps); x >= 0 {
+		return fmt.Errorf("OCEAN: psi(%d,%d) = %v, want %v", x/G, x%G, got, ps.get(x))
 	}
 	return nil
 }

@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"godsm/internal/pagemem"
+	"godsm/internal/stats"
 )
 
 // hitRig is one processor over 16 resident pages — the shape bench's
 // core.access_hit_ns rig uses, so `go test -bench AccessHit` and
 // `bench -trace 1` measure the same thing. body runs as the only thread,
 // after every page has been read and written once.
-func hitRig(raceCheck bool, body func(e *Env, base Addr)) {
+func hitRig(raceCheck bool, body func(e *Env, base Addr)) *stats.Report {
 	cfg := DefaultConfig()
 	cfg.Procs = 1
 	cfg.RaceCheck = raceCheck
 	sys := NewSystem(cfg)
 	base := sys.Alloc.AllocPages(16)
-	sys.Run(func(e *Env) {
+	return sys.Run(func(e *Env) {
 		for p := 0; p < 16; p++ {
 			a := base + Addr(p*pagemem.PageSize)
 			e.WriteF64(a, e.ReadF64(a))
@@ -29,6 +30,10 @@ func hitRig(raceCheck bool, body func(e *Env, base Addr)) {
 }
 
 var sink float64
+
+// viewRow is the 64 float64s BenchmarkViewRow and the view tests read per
+// view: a matrix row at small scale.
+const viewRow = 64
 
 func BenchmarkAccessHit(b *testing.B) {
 	for _, bc := range []struct {
@@ -54,6 +59,26 @@ func BenchmarkAccessHit(b *testing.B) {
 	}
 }
 
+// BenchmarkViewRow is BenchmarkAccessHit/read for a row of hits taken at
+// once: one View, viewRow direct loads, one Accessed. ns/elem is comparable
+// with AccessHit's ns/op.
+func BenchmarkViewRow(b *testing.B) {
+	hitRig(false, func(e *Env, base Addr) {
+		var sum float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v := e.View(base+Addr(8*viewRow*(i&127)), 8*viewRow, false)
+			for off := 0; off < len(v); off += 8 {
+				sum += pagemem.GetF64(v, off)
+			}
+			e.Accessed(viewRow)
+		}
+		b.StopTimer()
+		sink = sum
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/viewRow, "ns/elem")
+	})
+}
+
 // TestAccessHitDoesNotAllocate: a read or write of a resident, writable
 // page is one page-table lookup and allocates nothing, the same contract
 // event.Bus.Emit has.
@@ -73,6 +98,103 @@ func TestAccessHitDoesNotAllocate(t *testing.T) {
 	if reads != 0 || writes != 0 {
 		t.Fatalf("allocations per hit: read %v, write %v; want 0", reads, writes)
 	}
+}
+
+// TestViewDoesNotAllocate: nor does a row of hits taken as a view.
+func TestViewDoesNotAllocate(t *testing.T) {
+	var views float64
+	hitRig(false, func(e *Env, base Addr) {
+		i := 0
+		views = testing.AllocsPerRun(1000, func() {
+			v := e.View(base+Addr(8*viewRow*(i&127)), 8*viewRow, true)
+			pagemem.PutF64(v, 0, pagemem.GetF64(v, 8)+1)
+			e.Accessed(2)
+			i++
+		})
+	})
+	if views != 0 {
+		t.Fatalf("allocations per view: %v; want 0", views)
+	}
+}
+
+// TestViewChargesLikeHits: a row read through a view and charged with
+// Accessed leaves the report a row of ReadF64 hits leaves.
+func TestViewChargesLikeHits(t *testing.T) {
+	byElement := hitRig(false, func(e *Env, base Addr) {
+		for i := 0; i < viewRow; i++ {
+			sink += e.ReadF64(base + Addr(8*i))
+		}
+		e.Compute(1000)
+	})
+	byView := hitRig(false, func(e *Env, base Addr) {
+		v := e.View(base, 8*viewRow, false)
+		for off := 0; off < len(v); off += 8 {
+			sink += pagemem.GetF64(v, off)
+		}
+		e.Accessed(viewRow)
+		e.Compute(1000)
+	})
+	if a, b := byElement.Fingerprint(), byView.Fingerprint(); a != b {
+		t.Fatalf("a viewed row and a row of hits leave different reports:\nhits: %s\nview: %s", a, b)
+	}
+}
+
+// TestViewContract: View is non-nil exactly when every access to the range
+// would hit — one page, inside the heap, valid, twinned for a write, race
+// detector off — and then it is the frame itself.
+func TestViewContract(t *testing.T) {
+	sys := NewSystem(smallConfig(2, 1))
+	page := sys.Alloc.AllocPages(2)
+	last := page + pagemem.PageSize - 8 // the last word of the first page
+	check := func(what string, v []byte, want bool) {
+		t.Helper()
+		if (v != nil) != want {
+			t.Errorf("%s: view non-nil = %v, want %v", what, v != nil, want)
+		}
+	}
+	sys.Run(func(e *Env) {
+		check("a page never accessed", e.View(page, 8, false), false)
+		e.ReadF64(page)
+		e.ReadF64(page + pagemem.PageSize)
+		e.Barrier(0)
+		if e.ThreadID() == 0 {
+			e.WriteF64(page, 42)
+		}
+		e.Barrier(1)
+		if e.ThreadID() == 1 {
+			check("an invalidated page", e.View(page, 8, false), false)
+			if got := e.ReadF64(page); got != 42 {
+				t.Errorf("read %v after the barrier, want 42", got)
+			}
+			v := e.View(page, 16, false)
+			check("a valid page", v, true)
+			if len(v) != 16 || cap(v) != 16 || pagemem.GetF64(v, 0) != 42 {
+				t.Errorf("view of a valid page: len %d cap %d first word %v, want 16, 16, 42",
+					len(v), cap(v), pagemem.GetF64(v, 0))
+			}
+			check("a write view of an untwinned page", e.View(page, 8, true), false)
+			e.WriteF64(page+8, 1)
+			w := e.View(page, 16, true)
+			check("a write view of a twinned page", w, true)
+			pagemem.PutF64(w, 8, 7)
+			if got := e.ReadF64(page + 8); got != 7 {
+				t.Errorf("read %v after writing 7 through the view: the view is not the frame", got)
+			}
+			check("the last word of a page", e.View(last, 8, false), true)
+			check("a range crossing the page end", e.View(last, 16, false), false)
+			check("n = 0", e.View(page, 0, false), false)
+			check("n < 0", e.View(page, -8, false), false)
+			check("address 0", e.View(0, 8, false), false)
+			check("an address past the break", e.View(page+2*pagemem.PageSize, 8, false), false)
+			check("a range running past the break", e.View(page+2*pagemem.PageSize-8, 16, false), false)
+			check("an address aliasing a resident page", e.View(1<<44+page, 8, false), false)
+		}
+		e.Barrier(2)
+	})
+	hitRig(true, func(e *Env, base Addr) {
+		check("a hit under RaceCheck", e.View(base, 8, false), false)
+		check("a write hit under RaceCheck", e.View(base, 8, true), false)
+	})
 }
 
 // addrFault runs body on a fresh 2-processor machine with one allocated
@@ -129,6 +251,9 @@ func TestUnmappedAddressIsAStructuredError(t *testing.T) {
 				ae := addrFault(t, raceCheck, func(e *Env, page Addr) {
 					e.ReadF64(page) // a mapped access first: the check must not be a one-shot
 					runtime.ReadMemStats(&before)
+					if e.View(tc.addr(page), 8, tc.write) != nil {
+						t.Errorf("View of the stray address is not nil")
+					}
 					if tc.write {
 						e.WriteF64(tc.addr(page), 1)
 					} else {

@@ -19,6 +19,13 @@ type Addr = pagemem.Addr
 // Busy time accumulates lazily and is flushed to the simulated CPU at every
 // protocol interaction, so the virtual-time order of computation and
 // communication is preserved without a kernel round-trip per access.
+//
+// Besides the typed accessors there is a bulk form of a hit: View hands out
+// a page's own bytes when every access to them would hit, and Accessed
+// charges the accesses made through them. The kernel is single-threaded, so
+// a page can only be taken from a thread that yields: a view is dead at the
+// thread's next yield — any Read*/Write* that misses, Lock, Unlock, Barrier,
+// Prefetch*, EndMeasurement — and must be re-taken after any of those calls.
 type Env struct {
 	t    *Thread
 	busy sim.Time // accumulated unflushed busy time
@@ -104,6 +111,42 @@ func (e *Env) access(a Addr, write bool) []byte {
 	}
 	return e.miss(a, p, write)
 }
+
+// View returns the n bytes of shared memory at a — the local frame itself,
+// in the accessors' little-endian layout — iff [a, a+n) lies in one page of
+// the heap and, right now, every read (write, if write is set) of it would
+// hit: the page is valid, and twinned for a write. Otherwise it returns nil
+// and changes nothing; the caller makes its next access through Read*/Write*,
+// which faults, twins and charges as always, and asks again. It is always
+// nil when the race detector is on, so a checked run sees every access.
+//
+// A run of hits is atomic — nothing else runs until this thread yields —
+// so reading and writing through the view and then charging the accesses
+// with Accessed is indistinguishable from making them one by one.
+func (e *Env) View(a Addr, n int, write bool) []byte {
+	if e.t.proc.race != nil {
+		return nil
+	}
+	return e.view(a, n, write)
+}
+
+// view is View with the detector off, out of line so that View's own branch
+// inlines into the application's loop.
+func (e *Env) view(a Addr, n int, write bool) []byte {
+	off, brk := pagemem.OffsetOf(a), e.t.proc.sys.Alloc.Brk()
+	if n <= 0 || off+n > pagemem.PageSize || a < pagemem.PageSize || a >= brk || Addr(n) > brk-a {
+		return nil
+	}
+	f := e.t.proc.node.Hit(pagemem.PageOf(a), write)
+	if f == nil {
+		return nil
+	}
+	return f[off : off+n : off+n]
+}
+
+// Accessed charges n shared accesses made through views: what n hits
+// through Read*/Write* would have accumulated.
+func (e *Env) Accessed(n int) { e.Compute(sim.Time(n) * e.t.proc.sys.Cfg.AccessNs) }
 
 // checkAddr panics with an *AddrError unless a is inside the shared heap.
 func (e *Env) checkAddr(a Addr, write bool) {

@@ -8,15 +8,19 @@ import (
 
 	"godsm/dsm"
 	"godsm/internal/apps"
+	"godsm/internal/event"
 )
 
 // TestRaceCheckedDeterminism proves the detector's two run-level claims:
 // the race-checked grid renders byte-identically whether cells run
 // sequentially (workers=1) or fanned out over 8 workers, and checking is
 // observation-free — each checked cell's report fingerprint equals the
-// unchecked run's for the same app/variant/protocol.
+// unchecked run's for the same app/variant/protocol. The second claim is also
+// the differential test of page views (dsm.Env.View): they are off under the
+// detector, so the checked run makes every access one at a time and the
+// unchecked run takes every all-hit row at once.
 func TestRaceCheckedDeterminism(t *testing.T) {
-	opt := Options{Procs: 4, Scale: apps.Unit, Apps: []string{"SOR", "FFT"}}
+	opt := Options{Procs: 4, Scale: apps.Unit}
 	optSeq, optPar := opt, opt
 	optSeq.Workers = 1
 	optPar.Workers = 8
@@ -62,6 +66,49 @@ func TestRaceCheckedDeterminism(t *testing.T) {
 				if fa != fo {
 					t.Errorf("%s/%s under %s: race checking perturbed the report:\nchecked:   %s\nunchecked: %s",
 						app, v, proto, fa, fo)
+				}
+			}
+		}
+	}
+}
+
+// TestViewsLeaveNoTrace: at small scale on 8 processors — where matrix rows
+// cross pages and two blocks share one, which unit scale never has — the
+// applications whose kernels run on page views emit the same events at the
+// same virtual times, byte for byte, as when the detector forces every
+// access through the accessors one at a time.
+func TestViewsLeaveNoTrace(t *testing.T) {
+	s := NewSession(Options{Procs: 8, Scale: apps.Small, Workers: 1})
+	for _, app := range []string{"LU-NCONT", "LU-CONT", "SOR", "OCEAN"} {
+		spec, err := apps.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []Variant{VarO, Var4TP} {
+			for _, proto := range []string{"lrc", "hlrc"} {
+				run := func(raceCheck bool) (string, []byte) {
+					cfg := s.Config(app, v)
+					cfg.Protocol, cfg.RaceCheck = proto, raceCheck
+					var buf bytes.Buffer
+					tw := event.NewTraceWriter(&buf)
+					_, rep, err := spec.Run(cfg, apps.Options{Scale: apps.Small, Verify: true}, tw)
+					if err != nil {
+						t.Fatalf("%s/%s under %s, RaceCheck %v: %v", app, v, proto, raceCheck, err)
+					}
+					if err := tw.Close(); err != nil {
+						t.Fatal(err)
+					}
+					return rep.Fingerprint(), buf.Bytes()
+				}
+				fpViews, traceViews := run(false)
+				fpElems, traceElems := run(true)
+				if fpViews != fpElems {
+					t.Errorf("%s/%s under %s: views perturbed the report:\nviews:    %s\nelements: %s",
+						app, v, proto, fpViews, fpElems)
+				}
+				if !bytes.Equal(traceViews, traceElems) {
+					t.Errorf("%s/%s under %s: views perturbed the trace (%d vs %d bytes)",
+						app, v, proto, len(traceViews), len(traceElems))
 				}
 			}
 		}
