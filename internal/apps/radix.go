@@ -3,7 +3,7 @@ package apps
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"godsm/dsm"
 )
@@ -187,7 +187,7 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 
 func radixVerify(e *dsm.Env, out i64s, input []int64) error {
 	want := append([]int64(nil), input...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	slices.Sort(want)
 	for i := range want {
 		got := e.ReadI64(out.at(i))
 		if got != want[i] {

@@ -12,8 +12,9 @@
 package lrc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"godsm/internal/pagemem"
 )
@@ -106,17 +107,30 @@ func Concurrent(a, b *Interval) bool {
 // interval it has seen (write notices propagate transitively): if a hb b,
 // then b.VC >= a.VC element-wise and strictly greater in b's own
 // coordinate, so sum(b.VC) > sum(a.VC).
+//
+// (sum, Node, Seq) is a strict total order — no two intervals share an id —
+// so the result does not depend on the input order, and each interval's sum
+// is computed once, not per comparison: a sum is O(N) in the machine's width.
 func SortCausally(ivs []*Interval) {
-	sort.SliceStable(ivs, func(i, j int) bool {
-		si, sj := vcSum(ivs[i]), vcSum(ivs[j])
-		if si != sj {
-			return si < sj
-		}
-		if ivs[i].ID.Node != ivs[j].ID.Node {
-			return ivs[i].ID.Node < ivs[j].ID.Node
-		}
-		return ivs[i].ID.Seq < ivs[j].ID.Seq
+	if len(ivs) < 2 {
+		return
+	}
+	type keyed struct {
+		sum int64
+		iv  *Interval
+	}
+	var buf [8]keyed // a page's pending intervals are few: no allocation
+	ks := buf[:0]
+	for _, iv := range ivs {
+		ks = append(ks, keyed{vcSum(iv), iv})
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.sum, b.sum),
+			cmp.Compare(a.iv.ID.Node, b.iv.ID.Node), cmp.Compare(a.iv.ID.Seq, b.iv.ID.Seq))
 	})
+	for i, k := range ks {
+		ivs[i] = k.iv
+	}
 }
 
 func vcSum(iv *Interval) int64 {

@@ -2,6 +2,8 @@ package lrc
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +176,45 @@ func TestSortCausallyDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortCausallyRef is SortCausally as it was first written: a stable sort
+// that recomputes both sums in every comparison.
+func sortCausallyRef(ivs []*Interval) {
+	sort.SliceStable(ivs, func(i, j int) bool {
+		si, sj := vcSum(ivs[i]), vcSum(ivs[j])
+		if si != sj {
+			return si < sj
+		}
+		if ivs[i].ID.Node != ivs[j].ID.Node {
+			return ivs[i].ID.Node < ivs[j].ID.Node
+		}
+		return ivs[i].ID.Seq < ivs[j].ID.Seq
+	})
+}
+
+// SortCausally's order is the reference's, on random interval sets of every
+// small size (the stack buffer and past it) at a paper-sized and a
+// big-machine width, and it allocates nothing for the sizes a page's
+// pending list has.
+func TestSortCausallyMatchesReference(t *testing.T) {
+	for _, width := range []int{8, 1024} {
+		rng := rand.New(rand.NewSource(int64(width)))
+		history := randomHistory(rng, width, 300)
+		for round := 0; round < 200; round++ {
+			rng.Shuffle(len(history), func(i, j int) { history[i], history[j] = history[j], history[i] })
+			got := append([]*Interval(nil), history[:rng.Intn(40)]...)
+			want := append([]*Interval(nil), got...)
+			SortCausally(got)
+			sortCausallyRef(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("width %d, %d intervals: order differs from the reference's", width, len(got))
+			}
+		}
+		few := history[:6]
+		if a := testing.AllocsPerRun(20, func() { SortCausally(few) }); a != 0 {
+			t.Errorf("width %d: sorting %d intervals allocates %.0f times, want 0", width, len(few), a)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package pagemem
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -10,6 +11,7 @@ import (
 //	"unchanged": identical pages (the common validation case)
 //	"sparse":    32 short scattered runs (typical pointer/scalar updates)
 //	"dense":     every other 8-byte word modified (worst-case fragmentation)
+//	"floats":    every float changed in 7 of its 8 bytes (an LU or SOR page)
 //	"full":      the whole page rewritten (bulk producer)
 func benchPages(pattern string) (twin, cur []byte) {
 	rng := rand.New(rand.NewSource(42))
@@ -32,6 +34,12 @@ func benchPages(pattern string) (twin, cur []byte) {
 				cur[off+j] ^= 0xFF
 			}
 		}
+	case "floats":
+		for off := 0; off < PageSize; off += 8 {
+			for j := 0; j < 7; j++ {
+				cur[off+j] ^= 0xFF
+			}
+		}
 	case "full":
 		for i := range cur {
 			cur[i] ^= 0xFF
@@ -43,7 +51,7 @@ func benchPages(pattern string) (twin, cur []byte) {
 }
 
 func BenchmarkMakeDiff(b *testing.B) {
-	for _, pattern := range []string{"unchanged", "sparse", "dense", "full"} {
+	for _, pattern := range []string{"unchanged", "sparse", "dense", "floats", "full"} {
 		b.Run(pattern, func(b *testing.B) {
 			twin, cur := benchPages(pattern)
 			b.SetBytes(PageSize)
@@ -57,7 +65,7 @@ func BenchmarkMakeDiff(b *testing.B) {
 }
 
 func BenchmarkDiffApply(b *testing.B) {
-	for _, pattern := range []string{"sparse", "dense", "full"} {
+	for _, pattern := range []string{"sparse", "dense", "floats", "full"} {
 		b.Run(pattern, func(b *testing.B) {
 			twin, cur := benchPages(pattern)
 			d := MakeDiff(0, twin, cur)
@@ -90,9 +98,8 @@ func BenchmarkTwinCycle(b *testing.B) {
 }
 
 // TestMakeDiffAllocs locks in the pooling win: an unchanged page must not
-// allocate at all, and a diffed page must allocate exactly three times (the
-// Diff header, the run headers, and their shared data buffer), no matter
-// how many runs it has.
+// allocate at all, and a diffed page must allocate exactly twice (the Diff
+// and its encoded runs), no matter how many runs it has.
 func TestMakeDiffAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; counts not meaningful")
@@ -104,7 +111,7 @@ func TestMakeDiffAllocs(t *testing.T) {
 	// Warm the scratch pool so the measurement sees the steady state.
 	twinD, curD := benchPages("dense")
 	MakeDiff(0, twinD, curD)
-	for _, pattern := range []string{"sparse", "dense", "full"} {
+	for _, pattern := range []string{"sparse", "dense", "floats", "full"} {
 		twin, cur := benchPages(pattern)
 		got := testing.AllocsPerRun(100, func() {
 			if MakeDiff(0, twin, cur) == nil {
@@ -113,11 +120,45 @@ func TestMakeDiffAllocs(t *testing.T) {
 		})
 		// GC pressure can evict the scratch from the sync.Pool
 		// mid-measurement, so allow a little slack over the exact
-		// steady-state count of 3.
-		if got > 4 {
-			t.Errorf("MakeDiff(%s) allocates %.1f times per call, want <= 4", pattern, got)
+		// steady-state count of 2.
+		if got > 3 {
+			t.Errorf("MakeDiff(%s) allocates %.1f times per call, want <= 3", pattern, got)
+		}
+		d := MakeDiff(0, twin, cur)
+		buf := append([]byte(nil), twin...)
+		if got := testing.AllocsPerRun(100, func() { d.Apply(buf) }); got != 0 {
+			t.Errorf("Apply(%s) allocates %.1f times per call, want 0", pattern, got)
 		}
 	}
+}
+
+// TestDiffHostFootprint: what a diff retains on the host stays near what it
+// is modelled to occupy on the wire. The page is LU's and SOR's: every
+// float changed in 7 of its 8 bytes, 512 runs, 5 640 bytes in a message. (As
+// a slice of run headers over a payload the same diff held about 20 KB.)
+func TestDiffHostFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; allocated bytes not meaningful")
+	}
+	twin, cur := benchPages("floats")
+	const k = 64
+	held := make([]*Diff, 0, k)
+	held = append(held, MakeDiff(0, twin, cur)) // warms the scratch pool
+	wire := held[0].WireSize()
+	if wire != 8+512*(runHeaderSize+7) {
+		t.Fatalf("WireSize = %d, want 5640", wire)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for len(held) < k {
+		held = append(held, MakeDiff(0, twin, cur))
+	}
+	runtime.ReadMemStats(&after)
+	perDiff := float64(after.TotalAlloc-before.TotalAlloc) / (k - 1)
+	if perDiff > 1.5*float64(wire) {
+		t.Errorf("a diff of %d wire bytes holds %.0f host bytes, want at most 1.5 times as many", wire, perDiff)
+	}
+	runtime.KeepAlive(held)
 }
 
 // TestTwinCycleAllocs: after the first cycle, twinning reuses retired

@@ -40,112 +40,124 @@ func OffsetOf(a Addr) int { return int(a & (PageSize - 1)) }
 // Base returns the first address of page p.
 func (p PageID) Base() Addr { return Addr(p) << PageShift }
 
-// A Run is one contiguous range of modified bytes within a page.
-type Run struct {
-	Offset uint16
-	Data   []byte
-}
-
-// Diff is the set of modifications made to one page, relative to its twin.
+// Diff is the set of modifications made to one page, relative to its twin:
+// the run-length encoding TreadMarks puts on the wire, held in one buffer.
+// enc is a table of the runs in page order — 4 bytes each, the run's offset
+// within the page and its length as little-endian uint16s — followed by the
+// runs' modified bytes back to back. A diff is therefore two allocations
+// whatever its fragmentation, holds no pointer but enc, and retains little
+// more than its modelled size (WireSize less the 8-byte preamble).
+//
+// A diff is immutable once made: the protocol hands one *Diff to every node
+// that asks for it. The zero Diff (and a nil *Diff) has no runs.
 type Diff struct {
 	Page PageID
-	Runs []Run
+	runs int32
+	enc  []byte
 }
 
-// runHeaderSize is the wire overhead per run (offset + length).
+// runHeaderSize is the overhead per run (offset + length), on the wire and
+// in Diff.enc's table.
 const runHeaderSize = 4
 
 // wordSize is the diff scanner's comparison granularity: 8 bytes compared
 // per load instead of 1.
 const wordSize = 8
 
-// runBound is one run's [start, end) byte range, recorded during the scan
-// pass before any allocation happens.
-type runBound struct{ start, end int }
+// maxRuns bounds a page's runs: they are separated by at least one equal
+// byte.
+const maxRuns = PageSize / 2
 
-// diffScratch holds the reusable per-call state of MakeDiff so that
-// steady-state diffing allocates only the returned Diff itself. A sync.Pool
-// keeps the scratch safe to share between concurrently running simulations.
-type diffScratch struct{ bounds []runBound }
+// diffScratch is where MakeDiff builds the table and the payload before it
+// knows either's size; the returned Diff holds an exact-size copy. The
+// wordSize of slack lets a short run be copied as one whole word. A
+// sync.Pool keeps the scratch safe to share between concurrently running
+// simulations.
+type diffScratch struct {
+	table [maxRuns * runHeaderSize]byte
+	data  [PageSize + wordSize]byte
+	t, w  int // bytes of table and of data in use
+}
 
 var diffPool = sync.Pool{New: func() any { return new(diffScratch) }}
 
-// nextDiff returns the index of the first byte >= i at which twin and
-// current differ, or PageSize if the rest of the page matches. Equal
-// stretches are skipped a word at a time.
-func nextDiff(twin, current []byte, i int) int {
-	for i+wordSize <= PageSize {
-		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(current[i:])
-		if x != 0 {
-			return i + bits.TrailingZeros64(x)>>3
-		}
-		i += wordSize
+// add records the run current[start:end].
+func (sc *diffScratch) add(current []byte, start, end int) {
+	n := end - start
+	binary.LittleEndian.PutUint32(sc.table[sc.t:], uint32(start)|uint32(n)<<16)
+	sc.t += runHeaderSize
+	if n <= wordSize && start+wordSize <= PageSize {
+		// The applications change floats: most runs fit one word. Copy
+		// the whole word; the next run overwrites the excess.
+		binary.LittleEndian.PutUint64(sc.data[sc.w:], binary.LittleEndian.Uint64(current[start:]))
+	} else {
+		copy(sc.data[sc.w:sc.w+n], current[start:end])
 	}
-	for i < PageSize && twin[i] == current[i] {
-		i++
-	}
-	return i
-}
-
-// nextMatch returns the index of the first byte >= i at which twin and
-// current agree, or PageSize if the rest of the page differs. Fully
-// differing stretches are skipped a word at a time; a zero byte in the XOR
-// (an equal byte) is located with the SWAR zero-byte trick.
-func nextMatch(twin, current []byte, i int) int {
-	const (
-		lo = 0x0101010101010101
-		hi = 0x8080808080808080
-	)
-	for i+wordSize <= PageSize {
-		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(current[i:])
-		if zero := (x - lo) &^ x & hi; zero != 0 {
-			return i + bits.TrailingZeros64(zero)>>3
-		}
-		i += wordSize
-	}
-	for i < PageSize && twin[i] != current[i] {
-		i++
-	}
-	return i
+	sc.w += n
 }
 
 // MakeDiff compares a modified page against its twin and returns the RLE
 // diff, or nil if the page is unchanged. Both slices must be PageSize long.
 //
-// The comparison runs a word (8 bytes) at a time, and the diff's runs share
-// one backing buffer sized during the scan pass, so a call performs at most
-// two allocations regardless of how fragmented the modifications are (and
-// none when the page is unchanged).
+// The comparison runs a word (8 bytes) at a time: the XOR of the two words
+// is reduced to one bit per differing byte, and a run starts or ends
+// wherever that bit pattern, carried across words, flips. Runs are recorded
+// in pooled scratch as they are found and the diff keeps an exact-size copy,
+// so a call performs two allocations regardless of how fragmented the
+// modifications are, and none when the page is unchanged.
 func MakeDiff(page PageID, twin, current []byte) *Diff {
 	if len(twin) != PageSize || len(current) != PageSize {
 		panic(fmt.Sprintf("pagemem: MakeDiff on %d/%d byte buffers", len(twin), len(current)))
 	}
-	sc := diffPool.Get().(*diffScratch)
-	bounds := sc.bounds[:0]
-	total := 0
-	for i := nextDiff(twin, current, 0); i < PageSize; {
-		end := nextMatch(twin, current, i)
-		bounds = append(bounds, runBound{i, end})
-		total += end - i
-		i = nextDiff(twin, current, end)
+	const (
+		low7   = 0x7F7F7F7F7F7F7F7F
+		high   = 0x8080808080808080
+		gather = 0x0102040810204080 // moves the high bit of byte k to bit 56+k
+	)
+	var sc *diffScratch
+	open := -1 // where the run being scanned started; -1 between runs
+	for i := 0; i < PageSize; i += wordSize {
+		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(current[i:])
+		if x == 0 && open < 0 {
+			continue
+		}
+		if sc == nil {
+			sc = diffPool.Get().(*diffScratch)
+			sc.t, sc.w = 0, 0
+		}
+		differs := ((x&low7 + low7) | x) & high // the high bit of every byte that differs
+		if differs == high && open >= 0 {
+			continue
+		}
+		// Bit k of flips is set where byte k's state is not its
+		// predecessor's: each one starts a run or ends the open one.
+		m := uint32((differs >> 7) * gather >> 56)
+		prev := m << 1
+		if open >= 0 {
+			prev |= 1
+		}
+		for flips := (m ^ prev) & 0xFF; flips != 0; flips &= flips - 1 {
+			at := i + bits.TrailingZeros32(flips)
+			if open < 0 {
+				open = at
+			} else {
+				sc.add(current, open, at)
+				open = -1
+			}
+		}
 	}
-	sc.bounds = bounds
-	if len(bounds) == 0 {
-		diffPool.Put(sc)
+	if sc == nil {
 		return nil
 	}
-	runs := make([]Run, len(bounds))
-	data := make([]byte, total)
-	off := 0
-	for j, b := range bounds {
-		n := b.end - b.start
-		d := data[off : off+n : off+n]
-		copy(d, current[b.start:b.end])
-		runs[j] = Run{Offset: uint16(b.start), Data: d}
-		off += n
+	if open >= 0 {
+		sc.add(current, open, PageSize)
 	}
+	enc := make([]byte, sc.t+sc.w)
+	copy(enc, sc.table[:sc.t])
+	copy(enc[sc.t:], sc.data[:sc.w])
+	d := &Diff{Page: page, runs: int32(sc.t / runHeaderSize), enc: enc}
 	diffPool.Put(sc)
-	return &Diff{Page: page, Runs: runs}
+	return d
 }
 
 // Apply writes the diff's runs into page contents buf (PageSize long).
@@ -153,30 +165,77 @@ func (d *Diff) Apply(buf []byte) {
 	if len(buf) != PageSize {
 		panic("pagemem: Apply on short buffer")
 	}
-	for _, r := range d.Runs {
-		copy(buf[r.Offset:int(r.Offset)+len(r.Data)], r.Data)
+	enc := d.enc
+	p := runHeaderSize * int(d.runs) // the next run's bytes
+	table := enc[:p]
+	for r := 0; r+runHeaderSize <= len(table); r += runHeaderSize {
+		h := binary.LittleEndian.Uint32(table[r : r+runHeaderSize])
+		off, n := int(h&0xFFFF), int(h>>16)
+		if n > wordSize || p+wordSize > len(enc) {
+			copy(buf[off:off+n], enc[p:p+n])
+			p += n
+			continue
+		}
+		// A changed float is a run of 7 or 8 bytes and a page of them is
+		// hundreds of runs: a short run is one load, and one store or two
+		// overlapping ones, instead of a memmove call.
+		v := binary.LittleEndian.Uint64(enc[p : p+wordSize])
+		dst := buf[off : off+n]
+		switch {
+		case n == 8:
+			binary.LittleEndian.PutUint64(dst, v)
+		case n >= 4:
+			binary.LittleEndian.PutUint32(dst, uint32(v))
+			binary.LittleEndian.PutUint32(dst[n-4:], uint32(v>>(8*uint(n-4)&63)))
+		case n >= 2:
+			binary.LittleEndian.PutUint16(dst, uint16(v))
+			binary.LittleEndian.PutUint16(dst[n-2:], uint16(v>>(8*uint(n-2)&63)))
+		case n == 1:
+			dst[0] = byte(v)
+		}
+		p += n
 	}
 }
 
-// WireSize returns the number of bytes the diff occupies in a message.
+// EachRun yields the diff's runs in page order: each run's offset within
+// the page and its modified bytes, which alias the diff and must not be
+// written.
+func (d *Diff) EachRun(yield func(off int, data []byte) bool) {
+	if d == nil {
+		return
+	}
+	split := runHeaderSize * int(d.runs)
+	table, data := d.enc[:split], d.enc[split:]
+	for ; len(table) >= runHeaderSize; table = table[runHeaderSize:] {
+		h := binary.LittleEndian.Uint32(table)
+		n := int(h >> 16)
+		if !yield(int(h&0xFFFF), data[:n:n]) {
+			return
+		}
+		data = data[n:]
+	}
+}
+
+// Empty reports whether the diff changes nothing: a nil diff, or the
+// explicit empty diff the protocol stores for an interval that wrote a page
+// without changing it.
+func (d *Diff) Empty() bool { return d == nil || len(d.enc) == 0 }
+
+// WireSize returns the number of bytes the diff occupies in a message: the
+// page id and run count, then a header and the modified bytes per run.
 func (d *Diff) WireSize() int {
 	if d == nil {
 		return 0
 	}
-	n := 8 // page id + run count
-	for _, r := range d.Runs {
-		n += runHeaderSize + len(r.Data)
-	}
-	return n
+	return 8 + len(d.enc)
 }
 
 // DataBytes returns the number of modified bytes the diff carries.
 func (d *Diff) DataBytes() int {
-	n := 0
-	for _, r := range d.Runs {
-		n += len(r.Data)
+	if d == nil {
+		return 0
 	}
-	return n
+	return len(d.enc) - runHeaderSize*int(d.runs)
 }
 
 // Store holds one node's local copies of shared pages and their twins, one
@@ -190,15 +249,17 @@ func (d *Diff) DataBytes() int {
 // contents. The protocol's page table caches the frame on that promise.
 //
 // Page-sized buffers are carved out of multi-page slabs rather than
-// allocated one by one, and twin buffers retired by DropTwin are kept on a
-// free list for the next MakeTwin, so steady-state twinning does not
-// allocate. A Store belongs to one simulated node and is not safe for
-// concurrent use; concurrently running simulations each have their own
-// stores.
+// allocated one by one — slabs that start small and grow with the store, so
+// a node that touches a few pages (each of a big machine's thousand) holds a
+// few — and twin buffers retired by DropTwin are kept on a free list for the
+// next MakeTwin, so steady-state twinning does not allocate. A Store belongs
+// to one simulated node and is not safe for concurrent use; concurrently
+// running simulations each have their own stores.
 type Store struct {
 	pages Table[storeEntry]
 
 	slab      []pageBuf  // remainder of the current zeroed allocation slab
+	carved    int        // page buffers allocated so far, over all slabs
 	freeTwins []*pageBuf // retired twin buffers, reused by MakeTwin
 }
 
@@ -207,8 +268,13 @@ type pageBuf = [PageSize]byte
 // storeEntry is one page's frame and twin; nil until materialised.
 type storeEntry struct{ frame, twin *pageBuf }
 
-// slabPages is how many page frames one allocation slab provides.
-const slabPages = 64
+// A store's first slab provides minSlabPages page buffers and each later one
+// doubles what the store holds, up to maxSlabPages a slab: the store never
+// holds more than maxSlabPages-sized slabs from the first touch would.
+const (
+	minSlabPages = 2
+	maxSlabPages = 64
+)
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
@@ -216,7 +282,9 @@ func NewStore() *Store { return &Store{} }
 // newPageBuf carves one zeroed page-sized buffer out of the current slab.
 func (s *Store) newPageBuf() *pageBuf {
 	if len(s.slab) == 0 {
-		s.slab = make([]pageBuf, slabPages)
+		n := min(max(s.carved, minSlabPages), maxSlabPages)
+		s.slab = make([]pageBuf, n)
+		s.carved += n
 	}
 	b := &s.slab[0]
 	s.slab = s.slab[1:]

@@ -34,10 +34,7 @@ func TestDiffSingleRun(t *testing.T) {
 	cur := make([]byte, PageSize)
 	copy(cur[100:], []byte{1, 2, 3})
 	d := MakeDiff(7, twin, cur)
-	if d == nil || len(d.Runs) != 1 {
-		t.Fatalf("diff = %+v", d)
-	}
-	if d.Page != 7 || d.Runs[0].Offset != 100 || !bytes.Equal(d.Runs[0].Data, []byte{1, 2, 3}) {
+	if d.Page != 7 || !diffHasRuns(d, []refRun{{100, []byte{1, 2, 3}}}) {
 		t.Fatalf("diff = %+v", d)
 	}
 	if d.DataBytes() != 3 {
@@ -56,8 +53,30 @@ func TestDiffMultipleRuns(t *testing.T) {
 	cur[501] = 2
 	cur[PageSize-1] = 5
 	d := MakeDiff(0, twin, cur)
-	if len(d.Runs) != 3 {
-		t.Fatalf("runs = %d, want 3: %+v", len(d.Runs), d.Runs)
+	if !diffHasRuns(d, []refRun{{0, []byte{9}}, {500, []byte{1, 2}}, {PageSize - 1, []byte{5}}}) {
+		t.Fatalf("diff = %+v", d)
+	}
+}
+
+// An empty diff is one that changes nothing, stored or not: the sizes the
+// cost model reads tell the two apart.
+func TestEmptyDiffs(t *testing.T) {
+	var none *Diff
+	stored := &Diff{Page: 4}
+	if !none.Empty() || !stored.Empty() {
+		t.Error("a nil or zero diff is not Empty")
+	}
+	if none.WireSize() != 0 || stored.WireSize() != 8 || none.DataBytes() != 0 || stored.DataBytes() != 0 {
+		t.Errorf("nil diff %d/%d bytes, zero diff %d/%d, want 0/0 and 8/0",
+			none.WireSize(), none.DataBytes(), stored.WireSize(), stored.DataBytes())
+	}
+	for range none.EachRun {
+		t.Error("a nil diff has a run")
+	}
+	buf := make([]byte, PageSize)
+	stored.Apply(buf)
+	if !bytes.Equal(buf, make([]byte, PageSize)) {
+		t.Error("applying an empty diff wrote the page")
 	}
 }
 
@@ -118,10 +137,17 @@ func TestDisjointDiffsCommuteProperty(t *testing.T) {
 	}
 }
 
-// makeDiffRef is the original byte-at-a-time MakeDiff, kept as the
-// reference implementation for the word-wise scanner.
-func makeDiffRef(page PageID, twin, current []byte) *Diff {
-	var runs []Run
+// refRun is one run of the byte-at-a-time reference scan.
+type refRun struct {
+	off  int
+	data []byte
+}
+
+// refRuns is the original byte-at-a-time MakeDiff, kept as the reference
+// for the word-wise scanner and the encoded representation: the maximal
+// stretches over which twin and current differ.
+func refRuns(twin, current []byte) []refRun {
+	var runs []refRun
 	i := 0
 	for i < PageSize {
 		if twin[i] == current[i] {
@@ -132,33 +158,30 @@ func makeDiffRef(page PageID, twin, current []byte) *Diff {
 		for i < PageSize && twin[i] != current[i] {
 			i++
 		}
-		data := make([]byte, i-start)
-		copy(data, current[start:i])
-		runs = append(runs, Run{Offset: uint16(start), Data: data})
+		runs = append(runs, refRun{start, append([]byte(nil), current[start:i]...)})
 	}
-	if runs == nil {
-		return nil
-	}
-	return &Diff{Page: page, Runs: runs}
+	return runs
 }
 
-func diffsEqual(a, b *Diff) bool {
-	if (a == nil) != (b == nil) {
+// diffHasRuns reports whether d's runs, read through the iterator, are
+// exactly want, and its modelled sizes the ones want implies. No runs is
+// the nil diff.
+func diffHasRuns(d *Diff, want []refRun) bool {
+	if len(want) == 0 {
+		return d == nil
+	}
+	if d.Empty() {
 		return false
 	}
-	if a == nil {
-		return true
-	}
-	if a.Page != b.Page || len(a.Runs) != len(b.Runs) {
-		return false
-	}
-	for i := range a.Runs {
-		if a.Runs[i].Offset != b.Runs[i].Offset ||
-			!bytes.Equal(a.Runs[i].Data, b.Runs[i].Data) {
+	i, data := 0, 0
+	for off, b := range d.EachRun {
+		if i == len(want) || off != want[i].off || !bytes.Equal(b, want[i].data) {
 			return false
 		}
+		data += len(b)
+		i++
 	}
-	return true
+	return i == len(want) && d.DataBytes() == data && d.WireSize() == 8+runHeaderSize*i+data
 }
 
 // Property: the word-wise MakeDiff produces exactly the diff the byte-wise
@@ -189,9 +212,7 @@ func TestMakeDiffMatchesByteReference(t *testing.T) {
 			cur[0] ^= 0xA5
 			cur[PageSize-1] ^= 0x5A
 		}
-		got := MakeDiff(9, twin, cur)
-		want := makeDiffRef(9, twin, cur)
-		return diffsEqual(got, want)
+		return diffHasRuns(MakeDiff(9, twin, cur), refRuns(twin, cur))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -204,7 +225,7 @@ func TestMakeDiffMatchesByteReference(t *testing.T) {
 func TestMakeDiffWordBoundaryEdges(t *testing.T) {
 	check := func(name string, twin, cur []byte) {
 		t.Helper()
-		if got, want := MakeDiff(1, twin, cur), makeDiffRef(1, twin, cur); !diffsEqual(got, want) {
+		if got, want := MakeDiff(1, twin, cur), refRuns(twin, cur); !diffHasRuns(got, want) {
 			t.Errorf("%s: word-wise diff %+v != reference %+v", name, got, want)
 		}
 	}
@@ -229,6 +250,66 @@ func TestMakeDiffWordBoundaryEdges(t *testing.T) {
 		cur[i] = 0xEE
 	}
 	check("full page", twin, cur)
+}
+
+// Apply's short-run paths move a run as two overlapping words: for every
+// run length around them, at the page's edges and mid-word, a diff applied
+// to a page other than its twin writes the run's bytes and no others.
+func TestApplyWritesOnlyItsRuns(t *testing.T) {
+	for n := 1; n <= 5*wordSize; n++ {
+		for _, off := range []int{0, 3, 1000, PageSize - n - 1, PageSize - n} {
+			twin := make([]byte, PageSize)
+			cur := make([]byte, PageSize)
+			for j := off; j < off+n; j++ {
+				cur[j] = byte(1 + j%255)
+			}
+			d := MakeDiff(0, twin, cur)
+			buf := bytes.Repeat([]byte{0xEE}, PageSize)
+			want := append([]byte(nil), buf...)
+			copy(want[off:off+n], cur[off:])
+			d.Apply(buf)
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("run [%d,%d): Apply wrote other bytes than the run's", off, off+n)
+			}
+		}
+	}
+}
+
+// FuzzDiffRoundTrip: for any twin and any set of modified stretches, the
+// diff has exactly the reference scan's runs and modelled sizes, and
+// applying it to the twin reproduces the page.
+func FuzzDiffRoundTrip(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{0, 0, 16, 0})                  // a full-page run
+	f.Add(int64(3), []byte{0xFF, 0x0F, 1, 0})             // the last byte alone
+	f.Add(int64(4), []byte{0, 0, 1, 0, 2, 0, 7, 0})       // first byte, then a float's 7 bytes
+	f.Add(int64(5), []byte{0xF9, 0x0F, 7, 0, 8, 0, 9, 1}) // a short run ending the page
+	f.Fuzz(func(t *testing.T, seed int64, mods []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		twin := make([]byte, PageSize)
+		rng.Read(twin)
+		cur := append([]byte(nil), twin...)
+		// Each 4 bytes of mods name a stretch (offset, length) to dirty;
+		// a length byte pair of 0x1000 or more dirties to the page's end.
+		for ; len(mods) >= 4; mods = mods[4:] {
+			off := (int(mods[0]) | int(mods[1])<<8) % PageSize
+			n := int(mods[2]) | int(mods[3])<<8
+			for j := off; j < min(off+n, PageSize); j++ {
+				cur[j] ^= byte(1 + rng.Intn(255))
+			}
+		}
+		d := MakeDiff(5, twin, cur)
+		if want := refRuns(twin, cur); !diffHasRuns(d, want) {
+			t.Fatalf("diff %+v, reference runs %+v", d, want)
+		}
+		rebuilt := append([]byte(nil), twin...)
+		if d != nil {
+			d.Apply(rebuilt)
+		}
+		if !bytes.Equal(rebuilt, cur) {
+			t.Fatal("Apply(MakeDiff(twin, cur), twin) != cur")
+		}
+	})
 }
 
 func TestStoreFrameLazyZero(t *testing.T) {
@@ -261,7 +342,7 @@ func TestTwinLifecycle(t *testing.T) {
 		t.Fatal("twin mutated along with frame")
 	}
 	d := MakeDiff(1, s.Twin(1), f)
-	if d == nil || d.Runs[0].Offset != 10 {
+	if !diffHasRuns(d, []refRun{{10, []byte{99}}}) {
 		t.Fatalf("diff = %+v", d)
 	}
 	s.DropTwin(1)

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"godsm/internal/event"
 	"godsm/internal/lrc"
@@ -142,11 +143,7 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 		if residual && !c.homeMode(p) {
 			f.hybrid = true
 			if ex := c.exCover[p]; ex != nil {
-				for id := range f.needed {
-					if id.Seq > ex[id.Node] {
-						delete(f.needed, id)
-					}
-				}
+				f.needed = slices.DeleteFunc(f.needed, func(id lrc.IntervalID) bool { return id.Seq > ex[id.Node] })
 			}
 			c.acc.cell(p).faults++
 			c.tryCompleteHybrid(p)
@@ -282,7 +279,7 @@ func (c *adpCoherence) handleDiffReply(rep *msgDiffReply) {
 	if f != nil && (f.hybrid || f.fill) {
 		n.bankDiffs(rep)
 		for _, it := range rep.Items {
-			delete(f.needed, it.ID)
+			f.needed.remove(it.ID)
 		}
 		if f.fill {
 			c.tryCompleteFill(rep.Page)

@@ -69,7 +69,7 @@ func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 	for _, id := range post {
 		if _, ok := n.storedDiff(id, p); !ok {
 			missing = true
-			if !f.needed[id] {
+			if !f.needed.has(id) {
 				fresh = append(fresh, id)
 			}
 		}
@@ -103,7 +103,7 @@ func (c *adpCoherence) finishHybrid(p pagemem.PageID, f *fetch, post []lrc.Inter
 		cost += n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(pagemem.PageSize))
 	}
 	cost += n.applyDiffs(p, post)
-	if f.pageData != nil && lm != nil && len(lm.Runs) > 0 {
+	if f.pageData != nil && !lm.Empty() {
 		lm.Apply(n.Store.Frame(p))
 	}
 	ps.pending = ps.pending[:0]

@@ -7,31 +7,49 @@ import (
 	"godsm/internal/sim"
 )
 
-// The chassis diff store: diffs keyed by (creator interval, page), shared
-// by the diff-based coherence backends, the prefetcher and the garbage
-// collector. HLRC uses only the twin/diff primitives (its diffs live at
-// the page's home, applied on arrival, never stored).
+// The chassis diff store, shared by the diff-based coherence backends, the
+// prefetcher and the garbage collector: a diff is named by (creator
+// interval, page), and every query has the page in hand, so a page's diffs
+// hang off its pageState. HLRC uses only the twin/diff primitives (its
+// diffs live at the page's home, applied on arrival, never stored).
+
+// heldDiff is one stored diff of a page: the interval that made it and the
+// diff, which is nil or empty when the interval left the page unchanged.
+type heldDiff struct {
+	id lrc.IntervalID
+	d  *pagemem.Diff
+}
+
+// held finds the stored diff interval id made of this page; ok tells
+// "stored as empty" from "not stored". The scan runs from the newest entry:
+// the ids asked about are the pending ones, whose diffs arrived last.
+func (ps *pageState) held(id lrc.IntervalID) (d *pagemem.Diff, ok bool) {
+	for i := len(ps.diffs) - 1; i >= 0; i-- {
+		if ps.diffs[i].id == id {
+			return ps.diffs[i].d, true
+		}
+	}
+	return nil, false
+}
 
 // storedDiff fetches a stored diff; ok distinguishes "stored as empty".
 func (n *Node) storedDiff(id lrc.IntervalID, p pagemem.PageID) (*pagemem.Diff, bool) {
-	m, ok := n.diffs[id]
-	if !ok {
+	ps := n.pages.Lookup(p)
+	if ps == nil {
 		return nil, false
 	}
-	d, ok := m[p]
-	return d, ok
+	return ps.held(id)
 }
 
+// putDiff stores interval id's diff of p, in the prefetch heap or the
+// ordinary one. A diff already held stays: a fault-injected duplicate reply
+// must not count its bytes twice.
 func (n *Node) putDiff(id lrc.IntervalID, p pagemem.PageID, d *pagemem.Diff, prefetched bool) {
-	m, ok := n.diffs[id]
-	if !ok {
-		m = make(map[pagemem.PageID]*pagemem.Diff)
-		n.diffs[id] = m
-	}
-	if _, dup := m[p]; dup {
+	ps := n.page(p)
+	if _, dup := ps.held(id); dup {
 		return
 	}
-	m[p] = d
+	ps.diffs = append(ps.diffs, heldDiff{id, d})
 	if prefetched {
 		n.pfHeap += int64(d.WireSize())
 	} else {
@@ -62,11 +80,7 @@ func (n *Node) makeOwnDiff(p pagemem.PageID) sim.Time {
 	twin := n.Store.Twin(p)
 	frame := n.Store.Frame(p)
 	d := pagemem.MakeDiff(p, twin, frame)
-	db := 0
-	if d != nil {
-		db = d.DataBytes()
-	}
-	n.bus.Emit(event.DiffMake(n.ID, int64(p), db))
+	n.bus.Emit(event.DiffMake(n.ID, int64(p), d.DataBytes()))
 	cost := n.C.DiffMake + sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize))
 	n.Store.DropTwin(p)
 	ps.twinned = false
@@ -120,7 +134,7 @@ func (n *Node) applyDiffs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
 	if len(ids) == 0 {
 		return 0
 	}
-	ivs := make([]*lrc.Interval, 0, len(ids))
+	ivs := n.ivScratch[:0]
 	for _, id := range ids {
 		iv := n.ivs[id.Node][id.Seq-1]
 		if iv == nil {
@@ -130,15 +144,16 @@ func (n *Node) applyDiffs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
 	}
 	lrc.SortCausally(ivs)
 
+	ps := n.page(p)
 	frame := n.Store.Frame(p)
 	var cost sim.Time
 	for _, iv := range ivs {
-		d, ok := n.storedDiff(iv.ID, p)
+		d, ok := ps.held(iv.ID)
 		if !ok {
 			n.pageInvariantf(p, "node %d applying page %d without diff for %v",
 				n.ID, p, iv.ID)
 		}
-		if d != nil && len(d.Runs) > 0 {
+		if !d.Empty() {
 			n.bus.Emit(event.DiffApply(n.ID, int64(p), d.DataBytes()))
 			d.Apply(frame)
 			cost += n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(d.DataBytes()))
@@ -146,18 +161,22 @@ func (n *Node) applyDiffs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
 			cost += n.C.DiffApply / 2
 		}
 	}
+	clear(ivs) // the scratch must not keep collected records alive
+	n.ivScratch = ivs[:0]
 	return cost
 }
 
 // missingDiffs lists the pending intervals for p whose diffs are not yet
-// held locally.
+// held locally. The list is the node's scratch: it is good until the next
+// call, and whoever keeps ids from it copies them.
 func (n *Node) missingDiffs(p pagemem.PageID) []lrc.IntervalID {
 	ps := n.page(p)
-	var out []lrc.IntervalID
+	out := n.missScratch[:0]
 	for _, id := range ps.pending {
-		if _, ok := n.storedDiff(id, p); !ok {
+		if _, ok := ps.held(id); !ok {
 			out = append(out, id)
 		}
 	}
+	n.missScratch = out
 	return out
 }

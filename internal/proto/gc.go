@@ -2,7 +2,6 @@ package proto
 
 import (
 	"godsm/internal/event"
-	"godsm/internal/lrc"
 	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/sim"
@@ -109,7 +108,6 @@ func (g *lrcGC) gcValidate(onDone func()) {
 // node's VC covers gcBase after the collection.
 func (g *lrcGC) gcFlush() {
 	n := g.n
-	n.diffs = make(map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff)
 	n.diffBytes = 0
 	n.pfHeap = 0
 	n.pf = make(map[pagemem.PageID]*pfState)
@@ -121,12 +119,13 @@ func (g *lrcGC) gcFlush() {
 		}
 		n.gcBase[q] = n.vc[q]
 	}
-	// Sanity: validation must have drained every pending list and created
-	// every outstanding own diff (each notice was pending somewhere). Each
-	// walks in page order, so a violation deterministically reports the
-	// lowest offending page — the chaos soak's failure dumps must reproduce
-	// byte-identically.
+	// Drop every page's diffs. Sanity on the way: validation must have
+	// drained every pending list and created every outstanding own diff
+	// (each notice was pending somewhere). Each walks in page order, so a
+	// violation deterministically reports the lowest offending page — the
+	// chaos soak's failure dumps must reproduce byte-identically.
 	for p, ps := range n.pages.Each {
+		ps.diffs = nil
 		if len(ps.pending) != 0 {
 			n.pageInvariantf(p, "gcFlush with pending diffs on page %d", p)
 		}

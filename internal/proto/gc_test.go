@@ -3,6 +3,7 @@ package proto
 import (
 	"testing"
 
+	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
 )
 
@@ -38,8 +39,20 @@ func TestGCCollectsAndPreservesData(t *testing.T) {
 		t.Fatalf("GC did not run: %d/%d", r.st[0].GCRuns, r.st[1].GCRuns)
 	}
 	for i, nd := range r.nodes {
-		if nd.DiffHeapBytes() != 0 {
-			t.Errorf("node %d still holds %d diff bytes after GC", i, nd.DiffHeapBytes())
+		if nd.DiffHeapBytes() != 0 || nd.pfHeap != 0 {
+			t.Errorf("node %d still counts %d diff and %d prefetch bytes after GC", i, nd.DiffHeapBytes(), nd.pfHeap)
+		}
+		// The flush sweeps the store itself, not only its counters: no
+		// page holds a diff, its creator's included.
+		for p, ps := range nd.pages.Each {
+			if len(ps.diffs) != 0 {
+				t.Errorf("node %d still holds %d diffs of page %d after GC", i, len(ps.diffs), p)
+			}
+		}
+		for _, id := range []lrc.IntervalID{{Node: 0, Seq: 1}, {Node: 1, Seq: 1}} {
+			if _, ok := nd.storedDiff(id, pagemem.PageID(1+id.Node)); ok {
+				t.Errorf("node %d still serves the diff of %v after GC", i, id)
+			}
 		}
 	}
 	// Data must survive the collection.

@@ -66,7 +66,7 @@ type hlrcCoherence struct {
 
 	// Requester-side: every interval id already requested from the home
 	// for the page's in-flight fetch (grows across re-requests).
-	asked map[pagemem.PageID]map[lrc.IntervalID]bool
+	asked map[pagemem.PageID]idSet
 
 	// Dynamic-policy state (nil map reads are safe, so these stay nil under
 	// the static policy): pages whose home base has not been installed here

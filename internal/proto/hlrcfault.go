@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"maps"
-
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/netsim"
@@ -58,7 +56,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 
 	need := append([]lrc.IntervalID(nil), ps.pending...)
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(need)))
-	c.asked[p] = maps.Clone(n.startFetch(p, need, onValid).needed)
+	c.asked[p] = n.startFetch(p, need, onValid).needed.clone()
 	n.post(n.C.FaultEntry, c.pageReq(p, need, false))
 }
 
@@ -109,7 +107,7 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 		return
 	}
 	for _, id := range rep.Covers {
-		delete(f.needed, id)
+		f.needed.remove(id)
 	}
 	if len(f.needed) > 0 {
 		return
@@ -120,15 +118,16 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 	asked := c.asked[rep.Page]
 	var fresh []lrc.IntervalID
 	for _, id := range ps.pending {
-		if !asked[id] {
+		if !asked.has(id) {
 			fresh = append(fresh, id)
 		}
 	}
 	if len(fresh) > 0 {
 		for _, id := range fresh {
-			f.needed[id] = true
-			asked[id] = true
+			f.needed.add(id)
+			asked.add(id)
 		}
+		c.asked[rep.Page] = asked
 		n.post(0, c.pageReq(rep.Page, fresh, false))
 		return
 	}

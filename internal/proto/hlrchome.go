@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"slices"
+
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
@@ -54,7 +56,7 @@ func (c *hlrcCoherence) handleHomeFlush(fl *msgHomeFlush) {
 	// pages never leave the node. (A demoted home draining the page has no
 	// twin of it: see maybeShip.)
 	var cost sim.Time
-	if fl.Diff != nil && len(fl.Diff.Runs) > 0 {
+	if !fl.Diff.Empty() {
 		n.bus.Emit(event.DiffApply(n.ID, int64(p), fl.Diff.DataBytes()))
 		fl.Diff.Apply(n.Store.Frame(p))
 		cost = n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(fl.Diff.DataBytes()))
@@ -117,11 +119,7 @@ func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 		// coverage rule here would misread; adp.go owns their completion.
 		return
 	}
-	for id := range f.needed {
-		if c.covered(p, id) {
-			delete(f.needed, id)
-		}
-	}
+	f.needed = slices.DeleteFunc(f.needed, func(id lrc.IntervalID) bool { return c.covered(p, id) })
 	if len(f.needed) > 0 {
 		return
 	}
@@ -129,7 +127,7 @@ func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 	fresh := false
 	for _, id := range ps.pending {
 		if !c.covered(p, id) {
-			f.needed[id] = true
+			f.needed.add(id)
 			fresh = true
 		}
 	}

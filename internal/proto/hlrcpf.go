@@ -14,7 +14,7 @@ import (
 // pfPage is one cached whole-page prefetch reply.
 type pfPage struct {
 	data   []byte
-	covers map[lrc.IntervalID]bool // intervals the snapshot is known to cover
+	covers idSet // intervals the snapshot is known to cover
 }
 
 // takePfPage removes and returns the cached copy of p, if any, releasing
@@ -45,14 +45,14 @@ func (c *hlrcCoherence) cachePfReply(rep *msgPageReply) {
 	}
 	pg, ok := c.pfCache[rep.Page]
 	if !ok {
-		pg = &pfPage{covers: make(map[lrc.IntervalID]bool)}
+		pg = &pfPage{}
 		c.pfCache[rep.Page] = pg
 		n.pfHeap += pagemem.PageSize
 	}
 	pg.data = append(pg.data[:0], rep.Data...)
-	clear(pg.covers)
+	pg.covers = pg.covers[:0]
 	for _, id := range rep.Covers {
-		pg.covers[id] = true
+		pg.covers.add(id)
 	}
 }
 

@@ -173,7 +173,7 @@ func (c *hlrcCoherence) installXfer(p pagemem.PageID, st *xferIn) {
 	}
 	if ps.twinned {
 		copy(n.Store.Twin(p), n.Store.Frame(p))
-		if lm != nil && len(lm.Runs) > 0 {
+		if !lm.Empty() {
 			lm.Apply(n.Store.Frame(p))
 		}
 	}

@@ -63,8 +63,7 @@ func (n *Node) recordInterval(iv *lrc.Interval) sim.Time {
 		n.ivs[q] = append(n.ivs[q], nil)
 	}
 	if n.ivs[q][idx] != nil {
-		if n.deferredSet[iv.ID] {
-			delete(n.deferredSet, iv.ID)
+		if n.deferredSet.remove(iv.ID) {
 			n.invalidate(iv)
 			return n.C.NoticeProc * sim.Time(1+len(iv.Pages))
 		}
@@ -111,10 +110,7 @@ func (n *Node) recordDeferred(iv *lrc.Interval) sim.Time {
 	}
 	n.ivs[q][idx] = iv
 	n.bus.Emit(event.NoticeIn(n.ID, iv.ID.Node, iv.ID.Seq, len(iv.Pages)))
-	if n.deferredSet == nil {
-		n.deferredSet = make(map[lrc.IntervalID]bool)
-	}
-	n.deferredSet[iv.ID] = true
+	n.deferredSet.add(iv.ID)
 	n.deferredInval = append(n.deferredInval, iv)
 	return n.C.NoticeProc * sim.Time(1+len(iv.Pages))
 }
@@ -123,11 +119,11 @@ func (n *Node) recordDeferred(iv *lrc.Interval) sim.Time {
 // invalidated through another path meanwhile.
 func (n *Node) flushDeferred() {
 	for _, iv := range n.deferredInval {
-		if n.deferredSet[iv.ID] {
-			delete(n.deferredSet, iv.ID)
+		if n.deferredSet.has(iv.ID) {
 			n.invalidate(iv)
 		}
 	}
+	n.deferredSet = n.deferredSet[:0] // every deferred record is in deferredInval
 	n.deferredInval = n.deferredInval[:0]
 }
 

@@ -52,15 +52,6 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	c.issueDiffRequests(n.startFetch(p, missing, onValid), missing, n.C.FaultEntry)
 }
 
-func anyOutside(ids []lrc.IntervalID, set map[lrc.IntervalID]bool) bool {
-	for _, id := range ids {
-		if !set[id] {
-			return true
-		}
-	}
-	return false
-}
-
 // diffReqs builds one diff request for page p per distinct creator of the
 // wanted intervals: a demand request, or a prefetch datagram.
 func (c *lrcCoherence) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
@@ -69,11 +60,10 @@ func (c *lrcCoherence) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetc
 	if prefetch {
 		kind = KindPfReq
 	}
-	nodes, groups := groupByNode(want)
-	msgs := make([]*netsim.Message, 0, len(nodes))
-	for _, node := range nodes {
-		msgs = append(msgs, n.msg(node, kind,
-			&msgDiffReq{From: n.ID, Page: p, Wants: groups[node], Prefetch: prefetch}))
+	var msgs []*netsim.Message
+	for _, g := range groupByNode(want) {
+		msgs = append(msgs, n.msg(g[0].Node, kind,
+			&msgDiffReq{From: n.ID, Page: p, Wants: g, Prefetch: prefetch}))
 	}
 	return msgs
 }
@@ -83,7 +73,7 @@ func (c *lrcCoherence) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetc
 func (c *lrcCoherence) issueDiffRequests(f *fetch, missing []lrc.IntervalID, extraCost sim.Time) {
 	n := c.n
 	for _, id := range missing {
-		f.needed[id] = true
+		f.needed.add(id)
 	}
 	msgs := c.diffReqs(f.page, missing, false)
 	done := n.CPU.Service(extraCost+sim.Time(len(msgs))*n.C.MsgSend, sim.CatDSM)
@@ -108,18 +98,23 @@ func (c *lrcCoherence) Prefetch(p pagemem.PageID) int {
 	return n.issuePrefetch(p, missing, c.diffReqs(p, missing, true)...)
 }
 
-// groupByNode buckets interval ids by creator. The returned node list is in
-// first-appearance order so that callers iterate deterministically.
-func groupByNode(ids []lrc.IntervalID) ([]int, map[int][]lrc.IntervalID) {
-	g := make(map[int][]lrc.IntervalID)
-	var order []int
+// groupByNode buckets interval ids by creator: one group per creator, in
+// first-appearance order, so that callers iterate deterministically. The
+// groups are the caller's to keep. A page's writers are few: finding an
+// id's group is a scan.
+func groupByNode(ids []lrc.IntervalID) [][]lrc.IntervalID {
+	var groups [][]lrc.IntervalID
+next:
 	for _, id := range ids {
-		if _, ok := g[id.Node]; !ok {
-			order = append(order, id.Node)
+		for i, g := range groups {
+			if g[0].Node == id.Node {
+				groups[i] = append(g, id)
+				continue next
+			}
 		}
-		g[id.Node] = append(g[id.Node], id)
+		groups = append(groups, []lrc.IntervalID{id})
 	}
-	return order, g
+	return groups
 }
 
 // handleDiffReq services a demand or prefetch diff request: it lazily
@@ -166,7 +161,7 @@ func (c *lrcCoherence) handleDiffReply(rep *msgDiffReply) {
 		return
 	}
 	for _, it := range rep.Items {
-		delete(f.needed, it.ID)
+		f.needed.remove(it.ID)
 	}
 	if len(f.needed) > 0 {
 		return

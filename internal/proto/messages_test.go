@@ -27,7 +27,11 @@ func wireSamples() []wireSample {
 	}
 	ids := func(n int) []lrc.IntervalID { return make([]lrc.IntervalID, n) }
 	vc := lrc.NewVC(8)
-	diff := &pagemem.Diff{Page: 3, Runs: []pagemem.Run{{Offset: 8, Data: make([]byte, 16)}}} // 8 + 4 + 16
+	cur := make([]byte, pagemem.PageSize)
+	for i := 8; i < 24; i++ {
+		cur[i] = 0xFF
+	}
+	diff := pagemem.MakeDiff(3, make([]byte, pagemem.PageSize), cur) // one run of 16 bytes: 8 + 4 + 16
 	acq := &msgLockAcq{Lock: 1, Requester: 2, VC: vc, Seq: 1}
 	return []wireSample{
 		{"diff-req", KindDiffReq, &msgDiffReq{From: 1, Page: 3, Wants: ids(3)}, true, 40 + 24 + 8*3},

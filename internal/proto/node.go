@@ -1,11 +1,11 @@
 // Package proto implements the software DSM protocol engine as a chassis
 // plus one pluggable policy seam. The chassis (Node) owns the state and the
-// mechanisms every backend shares — vector time, interval records, page
-// table, diff store, in-flight fetch table and its lifecycle, the wire
-// format, reliable transport, the synchronization manager (locks, barrier
-// tree) and the diff collector — and delegates the coherence and prefetch
-// decisions to the Coherence implementation selected by a declarative Spec
-// from the backend table.
+// mechanisms every backend shares — vector time, interval records, the page
+// table with each page's stored diffs, in-flight fetch table and its
+// lifecycle, the wire format, reliable transport, the synchronization
+// manager (locks, barrier tree) and the diff collector — and delegates the
+// coherence and prefetch decisions to the Coherence implementation selected
+// by a declarative Spec from the backend table.
 //
 // Backends: "lrc" (TreadMarks-style lazy release consistency, the default),
 // "erc" (eager release consistency: notices broadcast at every release),
@@ -25,7 +25,9 @@
 //	costs.go      CPU cost model and the charging send helpers (post)
 //	transport.go  reliable ack/retransmit transport (fault injection)
 //	intervals.go  interval records, write notices, vector-time intake
-//	diffstore.go  diff storage, lazy own-diff creation, causal apply
+//	diffstore.go  the diffs a page's state holds, lazy own-diff creation,
+//	              causal apply
+//	idset.go      idSet: the small ordered sets of interval ids fetches keep
 //	prefetch.go   the shared prefetch chassis: admit, throttle, issue
 //	lrc.go        lrcCoherence: demand and prefetch diff fetch, eager-RC
 //	              broadcast
@@ -90,15 +92,16 @@ type Node struct {
 	vc  lrc.VC
 	ivs [][]*lrc.Interval // ivs[node][seq-1]: all known interval records
 
-	// Diff store: diffs[creator interval][page]. Holds both locally created
-	// diffs and diffs fetched from other nodes; nil entries mark intervals
-	// that produced no changes for the page.
-	diffs map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff
-
-	// Per-page protocol state. Entries appear a leaf at a time; the zero
-	// pageState means valid+clean, so an untouched entry and a missing leaf
-	// read the same.
+	// Per-page protocol state, which is also the diff store: a page's diffs
+	// hang off its entry (diffstore.go). Entries appear a leaf at a time;
+	// the zero pageState means valid+clean with nothing stored, so an
+	// untouched entry and a missing leaf read the same.
 	pages pagemem.Table[pageState]
+
+	// Scratch for the fault path's two short lists (missingDiffs,
+	// applyDiffs), reused so that a fault allocates neither.
+	missScratch []lrc.IntervalID
+	ivScratch   []*lrc.Interval
 
 	// Pages twinned during the current (open) interval; becomes the next
 	// interval's write notices.
@@ -118,7 +121,7 @@ type Node struct {
 	// Deferred invalidations (barrier-manager server role; see
 	// recordDeferred in intervals.go).
 	deferredInval []*lrc.Interval
-	deferredSet   map[lrc.IntervalID]bool
+	deferredSet   idSet
 
 	// gcBase: records below this vector time have been collected (gc.go).
 	gcBase lrc.VC
@@ -156,11 +159,15 @@ type pageState struct {
 	// page was flushed to a home (home-based engines; zero when none). A
 	// page request carries it, and the home serves no copy older than it.
 	flushed int32
+
+	// diffs are the diffs of this page the node holds, its own and those it
+	// fetched, in arrival order until a collection drops them (diffstore.go).
+	diffs []heldDiff
 }
 
 type fetch struct {
 	page    pagemem.PageID
-	needed  map[lrc.IntervalID]bool
+	needed  idSet
 	waiters []func()
 	start   sim.Time
 
@@ -178,16 +185,16 @@ type fetch struct {
 }
 
 type pfState struct {
-	requested map[lrc.IntervalID]bool // intervals the prefetch asked for
-	inflight  int                     // outstanding request messages
+	requested idSet // intervals the prefetch asked for
+	inflight  int   // outstanding request messages
 }
 
 // startFetch registers the in-flight fetch for page p, born now, waiting on
 // the needed intervals.
 func (n *Node) startFetch(p pagemem.PageID, needed []lrc.IntervalID, waiters ...func()) *fetch {
-	f := &fetch{page: p, needed: make(map[lrc.IntervalID]bool, len(needed)), waiters: waiters, start: n.K.Now()}
+	f := &fetch{page: p, needed: make(idSet, 0, len(needed)), waiters: waiters, start: n.K.Now()}
 	for _, id := range needed {
-		f.needed[id] = true
+		f.needed.add(id)
 	}
 	n.fetches[p] = f
 	return f
@@ -243,7 +250,6 @@ func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 		Store:   pagemem.NewStore(),
 		vc:      lrc.NewVC(n),
 		ivs:     make([][]*lrc.Interval, n),
-		diffs:   make(map[lrc.IntervalID]map[pagemem.PageID]*pagemem.Diff),
 		fetches: make(map[pagemem.PageID]*fetch),
 		pf:      make(map[pagemem.PageID]*pfState),
 		gcBase:  lrc.NewVC(n),

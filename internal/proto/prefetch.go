@@ -55,11 +55,11 @@ func (n *Node) admitPrefetch(p pagemem.PageID, th *pfThrottle, local bool) bool 
 func (n *Node) issuePrefetch(p pagemem.PageID, ids []lrc.IntervalID, msgs ...*netsim.Message) int {
 	st, ok := n.pf[p]
 	if !ok {
-		st = &pfState{requested: make(map[lrc.IntervalID]bool)}
+		st = &pfState{}
 		n.pf[p] = st
 	}
 	for _, id := range ids {
-		st.requested[id] = true
+		st.requested.add(id)
 	}
 	st.inflight += len(msgs)
 	n.bus.Emit(event.PfIssue(n.ID, int64(p), len(msgs)))

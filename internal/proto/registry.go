@@ -145,7 +145,7 @@ func newHLRC(n *Node, cfg Spec, policy HomePolicy) *hlrcCoherence {
 		dyn:     policy.Dynamic(),
 		applied: make(map[pagemem.PageID]lrc.VC),
 		parked:  make(map[pagemem.PageID][]*msgPageReq),
-		asked:   make(map[pagemem.PageID]map[lrc.IntervalID]bool),
+		asked:   make(map[pagemem.PageID]idSet),
 	}
 	if coh.dyn {
 		coh.track = true
