@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dsmrun -app SOR [-procs 8] [-threads 1] [-prefetch]
-//	       [-switch-miss] [-switch-sync] [-scale unit|small|paper]
+//	       [-switch-miss] [-scale unit|small|paper]
 //	       [-protocol lrc|erc|hlrc|adp] [-home-policy static|firsttouch|migrate]
 //	       [-gc-threshold N]
 //	       [-topology single|fattree] [-fattree-radix N]
@@ -100,7 +100,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&cfg.ThreadsPerProc, "threads", 1, "user-level threads per processor")
 	fs.BoolVar(&cfg.Prefetch, "prefetch", false, "execute inserted prefetches")
 	fs.BoolVar(&cfg.SwitchOnMiss, "switch-miss", false, "switch threads on remote misses")
-	fs.BoolVar(&cfg.SwitchOnSync, "switch-sync", false, "switch threads on synchronization stalls")
 	scale := fs.String("scale", "small", "input scale: unit, small or paper")
 	fs.StringVar(&cfg.Protocol, "protocol", "", "coherence protocol: "+strings.Join(dsm.Protocols(), ", ")+" (default lrc)")
 	fs.StringVar(&cfg.HomePolicy, "home-policy", "", "hlrc page-home assignment: "+strings.Join(dsm.HomePolicies(), ", ")+" (default static)")
@@ -176,7 +175,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 		return nil, fmt.Errorf("-trace needs a single -app (one trace file describes one run)")
 	}
 
-	cfg.SwitchOnSync = cfg.SwitchOnSync || cfg.ThreadsPerProc > 1
 	return o, cfg.Validate()
 }
 

@@ -129,7 +129,7 @@ func TestBadFlagIsUsageError(t *testing.T) {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
 	c := o.cfg
-	if len(o.specs) != 2 || c.Procs != 16 || c.ThreadsPerProc != 2 || !c.SwitchOnSync ||
+	if len(o.specs) != 2 || c.Procs != 16 || c.ThreadsPerProc != 2 ||
 		c.Protocol != "erc" || c.Net.Topology != "fattree" || c.Barrier != "tree" ||
 		!c.Gossip || c.GossipSeed != 5 || c.Net.Faults.Loss != 0.01 || c.Net.Faults.Seed != 1 {
 		t.Errorf("flags not bound onto the config: %+v", o)

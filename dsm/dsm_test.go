@@ -100,7 +100,6 @@ func TestConfigKnobs(t *testing.T) {
 	cfg.Procs = 2
 	cfg.ThreadsPerProc = 2
 	cfg.SwitchOnMiss = true
-	cfg.SwitchOnSync = true
 	cfg.Prefetch = true
 	cfg.ThrottlePf = 2
 	cfg.GCThreshold = 1 << 20
@@ -146,7 +145,6 @@ func TestThreadRange(t *testing.T) {
 	cfg := dsm.DefaultConfig()
 	cfg.Procs = 4
 	cfg.ThreadsPerProc = 2
-	cfg.SwitchOnSync = true
 	sys := dsm.NewSystem(cfg)
 	covered := make([]bool, 130)
 	sys.Run(func(e *dsm.Env) {

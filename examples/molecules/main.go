@@ -25,10 +25,7 @@ func run(threads int) *dsm.Report {
 	cfg := dsm.DefaultConfig()
 	cfg.Procs = 4
 	cfg.ThreadsPerProc = threads
-	if threads > 1 {
-		cfg.SwitchOnMiss = true
-		cfg.SwitchOnSync = true
-	}
+	cfg.SwitchOnMiss = threads > 1
 	sys := dsm.NewSystem(cfg)
 
 	pos := sys.Alloc.Alloc(8*3*nMol, dsm.PageSize)

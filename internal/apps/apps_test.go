@@ -14,7 +14,6 @@ func testConfig(procs, threads int, prefetch bool) dsm.Config {
 	cfg.ThreadsPerProc = threads
 	if threads > 1 {
 		cfg.SwitchOnMiss = true
-		cfg.SwitchOnSync = true
 	}
 	cfg.Prefetch = prefetch
 	cfg.Limit = 10000 * sim.Second

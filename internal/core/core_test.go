@@ -13,7 +13,6 @@ func smallConfig(procs, threads int) Config {
 	cfg.ThreadsPerProc = threads
 	if threads > 1 {
 		cfg.SwitchOnMiss = true
-		cfg.SwitchOnSync = true
 	}
 	cfg.Limit = 1000 * sim.Second
 	return cfg
@@ -276,7 +275,6 @@ func TestMultithreadingOverlapsLatency(t *testing.T) {
 	run := func(threads int) sim.Time {
 		cfg := smallConfig(2, threads)
 		cfg.SwitchOnMiss = true
-		cfg.SwitchOnSync = true
 		sys := NewSystem(cfg)
 		arr := sys.Alloc.AllocPages(pages)
 		rep := sys.Run(func(e *Env) {

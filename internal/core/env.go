@@ -171,9 +171,8 @@ func (e *Env) miss(a Addr, p pagemem.PageID, write bool) []byte {
 				break
 			}
 			e.t.proc.touch(p)
-			e.t.block(sim.CatMemIdle, waitFor{"page", int(p)}, func(onDone func()) {
-				node.Fault(p, onDone)
-			})
+			node.Fault(p, e.t.wake)
+			e.t.park(sim.CatMemIdle, waitFor{"page", int(p)})
 		}
 		if !write || node.PageWritable(p) {
 			break
@@ -275,21 +274,17 @@ func (e *Env) lockAcquire(id int) {
 	ll := pr.llock(id)
 	if ll.holder != nil {
 		// Local hand-off queue (Section 4.1).
-		e.t.block(sim.CatSyncIdle, waitFor{"lock", id}, func(onDone func()) {
-			ll.queue = append(ll.queue, e.t)
-			ll.wakers = append(ll.wakers, onDone)
-		})
+		ll.queue = append(ll.queue, e.t)
+		e.t.park(sim.CatSyncIdle, waitFor{"lock", id})
 		if ll.holder != e.t {
 			panic("core: woken from lock queue without holding the lock")
 		}
 		return
 	}
 	ll.holder = e.t // reserve before any yield so siblings queue locally
-	e.t.block(sim.CatSyncIdle, waitFor{"lock", id}, func(onDone func()) {
-		if pr.node.AcquireLock(id, onDone) {
-			onDone()
-		}
-	})
+	if !pr.node.AcquireLock(id, e.t.wake) {
+		e.t.park(sim.CatSyncIdle, waitFor{"lock", id})
+	}
 }
 
 // Unlock releases lock id, passing it to a locally queued thread first.
@@ -307,13 +302,11 @@ func (e *Env) Unlock(id int) {
 	}
 	if len(ll.queue) > 0 {
 		next := ll.queue[0]
-		wake := ll.wakers[0]
 		ll.queue = ll.queue[1:]
-		ll.wakers = ll.wakers[1:]
 		ll.holder = next
 		pr.bus.Emit(event.LockLocal(pr.id, id))
 		done := pr.cpu.Service(pr.sys.Cfg.LocalLockPass, sim.CatDSM)
-		pr.sys.K.At(done, wake)
+		pr.sys.K.At(done, next.wake)
 		return
 	}
 	ll.holder = nil
@@ -333,21 +326,12 @@ func (e *Env) Barrier(id int) {
 	}
 	e.flushBusy()
 	pr := e.t.proc
-	e.t.block(sim.CatSyncIdle, waitFor{"barrier", id}, func(onDone func()) {
-		pr.barWakers = append(pr.barWakers, onDone)
-		if len(pr.barWakers) == pr.live {
-			// Last local arrival: perform the global barrier arrival.
-			pr.node.Barrier(id, func() {
-				wakers := pr.barWakers
-				pr.barWakers = nil
-				// A new phase begins: reset the redundant-prefetch flags.
-				clear(pr.pfFlags)
-				for _, w := range wakers {
-					w()
-				}
-			})
-		}
-	})
+	pr.barQueue = append(pr.barQueue, e.t)
+	if len(pr.barQueue) == pr.live {
+		// Last local arrival: perform the global barrier arrival.
+		pr.node.Barrier(id, pr.barRelease)
+	}
+	e.t.park(sim.CatSyncIdle, waitFor{"barrier", id})
 }
 
 // RaceExempt runs body with race reporting suppressed for every granule

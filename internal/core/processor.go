@@ -18,10 +18,11 @@ const (
 	tBlocked
 	tSpinning // blocked but keeping the CPU (no thread switch for this stall)
 	tDone
+	tWoken // running, and the wait it is about to park on has completed
 )
 
 func (s threadState) String() string {
-	return [...]string{"running", "ready", "blocked", "spinning", "done"}[s]
+	return [...]string{"running", "ready", "blocked", "spinning", "done", "woken"}[s]
 }
 
 // Thread is one simulated user-level thread.
@@ -34,6 +35,10 @@ type Thread struct {
 	cause sim.Category // what a blocked thread's wait is charged to
 	wait  waitFor      // the page, lock or barrier it blocked on
 	env   *Env
+
+	// wake is t.resume, bound once: the completion callback of whatever the
+	// thread parks on next, so handing it out allocates nothing.
+	wake func()
 }
 
 // Processor schedules the user-level threads of one simulated processor and
@@ -60,9 +65,11 @@ type Processor struct {
 	// Local lock queues: lock id -> state.
 	llocks map[int]*localLock
 
-	// Local barrier gathering: completion callbacks of locally arrived
-	// threads; the pr.live-th arrival triggers the global arrival.
-	barWakers []func()
+	// Local barrier gathering: the locally arrived threads, in arrival
+	// order; the pr.live-th arrival triggers the global arrival, whose
+	// release is barRelease (pr.releaseBarrier, bound once).
+	barQueue   []*Thread
+	barRelease func()
 
 	// Redundant-prefetch suppression flags (Section 5.1): pages already
 	// touched/prefetched by some local thread this phase.
@@ -77,7 +84,6 @@ type Processor struct {
 type localLock struct {
 	holder *Thread
 	queue  []*Thread
-	wakers []func()
 }
 
 // llock returns the local hand-off state for lock id.
@@ -99,7 +105,7 @@ func (pr *Processor) touch(p pagemem.PageID) {
 }
 
 func newProcessor(s *System, id int, node *proto.Node, cpu *sim.CPU) *Processor {
-	return &Processor{
+	pr := &Processor{
 		sys:     s,
 		id:      id,
 		node:    node,
@@ -108,6 +114,8 @@ func newProcessor(s *System, id int, node *proto.Node, cpu *sim.CPU) *Processor 
 		llocks:  make(map[int]*localLock),
 		pfFlags: make(map[uint64]bool),
 	}
+	pr.barRelease = pr.releaseBarrier
+	return pr
 }
 
 func (pr *Processor) spawnThreads(app func(*Env)) {
@@ -120,6 +128,7 @@ func (pr *Processor) spawnThreads(app func(*Env)) {
 			state: tReady,
 		}
 		t.env = newEnv(t)
+		t.wake = t.resume
 		pr.threads = append(pr.threads, t)
 		pr.live++
 		t.p = pr.sys.K.Spawn(fmt.Sprintf("p%d.t%d", pr.id, i), func(p *sim.Proc) {
@@ -147,37 +156,23 @@ func (pr *Processor) shouldSwitch(cause sim.Category) bool {
 	if pr.sys.Cfg.ThreadsPerProc == 1 {
 		return false
 	}
-	if cause == sim.CatMemIdle {
-		return pr.sys.Cfg.SwitchOnMiss
-	}
-	return pr.sys.Cfg.SwitchOnSync
+	return cause != sim.CatMemIdle || pr.sys.Cfg.SwitchOnMiss
 }
 
-// block suspends the current thread, waiting on w, until register's
-// callback fires. register receives the completion callback and starts the
-// asynchronous operation; if the operation completes synchronously
-// (callback invoked before register returns), block returns without
-// yielding. Must be called from the thread's own goroutine with busy time
-// flushed.
-func (t *Thread) block(cause sim.Category, w waitFor, register func(onDone func())) {
+// park suspends the current thread, waiting on w, until t.wake runs: the
+// caller has just handed t.wake to the asynchronous operation it waits for.
+// If the operation completed synchronously (t.wake ran before park), park
+// returns without yielding. Must be called from the thread's own goroutine
+// with busy time flushed.
+func (t *Thread) park(cause sim.Category, w waitFor) {
 	pr := t.proc
 	if pr.current != t {
-		panic("core: block by a non-current thread")
+		panic("core: park by a non-current thread")
 	}
-	completed := false
-	registered := false
-	register(func() {
-		if !registered {
-			completed = true
-			return
-		}
-		pr.onRunnable(t)
-	})
-	if completed {
+	if t.state == tWoken {
+		t.state = tRunning
 		return
 	}
-	registered = true
-
 	t.env.noteBlock()
 	t.cause, t.wait = cause, w
 	if pr.shouldSwitch(cause) {
@@ -192,10 +187,14 @@ func (t *Thread) block(cause sim.Category, w waitFor, register func(onDone func(
 	t.p.Park()
 }
 
-// onRunnable is called (in kernel context) when a blocked thread's wait
-// completes.
-func (pr *Processor) onRunnable(t *Thread) {
+// resume is t.wake: called (in kernel context, or by the thread itself
+// before it parks) when the wait of a thread completes. A thread that waits
+// for nothing — ready, done, or woken already — cannot be woken.
+func (t *Thread) resume() {
+	pr := t.proc
 	switch t.state {
+	case tRunning:
+		t.state = tWoken // completed before parking: park will not yield
 	case tSpinning:
 		// The spinning thread resumes immediately; the wait was idle time.
 		pr.exitIdle(t.cause)
@@ -210,8 +209,19 @@ func (pr *Processor) onRunnable(t *Thread) {
 			pr.dispatchNext()
 		}
 	default:
-		panic(fmt.Sprintf("core: onRunnable in state %d", t.state))
+		panic(fmt.Sprintf("core: wake of thread %d, which is %v and waits for nothing", t.id, t.state))
 	}
+}
+
+// releaseBarrier is the global barrier's release: every local thread has
+// arrived and resumes, in arrival order.
+func (pr *Processor) releaseBarrier() {
+	// A new phase begins: reset the redundant-prefetch flags.
+	clear(pr.pfFlags)
+	for _, t := range pr.barQueue {
+		t.resume()
+	}
+	pr.barQueue = pr.barQueue[:0]
 }
 
 // dispatchNext runs the next ready thread, charging the context-switch cost
@@ -229,7 +239,7 @@ func (pr *Processor) dispatchNext() {
 		return
 	}
 	t := pr.ready[0]
-	pr.ready = pr.ready[1:]
+	pr.ready = append(pr.ready[:0], pr.ready[1:]...) // shift down: the queue keeps its array
 	t.state = tRunning
 	pr.current = t
 	if pr.sys.Cfg.ThreadsPerProc > 1 && pr.everRan {

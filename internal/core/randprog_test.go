@@ -182,10 +182,7 @@ func rpConfigs() []Config {
 		cfg.Procs = procs
 		cfg.ThreadsPerProc = threads
 		cfg.Prefetch = pf
-		if threads > 1 {
-			cfg.SwitchOnSync = true
-			cfg.SwitchOnMiss = swMiss
-		}
+		cfg.SwitchOnMiss = threads > 1 && swMiss
 		cfg.GCThreshold = gc
 		cfg.Limit = 10000 * sim.Second
 		return cfg

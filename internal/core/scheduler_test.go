@@ -16,7 +16,6 @@ func TestSpinVsSwitchOnMiss(t *testing.T) {
 	run := func(switchOnMiss bool) int64 {
 		cfg := smallConfig(2, 2)
 		cfg.SwitchOnMiss = switchOnMiss
-		cfg.SwitchOnSync = true
 		sys := NewSystem(cfg)
 		arr := sys.Alloc.AllocPages(8)
 		rep := sys.Run(func(e *Env) {
@@ -216,5 +215,74 @@ func TestPrefetchLoop(t *testing.T) {
 	if hitsP < pages/2 {
 		t.Fatalf("pipelined prefetch hit only %d of %d pages (misses %d)",
 			hitsP, pages, missesP)
+	}
+}
+
+// park and wake: a wait that completes before the thread parks costs no
+// yield (its sibling would run, and the clock move), no block and no
+// simulated time, and a thread can be woken once.
+func TestWakeBeforeParkDoesNotYield(t *testing.T) {
+	sys := NewSystem(smallConfig(1, 2))
+	var doubleWake any
+	rep := sys.Run(func(e *Env) {
+		if e.LocalThread() != 0 {
+			return
+		}
+		e.Compute(sim.Microsecond)
+		e.flushBusy()
+		at := e.Now()
+		e.t.wake() // the operation completed synchronously
+		e.t.park(sim.CatSyncIdle, waitFor{"lock", 7})
+		if e.t.state != tRunning || e.Now() != at {
+			t.Errorf("after a wake before the park: state %v at %d ns, want running at %d", e.t.state, e.Now(), at)
+		}
+		defer func() { doubleWake = recover() }()
+		e.t.wake()
+		e.t.wake()
+	})
+	if n := rep.Sum(); n.Blocks != 0 {
+		t.Errorf("a wait completed before the park was counted as %d blocks, want none", n.Blocks)
+	}
+	if doubleWake == nil {
+		t.Error("waking a thread twice for one wait did not panic")
+	}
+}
+
+// The three ways a thread stalls allocate nothing in this package, whether
+// the stalled thread spins (one thread a processor) or yields (two). The
+// node's side of each stall is a kernel timer, so what is counted is core's:
+// park, resume, the ready queue and dispatch, the barrier's local gathering
+// and its release.
+func TestStallsAllocateNothingInCore(t *testing.T) {
+	const runs = 50
+	for _, threads := range []int{1, 2} {
+		var miss, lock, barrier float64
+		NewSystem(smallConfig(1, threads)).Run(func(e *Env) {
+			th, pr, k := e.t, e.t.proc, e.t.proc.sys.K
+			stall := func(cause sim.Category) { // node.Fault(p, th.wake), node.AcquireLock(id, th.wake)
+				k.At(k.Now()+10*sim.Microsecond, th.wake)
+				th.park(cause, waitFor{"page", 1})
+			}
+			gather := func() { // Env.Barrier, with pr.node.Barrier(id, pr.barRelease) as a timer
+				pr.barQueue = append(pr.barQueue, th)
+				if len(pr.barQueue) == pr.live {
+					k.At(k.Now()+10*sim.Microsecond, pr.barRelease)
+				}
+				th.park(sim.CatSyncIdle, waitFor{"barrier", 0})
+			}
+			if th.local != 0 {
+				for i := 0; i < runs+1; i++ { // AllocsPerRun's warm-up call and its runs
+					gather()
+				}
+				return
+			}
+			miss = testing.AllocsPerRun(runs, func() { stall(sim.CatMemIdle) })
+			lock = testing.AllocsPerRun(runs, func() { stall(sim.CatSyncIdle) })
+			barrier = testing.AllocsPerRun(runs, gather)
+		})
+		if miss != 0 || lock != 0 || barrier != 0 {
+			t.Errorf("%d thread(s) a processor: %v allocations a miss, %v a remote lock, %v a barrier; want 0",
+				threads, miss, lock, barrier)
+		}
 	}
 }

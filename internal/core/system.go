@@ -28,11 +28,11 @@ type Config struct {
 	proto.Spec
 
 	// SwitchOnMiss makes a thread yield the processor on a remote memory
-	// miss; SwitchOnSync does the same for remote synchronization stalls.
-	// The paper's "nT" configurations set both; the combined "nTP"
-	// configurations set only SwitchOnSync (Section 5).
+	// miss: the paper's "nT" configurations set it, the combined "nTP"
+	// ones spin on misses (Section 5). On a synchronization stall a thread
+	// with siblings always yields: one spin-waiting at a barrier would
+	// starve them of the CPU forever.
 	SwitchOnMiss bool
-	SwitchOnSync bool
 
 	// Prefetch tells the applications to execute their inserted prefetch
 	// calls (Section 3).
@@ -85,7 +85,7 @@ func DefaultConfig() Config {
 
 // MT reports whether this configuration multithreads at all.
 func (c *Config) MT() bool {
-	return c.ThreadsPerProc > 1 && (c.SwitchOnMiss || c.SwitchOnSync)
+	return c.ThreadsPerProc > 1
 }
 
 // System is one simulated cluster run.
@@ -115,12 +115,6 @@ func (c Config) Validate() error {
 	if c.Procs <= 0 || c.ThreadsPerProc <= 0 {
 		return fmt.Errorf("Procs and ThreadsPerProc must be positive (got %d and %d)",
 			c.Procs, c.ThreadsPerProc)
-	}
-	if c.ThreadsPerProc > 1 && !c.SwitchOnSync {
-		// A thread spin-waiting at a barrier would starve its siblings of
-		// the CPU forever; multithreaded configurations must switch on
-		// synchronization stalls (as all of the paper's do).
-		return fmt.Errorf("ThreadsPerProc > 1 requires SwitchOnSync")
 	}
 	if c.RaceGranularity != "" && !c.RaceCheck {
 		return fmt.Errorf("RaceGranularity set without RaceCheck")

@@ -166,18 +166,15 @@ func (s *Session) AppNames(def ...string) []string {
 }
 
 // Config builds the dsm.Config for an application/variant pair, encoding
-// the paper's mode choices: "nT" switches on both miss and sync; "nTP"
-// switches on sync only (Section 5); RADIX throttles every other prefetch
+// the paper's mode choices: "nT" switches on misses as well as on
+// synchronization; "nTP" on synchronization only (Section 5); RADIX throttles every other prefetch
 // in combined mode (Section 5.1).
 func (s *Session) Config(app string, v Variant) dsm.Config {
 	cfg := dsm.DefaultConfig()
 	cfg.Procs = s.Opt.Procs
 	cfg.ThreadsPerProc = threadsOf(v)
 	cfg.Prefetch = prefetching(v)
-	if cfg.ThreadsPerProc > 1 {
-		cfg.SwitchOnSync = true
-		cfg.SwitchOnMiss = !cfg.Prefetch // combined mode spins on misses
-	}
+	cfg.SwitchOnMiss = cfg.ThreadsPerProc > 1 && !cfg.Prefetch // combined mode spins on misses
 	if app == "RADIX" && cfg.Prefetch && cfg.ThreadsPerProc > 1 {
 		cfg.ThrottlePf = 2
 	}

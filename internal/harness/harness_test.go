@@ -291,11 +291,11 @@ func TestVariantDecoding(t *testing.T) {
 func TestConfigModes(t *testing.T) {
 	s := testSession()
 	cfg := s.Config("FFT", Var4T)
-	if !cfg.SwitchOnMiss || !cfg.SwitchOnSync || cfg.Prefetch {
+	if !cfg.SwitchOnMiss || cfg.Prefetch {
 		t.Errorf("4T config = %+v", cfg)
 	}
 	cfg = s.Config("FFT", Var4TP)
-	if cfg.SwitchOnMiss || !cfg.SwitchOnSync || !cfg.Prefetch {
+	if cfg.SwitchOnMiss || !cfg.Prefetch {
 		t.Errorf("4TP config = %+v", cfg)
 	}
 	if s.Config("RADIX", Var2TP).ThrottlePf == 0 {

@@ -24,7 +24,6 @@ func traceRun(t *testing.T) []byte {
 	cfg := dsm.DefaultConfig()
 	cfg.Procs = 4
 	cfg.ThreadsPerProc = 4
-	cfg.SwitchOnSync = true
 	cfg.Prefetch = true
 	var buf bytes.Buffer
 	sys := dsm.NewSystem(cfg)

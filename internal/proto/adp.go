@@ -2,7 +2,6 @@ package proto
 
 import (
 	"fmt"
-	"slices"
 
 	"godsm/internal/event"
 	"godsm/internal/lrc"
@@ -27,26 +26,30 @@ import (
 // lockstep. Since no demand fetch is ever in flight across a barrier (the
 // faulting thread cannot have arrived), a switch never races a demand fetch.
 //
-// The transition machinery is where the two regimes meet:
+// A page's home tenure is its first and only: an evicted page is burned and
+// never offered home mode again, so every replica sees at most diff -> home
+// -> diff per page. applyMoves checks it (a page with exCover set cannot
+// enter home mode), and the transition machinery, where the two regimes
+// meet, leans on it:
 //
 //   - diff -> home: intervals closed before the switch left their diffs at
-//     the writers. The home runs a "fill": it fetches the missing diffs for
-//     its pending notices, applies them, and declares its frame current
+//     the writers, and none was ever flushed. The home runs a "fill": a
+//     hybrid fetch (below) whose base is its own frame, so every pending is
+//     fetched as a diff and applied; the install declares the frame current
 //     through the switch VC (applied = fillVC). Flushes arriving during the
 //     fill are buffered (xferIn.fill) and replayed after the install, and
-//     remote demand requests park at the home until the fill completes.
+//     remote demand requests park at the home until then.
 //   - home -> diff: intervals closed before the switch were flushed to the
 //     home and dropped at the writers — no diff exists for them anywhere.
 //     Every node snapshots the switch VC (exCover); a later fault whose
-//     pending list mixes such flush-era intervals with new diff-era ones
-//     runs a "hybrid" fetch: one whole-page request to the home (whose
-//     applied vector covers everything at or below exCover) installed as a
-//     base, plus ordinary diff requests for the post-switch intervals,
-//     applied causally on top. The barrier cut guarantees every post-switch
-//     interval is causally after every pre-switch one, so base-then-diffs is
-//     a causal order.
+//     pending list holds such flush-era intervals runs a "hybrid" fetch: one
+//     whole-page request to the home (whose applied vector covers everything
+//     at or below exCover) installed as a base, plus ordinary diff requests
+//     for the post-switch intervals, applied causally on top. The barrier cut
+//     guarantees every post-switch interval is causally after every
+//     pre-switch one, so base-then-diffs is a causal order.
 //
-// The home keeps its applied vector across a home -> diff switch, so it can
+// The home keeps its applied vector after the home -> diff switch, so it can
 // serve flush-era base requests for as long as stale pendings surface.
 type adpCoherence struct {
 	n  *Node
@@ -56,18 +59,15 @@ type adpCoherence struct {
 	// mode holds ModeHome entries only; an absent page runs in diff mode.
 	mode map[pagemem.PageID]uint8
 
-	// exCover[p] is the vector time at p's most recent home -> diff switch:
-	// an interval at or below it was flushed to the home during the home
-	// tenure (or covered by the fill) and has no writer-held diff.
+	// exCover[p] is the vector time at p's home -> diff switch: an interval
+	// at or below it was flushed to the home during the home tenure (or
+	// covered by the fill) and has no writer-held diff.
 	exCover map[pagemem.PageID]lrc.VC
 
 	// acc collects this node's per-page counters for the episode in progress.
 	acc *accSet
 
-	// Barrier-root decision state.
-	episode    int64
-	lastSwitch map[pagemem.PageID]int64
-	// burned marks pages evicted from home mode because the home regime was
+	// Barrier-root decision state: burned marks pages evicted from home mode because the home regime was
 	// losing on them; they never re-enter (the apps are phase-regular, so one
 	// bad tenure predicts the next, and the bar prevents oscillation).
 	burned map[pagemem.PageID]bool
@@ -99,19 +99,18 @@ func buildADP(n *Node, cfg Spec) Coherence {
 	hl.xin = make(map[pagemem.PageID]*xferIn) // fills buffer arriving flushes here
 	return &adpCoherence{
 		n: n, hl: hl, lc: newLRC(n, cfg, false),
-		mode:       make(map[pagemem.PageID]uint8),
-		exCover:    make(map[pagemem.PageID]lrc.VC),
-		acc:        newAccSet(),
-		lastSwitch: make(map[pagemem.PageID]int64),
-		burned:     make(map[pagemem.PageID]bool),
-		everMulti:  make(map[pagemem.PageID]bool),
+		mode:      make(map[pagemem.PageID]uint8),
+		exCover:   make(map[pagemem.PageID]lrc.VC),
+		acc:       newAccSet(),
+		burned:    make(map[pagemem.PageID]bool),
+		everMulti: make(map[pagemem.PageID]bool),
 	}
 }
 
 func (c *adpCoherence) homeMode(p pagemem.PageID) bool { return c.mode[p] == ModeHome }
 
 // preSwitch returns p's pending intervals that closed at or before the
-// page's last home -> diff switch: their diffs were flushed to the home and
+// page's home -> diff switch: their diffs were flushed to the home and
 // dropped at the writers, so only the home's frame can resolve them.
 func (c *adpCoherence) preSwitch(p pagemem.PageID) []lrc.IntervalID {
 	ex, ok := c.exCover[p]
@@ -131,23 +130,7 @@ func (c *adpCoherence) preSwitch(p pagemem.PageID) []lrc.IntervalID {
 func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 	n := c.n
 	if f, ok := n.fetches[p]; ok {
-		// A plain fetch without waiters can only be a coverage-wait residual
-		// left behind by an earlier home tenure (an lrc demand fetch carries
-		// its first waiter from birth to completion). If the page has since
-		// switched to the diff regime, flushes alone cannot resolve its new
-		// notices: upgrade it to a hybrid fetch so post-switch diffs are
-		// requested too. Scrub any diff-era ids the hlrc coverage loop re-armed
-		// into needed — they were never requested as diffs and are now ours.
-		residual := !f.fill && !f.hybrid && len(f.waiters) == 0
 		f.waiters = append(f.waiters, onValid)
-		if residual && !c.homeMode(p) {
-			f.hybrid = true
-			if ex := c.exCover[p]; ex != nil {
-				f.needed = slices.DeleteFunc(f.needed, func(id lrc.IntervalID) bool { return id.Seq > ex[id.Node] })
-			}
-			c.acc.cell(p).faults++
-			c.tryCompleteHybrid(p)
-		}
 		return
 	}
 
@@ -166,22 +149,10 @@ func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 	ps := n.page(p)
 	c.acc.cell(p).faults++
 	if ps.twinned && ps.hasUndiffed {
-		// A diff-era twin survived into the home regime (its interval closed
-		// lazily, later writes kept folding in). Commit it and flush the
-		// diff home ahead of the page request, which names it as Own: these
-		// writes are then in the reply's copy instead of under it.
-		id := ps.undiffed
-		cost := n.makeOwnDiff(p)
-		if home := c.hl.home(p); home == n.ID {
-			n.CPU.Service(cost, sim.CatDSM)
-		} else {
-			d, ok := n.storedDiff(id, p)
-			if !ok {
-				n.pageInvariantf(p, "page %d lost its own diff for %v", p, id)
-			}
-			ps.flushed = id.Seq
-			n.post(cost, n.msg(home, KindHomeFlush, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
-		}
+		// A twin with a closed, undiffed interval is diff-mode state: the
+		// switch committed every such twin (applyMoves), and a home-mode close
+		// flushes its pages, twin and notice gone, before it returns.
+		n.pageInvariantf(p, "home-mode page %d holds a twin for the closed interval %v", p, ps.undiffed)
 	}
 	c.hl.Fault(p, onValid)
 }
@@ -212,7 +183,7 @@ func (c *adpCoherence) AfterClose(iv *lrc.Interval) {
 }
 
 // Handle dispatches both engines' message kinds, routing replies that belong
-// to a transition fetch (hybrid or fill) to the adaptive completion logic.
+// to a hybrid fetch (a fill included) to the adaptive completion logic.
 func (c *adpCoherence) Handle(m *netsim.Message) bool {
 	n := c.n
 	switch pl := m.Payload.(type) {
@@ -259,7 +230,7 @@ func (c *adpCoherence) Handle(m *netsim.Message) bool {
 }
 
 // handleDiffReply routes an arriving diff reply. Replies feeding a hybrid
-// fetch or a fill complete through the adaptive logic; a stale prefetch
+// fetch complete through the adaptive logic; a stale prefetch
 // reply racing a home-mode whole-page fetch is banked (stored, inflight
 // decremented) without touching that fetch's bookkeeping, whose needs are
 // interval coverage, not diffs.
@@ -276,16 +247,12 @@ func (c *adpCoherence) handleDiffReply(rep *msgDiffReply) {
 		}
 	}
 	f := n.fetches[rep.Page]
-	if f != nil && (f.hybrid || f.fill) {
+	if f != nil && f.hybrid {
 		n.bankDiffs(rep)
 		for _, it := range rep.Items {
 			f.needed.remove(it.ID)
 		}
-		if f.fill {
-			c.tryCompleteFill(rep.Page)
-		} else {
-			c.tryCompleteHybrid(rep.Page)
-		}
+		c.tryCompleteHybrid(rep.Page)
 		return
 	}
 	if f != nil && c.homeMode(rep.Page) {

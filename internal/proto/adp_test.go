@@ -76,35 +76,19 @@ func TestADPDecideEverMultiBarsEntry(t *testing.T) {
 	}
 }
 
-// The hold window applies to entries: a decided switch is not followed by
-// another decision for the same page until adpHold episodes pass.
-func TestADPDecideEntryHold(t *testing.T) {
-	r := adpRig(4)
-	c := r.adp(0)
-
-	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 1 {
-		t.Fatalf("first episode: moves = %+v", moves)
-	}
-	// The replica never applied the move (root-side state only), so the
-	// page is still diff-mode; the hold alone must block re-deciding.
-	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 0 {
-		t.Fatalf("within hold: moves = %+v, want none", moves)
-	}
-	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 1 {
-		t.Fatalf("after hold: moves = %+v, want the entry again", moves)
-	}
-}
-
 // The eviction rules: a home-mode page leaves on a multi-writer episode, or
 // on a sole non-home writer whose flush volume is far below page-sized
-// replies. Evictions ignore the hold window, and an evicted page is burned.
+// replies. An eviction can come at the decide after the entry, and an evicted
+// page is burned.
 func TestADPDecideEviction(t *testing.T) {
 	r := adpRig(4)
 	c := r.adp(0)
 
-	// Multi-writer eviction, within the hold window of its (simulated) entry.
+	// Multi-writer eviction, at the decide after the entry.
+	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 1 || moves[0].Mode != ModeHome {
+		t.Fatalf("consumed page: moves = %+v, want page 5 -> home mode", moves)
+	}
 	c.mode[5] = ModeHome
-	c.lastSwitch[5] = c.episode + 1 // entered "this" episode
 	multi := []PageAcc{acc(5, 0, 1, 0, 0), acc(5, 2, 1, 0, 0)}
 	moves := c.decideMoves(multi)
 	if len(moves) != 1 || moves[0].Page != 5 || moves[0].Mode != ModeDiff {
@@ -115,10 +99,8 @@ func TestADPDecideEviction(t *testing.T) {
 	}
 	delete(c.mode, 5)
 	// Burned: a later consumed episode cannot re-enter.
-	for i := 0; i < adpHold+1; i++ {
-		if moves := c.decideMoves(consumedAcc(5)); len(moves) != 0 {
-			t.Fatalf("burned page re-entered home mode: %+v", moves)
-		}
+	if moves := c.decideMoves(consumedAcc(5)); len(moves) != 0 {
+		t.Fatalf("burned page re-entered home mode: %+v", moves)
 	}
 
 	// Small-diff eviction: sole writer node 2, page homed at node 1 (9 mod 4

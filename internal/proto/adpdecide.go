@@ -10,11 +10,8 @@ import (
 // from the episode's aggregated access counters, and every node applies
 // them in lockstep at release intake (see adp.go for the overview).
 
-// Decision thresholds (decideMoves). A page switches at most once per
-// adpHold episodes — hysteresis against ping-ponging, and enough slack that
-// a fill's diff requests are long resolved before the page can switch again.
+// Decision thresholds (decideMoves).
 const (
-	adpHold      = 2
 	adpMinFaults = 3
 	// adpPageFrac sets the "diffs are effectively page-sized" cut: a page
 	// whose gathered diff volume reaches PageSize/adpPageFrac per gather
@@ -47,10 +44,11 @@ func (c *adpCoherence) episodeAcc() []PageAcc { return c.acc.drain(c.n.ID) }
 //     flushes move far less than page-sized replies: readers would fetch
 //     those byte-sized diffs straight from the writer, but through the home
 //     they pay a page-sized reply plus the flush detour (the SOR boundary-
-//     page pattern). An evicted page is burned — it never re-enters, so a
-//     wrong entry costs one episode and evictions cannot oscillate.
+//     page pattern). An eviction can follow at the very next decide, so a
+//     wrong entry costs one episode, and the evicted page is burned — it
+//     never re-enters, so switches cannot oscillate and a page's home tenure
+//     is its only one (applyMoves checks it).
 func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
-	c.episode++
 	agg := aggregateAcc(c.n.N, acc)
 	var moves []HomeMove
 	for i := range agg {
@@ -65,16 +63,8 @@ func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
 				t.bytes < writes*pagemem.PageSize/adpPageFrac
 			if wc >= 2 || smallDiffs {
 				moves = append(moves, HomeMove{Page: t.page, Mode: ModeDiff})
-				c.lastSwitch[t.page] = c.episode
 				c.burned[t.page] = true
 			}
-			continue
-		}
-		// Hysteresis applies only to entering home mode: a page that never
-		// switched cannot ping-pong, short apps need the first decision at
-		// the first barrier, and an eviction must be allowed at the very
-		// next decide so a wrong entry costs one episode.
-		if last, ok := c.lastSwitch[t.page]; ok && c.episode-last < adpHold {
 			continue
 		}
 		if c.burned[t.page] || c.everMulti[t.page] {
@@ -88,7 +78,6 @@ func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
 		if wc == 0 && faults >= adpMinFaults &&
 			t.bytes >= faults*pagemem.PageSize/adpPageFrac {
 			moves = append(moves, HomeMove{Page: t.page, Mode: ModeHome})
-			c.lastSwitch[t.page] = c.episode
 		}
 	}
 	return moves
@@ -97,7 +86,8 @@ func (c *adpCoherence) decideMoves(acc []PageAcc) []HomeMove {
 // applyMoves flips the mode map in lockstep on every node at release intake.
 // The merged release VC (identical on every node at this point) timestamps
 // the switch: it becomes the fill's coverage target on a diff -> home switch
-// and the page's exCover on a home -> diff switch.
+// and the page's exCover on a home -> diff switch. One tenure per page is
+// checked here: a page that has an exCover has been home-based before.
 func (c *adpCoherence) applyMoves(moves []HomeMove) {
 	n := c.n
 	var cost sim.Time
@@ -108,9 +98,10 @@ func (c *adpCoherence) applyMoves(moves []HomeMove) {
 			if c.homeMode(p) {
 				n.pageInvariantf(p, "page %d switched to home mode twice", p)
 			}
+			if c.exCover[p] != nil {
+				n.pageInvariantf(p, "page %d, evicted from home mode at %v, switched to home mode again", p, c.exCover[p])
+			}
 			c.mode[p] = ModeHome
-			prevEx := c.exCover[p]
-			delete(c.exCover, p)
 			cost += n.C.IntervalOp
 			n.bus.Emit(event.ModeSwitch(n.ID, int64(p), true))
 			if ps := n.page(p); ps.twinned {
@@ -126,7 +117,7 @@ func (c *adpCoherence) applyMoves(moves []HomeMove) {
 				cost += n.makeOwnDiff(p)
 			}
 			if c.hl.home(p) == n.ID {
-				cost += c.startFill(p, n.vc.Clone(), prevEx)
+				c.startFill(p, n.vc.Clone())
 			}
 		case ModeDiff:
 			if !c.homeMode(p) {

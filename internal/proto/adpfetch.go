@@ -7,10 +7,12 @@ import (
 	"godsm/internal/sim"
 )
 
-// The adaptive backend's transition fetches, where the two regimes meet
-// (see adp.go for the overview): the hybrid fetch a home -> diff switch
-// leaves behind (a whole-page base from the home plus post-switch diffs from
-// their writers) and the fill a diff -> home switch starts at the home.
+// The adaptive backend's transition fetch, where the two regimes meet (see
+// adp.go for the overview): the hybrid, a whole-page base plus diffs from
+// their writers applied on top. A home -> diff switch leaves it behind for
+// faults whose pendings straddle the switch (base: the ex-home's frame); a
+// diff -> home switch starts one at the home-elect, the fill (base: the local
+// frame, every pending a diff).
 
 // hybridFault starts a fetch that combines a whole-page base request to the
 // home (for the flush-era pendings in old) with diff requests for the
@@ -41,7 +43,10 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, old []lrc.IntervalID, onVal
 // satisfied (base installed, or — at the home — every flush-era pending
 // covered), and every post-switch pending must have a stored diff. Missing
 // post-switch diffs not yet asked for are requested here, which also picks
-// up notices taken in while the fetch was in flight.
+// up notices taken in while the fetch was in flight. A fill's pendings were
+// all known at the switch barrier (their records came with the releases): a
+// notice from above the switch names a home-mode interval, whose writer
+// flushed its diff here and dropped it, and is a protocol bug.
 func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 	n := c.n
 	f, ok := n.fetches[p]
@@ -70,6 +75,9 @@ func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 		if _, ok := n.storedDiff(id, p); !ok {
 			missing = true
 			if !f.needed.has(id) {
+				if f.fillVC != nil && id.Seq > f.fillVC[id.Node] {
+					n.pageInvariantf(p, "fill for page %d missing the diff for %v", p, id)
+				}
 				fresh = append(fresh, id)
 			}
 		}
@@ -87,7 +95,8 @@ func (c *adpCoherence) tryCompleteHybrid(p pagemem.PageID) {
 // writes, lay down the base (which covers every flush-era pending), apply
 // the post-switch diffs causally on top, and re-apply the local writes last
 // (they are concurrent with the post-switch intervals, hence byte-disjoint
-// under race freedom).
+// under race freedom). A fill then declares the frame the home copy, current
+// through the switch, before anyone waiting on it runs.
 func (c *adpCoherence) finishHybrid(p pagemem.PageID, f *fetch, post []lrc.IntervalID) {
 	n := c.n
 	ps := n.page(p)
@@ -107,53 +116,37 @@ func (c *adpCoherence) finishHybrid(p pagemem.PageID, f *fetch, post []lrc.Inter
 		lm.Apply(n.Store.Frame(p))
 	}
 	ps.pending = ps.pending[:0]
-	n.finishFetch(f, n.CPU.Service(cost, sim.CatDSM))
+	done := n.CPU.Service(cost, sim.CatDSM)
+	if f.fillVC != nil {
+		c.hl.applied[p] = f.fillVC
+		c.replayEarly(p)
+	}
+	n.finishFetch(f, done)
 }
 
-// startFill begins the home's side of a diff -> home switch: fetch the
-// diff-era pendings' missing diffs, then declare the frame current through
-// the switch (applied = switchVC). prevEx is the previous home -> diff
-// switch VC; pendings at or below it are flush-era — their data arrives as
-// (possibly still in-flight) home flushes, not as writer-held diffs.
-// Returns any CPU cost for the caller to charge.
-func (c *adpCoherence) startFill(p pagemem.PageID, switchVC, prevEx lrc.VC) sim.Time {
+// startFill begins the home's side of a diff -> home switch: a hybrid fetch
+// with no waiters whose base is the local frame, so every pending is fetched
+// as a diff, and whose install declares the frame current through the switch
+// (applied = switchVC). Flushes and demand requests that arrive meanwhile wait
+// in xin and parked for replayEarly.
+func (c *adpCoherence) startFill(p pagemem.PageID, switchVC lrc.VC) {
 	n := c.n
 	hl := c.hl
-	if f := n.fetches[p]; f != nil {
-		if f.fill || f.hybrid || len(f.waiters) > 0 {
-			n.pageInvariantf(p, "mode switch to home for page %d with a demand fetch in flight", p)
-		}
-		// A waiterless coverage-wait from an earlier tenure (its flush still
-		// in flight); the fill supersedes it.
-		delete(n.fetches, p)
+	if n.fetches[p] != nil {
+		n.pageInvariantf(p, "mode switch to home for page %d with a demand fetch in flight", p)
 	}
-	ps := n.page(p)
-	if len(ps.pending) == 0 {
+	if len(n.page(p).pending) == 0 {
 		// The frame is already current: nothing to collect.
-		hl.applied[p] = switchVC.Clone()
+		hl.applied[p] = switchVC
 		c.replayEarly(p)
-		return 0
-	}
-	var want []lrc.IntervalID
-	for _, id := range ps.pending {
-		if prevEx != nil && id.Seq <= prevEx[id.Node] {
-			continue
-		}
-		if _, ok := n.storedDiff(id, p); !ok {
-			want = append(want, id)
-		}
+		return
 	}
 	if hl.xin[p] == nil { // else a flush that outran our release opened it
 		hl.xin[p] = &xferIn{fill: true}
 	}
-	f := n.startFetch(p, want)
-	f.fill, f.fillVC, f.fillEx = true, switchVC.Clone(), prevEx
-	if len(want) > 0 {
-		c.lc.issueDiffRequests(f, want, 0)
-		return 0
-	}
-	c.tryCompleteFill(p)
-	return 0
+	f := n.startFetch(p, nil)
+	f.hybrid, f.fillVC = true, switchVC
+	c.tryCompleteHybrid(p)
 }
 
 // replayEarly runs once p's frame is the home copy: it closes the fill
@@ -169,62 +162,4 @@ func (c *adpCoherence) replayEarly(p pagemem.PageID) {
 		}
 	}
 	hl.serveParked(p)
-}
-
-// tryCompleteFill installs a fill once every requested diff has arrived:
-// apply the diff-era pendings causally, set applied to the switch VC, replay
-// the flushes buffered while the fill ran, and leave an hlrc-style coverage
-// wait behind for flush-era pendings whose flushes are still in flight.
-func (c *adpCoherence) tryCompleteFill(p pagemem.PageID) {
-	n := c.n
-	hl := c.hl
-	f, ok := n.fetches[p]
-	if !ok || !f.fill {
-		return
-	}
-	if len(f.needed) > 0 {
-		return
-	}
-	ps := n.page(p)
-	var apply []lrc.IntervalID
-	for _, id := range ps.pending {
-		if f.fillEx != nil && id.Seq <= f.fillEx[id.Node] {
-			continue
-		}
-		if _, ok := n.storedDiff(id, p); !ok {
-			// Every diff-era pending was known at the switch barrier (its
-			// record propagated with the releases), so the fill asked for it.
-			n.pageInvariantf(p, "fill for page %d missing the diff for %v", p, id)
-		}
-		apply = append(apply, id)
-	}
-	var cost sim.Time
-	if ps.twinned && len(apply) > 0 {
-		cost += n.makeOwnDiff(p)
-	}
-	cost += n.applyDiffs(p, apply)
-	rest := ps.pending[:0]
-	for _, id := range ps.pending {
-		if f.fillEx != nil && id.Seq <= f.fillEx[id.Node] {
-			rest = append(rest, id)
-		}
-	}
-	ps.pending = rest
-	hl.applied[p] = f.fillVC.Clone()
-	delete(n.fetches, p)
-	done := n.CPU.Service(cost, sim.CatDSM)
-	c.replayEarly(p)
-	var uncovered []lrc.IntervalID
-	for _, id := range ps.pending {
-		if !hl.covered(p, id) {
-			uncovered = append(uncovered, id)
-		}
-	}
-	if len(uncovered) > 0 {
-		// Flush-era stragglers: wait for their flushes like a home fault.
-		n.startFetch(p, uncovered, f.waiters...).start = f.start
-		return
-	}
-	ps.pending = ps.pending[:0]
-	n.finishFetch(f, done)
 }

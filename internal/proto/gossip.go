@@ -51,8 +51,8 @@ import (
 // skipped as already covered; fire() filters its own backlog by gcBase.
 type gossiper struct {
 	n        *Node
-	peers    []int // fixed push targets; peers[0] is the ring successor
-	interval sim.Time
+	peers    []int           // fixed push targets; peers[0] is the ring successor
+	interval sim.Time        // gossipInterval; a field so that a test can stretch it
 	hot      []*lrc.Interval // records learned but not yet pushed
 	held     []*lrc.Interval // records learned but not yet causally closed (drain)
 	covered  lrc.VC          // barrier-released supremum: globally known records
@@ -76,11 +76,7 @@ func newGossiper(n *Node, cfg Spec) *gossiper {
 	if k > n.N-1 {
 		k = n.N - 1
 	}
-	interval := cfg.GossipInterval
-	if interval == 0 {
-		interval = DefaultGossipInterval
-	}
-	g := &gossiper{n: n, interval: interval, covered: lrc.NewVC(n.N)}
+	g := &gossiper{n: n, interval: gossipInterval, covered: lrc.NewVC(n.N)}
 
 	// The ring successor guarantees the push graph is strongly connected
 	// (every record can reach every node); the remaining k-1 peers are

@@ -102,8 +102,10 @@ func TestGossipDeterminism(t *testing.T) {
 // completion, so a correct implementation sends no gossip messages at all.
 func TestGossipQuiescesAtBarriers(t *testing.T) {
 	const n = 8
-	r := newRigCfg(n, Spec{Protocol: "erc", Gossip: true, GossipSeed: 11,
-		GossipInterval: 10 * sim.Millisecond})
+	r := newRigCfg(n, Spec{Protocol: "erc", Gossip: true, GossipSeed: 11})
+	for _, nd := range r.nodes {
+		nd.gossip.interval = 10 * sim.Millisecond
+	}
 	for i := 0; i < n; i++ {
 		addr := pagemem.Addr(i+1) * pagemem.PageSize
 		node, a := i, addr

@@ -64,10 +64,6 @@ type hlrcCoherence struct {
 	// Home-side: demand requests waiting for flushes still in flight.
 	parked map[pagemem.PageID][]*msgPageReq
 
-	// Requester-side: every interval id already requested from the home
-	// for the page's in-flight fetch (grows across re-requests).
-	asked map[pagemem.PageID]idSet
-
 	// Dynamic-policy state (nil map reads are safe, so these stay nil under
 	// the static policy): pages whose home base has not been installed here
 	// yet, and pages this node lost and still owes the base of.

@@ -56,7 +56,8 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 
 	need := append([]lrc.IntervalID(nil), ps.pending...)
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(need)))
-	c.asked[p] = n.startFetch(p, need, onValid).needed.clone()
+	f := n.startFetch(p, need, onValid)
+	f.asked = f.needed.clone()
 	n.post(n.C.FaultEntry, c.pageReq(p, need, false))
 }
 
@@ -115,19 +116,17 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 	// New notices may have been taken in while we waited; anything not yet
 	// asked of the home needs another round trip (the reply predates it).
 	ps := n.page(rep.Page)
-	asked := c.asked[rep.Page]
 	var fresh []lrc.IntervalID
 	for _, id := range ps.pending {
-		if !asked.has(id) {
+		if !f.asked.has(id) {
 			fresh = append(fresh, id)
 		}
 	}
 	if len(fresh) > 0 {
 		for _, id := range fresh {
 			f.needed.add(id)
-			asked.add(id)
+			f.asked.add(id)
 		}
-		c.asked[rep.Page] = asked
 		n.post(0, c.pageReq(rep.Page, fresh, false))
 		return
 	}
@@ -138,7 +137,6 @@ func (c *hlrcCoherence) handlePageReply(rep *msgPageReply) {
 	ps.pending = ps.pending[:0]
 	cost := n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(pagemem.PageSize))
 	done := n.CPU.Service(cost, sim.CatDSM)
-	delete(c.asked, rep.Page)
 	n.bus.Emit(event.HomeFetch(n.ID, c.home(rep.Page), int64(rep.Page), pagemem.PageSize))
 	n.finishFetch(f, done)
 }

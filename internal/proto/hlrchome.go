@@ -114,9 +114,9 @@ func (c *hlrcCoherence) serveParked(p pagemem.PageID) {
 func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
 	n := c.n
 	f, ok := n.fetches[p]
-	if !ok || f.hybrid || f.fill {
-		// The adaptive backend's hybrid fetches and fills track needs the
-		// coverage rule here would misread; adp.go owns their completion.
+	if !ok || f.hybrid {
+		// The adaptive backend's hybrid fetches track needs the coverage
+		// rule here would misread; adpfetch.go owns their completion.
 		return
 	}
 	f.needed = slices.DeleteFunc(f.needed, func(id lrc.IntervalID) bool { return c.covered(p, id) })

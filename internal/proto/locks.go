@@ -268,11 +268,9 @@ func (sm *syncManager) handleLockGrant(g *msgLockGrant) {
 	n.bus.Emit(event.LockGrant(n.ID, g.Lock, done-ls.reqStart))
 	cb := ls.waiting
 	ls.waiting = nil
-	n.K.At(done, func() {
-		cb()
-		// A successor may have been forwarded to us while we waited; it
-		// is served when the local holder releases.
-	})
+	// A successor may have been forwarded to us while we waited; it is
+	// served when the local holder releases.
+	n.K.At(done, cb)
 }
 
 // ReleaseLock releases lock id: the release closes the current interval

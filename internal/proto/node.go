@@ -43,7 +43,7 @@
 //	homemigrate.go home moves: the cut, drain-then-ship, install (dynamic)
 //	adp.go        adpCoherence: modes, fault and message routing
 //	adpdecide.go  adp's decide rule and lockstep mode flips
-//	adpfetch.go   adp's transition fetches: hybrid (base + diffs) and fill
+//	adpfetch.go   adp's transition fetch: the hybrid (base + diffs), a fill included
 //	errors.go     InvariantError and deterministic failure dumps
 //
 // Each simulated processor owns one Node. Nodes communicate only through
@@ -171,17 +171,18 @@ type fetch struct {
 	waiters []func()
 	start   sim.Time
 
-	// Adaptive-backend state (zero elsewhere): the whole-page snapshot a
-	// hybrid fetch installs before its diffs, whether this fetch combines a
-	// home copy with diff requests, and whether it is a home-elect's local
-	// diff fill (adp.go). A fill carries the switch-time VC its frame must
-	// cover, plus the previous home->diff switch VC that separates flush-era
-	// pendings (resolved by flushes) from diff-era ones (fetched as diffs).
+	// asked is every interval id a whole-page fetch has requested from the
+	// home so far; it grows across re-requests (hlrcfault.go).
+	asked idSet
+
+	// Adaptive-backend state (zero elsewhere): whether this fetch combines a
+	// home copy with diff requests, the whole-page snapshot it installs
+	// before its diffs, and — for a home-elect's fill, the hybrid whose base
+	// is the local frame — the switch-time VC the frame covers once the
+	// fetch installs (adpfetch.go).
 	pageData []byte
 	hybrid   bool
-	fill     bool
 	fillVC   lrc.VC
-	fillEx   lrc.VC
 }
 
 type pfState struct {

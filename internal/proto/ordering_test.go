@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -33,6 +35,20 @@ func (r *rig) learn(node int, id lrc.IntervalID) {
 	vc := r.nodes[node].vc.Clone()
 	vc[id.Node] = id.Seq
 	r.nodes[node].intake([]*lrc.Interval{{ID: id, VC: vc, Pages: []pagemem.PageID{pg1}}}, vc)
+}
+
+// invariantFrom runs f, which must panic with an *InvariantError about page
+// 1, and returns it.
+func invariantFrom(t *testing.T, what string, f func()) (ie *InvariantError) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if ie, _ = recover().(*InvariantError); ie == nil || ie.Page != int64(pg1) {
+			t.Fatalf("%s did not raise an InvariantError about page 1 (got %v)", what, ie)
+		}
+	}()
+	f()
+	return nil
 }
 
 // The layouts the benchmark's live_heap_mb and the wire sizes lean on: the
@@ -71,14 +87,9 @@ func TestDemotedHomeDrainsBeforeShipping(t *testing.T) {
 	if n, _ := r.net.KindStats(KindHomeXfer); n != 0 || r.hl(1).out[pg1] == nil {
 		t.Fatalf("demoted home shipped %d bases with a flush from below the cut outstanding", n)
 	}
-	func() {
-		defer func() {
-			if _, ok := recover().(*InvariantError); !ok {
-				t.Fatal("a flush from above the cut at a demoted home did not raise an InvariantError")
-			}
-		}()
+	invariantFrom(t, "a flush from above the cut at a demoted home", func() {
 		r.hl(1).handleHomeFlush(wordFlush(lrc.IntervalID{Node: 0, Seq: 2}, 0, 9))
-	}()
+	})
 
 	r.hl(1).handleHomeFlush(wordFlush(lrc.IntervalID{Node: 0, Seq: 1}, 0, 42))
 	r.k.Run()
@@ -162,10 +173,12 @@ func TestCopyServedPastRequestersOwnWrites(t *testing.T) {
 	}
 }
 
-// Hole 5: under adp a flush that outruns the home's own release (the switch
-// to home mode) is buffered, and the fill replays it after the diff it
-// causally follows; a flush-era straggler after a home -> diff switch still
-// applies at once.
+// Hole 5, and a fill driven by hand: under adp a flush that outruns the
+// home's own release (the switch to home mode) is buffered and a demand
+// request parks; the fill fetches the diff-era diff, replays the flush after
+// it (the diff it causally follows), serves the request after both, and
+// leaves applied at the switch VC plus the replayed flush. A flush-era
+// straggler after a home -> diff switch still applies at once.
 func TestADPEarlyFlushWaitsForTheFill(t *testing.T) {
 	r := adpRig(4)
 	toHome, toDiff := []HomeMove{{Page: pg1, Mode: ModeHome}}, []HomeMove{{Page: pg1, Mode: ModeDiff}}
@@ -185,10 +198,24 @@ func TestADPEarlyFlushWaitsForTheFill(t *testing.T) {
 	if st := hl.xin[pg1]; st == nil || len(st.buf) != 1 || hl.applied[pg1] != nil {
 		t.Fatalf("early flush: xin %+v, applied %v; want it buffered", st, hl.applied[pg1])
 	}
-	r.adp(1).applyMoves(toHome)
+	served := false
+	r.nodes[3].Fault(pg1, func() { served = true })
 	r.k.Run()
-	if got := r.read(1, page0); got != 2 || !hl.covered(pg1, iv.ID) || hl.xin[pg1] != nil {
-		t.Fatalf("after the fill the home reads %v (want 2), applied %v", got, hl.applied[pg1])
+	if served || len(hl.parked[pg1]) != 1 {
+		t.Fatalf("request ahead of the fill: served=%v, %d parked, want it parked", served, len(hl.parked[pg1]))
+	}
+	want := r.nodes[1].vc.Clone() // the switch VC...
+	want[2] = iv.ID.Seq           // ...and the flush replayed on top
+	r.adp(1).applyMoves(toHome)
+	if f := r.nodes[1].fetches[pg1]; f == nil || !f.hybrid || len(f.needed) != 1 {
+		t.Fatalf("the fill is the fetch %+v, want a hybrid waiting for node 0's diff", f)
+	}
+	r.k.Run()
+	if got := r.read(1, page0); got != 2 || !slices.Equal(hl.applied[pg1], want) || hl.xin[pg1] != nil {
+		t.Fatalf("after the fill the home reads %v (want 2), applied %v (want %v)", got, hl.applied[pg1], want)
+	}
+	if got := r.read(3, page0); !served || got != 2 || r.nodes[1].fetches[pg1] != nil {
+		t.Fatalf("after the fill: served=%v, node 3 reads %v (want 2), fetch %+v", served, got, r.nodes[1].fetches[pg1])
 	}
 
 	// Node 2 writes again; the release that evicts the page and carries that
@@ -227,6 +254,40 @@ func TestADPRequestAheadOfTheHomesReleaseIsServed(t *testing.T) {
 	r.k.Run()
 	if got := r.read(2, page0); !done || got != 1 {
 		t.Fatalf("after the home's release: done=%v, read %v, want 1", done, got)
+	}
+}
+
+// A page's home tenure is its only one: the root burns an evicted page, so a
+// move back to home mode for a page with an exCover can only be a bug.
+func TestADPSecondHomeTenureIsAnInvariantError(t *testing.T) {
+	r := adpRig(4)
+	c := r.adp(1)
+	c.applyMoves([]HomeMove{{Page: pg1, Mode: ModeHome}})
+	c.applyMoves([]HomeMove{{Page: pg1, Mode: ModeDiff}})
+	if c.homeMode(pg1) || c.exCover[pg1] == nil {
+		t.Fatalf("after one tenure: home mode %v, exCover %v", c.homeMode(pg1), c.exCover[pg1])
+	}
+	ie := invariantFrom(t, "a second switch to home mode", func() {
+		c.applyMoves([]HomeMove{{Page: pg1, Mode: ModeHome}})
+	})
+	if !strings.Contains(ie.Msg, "home mode again") {
+		t.Fatalf("raised %q, want the one-tenure rule", ie.Msg)
+	}
+}
+
+// A fill's pendings are those of the switch barrier. A notice the home takes
+// in for the page afterwards names a home-mode interval: its writer flushed
+// the diff here and dropped it, so asking for it as a diff — what a hybrid
+// fetch does with a fresh notice — would fail at the writer; the home says so.
+func TestADPNoticeForAFillingPageIsAnInvariantError(t *testing.T) {
+	r := adpRig(4)
+	r.write(0, page0, 1)
+	r.barrierAll(0)
+	r.adp(1).applyMoves([]HomeMove{{Page: pg1, Mode: ModeHome}}) // the fill asks node 0 for (0,1)
+	r.learn(1, lrc.IntervalID{Node: 2, Seq: 1})
+	ie := invariantFrom(t, "a notice from above the switch for a filling page", func() { r.k.Run() })
+	if n, _ := r.net.KindStats(KindDiffReq); n != 1 || ie.Node != 1 || !strings.Contains(ie.Msg, "missing the diff for") {
+		t.Fatalf("%d diff requests (want the fill's one to node 0), error at node %d: %q", n, ie.Node, ie.Msg)
 	}
 }
 

@@ -77,23 +77,21 @@ type Spec struct {
 	// GossipSeed seeds the per-node long-link selection. Runs with equal
 	// seeds are byte-identical.
 	GossipSeed int64
-
-	// GossipInterval is the batching delay between a record entering the
-	// hot set and the round that pushes it; zero means
-	// DefaultGossipInterval. The default spans a few message flight times,
-	// so the records a node learns from several peers coalesce into one
-	// push — with an interval at or below the flight time every trickled-in
-	// record fires its own round and gossip degenerates to per-record
-	// forwarding, costing more messages than the broadcast it replaces.
-	GossipInterval sim.Time
 }
 
 // Defaults for the scalable-machine knobs.
 const (
-	DefaultBarrierFanout  = 4
-	DefaultGossipFanout   = 2
-	DefaultGossipInterval = 2 * sim.Millisecond
+	DefaultBarrierFanout = 4
+	DefaultGossipFanout  = 2
 )
+
+// gossipInterval is the batching delay between a record entering the hot
+// set and the round that pushes it. It spans a few message flight times, so
+// the records a node learns from several peers coalesce into one push — with
+// an interval at or below the flight time every trickled-in record fires its
+// own round and gossip degenerates to per-record forwarding, costing more
+// messages than the broadcast it replaces.
+const gossipInterval = 2 * sim.Millisecond
 
 // The protocol engine has one policy seam, the interface below. The Node
 // (node.go) is the shared chassis: it owns the vector time, interval

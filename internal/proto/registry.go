@@ -93,9 +93,6 @@ func validateCommon(cfg Spec) error {
 	if cfg.GossipFanout < 0 {
 		return fmt.Errorf("gossip fanout %d must be >= 0 (0 selects the default)", cfg.GossipFanout)
 	}
-	if cfg.GossipInterval < 0 {
-		return fmt.Errorf("gossip interval %d must be >= 0 (0 selects the default)", cfg.GossipInterval)
-	}
 	return nil
 }
 
@@ -145,7 +142,6 @@ func newHLRC(n *Node, cfg Spec, policy HomePolicy) *hlrcCoherence {
 		dyn:     policy.Dynamic(),
 		applied: make(map[pagemem.PageID]lrc.VC),
 		parked:  make(map[pagemem.PageID][]*msgPageReq),
-		asked:   make(map[pagemem.PageID]idSet),
 	}
 	if coh.dyn {
 		coh.track = true
