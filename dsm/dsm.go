@@ -64,13 +64,13 @@ const PageSize = pagemem.PageSize
 // for the full method set: Read*/Write* accessors, Lock/Unlock, Barrier,
 // Prefetch/PrefetchRange, Compute, and identification helpers.
 //
-// View and Accessed are a hit in bulk: View(a, n, write) returns the n bytes
-// of shared memory at a (little-endian, as the accessors lay them out) iff
-// they lie in one page and every access to them would hit right now, else
-// nil; Accessed(k) charges k accesses made through views. A view is dead at
-// the thread's next yield — any Read*/Write* that misses, Lock, Unlock,
-// Barrier, Prefetch*, EndMeasurement — so re-take it after any of those. It
-// is always nil under Config.RaceCheck.
+// View and Accessed are a hit in bulk: View(a, n, write) returns the n
+// float64s of shared memory at a (ViewI64 the same words as int64s) iff a is
+// 8-aligned, they lie in one page and every access to them would hit right
+// now, else nil; Accessed(k) charges k accesses made through views. A view
+// is dead at the thread's next yield — any Read*/Write* that misses, Lock,
+// Unlock, Barrier, Prefetch*, EndMeasurement — so re-take it after any of
+// those. It is always nil under Config.RaceCheck.
 type Env = core.Env
 
 // Config selects the cluster size, latency-tolerance mode, coherence

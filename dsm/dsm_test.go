@@ -1,7 +1,6 @@
 package dsm_test
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -57,13 +56,16 @@ func TestPublicAPISurface(t *testing.T) {
 				panic("flag lost")
 			}
 			// A hit in bulk: after one access through the accessors the
-			// page's own bytes, then the charge for reading one of them.
+			// page's own words, then the charge for reading one of them.
 			e.ReadF64(arr)
-			v := e.View(arr, dsm.PageSize, false)
-			if v == nil || math.Float64frombits(binary.LittleEndian.Uint64(v[8*511:])) != 511 {
-				panic("no view of a page just read, or not the page's bytes")
+			v := e.View(arr, 512, false)
+			if len(v) != 512 || v[511] != 511 {
+				panic("no view of a page just read, or not the page's words")
 			}
-			e.Accessed(1)
+			if w := e.ViewI64(arr, 512, false); len(w) != 512 || w[511] != int64(math.Float64bits(511)) {
+				panic("the int64 view is not the same words")
+			}
+			e.Accessed(2)
 		}
 		e.Barrier(2)
 	})

@@ -172,71 +172,75 @@ func allocF64s(sys *dsm.System, n int) f64s {
 
 func (a f64s) at(i int) dsm.Addr { return a.base + dsm.Addr(8*i) }
 
-// f64row is a run of float64s in shared memory's own byte layout: a page
-// view (dsm.Env.View), or a stretch of a sequential golden's matrix. The row
-// kernels are written over f64rows, so the parallel application — whenever a
-// row's pages all hit — and its golden run the same code. A thread's views
-// are dead once it yields: the applications re-take them after every access
-// they make through Read*/Write*.
-type f64row []byte
+// The applications' kernels run on page views (dsm.Env.View): a row of
+// shared float64s that all hit is the frame's own []float64, so a kernel
+// written over []float64 rows runs unchanged on views and on a sequential
+// golden's plain slices. A thread's views are dead once it yields: the
+// applications re-take them after every access they make through
+// Read*/Write*.
 
-func (r f64row) get(i int) float64    { return pagemem.GetF64(r, 8*i) }
-func (r f64row) set(i int, v float64) { pagemem.PutF64(r, 8*i, v) }
+// inPage returns how many words, counting the one at a, lie between a and
+// the end of a's page: the longest run at a that one view can cover.
+func inPage(a dsm.Addr) int { return (dsm.PageSize - pagemem.OffsetOf(a)) / 8 }
 
-// from returns the row starting at element i.
-func (r f64row) from(i int) f64row { return r[8*i:] }
-
-// f64rowOf lays vals out as shared memory holds them.
-func f64rowOf(vals []float64) f64row {
-	r := make(f64row, 8*len(vals))
-	for i, v := range vals {
-		r.set(i, v)
-	}
-	return r
+// pageView is a view of as many of the n float64s at a as a's page holds,
+// or nil.
+func pageView(e *dsm.Env, a dsm.Addr, n int, write bool) []float64 {
+	return e.View(a, min(n, inPage(a)), write)
 }
 
-// inPage returns how many float64s, counting the one at a, lie between a
-// and the end of a's page: the longest run at a that one view can cover.
-func inPage(a dsm.Addr) int { return (dsm.PageSize - pagemem.OffsetOf(a)) / 8 }
+// pageViewI64 is pageView for int64s.
+func pageViewI64(e *dsm.Env, a dsm.Addr, n int, write bool) []int64 {
+	return e.ViewI64(a, min(n, inPage(a)), write)
+}
 
 // writeF64s stores vals at a, a+8, …, charging cost of computation after
 // each store, a page's worth per view where the page is writable.
 func writeF64s(e *dsm.Env, a dsm.Addr, vals []float64, cost dsm.Time) {
 	for len(vals) > 0 {
-		n := min(len(vals), inPage(a))
-		if v := f64row(e.View(a, 8*n, true)); v != nil {
-			for x, val := range vals[:n] {
-				v.set(x, val)
-			}
+		n := 1
+		if v := pageView(e, a, len(vals), true); v != nil {
+			n = copy(v, vals)
 			e.Accessed(n)
-			e.Compute(dsm.Time(n) * cost)
 		} else {
-			n = 1
 			e.WriteF64(a, vals[0])
-			e.Compute(cost)
 		}
+		e.Compute(dsm.Time(n) * cost)
 		a, vals = a+dsm.Addr(8*n), vals[n:]
 	}
 }
 
-// firstDiff reads len(want)/8 float64s at a, a+8, … and returns the index of
+// writeI64s is writeF64s for int64s.
+func writeI64s(e *dsm.Env, a dsm.Addr, vals []int64, cost dsm.Time) {
+	for len(vals) > 0 {
+		n := 1
+		if v := pageViewI64(e, a, len(vals), true); v != nil {
+			n = copy(v, vals)
+			e.Accessed(n)
+		} else {
+			e.WriteI64(a, vals[0])
+		}
+		e.Compute(dsm.Time(n) * cost)
+		a, vals = a+dsm.Addr(8*n), vals[n:]
+	}
+}
+
+// firstDiff reads len(want) float64s at a, a+8, … and returns the index of
 // the first that is not the one in want, and its value; -1 if all match.
-func firstDiff(e *dsm.Env, a dsm.Addr, want f64row) (int, float64) {
-	for i, n := 0, len(want)/8; i < n; {
-		w := min(n-i, inPage(a))
-		if v := f64row(e.View(a, 8*w, false)); v != nil {
-			for x := 0; x < w; x++ {
-				if got := v.get(x); got != want.get(i+x) {
+func firstDiff(e *dsm.Env, a dsm.Addr, want []float64) (int, float64) {
+	for i := 0; i < len(want); {
+		w := 1
+		if v := pageView(e, a, len(want)-i, false); v != nil {
+			for x, got := range v {
+				if got != want[i+x] {
 					e.Accessed(x + 1)
 					return i + x, got
 				}
 			}
+			w = len(v)
 			e.Accessed(w)
-		} else {
-			w = 1
-			if got := e.ReadF64(a); got != want.get(i) {
-				return i, got
-			}
+		} else if got := e.ReadF64(a); got != want[i] {
+			return i, got
 		}
 		i, a = i+w, a+dsm.Addr(8*w)
 	}

@@ -119,14 +119,6 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 	input := fftInput(n)
 	var box errBox
 
-	readC := func(e *dsm.Env, arr f64s, i int) complex128 {
-		return complex(e.ReadF64(arr.at(2*i)), e.ReadF64(arr.at(2*i+1)))
-	}
-	writeC := func(e *dsm.Env, arr f64s, i int, v complex128) {
-		e.WriteF64(arr.at(2*i), real(v))
-		e.WriteF64(arr.at(2*i+1), imag(v))
-	}
-
 	// transpose writes dst rows [lo,hi) from src columns, iterating over
 	// source-thread row blocks with pipelined prefetching.
 	transpose := func(e *dsm.Env, dst, src f64s, lo, hi int) {
@@ -153,9 +145,27 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 			}
 			qlo, qhi := threadChunkFor(m, e.NumProcs(), tpp, q)
 			for j := qlo; j < qhi; j++ {
-				for i := lo; i < hi; i++ {
+				for i := lo; i < hi; {
+					// A view of the rest of source row j's stretch, and
+					// one of each destination point while they hit.
+					if s := pageView(e, src.at(2*(j*m+i)), 2*(hi-i), false); s != nil {
+						k := 0
+						for ; k < len(s)/2; k++ {
+							d := e.View(dst.at(2*((i+k)*m+j)), 2, true)
+							if d == nil {
+								break
+							}
+							d[0], d[1] = s[2*k], s[2*k+1]
+						}
+						e.Accessed(4 * k)
+						e.Compute(dsm.Time(k) * (costCmul / 2))
+						if i += k; k == len(s)/2 {
+							continue
+						}
+					}
 					writeC(e, dst, i*m+j, readC(e, src, j*m+i))
 					e.Compute(costCmul / 2)
+					i++
 				}
 			}
 		}
@@ -164,23 +174,16 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 	rowFFTs := func(e *dsm.Env, arr f64s, lo, hi int) {
 		row := make([]complex128, m)
 		for i := lo; i < hi; i++ {
-			for j := 0; j < m; j++ {
-				row[j] = readC(e, arr, i*m+j)
-			}
+			loadCs(e, arr, i*m, row)
 			fftInPlace(row)
 			e.Compute(dsm.Time(m) * dsm.Time(costButterfly) * dsm.Time(bits(m)) / 2)
-			for j := 0; j < m; j++ {
-				writeC(e, arr, i*m+j, row[j])
-			}
+			storeCs(e, arr, i*m, row, 0)
 		}
 	}
 
 	run := func(e *dsm.Env) {
 		if e.ThreadID() == 0 {
-			for i, v := range input {
-				writeC(e, a, i, v)
-				e.Compute(30)
-			}
+			storeCs(e, a, 0, input, 30)
 		}
 		e.Barrier(0)
 		lo, hi := e.ThreadRange(m)
@@ -189,9 +192,21 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 		e.Barrier(1)
 		rowFFTs(e, b, lo, hi)
 		for i := lo; i < hi; i++ {
-			for j := 0; j < m; j++ {
+			for j := 0; j < m; {
+				if v := pageView(e, b.at(2*(i*m+j)), 2*(m-j), true); v != nil {
+					for x := 0; x < len(v); x += 2 {
+						c := complex(v[x], v[x+1]) * fftTwiddle(i, j+x/2, n)
+						v[x], v[x+1] = real(c), imag(c)
+					}
+					w := len(v) / 2
+					e.Accessed(4 * w)
+					e.Compute(dsm.Time(w) * costCmul)
+					j += w
+					continue
+				}
 				writeC(e, b, i*m+j, readC(e, b, i*m+j)*fftTwiddle(i, j, n))
 				e.Compute(costCmul)
+				j++
 			}
 		}
 		e.Barrier(2)
@@ -205,13 +220,64 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 		if e.ThreadID() == 0 {
 			e.EndMeasurement()
 			if opt.Verify {
-				box.set(fftVerify(e, b, input, m, readC))
+				box.set(fftVerify(e, b, input, m))
 			}
 		}
 		e.Barrier(6)
 	}
 
 	return &Instance{Name: "FFT", Run: run, Err: box.get}
+}
+
+// The complex arrays are interleaved re/im float64s: point i is the words
+// 2i and 2i+1, which never straddle a page. readC and writeC make one
+// point's two accesses through the accessors.
+
+func readC(e *dsm.Env, arr f64s, i int) complex128 {
+	return complex(e.ReadF64(arr.at(2*i)), e.ReadF64(arr.at(2*i+1)))
+}
+
+func writeC(e *dsm.Env, arr f64s, i int, v complex128) {
+	e.WriteF64(arr.at(2*i), real(v))
+	e.WriteF64(arr.at(2*i+1), imag(v))
+}
+
+// loadCs reads points i, i+1, … of arr into dst, a page's worth per view
+// where the page is valid.
+func loadCs(e *dsm.Env, arr f64s, i int, dst []complex128) {
+	for len(dst) > 0 {
+		n := 1
+		if v := pageView(e, arr.at(2*i), 2*len(dst), false); v != nil {
+			n = len(v) / 2
+			for x := range dst[:n] {
+				dst[x] = complex(v[2*x], v[2*x+1])
+			}
+			e.Accessed(2 * n)
+		} else {
+			dst[0] = readC(e, arr, i)
+		}
+		i, dst = i+n, dst[n:]
+	}
+}
+
+// storeCs writes vals to points i, i+1, … of arr, charging cost of
+// computation after each point, a page's worth per view where the page is
+// writable.
+func storeCs(e *dsm.Env, arr f64s, i int, vals []complex128, cost dsm.Time) {
+	for len(vals) > 0 {
+		n := 1
+		if v := pageView(e, arr.at(2*i), 2*len(vals), true); v != nil {
+			n = len(v) / 2
+			for x, c := range vals[:n] {
+				v[2*x], v[2*x+1] = real(c), imag(c)
+			}
+			e.Accessed(2 * n)
+		} else {
+			writeC(e, arr, i, vals[0])
+		}
+		e.Compute(dsm.Time(n) * cost)
+		i, vals = i+n, vals[n:]
+	}
 }
 
 // bits returns log2(m) for powers of two.
@@ -223,14 +289,16 @@ func bits(m int) int {
 	return b
 }
 
-func fftVerify(e *dsm.Env, out f64s, input []complex128, m int,
-	readC func(*dsm.Env, f64s, int) complex128) error {
+func fftVerify(e *dsm.Env, out f64s, input []complex128, m int) error {
 	n := m * m
 	want := fftSixStepSeq(input, m)
-	for i := 0; i < n; i++ {
-		got := readC(e, out, i)
-		if got != want[i] {
-			return fmt.Errorf("FFT: element %d = %v, want %v (bitwise)", i, got, want[i])
+	row := make([]complex128, m)
+	for i := 0; i < m; i++ {
+		loadCs(e, out, i*m, row)
+		for j, got := range row {
+			if got != want[i*m+j] {
+				return fmt.Errorf("FFT: element %d = %v, want %v (bitwise)", i*m+j, got, want[i*m+j])
+			}
 		}
 	}
 	// For small sizes also check against the naive DFT (algorithmic truth).

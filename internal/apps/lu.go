@@ -97,76 +97,80 @@ func luGrid(T int) (pr, pc int) {
 }
 
 // The four block kernels are each written twice: once a row at a time over
-// f64rows — what the sequential golden runs on its own matrix and a thread
-// runs on page views — and once an element at a time through the shared
-// accessors, in luThread, for the elements whose pages do not all hit. Both
-// perform the same operations on an element in the same order, so results
-// compare bitwise whichever path an element took.
+// []float64 rows — what the sequential golden runs on its own matrix and a
+// thread runs on page views — and once an element at a time through the
+// shared accessors, in luThread, for the elements whose pages do not all
+// hit. Both perform the same operations on an element in the same order, so
+// results compare bitwise whichever path an element took.
 
 // luEliminate subtracts l times the pivot row rj from row ri of a diagonal
 // block, columns from..b-1: the inner loop of the unblocked LU.
-func luEliminate(ri, rj f64row, l float64, from, b int) {
-	for jj := from; jj < b; jj++ {
-		ri.set(jj, ri.get(jj)-l*rj.get(jj))
+func luEliminate(ri, rj []float64, l float64, from, b int) {
+	ri, rj = ri[from:b], rj[from:b]
+	for jj := range ri {
+		ri[jj] -= l * rj[jj]
 	}
 }
 
 // luSolveRowCol computes rows from..b-1 of column c of U(k,j) = L(k,k)^-1
 // A(k,j) (unit lower triangular) in place; a and d are the rows of A(k,j)
 // and of the diagonal block.
-func luSolveRowCol(a, d []f64row, c, from, b int) {
+func luSolveRowCol(a, d [][]float64, c, from, b int) {
 	for r := from; r < b; r++ {
-		v := a[r].get(c)
-		for t := 0; t < r; t++ {
-			v -= d[r].get(t) * a[t].get(c)
+		v := a[r][c]
+		for t, dt := range d[r][:r] {
+			v -= dt * a[t][c]
 		}
-		a[r].set(c, v)
+		a[r][c] = v
 	}
 }
 
 // luSolveColRow computes columns from..b-1 of one row of L(i,k) = A(i,k)
 // U(k,k)^-1 in place; a is the row, d the rows of the diagonal block.
-func luSolveColRow(a f64row, d []f64row, from, b int) {
+func luSolveColRow(a []float64, d [][]float64, from, b int) {
 	for c := from; c < b; c++ {
-		v := a.get(c)
-		for t := 0; t < c; t++ {
-			v -= a.get(t) * d[t].get(c)
+		v := a[c]
+		for t, at := range a[:c] {
+			v -= at * d[t][c]
 		}
-		a.set(c, v/d[c].get(c))
+		a[c] = v / d[c][c]
 	}
 }
 
 // luUpdateRow computes columns from..b-1 of one row of A(i,j) -= L(i,k)
 // U(k,j); a and l are that row of A(i,j) and of L(i,k), u the rows of U(k,j).
-func luUpdateRow(a, l f64row, u []f64row, from, b int) {
-	for c := from; c < b; c++ {
-		v := a.get(c)
-		for t := 0; t < b; t++ {
-			v -= l.get(t) * u[t].get(c)
+// It streams the rows of U — t outer, c inner — which subtracts from every
+// a[c] the same products in the same order as a column at a time would.
+func luUpdateRow(a, l []float64, u [][]float64, from, b int) {
+	a = a[from:b]
+	for t, lt := range l[:b] {
+		ut := u[t][from:b]
+		ut = ut[:len(a)]
+		for c, x := range ut {
+			a[c] -= lt * x
 		}
-		a.set(c, v)
 	}
 }
 
 // seqBlockLU factors the n×n row-major matrix m in place with exactly the
 // block order and kernels of the parallel version, so results compare
 // bitwise.
-func seqBlockLU(m f64row, n, b int) {
+func seqBlockLU(m []float64, n, b int) {
 	nb := n / b
 	// block points dst at the rows of block (I,J).
-	block := func(dst []f64row, I, J int) {
+	block := func(dst [][]float64, I, J int) {
 		for r := range dst {
-			dst[r] = m.from((I*b+r)*n + J*b)[:8*b]
+			dst[r] = m[(I*b+r)*n+J*b:][:b]
 		}
 	}
-	d, a, l, u := make([]f64row, b), make([]f64row, b), make([]f64row, b), make([]f64row, b)
+	d, a, l, u := make([][]float64, b), make([][]float64, b), make([][]float64, b), make([][]float64, b)
 	for k := 0; k < nb; k++ {
 		block(d, k, k)
 		for j := 0; j < b; j++ {
-			pivot := d[j].get(j)
+			pivot := d[j][j]
 			for i := j + 1; i < b; i++ {
-				f := d[i].get(j) / pivot
-				d[i].set(j, f)
+				f := d[i][j] / pivot
+				d[i][j] = f
 				luEliminate(d[i], d[j], f, j+1, b)
 			}
 		}
@@ -205,20 +209,20 @@ func seqBlockLU(m f64row, n, b int) {
 type luThread struct {
 	e    *dsm.Env
 	lay  luLayout
-	a, u []f64row // scratch: the row views of a block
+	a, u [][]float64 // scratch: the row views of a block
 }
 
 func (t *luThread) get(i, j int) float64    { return t.e.ReadF64(t.lay.at(i, j)) }
 func (t *luThread) set(i, j int, v float64) { t.e.WriteF64(t.lay.at(i, j), v) }
 
 // row returns a view of row r of block (I,J), or nil.
-func (t *luThread) row(I, J, r int, write bool) f64row {
-	return t.e.View(t.lay.blockRow(I, J, r), 8*t.lay.b, write)
+func (t *luThread) row(I, J, r int, write bool) []float64 {
+	return t.e.View(t.lay.blockRow(I, J, r), t.lay.b, write)
 }
 
 // block takes views of rows from..b-1 of block (I,J) into dst and reports
 // whether it got them all.
-func (t *luThread) block(dst []f64row, I, J, from int, write bool) bool {
+func (t *luThread) block(dst [][]float64, I, J, from int, write bool) bool {
 	for r := from; r < t.lay.b; r++ {
 		if dst[r] = t.row(I, J, r, write); dst[r] == nil {
 			return false
@@ -340,7 +344,7 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 		pr, pc := luGrid(T)
 		owner := func(I, J int) int { return (I%pr)*pc + J%pc }
 		me := e.ThreadID()
-		t := &luThread{e: e, lay: lay, a: make([]f64row, b), u: make([]f64row, b)}
+		t := &luThread{e: e, lay: lay, a: make([][]float64, b), u: make([][]float64, b)}
 
 		pfBlock := func(I, J int) {
 			if cont {
@@ -447,12 +451,12 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 
 func luVerify(e *dsm.Env, lay luLayout, input []float64, name string) error {
 	n, b := lay.n, lay.b
-	want := f64rowOf(input)
+	want := append([]float64(nil), input...)
 	seqBlockLU(want, n, b)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j += b {
-			if x, got := firstDiff(e, lay.at(i, j), want.from(i*n + j)[:8*b]); x >= 0 {
-				return fmt.Errorf("%s: element (%d,%d) = %v, want %v", name, i, j+x, got, want.get(i*n+j+x))
+			if x, got := firstDiff(e, lay.at(i, j), want[i*n+j:][:b]); x >= 0 {
+				return fmt.Errorf("%s: element (%d,%d) = %v, want %v", name, i, j+x, got, want[i*n+j+x])
 			}
 		}
 	}

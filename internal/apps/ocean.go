@@ -62,7 +62,7 @@ func oceanInit(i, j, g int) float64 {
 	return float64((i*13+j*7)%89) / 890.0
 }
 
-// The two sweeps' arithmetic, a run of cells at a time over f64rows: what a
+// The two sweeps' arithmetic, a run of cells at a time over rows: what a
 // thread runs when the pages under the run all hit and what the sequential
 // golden runs on its own grids. BuildOcean states each once more, an access
 // at a time, for the cells whose pages do not. up, mid and down are laid out
@@ -70,21 +70,21 @@ func oceanInit(i, j, g int) float64 {
 
 // oceanVorRow computes the vorticity of the w cells of row i from column j:
 // the psi stencil plus the forcing term.
-func oceanVorRow(up, mid, down, vor f64row, i, j, w, g int) {
+func oceanVorRow(up, mid, down, vor []float64, i, j, w, g int) {
 	for x := 0; x < w; x++ {
-		lap := up.get(x) + down.get(x) + mid.get(x) + mid.get(x+2) - 4*mid.get(x+1)
-		vor.set(x, lap+oceanForcing(i, j+x, g))
+		lap := up[x] + down[x] + mid[x] + mid[x+2] - 4*mid[x+1]
+		vor[x] = lap + oceanForcing(i, j+x, g)
 	}
 }
 
 // oceanRelaxRow relaxes q psi cells of one colour, two columns apart, toward
 // the vorticity field and returns their fixed-point residual.
-func oceanRelaxRow(up, mid, down, vor f64row, q int) (res int64) {
+func oceanRelaxRow(up, mid, down, vor []float64, q int) (res int64) {
 	for x := 0; x < 2*q; x += 2 {
-		c := mid.get(x + 1)
-		target := (up.get(x) + down.get(x) + mid.get(x) + mid.get(x+2)) / 4
-		nv := c + oceanRelax*(target-c+vor.get(x))
-		mid.set(x+1, nv)
+		c := mid[x+1]
+		target := (up[x] + down[x] + mid[x] + mid[x+2]) / 4
+		nv := c + oceanRelax*(target-c+vor[x])
+		mid[x+1] = nv
 		d := nv - c
 		if d < 0 {
 			d = -d
@@ -112,12 +112,12 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 				for j := 0; j < G; j++ {
 					pa, va := psi.at(idx(i, j)), vor.at(idx(i, j))
 					w := min(G-j, inPage(pa), inPage(va))
-					if ps := f64row(e.View(pa, 8*w, true)); ps != nil {
-						if vo := f64row(e.View(va, 8*w, true)); vo != nil {
-							for x := 0; x < w; x++ {
-								ps.set(x, oceanInit(i, j+x, p.g))
-								vo.set(x, 0)
+					if ps := e.View(pa, w, true); ps != nil {
+						if vo := e.View(va, w, true); vo != nil {
+							for x := range ps {
+								ps[x] = oceanInit(i, j+x, p.g)
 							}
+							clear(vo)
 							e.Accessed(2 * w)
 							e.Compute(dsm.Time(w) * 25)
 							j += w - 1
@@ -146,7 +146,7 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 					ua, ma, da := psi.at(idx(i-1, j)), psi.at(idx(i, j-1)), psi.at(idx(i+1, j))
 					va := vor.at(idx(i, j))
 					if u, m, d, w := stencilViews(e, ua, ma, da, min(p.g+1-j, inPage(va)), false); w > 0 {
-						if v := f64row(e.View(va, 8*w, true)); v != nil {
+						if v := e.View(va, w, true); v != nil {
 							oceanVorRow(u, m, d, v, i, j, w, p.g)
 							e.Accessed(6 * w)
 							e.Compute(dsm.Time(w) * costStencil)
@@ -177,7 +177,7 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 						ua, ma, da := psi.at(idx(i-1, j)), psi.at(idx(i, j-1)), psi.at(idx(i+1, j))
 						va := vor.at(idx(i, j))
 						if u, m, d, w := stencilViews(e, ua, ma, da, min(p.g+1-j, inPage(va)), true); w > 0 {
-							if v := f64row(e.View(va, 8*w, false)); v != nil {
+							if v := e.View(va, w, false); v != nil {
 								q := (w + 1) / 2
 								localErr += oceanRelaxRow(u, m, d, v, q)
 								e.Accessed(7 * q)
@@ -244,29 +244,29 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 // and compares the stream function bitwise.
 func oceanVerify(e *dsm.Env, psi f64s, p oceanParams) error {
 	G := p.g + 2
-	ps := make(f64row, 8*G*G)
-	vo := make(f64row, 8*G*G)
+	ps := make([]float64, G*G)
+	vo := make([]float64, G*G)
 	for i := 0; i < G; i++ {
 		for j := 0; j < G; j++ {
-			ps.set(i*G+j, oceanInit(i, j, p.g))
+			ps[i*G+j] = oceanInit(i, j, p.g)
 		}
 	}
 	// stencil returns the rows above, at (from one cell to the left) and
 	// below cell (i,j).
-	stencil := func(i, j int) (up, mid, down f64row) {
-		return ps.from((i-1)*G + j), ps.from(i*G + j - 1), ps.from((i+1)*G + j)
+	stencil := func(i, j int) (up, mid, down []float64) {
+		return ps[(i-1)*G+j:], ps[i*G+j-1:], ps[(i+1)*G+j:]
 	}
 	for it := 0; it < p.maxIters; it++ {
 		for i := 1; i <= p.g; i++ {
 			up, mid, down := stencil(i, 1)
-			oceanVorRow(up, mid, down, vo.from(i*G+1), i, 1, p.g, p.g)
+			oceanVorRow(up, mid, down, vo[i*G+1:], i, 1, p.g, p.g)
 		}
 		var total int64
 		for color := 0; color < 2; color++ {
 			for i := 1; i <= p.g; i++ {
 				j := 1 + (i+color+1)%2
 				up, mid, down := stencil(i, j)
-				total += oceanRelaxRow(up, mid, down, vo.from(i*G+j), (p.g-j)/2+1)
+				total += oceanRelaxRow(up, mid, down, vo[i*G+j:], (p.g-j)/2+1)
 			}
 		}
 		if total < p.tol {
@@ -274,7 +274,7 @@ func oceanVerify(e *dsm.Env, psi f64s, p oceanParams) error {
 		}
 	}
 	if x, got := firstDiff(e, psi.at(0), ps); x >= 0 {
-		return fmt.Errorf("OCEAN: psi(%d,%d) = %v, want %v", x/G, x%G, got, ps.get(x))
+		return fmt.Errorf("OCEAN: psi(%d,%d) = %v, want %v", x/G, x%G, got, ps[x])
 	}
 	return nil
 }

@@ -72,10 +72,7 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 		lo, hi := e.ThreadRange(p.n)
 
 		if me == 0 {
-			for i, k := range input {
-				e.WriteI64(src.at(i), k)
-				e.Compute(20)
-			}
+			writeI64s(e, src.at(0), input, 20)
 		}
 		e.Barrier(0)
 
@@ -86,20 +83,34 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 			mask := int64(radix - 1)
 
 			// 1. Local histogram over the thread's chunk, with pipelined
-			// sequential prefetch of the source region.
+			// sequential prefetch of the source region: a page of keys
+			// ahead every pfEvery keys, so a run of keys read through one
+			// view ends at the next prefetch.
 			hist := make([]int64, radix)
-			const pfAhead = 2 * dsm.PageSize
-			for i := lo; i < hi; i++ {
-				if e.Prefetching() && (i-lo)%(dsm.PageSize/8) == 0 {
-					e.PrefetchRange(a.at(i)+pfAhead, dsm.PageSize)
+			const pfAhead, pfEvery = 2 * dsm.PageSize, dsm.PageSize / 8
+			for i := lo; i < hi; {
+				w := hi - i
+				if e.Prefetching() {
+					if (i-lo)%pfEvery == 0 {
+						e.PrefetchRange(a.at(i)+pfAhead, dsm.PageSize)
+					}
+					w = min(w, pfEvery-(i-lo)%pfEvery)
+				}
+				if v := pageViewI64(e, a.at(i), w, false); v != nil {
+					for _, k := range v {
+						hist[(k>>shift)&mask]++
+					}
+					e.Accessed(len(v))
+					e.Compute(dsm.Time(len(v)) * costRadixOp)
+					i += len(v)
+					continue
 				}
 				k := e.ReadI64(a.at(i))
 				hist[(k>>shift)&mask]++
 				e.Compute(costRadixOp)
+				i++
 			}
-			for d := 0; d < radix; d++ {
-				e.WriteI64(density.at(me*radix+d), hist[d])
-			}
+			writeI64s(e, density.at(me*radix), hist, 0)
 			e.Barrier(bar)
 			bar++
 
@@ -160,13 +171,34 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 					}
 				}
 			}
-			for i := lo; i < hi; i++ {
+			for i := lo; i < hi; {
+				// A view of the rest of the source page, and one of each
+				// destination word while they hit.
+				if v := pageViewI64(e, a.at(i), hi-i, false); v != nil {
+					x := 0
+					for ; x < len(v); x++ {
+						k := v[x]
+						d := (k >> shift) & mask
+						to := e.ViewI64(bArr.at(int(rank[d])), 1, true)
+						if to == nil {
+							break
+						}
+						to[0] = k
+						rank[d]++
+					}
+					e.Accessed(2 * x)
+					e.Compute(dsm.Time(x) * costRadixOp)
+					if i += x; x == len(v) {
+						continue
+					}
+				}
 				k := e.ReadI64(a.at(i))
 				d := (k >> shift) & mask
 				pos := rank[d]
 				rank[d]++
 				e.WriteI64(bArr.at(int(pos)), k)
 				e.Compute(costRadixOp)
+				i++
 			}
 			e.Barrier(bar)
 			bar++
@@ -188,11 +220,22 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 func radixVerify(e *dsm.Env, out i64s, input []int64) error {
 	want := append([]int64(nil), input...)
 	slices.Sort(want)
-	for i := range want {
-		got := e.ReadI64(out.at(i))
-		if got != want[i] {
+	for i := 0; i < len(want); {
+		if v := pageViewI64(e, out.at(i), len(want)-i, false); v != nil {
+			for x, got := range v {
+				if got != want[i+x] {
+					e.Accessed(x + 1)
+					return fmt.Errorf("RADIX: position %d = %d, want %d", i+x, got, want[i+x])
+				}
+			}
+			e.Accessed(len(v))
+			i += len(v)
+			continue
+		}
+		if got := e.ReadI64(out.at(i)); got != want[i] {
 			return fmt.Errorf("RADIX: position %d = %d, want %d", i, got, want[i])
 		}
+		i++
 	}
 	return nil
 }

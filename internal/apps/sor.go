@@ -48,10 +48,10 @@ func sorInit(i, j, cols int) float64 {
 // mid[2x+2]. It is the sweep's arithmetic for rows whose pages all hit and
 // for the sequential golden; sweepRow states it once more, an access at a
 // time, for the cells whose pages do not.
-func sorRow(up, mid, down f64row, q int) {
+func sorRow(up, mid, down []float64, q int) {
 	for x := 0; x < 2*q; x += 2 {
-		c := mid.get(x + 1)
-		mid.set(x+1, c+sorOmega*((up.get(x)+down.get(x)+mid.get(x)+mid.get(x+2))/4-c))
+		c := mid[x+1]
+		mid[x+1] = c + sorOmega*((up[x]+down[x]+mid[x]+mid[x+2])/4-c)
 	}
 }
 
@@ -60,11 +60,11 @@ func sorRow(up, mid, down f64row, q int) {
 // elements at up and at down, w+2 at mid, writable if write is set. w is as
 // many cells, at most limit, as lie before the three rows' next page ends;
 // it is 0, and the views nil, if that is none or a page does not hit.
-func stencilViews(e *dsm.Env, up, mid, down dsm.Addr, limit int, write bool) (u, m, d f64row, w int) {
+func stencilViews(e *dsm.Env, up, mid, down dsm.Addr, limit int, write bool) (u, m, d []float64, w int) {
 	if w = min(limit, inPage(up), inPage(mid)-2, inPage(down)); w > 0 {
-		if m = e.View(mid, 8*(w+2), write); m != nil {
-			if u = e.View(up, 8*w, false); u != nil {
-				if d = e.View(down, 8*w, false); d != nil {
+		if m = e.View(mid, w+2, write); m != nil {
+			if u = e.View(up, w, false); u != nil {
+				if d = e.View(down, w, false); d != nil {
 					return u, m, d, w
 				}
 			}
@@ -169,22 +169,22 @@ func BuildSOR(sys *dsm.System, opt Options) *Instance {
 // parallel result must match exactly.
 func sorVerify(e *dsm.Env, grid f64s, p sorParams) error {
 	R, C := p.rows+2, p.cols+2
-	g := make(f64row, 8*R*C)
+	g := make([]float64, R*C)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
-			g.set(i*C+j, sorInit(i, j, C))
+			g[i*C+j] = sorInit(i, j, C)
 		}
 	}
 	for it := 0; it < p.iters; it++ {
 		for color := 0; color < 2; color++ {
 			for i := 1; i <= p.rows; i++ {
 				j := 1 + (i+color+1)%2
-				sorRow(g.from((i-1)*C+j), g.from(i*C+j-1), g.from((i+1)*C+j), (p.cols-j)/2+1)
+				sorRow(g[(i-1)*C+j:], g[i*C+j-1:], g[(i+1)*C+j:], (p.cols-j)/2+1)
 			}
 		}
 	}
 	if x, got := firstDiff(e, grid.at(0), g); x >= 0 {
-		return fmt.Errorf("SOR: cell (%d,%d) = %v, want %v", x/C, x%C, got, g.get(x))
+		return fmt.Errorf("SOR: cell (%d,%d) = %v, want %v", x/C, x%C, got, g[x])
 	}
 	return nil
 }

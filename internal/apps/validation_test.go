@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestLUFactorizationResidual(t *testing.T) {
 	const n, b = 32, 8
 	a := luInput(n)
-	lu := f64rowOf(a)
+	lu := slices.Clone(a)
 	seqBlockLU(lu, n, b)
 
 	var maxErr float64
@@ -23,11 +24,11 @@ func TestLUFactorizationResidual(t *testing.T) {
 			// (L·U)[i][j] with L unit-lower, U upper from the packed form.
 			var s float64
 			for k := 0; k <= min(i, j); k++ {
-				l := lu.get(i*n + k)
+				l := lu[i*n+k]
 				if k == i {
 					l = 1
 				}
-				u := lu.get(k*n + j)
+				u := lu[k*n+j]
 				if k > j {
 					u = 0
 				}
@@ -51,13 +52,13 @@ func TestLUFactorizationResidual(t *testing.T) {
 func TestLUBlockSizesAgree(t *testing.T) {
 	const n = 32
 	a := luInput(n)
-	lu8 := f64rowOf(a)
+	lu8 := slices.Clone(a)
 	seqBlockLU(lu8, n, 8)
-	lu16 := f64rowOf(a)
+	lu16 := slices.Clone(a)
 	seqBlockLU(lu16, n, 16)
 	for i := range a {
-		if math.Abs(lu8.get(i)-lu16.get(i)) > 1e-8 {
-			t.Fatalf("block sizes disagree at %d: %v vs %v", i, lu8.get(i), lu16.get(i))
+		if math.Abs(lu8[i]-lu16[i]) > 1e-8 {
+			t.Fatalf("block sizes disagree at %d: %v vs %v", i, lu8[i], lu16[i])
 		}
 	}
 }

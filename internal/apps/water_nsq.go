@@ -94,6 +94,58 @@ func waterPairForce(a, b [3]float64) [3]float64 {
 
 func quantize(v float64) int64 { return int64(math.Round(v * waterFPScale)) }
 
+// readPos reads molecule i's position: one view of three words, or three
+// reads where the view is not there.
+func readPos(e *dsm.Env, pos f64s, i int) [3]float64 {
+	a := pos.at(molStride * i)
+	if v := e.View(a, 3, false); v != nil {
+		e.Accessed(3)
+		return [3]float64(v)
+	}
+	return [3]float64{e.ReadF64(a), e.ReadF64(a + 8), e.ReadF64(a + 16)}
+}
+
+// integrate advances molecule i one time step under its merged force, with
+// reflective walls: three views of three words (force, velocity, position)
+// when all hit, else each dimension's five accesses through the accessors.
+func integrate(e *dsm.Env, pos, vel f64s, force i64s, i int) {
+	fa, va, pa := force.at(molStride*i), vel.at(molStride*i), pos.at(molStride*i)
+	if fs := e.ViewI64(fa, 3, false); fs != nil {
+		if vs := e.View(va, 3, true); vs != nil {
+			if ps := e.View(pa, 3, true); ps != nil {
+				for d := range 3 {
+					vs[d], ps[d] = waterStep(fs[d], vs[d], ps[d])
+				}
+				e.Accessed(15)
+				e.Compute(costIntegrate)
+				return
+			}
+		}
+	}
+	for d := range 3 {
+		o := dsm.Addr(8 * d)
+		f := e.ReadI64(fa + o)
+		v, x := waterStep(f, e.ReadF64(va+o), e.ReadF64(pa+o))
+		e.WriteF64(va+o, v)
+		e.WriteF64(pa+o, x)
+	}
+	e.Compute(costIntegrate)
+}
+
+// waterStep integrates one dimension: the new velocity and position from the
+// fixed-point force f and the old velocity v and position x.
+func waterStep(f int64, v, x float64) (float64, float64) {
+	v += float64(f) / waterFPScale * waterDt
+	x += v * waterDt
+	if x < 0 {
+		x, v = -x, -v
+	}
+	if x > waterBox {
+		x, v = 2*waterBox-x, -v
+	}
+	return v, x
+}
+
 // BuildWaterNsq constructs the WATER-NSQ application.
 func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 	p := waterNsqSizes(opt.Scale)
@@ -111,14 +163,6 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 	// shared copy of the data structure per processor"). Plain Go memory:
 	// it models processor-local storage, which the DSM does not manage.
 	procAcc := make([][]int64, sys.Cfg.Procs)
-
-	readPos := func(e *dsm.Env, i int) [3]float64 {
-		return [3]float64{
-			e.ReadF64(pos.at(molStride * i)),
-			e.ReadF64(pos.at(molStride*i + 1)),
-			e.ReadF64(pos.at(molStride*i + 2)),
-		}
-	}
 
 	run := func(e *dsm.Env) {
 		me := e.ThreadID()
@@ -172,13 +216,13 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 			// evaluates the same number of pairs.
 			acc := procAcc[e.ProcID()]
 			for i := lo; i < hi; i++ {
-				pi := readPos(e, i)
+				pi := readPos(e, pos, i)
 				for k := 1; k <= n/2; k++ {
 					j := (i + k) % n
 					if 2*k == n && i > j {
 						continue // the diametral pair is owned by min(i,j)
 					}
-					pj := readPos(e, j)
+					pj := readPos(e, pos, j)
 					f := waterPairForce(pi, pj)
 					for d := 0; d < 3; d++ {
 						q := quantize(f[d])
@@ -248,20 +292,7 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 				e.PrefetchRange(force.at(molStride*lo), 8*molStride*(hi-lo))
 			}
 			for i := lo; i < hi; i++ {
-				for d := 0; d < 3; d++ {
-					f := float64(e.ReadI64(force.at(molStride*i+d))) / waterFPScale
-					v := e.ReadF64(vel.at(molStride*i+d)) + f*waterDt
-					x := e.ReadF64(pos.at(molStride*i+d)) + v*waterDt
-					if x < 0 {
-						x, v = -x, -v
-					}
-					if x > waterBox {
-						x, v = 2*waterBox-x, -v
-					}
-					e.WriteF64(vel.at(molStride*i+d), v)
-					e.WriteF64(pos.at(molStride*i+d), x)
-				}
-				e.Compute(costIntegrate)
+				integrate(e, pos, vel, force, i)
 			}
 			e.Barrier(bar)
 			bar++
@@ -304,17 +335,7 @@ func waterNsqVerify(e *dsm.Env, pos, vel f64s, init [][3]float64, p waterNsqPara
 		}
 		for i := 0; i < n; i++ {
 			for d := 0; d < 3; d++ {
-				f := float64(acc[3*i+d]) / waterFPScale
-				v := vs[i][d] + f*waterDt
-				x := ps[i][d] + v*waterDt
-				if x < 0 {
-					x, v = -x, -v
-				}
-				if x > waterBox {
-					x, v = 2*waterBox-x, -v
-				}
-				vs[i][d] = v
-				ps[i][d] = x
+				vs[i][d], ps[i][d] = waterStep(acc[3*i+d], vs[i][d], ps[i][d])
 			}
 		}
 	}

@@ -112,14 +112,6 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 	// per-processor optimization as WATER-NSQ).
 	procAcc := make([][]int64, sys.Cfg.Procs)
 
-	readPos := func(e *dsm.Env, i int) [3]float64 {
-		return [3]float64{
-			e.ReadF64(pos.at(molStride * i)),
-			e.ReadF64(pos.at(molStride*i + 1)),
-			e.ReadF64(pos.at(molStride*i + 2)),
-		}
-	}
-
 	// listOf reads cell c's molecule list through the shared pointers.
 	listOf := func(e *dsm.Env, c int) []int {
 		var out []int
@@ -179,7 +171,7 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 
 			// Insert owned molecules under per-cell-group locks.
 			for i := mlo; i < mhi; i++ {
-				cx, cy, cz := cellOf(readPos(e, i), nc)
+				cx, cy, cz := cellOf(readPos(e, pos, i), nc)
 				c := cidx(cx, cy, cz)
 				lk := waterSpInsBase + c
 				e.Lock(lk)
@@ -219,7 +211,7 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 
 			acc := procAcc[e.ProcID()]
 			pair := func(i, j int) {
-				pi, pj := readPos(e, i), readPos(e, j)
+				pi, pj := readPos(e, pos, i), readPos(e, pos, j)
 				f, in := waterSpPairForce(pi, pj, cut2)
 				e.Compute(costPairForce)
 				if !in {
@@ -303,20 +295,7 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 
 			// Integrate owned molecules.
 			for i := mlo; i < mhi; i++ {
-				for d := 0; d < 3; d++ {
-					f := float64(e.ReadI64(force.at(molStride*i+d))) / waterFPScale
-					v := e.ReadF64(vel.at(molStride*i+d)) + f*waterDt
-					x := e.ReadF64(pos.at(molStride*i+d)) + v*waterDt
-					if x < 0 {
-						x, v = -x, -v
-					}
-					if x > waterBox {
-						x, v = 2*waterBox-x, -v
-					}
-					e.WriteF64(vel.at(molStride*i+d), v)
-					e.WriteF64(pos.at(molStride*i+d), x)
-				}
-				e.Compute(costIntegrate)
+				integrate(e, pos, vel, force, i)
 			}
 			e.Barrier(bar)
 			bar++
@@ -336,7 +315,7 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 
 // waterSpVerify replays the dynamics sequentially: the pair set is defined
 // by cell membership (identical), and quantized contributions make the sum
-// order-independent, so positions must match bitwise.
+// order-independent, so positions and velocities must match bitwise.
 func waterSpVerify(e *dsm.Env, pos, vel f64s, init [][3]float64, p waterSpParams, cut2 float64) error {
 	n, nc := p.n, p.ncell
 	cidx := func(x, y, z int) int { return (x*nc+y)*nc + z }
@@ -390,29 +369,20 @@ func waterSpVerify(e *dsm.Env, pos, vel f64s, init [][3]float64, p waterSpParams
 		}
 		for i := 0; i < n; i++ {
 			for d := 0; d < 3; d++ {
-				f := float64(acc[3*i+d]) / waterFPScale
-				v := vs[i][d] + f*waterDt
-				x := ps[i][d] + v*waterDt
-				if x < 0 {
-					x, v = -x, -v
-				}
-				if x > waterBox {
-					x, v = 2*waterBox-x, -v
-				}
-				vs[i][d] = v
-				ps[i][d] = x
+				vs[i][d], ps[i][d] = waterStep(acc[3*i+d], vs[i][d], ps[i][d])
 			}
 		}
 	}
 	for i := 0; i < n; i++ {
 		for d := 0; d < 3; d++ {
 			gp := e.ReadF64(pos.at(molStride*i + d))
-			if gp != ps[i][d] {
-				return fmt.Errorf("WATER-SP: molecule %d dim %d = %v, want %v", i, d, gp, ps[i][d])
+			gv := e.ReadF64(vel.at(molStride*i + d))
+			if gp != ps[i][d] || gv != vs[i][d] {
+				return fmt.Errorf("WATER-SP: molecule %d dim %d pos/vel = %v/%v, want %v/%v",
+					i, d, gp, gv, ps[i][d], vs[i][d])
 			}
 		}
 	}
-	_ = vel
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,9 +68,8 @@ func BenchmarkViewRow(b *testing.B) {
 		var sum float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v := e.View(base+Addr(8*viewRow*(i&127)), 8*viewRow, false)
-			for off := 0; off < len(v); off += 8 {
-				sum += pagemem.GetF64(v, off)
+			for _, x := range e.View(base+Addr(8*viewRow*(i&127)), viewRow, false) {
+				sum += x
 			}
 			e.Accessed(viewRow)
 		}
@@ -100,15 +100,18 @@ func TestAccessHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestViewDoesNotAllocate: nor does a row of hits taken as a view.
+// TestViewDoesNotAllocate: nor does a row of hits taken as a view, in either
+// spelling.
 func TestViewDoesNotAllocate(t *testing.T) {
 	var views float64
 	hitRig(false, func(e *Env, base Addr) {
 		i := 0
 		views = testing.AllocsPerRun(1000, func() {
-			v := e.View(base+Addr(8*viewRow*(i&127)), 8*viewRow, true)
-			pagemem.PutF64(v, 0, pagemem.GetF64(v, 8)+1)
-			e.Accessed(2)
+			v := e.View(base+Addr(8*viewRow*(i&127)), viewRow, true)
+			v[0] = v[1] + 1
+			w := e.ViewI64(base+Addr(8*viewRow*(i&127)), viewRow, true)
+			w[2] = w[3] + 1
+			e.Accessed(4)
 			i++
 		})
 	})
@@ -127,9 +130,8 @@ func TestViewChargesLikeHits(t *testing.T) {
 		e.Compute(1000)
 	})
 	byView := hitRig(false, func(e *Env, base Addr) {
-		v := e.View(base, 8*viewRow, false)
-		for off := 0; off < len(v); off += 8 {
-			sink += pagemem.GetF64(v, off)
+		for _, x := range e.View(base, viewRow, false) {
+			sink += x
 		}
 		e.Accessed(viewRow)
 		e.Compute(1000)
@@ -140,20 +142,21 @@ func TestViewChargesLikeHits(t *testing.T) {
 }
 
 // TestViewContract: View is non-nil exactly when every access to the range
-// would hit — one page, inside the heap, valid, twinned for a write, race
-// detector off — and then it is the frame itself.
+// would hit — 8-aligned, one page, inside the heap, valid, twinned for a
+// write, race detector off — and then it is the frame's own words: what
+// ReadF64 reads, where WriteF64 writes, the same memory in either spelling.
 func TestViewContract(t *testing.T) {
 	sys := NewSystem(smallConfig(2, 1))
 	page := sys.Alloc.AllocPages(2)
 	last := page + pagemem.PageSize - 8 // the last word of the first page
-	check := func(what string, v []byte, want bool) {
+	check := func(what string, v []float64, want bool) {
 		t.Helper()
 		if (v != nil) != want {
 			t.Errorf("%s: view non-nil = %v, want %v", what, v != nil, want)
 		}
 	}
 	sys.Run(func(e *Env) {
-		check("a page never accessed", e.View(page, 8, false), false)
+		check("a page never accessed", e.View(page, 1, false), false)
 		e.ReadF64(page)
 		e.ReadF64(page + pagemem.PageSize)
 		e.Barrier(0)
@@ -162,38 +165,59 @@ func TestViewContract(t *testing.T) {
 		}
 		e.Barrier(1)
 		if e.ThreadID() == 1 {
-			check("an invalidated page", e.View(page, 8, false), false)
+			check("an invalidated page", e.View(page, 1, false), false)
 			if got := e.ReadF64(page); got != 42 {
 				t.Errorf("read %v after the barrier, want 42", got)
 			}
-			v := e.View(page, 16, false)
+			v := e.View(page, 2, false)
 			check("a valid page", v, true)
-			if len(v) != 16 || cap(v) != 16 || pagemem.GetF64(v, 0) != 42 {
-				t.Errorf("view of a valid page: len %d cap %d first word %v, want 16, 16, 42",
-					len(v), cap(v), pagemem.GetF64(v, 0))
+			if len(v) != 2 || cap(v) != 2 || v[0] != 42 {
+				t.Errorf("view of a valid page: len %d cap %d first word %v, want 2, 2, 42", len(v), cap(v), v[0])
 			}
-			check("a write view of an untwinned page", e.View(page, 8, true), false)
+			check("a write view of an untwinned page", e.View(page, 1, true), false)
 			e.WriteF64(page+8, 1)
-			w := e.View(page, 16, true)
+			w := e.View(page, 2, true)
 			check("a write view of a twinned page", w, true)
-			pagemem.PutF64(w, 8, 7)
+			w[1] = 7
 			if got := e.ReadF64(page + 8); got != 7 {
 				t.Errorf("read %v after writing 7 through the view: the view is not the frame", got)
 			}
-			check("the last word of a page", e.View(last, 8, false), true)
-			check("a range crossing the page end", e.View(last, 16, false), false)
+			ints := e.ViewI64(page, 2, true)
+			if ints == nil {
+				t.Fatalf("no int64 write view of a twinned page")
+			}
+			ints[0] = -5
+			if got := e.ReadI64(page); got != -5 || int64(math.Float64bits(w[0])) != -5 {
+				t.Errorf("ReadI64 reads %d and the float64 view holds bits %#x after writing -5 through the int64 view",
+					got, math.Float64bits(w[0]))
+			}
+			e.WriteI64(page+8, 9)
+			if ints[1] != 9 {
+				t.Errorf("the int64 view reads %d after WriteI64(9)", ints[1])
+			}
+			check("the last word of a page", e.View(last, 1, false), true)
+			check("a range crossing the page end", e.View(last, 2, false), false)
+			check("an unaligned address", e.View(page+4, 1, false), false)
+			check("an unaligned write", e.View(page+1, 1, true), false)
+			if e.ViewI64(page+4, 1, false) != nil {
+				t.Errorf("an unaligned int64 view is not nil")
+			}
 			check("n = 0", e.View(page, 0, false), false)
-			check("n < 0", e.View(page, -8, false), false)
-			check("address 0", e.View(0, 8, false), false)
-			check("an address past the break", e.View(page+2*pagemem.PageSize, 8, false), false)
-			check("a range running past the break", e.View(page+2*pagemem.PageSize-8, 16, false), false)
-			check("an address aliasing a resident page", e.View(1<<44+page, 8, false), false)
+			check("n < 0", e.View(page, -1, false), false)
+			check("n past any page", e.View(page, 1<<61, false), false)
+			check("address 0", e.View(0, 1, false), false)
+			check("an address past the break", e.View(page+2*pagemem.PageSize, 1, false), false)
+			check("a range running past the break", e.View(page+2*pagemem.PageSize-8, 2, false), false)
+			check("an address aliasing a resident page", e.View(1<<44+page, 1, false), false)
 		}
 		e.Barrier(2)
 	})
 	hitRig(true, func(e *Env, base Addr) {
-		check("a hit under RaceCheck", e.View(base, 8, false), false)
-		check("a write hit under RaceCheck", e.View(base, 8, true), false)
+		check("a hit under RaceCheck", e.View(base, 1, false), false)
+		check("a write hit under RaceCheck", e.View(base, 1, true), false)
+		if e.ViewI64(base, 1, false) != nil {
+			t.Errorf("an int64 view under RaceCheck is not nil")
+		}
 	})
 }
 
@@ -251,7 +275,7 @@ func TestUnmappedAddressIsAStructuredError(t *testing.T) {
 				ae := addrFault(t, raceCheck, func(e *Env, page Addr) {
 					e.ReadF64(page) // a mapped access first: the check must not be a one-shot
 					runtime.ReadMemStats(&before)
-					if e.View(tc.addr(page), 8, tc.write) != nil {
+					if e.View(tc.addr(page), 1, tc.write) != nil {
 						t.Errorf("View of the stray address is not nil")
 					}
 					if tc.write {

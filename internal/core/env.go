@@ -21,7 +21,7 @@ type Addr = pagemem.Addr
 // communication is preserved without a kernel round-trip per access.
 //
 // Besides the typed accessors there is a bulk form of a hit: View hands out
-// a page's own bytes when every access to them would hit, and Accessed
+// a page's own words when every access to them would hit, and Accessed
 // charges the accesses made through them. The kernel is single-threaded, so
 // a page can only be taken from a thread that yields: a view is dead at the
 // thread's next yield — any Read*/Write* that misses, Lock, Unlock, Barrier,
@@ -112,36 +112,47 @@ func (e *Env) access(a Addr, write bool) []byte {
 	return e.miss(a, p, write)
 }
 
-// View returns the n bytes of shared memory at a — the local frame itself,
-// in the accessors' little-endian layout — iff [a, a+n) lies in one page of
-// the heap and, right now, every read (write, if write is set) of it would
-// hit: the page is valid, and twinned for a write. Otherwise it returns nil
-// and changes nothing; the caller makes its next access through Read*/Write*,
-// which faults, twins and charges as always, and asks again. It is always
-// nil when the race detector is on, so a checked run sees every access.
+// View returns the n float64s of shared memory at a — the local frame
+// itself, the words ReadF64 and WriteF64 would read and write — iff a is
+// 8-aligned, [a, a+8n) lies in one page of the heap and, right now, every
+// read (write, if write is set) of it would hit: the page is valid, and
+// twinned for a write. Otherwise it returns nil and changes nothing; the
+// caller makes its next access through Read*/Write*, which faults, twins and
+// charges as always, and asks again. It is always nil when the race detector
+// is on, so a checked run sees every access.
 //
 // A run of hits is atomic — nothing else runs until this thread yields —
 // so reading and writing through the view and then charging the accesses
 // with Accessed is indistinguishable from making them one by one.
-func (e *Env) View(a Addr, n int, write bool) []byte {
+func (e *Env) View(a Addr, n int, write bool) []float64 {
 	if e.t.proc.race != nil {
 		return nil
 	}
-	return e.view(a, n, write)
+	return pagemem.Words[float64](e.view(a, n, write))
 }
 
-// view is View with the detector off, out of line so that View's own branch
-// inlines into the application's loop.
+// ViewI64 is View for int64s: the same words, as ReadI64 and WriteI64 see
+// them.
+func (e *Env) ViewI64(a Addr, n int, write bool) []int64 {
+	if e.t.proc.race != nil {
+		return nil
+	}
+	return pagemem.Words[int64](e.view(a, n, write))
+}
+
+// view returns the frame's bytes under the n words at a, or nil: View with
+// the detector off, out of line so that View's own branch inlines into the
+// application's loop.
 func (e *Env) view(a Addr, n int, write bool) []byte {
 	off, brk := pagemem.OffsetOf(a), e.t.proc.sys.Alloc.Brk()
-	if n <= 0 || off+n > pagemem.PageSize || a < pagemem.PageSize || a >= brk || Addr(n) > brk-a {
+	if n <= 0 || n > (pagemem.PageSize-off)/8 || a < pagemem.PageSize || a >= brk || Addr(8*n) > brk-a {
 		return nil
 	}
 	f := e.t.proc.node.Hit(pagemem.PageOf(a), write)
 	if f == nil {
 		return nil
 	}
-	return f[off : off+n : off+n]
+	return f[off : off+8*n : off+8*n]
 }
 
 // Accessed charges n shared accesses made through views: what n hits

@@ -73,17 +73,14 @@ func TestRaceCheckedDeterminism(t *testing.T) {
 }
 
 // TestViewsLeaveNoTrace: at small scale on 8 processors — where matrix rows
-// cross pages and two blocks share one, which unit scale never has — the
-// applications whose kernels run on page views emit the same events at the
-// same virtual times, byte for byte, as when the detector forces every
-// access through the accessors one at a time.
+// cross pages and two blocks share one, which unit scale never has — every
+// application, its kernels on page views, emits the same events at the same
+// virtual times, byte for byte, as when the detector forces every access
+// through the accessors one at a time.
 func TestViewsLeaveNoTrace(t *testing.T) {
 	s := NewSession(Options{Procs: 8, Scale: apps.Small, Workers: 1})
-	for _, app := range []string{"LU-NCONT", "LU-CONT", "SOR", "OCEAN"} {
-		spec, err := apps.ByName(app)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, spec := range apps.All {
+		app := spec.Name
 		for _, v := range []Variant{VarO, Var4TP} {
 			for _, proto := range []string{"lrc", "hlrc"} {
 				run := func(raceCheck bool) (string, []byte) {

@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // PageSize is the virtual-memory page size (4 KB, as on the paper's AIX
@@ -374,24 +375,44 @@ func (a *Allocator) AllocPages(n int) Addr {
 func (a *Allocator) Brk() Addr { return a.next }
 
 // Typed accessors over raw page frames. The DSM env layer resolves the
-// frame and offset; these helpers only do the encoding. Little-endian,
-// matching Go's x86/arm targets, but any fixed choice works since all
-// simulated nodes share it.
+// frame and offset; these helpers only do the encoding, in the host's byte
+// order: the order Words hands the same bytes out in, so a value written
+// through one is read back through the other. Every simulated node shares
+// the host, and diffs compare and copy bytes by position without decoding
+// them, so any order is correct; the order shows only in diff sizes (which
+// bytes of a changed value differ), and the committed goldens are those of
+// a little-endian host.
 
 // GetU64 reads a uint64 at off.
-func GetU64(frame []byte, off int) uint64 { return binary.LittleEndian.Uint64(frame[off:]) }
+func GetU64(frame []byte, off int) uint64 { return binary.NativeEndian.Uint64(frame[off:]) }
 
 // PutU64 writes a uint64 at off.
-func PutU64(frame []byte, off int, v uint64) { binary.LittleEndian.PutUint64(frame[off:], v) }
+func PutU64(frame []byte, off int, v uint64) { binary.NativeEndian.PutUint64(frame[off:], v) }
 
 // GetU32 reads a uint32 at off.
-func GetU32(frame []byte, off int) uint32 { return binary.LittleEndian.Uint32(frame[off:]) }
+func GetU32(frame []byte, off int) uint32 { return binary.NativeEndian.Uint32(frame[off:]) }
 
 // PutU32 writes a uint32 at off.
-func PutU32(frame []byte, off int, v uint32) { binary.LittleEndian.PutUint32(frame[off:], v) }
+func PutU32(frame []byte, off int, v uint32) { binary.NativeEndian.PutUint32(frame[off:], v) }
 
 // GetF64 reads a float64 at off.
 func GetF64(frame []byte, off int) float64 { return math.Float64frombits(GetU64(frame, off)) }
 
 // PutF64 writes a float64 at off.
 func PutF64(frame []byte, off int, v float64) { PutU64(frame, off, math.Float64bits(v)) }
+
+// Word is what a word view holds: an 8-byte value in the host's byte order.
+type Word interface{ float64 | int64 }
+
+// Words returns b as the len(b)/8 words it holds: b's own memory, not a
+// copy, so a store through the result is a store to b. It is nil if b is
+// shorter than a word or does not start on an 8-byte boundary. Frames are
+// PageSize arrays carved from slabs, hence 8-aligned: a stretch of a frame
+// at an 8-aligned offset always qualifies.
+func Words[T Word](b []byte) []T {
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if len(b) < 8 || uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(p), len(b)/8)
+}

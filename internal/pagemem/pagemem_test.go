@@ -3,6 +3,7 @@ package pagemem
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -436,6 +437,29 @@ func TestTypedAccessors(t *testing.T) {
 	PutF64(f, 16, -3.25)
 	if GetF64(f, 16) != -3.25 {
 		t.Fatal("f64 round trip failed")
+	}
+}
+
+// TestWords: a word view of a frame is the frame's own memory, in the
+// accessors' byte order, and nil where it cannot be one.
+func TestWords(t *testing.T) {
+	f := NewStore().Frame(1)
+	w := Words[float64](f[8:32])
+	if len(w) != 3 || cap(w) != 3 {
+		t.Fatalf("Words of 24 bytes: len %d cap %d, want 3, 3", len(w), cap(w))
+	}
+	w[1] = -2.5
+	if got := GetF64(f, 16); got != -2.5 {
+		t.Fatalf("GetF64 reads %v after -2.5 was stored through the view", got)
+	}
+	PutU64(f, 24, 7)
+	if got := Words[int64](f[24:32])[0]; got != 7 || math.Float64bits(w[2]) != 7 {
+		t.Fatalf("the views read %d and %#x after PutU64(7)", got, math.Float64bits(w[2]))
+	}
+	for _, b := range [][]byte{nil, f[:7], f[4:12], f[1:]} {
+		if Words[float64](b) != nil || Words[int64](b) != nil {
+			t.Fatalf("Words of a %d-byte slice, short or unaligned, is not nil", len(b))
+		}
 	}
 }
 
