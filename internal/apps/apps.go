@@ -15,6 +15,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 
 	"godsm/dsm"
 	"godsm/internal/event"
@@ -32,29 +33,29 @@ const (
 	Paper
 )
 
+var scaleNames = []string{"unit", "small", "paper"}
+
 // String returns the scale's name.
 func (s Scale) String() string {
-	switch s {
-	case Unit:
-		return "unit"
-	case Small:
-		return "small"
-	case Paper:
-		return "paper"
-	default:
-		return fmt.Sprintf("Scale(%d)", int(s))
+	if s >= 0 && int(s) < len(scaleNames) {
+		return scaleNames[s]
 	}
+	return fmt.Sprintf("Scale(%d)", int(s))
+}
+
+// sized returns the entry of sizes — unit, small, paper — for sc; a scale
+// past those is Paper.
+func sized[P any](sc Scale, sizes [3]P) P {
+	if sc != Unit && sc != Small {
+		sc = Paper
+	}
+	return sizes[sc]
 }
 
 // ParseScale converts a scale name.
 func ParseScale(s string) (Scale, error) {
-	switch s {
-	case "unit":
-		return Unit, nil
-	case "small":
-		return Small, nil
-	case "paper":
-		return Paper, nil
+	if i := slices.Index(scaleNames, s); i >= 0 {
+		return Scale(i), nil
 	}
 	return 0, fmt.Errorf("unknown scale %q (want unit, small or paper)", s)
 }
@@ -146,14 +147,8 @@ func (b *errBox) get() error { return b.err }
 // chunk splits n items over parts workers; returns [lo, hi) for worker id.
 // The first n%parts workers get one extra item.
 func chunk(n, parts, id int) (lo, hi int) {
-	base := n / parts
-	rem := n % parts
-	lo = id*base + min(id, rem)
-	hi = lo + base
-	if id < rem {
-		hi++
-	}
-	return lo, hi
+	start := func(id int) int { return id*(n/parts) + min(id, n%parts) }
+	return start(id), start(id + 1)
 }
 
 // threadChunkFor is Env.ThreadRange for an arbitrary global thread id.
@@ -163,74 +158,124 @@ func threadChunkFor(n, procs, tpp, threadID int) (lo, hi int) {
 	return pLo + tLo, pLo + tHi
 }
 
-// f64s is a shared array of float64.
-type f64s struct{ base dsm.Addr }
+// A shared word is a float64 or an int64, and words is a page-aligned
+// shared array of them: f64s or i64s.
+type (
+	word          interface{ float64 | int64 }
+	words[T word] struct{ base dsm.Addr }
+	f64s          = words[float64]
+	i64s          = words[int64]
+)
 
-func allocF64s(sys *dsm.System, n int) f64s {
-	return f64s{base: sys.Alloc.Alloc(8*n, dsm.PageSize)}
+func allocWords[T word](sys *dsm.System, n int) words[T] {
+	return words[T]{base: sys.Alloc.Alloc(8*n, dsm.PageSize)}
 }
 
-func (a f64s) at(i int) dsm.Addr { return a.base + dsm.Addr(8*i) }
+func (a words[T]) at(i int) dsm.Addr { return a.base + dsm.Addr(8*i) }
 
 // The applications' kernels run on page views (dsm.Env.View): a row of
-// shared float64s that all hit is the frame's own []float64, so a kernel
-// written over []float64 rows runs unchanged on views and on a sequential
-// golden's plain slices. A thread's views are dead once it yields: the
-// applications re-take them after every access they make through
-// Read*/Write*.
+// shared words that all hit is the frame's own []float64 or []int64, so a
+// kernel written over slices runs unchanged on views and on a sequential
+// golden's plain slices. Where a page does not hit, the same kernel runs at
+// width one on a scratch copy of one cell's operands, read and written back
+// through Read*/Write*, which fault, twin and charge as always. A thread's
+// views are dead once it yields, so a run asks for them again after every
+// cell it makes through the accessors.
 
 // inPage returns how many words, counting the one at a, lie between a and
 // the end of a's page: the longest run at a that one view can cover.
 func inPage(a dsm.Addr) int { return (dsm.PageSize - pagemem.OffsetOf(a)) / 8 }
 
-// pageView is a view of as many of the n float64s at a as a's page holds,
-// or nil.
-func pageView(e *dsm.Env, a dsm.Addr, n int, write bool) []float64 {
-	return e.View(a, min(n, inPage(a)), write)
+// pageView is a view of as many of the n words at a as a's page holds, or
+// nil: Env.View or Env.ViewI64, by T.
+func pageView[T word](e *dsm.Env, a dsm.Addr, n int, write bool) []T {
+	n = min(n, inPage(a))
+	if _, f := any(T(0)).(float64); f {
+		return any(e.View(a, n, write)).([]T)
+	}
+	return any(e.ViewI64(a, n, write)).([]T)
 }
 
-// pageViewI64 is pageView for int64s.
-func pageViewI64(e *dsm.Env, a dsm.Addr, n int, write bool) []int64 {
-	return e.ViewI64(a, min(n, inPage(a)), write)
+// readWord and writeWord are the accessors for T.
+func readWord[T word](e *dsm.Env, a dsm.Addr) T {
+	if _, f := any(T(0)).(float64); f {
+		return T(e.ReadF64(a))
+	}
+	return T(e.ReadI64(a))
 }
 
-// writeF64s stores vals at a, a+8, …, charging cost of computation after
-// each store, a page's worth per view where the page is writable.
-func writeF64s(e *dsm.Env, a dsm.Addr, vals []float64, cost dsm.Time) {
-	for len(vals) > 0 {
-		n := 1
-		if v := pageView(e, a, len(vals), true); v != nil {
-			n = copy(v, vals)
-			e.Accessed(n)
-		} else {
-			e.WriteF64(a, vals[0])
-		}
-		e.Compute(dsm.Time(n) * cost)
-		a, vals = a+dsm.Addr(8*n), vals[n:]
+func writeWord[T word](e *dsm.Env, a dsm.Addr, v T) {
+	if _, f := any(T(0)).(float64); f {
+		e.WriteF64(a, float64(v))
+	} else {
+		e.WriteI64(a, int64(v))
 	}
 }
 
-// writeI64s is writeF64s for int64s.
-func writeI64s(e *dsm.Env, a dsm.Addr, vals []int64, cost dsm.Time) {
-	for len(vals) > 0 {
-		n := 1
-		if v := pageViewI64(e, a, len(vals), true); v != nil {
-			n = copy(v, vals)
-			e.Accessed(n)
-		} else {
-			e.WriteI64(a, vals[0])
+// A lane is one row of words under a run of cells: the run's first word in
+// it is at a, and w words of the run need w+halo of its words, writable if
+// write is set. A run has up to four lanes; one whose a is 0 is none.
+type lane struct {
+	a     dsm.Addr
+	halo  int
+	write bool
+}
+
+// at is the address of the lane's word under word x of the run.
+func (l lane) at(x int) dsm.Addr { return l.a + dsm.Addr(8*x) }
+
+// eachRun walks the n words of a run, step words to a cell, charging each
+// cell per accesses and cost of computation. Where the next stretch of every
+// lane lies in pages that hit, row gets the lanes' views, the stretch's
+// first word x and its q cells, and returns how many of them it did: all,
+// unless a view of its own is not there. Where a page does not hit, elem(x)
+// makes the cell at word x through the accessors, and the run asks again.
+func eachRun[T word](e *dsm.Env, lanes [4]lane, n, step, per int, cost dsm.Time,
+	row func(v [4][]T, x, q int) int, elem func(x int)) {
+	nl := 0
+	for nl < len(lanes) && lanes[nl].a != 0 {
+		nl++
+	}
+	var v [4][]T
+	for x := 0; x < n; {
+		w := n - x
+		for _, l := range lanes[:nl] {
+			w = min(w, inPage(l.at(x))-l.halo)
 		}
-		e.Compute(dsm.Time(n) * cost)
-		a, vals = a+dsm.Addr(8*n), vals[n:]
+		ok := w > 0
+		for k := 0; ok && k < nl; k++ {
+			v[k] = pageView[T](e, lanes[k].at(x), w+lanes[k].halo, lanes[k].write)
+			ok = v[k] != nil
+		}
+		if ok {
+			q := (w + step - 1) / step
+			did := row(v, x, q)
+			e.Accessed(per * did)
+			e.Compute(dsm.Time(did) * cost)
+			if x += step * did; did == q {
+				continue
+			}
+		}
+		elem(x)
+		e.Compute(cost)
+		x += step
 	}
 }
 
-// firstDiff reads len(want) float64s at a, a+8, … and returns the index of
-// the first that is not the one in want, and its value; -1 if all match.
-func firstDiff(e *dsm.Env, a dsm.Addr, want []float64) (int, float64) {
+// writeWords stores vals at a, a+8, …, charging cost of computation after
+// each store.
+func writeWords[T word](e *dsm.Env, a dsm.Addr, vals []T, cost dsm.Time) {
+	eachRun(e, [4]lane{{a: a, write: true}}, len(vals), 1, 1, cost,
+		func(v [4][]T, x, q int) int { return copy(v[0], vals[x:]) },
+		func(x int) { writeWord(e, a+dsm.Addr(8*x), vals[x]) })
+}
+
+// firstDiff reads len(want) words at a, a+8, … and returns the index of the
+// first that is not the one in want, and its value; -1 if all match.
+func firstDiff[T word](e *dsm.Env, a dsm.Addr, want []T) (int, T) {
 	for i := 0; i < len(want); {
 		w := 1
-		if v := pageView(e, a, len(want)-i, false); v != nil {
+		if v := pageView[T](e, a, len(want)-i, false); v != nil {
 			for x, got := range v {
 				if got != want[i+x] {
 					e.Accessed(x + 1)
@@ -239,22 +284,13 @@ func firstDiff(e *dsm.Env, a dsm.Addr, want []float64) (int, float64) {
 			}
 			w = len(v)
 			e.Accessed(w)
-		} else if got := e.ReadF64(a); got != want[i] {
+		} else if got := readWord[T](e, a); got != want[i] {
 			return i, got
 		}
 		i, a = i+w, a+dsm.Addr(8*w)
 	}
 	return -1, 0
 }
-
-// i64s is a shared array of int64.
-type i64s struct{ base dsm.Addr }
-
-func allocI64s(sys *dsm.System, n int) i64s {
-	return i64s{base: sys.Alloc.Alloc(8*n, dsm.PageSize)}
-}
-
-func (a i64s) at(i int) dsm.Addr { return a.base + dsm.Addr(8*i) }
 
 // Per-operation busy costs (virtual ns), calibrated to a ~133 MHz scalar
 // processor: these are charged on top of the per-access cost for the

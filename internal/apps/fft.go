@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 
@@ -22,16 +23,9 @@ type fftParams struct {
 	m int // n = m*m points
 }
 
-func fftSizes(sc Scale) fftParams {
-	switch sc {
-	case Unit:
-		return fftParams{m: 16} // 256 points
-	case Small:
-		return fftParams{m: 128} // 16K points
-	default:
-		return fftParams{m: 512} // 256K points, the paper's input
-	}
-}
+// fftSizes are FFT's inputs at each scale: 256, 16K and (the paper's) 256K
+// points.
+var fftSizes = [3]fftParams{{m: 16}, {m: 128}, {m: 512}}
 
 // fftInput returns the deterministic input signal.
 func fftInput(n int) []complex128 {
@@ -94,8 +88,10 @@ func fftSixStepSeq(in []complex128, m int) []complex128 {
 	transpose(b, a)
 	rowFFTs(b)
 	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			b[i*m+j] *= fftTwiddle(i, j, n)
+		for j, c := range b[i*m : (i+1)*m] {
+			v := [2]float64{real(c), imag(c)}
+			fftTwiddleRow(v[:], i, j, n)
+			b[i*m+j] = complex(v[0], v[1])
 		}
 	}
 	transpose(a, b)
@@ -109,13 +105,22 @@ func fftTwiddle(i, j, n int) complex128 {
 	return cmplx.Exp(complex(0, ang))
 }
 
+// fftTwiddleRow scales the points of v, interleaved re/im, by their twiddle
+// factors: v starts at point j of row i.
+func fftTwiddleRow(v []float64, i, j, n int) {
+	for x := 0; x < len(v); x += 2 {
+		c := complex(v[x], v[x+1]) * fftTwiddle(i, j+x/2, n)
+		v[x], v[x+1] = real(c), imag(c)
+	}
+}
+
 // BuildFFT constructs the FFT application.
 func BuildFFT(sys *dsm.System, opt Options) *Instance {
-	p := fftSizes(opt.Scale)
+	p := sized(opt.Scale, fftSizes)
 	m := p.m
 	n := m * m
-	a := allocF64s(sys, 2*n) // interleaved re/im
-	b := allocF64s(sys, 2*n)
+	a := allocWords[float64](sys, 2*n) // interleaved re/im
+	b := allocWords[float64](sys, 2*n)
 	input := fftInput(n)
 	var box errBox
 
@@ -145,28 +150,20 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 			}
 			qlo, qhi := threadChunkFor(m, e.NumProcs(), tpp, q)
 			for j := qlo; j < qhi; j++ {
-				for i := lo; i < hi; {
-					// A view of the rest of source row j's stretch, and
-					// one of each destination point while they hit.
-					if s := pageView(e, src.at(2*(j*m+i)), 2*(hi-i), false); s != nil {
-						k := 0
-						for ; k < len(s)/2; k++ {
-							d := e.View(dst.at(2*((i+k)*m+j)), 2, true)
+				// A view of the rest of source row j's stretch, and one of
+				// each destination point while they hit.
+				eachRun(e, [4]lane{{a: src.at(2 * (j*m + lo))}}, 2*(hi-lo), 2, 4, costCmul/2,
+					func(v [4][]float64, x, q int) int {
+						for k := range q {
+							d := e.View(dst.at(2*((lo+x/2+k)*m+j)), 2, true)
 							if d == nil {
-								break
+								return k
 							}
-							d[0], d[1] = s[2*k], s[2*k+1]
+							d[0], d[1] = v[0][2*k], v[0][2*k+1]
 						}
-						e.Accessed(4 * k)
-						e.Compute(dsm.Time(k) * (costCmul / 2))
-						if i += k; k == len(s)/2 {
-							continue
-						}
-					}
-					writeC(e, dst, i*m+j, readC(e, src, j*m+i))
-					e.Compute(costCmul / 2)
-					i++
-				}
+						return q
+					},
+					func(x int) { writeC(e, dst, (lo+x/2)*m+j, readC(e, src, j*m+lo+x/2)) })
 			}
 		}
 	}
@@ -176,7 +173,7 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 		for i := lo; i < hi; i++ {
 			loadCs(e, arr, i*m, row)
 			fftInPlace(row)
-			e.Compute(dsm.Time(m) * dsm.Time(costButterfly) * dsm.Time(bits(m)) / 2)
+			e.Compute(dsm.Time(m) * dsm.Time(costButterfly) * dsm.Time(bits.Len(uint(m))-1) / 2)
 			storeCs(e, arr, i*m, row, 0)
 		}
 	}
@@ -192,22 +189,15 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 		e.Barrier(1)
 		rowFFTs(e, b, lo, hi)
 		for i := lo; i < hi; i++ {
-			for j := 0; j < m; {
-				if v := pageView(e, b.at(2*(i*m+j)), 2*(m-j), true); v != nil {
-					for x := 0; x < len(v); x += 2 {
-						c := complex(v[x], v[x+1]) * fftTwiddle(i, j+x/2, n)
-						v[x], v[x+1] = real(c), imag(c)
-					}
-					w := len(v) / 2
-					e.Accessed(4 * w)
-					e.Compute(dsm.Time(w) * costCmul)
-					j += w
-					continue
-				}
-				writeC(e, b, i*m+j, readC(e, b, i*m+j)*fftTwiddle(i, j, n))
-				e.Compute(costCmul)
-				j++
-			}
+			eachRun(e, [4]lane{{a: b.at(2 * i * m), write: true}}, 2*m, 2, 4, costCmul,
+				func(v [4][]float64, x, q int) int { fftTwiddleRow(v[0], i, x/2, n); return q },
+				func(x int) {
+					re, im := b.at(2*i*m+x), b.at(2*i*m+x+1)
+					c := [2]float64{e.ReadF64(re), e.ReadF64(im)}
+					fftTwiddleRow(c[:], i, x/2, n)
+					e.WriteF64(re, c[0])
+					e.WriteF64(im, c[1])
+				})
 		}
 		e.Barrier(2)
 		transpose(e, a, b, lo, hi)
@@ -242,51 +232,29 @@ func writeC(e *dsm.Env, arr f64s, i int, v complex128) {
 	e.WriteF64(arr.at(2*i+1), imag(v))
 }
 
-// loadCs reads points i, i+1, … of arr into dst, a page's worth per view
-// where the page is valid.
+// loadCs reads points i, i+1, … of arr into dst.
 func loadCs(e *dsm.Env, arr f64s, i int, dst []complex128) {
-	for len(dst) > 0 {
-		n := 1
-		if v := pageView(e, arr.at(2*i), 2*len(dst), false); v != nil {
-			n = len(v) / 2
-			for x := range dst[:n] {
-				dst[x] = complex(v[2*x], v[2*x+1])
+	eachRun(e, [4]lane{{a: arr.at(2 * i)}}, 2*len(dst), 2, 2, 0,
+		func(v [4][]float64, x, q int) int {
+			for k := range q {
+				dst[x/2+k] = complex(v[0][2*k], v[0][2*k+1])
 			}
-			e.Accessed(2 * n)
-		} else {
-			dst[0] = readC(e, arr, i)
-		}
-		i, dst = i+n, dst[n:]
-	}
+			return q
+		},
+		func(x int) { dst[x/2] = readC(e, arr, i+x/2) })
 }
 
 // storeCs writes vals to points i, i+1, … of arr, charging cost of
-// computation after each point, a page's worth per view where the page is
-// writable.
+// computation after each point.
 func storeCs(e *dsm.Env, arr f64s, i int, vals []complex128, cost dsm.Time) {
-	for len(vals) > 0 {
-		n := 1
-		if v := pageView(e, arr.at(2*i), 2*len(vals), true); v != nil {
-			n = len(v) / 2
-			for x, c := range vals[:n] {
-				v[2*x], v[2*x+1] = real(c), imag(c)
+	eachRun(e, [4]lane{{a: arr.at(2 * i), write: true}}, 2*len(vals), 2, 2, cost,
+		func(v [4][]float64, x, q int) int {
+			for k, c := range vals[x/2:][:q] {
+				v[0][2*k], v[0][2*k+1] = real(c), imag(c)
 			}
-			e.Accessed(2 * n)
-		} else {
-			writeC(e, arr, i, vals[0])
-		}
-		e.Compute(dsm.Time(n) * cost)
-		i, vals = i+n, vals[n:]
-	}
-}
-
-// bits returns log2(m) for powers of two.
-func bits(m int) int {
-	b := 0
-	for v := m; v > 1; v >>= 1 {
-		b++
-	}
-	return b
+			return q
+		},
+		func(x int) { writeC(e, arr, i+x/2, vals[x/2]) })
 }
 
 func fftVerify(e *dsm.Env, out f64s, input []complex128, m int) error {

@@ -7,10 +7,13 @@ import (
 	"testing"
 )
 
-// The row kernels run on page views and on the goldens' slices, and must
-// compute bitwise what the element path computes an access at a time — the
-// statements below, in luThread's and BuildSOR's/BuildOcean's order — or a
-// run's result would depend on which of its rows happened to hit.
+// Each row kernel is the one statement of its arithmetic: a thread runs it on
+// page views, at width one on an element's gathered operands, and a
+// sequential golden on its own slices. The references below are the same
+// arithmetic in the textbook order — an element at a time, each operand
+// named once — and the kernels must match them bitwise: that order is what
+// makes a row kernel's result the same at any width, so a run's result does
+// not depend on which of its rows happened to hit.
 
 func refEliminate(ri, rj []float64, l float64, from, b int) {
 	for jj := from; jj < b; jj++ {
@@ -45,6 +48,19 @@ func refUpdateRow(a, l []float64, u [][]float64, from, b int) {
 			v -= l[x] * u[x][c]
 		}
 		a[c] = v
+	}
+}
+
+func refOceanVorRow(up, mid, down, vor []float64, i, j, w, g int) {
+	for x := 0; x < w; x++ {
+		u, d, left, right, c := up[x], down[x], mid[x], mid[x+2], mid[x+1]
+		vor[x] = u + d + left + right - 4*c + oceanForcing(i, j+x, g)
+	}
+}
+
+func refTwiddleRow(v []complex128, i, j, n int) {
+	for x := range v {
+		v[x] *= fftTwiddle(i, j+x, n)
 	}
 }
 
@@ -100,7 +116,7 @@ func sameBits(t *testing.T, what string, got, want kernelBlock) {
 	for r := range want {
 		for c := range want[r] {
 			if math.Float64bits(got[r][c]) != math.Float64bits(want[r][c]) {
-				t.Fatalf("%s: element (%d,%d) = %v, element path %v", what, r, c, got[r][c], want[r][c])
+				t.Fatalf("%s: element (%d,%d) = %v, reference %v", what, r, c, got[r][c], want[r][c])
 			}
 		}
 	}
@@ -108,7 +124,7 @@ func sameBits(t *testing.T, what string, got, want kernelBlock) {
 
 // TestRowKernelsMatchElementOrder: every row kernel, on random blocks of
 // each LU block size the applications use and from every starting column
-// (row, for luSolveRowCol), leaves the same bits as the element path.
+// (row, for luSolveRowCol), leaves the same bits as its reference.
 func TestRowKernelsMatchElementOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2501))
 	for _, b := range []int{8, 16, 32, 128} {
@@ -125,7 +141,7 @@ func TestRowKernelsMatchElementOrder(t *testing.T) {
 			got, want = d.clone(), d.clone()
 			p := (r + 1) % b // the pivot row
 			f := got[r][p] / got[p][p]
-			luEliminate(got[r], got[p], f, from, b)
+			luEliminate(got[r][from:b], got[p][from:b], f)
 			refEliminate(want[r], want[p], f, from, b)
 			sameBits(t, name("luEliminate"), got, want)
 
@@ -155,9 +171,28 @@ func TestRowKernelsMatchElementOrder(t *testing.T) {
 			got, want = a.clone(), a.clone()
 			res := oceanRelaxRow(got[0][from:], got[1][from:], got[2][from:], l[3][from:], q)
 			if ref := refOceanRelaxRow(want[0][from:], want[1][from:], want[2][from:], l[3][from:], q); res != ref {
-				t.Fatalf("%s: residual %d, element path %d", name("oceanRelaxRow"), res, ref)
+				t.Fatalf("%s: residual %d, reference %d", name("oceanRelaxRow"), res, ref)
 			}
 			sameBits(t, name("oceanRelaxRow"), got, want)
+
+			got, want = a.clone(), a.clone()
+			oceanVorRow(got[0][from:], got[1][from:], got[2][from:], got[3][from:], r, from, q, b)
+			refOceanVorRow(want[0][from:], want[1][from:], want[2][from:], want[3][from:], r, from, q, b)
+			sameBits(t, name("oceanVorRow"), got, want)
+
+			// The twiddle row: q points from point from of row r of a
+			// b×b transform, interleaved re/im.
+			got, want = a.clone(), a.clone()
+			fftTwiddleRow(got[4][from:][:2*q], r, from, b*b)
+			pts := make([]complex128, q)
+			for x := range pts {
+				pts[x] = complex(want[4][from+2*x], want[4][from+2*x+1])
+			}
+			refTwiddleRow(pts, r, from, b*b)
+			for x, c := range pts {
+				want[4][from+2*x], want[4][from+2*x+1] = real(c), imag(c)
+			}
+			sameBits(t, name("fftTwiddleRow"), got, want)
 		}
 	}
 }

@@ -30,25 +30,11 @@ type luParams struct {
 	cont bool
 }
 
-func luSizes(sc Scale, cont bool) luParams {
-	switch sc {
-	case Unit:
-		if cont {
-			return luParams{n: 64, b: 8, cont: true}
-		}
-		return luParams{n: 64, b: 16}
-	case Small:
-		if cont {
-			return luParams{n: 256, b: 16, cont: true}
-		}
-		return luParams{n: 256, b: 32}
-	default:
-		if cont {
-			return luParams{n: 1024, b: 32, cont: true}
-		}
-		return luParams{n: 1024, b: 128}
-	}
-}
+// luNcontSizes and luContSizes are the two variants' inputs at each scale.
+var (
+	luNcontSizes = [3]luParams{{n: 64, b: 16}, {n: 256, b: 32}, {n: 1024, b: 128}}
+	luContSizes  = [3]luParams{{n: 64, b: 8, cont: true}, {n: 256, b: 16, cont: true}, {n: 1024, b: 32, cont: true}}
+)
 
 // luInput generates the deterministic diagonally dominant input matrix.
 func luInput(n int) []float64 {
@@ -96,19 +82,15 @@ func luGrid(T int) (pr, pc int) {
 	return pr, T / pr
 }
 
-// The four block kernels are each written twice: once a row at a time over
-// []float64 rows — what the sequential golden runs on its own matrix and a
-// thread runs on page views — and once an element at a time through the
-// shared accessors, in luThread, for the elements whose pages do not all
-// hit. Both perform the same operations on an element in the same order, so
-// results compare bitwise whichever path an element took.
+// The four block kernels run over []float64 rows: a thread's page views,
+// the sequential golden's matrix, or one element's gathered operands.
 
 // luEliminate subtracts l times the pivot row rj from row ri of a diagonal
-// block, columns from..b-1: the inner loop of the unblocked LU.
-func luEliminate(ri, rj []float64, l float64, from, b int) {
-	ri, rj = ri[from:b], rj[from:b]
-	for jj := range ri {
-		ri[jj] -= l * rj[jj]
+// block: the inner loop of the unblocked LU.
+func luEliminate(ri, rj []float64, l float64) {
+	rj = rj[:len(ri)]
+	for x := range ri {
+		ri[x] -= l * rj[x]
 	}
 }
 
@@ -143,7 +125,7 @@ func luSolveColRow(a []float64, d [][]float64, from, b int) {
 // a[c] the same products in the same order as a column at a time would.
 func luUpdateRow(a, l []float64, u [][]float64, from, b int) {
 	a = a[from:b]
-	for t, lt := range l[:b] {
+	for t, lt := range l {
 		ut := u[t][from:b]
 		ut = ut[:len(a)]
 		for c, x := range ut {
@@ -171,7 +153,7 @@ func seqBlockLU(m []float64, n, b int) {
 			for i := j + 1; i < b; i++ {
 				f := d[i][j] / pivot
 				d[i][j] = f
-				luEliminate(d[i], d[j], f, j+1, b)
+				luEliminate(d[i][j+1:], d[j][j+1:], f)
 			}
 		}
 		for j := k + 1; j < nb; j++ {
@@ -199,17 +181,17 @@ func seqBlockLU(m []float64, n, b int) {
 	}
 }
 
-// luThread is one thread's handle on the shared matrix. Each block kernel
-// walks its block in the order the element path defines; before an element
-// it asks for views of every row the rest of its matrix row (column, for
-// solveRow) touches. If they are all there it finishes the row on them and
-// charges the accesses at once; if not it performs that one element through
-// get/set — which faults, twins and flushes busy time exactly where it
-// always did — and asks again.
+// luThread is one thread's handle on the shared matrix. Before each element
+// a block kernel asks for views of every row the rest of its matrix row
+// (column, for solveRow) touches, and finishes the row on them if they are
+// all there; if not, it runs the kernel at width one on the element's
+// operands, gathered through get, sets the element, and asks again.
 type luThread struct {
 	e    *dsm.Env
 	lay  luLayout
-	a, u [][]float64 // scratch: the row views of a block
+	a, u [][]float64 // scratch: the row views of a block, or gathered rows
+	x, y []float64   // scratch: an element's gathered row segments
+	col  []float64   // scratch: an element's gathered column, at col[b:]
 }
 
 func (t *luThread) get(i, j int) float64    { return t.e.ReadF64(t.lay.at(i, j)) }
@@ -231,6 +213,16 @@ func (t *luThread) block(dst [][]float64, I, J, from int, write bool) bool {
 	return true
 }
 
+// column points rows[k], k < n, at windows of t.col whose element c is
+// t.col[b+k], and returns t.col[b:]: an element path gathers a column there
+// that the kernel reads as rows[k][c], as it would a block's views.
+func (t *luThread) column(rows [][]float64, n, c int) []float64 {
+	for k := range n {
+		rows[k] = t.col[t.lay.b+k-c:]
+	}
+	return t.col[t.lay.b:]
+}
+
 // factor performs the in-place unblocked LU of diagonal block k.
 func (t *luThread) factor(k int) {
 	b, o := t.lay.b, k*t.lay.b
@@ -239,16 +231,15 @@ func (t *luThread) factor(k int) {
 		for i := j + 1; i < b; i++ {
 			l := t.get(o+i, o+j) / d
 			t.set(o+i, o+j, l)
-			for jj := j + 1; jj < b; jj++ {
-				if ri := t.row(k, k, i, true); ri != nil {
-					if rj := t.row(k, k, j, false); rj != nil {
-						luEliminate(ri, rj, l, jj, b)
-						t.e.Accessed(3 * (b - jj))
-						break
-					}
-				}
-				t.set(o+i, o+jj, t.get(o+i, o+jj)-l*t.get(o+j, o+jj))
-			}
+			lanes := [4]lane{{a: t.lay.at(o+i, o+j+1), write: true}, {a: t.lay.at(o+j, o+j+1)}}
+			eachRun(t.e, lanes, b-j-1, 1, 3, 0,
+				func(v [4][]float64, _, q int) int { luEliminate(v[0], v[1], l); return q },
+				func(x int) {
+					c := o + j + 1 + x
+					ri, rj := [1]float64{t.get(o+i, c)}, [1]float64{t.get(o+j, c)}
+					luEliminate(ri[:], rj[:], l)
+					t.set(o+i, c, ri[0])
+				})
 		}
 	}
 }
@@ -270,11 +261,14 @@ func (t *luThread) solveRow(k, j int) {
 				t.e.Accessed((b - r) * (b + r + 1))
 				break
 			}
-			v := t.get(ro+r, co+c)
-			for x := 0; x < r; x++ {
-				v -= t.get(ro+r, ro+x) * t.get(ro+x, co+c)
+			col := t.column(a, r+1, c)
+			col[r] = t.get(ro+r, co+c)
+			for x := range r {
+				t.x[x], col[x] = t.get(ro+r, ro+x), t.get(ro+x, co+c)
 			}
-			t.set(ro+r, co+c, v)
+			d[r] = t.x
+			luSolveRowCol(a, d, c, r, r+1)
+			t.set(ro+r, co+c, col[r])
 		}
 	}
 }
@@ -293,11 +287,14 @@ func (t *luThread) solveCol(k, i int) {
 				}
 			}
 			ok = false
-			v := t.get(ro+r, co+c)
-			for x := 0; x < c; x++ {
-				v -= t.get(ro+r, co+x) * t.get(co+x, co+c)
+			col := t.column(d, c+1, c)
+			t.x[c] = t.get(ro+r, co+c)
+			for x := range c {
+				t.x[x], col[x] = t.get(ro+r, co+x), t.get(co+x, co+c)
 			}
-			t.set(ro+r, co+c, v/t.get(co+c, co+c))
+			col[c] = t.get(co+c, co+c)
+			luSolveColRow(t.x, d, c, c+1)
+			t.set(ro+r, co+c, t.x[c])
 		}
 	}
 }
@@ -318,24 +315,26 @@ func (t *luThread) update(k, i, j int) {
 				}
 			}
 			ok = false
-			v := t.get(io+r, jo+c)
-			for x := 0; x < b; x++ {
-				v -= t.get(io+r, ko+x) * t.get(ko+x, jo+c)
+			col := t.column(u, b, c)
+			t.x[c] = t.get(io+r, jo+c)
+			for x := range b {
+				t.y[x], col[x] = t.get(io+r, ko+x), t.get(ko+x, jo+c)
 			}
-			t.set(io+r, jo+c, v)
+			luUpdateRow(t.x, t.y, u, c, c+1)
+			t.set(io+r, jo+c, t.x[c])
 		}
 	}
 }
 
-func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
-	name := "LU-NCONT"
+func buildLU(sys *dsm.System, opt Options, sizes [3]luParams) *Instance {
+	p := sized(opt.Scale, sizes)
+	cont, name := p.cont, "LU-NCONT"
 	if cont {
 		name = "LU-CONT"
 	}
-	p := luSizes(opt.Scale, cont)
 	n, b := p.n, p.b
 	nb := n / b
-	lay := luLayout{arr: allocF64s(sys, n*n), n: n, b: b, cont: cont}
+	lay := luLayout{arr: allocWords[float64](sys, n*n), n: n, b: b, cont: cont}
 	input := luInput(n)
 	var box errBox
 
@@ -344,7 +343,8 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 		pr, pc := luGrid(T)
 		owner := func(I, J int) int { return (I%pr)*pc + J%pc }
 		me := e.ThreadID()
-		t := &luThread{e: e, lay: lay, a: make([][]float64, b), u: make([][]float64, b)}
+		t := &luThread{e: e, lay: lay, a: make([][]float64, b), u: make([][]float64, b),
+			x: make([]float64, b), y: make([]float64, b), col: make([]float64, 2*b)}
 
 		pfBlock := func(I, J int) {
 			if cont {
@@ -360,7 +360,7 @@ func buildLU(sys *dsm.System, opt Options, cont bool) *Instance {
 		if me == 0 {
 			for i := 0; i < n; i++ {
 				for J := 0; J < nb; J++ {
-					writeF64s(e, lay.at(i, J*b), input[i*n+J*b:][:b], 20)
+					writeWords(e, lay.at(i, J*b), input[i*n+J*b:][:b], 20)
 				}
 			}
 		}
@@ -465,10 +465,10 @@ func luVerify(e *dsm.Env, lay luLayout, input []float64, name string) error {
 
 // BuildLUNcont constructs LU with non-contiguous (row-major) block storage.
 func BuildLUNcont(sys *dsm.System, opt Options) *Instance {
-	return buildLU(sys, opt, false)
+	return buildLU(sys, opt, luNcontSizes)
 }
 
 // BuildLUCont constructs LU with contiguous block storage.
 func BuildLUCont(sys *dsm.System, opt Options) *Instance {
-	return buildLU(sys, opt, true)
+	return buildLU(sys, opt, luContSizes)
 }

@@ -26,16 +26,9 @@ type oceanParams struct {
 	tol      int64 // fixed-point residual threshold
 }
 
-func oceanSizes(sc Scale) oceanParams {
-	switch sc {
-	case Unit:
-		return oceanParams{g: 34, maxIters: 6, tol: 1 << 8}
-	case Small:
-		return oceanParams{g: 130, maxIters: 12, tol: 1 << 8}
-	default: // paper: 258×258 grid
-		return oceanParams{g: 258, maxIters: 30, tol: 1 << 8}
-	}
-}
+// oceanSizes are OCEAN's inputs at each scale; the paper's grid is 258×258.
+var oceanSizes = [3]oceanParams{{g: 34, maxIters: 6, tol: 1 << 8}, {g: 130, maxIters: 12, tol: 1 << 8},
+	{g: 258, maxIters: 30, tol: 1 << 8}}
 
 const (
 	oceanRelax = 0.45
@@ -62,11 +55,8 @@ func oceanInit(i, j, g int) float64 {
 	return float64((i*13+j*7)%89) / 890.0
 }
 
-// The two sweeps' arithmetic, a run of cells at a time over rows: what a
-// thread runs when the pages under the run all hit and what the sequential
-// golden runs on its own grids. BuildOcean states each once more, an access
-// at a time, for the cells whose pages do not. up, mid and down are laid out
-// as in sorRow.
+// The two sweeps' arithmetic, a run of cells at a time over rows laid out as
+// in sorRow.
 
 // oceanVorRow computes the vorticity of the w cells of row i from column j:
 // the psi stencil plus the forcing term.
@@ -96,38 +86,38 @@ func oceanRelaxRow(up, mid, down, vor []float64, q int) (res int64) {
 
 // BuildOcean constructs the OCEAN application.
 func BuildOcean(sys *dsm.System, opt Options) *Instance {
-	p := oceanSizes(opt.Scale)
+	p := sized(opt.Scale, oceanSizes)
 	G := p.g + 2
-	psi := allocF64s(sys, G*G)
-	vor := allocF64s(sys, G*G)
-	errCell := allocI64s(sys, 2) // [0]=fixed-point residual, [1]=done flag
+	psi := allocWords[float64](sys, G*G)
+	vor := allocWords[float64](sys, G*G)
+	errCell := allocWords[int64](sys, 2) // [0]=fixed-point residual, [1]=done flag
 	var box errBox
 
 	idx := func(i, j int) int { return i*G + j }
+	// stencil is the lanes of psi's five-point stencil over row i from
+	// column j, laid out as sorRow's, and of vor under it; a sweep writes
+	// one grid and reads the other.
+	stencil := func(i, j int, writePsi bool) [4]lane {
+		return [4]lane{{a: psi.at(idx(i-1, j))}, {a: psi.at(idx(i, j-1)), halo: 2, write: writePsi},
+			{a: psi.at(idx(i+1, j))}, {a: vor.at(idx(i, j)), write: !writePsi}}
+	}
 
 	run := func(e *dsm.Env) {
 		me := e.ThreadID()
 		if me == 0 {
 			for i := 0; i < G; i++ {
-				for j := 0; j < G; j++ {
-					pa, va := psi.at(idx(i, j)), vor.at(idx(i, j))
-					w := min(G-j, inPage(pa), inPage(va))
-					if ps := e.View(pa, w, true); ps != nil {
-						if vo := e.View(va, w, true); vo != nil {
-							for x := range ps {
-								ps[x] = oceanInit(i, j+x, p.g)
-							}
-							clear(vo)
-							e.Accessed(2 * w)
-							e.Compute(dsm.Time(w) * 25)
-							j += w - 1
-							continue
+				eachRun(e, [4]lane{{a: psi.at(idx(i, 0)), write: true}, {a: vor.at(idx(i, 0)), write: true}}, G, 1, 2, 25,
+					func(v [4][]float64, x, q int) int {
+						for k := range v[0] {
+							v[0][k] = oceanInit(i, x+k, p.g)
 						}
-					}
-					e.WriteF64(pa, oceanInit(i, j, p.g))
-					e.WriteF64(va, 0)
-					e.Compute(25)
-				}
+						clear(v[1])
+						return q
+					},
+					func(x int) {
+						e.WriteF64(psi.at(idx(i, x)), oceanInit(i, x, p.g))
+						e.WriteF64(vor.at(idx(i, x)), 0)
+					})
 			}
 		}
 		e.Barrier(0)
@@ -142,22 +132,16 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 				e.PrefetchRange(psi.at(idx(hi, 0)), 8*G)
 			}
 			for i := lo; i < hi; i++ {
-				for j := 1; j <= p.g; j++ {
-					ua, ma, da := psi.at(idx(i-1, j)), psi.at(idx(i, j-1)), psi.at(idx(i+1, j))
-					va := vor.at(idx(i, j))
-					if u, m, d, w := stencilViews(e, ua, ma, da, min(p.g+1-j, inPage(va)), false); w > 0 {
-						if v := e.View(va, w, true); v != nil {
-							oceanVorRow(u, m, d, v, i, j, w, p.g)
-							e.Accessed(6 * w)
-							e.Compute(dsm.Time(w) * costStencil)
-							j += w - 1
-							continue
-						}
-					}
-					lap := e.ReadF64(ua) + e.ReadF64(da) + e.ReadF64(ma) + e.ReadF64(ma+16) - 4*e.ReadF64(ma+8)
-					e.WriteF64(va, lap+oceanForcing(i, j, p.g))
-					e.Compute(costStencil)
-				}
+				l := stencil(i, 1, false)
+				eachRun(e, l, p.g, 1, 6, costStencil,
+					func(v [4][]float64, x, q int) int { oceanVorRow(v[0], v[1], v[2], v[3], i, 1+x, q, p.g); return q },
+					func(x int) {
+						var s [5]float64
+						var vo [1]float64
+						u, m, d := stencilAt(e, &s, &l, x)
+						oceanVorRow(u, m, d, vo[:], i, 1+x, 1, p.g)
+						e.WriteF64(l[3].at(x), vo[0])
+					})
 			}
 			e.Barrier(bar)
 			bar++
@@ -173,30 +157,19 @@ func BuildOcean(sys *dsm.System, opt Options) *Instance {
 					e.PrefetchRange(vor.at(idx(lo, 0)), 8*G)
 				}
 				for i := lo; i < hi; i++ {
-					for j := 1 + (i+color+1)%2; j <= p.g; j += 2 {
-						ua, ma, da := psi.at(idx(i-1, j)), psi.at(idx(i, j-1)), psi.at(idx(i+1, j))
-						va := vor.at(idx(i, j))
-						if u, m, d, w := stencilViews(e, ua, ma, da, min(p.g+1-j, inPage(va)), true); w > 0 {
-							if v := e.View(va, w, false); v != nil {
-								q := (w + 1) / 2
-								localErr += oceanRelaxRow(u, m, d, v, q)
-								e.Accessed(7 * q)
-								e.Compute(dsm.Time(q) * (costStencil + 40))
-								j += 2 * (q - 1)
-								continue
-							}
-						}
-						c := e.ReadF64(ma + 8)
-						target := (e.ReadF64(ua) + e.ReadF64(da) + e.ReadF64(ma) + e.ReadF64(ma+16)) / 4
-						nv := c + oceanRelax*(target-c+e.ReadF64(va))
-						e.WriteF64(ma+8, nv)
-						d := nv - c
-						if d < 0 {
-							d = -d
-						}
-						localErr += int64(d * oceanScale)
-						e.Compute(costStencil + 40)
-					}
+					j := 1 + (i+color+1)%2
+					l := stencil(i, j, true)
+					eachRun(e, l, p.g+1-j, 2, 7, costStencil+40,
+						func(v [4][]float64, _, q int) int { localErr += oceanRelaxRow(v[0], v[1], v[2], v[3], q); return q },
+						func(x int) {
+							// up, mid, down, vor: the centre first, as the
+							// accessors always read it.
+							var s [6]float64
+							mid := l[1].at(x)
+							s[2], s[0], s[4], s[1], s[3], s[5] = e.ReadF64(mid+8), e.ReadF64(l[0].at(x)), e.ReadF64(l[2].at(x)), e.ReadF64(mid), e.ReadF64(mid+16), e.ReadF64(l[3].at(x))
+							localErr += oceanRelaxRow(s[:1], s[1:4], s[4:5], s[5:], 1)
+							e.WriteF64(mid+8, s[2])
+						})
 				}
 				e.Barrier(bar)
 				bar++

@@ -28,16 +28,10 @@ type radixParams struct {
 	bits   int // bits per pass
 }
 
-func radixSizes(sc Scale) radixParams {
-	switch sc {
-	case Unit:
-		return radixParams{n: 2048, maxKey: 1 << 12, bits: 6}
-	case Small:
-		return radixParams{n: 1 << 15, maxKey: 1 << 18, bits: 7}
-	default: // paper: 2^20 keys, max 2^21, radix 1024
-		return radixParams{n: 1 << 20, maxKey: 1 << 21, bits: 10}
-	}
-}
+// radixSizes are RADIX's inputs at each scale; the paper sorts 2^20 keys
+// up to 2^21 with radix 1024.
+var radixSizes = [3]radixParams{{n: 2048, maxKey: 1 << 12, bits: 6}, {n: 1 << 15, maxKey: 1 << 18, bits: 7},
+	{n: 1 << 20, maxKey: 1 << 21, bits: 10}}
 
 func radixInput(n int, maxKey int64) []int64 {
 	rng := rand.New(rand.NewSource(19980204))
@@ -50,7 +44,7 @@ func radixInput(n int, maxKey int64) []int64 {
 
 // BuildRadix constructs the RADIX application.
 func BuildRadix(sys *dsm.System, opt Options) *Instance {
-	p := radixSizes(opt.Scale)
+	p := sized(opt.Scale, radixSizes)
 	radix := 1 << p.bits
 	passes := 0
 	for maxv := p.maxKey - 1; maxv > 0; maxv >>= p.bits {
@@ -58,12 +52,12 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 	}
 	input := radixInput(p.n, p.maxKey)
 
-	src := allocI64s(sys, p.n)
-	dst := allocI64s(sys, p.n)
+	src := allocWords[int64](sys, p.n)
+	dst := allocWords[int64](sys, p.n)
 	T := sys.TotalThreads()
-	density := allocI64s(sys, radix*T) // density[d*T + t]
-	offsets := allocI64s(sys, radix*T) // rank offsets, same indexing
-	chunkTot := allocI64s(sys, T)      // per-thread digit-chunk totals
+	density := allocWords[int64](sys, radix*T) // density[d*T + t]
+	offsets := allocWords[int64](sys, radix*T) // rank offsets, same indexing
+	chunkTot := allocWords[int64](sys, T)      // per-thread digit-chunk totals
 	var box errBox
 
 	run := func(e *dsm.Env) {
@@ -72,7 +66,7 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 		lo, hi := e.ThreadRange(p.n)
 
 		if me == 0 {
-			writeI64s(e, src.at(0), input, 20)
+			writeWords(e, src.at(0), input, 20)
 		}
 		e.Barrier(0)
 
@@ -88,29 +82,24 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 			// view ends at the next prefetch.
 			hist := make([]int64, radix)
 			const pfAhead, pfEvery = 2 * dsm.PageSize, dsm.PageSize / 8
-			for i := lo; i < hi; {
-				w := hi - i
-				if e.Prefetching() {
-					if (i-lo)%pfEvery == 0 {
-						e.PrefetchRange(a.at(i)+pfAhead, dsm.PageSize)
-					}
-					w = min(w, pfEvery-(i-lo)%pfEvery)
-				}
-				if v := pageViewI64(e, a.at(i), w, false); v != nil {
-					for _, k := range v {
-						hist[(k>>shift)&mask]++
-					}
-					e.Accessed(len(v))
-					e.Compute(dsm.Time(len(v)) * costRadixOp)
-					i += len(v)
-					continue
-				}
-				k := e.ReadI64(a.at(i))
-				hist[(k>>shift)&mask]++
-				e.Compute(costRadixOp)
-				i++
+			stretch := hi - lo
+			if e.Prefetching() {
+				stretch = pfEvery
 			}
-			writeI64s(e, density.at(me*radix), hist, 0)
+			for i := lo; i < hi; i += stretch {
+				if e.Prefetching() {
+					e.PrefetchRange(a.at(i)+pfAhead, dsm.PageSize)
+				}
+				eachRun(e, [4]lane{{a: a.at(i)}}, min(stretch, hi-i), 1, 1, costRadixOp,
+					func(v [4][]int64, _, q int) int {
+						for _, k := range v[0] {
+							hist[(k>>shift)&mask]++
+						}
+						return q
+					},
+					func(x int) { hist[(e.ReadI64(a.at(i+x))>>shift)&mask]++ })
+			}
+			writeWords(e, density.at(me*radix), hist, 0)
 			e.Barrier(bar)
 			bar++
 
@@ -171,35 +160,27 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 					}
 				}
 			}
-			for i := lo; i < hi; {
-				// A view of the rest of the source page, and one of each
-				// destination word while they hit.
-				if v := pageViewI64(e, a.at(i), hi-i, false); v != nil {
-					x := 0
-					for ; x < len(v); x++ {
-						k := v[x]
+			// A view of the rest of the source page, and one of each
+			// destination word while they hit.
+			eachRun(e, [4]lane{{a: a.at(lo)}}, hi-lo, 1, 2, costRadixOp,
+				func(v [4][]int64, _, q int) int {
+					for x, k := range v[0] {
 						d := (k >> shift) & mask
 						to := e.ViewI64(bArr.at(int(rank[d])), 1, true)
 						if to == nil {
-							break
+							return x
 						}
 						to[0] = k
 						rank[d]++
 					}
-					e.Accessed(2 * x)
-					e.Compute(dsm.Time(x) * costRadixOp)
-					if i += x; x == len(v) {
-						continue
-					}
-				}
-				k := e.ReadI64(a.at(i))
-				d := (k >> shift) & mask
-				pos := rank[d]
-				rank[d]++
-				e.WriteI64(bArr.at(int(pos)), k)
-				e.Compute(costRadixOp)
-				i++
-			}
+					return q
+				},
+				func(x int) {
+					k := e.ReadI64(a.at(lo + x))
+					d := (k >> shift) & mask
+					e.WriteI64(bArr.at(int(rank[d])), k)
+					rank[d]++
+				})
 			e.Barrier(bar)
 			bar++
 			a, bArr = bArr, a
@@ -220,22 +201,8 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 func radixVerify(e *dsm.Env, out i64s, input []int64) error {
 	want := append([]int64(nil), input...)
 	slices.Sort(want)
-	for i := 0; i < len(want); {
-		if v := pageViewI64(e, out.at(i), len(want)-i, false); v != nil {
-			for x, got := range v {
-				if got != want[i+x] {
-					e.Accessed(x + 1)
-					return fmt.Errorf("RADIX: position %d = %d, want %d", i+x, got, want[i+x])
-				}
-			}
-			e.Accessed(len(v))
-			i += len(v)
-			continue
-		}
-		if got := e.ReadI64(out.at(i)); got != want[i] {
-			return fmt.Errorf("RADIX: position %d = %d, want %d", i, got, want[i])
-		}
-		i++
+	if x, got := firstDiff(e, out.at(0), want); x >= 0 {
+		return fmt.Errorf("RADIX: position %d = %d, want %d", x, got, want[x])
 	}
 	return nil
 }

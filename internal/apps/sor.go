@@ -23,16 +23,9 @@ type sorParams struct {
 	rows, cols, iters int
 }
 
-func sorSizes(sc Scale) sorParams {
-	switch sc {
-	case Unit:
-		return sorParams{rows: 48, cols: 48, iters: 4}
-	case Small:
-		return sorParams{rows: 384, cols: 384, iters: 10}
-	default: // Paper
-		return sorParams{rows: 2000, cols: 2000, iters: 50}
-	}
-}
+// sorSizes are SOR's inputs at each scale.
+var sorSizes = [3]sorParams{{rows: 48, cols: 48, iters: 4}, {rows: 384, cols: 384, iters: 10},
+	{rows: 2000, cols: 2000, iters: 50}}
 
 // sorInit gives the initial grid value at (i, j); the top boundary is hot.
 func sorInit(i, j, cols int) float64 {
@@ -45,9 +38,7 @@ func sorInit(i, j, cols int) float64 {
 // sorRow relaxes q cells of one colour, two columns apart. mid starts one
 // cell left of the first of them and up and down right above and below it,
 // so cell x is mid[2x+1] and its neighbours up[2x], down[2x], mid[2x] and
-// mid[2x+2]. It is the sweep's arithmetic for rows whose pages all hit and
-// for the sequential golden; sweepRow states it once more, an access at a
-// time, for the cells whose pages do not.
+// mid[2x+2].
 func sorRow(up, mid, down []float64, q int) {
 	for x := 0; x < 2*q; x += 2 {
 		c := mid[x+1]
@@ -55,56 +46,37 @@ func sorRow(up, mid, down []float64, q int) {
 	}
 }
 
-// stencilViews returns views of the five-point neighbourhoods of the w cells
-// of a row that start at the cell right of mid, below up and above down: w
-// elements at up and at down, w+2 at mid, writable if write is set. w is as
-// many cells, at most limit, as lie before the three rows' next page ends;
-// it is 0, and the views nil, if that is none or a page does not hit.
-func stencilViews(e *dsm.Env, up, mid, down dsm.Addr, limit int, write bool) (u, m, d []float64, w int) {
-	if w = min(limit, inPage(up), inPage(mid)-2, inPage(down)); w > 0 {
-		if m = e.View(mid, w+2, write); m != nil {
-			if u = e.View(up, w, false); u != nil {
-				if d = e.View(down, w, false); d != nil {
-					return u, m, d, w
-				}
-			}
-		}
-	}
-	return nil, nil, nil, 0
+// stencilAt reads, through the accessors, the five-point neighbourhood of
+// the cell at word x of a run whose first three lanes are laid out as
+// sorRow's rows — up, down, left, right, centre — into s, and returns it as
+// width-one rows.
+func stencilAt(e *dsm.Env, s *[5]float64, l *[4]lane, x int) (u, m, d []float64) {
+	mid := l[1].at(x)
+	s[0], s[4], s[1], s[3], s[2] = e.ReadF64(l[0].at(x)), e.ReadF64(l[2].at(x)), e.ReadF64(mid), e.ReadF64(mid+16), e.ReadF64(mid+8)
+	return s[:1], s[1:4], s[4:]
 }
 
 // BuildSOR constructs the SOR application.
 func BuildSOR(sys *dsm.System, opt Options) *Instance {
-	p := sorSizes(opt.Scale)
+	p := sized(opt.Scale, sorSizes)
 	R, C := p.rows+2, p.cols+2 // including boundary
-	grid := allocF64s(sys, R*C)
+	grid := allocWords[float64](sys, R*C)
 	var box errBox
 
 	idx := func(i, j int) int { return i*C + j }
 
-	// sweepRow updates every interior cell of the given color in row i: a
-	// run of cells on views when the pages under their neighbourhoods all
-	// hit, one cell through the accessors when not (a miss, a first write,
-	// a neighbourhood that straddles a page end), then it asks again.
+	// sweepRow updates every interior cell of the given color in row i.
 	sweepRow := func(e *dsm.Env, color, i int) {
-		for j := 1 + (i+color+1)%2; j <= p.cols; j += 2 {
-			ua, ma, da := grid.at(idx(i-1, j)), grid.at(idx(i, j-1)), grid.at(idx(i+1, j))
-			if u, m, d, w := stencilViews(e, ua, ma, da, p.cols+1-j, true); w > 0 {
-				q := (w + 1) / 2
-				sorRow(u, m, d, q)
-				e.Accessed(6 * q)
-				e.Compute(dsm.Time(q) * costStencil)
-				j += 2 * (q - 1)
-				continue
-			}
-			up := e.ReadF64(ua)
-			down := e.ReadF64(da)
-			left := e.ReadF64(ma)
-			right := e.ReadF64(ma + 16)
-			c := e.ReadF64(ma + 8)
-			e.WriteF64(ma+8, c+sorOmega*((up+down+left+right)/4-c))
-			e.Compute(costStencil)
-		}
+		j := 1 + (i+color+1)%2
+		lanes := [4]lane{{a: grid.at(idx(i-1, j))}, {a: grid.at(idx(i, j-1)), halo: 2, write: true}, {a: grid.at(idx(i+1, j))}}
+		eachRun(e, lanes, p.cols+1-j, 2, 6, costStencil,
+			func(v [4][]float64, _, q int) int { sorRow(v[0], v[1], v[2], q); return q },
+			func(x int) {
+				var s [5]float64
+				u, m, d := stencilAt(e, &s, &lanes, x)
+				sorRow(u, m, d, 1)
+				e.WriteF64(lanes[1].at(x)+8, m[1])
+			})
 	}
 
 	// halfSweep updates rows [lo, hi), interior-first when pipelining so
@@ -130,7 +102,7 @@ func BuildSOR(sys *dsm.System, opt Options) *Instance {
 				for j := range row {
 					row[j] = sorInit(i, j, C)
 				}
-				writeF64s(e, grid.at(idx(i, 0)), row, 20)
+				writeWords(e, grid.at(idx(i, 0)), row, 20)
 			}
 		}
 		e.Barrier(0)

@@ -129,18 +129,7 @@ func TestWaterMomentumConservation(t *testing.T) {
 	pos := waterInitPos(n)
 	acc := make([]int64, 3*n)
 	for i := 0; i < n; i++ {
-		for k := 1; k <= n/2; k++ {
-			j := (i + k) % n
-			if 2*k == n && i > j {
-				continue
-			}
-			f := waterPairForce(pos[i], pos[j])
-			for d := 0; d < 3; d++ {
-				q := quantize(f[d])
-				acc[3*i+d] += q
-				acc[3*j+d] -= q
-			}
-		}
+		waterNsqPartners(i, n, func(j int) { addForce(acc, i, j, waterPairForce(pos[i], pos[j])) })
 	}
 	for d := 0; d < 3; d++ {
 		var total int64
@@ -159,17 +148,7 @@ func TestWaterCyclicPairingCoversAllPairs(t *testing.T) {
 	for _, n := range []int{7, 8, 16, 21} {
 		seen := make(map[[2]int]int)
 		for i := 0; i < n; i++ {
-			for k := 1; k <= n/2; k++ {
-				j := (i + k) % n
-				if 2*k == n && i > j {
-					continue
-				}
-				a, b := i, j
-				if a > b {
-					a, b = b, a
-				}
-				seen[[2]int{a, b}]++
-			}
+			waterNsqPartners(i, n, func(j int) { seen[[2]int{min(i, j), max(i, j)}]++ })
 		}
 		want := n * (n - 1) / 2
 		if len(seen) != want {

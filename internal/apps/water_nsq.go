@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"godsm/dsm"
 )
@@ -30,16 +31,9 @@ type waterNsqParams struct {
 	n, steps int
 }
 
-func waterNsqSizes(sc Scale) waterNsqParams {
-	switch sc {
-	case Unit:
-		return waterNsqParams{n: 64, steps: 2}
-	case Small:
-		return waterNsqParams{n: 216, steps: 4}
-	default: // paper: 512 molecules, 9 time steps
-		return waterNsqParams{n: 512, steps: 9}
-	}
-}
+// waterNsqSizes are WATER-NSQ's inputs at each scale; the paper runs 512
+// molecules for 9 time steps.
+var waterNsqSizes = [3]waterNsqParams{{n: 64, steps: 2}, {n: 216, steps: 4}, {n: 512, steps: 9}}
 
 const (
 	waterDt      = 0.002
@@ -92,12 +86,99 @@ func waterPairForce(a, b [3]float64) [3]float64 {
 	return f
 }
 
+// waterMols is what both WATERs keep per molecule — position, velocity and
+// fixed-point force records, molStride words apart — and the force
+// accumulator each processor's threads share (the paper's multithreading
+// change for WATER-NSQ), in plain Go memory: processor-local storage, which
+// the DSM does not manage. Its methods are the steps the two WATERs share.
+type waterMols struct {
+	n        int
+	pos, vel f64s
+	force    i64s
+	procAcc  [][]int64
+}
+
+func newWaterMols(sys *dsm.System, n int) *waterMols {
+	return &waterMols{n: n, pos: allocWords[float64](sys, molStride*n), vel: allocWords[float64](sys, molStride*n),
+		force: allocWords[int64](sys, molStride*n), procAcc: make([][]int64, sys.Cfg.Procs)}
+}
+
+// start gives each processor its accumulator and has thread 0 write the
+// initial positions and zero velocities.
+func (w *waterMols) start(e *dsm.Env, init [][3]float64) {
+	if e.LocalThread() == 0 {
+		w.procAcc[e.ProcID()] = make([]int64, 3*w.n)
+	}
+	if e.ThreadID() == 0 {
+		for i := range w.n {
+			for d := range 3 {
+				e.WriteF64(w.pos.at(molStride*i+d), init[i][d])
+				e.WriteF64(w.vel.at(molStride*i+d), 0)
+			}
+			e.Compute(60)
+		}
+	}
+}
+
+// zero clears the force records of molecules [lo, hi) and, on a processor's
+// thread 0, the processor's accumulator.
+func (w *waterMols) zero(e *dsm.Env, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for d := range 3 {
+			e.WriteI64(w.force.at(molStride*i+d), 0)
+		}
+	}
+	if e.LocalThread() == 0 {
+		clear(w.procAcc[e.ProcID()])
+		e.Compute(dsm.Time(w.n) * 20)
+	}
+}
+
+// block returns the molecules [first, last) of force lock block blk.
+func (w *waterMols) block(blk int) (first, last int) {
+	first = blk * waterNsqBlk
+	return first, min(w.n, first+waterNsqBlk)
+}
+
+// pending reports whether acc holds a contribution for block blk.
+func (w *waterMols) pending(acc []int64, blk int) bool {
+	first, last := w.block(blk)
+	return slices.ContainsFunc(acc[3*first:3*last], func(v int64) bool { return v != 0 })
+}
+
+// merge adds acc's contributions for block blk to the shared force records
+// under the block's lock.
+func (w *waterMols) merge(e *dsm.Env, acc []int64, blk int) {
+	first, last := w.block(blk)
+	e.Lock(waterLockBase + blk)
+	for m := first; m < last; m++ {
+		for d := range 3 {
+			if v := acc[3*m+d]; v != 0 {
+				a := w.force.at(molStride*m + d)
+				e.WriteI64(a, e.ReadI64(a)+v)
+				e.Compute(costKeyOp)
+			}
+		}
+	}
+	e.Unlock(waterLockBase + blk)
+}
+
 func quantize(v float64) int64 { return int64(math.Round(v * waterFPScale)) }
+
+// addForce quantizes the force f of pair (i, j) on i and adds it to i's
+// entries in acc and subtracts it from j's.
+func addForce(acc []int64, i, j int, f [3]float64) {
+	for d := range 3 {
+		q := quantize(f[d])
+		acc[3*i+d] += q
+		acc[3*j+d] -= q
+	}
+}
 
 // readPos reads molecule i's position: one view of three words, or three
 // reads where the view is not there.
-func readPos(e *dsm.Env, pos f64s, i int) [3]float64 {
-	a := pos.at(molStride * i)
+func (w *waterMols) readPos(e *dsm.Env, i int) [3]float64 {
+	a := w.pos.at(molStride * i)
 	if v := e.View(a, 3, false); v != nil {
 		e.Accessed(3)
 		return [3]float64(v)
@@ -108,8 +189,8 @@ func readPos(e *dsm.Env, pos f64s, i int) [3]float64 {
 // integrate advances molecule i one time step under its merged force, with
 // reflective walls: three views of three words (force, velocity, position)
 // when all hit, else each dimension's five accesses through the accessors.
-func integrate(e *dsm.Env, pos, vel f64s, force i64s, i int) {
-	fa, va, pa := force.at(molStride*i), vel.at(molStride*i), pos.at(molStride*i)
+func (w *waterMols) integrate(e *dsm.Env, i int) {
+	fa, va, pa := w.force.at(molStride*i), w.vel.at(molStride*i), w.pos.at(molStride*i)
 	if fs := e.ViewI64(fa, 3, false); fs != nil {
 		if vs := e.View(va, 3, true); vs != nil {
 			if ps := e.View(pa, 3, true); ps != nil {
@@ -146,60 +227,63 @@ func waterStep(f int64, v, x float64) (float64, float64) {
 	return v, x
 }
 
+// verify replays steps of the dynamics from init sequentially — forces adds
+// one step's quantized pair forces at positions ps to acc — and compares the
+// shared positions and velocities with the replay's bitwise.
+func (w *waterMols) verify(e *dsm.Env, name string, init [][3]float64, steps int, forces func(ps [][3]float64, acc []int64)) error {
+	ps, vs := slices.Clone(init), make([][3]float64, w.n)
+	for range steps {
+		acc := make([]int64, 3*w.n)
+		forces(ps, acc)
+		for i := range ps {
+			for d := range 3 {
+				vs[i][d], ps[i][d] = waterStep(acc[3*i+d], vs[i][d], ps[i][d])
+			}
+		}
+	}
+	for i := range w.n {
+		for d := range 3 {
+			gp, gv := e.ReadF64(w.pos.at(molStride*i+d)), e.ReadF64(w.vel.at(molStride*i+d))
+			if gp != ps[i][d] || gv != vs[i][d] {
+				return fmt.Errorf("%s: molecule %d dim %d pos/vel = %v/%v, want %v/%v",
+					name, i, d, gp, gv, ps[i][d], vs[i][d])
+			}
+		}
+	}
+	return nil
+}
+
+// waterNsqPartners calls f for each molecule j that molecule i is paired
+// with: SPLASH-2's pairing for load balance, the n/2 molecules that follow i
+// cyclically, so every thread evaluates the same number of pairs; the
+// diametral pair is owned by min(i, j).
+func waterNsqPartners(i, n int, f func(j int)) {
+	for k := 1; k <= n/2; k++ {
+		if j := (i + k) % n; 2*k != n || i < j {
+			f(j)
+		}
+	}
+}
+
 // BuildWaterNsq constructs the WATER-NSQ application.
 func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
-	p := waterNsqSizes(opt.Scale)
+	p := sized(opt.Scale, waterNsqSizes)
 	n := p.n
-	pos := allocF64s(sys, molStride*n)
-	vel := allocF64s(sys, molStride*n)
-	force := allocI64s(sys, molStride*n) // fixed-point accumulators
+	w := newWaterMols(sys, n)
 	init := waterInitPos(n)
 	var box errBox
 
 	nBlocks := (n + waterNsqBlk - 1) / waterNsqBlk
 
-	// Per-processor force accumulator, shared by the processor's threads —
-	// the paper's WATER-NSQ modification for multithreading ("keep a single
-	// shared copy of the data structure per processor"). Plain Go memory:
-	// it models processor-local storage, which the DSM does not manage.
-	procAcc := make([][]int64, sys.Cfg.Procs)
-
 	run := func(e *dsm.Env) {
-		me := e.ThreadID()
-		nT := e.NumThreads()
-		tpp := nT / e.NumProcs()
+		tpp := e.NumThreads() / e.NumProcs()
 		lo, hi := e.ThreadRange(n)
-		if e.LocalThread() == 0 {
-			procAcc[e.ProcID()] = make([]int64, 3*n)
-		}
-
-		if me == 0 {
-			for i := 0; i < n; i++ {
-				for d := 0; d < 3; d++ {
-					e.WriteF64(pos.at(molStride*i+d), init[i][d])
-					e.WriteF64(vel.at(molStride*i+d), 0)
-				}
-				e.Compute(60)
-			}
-		}
+		w.start(e, init)
 		e.Barrier(0)
 
 		bar := 1
 		for step := 0; step < p.steps; step++ {
-			// Zero the owned force range and (local thread 0) the
-			// processor's shared accumulator.
-			for i := lo; i < hi; i++ {
-				for d := 0; d < 3; d++ {
-					e.WriteI64(force.at(molStride*i+d), 0)
-				}
-			}
-			if e.LocalThread() == 0 {
-				acc := procAcc[e.ProcID()]
-				for i := range acc {
-					acc[i] = 0
-				}
-				e.Compute(dsm.Time(n) * 20)
-			}
+			w.zero(e, lo, hi)
 			e.Barrier(bar)
 			bar++
 
@@ -207,30 +291,17 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 			// whole position array up front (it was scattered across owners
 			// by the previous integration step).
 			if e.Prefetching() {
-				e.PrefetchRange(pos.at(0), 8*molStride*n)
+				e.PrefetchRange(w.pos.at(0), 8*molStride*n)
 			}
 
-			// Pairwise forces into a private accumulator. SPLASH-2 pairing
-			// for load balance: molecule i interacts with the n/2
-			// molecules that follow it cyclically, so every thread
-			// evaluates the same number of pairs.
-			acc := procAcc[e.ProcID()]
+			// Pairwise forces into the processor's accumulator.
+			acc := w.procAcc[e.ProcID()]
 			for i := lo; i < hi; i++ {
-				pi := readPos(e, pos, i)
-				for k := 1; k <= n/2; k++ {
-					j := (i + k) % n
-					if 2*k == n && i > j {
-						continue // the diametral pair is owned by min(i,j)
-					}
-					pj := readPos(e, pos, j)
-					f := waterPairForce(pi, pj)
-					for d := 0; d < 3; d++ {
-						q := quantize(f[d])
-						acc[3*i+d] += q
-						acc[3*j+d] -= q
-					}
+				pi := w.readPos(e, i)
+				waterNsqPartners(i, n, func(j int) {
+					addForce(acc, i, j, waterPairForce(pi, w.readPos(e, j)))
 					e.Compute(costPairForce)
-				}
+				})
 			}
 
 			// All siblings must finish their pairs before the shared
@@ -246,13 +317,10 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 			// taking the current block's lock.
 			start := e.ProcID() * nBlocks / e.NumProcs()
 			pfBlockPages := func(t int) {
-				blk := (start + t) % nBlocks
-				if t >= nBlocks {
-					return
+				if t < nBlocks {
+					first, last := w.block((start + t) % nBlocks)
+					e.PrefetchRange(w.force.at(molStride*first), 8*molStride*(last-first))
 				}
-				first := blk * waterNsqBlk
-				last := min(n, first+waterNsqBlk)
-				e.PrefetchRange(force.at(molStride*first), 8*molStride*(last-first))
 			}
 			if e.Prefetching() {
 				pfBlockPages(e.LocalThread())
@@ -261,27 +329,9 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 				if e.Prefetching() {
 					pfBlockPages(t + tpp)
 				}
-				blk := (start + t) % nBlocks
-				first := blk * waterNsqBlk
-				last := min(n, first+waterNsqBlk)
-				hasWork := false
-				for i := 3 * first; i < 3*last && !hasWork; i++ {
-					hasWork = acc[i] != 0
+				if blk := (start + t) % nBlocks; w.pending(acc, blk) {
+					w.merge(e, acc, blk)
 				}
-				if !hasWork {
-					continue
-				}
-				e.Lock(waterLockBase + blk)
-				for m := first; m < last; m++ {
-					for d := 0; d < 3; d++ {
-						if v := acc[3*m+d]; v != 0 {
-							a := force.at(molStride*m + d)
-							e.WriteI64(a, e.ReadI64(a)+v)
-							e.Compute(costKeyOp)
-						}
-					}
-				}
-				e.Unlock(waterLockBase + blk)
 			}
 			e.Barrier(bar)
 			bar++
@@ -289,65 +339,29 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 			// Integrate owned molecules with reflective walls. The owned
 			// force range was last written by other processors' merges.
 			if e.Prefetching() {
-				e.PrefetchRange(force.at(molStride*lo), 8*molStride*(hi-lo))
+				e.PrefetchRange(w.force.at(molStride*lo), 8*molStride*(hi-lo))
 			}
 			for i := lo; i < hi; i++ {
-				integrate(e, pos, vel, force, i)
+				w.integrate(e, i)
 			}
 			e.Barrier(bar)
 			bar++
 		}
 
-		if me == 0 {
+		if e.ThreadID() == 0 {
 			e.EndMeasurement()
 			if opt.Verify {
-				box.set(waterNsqVerify(e, pos, vel, init, p))
+				// The sequential replay, with the same per-pair
+				// quantization.
+				box.set(w.verify(e, "WATER-NSQ", init, p.steps, func(ps [][3]float64, acc []int64) {
+					for i := range ps {
+						waterNsqPartners(i, n, func(j int) { addForce(acc, i, j, waterPairForce(ps[i], ps[j])) })
+					}
+				}))
 			}
 		}
 		e.Barrier(bar)
 	}
 
 	return &Instance{Name: "WATER-NSQ", Run: run, Err: box.get}
-}
-
-// waterNsqVerify replays the dynamics sequentially with the same per-pair
-// quantization; positions and velocities must match bitwise.
-func waterNsqVerify(e *dsm.Env, pos, vel f64s, init [][3]float64, p waterNsqParams) error {
-	n := p.n
-	ps := make([][3]float64, n)
-	vs := make([][3]float64, n)
-	copy(ps, init)
-	for step := 0; step < p.steps; step++ {
-		acc := make([]int64, 3*n)
-		for i := 0; i < n; i++ {
-			for k := 1; k <= n/2; k++ {
-				j := (i + k) % n
-				if 2*k == n && i > j {
-					continue
-				}
-				f := waterPairForce(ps[i], ps[j])
-				for d := 0; d < 3; d++ {
-					q := quantize(f[d])
-					acc[3*i+d] += q
-					acc[3*j+d] -= q
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			for d := 0; d < 3; d++ {
-				vs[i][d], ps[i][d] = waterStep(acc[3*i+d], vs[i][d], ps[i][d])
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		for d := 0; d < 3; d++ {
-			gp := e.ReadF64(pos.at(molStride*i + d))
-			gv := e.ReadF64(vel.at(molStride*i + d))
-			if gp != ps[i][d] || gv != vs[i][d] {
-				return fmt.Errorf("WATER-NSQ: molecule %d dim %d pos/vel = %v/%v, want %v/%v",
-					i, d, gp, gv, ps[i][d], vs[i][d])
-			}
-		}
-	}
-	return nil
 }
