@@ -29,28 +29,25 @@ import (
 // A page's home tenure is its first and only: an evicted page is burned and
 // never offered home mode again, so every replica sees at most diff -> home
 // -> diff per page. applyMoves checks it (a page with exCover set cannot
-// enter home mode), and the transition machinery, where the two regimes
-// meet, leans on it:
+// enter home mode), and the transitions, where the two regimes meet, lean on
+// it. Both are the chassis fetch (node.go's fetch; DESIGN.md §4, "Fetch")
+// with adp's split, onBase (adpfetch.go):
 //
 //   - diff -> home: intervals closed before the switch left their diffs at
-//     the writers, and none was ever flushed. The home runs a "fill": a
-//     hybrid fetch (below) whose base is its own frame, so every pending is
-//     fetched as a diff and applied; the install declares the frame current
-//     through the switch VC (applied = fillVC). Flushes arriving during the
-//     fill are buffered (xferIn.fill) and replayed after the install, and
-//     remote demand requests park at the home until then.
+//     the writers, and none was ever flushed. The home runs a "fill", a
+//     fetch with every pending on the diff side over its own frame, whose
+//     install declares the frame current through the switch VC (settle).
+//     Flushes arriving meanwhile are buffered (xferIn.fill) and replayed
+//     after the install, and remote demand requests park at the home.
 //   - home -> diff: intervals closed before the switch were flushed to the
 //     home and dropped at the writers — no diff exists for them anywhere.
 //     Every node snapshots the switch VC (exCover); a later fault whose
-//     pending list holds such flush-era intervals runs a "hybrid" fetch: one
-//     whole-page request to the home (whose applied vector covers everything
-//     at or below exCover) installed as a base, plus ordinary diff requests
-//     for the post-switch intervals, applied causally on top. The barrier cut
+//     pending list holds such flush-era intervals is a "hybrid": those are
+//     on the base side, served by the home (whose applied vector covers
+//     everything at or below exCover, and survives the switch), and the
+//     post-switch intervals are diffs applied on top. The barrier cut
 //     guarantees every post-switch interval is causally after every
 //     pre-switch one, so base-then-diffs is a causal order.
-//
-// The home keeps its applied vector after the home -> diff switch, so it can
-// serve flush-era base requests for as long as stale pendings surface.
 type adpCoherence struct {
 	n  *Node
 	hl *hlrcCoherence // the embedded home-based engine (static homes, no tracking)
@@ -109,34 +106,30 @@ func buildADP(n *Node, cfg Spec) Coherence {
 
 func (c *adpCoherence) homeMode(p pagemem.PageID) bool { return c.mode[p] == ModeHome }
 
-// preSwitch returns p's pending intervals that closed at or before the
-// page's home -> diff switch: their diffs were flushed to the home and
-// dropped at the writers, so only the home's frame can resolve them.
-func (c *adpCoherence) preSwitch(p pagemem.PageID) []lrc.IntervalID {
-	ex, ok := c.exCover[p]
-	if !ok {
-		return nil
-	}
-	var old []lrc.IntervalID
+// straddles reports whether some pending interval of p closed at or before
+// the page's home -> diff switch: its diff was flushed to the home and
+// dropped at the writer, so only the home's frame can resolve it.
+func (c *adpCoherence) straddles(p pagemem.PageID) bool {
 	for _, id := range c.n.page(p).pending {
-		if id.Seq <= ex[id.Node] {
-			old = append(old, id)
+		if c.flushEra(p, id) {
+			return true
 		}
 	}
-	return old
+	return false
+}
+
+// flushEra reports whether interval id is at or below p's exCover.
+func (c *adpCoherence) flushEra(p pagemem.PageID, id lrc.IntervalID) bool {
+	ex := c.exCover[p]
+	return ex != nil && id.Seq <= ex[id.Node]
 }
 
 // Fault resolves an access to an invalid page under the page's current mode.
 func (c *adpCoherence) Fault(p pagemem.PageID, onValid func()) {
 	n := c.n
-	if f, ok := n.fetches[p]; ok {
-		f.waiters = append(f.waiters, onValid)
-		return
-	}
-
 	if !c.homeMode(p) {
-		if old := c.preSwitch(p); len(old) > 0 {
-			c.hybridFault(p, old, onValid)
+		if c.straddles(p) {
+			c.hybridFault(p, onValid)
 			return
 		}
 		c.acc.cell(p).faults++
@@ -182,8 +175,8 @@ func (c *adpCoherence) AfterClose(iv *lrc.Interval) {
 	}
 }
 
-// Handle dispatches both engines' message kinds, routing replies that belong
-// to a hybrid fetch (a fill included) to the adaptive completion logic.
+// Handle dispatches both engines' message kinds, after the adaptive layer's
+// own steps for a few of them.
 func (c *adpCoherence) Handle(m *netsim.Message) bool {
 	n := c.n
 	switch pl := m.Payload.(type) {
@@ -196,10 +189,6 @@ func (c *adpCoherence) Handle(m *netsim.Message) bool {
 			// still applies at once.
 			c.hl.xin[pl.Page] = &xferIn{fill: true}
 		}
-		c.hl.handleHomeFlush(pl)
-		if f := n.fetches[pl.Page]; f != nil && f.hybrid {
-			c.tryCompleteHybrid(pl.Page)
-		}
 	case *msgPageReq:
 		// Serving a hybrid base for an evicted page: commit any open local
 		// writes first (interval split), so the served frame holds only
@@ -211,55 +200,22 @@ func (c *adpCoherence) Handle(m *netsim.Message) bool {
 				n.CPU.Service(n.makeOwnDiff(pl.Page), sim.CatDSM)
 			}
 		}
-		c.hl.handlePageReq(pl)
-	case *msgPageReply:
-		if f := n.fetches[pl.Page]; f != nil && f.hybrid && !pl.Prefetch {
-			f.pageData = append([]byte(nil), pl.Data...)
-			c.tryCompleteHybrid(pl.Page)
-			return true
-		}
-		c.hl.handlePageReply(pl)
 	case *msgDiffReply:
-		c.handleDiffReply(pl)
+		// Gather volume is counted here, at the receiver: a node cannot pass
+		// the next barrier until its demand fetches complete, so
+		// receiver-side counts land in the episode that caused them.
+		// (Counting at the server loses the requests it serves after its own
+		// arrival drained its counters.)
+		cl := c.acc.cell(pl.Page)
+		for _, it := range pl.Items {
+			if it.Diff != nil {
+				cl.bytes += int64(it.Diff.DataBytes())
+			}
+		}
 	case *msgHomeXfer:
 		n.pageInvariantf(pl.Page, "node %d got a home transfer under adp (homes are static)", n.ID)
-	default:
-		return c.lc.Handle(m) // diff requests are the diff engine's alone
 	}
-	return true
-}
-
-// handleDiffReply routes an arriving diff reply. Replies feeding a hybrid
-// fetch complete through the adaptive logic; a stale prefetch
-// reply racing a home-mode whole-page fetch is banked (stored, inflight
-// decremented) without touching that fetch's bookkeeping, whose needs are
-// interval coverage, not diffs.
-func (c *adpCoherence) handleDiffReply(rep *msgDiffReply) {
-	n := c.n
-	// Gather volume is counted here, at the receiver: a node cannot pass the
-	// next barrier until its demand fetches complete, so receiver-side counts
-	// land in the episode that caused them. (Counting at the server loses the
-	// requests it serves after its own arrival drained its counters.)
-	cl := c.acc.cell(rep.Page)
-	for _, it := range rep.Items {
-		if it.Diff != nil {
-			cl.bytes += int64(it.Diff.DataBytes())
-		}
-	}
-	f := n.fetches[rep.Page]
-	if f != nil && f.hybrid {
-		n.bankDiffs(rep)
-		for _, it := range rep.Items {
-			f.needed.remove(it.ID)
-		}
-		c.tryCompleteHybrid(rep.Page)
-		return
-	}
-	if f != nil && c.homeMode(rep.Page) {
-		n.bankDiffs(rep)
-		return
-	}
-	c.lc.handleDiffReply(rep)
+	return c.hl.Handle(m) || c.lc.Handle(m)
 }
 
 // Prefetch dispatches to the engine matching the page's mode: a whole-page
@@ -273,7 +229,7 @@ func (c *adpCoherence) Prefetch(p pagemem.PageID) int {
 	switch {
 	case c.homeMode(p):
 		sent = c.hl.Prefetch(p)
-	case len(c.preSwitch(p)) > 0:
+	case c.straddles(p):
 		// Flush-era pendings have no writer-held diffs; a diff prefetch
 		// would ask the writers for diffs they dropped at flush time. The
 		// demand fault resolves these through the hybrid path instead.

@@ -141,7 +141,7 @@ func (tb *treeBarrier) arrive(a *msgBarArrive) {
 
 	cost := n.C.BarrierMgr
 	for _, iv := range a.Ivs {
-		cost += n.recordDeferred(iv)
+		cost += n.record(iv, true)
 	}
 	tb.accIvs = append(tb.accIvs, a.Ivs...)
 	tb.accAcc = append(tb.accAcc, a.Acc...)

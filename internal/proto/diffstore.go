@@ -104,29 +104,6 @@ func (n *Node) makeOwnDiff(p pagemem.PageID) sim.Time {
 	return cost
 }
 
-// applyPending applies every pending diff for p, in causal order, to the
-// local frame. All pending diffs must be present locally. Returns the CPU
-// cost.
-//
-// If the page is locally dirty, the node's own modifications are committed
-// as a diff FIRST (TreadMarks's rule). Otherwise later local writes —
-// which may causally depend on the remote data being applied now — would
-// ride in the old (concurrent) interval's lazily-created diff, and a third
-// node applying diffs in causal order would order the dependency backwards.
-func (n *Node) applyPending(p pagemem.PageID) sim.Time {
-	ps := n.page(p)
-	if len(ps.pending) == 0 {
-		return 0
-	}
-	var cost sim.Time
-	if ps.twinned {
-		cost += n.makeOwnDiff(p)
-	}
-	cost += n.applyDiffs(p, ps.pending)
-	ps.pending = ps.pending[:0]
-	return cost
-}
-
 // applyDiffs applies the stored diffs of the given pending intervals to p's
 // frame in causal order and returns the CPU cost. It leaves the pending list
 // alone: a caller that applies a subset resolves the rest by other means.

@@ -224,7 +224,7 @@ func (g *gossiper) drain() sim.Time {
 			switch {
 			case iv.ID.Seq <= n.vc[q]:
 			case g.closed(iv):
-				cost += n.recordInterval(iv)
+				cost += n.record(iv, false)
 				n.vc[q] = iv.ID.Seq
 				progress = true
 			default:

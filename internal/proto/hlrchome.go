@@ -1,8 +1,6 @@
 package proto
 
 import (
-	"slices"
-
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
@@ -69,7 +67,7 @@ func (c *hlrcCoherence) handleHomeFlush(fl *msgHomeFlush) {
 		return
 	}
 	c.serveParked(p)
-	c.completeHomeFetch(p, done)
+	n.tryComplete(p, 0, done)
 }
 
 // servable reports whether the frame holds everything req asks for: the
@@ -106,36 +104,6 @@ func (c *hlrcCoherence) serveParked(p pagemem.PageID) {
 	} else {
 		c.parked[p] = still
 	}
-}
-
-// completeHomeFetch finishes a home node's own parked fault once flush
-// arrivals cover everything pending. No data moves: the frame is already
-// current; only the pending list empties.
-func (c *hlrcCoherence) completeHomeFetch(p pagemem.PageID, done sim.Time) {
-	n := c.n
-	f, ok := n.fetches[p]
-	if !ok || f.hybrid {
-		// The adaptive backend's hybrid fetches track needs the coverage
-		// rule here would misread; adpfetch.go owns their completion.
-		return
-	}
-	f.needed = slices.DeleteFunc(f.needed, func(id lrc.IntervalID) bool { return c.covered(p, id) })
-	if len(f.needed) > 0 {
-		return
-	}
-	ps := n.page(p)
-	fresh := false
-	for _, id := range ps.pending {
-		if !c.covered(p, id) {
-			f.needed.add(id)
-			fresh = true
-		}
-	}
-	if fresh {
-		return
-	}
-	ps.pending = ps.pending[:0]
-	n.finishFetch(f, done)
 }
 
 // handlePageReq serves a page request at the home. Demand requests park

@@ -178,7 +178,7 @@ func (c *hlrcCoherence) installXfer(p pagemem.PageID, st *xferIn) {
 		}
 	}
 	c.serveParked(p)
-	c.completeHomeFetch(p, done)
+	n.tryComplete(p, 0, done)
 }
 
 // episodeAcc drains this node's per-page counters for a barrier arrival,

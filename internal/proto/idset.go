@@ -34,8 +34,6 @@ func (s *idSet) remove(id lrc.IntervalID) bool {
 	return i >= 0
 }
 
-func (s idSet) clone() idSet { return slices.Clone(s) }
-
 // anyOutside reports whether some id is not in set.
 func anyOutside(ids []lrc.IntervalID, set idSet) bool {
 	for _, id := range ids {

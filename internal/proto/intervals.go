@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"sort"
 
 	"godsm/internal/event"
@@ -49,30 +50,45 @@ func (n *Node) closeInterval() *lrc.Interval {
 	return iv
 }
 
-// recordInterval adds a received interval record and invalidates the pages
-// it names. Duplicate records are ignored, except that a record previously
-// taken in deferred (server role — see recordDeferred) is invalidated now.
-// Returns the CPU cost to charge.
-func (n *Node) recordInterval(iv *lrc.Interval) sim.Time {
+// record adds a received interval record and, unless deferred, invalidates
+// the pages it names; it returns the CPU cost to charge. Duplicate records
+// are ignored, except that a record taken in deferred earlier is
+// invalidated now.
+//
+// The barrier manager takes arrival intervals in deferred: acting as a
+// server, it must be able to forward the records at release, but its own
+// memory view must not change until it passes the barrier itself —
+// otherwise diffs applied mid-critical-section would not be covered by its
+// next interval's vector time, and third-party readers would order
+// dependent writes backwards. flushDeferred performs the postponed
+// invalidations.
+func (n *Node) record(iv *lrc.Interval, deferred bool) sim.Time {
 	q := iv.ID.Node
 	if q == n.ID {
 		return 0 // our own intervals are always already recorded
 	}
 	idx := int(iv.ID.Seq) - 1
-	for len(n.ivs[q]) <= idx {
-		n.ivs[q] = append(n.ivs[q], nil)
+	if len(n.ivs[q]) <= idx {
+		n.ivs[q] = slices.Grow(n.ivs[q], idx+1-len(n.ivs[q]))[:idx+1]
 	}
+	cost := n.C.NoticeProc * sim.Time(1+len(iv.Pages))
 	if n.ivs[q][idx] != nil {
-		if n.deferredSet.remove(iv.ID) {
+		// Already recorded, through a sync path or deferred.
+		if !deferred && n.deferredSet.remove(iv.ID) {
 			n.invalidate(iv)
-			return n.C.NoticeProc * sim.Time(1+len(iv.Pages))
+			return cost
 		}
 		return 0
 	}
 	n.ivs[q][idx] = iv
 	n.bus.Emit(event.NoticeIn(n.ID, iv.ID.Node, iv.ID.Seq, len(iv.Pages)))
-	n.invalidate(iv)
-	return n.C.NoticeProc * sim.Time(1+len(iv.Pages))
+	if deferred {
+		n.deferredSet.add(iv.ID)
+		n.deferredInval = append(n.deferredInval, iv)
+	} else {
+		n.invalidate(iv)
+	}
+	return cost
 }
 
 // invalidate marks iv's pages pending at this node. The coherence policy's
@@ -87,32 +103,6 @@ func (n *Node) invalidate(iv *lrc.Interval) {
 		ps := n.page(p)
 		ps.pending = append(ps.pending, iv.ID)
 	}
-}
-
-// recordDeferred stores an interval record WITHOUT invalidating local pages.
-// The barrier manager uses it for arrival intervals: acting as a server, it
-// must be able to forward the records at release, but its own memory view
-// must not change until it passes the barrier itself — otherwise diffs
-// applied mid-critical-section would not be covered by its next interval's
-// vector time, and third-party readers would order dependent writes
-// backwards. flushDeferred performs the postponed invalidations.
-func (n *Node) recordDeferred(iv *lrc.Interval) sim.Time {
-	q := iv.ID.Node
-	if q == n.ID {
-		return 0
-	}
-	idx := int(iv.ID.Seq) - 1
-	for len(n.ivs[q]) <= idx {
-		n.ivs[q] = append(n.ivs[q], nil)
-	}
-	if n.ivs[q][idx] != nil {
-		return 0 // already recorded (and invalidated) through a sync path
-	}
-	n.ivs[q][idx] = iv
-	n.bus.Emit(event.NoticeIn(n.ID, iv.ID.Node, iv.ID.Seq, len(iv.Pages)))
-	n.deferredSet.add(iv.ID)
-	n.deferredInval = append(n.deferredInval, iv)
-	return n.C.NoticeProc * sim.Time(1+len(iv.Pages))
 }
 
 // flushDeferred invalidates every deferred record that has not been
@@ -133,7 +123,7 @@ func (n *Node) flushDeferred() {
 func (n *Node) intake(ivs []*lrc.Interval, v lrc.VC) sim.Time {
 	var cost sim.Time
 	for _, iv := range ivs {
-		cost += n.recordInterval(iv)
+		cost += n.record(iv, false)
 	}
 	n.vc.Merge(v)
 	n.checkContiguity()

@@ -20,18 +20,11 @@ type lrcCoherence struct {
 	throttle pfThrottle // Section 5.1 prefetch throttling
 }
 
-// Fault resolves an access to an invalid page. onValid runs (in kernel
-// context) once the page is valid; the caller is expected to park the
-// faulting thread until then. Concurrent faults on the same page join the
-// in-flight fetch (request combining). Must be called from kernel context
-// with the page invalid.
+// Fault resolves an access to an invalid page by fetching the missing diffs
+// from their creators; onValid runs (in kernel context) once the page is
+// valid, and the caller parks the faulting thread until then.
 func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	n := c.n
-	if f, ok := n.fetches[p]; ok {
-		f.waiters = append(f.waiters, onValid)
-		return
-	}
-
 	missing := n.missingDiffs(p)
 	outcome := n.takePf(p, missing)
 
@@ -42,20 +35,23 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 			outcome = event.OutcomePfHit
 		}
 		n.bus.Emit(event.FaultLocal(n.ID, int64(p), outcome))
-		cost := n.C.FaultEntry + n.applyPending(p)
+		cost := n.C.FaultEntry + n.install(p, nil, -1, n.page(p).pending)
 		done := n.CPU.Service(cost, sim.CatDSM)
 		n.K.At(done, onValid)
 		return
 	}
 
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(missing)))
-	c.issueDiffRequests(n.startFetch(p, missing, onValid), missing, n.C.FaultEntry)
+	// The fault has listed the missing diffs already: ask for them here
+	// rather than have the first tryComplete scan the page's diffs again.
+	f := &fetch{page: p, waiters: []func(){onValid}}
+	n.openFetch(f)
+	n.askDiffs(f, n.C.FaultEntry, missing)
 }
 
 // diffReqs builds one diff request for page p per distinct creator of the
 // wanted intervals: a demand request, or a prefetch datagram.
-func (c *lrcCoherence) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
-	n := c.n
+func (n *Node) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
 	kind := KindDiffReq
 	if prefetch {
 		kind = KindPfReq
@@ -66,20 +62,6 @@ func (c *lrcCoherence) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetc
 			&msgDiffReq{From: n.ID, Page: p, Wants: g, Prefetch: prefetch}))
 	}
 	return msgs
-}
-
-// issueDiffRequests asks the creators of the missing intervals for their
-// diffs on f's behalf, charging extraCost plus per-message send cost.
-func (c *lrcCoherence) issueDiffRequests(f *fetch, missing []lrc.IntervalID, extraCost sim.Time) {
-	n := c.n
-	for _, id := range missing {
-		f.needed.add(id)
-	}
-	msgs := c.diffReqs(f.page, missing, false)
-	done := n.CPU.Service(extraCost+sim.Time(len(msgs))*n.C.MsgSend, sim.CatDSM)
-	for _, m := range msgs {
-		n.sendAfter(done, m)
-	}
 }
 
 // Prefetch issues a non-binding prefetch for page p: the missing diffs are
@@ -95,7 +77,7 @@ func (c *lrcCoherence) Prefetch(p pagemem.PageID) int {
 	if len(missing) == 0 {
 		return n.dropPrefetch(event.PfUnnecessary(n.ID, int64(p)))
 	}
-	return n.issuePrefetch(p, missing, c.diffReqs(p, missing, true)...)
+	return n.issuePrefetch(p, missing, n.diffReqs(p, missing, true)...)
 }
 
 // groupByNode buckets interval ids by creator: one group per creator, in
@@ -151,29 +133,24 @@ func (c *lrcCoherence) handleDiffReq(req *msgDiffReq) {
 		&msgDiffReply{Page: req.Page, Items: items, Prefetch: req.Prefetch}))
 }
 
-// handleDiffReply stores arriving diffs and completes any in-flight demand
-// fetch they satisfy.
+// handleDiffReply stores arriving diffs and advances the in-flight fetch of
+// their page, demand or prefetch reply alike: a diff that lands through a
+// prefetch is as good as the one asked for. Only the diff side's asks are
+// answered here; a stale prefetch reply naming a base-side interval leaves
+// the base's ask outstanding.
 func (c *lrcCoherence) handleDiffReply(rep *msgDiffReply) {
 	n := c.n
 	n.bankDiffs(rep)
-	f, ok := n.fetches[rep.Page]
-	if !ok {
+	f := n.fetches[rep.Page]
+	if f == nil {
 		return
 	}
 	for _, it := range rep.Items {
-		f.needed.remove(it.ID)
+		if !n.coh.onBase(f, it.ID) {
+			f.needed.remove(it.ID)
+		}
 	}
-	if len(f.needed) > 0 {
-		return
-	}
-	// All requested diffs arrived — but new write notices may have been
-	// taken in while we waited (another thread acquiring a lock); if so,
-	// keep fetching.
-	if missing := n.missingDiffs(f.page); len(missing) > 0 {
-		c.issueDiffRequests(f, missing, 0)
-		return
-	}
-	n.finishFetch(f, n.CPU.Service(n.applyPending(f.page), sim.CatDSM))
+	n.tryComplete(rep.Page, 0, 0)
 }
 
 // AfterClose publishes the just-closed interval's write notices: to the
@@ -210,12 +187,15 @@ func (c *lrcCoherence) broadcastNotice(iv *lrc.Interval) {
 func (c *lrcCoherence) handleEagerNotice(m *msgEagerNotice) {
 	n := c.n
 	iv := m.Iv
-	cost := n.recordInterval(iv)
+	cost := n.record(iv, false)
 	if n.vc[iv.ID.Node] < iv.ID.Seq {
 		n.vc[iv.ID.Node] = iv.ID.Seq
 	}
 	n.CPU.Service(cost, sim.CatDSM)
 }
+
+// Every interval of a diff-based fetch is on the diff side.
+func (c *lrcCoherence) onBase(*fetch, lrc.IntervalID) bool { return false }
 
 // The diff-based engine adapts nothing at barrier episodes.
 func (c *lrcCoherence) episodeAcc() []PageAcc            { return nil }

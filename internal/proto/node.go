@@ -18,8 +18,9 @@
 //
 //	protocol.go   Spec and the policy seam: Coherence
 //	registry.go   the backend table (Lookup/Names), Spec.Validate, builders
-//	node.go       the Node chassis: construction, page table, fetch
-//	              lifecycle (startFetch/takePf/finishFetch), dispatch
+//	node.go       the Node chassis: construction, page table, the fetch
+//	              (startFetch/tryComplete/askDiffs/install, takePf),
+//	              dispatch
 //	messages.go   the wire module: kind table, payload types and their wire
 //	              sizes, the one message constructor
 //	costs.go      CPU cost model and the charging send helpers (post)
@@ -37,13 +38,13 @@
 //	gc.go         lrcGC: diff garbage collection (threshold 0 = never)
 //	hlrc.go       hlrcCoherence: protocol overview, state, release flush
 //	hlrchome.go   hlrc home side: flush apply, parked requests, page serve
-//	hlrcfault.go  hlrc requester side: whole-page fetch, home-local faults
+//	hlrcfault.go  hlrc requester side: faults, page requests and replies
 //	hlrcpf.go     hlrc whole-page prefetch and its cache
 //	homepolicy.go pluggable page→home policies, episode access counters
 //	homemigrate.go home moves: the cut, drain-then-ship, install (dynamic)
 //	adp.go        adpCoherence: modes, fault and message routing
 //	adpdecide.go  adp's decide rule and lockstep mode flips
-//	adpfetch.go   adp's transition fetch: the hybrid (base + diffs), a fill included
+//	adpfetch.go   adp's split of a fetch, the hybrid fault and the fill
 //	errors.go     InvariantError and deterministic failure dumps
 //
 // Each simulated processor owns one Node. Nodes communicate only through
@@ -52,6 +53,8 @@
 package proto
 
 import (
+	"slices"
+
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/netsim"
@@ -88,6 +91,11 @@ type Node struct {
 	// type assertion out of the per-notice loop; nil when coh has none.
 	nf noticeFilter
 
+	// hl is the home-based engine that serves a fetch's base side (hlrc's,
+	// or the one adp embeds); nil under the diff-based backends, whose
+	// fetches are all diffs.
+	hl *hlrcCoherence
+
 	// Lazy release consistency state.
 	vc  lrc.VC
 	ivs [][]*lrc.Interval // ivs[node][seq-1]: all known interval records
@@ -98,9 +106,11 @@ type Node struct {
 	// untouched entry and a missing leaf read the same.
 	pages pagemem.Table[pageState]
 
-	// Scratch for the fault path's two short lists (missingDiffs,
-	// applyDiffs), reused so that a fault allocates neither.
+	// Scratch for the fault path's short lists (missingDiffs and
+	// tryComplete's asks, tryComplete's diff side, applyDiffs), reused so
+	// that a fault allocates none of them.
 	missScratch []lrc.IntervalID
+	diffScratch []lrc.IntervalID
 	ivScratch   []*lrc.Interval
 
 	// Pages twinned during the current (open) interval; becomes the next
@@ -118,8 +128,8 @@ type Node struct {
 	pfHeap    int64 // bytes in the prefetch cache (the "separate heap")
 	diffBytes int64 // bytes of ordinary stored diffs (GC accounting)
 
-	// Deferred invalidations (barrier-manager server role; see
-	// recordDeferred in intervals.go).
+	// Deferred invalidations (barrier-manager server role; see record in
+	// intervals.go).
 	deferredInval []*lrc.Interval
 	deferredSet   idSet
 
@@ -165,24 +175,42 @@ type pageState struct {
 	diffs []heldDiff
 }
 
+// fetch is one in-flight fetch of a page (DESIGN.md §4, "Fetch"). Each
+// pending interval of the page is resolved on one of two sides. It is on the
+// base side when a copy of the page covers it: the home's reply, or — at the
+// home — the local frame once covered says so. It is on the diff side when
+// its writer's diff, stored here, covers it. The backend only decides the
+// split (Coherence.onBase): lrc puts everything on the diff side, hlrc
+// everything on the base side, adp splits a page evicted from home mode at
+// its exCover, and a fill is all diffs on the local frame. tryComplete does
+// the rest.
 type fetch struct {
 	page    pagemem.PageID
-	needed  idSet
 	waiters []func()
 	start   sim.Time
 
-	// asked is every interval id a whole-page fetch has requested from the
-	// home so far; it grows across re-requests (hlrcfault.go).
-	asked idSet
+	// needed holds the asked ids whose diff or covering copy has not
+	// arrived; nothing more is asked while it is non-empty. asked holds
+	// every base-side id requested from the home so far (a diff-side id is
+	// asked until its diff is stored, so needed says all there is).
+	needed idSet
+	asked  idSet
 
-	// Adaptive-backend state (zero elsewhere): whether this fetch combines a
-	// home copy with diff requests, the whole-page snapshot it installs
-	// before its diffs, and — for a home-elect's fill, the hybrid whose base
-	// is the local frame — the switch-time VC the frame covers once the
-	// fetch installs (adpfetch.go).
-	pageData []byte
-	hybrid   bool
-	fillVC   lrc.VC
+	// base is the newest copy the home sent, nil until one arrives; each
+	// reply's copy covers everything an earlier one did, since the home's
+	// frame only grows.
+	base []byte
+
+	// atFlush: the fetch completes at the done of the flush that covers it,
+	// taken before that flush's handler serves the requests it unparks,
+	// rather than when its own install's CPU work does. Set for hlrc's home
+	// wait, whose install is empty; every other fetch reads the clock after
+	// whatever the completing handler posted first.
+	atFlush bool
+
+	// fillVC is set on an adp fill: the switch-time vector time the frame
+	// covers, as the page's home copy, once the fill installs (adpfetch.go).
+	fillVC lrc.VC
 }
 
 type pfState struct {
@@ -190,29 +218,144 @@ type pfState struct {
 	inflight  int   // outstanding request messages
 }
 
-// startFetch registers the in-flight fetch for page p, born now, waiting on
-// the needed intervals.
-func (n *Node) startFetch(p pagemem.PageID, needed []lrc.IntervalID, waiters ...func()) *fetch {
-	f := &fetch{page: p, needed: make(idSet, 0, len(needed)), waiters: waiters, start: n.K.Now()}
-	for _, id := range needed {
-		f.needed.add(id)
-	}
-	n.fetches[p] = f
-	return f
+// startFetch registers f, born now, as its page's in-flight fetch and
+// advances it, charging entry (the fault's entry cost) with whatever the
+// first tryComplete asks.
+func (n *Node) startFetch(f *fetch, entry sim.Time) {
+	n.openFetch(f)
+	n.tryComplete(f.page, entry, 0)
 }
 
-// finishFetch retires f once its page is valid: the fetch leaves the table
-// and its waiters run (in kernel context) at done, when the CPU work that
-// validated the page completes.
-func (n *Node) finishFetch(f *fetch, done sim.Time) {
-	delete(n.fetches, f.page)
-	n.bus.Emit(event.FetchDone(n.ID, int64(f.page), done-f.start))
-	waiters := f.waiters
+// openFetch registers f, born now, as its page's in-flight fetch.
+func (n *Node) openFetch(f *fetch) {
+	f.start = n.K.Now()
+	n.fetches[f.page] = f
+}
+
+// tryComplete advances p's in-flight fetch, if any, after whatever might
+// have changed it: a reply, a flush, the fetch's start. While an ask is
+// outstanding nothing can change: the asked interval is still lacking, and
+// nothing more is asked until it lands. Otherwise it re-derives the split
+// from p's pending list. While the base side lacks something the diffs wait,
+// since they apply on top of the base; the side being collected asks for
+// every id neither held nor asked yet. Once both sides are satisfied it
+// installs and completes the fetch. entry is CPU work to charge first;
+// flushDone is the done of the covering flush when a flush or a home
+// transfer calls (atFlush).
+func (n *Node) tryComplete(p pagemem.PageID, entry, flushDone sim.Time) {
+	f := n.fetches[p]
+	if f == nil || len(f.needed) > 0 {
+		return
+	}
+	ps := n.page(p)
+	home := -1       // p's home, once some interval is on the base side
+	waiting := false // the base is the local frame, and a flush is missing
+	ask := n.missScratch[:0]
+	for _, id := range ps.pending {
+		if !n.coh.onBase(f, id) {
+			continue
+		}
+		if home < 0 {
+			home = n.hl.home(p)
+		}
+		if home == n.ID {
+			waiting = waiting || !n.hl.covered(p, id)
+		} else if !f.asked.has(id) {
+			ask = append(ask, id)
+		}
+	}
+	baseLacks := waiting || len(ask) > 0
+	diffs := n.diffScratch[:0]
+	for _, id := range ps.pending {
+		if baseLacks || n.coh.onBase(f, id) {
+			continue
+		}
+		diffs = append(diffs, id)
+		if _, ok := ps.held(id); !ok {
+			ask = append(ask, id)
+		}
+	}
+	n.missScratch, n.diffScratch = ask, diffs
+	if len(ask) > 0 {
+		if baseLacks {
+			f.needed = append(f.needed, ask...)
+			f.asked = append(f.asked, ask...)
+			n.post(entry, n.hl.pageReq(p, slices.Clone(ask), false))
+			return
+		}
+		n.askDiffs(f, entry, ask)
+		return
+	}
+	if entry > 0 {
+		n.CPU.Service(entry, sim.CatDSM)
+	}
+	if waiting {
+		return
+	}
+	cost := n.install(p, f.base, home, diffs)
+	done := flushDone
+	if !f.atFlush {
+		done = n.CPU.Service(cost, sim.CatDSM)
+	}
+	// The fetch leaves the table before a fill's replay, whose flushes call
+	// here; its waiters run (in kernel context) at done.
+	delete(n.fetches, p)
+	if f.fillVC != nil {
+		n.hl.settle(p, f.fillVC)
+	}
+	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
 	n.K.At(done, func() {
-		for _, w := range waiters {
+		for _, w := range f.waiters {
 			w()
 		}
 	})
+}
+
+// askDiffs asks the writers of ids for their diffs on f's behalf, one
+// request per writer, charging entry with the sends.
+func (n *Node) askDiffs(f *fetch, entry sim.Time, ids []lrc.IntervalID) {
+	f.needed = append(f.needed, ids...)
+	msgs := n.diffReqs(f.page, ids, false)
+	done := n.CPU.Service(entry+sim.Time(len(msgs))*n.C.MsgSend, sim.CatDSM)
+	for _, m := range msgs {
+		n.sendAfter(done, m)
+	}
+}
+
+// install validates p from base — a copy of the page, nil when the frame is
+// the base already; from names the home that sent it, or is -1 for a copy
+// that was not fetched now — and the stored diffs of ids, and returns the
+// CPU cost. If the install writes the frame, open local writes are committed
+// as a diff first (TreadMarks's rule: otherwise later local writes, which
+// may causally depend on the data applied now, would ride in the older
+// concurrent interval's lazily made diff, and a third node applying diffs
+// in causal order would order the dependency backwards). The base goes
+// down, the diffs apply causally on top, and the local writes are re-applied
+// over a copied base last: they are concurrent with everything the install
+// brings, hence byte-disjoint under race freedom.
+func (n *Node) install(p pagemem.PageID, base []byte, from int, ids []lrc.IntervalID) sim.Time {
+	ps := n.page(p)
+	var cost sim.Time
+	var lm *pagemem.Diff
+	if ps.twinned && (base != nil || len(ids) > 0) {
+		if base != nil {
+			lm = pagemem.MakeDiff(p, n.Store.Twin(p), n.Store.Frame(p))
+		}
+		cost += n.makeOwnDiff(p)
+	}
+	if base != nil {
+		copy(n.Store.Frame(p), base)
+		if from >= 0 {
+			n.bus.Emit(event.HomeFetch(n.ID, from, int64(p), pagemem.PageSize))
+		}
+		cost += n.C.DiffApply + sim.Time(n.C.ApplyNs*float64(pagemem.PageSize))
+	}
+	cost += n.applyDiffs(p, ids)
+	if !lm.Empty() {
+		lm.Apply(n.Store.Frame(p))
+	}
+	ps.pending = ps.pending[:0]
+	return cost
 }
 
 // takePf removes p's prefetch bookkeeping at a fault and classifies the
@@ -328,11 +471,16 @@ func (n *Node) EnsureWritable(p pagemem.PageID) {
 	n.CPU.Service(n.C.TwinMake, sim.CatDSM)
 }
 
-// Fault resolves an access to an invalid page through the backend's
-// coherence policy. See Coherence.Fault.
+// Fault resolves an access to an invalid page: a fault on a page already
+// being fetched joins that fetch (request combining), any other goes to the
+// backend's coherence policy. See Coherence.Fault.
 func (n *Node) Fault(p pagemem.PageID, onValid func()) {
 	if n.PageValid(p) {
 		n.pageInvariantf(p, "Fault on valid page %d", p)
+	}
+	if f := n.fetches[p]; f != nil {
+		f.waiters = append(f.waiters, onValid)
+		return
 	}
 	n.coh.Fault(p, onValid)
 }

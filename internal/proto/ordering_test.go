@@ -207,8 +207,8 @@ func TestADPEarlyFlushWaitsForTheFill(t *testing.T) {
 	want := r.nodes[1].vc.Clone() // the switch VC...
 	want[2] = iv.ID.Seq           // ...and the flush replayed on top
 	r.adp(1).applyMoves(toHome)
-	if f := r.nodes[1].fetches[pg1]; f == nil || !f.hybrid || len(f.needed) != 1 {
-		t.Fatalf("the fill is the fetch %+v, want a hybrid waiting for node 0's diff", f)
+	if f := r.nodes[1].fetches[pg1]; f == nil || f.fillVC == nil || f.atFlush || len(f.needed) != 1 {
+		t.Fatalf("the fill is the fetch %+v, want a fill on its own install waiting for node 0's diff", f)
 	}
 	r.k.Run()
 	if got := r.read(1, page0); got != 2 || !slices.Equal(hl.applied[pg1], want) || hl.xin[pg1] != nil {

@@ -121,6 +121,12 @@ type Coherence interface {
 	// reports false for a payload the backend does not know.
 	Handle(m *netsim.Message) bool
 
+	// onBase places pending interval id of f's page on the fetch's base
+	// side, resolved by a copy of the page, rather than on its diff side,
+	// resolved by the writer's diff: the one decision a fetch leaves to the
+	// backend (node.go, fetch).
+	onBase(f *fetch, id lrc.IntervalID) bool
+
 	// The barrier's hooks for backends whose page→home or page→mode
 	// assignment adapts at episode boundaries (a fixed backend reports and
 	// decides nothing): episodeAcc drains this node's access counters for

@@ -131,8 +131,9 @@ func validateHLRC(cfg Spec) error {
 	return nil
 }
 
-// newHLRC builds the home-based engine. The adaptive backend embeds one
-// with the static policy and tracking off (it counts at its own layer).
+// newHLRC builds the home-based engine, which serves the node's fetches
+// their base side (Node.hl). The adaptive backend embeds one with the static
+// policy and tracking off (it counts at its own layer).
 func newHLRC(n *Node, cfg Spec, policy HomePolicy) *hlrcCoherence {
 	coh := &hlrcCoherence{
 		n: n, throttle: pfThrottle{every: cfg.ThrottlePf},
@@ -149,6 +150,7 @@ func newHLRC(n *Node, cfg Spec, policy HomePolicy) *hlrcCoherence {
 		coh.xin = make(map[pagemem.PageID]*xferIn)
 		coh.out = make(map[pagemem.PageID]*xferOut)
 	}
+	n.hl = coh
 	return coh
 }
 
