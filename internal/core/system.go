@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"godsm/internal/lrc"
 	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/proto"
@@ -149,9 +150,10 @@ func NewSystem(cfg Config) *System {
 	// emit at the point something happens and the collector folds the events
 	// into NodeSt, so counters and traces can never disagree.
 	s.K.Bus().Subscribe(stats.NewCollector(s.NodeSt))
+	log := make([][]*lrc.Interval, cfg.Procs) // the machine's interval log, shared by its nodes
 	for i := 0; i < cfg.Procs; i++ {
 		cpu := sim.NewCPU(s.K)
-		node := proto.NewNode(i, cfg.Procs, s.K, cpu, &cfg.Costs, cfg.Spec)
+		node := proto.NewNode(i, log, s.K, cpu, &cfg.Costs, cfg.Spec)
 		node.Send = s.Net.Send
 		node.SetMT(cfg.MT())
 		if cfg.Net.Faults.Active() {

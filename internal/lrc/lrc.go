@@ -73,11 +73,21 @@ type IntervalID struct {
 
 // Interval is the metadata a processor publishes about one of its
 // intervals: its identity, the creator's vector timestamp at creation, and
-// the pages written during it (the write notices).
+// the pages written during it (the write notices). Build one with
+// NewInterval, which computes the causal sort key once.
 type Interval struct {
 	ID    IntervalID
 	VC    VC // creator's vector time when the interval began
 	Pages []pagemem.PageID
+
+	sum int64 // SortCausally's key: the sum of VC's entries
+}
+
+// NewInterval returns the record of interval id, created at vector time vc,
+// which wrote pages. The record keeps vc and pages; callers hand over their
+// own copies.
+func NewInterval(id IntervalID, vc VC, pages []pagemem.PageID) *Interval {
+	return &Interval{ID: id, VC: vc, Pages: pages, sum: vcSum(vc)}
 }
 
 // HappensBefore reports whether interval a happened before interval b under
@@ -109,33 +119,18 @@ func Concurrent(a, b *Interval) bool {
 // coordinate, so sum(b.VC) > sum(a.VC).
 //
 // (sum, Node, Seq) is a strict total order — no two intervals share an id —
-// so the result does not depend on the input order, and each interval's sum
-// is computed once, not per comparison: a sum is O(N) in the machine's width.
+// so the result does not depend on the input order. The sum is O(N) in the
+// machine's width, so NewInterval computes it once per record, not per sort.
 func SortCausally(ivs []*Interval) {
-	if len(ivs) < 2 {
-		return
-	}
-	type keyed struct {
-		sum int64
-		iv  *Interval
-	}
-	var buf [8]keyed // a page's pending intervals are few: no allocation
-	ks := buf[:0]
-	for _, iv := range ivs {
-		ks = append(ks, keyed{vcSum(iv), iv})
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
+	slices.SortFunc(ivs, func(a, b *Interval) int {
 		return cmp.Or(cmp.Compare(a.sum, b.sum),
-			cmp.Compare(a.iv.ID.Node, b.iv.ID.Node), cmp.Compare(a.iv.ID.Seq, b.iv.ID.Seq))
+			cmp.Compare(a.ID.Node, b.ID.Node), cmp.Compare(a.ID.Seq, b.ID.Seq))
 	})
-	for i, k := range ks {
-		ivs[i] = k.iv
-	}
 }
 
-func vcSum(iv *Interval) int64 {
+func vcSum(v VC) int64 {
 	var s int64
-	for _, x := range iv.VC {
+	for _, x := range v {
 		s += int64(x)
 	}
 	return s

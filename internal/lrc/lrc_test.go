@@ -50,8 +50,8 @@ func TestCoversInterval(t *testing.T) {
 }
 
 func TestHappensBeforeSameNode(t *testing.T) {
-	a := &Interval{ID: IntervalID{0, 1}, VC: VC{1, 0}}
-	b := &Interval{ID: IntervalID{0, 2}, VC: VC{2, 0}}
+	a := NewInterval(IntervalID{0, 1}, VC{1, 0}, nil)
+	b := NewInterval(IntervalID{0, 2}, VC{2, 0}, nil)
 	if !HappensBefore(a, b) || HappensBefore(b, a) {
 		t.Fatal("same-node intervals must be ordered by seq")
 	}
@@ -60,8 +60,8 @@ func TestHappensBeforeSameNode(t *testing.T) {
 func TestHappensBeforeCrossNode(t *testing.T) {
 	// Node 0 creates interval 1; node 1 then acquires from node 0 and
 	// creates its interval 1 having seen (0,1).
-	a := &Interval{ID: IntervalID{0, 1}, VC: VC{1, 0}}
-	b := &Interval{ID: IntervalID{1, 1}, VC: VC{1, 1}}
+	a := NewInterval(IntervalID{0, 1}, VC{1, 0}, nil)
+	b := NewInterval(IntervalID{1, 1}, VC{1, 1}, nil)
 	if !HappensBefore(a, b) {
 		t.Error("a must happen before b")
 	}
@@ -74,8 +74,8 @@ func TestHappensBeforeCrossNode(t *testing.T) {
 }
 
 func TestConcurrent(t *testing.T) {
-	a := &Interval{ID: IntervalID{0, 1}, VC: VC{1, 0}}
-	b := &Interval{ID: IntervalID{1, 1}, VC: VC{0, 1}}
+	a := NewInterval(IntervalID{0, 1}, VC{1, 0}, nil)
+	b := NewInterval(IntervalID{1, 1}, VC{0, 1}, nil)
 	if !Concurrent(a, b) {
 		t.Fatal("independent intervals must be concurrent")
 	}
@@ -99,10 +99,7 @@ func randomHistory(rng *rand.Rand, nodes, steps int) []*Interval {
 		}
 		seq[p]++
 		cur[p][p] = seq[p]
-		ivs = append(ivs, &Interval{
-			ID: IntervalID{Node: p, Seq: seq[p]},
-			VC: cur[p].Clone(),
-		})
+		ivs = append(ivs, NewInterval(IntervalID{Node: p, Seq: seq[p]}, cur[p].Clone(), nil))
 	}
 	return ivs
 }
@@ -183,7 +180,7 @@ func TestSortCausallyDeterministicProperty(t *testing.T) {
 // that recomputes both sums in every comparison.
 func sortCausallyRef(ivs []*Interval) {
 	sort.SliceStable(ivs, func(i, j int) bool {
-		si, sj := vcSum(ivs[i]), vcSum(ivs[j])
+		si, sj := vcSum(ivs[i].VC), vcSum(ivs[j].VC)
 		if si != sj {
 			return si < sj
 		}

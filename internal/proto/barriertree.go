@@ -141,7 +141,8 @@ func (tb *treeBarrier) arrive(a *msgBarArrive) {
 
 	cost := n.C.BarrierMgr
 	for _, iv := range a.Ivs {
-		cost += n.record(iv, true)
+		c, _ := n.record(iv, true) // deferred: never invalidates now
+		cost += c
 	}
 	tb.accIvs = append(tb.accIvs, a.Ivs...)
 	tb.accAcc = append(tb.accAcc, a.Acc...)

@@ -113,7 +113,7 @@ func (n *Node) applyDiffs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
 	}
 	ivs := n.ivScratch[:0]
 	for _, id := range ids {
-		iv := n.ivs[id.Node][id.Seq-1]
+		iv := n.rec(id.Node, id.Seq)
 		if iv == nil {
 			n.pageInvariantf(p, "pending interval %v on page %d without record", id, p)
 		}
@@ -138,8 +138,7 @@ func (n *Node) applyDiffs(p pagemem.PageID, ids []lrc.IntervalID) sim.Time {
 			cost += n.C.DiffApply / 2
 		}
 	}
-	clear(ivs) // the scratch must not keep collected records alive
-	n.ivScratch = ivs[:0]
+	n.ivScratch = ivs[:0] // the machine's log keeps every record alive anyway
 	return cost
 }
 

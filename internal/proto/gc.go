@@ -103,22 +103,16 @@ func (g *lrcGC) gcValidate(onDone func()) {
 }
 
 // gcFlush discards all diffs, the prefetch cache, and interval records
-// covered by the current vector time. Records below gcBase are gone; the
-// protocol invariant (contiguity above gcBase) is maintained because every
-// node's VC covers gcBase after the collection.
+// covered by the current vector time. Records at or below gcBase are gone —
+// rec masks them, though the machine's log keeps them; the protocol
+// invariant (contiguity above gcBase) is maintained because every node's VC
+// covers gcBase after the collection.
 func (g *lrcGC) gcFlush() {
 	n := g.n
 	n.diffBytes = 0
 	n.pfHeap = 0
 	n.pf = make(map[pagemem.PageID]*pfState)
-	for q := 0; q < n.N; q++ {
-		for s := range n.ivs[q] {
-			if int32(s) < n.vc[q] {
-				n.ivs[q][s] = nil
-			}
-		}
-		n.gcBase[q] = n.vc[q]
-	}
+	copy(n.gcBase, n.vc) // from here on rec masks the collected records
 	// Drop every page's diffs. Sanity on the way: validation must have
 	// drained every pending list and created every outstanding own diff
 	// (each notice was pending somewhere). Each walks in page order, so a

@@ -192,7 +192,7 @@ func (g *gossiper) handle(m *msgGossip) {
 // seen reports whether this node already has id's record: recorded (possibly
 // deferred, in the barrier-server role) or waiting on the held list.
 func (g *gossiper) seen(id lrc.IntervalID) bool {
-	if recs := g.n.ivs[id.Node]; int(id.Seq) <= len(recs) && recs[id.Seq-1] != nil {
+	if g.n.rec(id.Node, id.Seq) != nil {
 		return true
 	}
 	for _, iv := range g.held {
@@ -224,7 +224,7 @@ func (g *gossiper) drain() sim.Time {
 			switch {
 			case iv.ID.Seq <= n.vc[q]:
 			case g.closed(iv):
-				cost += n.record(iv, false)
+				cost += n.take(iv)
 				n.vc[q] = iv.ID.Seq
 				progress = true
 			default:

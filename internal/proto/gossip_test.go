@@ -40,9 +40,8 @@ func checkConverged(t *testing.T, r *rig) {
 			if c == q {
 				continue
 			}
-			ivs := r.nodes[q].ivs[c]
-			if len(ivs) != 1 || ivs[0] == nil {
-				t.Fatalf("node %d holds %d records from %d, want exactly 1", q, len(ivs), c)
+			if nd := r.nodes[q]; nd.held[c] != 1 || len(nd.early) != 0 || nd.rec(c, 1) == nil {
+				t.Fatalf("node %d holds records through %d from %d (early %v), want exactly 1", q, nd.held[c], c, nd.early)
 			}
 			if got := r.nodes[q].vc[c]; got != 1 {
 				t.Fatalf("node %d vector time for %d = %d, want 1", q, c, got)

@@ -86,7 +86,7 @@ func (c *hlrcCoherence) coverVC(p pagemem.PageID) lrc.VC {
 			s = ap[q]
 		}
 		for s < n.vc[q] {
-			iv := n.ivs[q][s]
+			iv := n.rec(q, s+1)
 			if iv == nil || ivNames(iv, p) {
 				break
 			}

@@ -187,7 +187,7 @@ func (c *lrcCoherence) broadcastNotice(iv *lrc.Interval) {
 func (c *lrcCoherence) handleEagerNotice(m *msgEagerNotice) {
 	n := c.n
 	iv := m.Iv
-	cost := n.record(iv, false)
+	cost := n.take(iv)
 	if n.vc[iv.ID.Node] < iv.ID.Seq {
 		n.vc[iv.ID.Node] = iv.ID.Seq
 	}

@@ -23,7 +23,7 @@ type wireSample struct {
 // wireSamples is one sample per message kind, more where a kind has variants.
 func wireSamples() []wireSample {
 	iv := func(pages int) *lrc.Interval { // 8 + 4*8 + 8*pages bytes on the wire
-		return &lrc.Interval{Pages: make([]pagemem.PageID, pages)}
+		return lrc.NewInterval(lrc.IntervalID{}, nil, make([]pagemem.PageID, pages))
 	}
 	ids := func(n int) []lrc.IntervalID { return make([]lrc.IntervalID, n) }
 	vc := lrc.NewVC(8)

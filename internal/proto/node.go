@@ -96,9 +96,14 @@ type Node struct {
 	// fetches are all diffs.
 	hl *hlrcCoherence
 
-	// Lazy release consistency state.
-	vc  lrc.VC
-	ivs [][]*lrc.Interval // ivs[node][seq-1]: all known interval records
+	// Lazy release consistency state. log is the machine's interval log,
+	// log[node][seq-1], shared by every node; this node holds records
+	// (q, gcBase[q]+1 … held[q]) and those in early, taken ahead of a gap
+	// (intervals.go), and reads them through rec.
+	vc    lrc.VC
+	log   [][]*lrc.Interval
+	held  lrc.VC
+	early idSet
 
 	// Per-page protocol state, which is also the diff store: a page's diffs
 	// hang off its entry (diffstore.go). Entries appear a leaf at a time;
@@ -107,8 +112,9 @@ type Node struct {
 	pages pagemem.Table[pageState]
 
 	// Scratch for the fault path's short lists (missingDiffs and
-	// tryComplete's asks, tryComplete's diff side, applyDiffs), reused so
-	// that a fault allocates none of them.
+	// tryComplete's asks, tryComplete's diff side, applyDiffs) and for the
+	// records an intake or flushDeferred invalidates, reused so that
+	// neither allocates them.
 	missScratch []lrc.IntervalID
 	diffScratch []lrc.IntervalID
 	ivScratch   []*lrc.Interval
@@ -129,9 +135,8 @@ type Node struct {
 	diffBytes int64 // bytes of ordinary stored diffs (GC accounting)
 
 	// Deferred invalidations (barrier-manager server role; see record in
-	// intervals.go).
-	deferredInval []*lrc.Interval
-	deferredSet   idSet
+	// intervals.go), in the order the records were taken.
+	deferredSet idSet
 
 	// gcBase: records below this vector time have been collected (gc.go).
 	gcBase lrc.VC
@@ -164,6 +169,10 @@ type pageState struct {
 
 	// twinned: the page has a twin and is collecting local modifications.
 	twinned bool
+
+	// batch counts the notices for this page in the batch being invalidated
+	// (invalidate, intervals.go); zero between batches.
+	batch uint16
 
 	// flushed is the sequence of the last own interval whose diff of this
 	// page was flushed to a home (home-based engines; zero when none). A
@@ -375,15 +384,18 @@ func (n *Node) takePf(p pagemem.PageID, ids []lrc.IntervalID) (outcome int64) {
 	}
 }
 
-// NewNode constructs a protocol node running the backend cfg selects. Wire
-// Send before use. Protocol occurrences are emitted on k's event bus;
+// NewNode constructs protocol node id of the machine whose interval log is
+// log — one list per node, len(log) nodes, shared by all of them: each node
+// appends the intervals it closes to its own list — running the backend cfg
+// selects. Wire Send before use. Protocol occurrences are emitted on k's event bus;
 // subscribe a stats.Collector to derive per-node counters. NewNode panics
 // on an invalid Spec — callers validate user input with Spec.Validate first.
-func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
+func NewNode(id int, log [][]*lrc.Interval, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 	if err := cfg.Validate(); err != nil {
 		configInvariantf("proto: %v", err)
 	}
 	b, _ := Lookup(cfg.Protocol) // Validate resolved it
+	n := len(log)
 	nd := &Node{
 		ID:      id,
 		N:       n,
@@ -393,7 +405,8 @@ func NewNode(id, n int, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 		bus:     k.Bus(),
 		Store:   pagemem.NewStore(),
 		vc:      lrc.NewVC(n),
-		ivs:     make([][]*lrc.Interval, n),
+		log:     log,
+		held:    lrc.NewVC(n),
 		fetches: make(map[pagemem.PageID]*fetch),
 		pf:      make(map[pagemem.PageID]*pfState),
 		gcBase:  lrc.NewVC(n),

@@ -34,7 +34,20 @@ func wordFlush(id lrc.IntervalID, w int, v float64) *msgHomeFlush {
 func (r *rig) learn(node int, id lrc.IntervalID) {
 	vc := r.nodes[node].vc.Clone()
 	vc[id.Node] = id.Seq
-	r.nodes[node].intake([]*lrc.Interval{{ID: id, VC: vc, Pages: []pagemem.PageID{pg1}}}, vc)
+	r.nodes[node].intake([]*lrc.Interval{r.publish(id, vc, pg1)}, vc)
+}
+
+// publish builds the record of interval id, which its creator never closed,
+// and enters it in the machine's log as the creator would have.
+func (r *rig) publish(id lrc.IntervalID, vc lrc.VC, pages ...pagemem.PageID) *lrc.Interval {
+	iv := lrc.NewInterval(id, vc, pages)
+	l := r.log[id.Node]
+	if len(l) < int(id.Seq) {
+		l = append(l, make([]*lrc.Interval, int(id.Seq)-len(l))...)
+	}
+	l[id.Seq-1] = iv
+	r.log[id.Node] = l
+	return iv
 }
 
 // invariantFrom runs f, which must panic with an *InvariantError about page

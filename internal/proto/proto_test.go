@@ -14,6 +14,7 @@ import (
 type rig struct {
 	k     *sim.Kernel
 	net   *netsim.Network
+	log   [][]*lrc.Interval // the machine's interval log, shared by the nodes
 	nodes []*Node
 	st    []stats.Node
 	costs Costs
@@ -24,14 +25,14 @@ func newRig(n int) *rig { return newRigCfg(n, Spec{}) }
 // newRigCfg builds a rig whose nodes run under cfg (protocol selection and
 // per-backend knobs).
 func newRigCfg(n int, cfg Spec) *rig {
-	r := &rig{k: sim.NewKernel(), costs: DefaultCosts()}
+	r := &rig{k: sim.NewKernel(), costs: DefaultCosts(), log: make([][]*lrc.Interval, n)}
 	r.st = make([]stats.Node, n)
 	r.k.Bus().Subscribe(stats.NewCollector(r.st))
 	r.net = netsim.New(r.k, n, netsim.DefaultConfig(), func(m *netsim.Message) {
 		r.nodes[m.Dst].Deliver(m)
 	})
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, n, r.k, sim.NewCPU(r.k), &r.costs, cfg)
+		nd := NewNode(i, r.log, r.k, sim.NewCPU(r.k), &r.costs, cfg)
 		nd.Send = r.net.Send
 		r.nodes = append(r.nodes, nd)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"godsm/internal/lrc"
 	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/sim"
@@ -13,7 +14,7 @@ import (
 // newFaultRig wires a cluster over a faulty network with the reliable
 // transport enabled, mirroring the core wiring under an active fault plan.
 func newFaultRig(n int, plan netsim.FaultPlan) *rig {
-	r := &rig{k: sim.NewKernel(), costs: DefaultCosts()}
+	r := &rig{k: sim.NewKernel(), costs: DefaultCosts(), log: make([][]*lrc.Interval, n)}
 	r.st = make([]stats.Node, n)
 	r.k.Bus().Subscribe(stats.NewCollector(r.st))
 	cfg := netsim.DefaultConfig()
@@ -22,7 +23,7 @@ func newFaultRig(n int, plan netsim.FaultPlan) *rig {
 		r.nodes[m.Dst].Deliver(m)
 	})
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, n, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
+		nd := NewNode(i, r.log, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
 		nd.Send = r.net.Send
 		nd.EnableTransport()
 		r.nodes = append(r.nodes, nd)
