@@ -12,7 +12,8 @@
 //	       [-barrier central|tree] [-barrier-fanout N]
 //	       [-gossip] [-gossip-fanout N] [-gossip-seed N]
 //	       [-throttle N] [-verify] [-workers N]
-//	       [-loss P] [-dup P] [-fault-seed N] [-trace out.json]
+//	       [-loss P] [-dup P] [-fault-seed N] [-faults light|moderate|heavy]
+//	       [-trace out.json]
 //	       [-race-check] [-race-granularity word|page]
 //
 // -protocol selects the coherence backend from the protocol table
@@ -32,7 +33,10 @@
 // A nonzero -loss or -dup enables deterministic fault injection (seeded by
 // -fault-seed) and automatically switches the protocol onto its reliable
 // ack/retransmit transport; the report then includes the transport's
-// recovery counters.
+// recovery counters. -faults instead takes the whole fault plan of one of
+// the chaos soak's schedules (dsmbench -exp faults) — loss, duplication,
+// reordering, link brown-outs and NIC stalls — so that one cell of the soak
+// can be rerun on its own.
 //
 // -race-check runs the application under the deterministic happens-before
 // race detector: every shared access is checked against the ordering
@@ -70,6 +74,7 @@ import (
 	"godsm/dsm"
 	"godsm/internal/apps"
 	"godsm/internal/event"
+	"godsm/internal/harness"
 	"godsm/internal/netsim"
 	"godsm/internal/proto"
 	"godsm/internal/sim"
@@ -121,6 +126,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&faults.Loss, "loss", 0, "message loss probability (nonzero enables fault injection)")
 	fs.Float64Var(&faults.Dup, "dup", 0, "message duplication probability")
 	fs.Int64Var(&faults.Seed, "fault-seed", 1, "fault-injection PRNG seed")
+	schedule := fs.String("faults", "", "replay a chaos-soak fault schedule: light, moderate or heavy (instead of -loss/-dup/-fault-seed)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -137,6 +143,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	// them would run a different machine than the user asked for.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *schedule != "" {
+		for _, f := range []string{"loss", "dup", "fault-seed"} {
+			if set[f] {
+				return nil, fmt.Errorf("-%s given with -faults, which sets the whole fault plan", f)
+			}
+		}
+		if *faults, err = harness.FaultSchedule(*schedule); err != nil {
+			return nil, fmt.Errorf("-faults: %w", err)
+		}
+		faultsOn = true
+	}
 	for _, d := range []struct {
 		flag     string
 		masterOn bool

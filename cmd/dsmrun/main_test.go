@@ -3,10 +3,12 @@ package main
 import (
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"godsm/dsm"
+	"godsm/internal/harness"
 )
 
 // TestValidateMachine exercises dsm.Config.Validate, the one validator every
@@ -137,6 +139,14 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	if o, _ := parse(); o.cfg.Net.Faults.Active() || o.cfg.Net.Faults.Seed != 0 {
 		t.Errorf("no fault flags must leave the zero plan, got %+v", o.cfg.Net.Faults)
 	}
+	o, err = parse("-faults", "heavy")
+	if err != nil {
+		t.Fatalf("-faults heavy rejected: %v", err)
+	}
+	if want, _ := harness.FaultSchedule("heavy"); !reflect.DeepEqual(o.cfg.Net.Faults, want) ||
+		len(want.Stalls) == 0 || len(want.Brownouts) == 0 {
+		t.Errorf("-faults heavy bound %+v, want the soak's heavy plan %+v", o.cfg.Net.Faults, want)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -149,6 +159,10 @@ func TestBadFlagIsUsageError(t *testing.T) {
 		{[]string{"-fault-seed", "3"}, "fault injection is off"},
 		{[]string{"-loss", "0.1", "-fault-seed", "0"}, "reserved"},
 		{[]string{"-loss", "2"}, "probability"},
+		{[]string{"-faults", "severe"}, "unknown fault schedule"},
+		{[]string{"-faults", "light", "-loss", "0.1"}, "-loss given with -faults"},
+		{[]string{"-faults", "light", "-fault-seed", "4"}, "-fault-seed given with -faults"},
+		{[]string{"-faults", "heavy", "-procs", "2"}, "names node 2 of a 2-node cluster"},
 		{[]string{"-procs", "16384", "-threads", "4", "-race-check"}, "fewer than 65536 threads"},
 		{[]string{"-app", "NOPE"}, "unknown application"},
 		{[]string{"-app", "SOR,FFT", "-trace", "t.json"}, "single -app"},

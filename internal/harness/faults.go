@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"godsm/dsm"
 	"godsm/internal/sim"
@@ -46,6 +47,19 @@ var faultSchedules = []faultSchedule{
 			{Node: 1, From: 30 * sim.Millisecond, To: 80 * sim.Millisecond},
 		},
 	}},
+}
+
+// FaultSchedule returns the plan of the soak's schedule named name (light,
+// moderate or heavy), so that one cell of the soak can be rerun on its own.
+func FaultSchedule(name string) (dsm.FaultPlan, error) {
+	names := make([]string, len(faultSchedules))
+	for i, s := range faultSchedules {
+		if s.name == name {
+			return s.plan, nil
+		}
+		names[i] = s.name
+	}
+	return dsm.FaultPlan{}, fmt.Errorf("unknown fault schedule %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // FaultVariants is the soak grid: original, prefetching, multithreading,

@@ -251,8 +251,11 @@ type Network struct {
 	cfg     Config
 	stats   []LinkStats // per node
 	deliver func(*Message)
-	rng     *rand.Rand // non-nil iff cfg.Faults.Active()
-	topo    topology
+	// onArrive is n.arrive, bound once: scheduling a delivery allocates
+	// nothing beyond its queue slot.
+	onArrive func(any)
+	rng      *rand.Rand // non-nil iff cfg.Faults.Active()
+	topo     topology
 
 	kindMsgs  [MaxKinds]int64
 	kindBytes [MaxKinds]int64
@@ -269,6 +272,7 @@ func New(k *sim.Kernel, n int, cfg Config, deliver func(*Message)) *Network {
 	}
 	net := &Network{k: k, bus: k.Bus(), cfg: cfg, stats: make([]LinkStats, n), deliver: deliver,
 		topo: newTopology(n, cfg)}
+	net.onArrive = net.arrive
 	if cfg.Faults.Active() {
 		net.rng = rand.New(rand.NewSource(cfg.Faults.Seed))
 	}
@@ -316,11 +320,13 @@ func (n *Network) KindStats(kind Kind) (msgs, bytes int64) {
 	return n.kindMsgs[kind], n.kindBytes[kind]
 }
 
-// deliverAt schedules m's arrival at time at, emitting the delivery event
-// at the moment it happens.
-func (n *Network) deliverAt(at sim.Time, m *Message) {
-	n.k.At(at, func() {
-		n.bus.Emit(event.NetDeliver(int(m.Src), int(m.Dst), uint8(m.Kind), m.Size, m.Seq))
-		n.deliver(m)
-	})
+// deliverAt schedules m's arrival at time at.
+func (n *Network) deliverAt(at sim.Time, m *Message) { n.k.AtArg(at, n.onArrive, m) }
+
+// arrive delivers a *Message at its arrival time, emitting the delivery
+// event at the moment it happens.
+func (n *Network) arrive(a any) {
+	m := a.(*Message)
+	n.bus.Emit(event.NetDeliver(int(m.Src), int(m.Dst), uint8(m.Kind), m.Size, m.Seq))
+	n.deliver(m)
 }

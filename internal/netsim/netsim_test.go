@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"godsm/internal/sim"
@@ -162,5 +163,72 @@ func TestDefaultConfigRoundTripScale(t *testing.T) {
 	k.Run()
 	if arrived < 500*sim.Microsecond || arrived > 2000*sim.Microsecond {
 		t.Fatalf("4KB transfer latency = %d µs, outside software-DSM scale", arrived/sim.Microsecond)
+	}
+}
+
+// sendRigs are the two machines the send path is measured on: the paper's
+// single switch at 8 nodes and the 1024-node fat tree.
+func sendRigs() []struct {
+	name  string
+	nodes int
+	cfg   Config
+} {
+	fat := DefaultConfig()
+	fat.Topology = "fattree"
+	return []struct {
+		name  string
+		nodes int
+		cfg   Config
+	}{{"single", 8, DefaultConfig()}, {"fattree1024", 1024, fat}}
+}
+
+// TestSendAllocs: sending and delivering a message the caller built
+// allocates nothing once the kernel's queue and the route scratch have
+// grown — the delivery is the message itself as an event argument, not a
+// closure around it.
+func TestSendAllocs(t *testing.T) {
+	for _, tc := range sendRigs() {
+		k := sim.NewKernel()
+		delivered := 0
+		n := New(k, tc.nodes, tc.cfg, func(*Message) { delivered++ })
+		m := &Message{Src: 0, Dst: NodeID(tc.nodes - 1), Size: 128, Reliable: true, Kind: 1}
+		got := testing.AllocsPerRun(100, func() {
+			n.Send(m)
+			k.Run()
+		})
+		if got != 0 {
+			t.Errorf("%s: send+deliver allocates %.1f times, want 0", tc.name, got)
+		}
+		if delivered != 101 {
+			t.Errorf("%s: %d deliveries over 101 sends", tc.name, delivered)
+		}
+	}
+}
+
+// BenchmarkSendDeliver is one send and its delivery between random pairs,
+// on the paper's single switch (8 nodes) and on the 1024-node fat tree: the
+// netsim.send_*_ns rig, with allocations reported.
+func BenchmarkSendDeliver(b *testing.B) {
+	for _, bc := range sendRigs() {
+		b.Run(bc.name, func(b *testing.B) {
+			k := sim.NewKernel()
+			n := New(k, bc.nodes, bc.cfg, func(*Message) {})
+			rng := rand.New(rand.NewSource(1))
+			msgs := make([]Message, 256)
+			for i := range msgs {
+				src := rng.Intn(bc.nodes)
+				dst := (src + 1 + rng.Intn(bc.nodes-1)) % bc.nodes
+				msgs[i] = Message{Src: NodeID(src), Dst: NodeID(dst), Size: 128, Reliable: true, Kind: 1}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.Send(&msgs[i%len(msgs)])
+				if i%len(msgs) == len(msgs)-1 {
+					k.Run() // deliver the batch
+				}
+			}
+			k.Run()
+		})
 	}
 }

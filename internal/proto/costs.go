@@ -81,8 +81,11 @@ func DefaultCosts() Costs {
 // charged for it completes at time t. Transmission goes through the
 // transport choke point (a plain network send when no transport is
 // enabled).
-func (n *Node) sendAfter(t sim.Time, m *netsim.Message) {
-	n.K.At(t, func() { n.xmit(m) }) //dsmvet:allow chargecost — choke point: t is the send charge's completion time
+func (n *Node) sendAfter(t sim.Time, m *netsim.Message) { n.K.AtArg(t, n.calls.xmit, m) }
+
+// xmitMsg transmits the *netsim.Message a sendAfter event carries.
+func (n *Node) xmitMsg(a any) {
+	n.xmit(a.(*netsim.Message)) //dsmvet:allow chargecost — choke point: the event runs at the send charge's completion time
 }
 
 // post charges extra plus one MsgSend of protocol overhead and transmits m

@@ -202,6 +202,12 @@ func TestGroupByNodeKeepsFirstAppearanceOrder(t *testing.T) {
 	if ids[0] != id(2, 1) {
 		t.Error("a group aliases the caller's list")
 	}
+	// The groups share one backing array; growing one must not write into
+	// the next.
+	got[0] = append(got[0], id(9, 9))
+	if !slices.Equal(got[1], want[1]) {
+		t.Errorf("appending to group 0 overwrote group 1: %v", got[1])
+	}
 	if groupByNode(nil) != nil {
 		t.Error("no ids, yet groups")
 	}

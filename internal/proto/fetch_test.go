@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -100,5 +101,47 @@ func TestHomeFaultCompletesAtTheFlushsDone(t *testing.T) {
 	r.k.Run()
 	if !served || at != want || r.read(1, page0) != 5 {
 		t.Fatalf("home fault completed at %d, want the flush's done %d (node 2 served: %v)", at, want, served)
+	}
+}
+
+// diffFetchAllocs is what one demand diff fetch may allocate, end to end: at
+// the faulting node the fetch and its waiter list, the asked set, the
+// request's group (one backing array and the group list), payload and
+// message list and message; at the writer the lazily made diff, the reply's
+// items, payload and message; and back at the faulting node what banking
+// the diff takes. Scheduling the two sends, the two deliveries and the
+// waiters' wake-up adds nothing: each is a bound method with the message or
+// the fetch as its argument.
+const diffFetchAllocs = 13
+
+// TestDiffFetchAllocs pins the allocations of one fault → diff request →
+// diff reply → install round trip on a two-node lrc rig.
+func TestDiffFetchAllocs(t *testing.T) {
+	r := newRig(2)
+	valid := 0
+	onValid := func() { valid++ }
+	var perRound []uint64
+	for round := 0; round < 8; round++ {
+		r.k.At(r.k.Now(), func() { r.write(0, page0, float64(round)) })
+		r.k.Run()
+		r.barrierAll(round)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.nodes[1].Fault(pg1, onValid)
+		r.k.Run()
+		runtime.ReadMemStats(&after)
+		perRound = append(perRound, after.Mallocs-before.Mallocs)
+		if r.read(1, page0) != float64(round) {
+			t.Fatalf("round %d: node 1 read %v", round, r.read(1, page0))
+		}
+	}
+	if valid != 8 {
+		t.Fatalf("waiter ran %d times over 8 fetches", valid)
+	}
+	// The first rounds grow the event queue and the tables, and a page's
+	// held diffs grow by doubling, so the pin is the leanest round.
+	if got := slices.Min(perRound); got > diffFetchAllocs {
+		t.Errorf("a diff fetch round trip allocates %d times, want at most %d (rounds: %v)",
+			got, diffFetchAllocs, perRound)
 	}
 }

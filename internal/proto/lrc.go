@@ -56,8 +56,9 @@ func (n *Node) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) 
 	if prefetch {
 		kind = KindPfReq
 	}
-	var msgs []*netsim.Message
-	for _, g := range groupByNode(want) {
+	groups := groupByNode(want)
+	msgs := make([]*netsim.Message, 0, len(groups))
+	for _, g := range groups {
 		msgs = append(msgs, n.msg(g[0].Node, kind,
 			&msgDiffReq{From: n.ID, Page: p, Wants: g, Prefetch: prefetch}))
 	}
@@ -82,19 +83,42 @@ func (c *lrcCoherence) Prefetch(p pagemem.PageID) int {
 
 // groupByNode buckets interval ids by creator: one group per creator, in
 // first-appearance order, so that callers iterate deterministically. The
-// groups are the caller's to keep. A page's writers are few: finding an
-// id's group is a scan.
+// groups are the caller's to keep: they share one copy of ids, each clipped
+// to its own length so that appending to one cannot overwrite the next. A
+// page's writers are few: finding an id's creator among those seen is a
+// scan.
 func groupByNode(ids []lrc.IntervalID) [][]lrc.IntervalID {
-	var groups [][]lrc.IntervalID
-next:
-	for _, id := range ids {
-		for i, g := range groups {
-			if g[0].Node == id.Node {
-				groups[i] = append(g, id)
-				continue next
+	if len(ids) == 0 {
+		return nil
+	}
+	// firstOf reports whether ids[i] is its creator's first id.
+	firstOf := func(i int) bool {
+		for _, prev := range ids[:i] {
+			if prev.Node == ids[i].Node {
+				return false
 			}
 		}
-		groups = append(groups, []lrc.IntervalID{id})
+		return true
+	}
+	n := 0
+	for i := range ids {
+		if firstOf(i) {
+			n++
+		}
+	}
+	groups := make([][]lrc.IntervalID, 0, n)
+	flat := make([]lrc.IntervalID, 0, len(ids))
+	for i, head := range ids {
+		if !firstOf(i) {
+			continue
+		}
+		a := len(flat)
+		for _, id := range ids[i:] {
+			if id.Node == head.Node {
+				flat = append(flat, id)
+			}
+		}
+		groups = append(groups, flat[a:len(flat):len(flat)])
 	}
 	return groups
 }

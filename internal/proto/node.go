@@ -148,7 +148,16 @@ type Node struct {
 	// Reliable transport state, one peer per remote node; nil until
 	// EnableTransport (transport.go). Nil means fiat delivery.
 	xp []*xpPeer
+
+	// calls are the methods the kernel runs with an argument (Kernel.AtArg),
+	// bound once here so that scheduling one allocates nothing.
+	calls nodeCalls
 }
+
+// nodeCalls holds a Node's bound event methods: xmitMsg (sendAfter), resend
+// (a retransmission), sendAck (a delayed pure ack) and wakeWaiters (a
+// completed fetch).
+type nodeCalls struct{ xmit, resend, pureAck, wake func(any) }
 
 // pageState tracks one page's coherence state at this node. The zero value
 // is a valid, clean page nobody has accessed yet.
@@ -313,11 +322,14 @@ func (n *Node) tryComplete(p pagemem.PageID, entry, flushDone sim.Time) {
 		n.hl.settle(p, f.fillVC)
 	}
 	n.bus.Emit(event.FetchDone(n.ID, int64(p), done-f.start))
-	n.K.At(done, func() {
-		for _, w := range f.waiters {
-			w()
-		}
-	})
+	n.K.AtArg(done, n.calls.wake, f)
+}
+
+// wakeWaiters runs the waiters of the completed *fetch its event carries.
+func (n *Node) wakeWaiters(a any) {
+	for _, w := range a.(*fetch).waiters {
+		w()
+	}
 }
 
 // askDiffs asks the writers of ids for their diffs on f's behalf, one
@@ -413,6 +425,7 @@ func NewNode(id int, log [][]*lrc.Interval, k *sim.Kernel, cpu *sim.CPU, c *Cost
 
 		pfReliable: cfg.PfReliable,
 	}
+	nd.calls = nodeCalls{xmit: nd.xmitMsg, resend: nd.resend, pureAck: nd.sendAck, wake: nd.wakeWaiters}
 	nd.coh = b.Build(nd, cfg)
 	nd.sync = newSyncManager(nd, cfg)
 	nd.gc = &lrcGC{n: nd, threshold: cfg.GCThreshold, sharedPfHeap: cfg.PfHeapSharedGC}

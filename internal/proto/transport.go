@@ -30,6 +30,8 @@ import (
 // protocol is already loss-tolerant for them — a lost prefetch just becomes
 // a demand miss — and their handlers are idempotent under duplication.
 type xpPeer struct {
+	id int // the peer's node id
+
 	// Sender side.
 	nextSeq uint64            // last sequence number assigned
 	unacked []*netsim.Message // sent but not yet acknowledged, in seq order
@@ -73,7 +75,7 @@ func (n *Node) EnableTransport() {
 		if q == n.ID {
 			continue
 		}
-		p := &xpPeer{expect: 1, rto: xportRTOMin}
+		p := &xpPeer{id: q, expect: 1, rto: xportRTOMin}
 		q := q
 		p.retx = n.K.NewTimer(func() { n.retxFire(q) })
 		p.ackTimer = n.K.NewTimer(func() { n.ackFire(q) })
@@ -131,7 +133,7 @@ func (n *Node) retxFire(q int) {
 	}
 	m := p.unacked[0]
 	done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-	n.K.At(done, func() { n.transmit(p, m) })
+	n.K.AtArg(done, n.calls.resend, m)
 	p.rto *= 2
 	if p.rto > xportRTOMax {
 		p.rto = xportRTOMax
@@ -148,14 +150,24 @@ func (n *Node) ackFire(q int) {
 	}
 	p.ackOwed = false
 	n.bus.Emit(event.XpAck(n.ID, q))
-	done := n.CPU.Service(n.C.MsgSend, sim.CatDSM)
-	n.K.At(done, func() {
-		//dsmvet:allow chargecost — transport choke point; the pure ack's MsgSend is charged immediately above
-		n.Send(&netsim.Message{
-			Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(q),
-			Size: n.C.HeaderBytes + xportHdrBytes, Reliable: true,
-			Kind: KindAck, Ack: p.expect,
-		})
+	n.K.AtArg(n.CPU.Service(n.C.MsgSend, sim.CatDSM), n.calls.pureAck, p)
+}
+
+// resend transmits again the unacknowledged frame a retxFire event carries.
+func (n *Node) resend(a any) {
+	m := a.(*netsim.Message)
+	n.transmit(n.xp[m.Dst], m)
+}
+
+// sendAck sends the pure ack an ackFire event owes the *xpPeer it carries,
+// acknowledging what has arrived by the time it leaves.
+func (n *Node) sendAck(a any) {
+	p := a.(*xpPeer)
+	//dsmvet:allow chargecost — transport choke point; the pure ack's MsgSend is charged in ackFire
+	n.Send(&netsim.Message{
+		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(p.id),
+		Size: n.C.HeaderBytes + xportHdrBytes, Reliable: true,
+		Kind: KindAck, Ack: p.expect,
 	})
 }
 

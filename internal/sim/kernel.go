@@ -27,14 +27,15 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
+// schedEvent is one scheduled call: call(arg) when call is set (AtArg);
+// otherwise arg is a plain func() (At) or, for a timer firing, the *Timer.
+// A func value is pointer-shaped, so putting one in arg does not allocate,
+// and no form needs a closure to carry its argument.
 type schedEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
-	// dead, when non-nil and set, marks a cancelled event: the run loop
-	// skips it without executing fn or advancing the clock. Only Timer
-	// uses this; plain At events leave it nil.
-	dead *bool
+	at   Time
+	seq  uint64
+	call func(any)
+	arg  any
 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (at, seq). It
@@ -44,26 +45,30 @@ type schedEvent struct {
 // also stay in a reusable flat slice whose capacity persists across pops.
 type eventHeap []schedEvent
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a runs before b.
+func (a *schedEvent) before(b *schedEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
 func (h eventHeap) peek() schedEvent { return h[0] }
 
+// pushEvent and popEvent sift a hole rather than swapping: each level moves
+// one event, and the sifted event is written once, where it lands.
 func (h *eventHeap) pushEvent(e schedEvent) {
 	hs := append(*h, e)
-	// Sift up.
-	for i := len(hs) - 1; i > 0; {
+	i := len(hs) - 1
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !hs.less(i, parent) {
+		if !e.before(&hs[parent]) {
 			break
 		}
-		hs[i], hs[parent] = hs[parent], hs[i]
+		hs[i] = hs[parent]
 		i = parent
 	}
+	hs[i] = e
 	*h = hs
 }
 
@@ -71,23 +76,26 @@ func (h *eventHeap) popEvent() schedEvent {
 	hs := *h
 	top := hs[0]
 	n := len(hs) - 1
-	hs[0] = hs[n]
-	hs[n] = schedEvent{} // release the closure so finished events can be GC'd
+	last := hs[n]
+	hs[n] = schedEvent{} // release the call and its argument so finished events can be GC'd
 	hs = hs[:n]
-	// Sift down.
-	for i := 0; ; {
-		kid := 2*i + 1
-		if kid >= n {
-			break
+	if n > 0 {
+		i := 0
+		for {
+			kid := 2*i + 1
+			if kid >= n {
+				break
+			}
+			if r := kid + 1; r < n && hs[r].before(&hs[kid]) {
+				kid = r
+			}
+			if !hs[kid].before(&last) {
+				break
+			}
+			hs[i] = hs[kid]
+			i = kid
 		}
-		if r := kid + 1; r < n && hs.less(r, kid) {
-			kid = r
-		}
-		if !hs.less(kid, i) {
-			break
-		}
-		hs[i], hs[kid] = hs[kid], hs[i]
-		i = kid
+		hs[i] = last
 	}
 	*h = hs
 	return top
@@ -134,26 +142,26 @@ func (k *Kernel) Pending() int { return len(k.events) }
 // At schedules fn to run at absolute virtual time t. Events scheduled for
 // the same time run in scheduling order. Scheduling in the past panics:
 // it always indicates a model bug.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d ns, before now (%d ns)", t, k.now))
-	}
-	k.seq++
-	k.events.pushEvent(schedEvent{at: t, seq: k.seq, fn: fn})
-}
+func (k *Kernel) At(t Time, fn func()) { k.push(t, nil, fn) }
+
+// AtArg schedules call(arg) at absolute virtual time t, in the same (time,
+// sequence) order as At. call is meant to be long-lived — a method value
+// bound once — so that scheduling a call on some object allocates nothing;
+// arg should be pointer-shaped (a pointer, a func, a map) for the same
+// reason.
+func (k *Kernel) AtArg(t Time, call func(any), arg any) { k.push(t, call, arg) }
 
 // After schedules fn to run d nanoseconds from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
-// atCancelable schedules fn with a cancellation flag: if *dead is true when
-// the event reaches the head of the queue, the run loop discards it without
-// executing fn or advancing the clock.
-func (k *Kernel) atCancelable(t Time, fn func(), dead *bool) {
+// push queues one event and returns its sequence number.
+func (k *Kernel) push(t Time, call func(any), arg any) uint64 {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d ns, before now (%d ns)", t, k.now))
 	}
 	k.seq++
-	k.events.pushEvent(schedEvent{at: t, seq: k.seq, fn: fn, dead: dead})
+	k.events.pushEvent(schedEvent{at: t, seq: k.seq, call: call, arg: arg})
+	return k.seq
 }
 
 // Timer is a cancelable, reschedulable one-shot virtual-time timer, used by
@@ -163,10 +171,15 @@ func (k *Kernel) atCancelable(t Time, fn func(), dead *bool) {
 // without advancing the virtual clock, so stale timers never stretch a
 // simulation. A Timer is owned by its kernel's event loop and must only be
 // manipulated from kernel context.
+//
+// A firing is an event whose argument is the timer itself, and it is live
+// iff its sequence number is the timer's pending one: arming and stopping
+// only rewrite pending, and leave a stale firing in the queue to be skipped.
+// The run loop makes the timer idle before running fn, so fn may re-arm it.
 type Timer struct {
-	k    *Kernel
-	fn   func()
-	dead *bool // cancellation flag of the pending firing; nil when idle
+	k       *Kernel
+	fn      func()
+	pending uint64 // sequence number of the live firing; 0 when idle
 }
 
 // NewTimer creates an idle timer that runs fn when it fires.
@@ -176,27 +189,21 @@ func (k *Kernel) NewTimer(fn func()) *Timer { return &Timer{k: k, fn: fn} }
 // pending firing.
 func (t *Timer) Arm(d Time) {
 	t.Stop()
-	dead := new(bool)
-	t.dead = dead
 	at := t.k.now + d
 	t.k.bus.Emit(event.TimerArm(at, t.fn))
-	t.k.atCancelable(at, func() {
-		t.dead = nil
-		t.fn()
-	}, dead)
+	t.pending = t.k.push(at, nil, t)
 }
 
 // Stop cancels the pending firing, if any.
 func (t *Timer) Stop() {
-	if t.dead != nil {
-		*t.dead = true
-		t.dead = nil
+	if t.pending != 0 {
+		t.pending = 0
 		t.k.bus.Emit(event.TimerStop(t.fn))
 	}
 }
 
 // Active reports whether a firing is pending.
-func (t *Timer) Active() bool { return t.dead != nil }
+func (t *Timer) Active() bool { return t.pending != 0 }
 
 // SetLimit makes Run stop (without error) before executing any event whose
 // time exceeds t. Zero means no limit.
@@ -235,12 +242,24 @@ func (k *Kernel) Run() Time {
 			break
 		}
 		e := k.events.popEvent()
-		if e.dead != nil && *e.dead {
-			continue // cancelled timer firing: no clock advance
+		if e.call != nil {
+			k.now = e.at
+			k.bus.Emit(event.Dispatch(e.seq, e.call))
+			e.call(e.arg)
+			continue
+		}
+		fn, ok := e.arg.(func())
+		if !ok {
+			t := e.arg.(*Timer)
+			if t.pending != e.seq {
+				continue // cancelled timer firing: no clock advance
+			}
+			t.pending = 0
+			fn = t.fn
 		}
 		k.now = e.at
-		k.bus.Emit(event.Dispatch(e.seq, e.fn))
-		e.fn()
+		k.bus.Emit(event.Dispatch(e.seq, fn))
+		fn()
 	}
 	return k.now
 }

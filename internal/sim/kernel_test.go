@@ -2,8 +2,12 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
+
+	"godsm/internal/event"
 )
 
 // TestEventHeapAgainstSortedReference feeds the hand-rolled heap a large
@@ -50,10 +54,17 @@ func TestEventHeapAgainstSortedReference(t *testing.T) {
 }
 
 // TestEventSchedulingAllocs: pushing and popping events must not allocate
-// once the heap's backing slice has grown (no interface boxing).
+// once the heap's backing slice has grown (no interface boxing), whether an
+// event is a plain func (At) or a bound call with a pointer argument
+// (AtArg), and an event must stay small enough to sift cheaply.
 func TestEventSchedulingAllocs(t *testing.T) {
+	if sz := unsafe.Sizeof(schedEvent{}); sz > 48 {
+		t.Errorf("schedEvent is %d bytes, want at most 48", sz)
+	}
 	k := NewKernel()
 	fn := func() {}
+	var hits int
+	call := func(a any) { *a.(*int)++ }
 	// Grow the backing array first.
 	for i := 0; i < 64; i++ {
 		k.At(Time(i), fn)
@@ -61,18 +72,117 @@ func TestEventSchedulingAllocs(t *testing.T) {
 	for len(k.events) > 0 {
 		k.events.popEvent()
 	}
-	got := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			k.events.pushEvent(schedEvent{at: Time(i), fn: fn})
+	for _, tc := range []struct {
+		name string
+		push func(at Time)
+	}{
+		{"At", func(at Time) { k.At(at, fn) }},
+		{"AtArg", func(at Time) { k.AtArg(at, call, &hits) }},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 32; i++ {
+				tc.push(Time(i))
+			}
+			for len(k.events) > 0 {
+				k.events.popEvent()
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: event push/pop allocates %.1f times per run, want 0", tc.name, got)
 		}
-		for len(k.events) > 0 {
-			k.events.popEvent()
-		}
-	})
-	if got != 0 {
-		t.Errorf("event push/pop allocates %.1f times per run, want 0", got)
 	}
 }
+
+// TestAtArgRunsInSequenceWithAt: AtArg events take their sequence number
+// from the same counter as At, so same-time events of both kinds run in
+// scheduling order, and each call gets its own argument.
+func TestAtArgRunsInSequenceWithAt(t *testing.T) {
+	k := NewKernel()
+	var got []int
+	call := func(a any) { got = append(got, *a.(*int)) }
+	one, three := 1, 3
+	k.At(5, func() { got = append(got, 0) })
+	k.AtArg(5, call, &one)
+	k.At(5, func() { got = append(got, 2) })
+	k.AtArg(5, call, &three)
+	k.AtArg(1, call, &three)
+	k.Run()
+	if want := []int{3, 0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+}
+
+// TestTimerArmAllocs: once warm, arming, stopping, re-arming and firing a
+// timer allocates nothing — a firing is the timer itself as an event
+// argument, not a closure and a cancellation flag.
+func TestTimerArmAllocs(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	tm := k.NewTimer(func() { fired++ })
+	round := func() {
+		tm.Arm(10)
+		tm.Stop()
+		tm.Arm(20)
+		tm.Arm(30)
+		k.Run()
+	}
+	round() // grow the event heap
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("timer arm/stop/re-arm/fire allocates %.1f times per round, want 0", got)
+	}
+	if fired != 102 {
+		t.Errorf("timer fired %d times over 102 rounds, want once a round", fired)
+	}
+}
+
+// TestTimerSkipsStaleFirings: only the firing whose sequence number is the
+// timer's pending one runs. A stopped or re-armed timer's earlier firings
+// are dropped without a Dispatch and without moving the clock, and a
+// callback may re-arm its own timer.
+func TestTimerSkipsStaleFirings(t *testing.T) {
+	k := NewKernel()
+	var dispatched []uint64
+	k.Bus().Subscribe(sinkFunc(func(e event.Event) {
+		if e.Kind == event.KindDispatch {
+			dispatched = append(dispatched, e.Seq)
+		}
+	}))
+	var fires []Time
+	var tm *Timer
+	tm = k.NewTimer(func() {
+		fires = append(fires, k.Now())
+		if len(fires) == 1 {
+			tm.Arm(5) // re-armed from its own callback
+		}
+	})
+	stopped := k.NewTimer(func() { t.Error("a stopped timer fired") })
+	k.At(0, func() {
+		tm.Arm(100)
+		tm.Arm(40) // replaces the firing at 100
+		stopped.Arm(200)
+		stopped.Stop()
+		if !tm.Active() || stopped.Active() {
+			t.Error("Active disagrees with Arm/Stop")
+		}
+	})
+	if end := k.Run(); end != 45 {
+		t.Errorf("run ended at %d, want 45: a stale firing moved the clock", end)
+	}
+	if !slices.Equal(fires, []Time{40, 45}) {
+		t.Errorf("fired at %v, want [40 45]", fires)
+	}
+	if tm.Active() {
+		t.Error("a fired timer is still active")
+	}
+	// The At at 0, the live firing at 40 and the re-armed one at 45.
+	if len(dispatched) != 3 {
+		t.Errorf("%d dispatches %v, want 3: stale firings must not dispatch", len(dispatched), dispatched)
+	}
+}
+
+type sinkFunc func(event.Event)
+
+func (f sinkFunc) Event(e event.Event) { f(e) }
 
 func TestEventOrdering(t *testing.T) {
 	k := NewKernel()
@@ -369,4 +479,44 @@ func TestCategoryString(t *testing.T) {
 			t.Errorf("Category(%d).String() = %q, want %q", c, c.String(), want)
 		}
 	}
+}
+
+// BenchmarkEvents is the bench's sim.event_ns rig: 64 self-rescheduling
+// chains keep the heap at a realistic depth, as plain At events and as
+// AtArg calls.
+func BenchmarkEvents(b *testing.B) {
+	const chains = 64
+	b.Run("At", func(b *testing.B) {
+		k := NewKernel()
+		left := b.N
+		for c := 0; c < chains; c++ {
+			var fn func()
+			fn = func() {
+				if left--; left > 0 {
+					k.After(Time(1+c), fn)
+				}
+			}
+			k.After(Time(c), fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		k.Run()
+	})
+	b.Run("AtArg", func(b *testing.B) {
+		k := NewKernel()
+		left := b.N
+		var call func(any)
+		call = func(a any) {
+			if left--; left > 0 {
+				k.AtArg(k.now+*a.(*Time), call, a)
+			}
+		}
+		for c := 0; c < chains; c++ {
+			gap := Time(1 + c)
+			k.AtArg(Time(c), call, &gap)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		k.Run()
+	})
 }
