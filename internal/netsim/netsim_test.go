@@ -168,18 +168,16 @@ func TestDefaultConfigRoundTripScale(t *testing.T) {
 
 // sendRigs are the two machines the send path is measured on: the paper's
 // single switch at 8 nodes and the 1024-node fat tree.
-func sendRigs() []struct {
+func sendRigs() []sendRig {
+	fat := DefaultConfig()
+	fat.Topology = "fattree"
+	return []sendRig{{"single", 8, DefaultConfig()}, {"fattree1024", 1024, fat}}
+}
+
+type sendRig struct {
 	name  string
 	nodes int
 	cfg   Config
-} {
-	fat := DefaultConfig()
-	fat.Topology = "fattree"
-	return []struct {
-		name  string
-		nodes int
-		cfg   Config
-	}{{"single", 8, DefaultConfig()}, {"fattree1024", 1024, fat}}
 }
 
 // TestSendAllocs: sending and delivering a message the caller built
