@@ -54,7 +54,6 @@ type gossiper struct {
 	peers    []int           // fixed push targets; peers[0] is the ring successor
 	interval sim.Time        // gossipInterval; a field so that a test can stretch it
 	hot      []*lrc.Interval // records learned but not yet pushed
-	held     []*lrc.Interval // records learned but not yet causally closed (drain)
 	covered  lrc.VC          // barrier-released supremum: globally known records
 	timer    *sim.Timer
 	round    int64
@@ -163,91 +162,25 @@ func (g *gossiper) fire() {
 }
 
 // handle takes in one gossip push. A record this node has not seen is
-// queued for relay at once, but it is only recorded (its pages invalidated)
-// when it is causally closed here — see drain — and until then it waits on
-// the held list. Unlike ERC's handleEagerNotice, which may record on arrival
-// because per-pair FIFO delivers a creator's records in order, relayed
-// records arrive in any order: peer A may learn (q,5) before (q,4), or
-// before a third node's interval that (q,5) was created after.
+// queued for relay at once, but it enters through the node's out-of-band
+// intake (offer, drain in intervals.go), which takes it only once it is
+// causally closed here: relayed records arrive in any order, so peer A may
+// learn (q,5) before (q,4), or before a third node's interval that (q,5)
+// was created after.
 func (g *gossiper) handle(m *msgGossip) {
 	n := g.n
 	fresh := false
 	for _, iv := range m.Ivs {
-		q := iv.ID.Node
-		if q == n.ID || iv.ID.Seq <= n.vc[q] || g.seen(iv.ID) {
+		if !n.offer(iv) {
 			continue // own, already covered (or collected), or known
 		}
-		g.held = append(g.held, iv)
-		if iv.ID.Seq > g.covered[q] {
+		if iv.ID.Seq > g.covered[iv.ID.Node] {
 			g.hot = append(g.hot, iv)
 			fresh = true
 		}
 	}
-	n.CPU.Service(g.drain(), sim.CatDSM)
+	n.CPU.Service(n.drain(), sim.CatDSM)
 	if fresh && !g.timer.Active() {
 		g.timer.Arm(g.interval)
 	}
-}
-
-// seen reports whether this node already has id's record: recorded (possibly
-// deferred, in the barrier-server role) or waiting on the held list.
-func (g *gossiper) seen(id lrc.IntervalID) bool {
-	if g.n.rec(id.Node, id.Seq) != nil {
-		return true
-	}
-	for _, iv := range g.held {
-		if iv.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-// drain records every held record that is causally closed: this node's
-// vector time covers the creator's previous interval and every third-party
-// interval the record was created after. Recording invalidates the record's
-// pages and advances the creator's vector entry to it in one step, so the
-// node never holds an invalidation whose causal predecessors it does not
-// know — a fault in that state would apply the newer diff alone and let the
-// older one overwrite it later — and never claims an interval it has not
-// invalidated. Each recording can close others, so drain repeats to a fixed
-// point. Records a lock grant or barrier release delivered meanwhile are
-// dropped. Returns the CPU cost to charge.
-func (g *gossiper) drain() sim.Time {
-	n := g.n
-	var cost sim.Time
-	for progress := true; progress; {
-		progress = false
-		keep := g.held[:0]
-		for _, iv := range g.held {
-			q := iv.ID.Node
-			switch {
-			case iv.ID.Seq <= n.vc[q]:
-			case g.closed(iv):
-				cost += n.take(iv)
-				n.vc[q] = iv.ID.Seq
-				progress = true
-			default:
-				keep = append(keep, iv)
-			}
-		}
-		g.held = keep
-	}
-	return cost
-}
-
-// closed reports whether this node's vector time covers everything iv was
-// created after: the creator's previous interval and every other node's
-// intervals in iv's vector time (its own entry aside — a node knows its own).
-func (g *gossiper) closed(iv *lrc.Interval) bool {
-	n := g.n
-	for x, s := range iv.VC {
-		if x == iv.ID.Node {
-			s-- // the creator's previous interval
-		}
-		if x != n.ID && s > n.vc[x] {
-			return false
-		}
-	}
-	return true
 }

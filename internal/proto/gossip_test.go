@@ -40,8 +40,8 @@ func checkConverged(t *testing.T, r *rig) {
 			if c == q {
 				continue
 			}
-			if nd := r.nodes[q]; nd.held[c] != 1 || len(nd.early) != 0 || nd.rec(c, 1) == nil {
-				t.Fatalf("node %d holds records through %d from %d (early %v), want exactly 1", q, nd.held[c], c, nd.early)
+			if nd := r.nodes[q]; nd.held[c] != 1 || len(nd.offered) != 0 || nd.rec(c, 1) == nil {
+				t.Fatalf("node %d holds records through %d from %d (%d offered), want exactly 1", q, nd.held[c], c, len(nd.offered))
 			}
 			if got := r.nodes[q].vc[c]; got != 1 {
 				t.Fatalf("node %d vector time for %d = %d, want 1", q, c, got)

@@ -12,14 +12,15 @@ import (
 
 // Interval records and write-notice intake: the vector-time machinery every
 // backend shares. Intervals close at release points; records propagate
-// piggybacked on synchronization messages (and eagerly under ERC); intake
-// invalidates the named pages and maintains the contiguity invariant.
+// piggybacked on synchronization messages (intake) and out of band — ERC's
+// eager notices and gossip pushes — through one causally closed rule (offer,
+// drain). Intake invalidates the named pages and maintains the contiguity
+// invariant.
 //
 // The records themselves live in the machine's one interval log, which each
 // creator appends to as it closes an interval. A node holds a prefix of each
-// creator's records — the held watermark — plus the few records it took
-// ahead of a gap (early), and reads them through rec, which masks what it
-// does not hold (DESIGN.md §4, "Interval records").
+// creator's records — the held watermark — and reads them through rec, which
+// masks what it does not hold (DESIGN.md §4, "Interval records").
 
 // closeInterval ends the current open interval, publishing write notices
 // for every page twinned during it, then hands the new record to the
@@ -87,36 +88,24 @@ func (n *Node) record(iv *lrc.Interval, deferred bool) (sim.Time, bool) {
 	return cost, true
 }
 
-// take records iv on its own, outside any batch, and invalidates its pages
-// at once; it returns the CPU cost to charge.
-func (n *Node) take(iv *lrc.Interval) sim.Time {
-	cost, now := n.record(iv, false)
-	if now {
-		n.invalidate(iv)
-	}
-	return cost
-}
-
 // holds reports whether this node has taken in record id: at or below the
-// held watermark, or early. Records below gcBase count as held — their
-// intervals are covered everywhere — though rec no longer returns them.
+// held watermark. Records below gcBase count as held — their intervals are
+// covered everywhere — though rec no longer returns them.
 func (n *Node) holds(id lrc.IntervalID) bool {
-	return id.Seq <= n.held[id.Node] || n.early.has(id)
+	return id.Seq <= n.held[id.Node]
 }
 
-// hold marks record id held: the watermark advances over it and over every
-// early record that it makes contiguous, or, ahead of a gap, it waits in
-// early until the watermark reaches it.
+// hold steps the watermark over record id. Every path takes a creator's
+// records in order — a grant or release carries them from the receiver's
+// vector time upward, a barrier arrival from the last release upward, and
+// drain only once the vector time covers the creator's previous interval —
+// so a record ahead of a gap is a protocol error.
 func (n *Node) hold(id lrc.IntervalID) {
-	q := id.Node
-	if id.Seq != n.held[q]+1 {
-		n.early = append(n.early, id)
-		return
+	if id.Seq != n.held[id.Node]+1 {
+		n.invariantf("node %d took record (%d,%d) ahead of a gap: it holds %d's records through %d",
+			n.ID, id.Node, id.Seq, id.Node, n.held[id.Node])
 	}
-	n.held[q] = id.Seq
-	for n.early.remove(lrc.IntervalID{Node: q, Seq: n.held[q] + 1}) {
-		n.held[q]++
-	}
+	n.held[id.Node] = id.Seq
 }
 
 // rec returns record (q, seq) if this node holds it, and nil otherwise. The
@@ -186,6 +175,72 @@ func (n *Node) flushDeferred() {
 	n.deferredSet = n.deferredSet[:0]
 	n.invalidate(ivs...)
 	n.ivScratch = ivs[:0]
+}
+
+// offer hands the node a record that arrived outside a lock grant or
+// barrier release — an eager notice or a gossip push — and reports whether
+// it is new here: not the node's own, not covered by its vector time, and
+// neither held nor offered already. A new record waits on the offered list
+// until drain takes it.
+func (n *Node) offer(iv *lrc.Interval) bool {
+	id := iv.ID
+	if id.Node == n.ID || id.Seq <= n.vc[id.Node] || n.holds(id) ||
+		slices.ContainsFunc(n.offered, func(o *lrc.Interval) bool { return o.ID == id }) {
+		return false
+	}
+	n.offered = append(n.offered, iv)
+	return true
+}
+
+// drain takes every offered record that is causally closed: this node's
+// vector time covers the creator's previous interval and every third-party
+// interval the record was created after. Taking a record invalidates its
+// pages and advances the creator's vector entry to it in one step, so the
+// node never holds an invalidation whose causal predecessors it does not
+// know — a fault in that state would apply the newer diff alone and let the
+// older one overwrite it later — and never claims an interval it has not
+// invalidated. Each take can close others, so drain repeats to a fixed
+// point. Records a lock grant or barrier release delivered meanwhile are
+// dropped. Returns the CPU cost to charge.
+func (n *Node) drain() sim.Time {
+	var cost sim.Time
+	for progress := true; progress; {
+		progress = false
+		keep := n.offered[:0]
+		for _, iv := range n.offered {
+			q := iv.ID.Node
+			switch {
+			case iv.ID.Seq <= n.vc[q]:
+			case n.closed(iv):
+				c, now := n.record(iv, false)
+				if now {
+					n.invalidate(iv)
+				}
+				cost += c
+				n.vc[q] = iv.ID.Seq
+				progress = true
+			default:
+				keep = append(keep, iv)
+			}
+		}
+		n.offered = keep
+	}
+	return cost
+}
+
+// closed reports whether this node's vector time covers everything iv was
+// created after: the creator's previous interval and every other node's
+// intervals in iv's vector time (its own entry aside — a node knows its own).
+func (n *Node) closed(iv *lrc.Interval) bool {
+	for x, s := range iv.VC {
+		if x == iv.ID.Node {
+			s-- // the creator's previous interval
+		}
+		if x != n.ID && s > n.vc[x] {
+			return false
+		}
+	}
+	return true
 }
 
 // intake processes a batch of interval records plus the sender's vector

@@ -10,9 +10,10 @@ import (
 )
 
 // White-box tests of interval-record intake (intervals.go): the held
-// watermark, its early set, rec's mask, and the pending lists an intake
-// sizes. The orders a lossy network, a lock chain or a collection produce
-// are constructed here by driving record, intake and gcFlush directly.
+// watermark, the out-of-band intake's causal hold, rec's mask, and the
+// pending lists an intake sizes. The orders a lossy network, a lock chain
+// or a collection produce are constructed here by driving record, intake,
+// the eager-notice handler and gcFlush directly.
 
 // takeAt has node take in, as a release carrying vector time v would, the
 // published records of ids.
@@ -39,36 +40,22 @@ func catchInvariant(f func()) (ie *InvariantError) {
 	return nil
 }
 
-// (a) A record taken ahead of a gap waits in early; the record that closes
-// the gap absorbs it, both invalidate the page in arrival order, and both
-// are forwarded.
-func TestRecordAheadOfAGapIsAbsorbed(t *testing.T) {
+// (a) Every path takes a creator's records in order, so a record taken
+// ahead of a gap is an invariant error, and the watermark does not move.
+func TestRecordAheadOfAGapIsAnInvariantError(t *testing.T) {
 	r := newRig(3)
-	q1, q2, q3 := lrc.IntervalID{Node: 0, Seq: 1}, lrc.IntervalID{Node: 0, Seq: 2}, lrc.IntervalID{Node: 0, Seq: 3}
-	for _, id := range []lrc.IntervalID{q1, q2, q3} {
-		r.publish(id, lrc.VC{id.Seq, 0, 0}, pg1)
+	q1, q3 := lrc.IntervalID{Node: 0, Seq: 1}, lrc.IntervalID{Node: 0, Seq: 3}
+	for seq := int32(1); seq <= 3; seq++ {
+		r.publish(lrc.IntervalID{Node: 0, Seq: seq}, lrc.VC{seq, 0, 0}, pg1)
 	}
 	nd := r.nodes[1]
 	r.takeAt(1, lrc.VC{1, 0, 0}, q1)
-	nd.install(pg1, nil, -1, nil) // (0,1) applied: the page is valid again
-	r.takeAt(1, lrc.VC{1, 0, 0}, q3)
-	if nd.held[0] != 1 || !slices.Equal(nd.early, idSet{q3}) || nd.rec(0, 2) != nil || nd.rec(0, 3) == nil {
-		t.Fatalf("after (0,3) alone: held %d, early %v, rec(0,2) %v; want (0,3) early and (0,2) not held",
-			nd.held[0], nd.early, nd.rec(0, 2))
+	ie := catchInvariant(func() { r.takeAt(1, lrc.VC{1, 0, 0}, q3) })
+	if ie == nil || ie.Node != 1 {
+		t.Fatalf("taking (0,3) above a watermark at 1 raised %v, want an InvariantError at node 1", ie)
 	}
-	r.takeAt(1, lrc.VC{3, 0, 0}, q2)
-	if nd.held[0] != 3 || len(nd.early) != 0 {
-		t.Fatalf("after (0,2): held %d, early %v; want the watermark at 3 and early empty", nd.held[0], nd.early)
-	}
-	if got := nd.page(pg1).pending; !slices.Equal(got, []lrc.IntervalID{q3, q2}) {
-		t.Fatalf("page 1 pending %v, want [(0,3) (0,2)] in arrival order", got)
-	}
-	var got []lrc.IntervalID
-	for _, iv := range nd.missingIvs(lrc.VC{1, 0, 0}, -1) {
-		got = append(got, iv.ID)
-	}
-	if !slices.Equal(got, []lrc.IntervalID{q2, q3}) {
-		t.Fatalf("missingIvs above (0,1) = %v, want (0,2) and (0,3)", got)
+	if nd.held[0] != 1 || nd.rec(0, 3) != nil {
+		t.Fatalf("after the gap: held %d, rec(0,3) %v; want the watermark at 1 and (0,3) not held", nd.held[0], nd.rec(0, 3))
 	}
 }
 
@@ -109,6 +96,33 @@ func TestCollectedRecordsAreMasked(t *testing.T) {
 	ie := catchInvariant(func() { nd.missingIvs(lrc.NewVC(2), -1) })
 	if ie == nil || ie.Node != 1 {
 		t.Fatalf("missingIvs below gcBase raised %v, want an InvariantError at node 1", ie)
+	}
+}
+
+// (d) An eager notice waits for its cause. Node 1 took node 2's lock and
+// then wrote page 1, so its notice (1,1) was created after (2,1), which
+// wrote the page before it. The two notices travel over different pairs,
+// which FIFO does not order; when (1,1) reaches node 0 first, node 0 must
+// hold it: a fault in between would apply (1,1)'s diff alone, and (2,1)'s
+// older diff, applied at a later fault, would overwrite it.
+func TestEagerNoticeWaitsForItsCause(t *testing.T) {
+	r := newRigCfg(3, Spec{Protocol: "erc"})
+	early, cause := lrc.IntervalID{Node: 1, Seq: 1}, lrc.IntervalID{Node: 2, Seq: 1}
+	causeIv := r.publish(cause, lrc.VC{0, 0, 1}, pg1)
+	earlyIv := r.publish(early, lrc.VC{0, 1, 1}, pg1)
+	nd := r.nodes[0]
+	erc := nd.coh.(*lrcCoherence)
+	erc.handleEagerNotice(&msgEagerNotice{Iv: earlyIv})
+	if !nd.PageValid(pg1) || nd.vc[1] != 0 || nd.rec(1, 1) != nil {
+		t.Fatalf("after (1,1) alone: page valid %v, vc %v, rec(1,1) %v; want it held back, the page untouched",
+			nd.PageValid(pg1), nd.vc, nd.rec(1, 1))
+	}
+	erc.handleEagerNotice(&msgEagerNotice{Iv: causeIv})
+	if got := nd.page(pg1).pending; !slices.Equal(got, []lrc.IntervalID{cause, early}) {
+		t.Fatalf("page 1 pending %v, want [(2,1) (1,1)]: the cause first", got)
+	}
+	if nd.vc[1] != 1 || nd.vc[2] != 1 || len(nd.offered) != 0 {
+		t.Fatalf("after (2,1): vc %v, offered %d; want both taken", nd.vc, len(nd.offered))
 	}
 }
 

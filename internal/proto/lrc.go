@@ -202,20 +202,14 @@ func (c *lrcCoherence) broadcastNotice(iv *lrc.Interval) {
 	}
 }
 
-// handleEagerNotice records and applies an eagerly-pushed write notice.
-// Only the creator's own vector entry is advanced: per-pair FIFO delivery
-// guarantees the creator's records arrive contiguously, and advancing it
-// keeps this node's subsequent intervals causally after the data they may
-// come to depend on. Third-party entries of the interval's VC are NOT
-// merged (their records may not have arrived yet).
+// handleEagerNotice offers an eagerly pushed write notice to the node's
+// out-of-band intake (intervals.go), which takes it once it is causally
+// closed: per-pair FIFO orders one creator's notices, but not the
+// third-party intervals the notice was created after.
 func (c *lrcCoherence) handleEagerNotice(m *msgEagerNotice) {
 	n := c.n
-	iv := m.Iv
-	cost := n.take(iv)
-	if n.vc[iv.ID.Node] < iv.ID.Seq {
-		n.vc[iv.ID.Node] = iv.ID.Seq
-	}
-	n.CPU.Service(cost, sim.CatDSM)
+	n.offer(m.Iv)
+	n.CPU.Service(n.drain(), sim.CatDSM)
 }
 
 // Every interval of a diff-based fetch is on the diff side.

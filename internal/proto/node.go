@@ -98,12 +98,13 @@ type Node struct {
 
 	// Lazy release consistency state. log is the machine's interval log,
 	// log[node][seq-1], shared by every node; this node holds records
-	// (q, gcBase[q]+1 … held[q]) and those in early, taken ahead of a gap
-	// (intervals.go), and reads them through rec.
-	vc    lrc.VC
-	log   [][]*lrc.Interval
-	held  lrc.VC
-	early idSet
+	// (q, gcBase[q]+1 … held[q]) and reads them through rec. offered holds
+	// the records that arrived out of band and are not yet causally closed
+	// (intervals.go).
+	vc      lrc.VC
+	log     [][]*lrc.Interval
+	held    lrc.VC
+	offered []*lrc.Interval
 
 	// Per-page protocol state, which is also the diff store: a page's diffs
 	// hang off its entry (diffstore.go). Entries appear a leaf at a time;

@@ -24,7 +24,7 @@ import (
 //     delayed pure ack (KindAck) otherwise;
 //   - duplicates are suppressed by sequence number, and out-of-order frames
 //     are buffered so the protocol keeps its per-pair FIFO delivery
-//     guarantee (interval contiguity depends on it).
+//     guarantee (DESIGN.md §11 says which engine leans on what).
 //
 // Prefetch requests and replies stay unsequenced datagrams (Seq == 0): the
 // protocol is already loss-tolerant for them — a lost prefetch just becomes
