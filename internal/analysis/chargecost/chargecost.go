@@ -9,7 +9,8 @@
 //
 // What a message is — its kind, its payload, its size on the wire — is
 // equally a measured quantity (the paper's tables report messages and
-// KBytes), so it is declared once, in proto/messages.go: a netsim.Message
+// KBytes), so it is declared once, in proto/messages.go, whose msg builds
+// every protocol message together with its payload: a netsim.Message
 // composite literal, or a read of the wire header size Costs.HeaderBytes,
 // anywhere but the wire files (messages.go, costs.go where the field is
 // declared, transport.go for the payload-less pure ack) is flagged too.
@@ -57,7 +58,7 @@ func run(pass *framework.Pass) error {
 			case *ast.CompositeLit:
 				if !wire && typeName(n) == "Message" {
 					pass.Reportf(n.Pos(),
-						"netsim.Message literal outside the wire module; build it with Node.msg so its kind and size come from messages.go")
+						"netsim.Message literal outside the wire module; build it with msg so its kind and size come from messages.go")
 				}
 			case *ast.SelectorExpr:
 				if !wire && n.Sel.Name == "HeaderBytes" && typeName(n.X) == "Costs" {

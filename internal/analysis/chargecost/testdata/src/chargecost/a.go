@@ -28,7 +28,7 @@ func bad(n *Node, m *Message) {
 
 func good(n *Node, m *Message) {
 	n.sendAfter(0, m)
-	n.sendAfter(0, n.msg(1, 24))
+	n.sendAfter(0, msg(n, 1, 24))
 }
 
 func handBuilt(n *Node) {

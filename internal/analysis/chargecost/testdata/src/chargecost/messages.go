@@ -7,6 +7,6 @@ type Message struct{ Src, Dst, Size int }
 type Costs struct{ HeaderBytes int }
 
 // msg is the one constructor.
-func (n *Node) msg(dst, body int) *Message {
+func msg(n *Node, dst, body int) *Message {
 	return &Message{Dst: dst, Size: n.C.HeaderBytes + body}
 }

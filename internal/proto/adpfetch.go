@@ -45,7 +45,7 @@ func (c *adpCoherence) hybridFault(p pagemem.PageID, onValid func()) {
 	outcome := n.takePf(p, ps.pending)
 	c.acc.cell(p).faults++
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(ps.pending)))
-	n.startFetch(&fetch{page: p, waiters: []func(){onValid}}, n.C.FaultEntry)
+	n.startFetch(n.newFetch(p, onValid), n.C.FaultEntry)
 }
 
 // startFill begins the home's side of a diff -> home switch: a fetch with no
@@ -67,7 +67,9 @@ func (c *adpCoherence) startFill(p pagemem.PageID, switchVC lrc.VC) {
 	if hl.xin[p] == nil { // else a flush that outran our release opened it
 		hl.xin[p] = &xferIn{fill: true}
 	}
-	n.startFetch(&fetch{page: p, fillVC: switchVC}, 0)
+	f := n.newFetch(p)
+	f.fillVC = switchVC
+	n.startFetch(f, 0)
 }
 
 // settle runs once p's frame is the home copy, current through applied: it

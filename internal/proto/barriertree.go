@@ -86,14 +86,14 @@ func (tb *treeBarrier) Barrier(id int, onRelease func()) {
 	tb.start = n.K.Now()
 	tb.wait = onRelease
 
-	a := &msgBarArrive{Barrier: id, From: n.ID, VC: n.vc.Clone(), Ivs: own,
+	a := msgBarArrive{Barrier: id, From: n.ID, VC: n.vc.Clone(), Ivs: own,
 		DiffBytes: n.diffBytes, Acc: n.coh.episodeAcc()}
 	if len(tb.children) == 0 && n.ID != 0 {
-		n.post(0, n.msg(tb.parent, KindBarArrive, a))
+		n.post(0, msg(n, tb.parent, KindBarArrive, a))
 		return
 	}
 	a.DiffBytes = n.gc.ReportBytes()
-	tb.arrive(a)
+	tb.arrive(&a)
 }
 
 // arrive folds one arrival (the local thread's or a child subtree's) into
@@ -203,7 +203,7 @@ func (tb *treeBarrier) sendUp(cost sim.Time) {
 	maxVC := lrc.NewVC(n.N)
 	gcWant := tb.mergeInto(maxVC)
 
-	n.post(cost, n.msg(tb.parent, KindBarArrive, &msgBarArrive{Barrier: tb.barID, From: n.ID,
+	n.post(cost, msg(n, tb.parent, KindBarArrive, msgBarArrive{Barrier: tb.barID, From: n.ID,
 		VC: maxVC, Ivs: ivs, MinVC: minVC, GCWant: gcWant, Acc: acc}))
 }
 
@@ -236,7 +236,7 @@ func (tb *treeBarrier) fanDown(r *msgBarRelease, cost sim.Time) {
 		}
 		ivs := n.missingIvs(tb.childMn[i], exclude)
 		tb.childMn[i] = nil
-		n.post(cost, n.msg(c, KindBarRelease, &msgBarRelease{Barrier: r.Barrier, VC: n.vc.Clone(),
+		n.post(cost, msg(n, c, KindBarRelease, msgBarRelease{Barrier: r.Barrier, VC: n.vc.Clone(),
 			Ivs: ivs, GC: r.GC, Moves: r.Moves}))
 		cost = 0
 	}

@@ -194,21 +194,42 @@ func TestGroupByNodeKeepsFirstAppearanceOrder(t *testing.T) {
 	id := func(node int, seq int32) lrc.IntervalID { return lrc.IntervalID{Node: node, Seq: seq} }
 	ids := []lrc.IntervalID{id(2, 1), id(0, 4), id(2, 2), id(1, 1), id(0, 5)}
 	got := groupByNode(ids)
-	want := [][]lrc.IntervalID{{id(2, 1), id(2, 2)}, {id(0, 4), id(0, 5)}, {id(1, 1)}}
-	if !slices.EqualFunc(got, want, func(a, b []lrc.IntervalID) bool { return slices.Equal(a, b) }) {
-		t.Errorf("groups %v, want %v", got, want)
+	want := []lrc.IntervalID{id(2, 1), id(2, 2), id(0, 4), id(0, 5), id(1, 1)}
+	if !slices.Equal(got, want) {
+		t.Errorf("regrouped %v, want %v", got, want)
 	}
-	got[0][0] = id(7, 7)
+	got[0] = id(7, 7)
 	if ids[0] != id(2, 1) {
-		t.Error("a group aliases the caller's list")
+		t.Error("the regrouped copy aliases the caller's list")
 	}
-	// The groups share one backing array; growing one must not write into
-	// the next.
-	got[0] = append(got[0], id(9, 9))
-	if !slices.Equal(got[1], want[1]) {
-		t.Errorf("appending to group 0 overwrote group 1: %v", got[1])
+	if len(groupByNode(nil)) != 0 {
+		t.Error("no ids, yet some regrouped")
 	}
-	if groupByNode(nil) != nil {
-		t.Error("no ids, yet groups")
+}
+
+// The requests of one diffReqs call keep their Wants after the next call
+// reuses the node's scratch, and after the caller's ids are overwritten:
+// each request owns its creator's run of a fresh regrouped copy.
+func TestDiffReqsOutliveTheScratch(t *testing.T) {
+	id := func(node int, seq int32) lrc.IntervalID { return lrc.IntervalID{Node: node, Seq: seq} }
+	n := newRig(4).nodes[3]
+	ids := []lrc.IntervalID{id(2, 1), id(0, 4), id(2, 2)}
+	first := slices.Clone(n.diffReqs(pg1, ids, false))
+	ids[0], ids[1], ids[2] = id(1, 1), id(1, 2), id(0, 9)
+	n.diffReqs(pg1, ids, true)
+	wants := [][]lrc.IntervalID{{id(2, 1), id(2, 2)}, {id(0, 4)}}
+	if len(first) != len(wants) {
+		t.Fatalf("%d requests, want %d", len(first), len(wants))
+	}
+	for i, m := range first {
+		req := m.Payload.(*msgDiffReq)
+		if int(m.Dst) != wants[i][0].Node || !slices.Equal(req.Wants, wants[i]) || req.Prefetch {
+			t.Errorf("request %d to node %d wants %v (prefetch %v), want %v", i, m.Dst, req.Wants, req.Prefetch, wants[i])
+		}
+	}
+	// Growing one request's Wants must not write into the next's.
+	_ = append(first[0].Payload.(*msgDiffReq).Wants, id(9, 9))
+	if got := first[1].Payload.(*msgDiffReq).Wants; !slices.Equal(got, wants[1]) {
+		t.Errorf("appending to request 0's Wants overwrote request 1's: %v", got)
 	}
 }

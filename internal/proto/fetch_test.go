@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -104,15 +105,83 @@ func TestHomeFaultCompletesAtTheFlushsDone(t *testing.T) {
 	}
 }
 
+// TestRecycledFetchStartsClean: a completed fetch is freed blank but for
+// its lists' capacity, and the node's next fetch draws it. On one adp node
+// an lrc fetch, then a fill (fillVC) and then a home wait (atFlush) each
+// draw the record the one before freed, and none of them sees what its
+// predecessor left: waiters, needed, asked, base, fillVC or atFlush.
+func TestRecycledFetchStartsClean(t *testing.T) {
+	r := adpRig(4)
+	nd := r.nodes[1] // page 1's home once it is in home mode
+	var rec *fetch
+	freed := func(stage string) {
+		t.Helper()
+		if len(nd.freeFetches) != 1 || rec != nil && nd.freeFetches[0] != rec {
+			t.Fatalf("%s: free list %p, want the one record %p", stage, nd.freeFetches, rec)
+		}
+		rec = nd.freeFetches[0]
+		blank := fetch{waiters: rec.waiters[:0], needed: rec.needed[:0], asked: rec.asked[:0]}
+		if !reflect.DeepEqual(*rec, blank) || slices.ContainsFunc(rec.waiters[:cap(rec.waiters)], func(w func()) bool { return w != nil }) {
+			t.Fatalf("%s: freed record not blank: %+v", stage, *rec)
+		}
+	}
+	drawn := func(stage string, waiters int, needed []lrc.IntervalID, fill, atFlush bool) {
+		t.Helper()
+		f := nd.fetches[pg1]
+		if f != rec || len(nd.freeFetches) != 0 {
+			t.Fatalf("%s: fetch %p, want the freed record %p", stage, f, rec)
+		}
+		if len(f.waiters) != waiters || !slices.Equal(f.needed, needed) || len(f.asked) != 0 ||
+			f.base != nil || (f.fillVC != nil) != fill || f.atFlush != atFlush {
+			t.Fatalf("%s: drew %+v", stage, *f)
+		}
+	}
+	ran := 0
+	onValid := func() { ran++ }
+
+	r.write(0, page0, 1)
+	r.barrierAll(0)
+	nd.Fault(pg1, onValid) // diff mode: an lrc fetch
+	rec = nd.fetches[pg1]
+	r.k.Run()
+	freed("after the lrc fetch")
+	if cap(rec.waiters) == 0 || cap(rec.needed) == 0 {
+		t.Fatalf("the freed record lost its lists' capacity: %+v", *rec)
+	}
+
+	r.write(0, page0, 2)
+	r.barrierAll(1)
+	toHome := []HomeMove{{Page: pg1, Mode: ModeHome}}
+	r.adp(1).applyMoves(toHome) // the fill asks node 0 for (0,2)
+	drawn("the fill", 0, []lrc.IntervalID{{Node: 0, Seq: 2}}, true, false)
+	for _, i := range []int{0, 2, 3} {
+		r.adp(i).applyMoves(toHome)
+	}
+	r.k.Run()
+	freed("after the fill")
+
+	id := lrc.IntervalID{Node: 0, Seq: 3}
+	r.learn(1, id)
+	nd.Fault(pg1, onValid) // home mode, the flush outstanding: a home wait
+	drawn("the home wait", 1, nil, false, true)
+	r.adp(1).hl.handleHomeFlush(wordFlush(id, 0, 3))
+	r.k.Run()
+	freed("after the home wait")
+	if ran != 2 || r.read(1, page0) != 3 {
+		t.Fatalf("waiters ran %d times (want 2), node 1 read %v (want 3)", ran, r.read(1, page0))
+	}
+}
+
 // diffFetchAllocs is what one demand diff fetch may allocate, end to end: at
-// the faulting node the fetch and its waiter list, the asked set, the
-// request's group (one backing array and the group list), payload and
-// message list and message; at the writer the lazily made diff, the reply's
-// items, payload and message; and back at the faulting node what banking
-// the diff takes. Scheduling the two sends, the two deliveries and the
-// waiters' wake-up adds nothing: each is a bound method with the message or
-// the fetch as its argument.
-const diffFetchAllocs = 13
+// the faulting node the regrouped copy of the asked ids and the request (a
+// message and its payload are one allocation); at the writer the lazily
+// made diff (its header and its data) and the reply, whose one item is kept
+// inline. Nothing else allocates once warm: the fetch record is a recycled
+// one with its lists' capacity, the request list and the reply's items are
+// node scratch, and scheduling the two sends, the two deliveries and the
+// waiters' wake-up is a bound method with the message or the fetch as its
+// argument.
+const diffFetchAllocs = 5
 
 // TestDiffFetchAllocs pins the allocations of one fault → diff request →
 // diff reply → install round trip on a two-node lrc rig.
@@ -138,10 +207,33 @@ func TestDiffFetchAllocs(t *testing.T) {
 	if valid != 8 {
 		t.Fatalf("waiter ran %d times over 8 fetches", valid)
 	}
-	// The first rounds grow the event queue and the tables, and a page's
-	// held diffs grow by doubling, so the pin is the leanest round.
+	// The first rounds grow the event queue, the tables and the scratch, and
+	// a page's held diffs grow by doubling, so the pin is the leanest round.
 	if got := slices.Min(perRound); got > diffFetchAllocs {
 		t.Errorf("a diff fetch round trip allocates %d times, want at most %d (rounds: %v)",
 			got, diffFetchAllocs, perRound)
+	}
+}
+
+// BenchmarkDiffFetch is one fault → diff request → diff reply → install round
+// trip on TestDiffFetchAllocs's two-node lrc rig. The write and the barrier
+// that invalidate the page before each fetch are off the clock, and so is a
+// fresh rig every 256 fetches: with no collector, a page's held diffs grow
+// by one a round, and finding one is a scan.
+func BenchmarkDiffFetch(b *testing.B) {
+	var r *rig
+	onValid := func() {}
+	b.ReportAllocs()
+	for i := range b.N {
+		b.StopTimer()
+		if i%256 == 0 {
+			r = newRig(2)
+		}
+		r.k.At(r.k.Now(), func() { r.write(0, page0, float64(i)) })
+		r.k.Run()
+		r.barrierAll(i)
+		b.StartTimer()
+		r.nodes[1].Fault(pg1, onValid)
+		r.k.Run()
 	}
 }

@@ -137,7 +137,7 @@ func (g *lrcGC) gcSendDone() {
 		g.gcDoneAtManager(0)
 		return
 	}
-	n.post(0, n.msg(0, KindGCDone, &msgGCDone{From: n.ID}))
+	n.post(0, msg(n, 0, KindGCDone, msgGCDone{From: n.ID}))
 }
 
 // gcDoneAtManager counts completions; the N-th broadcasts the flush.
@@ -149,7 +149,7 @@ func (g *lrcGC) gcDoneAtManager(from int) {
 	}
 	g.doneCount = 0
 	for q := 1; q < n.N; q++ {
-		n.post(0, n.msg(q, KindGCFlush, &msgGCFlush{}))
+		n.post(0, msg(n, q, KindGCFlush, msgGCFlush{}))
 	}
 	g.handleGCFlush()
 }

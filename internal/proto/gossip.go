@@ -155,9 +155,8 @@ func (g *gossiper) fire() {
 	g.round++
 	n.bus.Emit(event.GossipPush(n.ID, g.round, len(batch), len(g.peers)))
 
-	pl := &msgGossip{From: n.ID, Ivs: batch}
-	for _, q := range g.peers {
-		n.post(0, n.msg(q, KindGossip, pl))
+	for _, q := range g.peers { // the batch is shared read-only
+		n.post(0, msg(n, q, KindGossip, msgGossip{From: n.ID, Ivs: batch}))
 	}
 }
 

@@ -136,7 +136,7 @@ func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.
 		c.acc.cells[p].bytes += int64(db)
 	}
 	n.bus.Emit(event.HomeFlush(n.ID, home, int64(p), db))
-	n.post(cost, n.msg(home, KindHomeFlush, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
+	n.post(cost, msg(n, home, KindHomeFlush, msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
 	return 0
 }
 

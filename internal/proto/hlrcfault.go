@@ -41,7 +41,9 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 			return
 		}
 		n.bus.Emit(event.FaultRemote(n.ID, int64(p), event.OutcomeNoPf, uncovered))
-		n.startFetch(&fetch{page: p, waiters: []func(){onValid}, atFlush: true}, n.C.FaultEntry)
+		f := n.newFetch(p, onValid)
+		f.atFlush = true
+		n.startFetch(f, n.C.FaultEntry)
 		return
 	}
 
@@ -63,7 +65,7 @@ func (c *hlrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 		n.closeInterval()
 	}
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(ps.pending)))
-	n.startFetch(&fetch{page: p, waiters: []func(){onValid}}, n.C.FaultEntry)
+	n.startFetch(n.newFetch(p, onValid), n.C.FaultEntry)
 }
 
 // onBase: every interval of a home-based fetch is on the base side.
@@ -76,8 +78,8 @@ func (c *hlrcCoherence) pageReq(p pagemem.PageID, need []lrc.IntervalID, prefetc
 	if prefetch {
 		kind = KindPfReq
 	}
-	return c.n.msg(c.home(p), kind,
-		&msgPageReq{From: c.n.ID, Page: p, Own: c.n.page(p).flushed, Need: need, Prefetch: prefetch})
+	return msg(c.n, c.home(p), kind,
+		msgPageReq{From: c.n.ID, Page: p, Own: c.n.page(p).flushed, Need: need, Prefetch: prefetch})
 }
 
 // handlePageReply caches a prefetch reply, or hands a demand reply's copy to

@@ -169,6 +169,6 @@ func (c *hlrcCoherence) replyPage(req *msgPageReq, covers []lrc.IntervalID) {
 	if req.Prefetch {
 		kind = KindPfReply
 	}
-	n.post(sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), n.msg(req.From, kind,
-		&msgPageReply{Page: req.Page, Data: data, Covers: covers, Prefetch: req.Prefetch}))
+	n.post(sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), msg(n, req.From, kind,
+		msgPageReply{Page: req.Page, Data: data, Covers: covers, Prefetch: req.Prefetch}))
 }

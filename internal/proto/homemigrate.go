@@ -118,8 +118,8 @@ func (c *hlrcCoherence) maybeShip(p pagemem.PageID, to int, cut lrc.VC, cost sim
 		// it go to the new home, which serves nothing before the base lands.
 		n.pageInvariantf(p, "node %d ships the base of page %d with writes of its own open", n.ID, p)
 	}
-	n.post(cost+sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), n.msg(to, KindHomeXfer,
-		&msgHomeXfer{From: n.ID, Page: p, Data: append([]byte(nil), n.Store.Frame(p)...), Applied: cv}))
+	n.post(cost+sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize)), msg(n, to, KindHomeXfer,
+		msgHomeXfer{From: n.ID, Page: p, Data: append([]byte(nil), n.Store.Frame(p)...), Applied: cv}))
 	return 0
 }
 

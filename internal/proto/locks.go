@@ -133,19 +133,21 @@ func (sm *syncManager) AcquireLock(id int, onGranted func()) (immediate bool) {
 	ls.waiting = onGranted
 	ls.reqStart = n.K.Now()
 	ls.mySeq++
-	req := &msgLockAcq{Lock: id, Requester: n.ID, VC: n.vc.Clone(), Seq: ls.mySeq}
+	req := msgLockAcq{Lock: id, Requester: n.ID, VC: n.vc.Clone(), Seq: ls.mySeq}
 	mgr := sm.lockManager(id)
 	if mgr == n.ID {
+		local := req // only this path allocates the payload alone
 		done := n.CPU.Service(n.C.LockMgr, sim.CatDSM)
-		n.K.At(done, func() { sm.handleLockAcqAtManager(req) })
+		n.K.At(done, func() { sm.handleLockAcqAtManager(&local) })
 		return false
 	}
-	n.post(0, n.msg(mgr, KindLockAcq, req))
+	n.post(0, msg(n, mgr, KindLockAcq, req))
 	return false
 }
 
 // handleLockAcqAtManager runs at the lock's manager: it records the new
-// tail of the queue and forwards the request to the previous requester.
+// tail of the queue and forwards a copy of the request, chained after the
+// predecessor's tenure, to the previous requester.
 func (sm *syncManager) handleLockAcqAtManager(req *msgLockAcq) {
 	n := sm.n
 	ls := sm.lock(req.Lock)
@@ -163,7 +165,7 @@ func (sm *syncManager) handleLockAcqAtManager(req *msgLockAcq) {
 		sm.handleLockForward(req)
 		return
 	}
-	n.post(n.C.LockMgr, n.msg(prev, KindLockForward, req))
+	n.post(n.C.LockMgr, msg(n, prev, KindLockForward, *req))
 }
 
 // handleLockForward runs at the previous requester: grant now if the token
@@ -199,7 +201,7 @@ func (sm *syncManager) handleLockForward(req *msgLockAcq) {
 		n.invariantf("node %d forwarded lock %d it does not own", n.ID, req.Lock)
 	}
 	// The token is on its way back to the manager: redirect the request.
-	n.post(0, n.msg(sm.lockManager(req.Lock), KindLockRetry, req))
+	n.post(0, msg(n, sm.lockManager(req.Lock), KindLockRetry, *req))
 }
 
 // handleLockRetry runs at the manager: grant from the (possibly still
@@ -222,7 +224,7 @@ func (sm *syncManager) handleLockRetry(req *msgLockAcq) {
 func (sm *syncManager) passToken(kind netsim.Kind, id, to int, have lrc.VC) {
 	n := sm.n
 	sm.lock(id).owned = false
-	n.post(n.C.GrantMake, n.msg(to, kind, &msgLockGrant{Lock: id, VC: n.vc.Clone(), Ivs: n.missingIvs(have, to)}))
+	n.post(n.C.GrantMake, msg(n, to, kind, msgLockGrant{Lock: id, VC: n.vc.Clone(), Ivs: n.missingIvs(have, to)}))
 }
 
 // returnToken ships the token back to the manager (noTokenCache), carrying

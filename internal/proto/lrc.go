@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"slices"
+
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/netsim"
@@ -44,24 +46,32 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 	n.bus.Emit(event.FaultRemote(n.ID, int64(p), outcome, len(missing)))
 	// The fault has listed the missing diffs already: ask for them here
 	// rather than have the first tryComplete scan the page's diffs again.
-	f := &fetch{page: p, waiters: []func(){onValid}}
+	f := n.newFetch(p, onValid)
 	n.openFetch(f)
 	n.askDiffs(f, n.C.FaultEntry, missing)
 }
 
 // diffReqs builds one diff request for page p per distinct creator of the
-// wanted intervals: a demand request, or a prefetch datagram.
+// wanted intervals: a demand request, or a prefetch datagram. The list is
+// the node's scratch, the caller's until its next diffReqs; each request's
+// Wants is its creator's run of one fresh regrouped copy of want.
 func (n *Node) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
 	kind := KindDiffReq
 	if prefetch {
 		kind = KindPfReq
 	}
-	groups := groupByNode(want)
-	msgs := make([]*netsim.Message, 0, len(groups))
-	for _, g := range groups {
-		msgs = append(msgs, n.msg(g[0].Node, kind,
-			&msgDiffReq{From: n.ID, Page: p, Wants: g, Prefetch: prefetch}))
+	msgs := n.msgScratch[:0]
+	ids := groupByNode(want)
+	for len(ids) > 0 {
+		run := 1
+		for run < len(ids) && ids[run].Node == ids[0].Node {
+			run++
+		}
+		msgs = append(msgs, msg(n, ids[0].Node, kind,
+			msgDiffReq{From: n.ID, Page: p, Wants: ids[:run:run], Prefetch: prefetch}))
+		ids = ids[run:]
 	}
+	n.msgScratch = msgs
 	return msgs
 }
 
@@ -81,56 +91,35 @@ func (c *lrcCoherence) Prefetch(p pagemem.PageID) int {
 	return n.issuePrefetch(p, missing, n.diffReqs(p, missing, true)...)
 }
 
-// groupByNode buckets interval ids by creator: one group per creator, in
-// first-appearance order, so that callers iterate deterministically. The
-// groups are the caller's to keep: they share one copy of ids, each clipped
-// to its own length so that appending to one cannot overwrite the next. A
-// page's writers are few: finding an id's creator among those seen is a
-// scan.
-func groupByNode(ids []lrc.IntervalID) [][]lrc.IntervalID {
-	if len(ids) == 0 {
-		return nil
-	}
-	// firstOf reports whether ids[i] is its creator's first id.
-	firstOf := func(i int) bool {
-		for _, prev := range ids[:i] {
-			if prev.Node == ids[i].Node {
-				return false
-			}
-		}
-		return true
-	}
-	n := 0
-	for i := range ids {
-		if firstOf(i) {
-			n++
-		}
-	}
-	groups := make([][]lrc.IntervalID, 0, n)
+// groupByNode returns a copy of ids regrouped by creator: each creator's
+// ids in a run, in their order in ids, and the runs in the order of each
+// creator's first appearance, so that callers iterate deterministically. The
+// copy is the caller's to keep. A page's writers are few: finding an id's
+// creator among those seen is a scan.
+func groupByNode(ids []lrc.IntervalID) []lrc.IntervalID {
 	flat := make([]lrc.IntervalID, 0, len(ids))
 	for i, head := range ids {
-		if !firstOf(i) {
-			continue
+		if slices.ContainsFunc(ids[:i], func(prev lrc.IntervalID) bool { return prev.Node == head.Node }) {
+			continue // not its creator's first id
 		}
-		a := len(flat)
 		for _, id := range ids[i:] {
 			if id.Node == head.Node {
 				flat = append(flat, id)
 			}
 		}
-		groups = append(groups, flat[a:len(flat):len(flat)])
 	}
-	return groups
+	return flat
 }
 
 // handleDiffReq services a demand or prefetch diff request: it lazily
 // creates the diff for this node's undiffed write notice if that notice is
-// requested, then replies with every requested diff.
+// requested, then replies with every requested diff. The items are listed
+// in the node's scratch; the reply takes its own copy (msgDiffReply.own).
 func (c *lrcCoherence) handleDiffReq(req *msgDiffReq) {
 	n := c.n
 	ps := n.page(req.Page)
 	var cost sim.Time
-	items := make([]diffItem, 0, len(req.Wants))
+	items := n.itemScratch[:0]
 	for _, id := range req.Wants {
 		if id.Node != n.ID {
 			n.pageInvariantf(req.Page, "node %d asked for diff created by node %d", n.ID, id.Node)
@@ -153,8 +142,8 @@ func (c *lrcCoherence) handleDiffReq(req *msgDiffReq) {
 	if req.Prefetch {
 		kind = KindPfReply
 	}
-	n.post(cost, n.msg(req.From, kind,
-		&msgDiffReply{Page: req.Page, Items: items, Prefetch: req.Prefetch}))
+	n.itemScratch = items
+	n.post(cost, msg(n, req.From, kind, msgDiffReply{Page: req.Page, Items: items, Prefetch: req.Prefetch}))
 }
 
 // handleDiffReply stores arriving diffs and advances the in-flight fetch of
@@ -197,7 +186,7 @@ func (c *lrcCoherence) broadcastNotice(iv *lrc.Interval) {
 	n := c.n
 	for q := 0; q < n.N; q++ {
 		if q != n.ID {
-			n.post(0, n.msg(q, KindEagerNotice, &msgEagerNotice{Iv: iv}))
+			n.post(0, msg(n, q, KindEagerNotice, msgEagerNotice{Iv: iv}))
 		}
 	}
 }

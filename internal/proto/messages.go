@@ -11,8 +11,10 @@ import (
 // paper's Tables 1 and 2 report messages and KBytes per configuration, so a
 // message's kind and size are measured quantities; they are declared here
 // once — the kind table, every payload type with its wire size, the one
-// constructor (Node.msg) — and dsmvet's chargecost analyzer keeps message
-// literals and the wire header size out of every other file.
+// constructor (msg), which allocates a message and its payload together —
+// and dsmvet's chargecost analyzer keeps message literals and the wire
+// header size out of every other file. Payloads are passed to msg by value;
+// one built from a sender's scratch copies what it keeps (own).
 
 // Message kinds for traffic statistics.
 const (
@@ -112,17 +114,35 @@ type pagePayload interface {
 	page() pagemem.PageID
 }
 
-// msg builds the wire message carrying pl from this node to dst; it is the
-// single netsim.Message allocation site for protocol traffic. Everything but
-// a datagram kind is marked reliable for the network — and so are those
-// under Spec.PfReliable.
-func (n *Node) msg(dst int, kind netsim.Kind, pl payload) *netsim.Message {
-	return &netsim.Message{
-		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(dst),
-		Size:     n.C.HeaderBytes + pl.wireSize(n.C, n.N),
-		Reliable: !kinds[kind].datagram || n.pfReliable,
-		Kind:     kind, Payload: pl,
+// wire is a message and its payload in one allocation: the message's
+// Payload points at pl.
+type wire[P any] struct {
+	m  netsim.Message
+	pl P
+}
+
+// msg builds the wire message carrying a copy of pl from n to dst; it is the
+// single netsim.Message allocation site for protocol traffic, and the
+// message and its payload are one allocation. A payload built from the
+// sender's scratch takes its own copy of it here (own). Everything but a
+// datagram kind is marked reliable for the network — and so are those under
+// Spec.PfReliable.
+func msg[P any, PP interface {
+	*P
+	payload
+}](n *Node, dst int, kind netsim.Kind, pl P) *netsim.Message {
+	w := &wire[P]{pl: pl}
+	pp := PP(&w.pl)
+	if o, ok := any(pp).(interface{ own() }); ok {
+		o.own()
 	}
+	w.m = netsim.Message{
+		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(dst),
+		Size:     n.C.HeaderBytes + pp.wireSize(n.C, n.N),
+		Reliable: !kinds[kind].datagram || n.pfReliable,
+		Kind:     kind, Payload: pp,
+	}
+	return &w.m
 }
 
 // ivsWireSize estimates the on-wire size of a batch of interval records.
@@ -160,7 +180,13 @@ type msgDiffReply struct {
 	Page     pagemem.PageID
 	Items    []diffItem
 	Prefetch bool
+
+	one [1]diffItem
 }
+
+// own moves a reply's items off the server's scratch: into the inline array
+// when there is one item, as most replies have, else into a new one.
+func (m *msgDiffReply) own() { m.Items = append(m.one[:0], m.Items...) }
 
 func (m *msgDiffReply) wireSize(*Costs, int) int {
 	n := 0

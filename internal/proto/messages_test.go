@@ -2,6 +2,7 @@ package proto
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"godsm/internal/lrc"
@@ -12,12 +13,23 @@ import (
 // wireSample is a payload with the wire size the hand-written formulas of
 // every earlier commit gave it at 8 processors under DefaultCosts: 40 header
 // bytes, 24 request bytes, 8 per write notice, 4 per vector-time entry.
+// build sends it from n to node 5 as kind; pl points at the sample payload.
 type wireSample struct {
 	name     string
 	kind     netsim.Kind
 	pl       payload
+	build    func(n *Node) *netsim.Message
 	reliable bool
 	size     int
+}
+
+// sample makes the wireSample that sends pl as kind.
+func sample[P any, PP interface {
+	*P
+	payload
+}](name string, kind netsim.Kind, pl P, reliable bool, size int) wireSample {
+	return wireSample{name: name, kind: kind, pl: PP(&pl), reliable: reliable, size: size,
+		build: func(n *Node) *netsim.Message { return msg[P, PP](n, 5, kind, pl) }}
 }
 
 // wireSamples is one sample per message kind, more where a kind has variants.
@@ -32,53 +44,53 @@ func wireSamples() []wireSample {
 		cur[i] = 0xFF
 	}
 	diff := pagemem.MakeDiff(3, make([]byte, pagemem.PageSize), cur) // one run of 16 bytes: 8 + 4 + 16
-	acq := &msgLockAcq{Lock: 1, Requester: 2, VC: vc, Seq: 1}
+	acq := msgLockAcq{Lock: 1, Requester: 2, VC: vc, Seq: 1}
 	return []wireSample{
-		{"diff-req", KindDiffReq, &msgDiffReq{From: 1, Page: 3, Wants: ids(3)}, true, 40 + 24 + 8*3},
-		{"diff-reply", KindDiffReply, &msgDiffReply{Page: 3, Items: []diffItem{{Diff: diff}, {Diff: nil}}}, true, 40 + (12 + 28) + 12},
-		{"pf-req/diff", KindPfReq, &msgDiffReq{From: 1, Page: 3, Wants: ids(1), Prefetch: true}, false, 40 + 24 + 8},
-		{"pf-req/page", KindPfReq, &msgPageReq{From: 1, Page: 3, Need: ids(2), Prefetch: true}, false, 40 + 24 + 12*2},
-		{"pf-reply/diff", KindPfReply, &msgDiffReply{Page: 3, Items: []diffItem{{Diff: diff}}, Prefetch: true}, false, 40 + 12 + 28},
-		{"pf-reply/page", KindPfReply, &msgPageReply{Page: 3, Covers: ids(1), Prefetch: true}, false, 40 + 4096 + 12},
-		{"lock-acq", KindLockAcq, acq, true, 40 + 24 + 32},
-		{"lock-fwd", KindLockForward, acq, true, 40 + 24 + 32},
-		{"lock-retry", KindLockRetry, acq, true, 40 + 24 + 32},
-		{"lock-grant/2 intervals", KindLockGrant, &msgLockGrant{Lock: 1, VC: vc, Ivs: []*lrc.Interval{iv(1), iv(3)}}, true, 40 + 32 + 48 + 64},
-		{"lock-return/empty", KindLockReturn, &msgLockGrant{Lock: 1, VC: vc}, true, 40 + 32},
-		{"bar-arrive/leaf", KindBarArrive, &msgBarArrive{From: 1, VC: vc, Ivs: []*lrc.Interval{iv(2)}, DiffBytes: 1 << 20, Acc: make([]PageAcc, 2)}, true, 40 + 32 + 56 + 24*2},
-		{"bar-arrive/interior", KindBarArrive, &msgBarArrive{From: 1, VC: vc, MinVC: vc, GCWant: true, Ivs: []*lrc.Interval{iv(2)}, Acc: make([]PageAcc, 2)}, true, 40 + 8 + 64 + 56 + 24*2},
-		{"bar-release/moves", KindBarRelease, &msgBarRelease{VC: vc, Ivs: []*lrc.Interval{iv(1)}, GC: true, Moves: make([]HomeMove, 3)}, true, 40 + 32 + 48 + 16*3},
-		{"gc-done", KindGCDone, &msgGCDone{From: 1}, true, 40},
-		{"gc-flush", KindGCFlush, &msgGCFlush{}, true, 40},
-		{"eager-notice", KindEagerNotice, &msgEagerNotice{Iv: iv(2)}, true, 40 + 8 + 32 + 16},
-		{"home-flush", KindHomeFlush, &msgHomeFlush{From: 1, Page: 3, Diff: diff}, true, 40 + 20 + 28},
-		{"home-flush/empty", KindHomeFlush, &msgHomeFlush{From: 1, Page: 3}, true, 40 + 20},
-		{"page-req", KindPageReq, &msgPageReq{From: 1, Page: 3, Need: ids(2)}, true, 40 + 24 + 12*2},
-		{"page-reply", KindPageReply, &msgPageReply{Page: 3, Covers: ids(2)}, true, 40 + 4096 + 12*2},
-		{"gossip", KindGossip, &msgGossip{From: 1, Ivs: []*lrc.Interval{iv(1), iv(3)}}, true, 40 + 8 + 48 + 64},
-		{"home-xfer", KindHomeXfer, &msgHomeXfer{From: 1, Page: 3, Applied: vc}, true, 40 + 4096 + 32 + 8},
+		sample("diff-req", KindDiffReq, msgDiffReq{From: 1, Page: 3, Wants: ids(3)}, true, 40+24+8*3),
+		sample("diff-reply", KindDiffReply, msgDiffReply{Page: 3, Items: []diffItem{{Diff: diff}, {Diff: nil}}}, true, 40+(12+28)+12),
+		sample("pf-req/diff", KindPfReq, msgDiffReq{From: 1, Page: 3, Wants: ids(1), Prefetch: true}, false, 40+24+8),
+		sample("pf-req/page", KindPfReq, msgPageReq{From: 1, Page: 3, Need: ids(2), Prefetch: true}, false, 40+24+12*2),
+		sample("pf-reply/diff", KindPfReply, msgDiffReply{Page: 3, Items: []diffItem{{Diff: diff}}, Prefetch: true}, false, 40+12+28),
+		sample("pf-reply/page", KindPfReply, msgPageReply{Page: 3, Covers: ids(1), Prefetch: true}, false, 40+4096+12),
+		sample("lock-acq", KindLockAcq, acq, true, 40+24+32),
+		sample("lock-fwd", KindLockForward, acq, true, 40+24+32),
+		sample("lock-retry", KindLockRetry, acq, true, 40+24+32),
+		sample("lock-grant/2 intervals", KindLockGrant, msgLockGrant{Lock: 1, VC: vc, Ivs: []*lrc.Interval{iv(1), iv(3)}}, true, 40+32+48+64),
+		sample("lock-return/empty", KindLockReturn, msgLockGrant{Lock: 1, VC: vc}, true, 40+32),
+		sample("bar-arrive/leaf", KindBarArrive, msgBarArrive{From: 1, VC: vc, Ivs: []*lrc.Interval{iv(2)}, DiffBytes: 1 << 20, Acc: make([]PageAcc, 2)}, true, 40+32+56+24*2),
+		sample("bar-arrive/interior", KindBarArrive, msgBarArrive{From: 1, VC: vc, MinVC: vc, GCWant: true, Ivs: []*lrc.Interval{iv(2)}, Acc: make([]PageAcc, 2)}, true, 40+8+64+56+24*2),
+		sample("bar-release/moves", KindBarRelease, msgBarRelease{VC: vc, Ivs: []*lrc.Interval{iv(1)}, GC: true, Moves: make([]HomeMove, 3)}, true, 40+32+48+16*3),
+		sample("gc-done", KindGCDone, msgGCDone{From: 1}, true, 40),
+		sample("gc-flush", KindGCFlush, msgGCFlush{}, true, 40),
+		sample("eager-notice", KindEagerNotice, msgEagerNotice{Iv: iv(2)}, true, 40+8+32+16),
+		sample("home-flush", KindHomeFlush, msgHomeFlush{From: 1, Page: 3, Diff: diff}, true, 40+20+28),
+		sample("home-flush/empty", KindHomeFlush, msgHomeFlush{From: 1, Page: 3}, true, 40+20),
+		sample("page-req", KindPageReq, msgPageReq{From: 1, Page: 3, Need: ids(2)}, true, 40+24+12*2),
+		sample("page-reply", KindPageReply, msgPageReply{Page: 3, Covers: ids(2)}, true, 40+4096+12*2),
+		sample("gossip", KindGossip, msgGossip{From: 1, Ivs: []*lrc.Interval{iv(1), iv(3)}}, true, 40+8+48+64),
+		sample("home-xfer", KindHomeXfer, msgHomeXfer{From: 1, Page: 3, Applied: vc}, true, 40+4096+32+8),
 	}
 }
 
 // TestWireSizes pins the wire format: the one constructor must give every
 // kind's payload the size, addressing and transport class its send site
-// used to spell by hand. Only prefetch traffic is droppable, and not even
-// that under PfReliable.
+// used to spell by hand, and carry a copy of the payload. Only prefetch
+// traffic is droppable, and not even that under PfReliable.
 func TestWireSizes(t *testing.T) {
 	costs := DefaultCosts()
 	n := &Node{ID: 1, N: 8, C: &costs}
 	sampled := make(map[netsim.Kind]bool)
 	for _, s := range wireSamples() {
 		n.pfReliable = true
-		if !n.msg(5, s.kind, s.pl).Reliable {
+		if !s.build(n).Reliable {
 			t.Errorf("%s: droppable under PfReliable", s.name)
 		}
 		n.pfReliable = false
-		m := n.msg(5, s.kind, s.pl)
+		m := s.build(n)
 		if m.Size != s.size {
 			t.Errorf("%s: %d bytes on the wire, want %d", s.name, m.Size, s.size)
 		}
-		if m.Src != 1 || m.Dst != 5 || m.Kind != s.kind || m.Reliable != s.reliable || m.Payload != any(s.pl) || m.Seq != 0 || m.Ack != 0 {
+		if m.Src != 1 || m.Dst != 5 || m.Kind != s.kind || m.Reliable != s.reliable || !sameExported(m.Payload, s.pl) || m.Seq != 0 || m.Ack != 0 {
 			t.Errorf("%s: built %+v", s.name, *m)
 		}
 		listed := false
@@ -93,6 +105,54 @@ func TestWireSizes(t *testing.T) {
 	for k := netsim.Kind(0); k < numKinds; k++ {
 		if !sampled[k] && kinds[k].owner != ownTransport {
 			t.Errorf("no wire-size sample for kind %s", KindName(k))
+		}
+	}
+}
+
+// sameExported reports whether payloads a and b, pointers to structs, are
+// of one type and agree on every exported field.
+func sameExported(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if va.Type() != vb.Type() {
+		return false
+	}
+	va, vb = va.Elem(), vb.Elem()
+	for i := range va.NumField() {
+		if va.Type().Field(i).IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMessageIsOneAllocation: a message and its payload are one allocation,
+// for every kind, plus the copy of a reply's items when it has more than the
+// one kept inline. The reply owns its items: overwriting the sender's
+// scratch after msg leaves the sent payload as it was (diffReqs's ids are
+// TestDiffReqsOutliveTheScratch's).
+func TestMessageIsOneAllocation(t *testing.T) {
+	costs := DefaultCosts()
+	n := &Node{ID: 1, N: 8, C: &costs}
+	for _, s := range wireSamples() {
+		want := 1.0
+		if r, ok := s.pl.(*msgDiffReply); ok && len(r.Items) > 1 {
+			want = 2
+		}
+		if got := testing.AllocsPerRun(100, func() { s.build(n) }); got != want {
+			t.Errorf("%s: building the message allocates %v times, want %v", s.name, got, want)
+		}
+	}
+	diff := wordDiff(0, 42)
+	for _, k := range []int{1, 3} {
+		items := make([]diffItem, k)
+		for i := range items {
+			items[i] = diffItem{ID: lrc.IntervalID{Node: 1, Seq: int32(i + 1)}, Diff: diff}
+		}
+		sent := slices.Clone(items)
+		rep := msg(n, 5, KindDiffReply, msgDiffReply{Page: 3, Items: items}).Payload.(*msgDiffReply)
+		clear(items)
+		if !slices.Equal(rep.Items, sent) {
+			t.Errorf("%d items: overwriting the sender's scratch changed the sent reply to %v", k, rep.Items)
 		}
 	}
 }

@@ -113,12 +113,16 @@ type Node struct {
 	pages pagemem.Table[pageState]
 
 	// Scratch for the fault path's short lists (missingDiffs and
-	// tryComplete's asks, tryComplete's diff side, applyDiffs) and for the
-	// records an intake or flushDeferred invalidates, reused so that
-	// neither allocates them.
+	// tryComplete's asks, tryComplete's diff side, applyDiffs, diffReqs's
+	// requests, handleDiffReq's reply items) and for the records an intake
+	// or flushDeferred invalidates, reused so that none allocates them. A
+	// scratch list is good until its filler's next call: whoever keeps it
+	// copies it, as msg does a reply's items.
 	missScratch []lrc.IntervalID
 	diffScratch []lrc.IntervalID
 	ivScratch   []*lrc.Interval
+	msgScratch  []*netsim.Message
+	itemScratch []diffItem
 
 	// Pages twinned during the current (open) interval; becomes the next
 	// interval's write notices.
@@ -127,8 +131,10 @@ type Node struct {
 	// Own intervals not yet shipped to the barrier manager.
 	ownSinceBarrier []*lrc.Interval
 
-	// In-flight demand fetches, by page (request combining).
-	fetches map[pagemem.PageID]*fetch
+	// In-flight demand fetches, by page (request combining), and completed
+	// fetch records for newFetch to reuse.
+	fetches     map[pagemem.PageID]*fetch
+	freeFetches []*fetch
 
 	// Prefetch state, by page.
 	pf        map[pagemem.PageID]*pfState
@@ -237,6 +243,19 @@ type pfState struct {
 	inflight  int   // outstanding request messages
 }
 
+// newFetch returns a blank fetch of page p, reused from a completed one when
+// there is one, with onValid as its waiter (a fill has none).
+func (n *Node) newFetch(p pagemem.PageID, onValid ...func()) *fetch {
+	var f *fetch
+	if k := len(n.freeFetches); k > 0 {
+		f, n.freeFetches = n.freeFetches[k-1], n.freeFetches[:k-1]
+	} else {
+		f = &fetch{}
+	}
+	f.page, f.waiters = p, append(f.waiters, onValid...)
+	return f
+}
+
 // startFetch registers f, born now, as its page's in-flight fetch and
 // advances it, charging entry (the fault's entry cost) with whatever the
 // first tryComplete asks.
@@ -326,15 +345,23 @@ func (n *Node) tryComplete(p pagemem.PageID, entry, flushDone sim.Time) {
 	n.K.AtArg(done, n.calls.wake, f)
 }
 
-// wakeWaiters runs the waiters of the completed *fetch its event carries.
+// wakeWaiters runs the waiters of the completed *fetch its event carries,
+// then frees the fetch for newFetch. It left the fetch table before this
+// event was scheduled, so nothing else holds it; its lists keep their
+// capacity.
 func (n *Node) wakeWaiters(a any) {
-	for _, w := range a.(*fetch).waiters {
+	f := a.(*fetch)
+	for _, w := range f.waiters {
 		w()
 	}
+	clear(f.waiters)
+	*f = fetch{waiters: f.waiters[:0], needed: f.needed[:0], asked: f.asked[:0]}
+	n.freeFetches = append(n.freeFetches, f)
 }
 
 // askDiffs asks the writers of ids for their diffs on f's behalf, one
-// request per writer, charging entry with the sends.
+// request per writer, charging entry with the sends. ids may be scratch:
+// needed copies them, and each request its writer's.
 func (n *Node) askDiffs(f *fetch, entry sim.Time, ids []lrc.IntervalID) {
 	f.needed = append(f.needed, ids...)
 	msgs := n.diffReqs(f.page, ids, false)
