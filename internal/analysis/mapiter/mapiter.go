@@ -1,8 +1,9 @@
 // Package mapiter flags `for … := range <map>` loops whose bodies look
 // order-sensitive. Go randomizes map iteration order per run, so any
 // observable effect that depends on visit order is nondeterminism the
-// simulator cannot afford. The blessed idiom is proto/gc.go's: collect the
-// keys, sort.Slice them, then do the real work over the sorted slice.
+// simulator cannot afford. The blessed idiom is sortedPages in
+// proto/errors.go: collect the keys, slices.Sort them, then do the real
+// work over the sorted slice.
 //
 // The body check is a conservative syntactic allowlist, not a proof. A
 // loop passes when every statement is one of:
@@ -34,7 +35,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "mapiter",
 	Doc: "flag range-over-map loops with order-dependent effects; collect keys and " +
-		"sort.Slice them (proto/gc.go idiom) or annotate //dsmvet:allow mapiter",
+		"slices.Sort them (proto/errors.go sortedPages idiom) or annotate //dsmvet:allow mapiter",
 	Run: run,
 }
 
@@ -58,7 +59,7 @@ func run(pass *framework.Pass) error {
 			}
 			pass.Reportf(rng.Pos(),
 				"map iteration order is nondeterministic and this loop's effects look order-sensitive; "+
-					"collect keys then sort.Slice (proto/gc.go idiom), or annotate //dsmvet:allow mapiter with a justification")
+					"collect keys then slices.Sort (proto/errors.go sortedPages idiom), or annotate //dsmvet:allow mapiter with a justification")
 			return true
 		})
 	}

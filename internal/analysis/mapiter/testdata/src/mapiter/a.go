@@ -3,15 +3,16 @@
 // suppresses.
 package mapiter
 
-import "sort"
+import "slices"
 
-// collect is the proto/gc.go idiom: gather keys, sort, then work.
+// collect is the idiom of sortedPages in proto/errors.go: gather keys, sort,
+// then work.
 func collect(m map[int]string) []int {
 	var keys []int
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

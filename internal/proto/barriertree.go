@@ -40,6 +40,8 @@ type treeBarrier struct {
 	// overlap: a subtree member arrives at barrier B+1 only after B's
 	// release traveled down through this node. The VCs are the arrival
 	// messages' own (senders clone into the message) and are only read.
+	// Releases go the other way with one snapshot per fan-down: fanDown
+	// clones n.vc once and every child's release shares it, read-only.
 	barID   int
 	selfVC  lrc.VC   // local arrival VC; nil until the local thread arrives
 	childVC []lrc.VC // per child slot: subtree max VC; nil = not arrived
@@ -225,6 +227,7 @@ func (tb *treeBarrier) handleRelease(r *msgBarRelease) {
 // collection, if the release flags one).
 func (tb *treeBarrier) fanDown(r *msgBarRelease, cost sim.Time) {
 	n := tb.n
+	var vc lrc.VC // one snapshot for every child, cloned at the first
 	for i, c := range tb.children {
 		if tb.childMn[i] == nil {
 			n.invariantf("node %d releasing barrier %d without a combined arrival from %d",
@@ -236,7 +239,10 @@ func (tb *treeBarrier) fanDown(r *msgBarRelease, cost sim.Time) {
 		}
 		ivs := n.missingIvs(tb.childMn[i], exclude)
 		tb.childMn[i] = nil
-		n.post(cost, msg(n, c, KindBarRelease, msgBarRelease{Barrier: r.Barrier, VC: n.vc.Clone(),
+		if vc == nil {
+			vc = n.vc.Clone()
+		}
+		n.post(cost, msg(n, c, KindBarRelease, msgBarRelease{Barrier: r.Barrier, VC: vc,
 			Ivs: ivs, GC: r.GC, Moves: r.Moves}))
 		cost = 0
 	}

@@ -2,7 +2,7 @@ package proto
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"godsm/internal/event"
@@ -75,7 +75,7 @@ func sortedPages[V any](m map[pagemem.PageID]V) []int64 {
 	for p := range m {
 		out = append(out, int64(p))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,8 +1,9 @@
 package proto
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"godsm/internal/event"
 	"godsm/internal/lrc"
@@ -146,11 +147,8 @@ func (g *gossiper) fire() {
 	if len(batch) == 0 {
 		return
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].ID.Node != batch[j].ID.Node {
-			return batch[i].ID.Node < batch[j].ID.Node
-		}
-		return batch[i].ID.Seq < batch[j].ID.Seq
+	slices.SortFunc(batch, func(a, b *lrc.Interval) int { // offer admits an id once
+		return cmp.Or(cmp.Compare(a.ID.Node, b.ID.Node), cmp.Compare(a.ID.Seq, b.ID.Seq))
 	})
 	g.round++
 	n.bus.Emit(event.GossipPush(n.ID, g.round, len(batch), len(g.peers)))

@@ -1,8 +1,9 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
@@ -125,7 +126,7 @@ func aggregateAcc(nprocs int, acc []PageAcc) []pageTotals {
 		t.bytes += a.Bytes
 		t.busy = t.busy || a.Busy
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].page < out[j].page })
+	slices.SortFunc(out, func(a, b pageTotals) int { return cmp.Compare(a.page, b.page) }) // byPage keeps pages unique
 	return out
 }
 
@@ -277,7 +278,7 @@ func (s *accSet) drain(node int) []PageAcc {
 	if len(s.order) == 0 {
 		return nil
 	}
-	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
+	slices.Sort(s.order) // cell adds each page once
 	out := make([]PageAcc, 0, len(s.order))
 	for _, p := range s.order {
 		c := s.cells[p]

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"slices"
-	"sort"
 
 	"godsm/internal/event"
 	"godsm/internal/lrc"
@@ -31,8 +30,8 @@ func (n *Node) closeInterval() *lrc.Interval {
 	if len(n.pendingNotices) == 0 {
 		return nil
 	}
-	pages := append([]pagemem.PageID(nil), n.pendingNotices...)
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	pages := slices.Clone(n.pendingNotices)
+	slices.Sort(pages)
 	n.pendingNotices = n.pendingNotices[:0]
 
 	n.vc[n.ID]++
@@ -119,19 +118,38 @@ func (n *Node) rec(q int, seq int32) *lrc.Interval {
 	return n.log[q][seq-1]
 }
 
-// minPending is the least capacity a pending list is grown to: one
-// 128-byte size class. Most lists start empty, and a page this node does
-// not read keeps gaining notices, barrier after barrier, until it does.
+// minPending is the least capacity a pending list is carved with. Most
+// lists start empty, and a page this node does not read keeps gaining
+// notices, barrier after barrier, until it does.
 const minPending = 8
+
+// idChunk is the size, in ids (8 KB), of the chunks carve cuts lists from.
+const idChunk = 512
+
+// carve returns an empty id list of capacity k cut from the node's id
+// arena, which allocates a chunk of idChunk ids (or k, if more) when the
+// current one runs out. The list's capacity ends at k, so an append past it
+// reallocates rather than write into the list carved next. A list that
+// moves leaves its slot in the chunk; the chunk holds no pointers, so the
+// collector does not scan it.
+func (n *Node) carve(k int) []lrc.IntervalID {
+	if cap(n.idArena)-len(n.idArena) < k {
+		n.idArena = make([]lrc.IntervalID, 0, max(k, idChunk))
+	}
+	l := len(n.idArena)
+	n.idArena = n.idArena[:l+k]
+	return n.idArena[l : l : l+k]
+}
 
 // invalidate marks the pages of ivs pending at this node, record by record
 // and page by page. The coherence policy's notice filter can prove a
 // notice's data is already in the local frame (a home whose applied vector
 // covers the flushed interval) and suppress the invalidation; static
-// backends filter nothing. A batch counts its notices per page first and
-// grows each pending list once, at the page's first notice, by the count
-// and to at least minPending; the appends then fill it in the order they
-// always had, which orders the asks.
+// backends filter nothing. A batch counts its notices per page first and,
+// at the page's first notice, moves a pending list too short for the count
+// to one carved with room for it, at least minPending and twice the old
+// capacity; the appends then fill it in the order they always had, which
+// orders the asks.
 func (n *Node) invalidate(ivs ...*lrc.Interval) {
 	for _, iv := range ivs {
 		for _, p := range iv.Pages {
@@ -146,10 +164,10 @@ func (n *Node) invalidate(ivs ...*lrc.Interval) {
 			if ps == nil {
 				continue
 			}
-			if ps.batch > 0 {
-				ps.pending = slices.Grow(ps.pending, max(int(ps.batch), minPending-len(ps.pending)))
-				ps.batch = 0
+			if l, c := len(ps.pending), cap(ps.pending); c-l < int(ps.batch) {
+				ps.pending = append(n.carve(max(l+int(ps.batch), minPending, 2*c)), ps.pending...)
 			}
+			ps.batch = 0
 			ps.pending = append(ps.pending, iv.ID)
 		}
 	}

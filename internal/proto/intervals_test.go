@@ -2,11 +2,14 @@ package proto
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"godsm/internal/lrc"
+	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
+	"godsm/internal/sim"
 )
 
 // White-box tests of interval-record intake (intervals.go): the held
@@ -156,22 +159,122 @@ func episodeAllocs(n int) float64 {
 	return testing.AllocsPerRun(8, r.releaseEpisode)
 }
 
+// episodeAllocsPerNode bounds a steady episode's allocations per node: the
+// messages, the records, the diffs, and the arena chunks pending lists are
+// carved from. A 128-node episode makes 1 453 (11.4 a node); cloning the
+// release VC once per child instead of once per fan-down makes 1 580.
+const episodeAllocsPerNode = 12
+
 // A barrier release hands every node the records of every other node: N²
 // intakes. Their host cost must stay linear in allocations: none per
 // record held, and a pending list is grown at most once per batch, so an
 // episode's allocations — the messages, the records, the diffs — grow with
-// N, not with N².
+// N, not with N², and stay within episodeAllocsPerNode a node.
 func TestBarrierIntakeAllocs(t *testing.T) {
 	small, big := episodeAllocs(32), episodeAllocs(128)
 	if big > 4*small*1.25 {
 		t.Fatalf("a barrier episode allocates %.0f times on 32 nodes and %.0f on 128, want at most linear growth (%.0f)",
 			small, big, 4*small*1.25)
 	}
+	if big > 128*episodeAllocsPerNode {
+		t.Fatalf("a barrier episode on 128 nodes allocates %.0f times, want at most %d a node (%d)",
+			big, episodeAllocsPerNode, 128*episodeAllocsPerNode)
+	}
+}
+
+// coldEpisodeAllocs returns the allocations of the first barrier episode on
+// a fresh n-node rig under a tree barrier, where every pending list is new.
+func coldEpisodeAllocs(n int) uint64 {
+	r := newRigCfg(n, Spec{Barrier: "tree"})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.releaseEpisode()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// The first release gives each node a pending list for every page another
+// node wrote: N² new lists. Carved from the node's id arena they cost an
+// allocation per chunk, not per list, so the episode grows about linearly
+// with N (5.0× from 32 to 128 nodes; 11.2× when each list was its own
+// allocation).
+func TestColdReleaseAllocs(t *testing.T) {
+	small, big := coldEpisodeAllocs(32), coldEpisodeAllocs(128)
+	if big > 6*small {
+		t.Fatalf("a first barrier episode allocates %d times on 32 nodes and %d on 128, want at most 6× (%d)",
+			small, big, 6*small)
+	}
+}
+
+// Lists carved back to back share a chunk, and the three-index capacity
+// keeps them apart: filling the first past its capacity moves it and
+// leaves the second as it was.
+func TestCarvedListsDoNotOverlap(t *testing.T) {
+	nd := newRig(2).nodes[0]
+	first, second := nd.carve(4), nd.carve(4)
+	if len(nd.idArena) != 8 || &nd.idArena[:5][4] != &second[:1][0] {
+		t.Fatalf("the second list was not carved right after the first")
+	}
+	want := []lrc.IntervalID{{Node: 1, Seq: 1}, {Node: 1, Seq: 2}}
+	second = append(second, want...)
+	for seq := int32(1); seq <= 6; seq++ {
+		first = append(first, lrc.IntervalID{Node: 0, Seq: seq})
+	}
+	if !slices.Equal(second, want) || !slices.Equal(nd.idArena[4:6], want) {
+		t.Fatalf("after the first list outgrew its slot the second reads %v (arena %v), want %v",
+			second, nd.idArena[4:6], want)
+	}
+	if len(first) != 6 || first[5].Seq != 6 {
+		t.Fatalf("the first list reads %v, want (0,1)…(0,6)", first)
+	}
+}
+
+// A fan-down gives every child's release one snapshot of the sender's
+// vector time, shared and read-only; the sender's later intervals do not
+// reach the releases already sent. Node 1 combines for nodes 3 and 4.
+func TestFanDownSharesOneReleaseVC(t *testing.T) {
+	r := newRigCfg(7, Spec{Barrier: "tree", BarrierFanout: 2})
+	sent := map[int][]*msgBarRelease{} // by sender
+	for _, nd := range r.nodes {
+		nd.Send = func(m *netsim.Message) sim.Time {
+			if rel, ok := m.Payload.(*msgBarRelease); ok {
+				sent[int(m.Src)] = append(sent[int(m.Src)], rel)
+			}
+			return r.net.Send(m)
+		}
+	}
+	for i := range r.nodes {
+		r.write(i, pagemem.Addr(i+1)*pagemem.PageSize, 1)
+	}
+	r.barrierAll(0)
+	merged := slices.Clone(r.nodes[1].vc)
+	for _, from := range []int{0, 1, 2} {
+		rels := sent[from]
+		if len(rels) != 2 {
+			t.Fatalf("node %d sent %d releases, want one to each of its two children", from, len(rels))
+		}
+		if &rels[0].VC[0] != &rels[1].VC[0] || &rels[0].VC[0] == &r.nodes[from].vc[0] {
+			t.Fatalf("node %d's releases carry VCs %p and %p (its own %p), want one snapshot apart from its own",
+				from, rels[0].VC, rels[1].VC, r.nodes[from].vc)
+		}
+	}
+	r.write(1, pagemem.Addr(len(r.nodes)+1)*pagemem.PageSize, 2) // a page nobody wrote
+	r.nodes[1].closeInterval()
+	if slices.Equal(r.nodes[1].vc, merged) {
+		t.Fatalf("node 1's interval did not advance its vector time %v", merged)
+	}
+	for _, rel := range sent[1] {
+		if !slices.Equal(rel.VC, merged) {
+			t.Fatalf("node 1's sent release reads VC %v after its next interval, want %v", rel.VC, merged)
+		}
+	}
 }
 
 // BenchmarkBarrierRelease is one barrier episode — every node closes an
 // interval, a tree barrier releases them all — at the machine widths of the
-// big_machine workload: the N² record intake dominates.
+// big_machine workload: the N² record intake dominates. The steady case
+// repeats episodes on one rig; the cold case is the first episode on a
+// fresh rig, built off the clock, where every pending list is new.
 func BenchmarkBarrierRelease(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
@@ -180,6 +283,15 @@ func BenchmarkBarrierRelease(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
+				r.releaseEpisode()
+			}
+		})
+		b.Run(fmt.Sprintf("cold/procs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				r := newRigCfg(n, Spec{Barrier: "tree"})
+				b.StartTimer()
 				r.releaseEpisode()
 			}
 		})

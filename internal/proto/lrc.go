@@ -54,12 +54,16 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 // diffReqs builds one diff request for page p per distinct creator of the
 // wanted intervals: a demand request, or a prefetch datagram. The list is
 // the node's scratch, the caller's until its next diffReqs; each request's
-// Wants is its creator's run of one fresh regrouped copy of want.
+// Wants is its creator's run of one fresh regrouped copy of want. The page's
+// diff list is sized for the replies here, so that storing them does not
+// grow it diff by diff.
 func (n *Node) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
 	kind := KindDiffReq
 	if prefetch {
 		kind = KindPfReq
 	}
+	ps := n.page(p)
+	ps.diffs = slices.Grow(ps.diffs, len(want))
 	msgs := n.msgScratch[:0]
 	ids := groupByNode(want)
 	for len(ids) > 0 {

@@ -273,7 +273,9 @@ func (m *msgBarArrive) wireSize(c *Costs, nprocs int) int {
 }
 
 // msgBarRelease releases a barrier, carrying the merged vector time and the
-// intervals the receiver lacks.
+// intervals the receiver lacks. A fan-down hands one VC to all its children
+// (fanDown), so a receiver only reads it: intake merges it into the node's
+// vector time and gossipCover into the gossiper's covered vector.
 type msgBarRelease struct {
 	Barrier int
 	VC      lrc.VC

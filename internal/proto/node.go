@@ -112,6 +112,10 @@ type Node struct {
 	// untouched entry and a missing leaf read the same.
 	pages pagemem.Table[pageState]
 
+	// idArena is the chunk the pages' pending lists are carved from
+	// (carve, intervals.go).
+	idArena []lrc.IntervalID
+
 	// Scratch for the fault path's short lists (missingDiffs and
 	// tryComplete's asks, tryComplete's diff side, applyDiffs, diffReqs's
 	// requests, handleDiffReq's reply items) and for the records an intake
