@@ -67,6 +67,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -204,15 +205,26 @@ func main() {
 	// Open the trace file before simulating anything: an unwritable path is
 	// a usage error, not something to discover after minutes of simulation.
 	// parseFlags admits -trace for a single application only, so the one
-	// writer below never sees two runs.
+	// writer never sees two runs.
 	var tw *event.TraceWriter
-	var sinks []event.Sink
 	if o.tracePath != "" {
 		f, err := os.Create(o.tracePath)
 		if err != nil {
 			usageErr("-trace: %v", err)
 		}
 		tw = event.NewTraceWriter(f)
+	}
+	if err := run(o, os.Stdout, tw); err != nil {
+		fatal(err)
+	}
+}
+
+// run simulates o's applications and writes their reports to out in the
+// requested order, streaming the one run's events to tw when it is not nil.
+// The first run that fails ends it with that run's error.
+func run(o *options, out io.Writer, tw *event.TraceWriter) error {
+	var sinks []event.Sink
+	if tw != nil {
 		sinks = append(sinks, tw)
 	}
 
@@ -246,75 +258,76 @@ func main() {
 		<-r.done
 		name := o.specs[i].Name
 		if r.err != nil {
-			fatal(fmt.Errorf("%s: %w", name, r.err))
+			return fmt.Errorf("%s: %w", name, r.err)
 		}
 		if tw != nil {
 			if err := tw.Close(); err != nil {
-				fatal(fmt.Errorf("writing trace: %w", err))
+				return fmt.Errorf("writing trace: %w", err)
 			}
 			fmt.Fprintf(os.Stderr, "dsmrun: trace written to %s (open at ui.perfetto.dev)\n", o.tracePath)
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(out)
 		}
-		printReport(name, r.rep)
+		printReport(out, name, r.rep)
 		if o.kinds {
-			printKinds(r.sys)
+			printKinds(out, r.sys)
 		}
 	}
+	return nil
 }
 
 // printKinds prints the per-message-kind traffic table (whole run,
 // including any post-measurement verification traffic).
-func printKinds(sys *dsm.System) {
-	fmt.Println("traffic by message kind:")
+func printKinds(w io.Writer, sys *dsm.System) {
+	fmt.Fprintln(w, "traffic by message kind:")
 	for k := netsim.Kind(0); k < netsim.MaxKinds; k++ {
 		msgs, bytes := sys.Net.KindStats(k)
 		if msgs == 0 {
 			continue
 		}
-		fmt.Printf("  %-12s %8d msgs %10d KB\n", proto.KindName(k), msgs, bytes/1024)
+		fmt.Fprintf(w, "  %-12s %8d msgs %10d KB\n", proto.KindName(k), msgs, bytes/1024)
 	}
 }
 
-func printReport(app string, r *dsm.Report) {
-	fmt.Printf("%s: %d procs x %d threads, elapsed %d us\n",
+func printReport(w io.Writer, app string, r *dsm.Report) {
+	fmt.Fprintf(w, "%s: %d procs x %d threads, elapsed %d us\n",
 		app, r.Procs, r.Threads, r.Elapsed/sim.Microsecond)
-	fmt.Println("breakdown (average over processors):")
+	fmt.Fprintln(w, "breakdown (average over processors):")
 	for _, c := range []sim.Category{dsm.CatBusy, dsm.CatDSM, dsm.CatMemIdle,
 		dsm.CatSyncIdle, dsm.CatPrefetchOv, dsm.CatMTOv} {
 		pct := r.Breakdown.Normalized(r.Elapsed)[c]
-		fmt.Printf("  %-24s %8d us  %5.1f%%\n", c, r.Breakdown.Cat[c]/sim.Microsecond, pct)
+		fmt.Fprintf(w, "  %-24s %8d us  %5.1f%%\n", c, r.Breakdown.Cat[c]/sim.Microsecond, pct)
 	}
 	n := r.Sum()
-	fmt.Printf("memory:   %d remote misses (avg %d us), %d prefetch-cache hits\n",
+	fmt.Fprintf(w, "memory:   %d remote misses (avg %d us), %d prefetch-cache hits\n",
 		n.Misses, r.AvgMissLatency()/sim.Microsecond, n.CacheHits)
-	fmt.Printf("sync:     %d remote lock acquires, %d local, %d barrier arrivals\n",
+	fmt.Fprintf(w, "sync:     %d remote lock acquires, %d local, %d barrier arrivals\n",
 		n.RemoteLockAcqs, n.LocalLockAcqs, n.BarrierArrives)
-	fmt.Printf("traffic:  %d messages, %d KB, %d drops\n",
+	fmt.Fprintf(w, "traffic:  %d messages, %d KB, %d drops\n",
 		r.MsgsTotal, r.BytesTotal/1024, r.Drops)
 	if n.PfCalls > 0 {
-		fmt.Printf("prefetch: %d calls (%.1f%% unnecessary), %d messages, coverage %.1f%%\n",
+		fmt.Fprintf(w, "prefetch: %d calls (%.1f%% unnecessary), %d messages, coverage %.1f%%\n",
 			n.PfCalls, r.UnnecessaryPfPct(), n.PfMsgs, r.CoverageFactor())
-		fmt.Printf("          outcomes: %d hit, %d late, %d invalidated, %d not prefetched\n",
+		fmt.Fprintf(w, "          outcomes: %d hit, %d late, %d invalidated, %d not prefetched\n",
 			n.FaultPfHit, n.FaultPfLate, n.FaultPfInvalided, n.FaultNoPf)
 	}
 	if r.Threads > 1 {
-		fmt.Printf("threads:  %d context switches, avg run length %d us, avg stall %d us\n",
+		fmt.Fprintf(w, "threads:  %d context switches, avg run length %d us, avg stall %d us\n",
 			n.CtxSwitches, r.AvgRunLength()/sim.Microsecond, r.AvgStall()/sim.Microsecond)
 	}
-	fmt.Printf("protocol: %d twins, %d diffs made, %d diffs applied\n",
+	fmt.Fprintf(w, "protocol: %d twins, %d diffs made, %d diffs applied\n",
 		n.TwinsMade, n.DiffsMade, n.DiffsApplied)
 	if n.HomeFlushes+n.HomeFetches > 0 {
-		fmt.Printf("home:     %d diff flushes (%d KB), %d page fetches (%d KB)\n",
+		fmt.Fprintf(w, "home:     %d diff flushes (%d KB), %d page fetches (%d KB)\n",
 			n.HomeFlushes, n.HomeFlushBytes/1024, n.HomeFetches, n.HomeFetchBytes/1024)
 	}
 	if n.HomeMigrations+n.ModeToHome+n.ModeToDiff > 0 {
-		fmt.Printf("adaptive: %d home migrations (%d KB), %d pages to home mode, %d to diff mode\n",
+		fmt.Fprintf(w, "adaptive: %d home migrations (%d KB), %d pages to home mode, %d to diff mode\n",
 			n.HomeMigrations, n.HomeMigrateBytes/1024, n.ModeToHome, n.ModeToDiff)
 	}
 	if n.Retransmits+n.Timeouts+n.AcksSent+n.DupSuppressed > 0 {
-		fmt.Printf("transport: %d retransmits (%d timeouts, max RTO %d ms), %d acks, %d duplicates suppressed, %d/%d pf req/reply dropped\n",
+		fmt.Fprintf(w, "transport: %d retransmits (%d timeouts, max RTO %d ms), %d acks, %d duplicates suppressed, %d/%d pf req/reply dropped\n",
 			n.Retransmits, n.Timeouts, n.MaxBackoff/sim.Millisecond,
 			n.AcksSent, n.DupSuppressed, n.PfReqDropped, n.PfReplyDropped)
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
+	"godsm/internal/proto"
 	"godsm/internal/sim"
 )
 
@@ -307,5 +310,56 @@ func TestMultithreadingOverlapsLatency(t *testing.T) {
 	if float64(mt) > 0.6*float64(st) {
 		t.Errorf("expected substantial overlap: 1T=%dµs 4T=%dµs",
 			st/sim.Microsecond, mt/sim.Microsecond)
+	}
+}
+
+// TestSystemsShareNoWire: each machine pools its own delivered diff requests
+// and replies, so two Systems running at once reuse messages, but never
+// each other's.
+func TestSystemsShareNoWire(t *testing.T) {
+	const procs, rounds = 4, 4
+	sent := make([]map[*netsim.Message]int, 2)
+	var wg sync.WaitGroup
+	for i := range sent {
+		sys := NewSystem(smallConfig(procs, 1))
+		seen := map[*netsim.Message]int{}
+		sent[i] = seen
+		for _, nd := range sys.Nodes {
+			send := nd.Send
+			nd.Send = func(m *netsim.Message) sim.Time {
+				if m.Kind == proto.KindDiffReq || m.Kind == proto.KindDiffReply {
+					seen[m]++
+				}
+				return send(m)
+			}
+		}
+		arr := sys.Alloc.Alloc(procs*pagemem.PageSize, pagemem.PageSize)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sys.Run(func(e *Env) {
+				for r := 0; r < rounds; r++ {
+					e.WriteF64(arr+Addr(e.ProcID()*pagemem.PageSize), float64(r))
+					e.Barrier(2 * r)
+					for q := 0; q < procs; q++ {
+						e.ReadF64(arr + Addr(q*pagemem.PageSize))
+					}
+					e.Barrier(2*r + 1)
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for i, seen := range sent {
+		sends := 0
+		for m, k := range seen {
+			sends += k
+			if sent[1-i][m] > 0 {
+				t.Fatalf("system %d sent a message system %d also sent: %+v", i, 1-i, *m)
+			}
+		}
+		if len(seen) == 0 || len(seen) == sends {
+			t.Errorf("system %d sent %d diff requests and replies in %d messages, want fewer messages", i, sends, len(seen))
+		}
 	}
 }

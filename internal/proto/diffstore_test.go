@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"godsm/internal/lrc"
+	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 )
 
@@ -193,23 +194,23 @@ func TestIDSet(t *testing.T) {
 func TestGroupByNodeKeepsFirstAppearanceOrder(t *testing.T) {
 	id := func(node int, seq int32) lrc.IntervalID { return lrc.IntervalID{Node: node, Seq: seq} }
 	ids := []lrc.IntervalID{id(2, 1), id(0, 4), id(2, 2), id(1, 1), id(0, 5)}
-	got := groupByNode(ids)
-	want := []lrc.IntervalID{id(2, 1), id(2, 2), id(0, 4), id(0, 5), id(1, 1)}
+	got := groupByNode([]lrc.IntervalID{id(9, 9)}, ids)
+	want := []lrc.IntervalID{id(9, 9), id(2, 1), id(2, 2), id(0, 4), id(0, 5), id(1, 1)}
 	if !slices.Equal(got, want) {
-		t.Errorf("regrouped %v, want %v", got, want)
+		t.Errorf("regrouped %v, want %v appended", got, want)
 	}
-	got[0] = id(7, 7)
+	got[1] = id(7, 7)
 	if ids[0] != id(2, 1) {
-		t.Error("the regrouped copy aliases the caller's list")
+		t.Error("the regrouped list aliases the caller's")
 	}
-	if len(groupByNode(nil)) != 0 {
+	if len(groupByNode(nil, nil)) != 0 {
 		t.Error("no ids, yet some regrouped")
 	}
 }
 
 // The requests of one diffReqs call keep their Wants after the next call
 // reuses the node's scratch, and after the caller's ids are overwritten:
-// each request owns its creator's run of a fresh regrouped copy.
+// each request owns a copy of its creator's run.
 func TestDiffReqsOutliveTheScratch(t *testing.T) {
 	id := func(node int, seq int32) lrc.IntervalID { return lrc.IntervalID{Node: node, Seq: seq} }
 	n := newRig(4).nodes[3]
@@ -232,4 +233,31 @@ func TestDiffReqsOutliveTheScratch(t *testing.T) {
 	if got := first[1].Payload.(*msgDiffReq).Wants; !slices.Equal(got, wants[1]) {
 		t.Errorf("appending to request 0's Wants overwrote request 1's: %v", got)
 	}
+}
+
+// Once askDiffs or issuePrefetch has handed its requests to sendAfter, the
+// node's request scratch points at none of them: a delivered request goes
+// back to the wire pool, and no scratch may keep a wire the pool hands out
+// again.
+func TestSentRequestsLeaveNoScratch(t *testing.T) {
+	r := newRig(3)
+	r.k.At(0, func() {
+		r.write(0, page0, 1)
+		r.write(1, page0+8, 2)
+		r.write(0, page0+pagemem.PageSize, 3)
+		r.write(1, page0+pagemem.PageSize+8, 4)
+	})
+	r.k.Run()
+	r.barrierAll(0)
+	nd := r.nodes[2]
+	for _, send := range []func(){
+		func() { nd.Fault(pg1, func() {}) },
+		func() { nd.Prefetch(pg1 + 1) },
+	} {
+		send()
+		if got := nd.msgScratch[:cap(nd.msgScratch)]; len(nd.msgScratch) != 2 || slices.ContainsFunc(got, func(m *netsim.Message) bool { return m != nil }) {
+			t.Errorf("after sending %d requests the scratch still holds %v", len(nd.msgScratch), got)
+		}
+	}
+	r.k.Run()
 }

@@ -172,16 +172,15 @@ func TestRecycledFetchStartsClean(t *testing.T) {
 	}
 }
 
-// diffFetchAllocs is what one demand diff fetch may allocate, end to end: at
-// the faulting node the regrouped copy of the asked ids and the request (a
-// message and its payload are one allocation); at the writer the lazily
-// made diff (its header and its data) and the reply, whose one item is kept
-// inline. Nothing else allocates once warm: the fetch record is a recycled
-// one with its lists' capacity, the request list and the reply's items are
-// node scratch, and scheduling the two sends, the two deliveries and the
-// waiters' wake-up is a bound method with the message or the fetch as its
-// argument.
-const diffFetchAllocs = 5
+// diffFetchAllocs is what one demand diff fetch may allocate, end to end: the
+// diff the writer makes lazily, its header and its data. Nothing else
+// allocates once warm: the request and the reply are the wires the rig's
+// pool got back when the previous round's were delivered, each with its
+// list's capacity; the regrouped ids, the request list and the reply's items
+// are node scratch; the fetch record is a recycled one; and scheduling the
+// two sends, the two deliveries and the waiters' wake-up is a bound method
+// with the message or the fetch as its argument.
+const diffFetchAllocs = 2
 
 // TestDiffFetchAllocs pins the allocations of one fault → diff request →
 // diff reply → install round trip on a two-node lrc rig.

@@ -52,11 +52,10 @@ func (c *lrcCoherence) Fault(p pagemem.PageID, onValid func()) {
 }
 
 // diffReqs builds one diff request for page p per distinct creator of the
-// wanted intervals: a demand request, or a prefetch datagram. The list is
-// the node's scratch, the caller's until its next diffReqs; each request's
-// Wants is its creator's run of one fresh regrouped copy of want. The page's
-// diff list is sized for the replies here, so that storing them does not
-// grow it diff by diff.
+// wanted intervals: a demand request, or a prefetch datagram. The list and
+// want's regrouping are scratch, the caller's until its next diffReqs. The
+// page's diff list is sized for the replies here, so that storing them does
+// not grow it diff by diff.
 func (n *Node) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) []*netsim.Message {
 	kind := KindDiffReq
 	if prefetch {
@@ -65,14 +64,15 @@ func (n *Node) diffReqs(p pagemem.PageID, want []lrc.IntervalID, prefetch bool) 
 	ps := n.page(p)
 	ps.diffs = slices.Grow(ps.diffs, len(want))
 	msgs := n.msgScratch[:0]
-	ids := groupByNode(want)
+	ids := groupByNode(n.diffScratch[:0], want)
+	n.diffScratch = ids
 	for len(ids) > 0 {
 		run := 1
 		for run < len(ids) && ids[run].Node == ids[0].Node {
 			run++
 		}
 		msgs = append(msgs, msg(n, ids[0].Node, kind,
-			msgDiffReq{From: n.ID, Page: p, Wants: ids[:run:run], Prefetch: prefetch}))
+			msgDiffReq{From: n.ID, Page: p, Wants: ids[:run], Prefetch: prefetch}))
 		ids = ids[run:]
 	}
 	n.msgScratch = msgs
@@ -95,13 +95,11 @@ func (c *lrcCoherence) Prefetch(p pagemem.PageID) int {
 	return n.issuePrefetch(p, missing, n.diffReqs(p, missing, true)...)
 }
 
-// groupByNode returns a copy of ids regrouped by creator: each creator's
-// ids in a run, in their order in ids, and the runs in the order of each
-// creator's first appearance, so that callers iterate deterministically. The
-// copy is the caller's to keep. A page's writers are few: finding an id's
-// creator among those seen is a scan.
-func groupByNode(ids []lrc.IntervalID) []lrc.IntervalID {
-	flat := make([]lrc.IntervalID, 0, len(ids))
+// groupByNode appends ids to flat regrouped by creator: each creator's ids
+// in a run, in their order in ids, and the runs in the order of each
+// creator's first appearance, so that callers iterate deterministically.
+// A page's writers are few: finding an id's creator among those seen is a scan.
+func groupByNode(flat, ids []lrc.IntervalID) []lrc.IntervalID {
 	for i, head := range ids {
 		if slices.ContainsFunc(ids[:i], func(prev lrc.IntervalID) bool { return prev.Node == head.Node }) {
 			continue // not its creator's first id

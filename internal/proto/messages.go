@@ -11,10 +11,9 @@ import (
 // paper's Tables 1 and 2 report messages and KBytes per configuration, so a
 // message's kind and size are measured quantities; they are declared here
 // once — the kind table, every payload type with its wire size, the one
-// constructor (msg), which allocates a message and its payload together —
-// and dsmvet's chargecost analyzer keeps message literals and the wire
-// header size out of every other file. Payloads are passed to msg by value;
-// one built from a sender's scratch copies what it keeps (own).
+// constructor (msg), which reuses a pooled message or allocates one with its
+// payload — and dsmvet's chargecost analyzer keeps message literals and the
+// wire header size out of every other file.
 
 // Message kinds for traffic statistics.
 const (
@@ -121,28 +120,59 @@ type wire[P any] struct {
 	pl P
 }
 
-// msg builds the wire message carrying a copy of pl from n to dst; it is the
-// single netsim.Message allocation site for protocol traffic, and the
-// message and its payload are one allocation. A payload built from the
-// sender's scratch takes its own copy of it here (own). Everything but a
-// datagram kind is marked reliable for the network — and so are those under
-// Spec.PfReliable.
+// WirePool is a machine's delivered diff requests and replies, for msg to
+// reuse (DESIGN.md §14); the zero value is empty.
+type WirePool struct{ reqs, reps []*netsim.Message }
+
+// free is the pool's list for pl's payload type; nil when it is not pooled.
+func (wp *WirePool) free(pl any) *[]*netsim.Message {
+	switch pl.(type) {
+	case *msgDiffReq:
+		return &wp.reqs
+	case *msgDiffReply:
+		return &wp.reps
+	}
+	return nil
+}
+
+// release pools a delivered message of a pooled type; a reply drops its diffs.
+func (wp *WirePool) release(m *netsim.Message) {
+	if free := wp.free(m.Payload); free != nil {
+		if rep, ok := m.Payload.(*msgDiffReply); ok {
+			clear(rep.Items)
+		}
+		*free = append(*free, m)
+	}
+}
+
+// msg builds the wire message carrying a copy of pl from n to dst, the
+// single netsim.Message allocation site for protocol traffic: a pooled
+// message, else the message and its payload as one allocation, with a
+// payload's list copied into storage the message keeps (own). Every kind but
+// a datagram is marked reliable, and a datagram too under Spec.PfReliable.
 func msg[P any, PP interface {
 	*P
 	payload
 }](n *Node, dst int, kind netsim.Kind, pl P) *netsim.Message {
-	w := &wire[P]{pl: pl}
-	pp := PP(&w.pl)
-	if o, ok := any(pp).(interface{ own() }); ok {
-		o.own()
+	var m *netsim.Message
+	if free := n.wires.free(PP(nil)); free != nil && len(*free) > 0 {
+		m, *free = (*free)[len(*free)-1], (*free)[:len(*free)-1]
+	} else {
+		w := new(wire[P])
+		m, w.m.Payload = &w.m, PP(&w.pl)
 	}
-	w.m = netsim.Message{
+	pp := m.Payload.(PP)
+	if o, ok := any(pp).(interface{ own(P) P }); ok {
+		pl = o.own(pl)
+	}
+	*pp = pl
+	*m = netsim.Message{
 		Src: netsim.NodeID(n.ID), Dst: netsim.NodeID(dst),
 		Size:     n.C.HeaderBytes + pp.wireSize(n.C, n.N),
 		Reliable: !kinds[kind].datagram || n.pfReliable,
 		Kind:     kind, Payload: pp,
 	}
-	return &w.m
+	return m
 }
 
 // ivsWireSize estimates the on-wire size of a batch of interval records.
@@ -161,6 +191,18 @@ type msgDiffReq struct {
 	Page     pagemem.PageID
 	Wants    []lrc.IntervalID
 	Prefetch bool
+
+	one [1]lrc.IntervalID
+}
+
+// own moves pl's ids into storage m keeps across uses, inline at first.
+func (m *msgDiffReq) own(pl msgDiffReq) msgDiffReq {
+	if m.Wants == nil {
+		m.Wants = m.one[:0]
+	}
+	pl.Wants = append(m.Wants[:0], pl.Wants...)
+	pl.one = m.one
+	return pl
 }
 
 // An interval id costs 8 bytes here but 12 in a page request or reply: an
@@ -184,9 +226,15 @@ type msgDiffReply struct {
 	one [1]diffItem
 }
 
-// own moves a reply's items off the server's scratch: into the inline array
-// when there is one item, as most replies have, else into a new one.
-func (m *msgDiffReply) own() { m.Items = append(m.one[:0], m.Items...) }
+// own moves pl's items into storage m keeps across uses, inline at first.
+func (m *msgDiffReply) own(pl msgDiffReply) msgDiffReply {
+	if m.Items == nil {
+		m.Items = m.one[:0]
+	}
+	pl.Items = append(m.Items[:0], pl.Items...)
+	pl.one = m.one
+	return pl
+}
 
 func (m *msgDiffReply) wireSize(*Costs, int) int {
 	n := 0

@@ -78,7 +78,7 @@ func wireSamples() []wireSample {
 // traffic is droppable, and not even that under PfReliable.
 func TestWireSizes(t *testing.T) {
 	costs := DefaultCosts()
-	n := &Node{ID: 1, N: 8, C: &costs}
+	n := &Node{ID: 1, N: 8, C: &costs, wires: new(WirePool)}
 	sampled := make(map[netsim.Kind]bool)
 	for _, s := range wireSamples() {
 		n.pfReliable = true
@@ -125,17 +125,21 @@ func sameExported(a, b any) bool {
 	return true
 }
 
-// TestMessageIsOneAllocation: a message and its payload are one allocation,
-// for every kind, plus the copy of a reply's items when it has more than the
-// one kept inline. The reply owns its items: overwriting the sender's
-// scratch after msg leaves the sent payload as it was (diffReqs's ids are
-// TestDiffReqsOutliveTheScratch's).
+// TestMessageIsOneAllocation: a fresh message and its payload are one
+// allocation, for every kind, plus the copy of a request's ids or a reply's
+// items when there are more than the one kept inline; a message taken from
+// the wire pool allocates nothing. The reply owns its items: overwriting the
+// sender's scratch after msg leaves the sent payload as it was (a request's
+// ids are TestDiffReqsOutliveTheScratch's).
 func TestMessageIsOneAllocation(t *testing.T) {
 	costs := DefaultCosts()
-	n := &Node{ID: 1, N: 8, C: &costs}
+	n := &Node{ID: 1, N: 8, C: &costs, wires: new(WirePool)}
 	for _, s := range wireSamples() {
 		want := 1.0
 		if r, ok := s.pl.(*msgDiffReply); ok && len(r.Items) > 1 {
+			want = 2
+		}
+		if r, ok := s.pl.(*msgDiffReq); ok && len(r.Wants) > 1 {
 			want = 2
 		}
 		if got := testing.AllocsPerRun(100, func() { s.build(n) }); got != want {
@@ -154,6 +158,50 @@ func TestMessageIsOneAllocation(t *testing.T) {
 		if !slices.Equal(rep.Items, sent) {
 			t.Errorf("%d items: overwriting the sender's scratch changed the sent reply to %v", k, rep.Items)
 		}
+	}
+	for _, s := range wireSamples() {
+		if n.wires.free(s.pl) == nil {
+			continue
+		}
+		n.wires.release(s.build(n))
+		if got := testing.AllocsPerRun(100, func() { n.wires.release(s.build(n)) }); got != 0 {
+			t.Errorf("%s: a message from the pool allocates %v times, want 0", s.name, got)
+		}
+	}
+}
+
+// TestPooledWireCarriesOnlyItsPayload: a message taken from the pool is the
+// released one, with the new payload and a fresh header — none of the old
+// ids, items, prefetch tag or transport sequence and ack — and a released
+// reply holds no diff, in its items or in the storage behind them.
+func TestPooledWireCarriesOnlyItsPayload(t *testing.T) {
+	costs := DefaultCosts()
+	n := &Node{ID: 1, N: 8, C: &costs, wires: new(WirePool)}
+	id := func(seq int32) lrc.IntervalID { return lrc.IntervalID{Node: 2, Seq: seq} }
+	diff := wordDiff(0, 42)
+
+	old := msg(n, 5, KindPfReq, msgDiffReq{From: 1, Page: 3, Wants: []lrc.IntervalID{id(1), id(2), id(3)}, Prefetch: true})
+	old.Seq, old.Ack = 7, 9
+	n.wires.release(old)
+	m := msg(n, 4, KindDiffReq, msgDiffReq{From: 1, Page: 6, Wants: []lrc.IntervalID{id(4)}})
+	want := msg(&Node{ID: 1, N: 8, C: &costs, wires: new(WirePool)}, 4, KindDiffReq, msgDiffReq{From: 1, Page: 6, Wants: []lrc.IntervalID{id(4)}})
+	if m != old || m.Payload.(*msgDiffReq).Prefetch || !sameExported(m.Payload, want.Payload) ||
+		m.Seq != 0 || m.Ack != 0 || m.Size != want.Size || m.Reliable != want.Reliable || m.Kind != KindDiffReq || m.Dst != 4 {
+		t.Errorf("reused request %+v carries %+v, want %+v with %+v", *m, m.Payload, *want, want.Payload)
+	}
+
+	items := []diffItem{{ID: id(1), Diff: diff}, {ID: id(2), Diff: diff}, {ID: id(3), Diff: diff}}
+	old = msg(n, 5, KindPfReply, msgDiffReply{Page: 3, Items: items, Prefetch: true})
+	rep := old.Payload.(*msgDiffReply)
+	n.wires.release(old)
+	for _, it := range append(rep.Items[:cap(rep.Items)], rep.one[:]...) {
+		if it.Diff != nil {
+			t.Errorf("a released reply still holds a diff: %+v", it)
+		}
+	}
+	m = msg(n, 4, KindDiffReply, msgDiffReply{Page: 6, Items: items[:1]})
+	if m != old || rep.Prefetch || rep.Page != 6 || !slices.Equal(rep.Items, items[:1]) || m.Size != 40+12+diff.WireSize() {
+		t.Errorf("reused reply %+v carries %+v", *m, *rep)
 	}
 }
 

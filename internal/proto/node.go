@@ -105,6 +105,7 @@ type Node struct {
 	log     [][]*lrc.Interval
 	held    lrc.VC
 	offered []*lrc.Interval
+	wires   *WirePool // the machine's, shared like log (messages.go)
 
 	// Per-page protocol state, which is also the diff store: a page's diffs
 	// hang off its entry (diffstore.go). Entries appear a leaf at a time;
@@ -117,11 +118,10 @@ type Node struct {
 	idArena []lrc.IntervalID
 
 	// Scratch for the fault path's short lists (missingDiffs and
-	// tryComplete's asks, tryComplete's diff side, applyDiffs, diffReqs's
-	// requests, handleDiffReq's reply items) and for the records an intake
-	// or flushDeferred invalidates, reused so that none allocates them. A
-	// scratch list is good until its filler's next call: whoever keeps it
-	// copies it, as msg does a reply's items.
+	// tryComplete's asks, tryComplete's diff side or diffReqs's regrouping,
+	// applyDiffs, diffReqs's requests, handleDiffReq's reply items) and for
+	// the records an intake or flushDeferred invalidates. A scratch list is
+	// good until its filler's next call: whoever keeps it copies it (own).
 	missScratch []lrc.IntervalID
 	diffScratch []lrc.IntervalID
 	ivScratch   []*lrc.Interval
@@ -373,6 +373,7 @@ func (n *Node) askDiffs(f *fetch, entry sim.Time, ids []lrc.IntervalID) {
 	for _, m := range msgs {
 		n.sendAfter(done, m)
 	}
+	clear(n.msgScratch) // the pool may hand the sent requests out again
 }
 
 // install validates p from base — a copy of the page, nil when the frame is
@@ -430,11 +431,11 @@ func (n *Node) takePf(p pagemem.PageID, ids []lrc.IntervalID) (outcome int64) {
 
 // NewNode constructs protocol node id of the machine whose interval log is
 // log — one list per node, len(log) nodes, shared by all of them: each node
-// appends the intervals it closes to its own list — running the backend cfg
-// selects. Wire Send before use. Protocol occurrences are emitted on k's event bus;
+// appends the intervals it closes to its own list — and wire pool wires,
+// running the backend cfg selects. Wire Send before use. Protocol occurrences are emitted on k's event bus;
 // subscribe a stats.Collector to derive per-node counters. NewNode panics
 // on an invalid Spec — callers validate user input with Spec.Validate first.
-func NewNode(id int, log [][]*lrc.Interval, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
+func NewNode(id int, log [][]*lrc.Interval, wires *WirePool, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 	if err := cfg.Validate(); err != nil {
 		configInvariantf("proto: %v", err)
 	}
@@ -450,6 +451,7 @@ func NewNode(id int, log [][]*lrc.Interval, k *sim.Kernel, cpu *sim.CPU, c *Cost
 		Store:   pagemem.NewStore(),
 		vc:      lrc.NewVC(n),
 		log:     log,
+		wires:   wires,
 		held:    lrc.NewVC(n),
 		fetches: make(map[pagemem.PageID]*fetch),
 		pf:      make(map[pagemem.PageID]*pfState),
@@ -579,6 +581,7 @@ func (n *Node) Deliver(m *netsim.Message) {
 		return
 	}
 	n.dispatch(m)
+	n.wires.release(m) // fiat delivery: m arrived once, and no handler keeps it
 }
 
 // dispatch hands one in-order message to the subsystem that owns its kind;

@@ -68,5 +68,6 @@ func (n *Node) issuePrefetch(p pagemem.PageID, ids []lrc.IntervalID, msgs ...*ne
 	for _, m := range msgs {
 		n.sendAfter(done, m)
 	}
+	clear(n.msgScratch) // as in askDiffs
 	return len(msgs)
 }

@@ -18,6 +18,15 @@ type rig struct {
 	nodes []*Node
 	st    []stats.Node
 	costs Costs
+	tap   func(*netsim.Message) // when set, sees each message before its delivery
+}
+
+// deliver is the rig network's delivery: the tap, then the destination.
+func (r *rig) deliver(m *netsim.Message) {
+	if r.tap != nil {
+		r.tap(m)
+	}
+	r.nodes[m.Dst].Deliver(m)
 }
 
 func newRig(n int) *rig { return newRigCfg(n, Spec{}) }
@@ -28,11 +37,10 @@ func newRigCfg(n int, cfg Spec) *rig {
 	r := &rig{k: sim.NewKernel(), costs: DefaultCosts(), log: make([][]*lrc.Interval, n)}
 	r.st = make([]stats.Node, n)
 	r.k.Bus().Subscribe(stats.NewCollector(r.st))
-	r.net = netsim.New(r.k, n, netsim.DefaultConfig(), func(m *netsim.Message) {
-		r.nodes[m.Dst].Deliver(m)
-	})
+	r.net = netsim.New(r.k, n, netsim.DefaultConfig(), r.deliver)
+	wires := new(WirePool) // one per machine, like log
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, r.log, r.k, sim.NewCPU(r.k), &r.costs, cfg)
+		nd := NewNode(i, r.log, wires, r.k, sim.NewCPU(r.k), &r.costs, cfg)
 		nd.Send = r.net.Send
 		r.nodes = append(r.nodes, nd)
 	}

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,11 +20,10 @@ func newFaultRig(n int, plan netsim.FaultPlan) *rig {
 	r.k.Bus().Subscribe(stats.NewCollector(r.st))
 	cfg := netsim.DefaultConfig()
 	cfg.Faults = plan
-	r.net = netsim.New(r.k, n, cfg, func(m *netsim.Message) {
-		r.nodes[m.Dst].Deliver(m)
-	})
+	r.net = netsim.New(r.k, n, cfg, r.deliver)
+	wires := new(WirePool)
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, r.log, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
+		nd := NewNode(i, r.log, wires, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
 		nd.Send = r.net.Send
 		nd.EnableTransport()
 		r.nodes = append(r.nodes, nd)
@@ -78,6 +78,53 @@ func TestTransportSuppressesDuplicates(t *testing.T) {
 	}
 	if _, _, dups := sumXport(r.st); dups == 0 {
 		t.Fatal("Dup=1.0 produced no suppressed duplicates")
+	}
+}
+
+// Under fiat delivery a prefetch's request and reply go back to the wire
+// pool once delivered. Under an active fault plan nothing does: the network
+// delivers a duplicate as the same message, so each copy of a prefetch
+// reply must read the payload the first one did, diffs included.
+func TestFaultPlanPoolsNothing(t *testing.T) {
+	prefetch := func(r *rig) {
+		r.k.At(0, func() { r.write(0, page0, 42) })
+		r.k.Run()
+		r.barrierAll(0)
+		r.k.At(r.k.Now(), func() { r.nodes[1].Prefetch(pg1) })
+		r.k.Run()
+	}
+	r := newRig(2)
+	prefetch(r)
+	if w := r.nodes[0].wires; len(w.reqs) != 1 || len(w.reps) != 1 {
+		t.Fatalf("fiat delivery pooled %d requests and %d replies, want 1 and 1", len(w.reqs), len(w.reps))
+	}
+
+	r = newFaultRig(2, netsim.FaultPlan{Seed: 5, Dup: 1.0})
+	first := map[*netsim.Message][]diffItem{}
+	dups := 0
+	r.tap = func(m *netsim.Message) {
+		rep, ok := m.Payload.(*msgDiffReply)
+		if !ok || m.Kind != KindPfReply {
+			return
+		}
+		if items, seen := first[m]; seen {
+			dups++
+			if !slices.Equal(rep.Items, items) {
+				t.Errorf("a duplicated prefetch reply read %v, then %v", items, rep.Items)
+			}
+			return
+		}
+		if len(rep.Items) == 0 || rep.Items[0].Diff == nil {
+			t.Errorf("a prefetch reply arrived without its diff: %+v", *rep)
+		}
+		first[m] = slices.Clone(rep.Items)
+	}
+	prefetch(r)
+	if dups == 0 {
+		t.Fatal("Dup=1.0 duplicated no prefetch reply")
+	}
+	if w := r.nodes[0].wires; len(w.reqs)+len(w.reps) != 0 {
+		t.Errorf("a faulted run pooled %d requests and %d replies", len(w.reqs), len(w.reps))
 	}
 }
 
