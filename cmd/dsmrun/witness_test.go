@@ -38,6 +38,14 @@ var witnesses = []struct{ file, args string }{
 	{"faults-adp.txt", "-app all -scale small -procs 8 -threads 4 -prefetch -faults heavy -kinds -verify -protocol adp"},
 	// erc with gossip on 256 nodes, the fat tree and the combining tree.
 	{"gossip256-erc.txt", "-app FFT,SOR -scale unit -procs 256 -topology fattree -barrier tree -protocol erc -gossip -kinds -verify"},
+	// The whole grid on 64 nodes of the fat tree and the combining tree,
+	// under lrc and under erc with gossip.
+	{"fattree64-lrc.txt", "-app all -scale unit -procs 64 -topology fattree -barrier tree -kinds"},
+	{"gossip64-erc.txt", "-app all -scale unit -procs 64 -topology fattree -barrier tree -kinds -protocol erc -gossip"},
+	// Migrating homes under a binary barrier tree: releases land far apart.
+	{"migrate8-hlrc.txt", "-app all -scale unit -procs 8 -protocol hlrc -home-policy migrate -barrier tree -barrier-fanout 2 -kinds -verify"},
+	// A plain loss and duplication sweep point with prefetching.
+	{"loss8-lrc.txt", "-app all -scale unit -procs 8 -prefetch -loss 0.05 -dup 0.02 -kinds"},
 }
 
 // TestWitnesses runs every witness row in process and compares its report

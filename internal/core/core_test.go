@@ -313,6 +313,56 @@ func TestMultithreadingOverlapsLatency(t *testing.T) {
 	}
 }
 
+// TestSystemsShareNoPageBuffer: each machine draws its page frames and twins
+// from its own pool, so two Systems running at once recycle twins, but
+// never hand out a buffer the other has. Under hlrc every release drops the
+// interval's twins, so each round's write faults take retired ones.
+func TestSystemsShareNoPageBuffer(t *testing.T) {
+	const procs, rounds = 4, 8
+	type seen struct {
+		bufs  map[*byte]bool // every frame and twin handed out
+		twins int            // twins handed out
+	}
+	sys := make([]seen, 2)
+	var wg sync.WaitGroup
+	for i := range sys {
+		cfg := smallConfig(procs, 1)
+		cfg.Protocol = "hlrc"
+		s := NewSystem(cfg)
+		sn := &sys[i]
+		sn.bufs = map[*byte]bool{}
+		arr := s.Alloc.Alloc(procs*pagemem.PageSize, pagemem.PageSize)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Run(func(e *Env) {
+				p := pagemem.PageOf(arr) + pagemem.PageID(e.ProcID())
+				st := s.Nodes[e.ProcID()].Store
+				for r := 0; r < rounds; r++ {
+					e.WriteF64(p.Base(), float64(r))
+					sn.bufs[&st.Frame(p)[0]] = true
+					if tw := st.Twin(p); tw != nil {
+						sn.bufs[&tw[0]] = true
+						sn.twins++
+					}
+					e.Barrier(r)
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	for i, sn := range sys {
+		if twinBufs := len(sn.bufs) - procs; sn.twins <= twinBufs {
+			t.Errorf("system %d handed out %d twins in %d buffers, want fewer buffers", i, sn.twins, twinBufs)
+		}
+	}
+	for b := range sys[0].bufs {
+		if sys[1].bufs[b] {
+			t.Fatal("both systems handed out one page buffer")
+		}
+	}
+}
+
 // TestSystemsShareNoWire: each machine pools its own delivered diff requests
 // and replies, so two Systems running at once reuse messages, but never
 // each other's.

@@ -151,10 +151,11 @@ func NewSystem(cfg Config) *System {
 	// into NodeSt, so counters and traces can never disagree.
 	s.K.Bus().Subscribe(stats.NewCollector(s.NodeSt))
 	log := make([][]*lrc.Interval, cfg.Procs) // the machine's interval log, shared by its nodes
-	wires := new(proto.WirePool)              // and its pool of delivered diff requests and replies
+	wires := new(proto.WirePool)              // its pool of delivered diff requests and replies
+	pages := new(pagemem.Pool)                // and its page frames and twins
 	for i := 0; i < cfg.Procs; i++ {
 		cpu := sim.NewCPU(s.K)
-		node := proto.NewNode(i, log, wires, s.K, cpu, &cfg.Costs, cfg.Spec)
+		node := proto.NewNode(i, log, wires, pages, s.K, cpu, &cfg.Costs, cfg.Spec)
 		node.Send = s.Net.Send
 		node.SetMT(cfg.MT())
 		if cfg.Net.Faults.Active() {

@@ -249,19 +249,12 @@ func (d *Diff) DataBytes() int {
 // table growth caused by other pages, and anything the protocol does to the
 // contents. The protocol's page table caches the frame on that promise.
 //
-// Page-sized buffers are carved out of multi-page slabs rather than
-// allocated one by one — slabs that start small and grow with the store, so
-// a node that touches a few pages (each of a big machine's thousand) holds a
-// few — and twin buffers retired by DropTwin are kept on a free list for the
-// next MakeTwin, so steady-state twinning does not allocate. A Store belongs
-// to one simulated node and is not safe for concurrent use; concurrently
-// running simulations each have their own stores.
+// A store draws its page buffers from its machine's Pool and hands retired
+// twins back to it. A Store belongs to one simulated node and is not safe
+// for concurrent use; it and its pool are never shared between Systems.
 type Store struct {
 	pages Table[storeEntry]
-
-	slab      []pageBuf  // remainder of the current zeroed allocation slab
-	carved    int        // page buffers allocated so far, over all slabs
-	freeTwins []*pageBuf // retired twin buffers, reused by MakeTwin
+	pool  *Pool
 }
 
 type pageBuf = [PageSize]byte
@@ -269,26 +262,49 @@ type pageBuf = [PageSize]byte
 // storeEntry is one page's frame and twin; nil until materialised.
 type storeEntry struct{ frame, twin *pageBuf }
 
-// A store's first slab provides minSlabPages page buffers and each later one
-// doubles what the store holds, up to maxSlabPages a slab: the store never
-// holds more than maxSlabPages-sized slabs from the first touch would.
+// Pool is one machine's page buffers: every node's Store carves its frames
+// and twins from the pool's current slab, and a twin retired on any node
+// serves the next buffer any node asks for, so steady-state twinning does
+// not allocate and a machine carries one partly used slab, not one per
+// node. The zero Pool is empty and ready to use; like its stores it
+// belongs to one machine and is not safe for concurrent use.
+type Pool struct {
+	slab   []pageBuf  // remainder of the current zeroed allocation slab
+	carved int        // page buffers allocated so far, over all slabs
+	free   []*pageBuf // retired twin buffers, dirty
+}
+
+// The pool's first slab provides minSlabPages page buffers and each later one
+// doubles what the pool holds, up to maxSlabPages a slab.
 const (
 	minSlabPages = 2
 	maxSlabPages = 64
 )
 
-// NewStore returns an empty store.
-func NewStore() *Store { return &Store{} }
+// NewStore returns an empty store drawing from pool p.
+func (p *Pool) NewStore() *Store { return &Store{pool: p} }
 
-// newPageBuf carves one zeroed page-sized buffer out of the current slab.
-func (s *Store) newPageBuf() *pageBuf {
-	if len(s.slab) == 0 {
-		n := min(max(s.carved, minSlabPages), maxSlabPages)
-		s.slab = make([]pageBuf, n)
-		s.carved += n
+// NewStore returns an empty store with a pool of its own.
+func NewStore() *Store { return new(Pool).NewStore() }
+
+// get hands out a page buffer: the last retired twin, cleared if zero is
+// set, else a zeroed one carved out of the current slab.
+func (p *Pool) get(zero bool) *pageBuf {
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		if zero {
+			*b = pageBuf{}
+		}
+		return b
 	}
-	b := &s.slab[0]
-	s.slab = s.slab[1:]
+	if len(p.slab) == 0 {
+		n := min(max(p.carved, minSlabPages), maxSlabPages)
+		p.slab = make([]pageBuf, n)
+		p.carved += n
+	}
+	b := &p.slab[0]
+	p.slab = p.slab[1:]
 	return b
 }
 
@@ -298,7 +314,7 @@ func (s *Store) Frame(p PageID) []byte { return s.frame(s.pages.Entry(p))[:] }
 
 func (s *Store) frame(e *storeEntry) *pageBuf {
 	if e.frame == nil {
-		e.frame = s.newPageBuf()
+		e.frame = s.pool.get(true)
 	}
 	return e.frame
 }
@@ -310,18 +326,14 @@ func (s *Store) MakeTwin(p PageID) {
 	if e.twin != nil {
 		panic(fmt.Sprintf("pagemem: twin for page %d already exists", p))
 	}
-	if n := len(s.freeTwins); n > 0 {
-		e.twin = s.freeTwins[n-1]
-		s.freeTwins = s.freeTwins[:n-1]
-	} else {
-		e.twin = s.newPageBuf()
-	}
-	*e.twin = *s.frame(e) // overwrites the whole buffer; no zeroing needed
+	f := s.frame(e)
+	e.twin = s.pool.get(false)
+	*e.twin = *f // overwrites the whole buffer; no zeroing needed
 }
 
 // Twin returns page p's twin, or nil if none exists. The returned slice is
 // only valid until DropTwin(p): the buffer is then recycled for a future
-// twin.
+// twin or frame.
 func (s *Store) Twin(p PageID) []byte {
 	if e := s.pages.Lookup(p); e != nil && e.twin != nil {
 		return e.twin[:]
@@ -329,10 +341,10 @@ func (s *Store) Twin(p PageID) []byte {
 	return nil
 }
 
-// DropTwin discards page p's twin and recycles its buffer.
+// DropTwin discards page p's twin and hands its buffer back to the pool.
 func (s *Store) DropTwin(p PageID) {
 	if e := s.pages.Lookup(p); e != nil && e.twin != nil {
-		s.freeTwins = append(s.freeTwins, e.twin)
+		s.pool.free = append(s.pool.free, e.twin)
 		e.twin = nil
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -377,6 +379,71 @@ func TestFramesNeverMove(t *testing.T) {
 	s.MakeTwin(3) // takes a fresh buffer: every recycled one is in use
 	s.DropTwin(3)
 	same("a second twin cycle")
+}
+
+// TestPoolSlackIsOneSlab: stores drawing from one pool carve the buffers
+// they touch and at most one slab more between them, not a partly used slab
+// each. k is one past a power of two, where a slab sequence of each store's
+// own would leave it about half empty.
+func TestPoolSlackIsOneSlab(t *testing.T) {
+	const stores, k = 32, 33
+	var pool Pool
+	ss := make([]*Store, stores)
+	for i := range ss {
+		ss[i] = pool.NewStore()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := PageID(1); p <= k; p++ {
+		for _, s := range ss {
+			s.Frame(p)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Besides page buffers, each store allocates its page table: a leaf of
+	// leafPages 16-byte entries and a directory, under half a page.
+	got := after.TotalAlloc - before.TotalAlloc
+	if most := uint64((stores*k+maxSlabPages)*PageSize + stores*PageSize/2); got > most {
+		t.Errorf("%d stores touching %d pages each allocated %d pages' worth, want at most %d",
+			stores, k, got/PageSize, most/PageSize)
+	}
+}
+
+// TestPoolRecyclesTwinsAcrossStores: a twin one store drops is the buffer
+// the next MakeTwin on another store of the same pool gets.
+func TestPoolRecyclesTwinsAcrossStores(t *testing.T) {
+	var pool Pool
+	a, b := pool.NewStore(), pool.NewStore()
+	a.Frame(1)[0] = 1
+	b.Frame(1)
+	a.MakeTwin(1)
+	retired := &a.Twin(1)[0]
+	a.DropTwin(1)
+	b.MakeTwin(1)
+	if tw := b.Twin(1); &tw[0] != retired || tw[0] != 0 {
+		t.Fatal("MakeTwin did not take the twin another store retired, or did not overwrite it")
+	}
+}
+
+// TestRecycledFrameIsZero: a frame first touched after twins have been
+// recycled is all zero, though its buffer is a retired twin.
+func TestRecycledFrameIsZero(t *testing.T) {
+	var pool Pool
+	a, b := pool.NewStore(), pool.NewStore()
+	f := a.Frame(1)
+	for i := range f {
+		f[i] = 0xA5
+	}
+	a.MakeTwin(1)
+	retired := &a.Twin(1)[0]
+	a.DropTwin(1)
+	g := b.Frame(7)
+	if &g[0] != retired {
+		t.Fatal("the frame first touched after a DropTwin is not the retired twin")
+	}
+	if i := slices.IndexFunc(g, func(v byte) bool { return v != 0 }); i >= 0 {
+		t.Fatalf("a recycled frame holds %#x at offset %d, want all zero", g[i], i)
+	}
 }
 
 func TestDoubleTwinPanics(t *testing.T) {

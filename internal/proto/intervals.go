@@ -149,18 +149,23 @@ func (n *Node) carve(k int) []lrc.IntervalID {
 // at the page's first notice, moves a pending list too short for the count
 // to one carved with room for it, at least minPending and twice the old
 // capacity; the appends then fill it in the order they always had, which
-// orders the asks.
+// orders the asks. Each notice is looked up and filtered once: the first
+// pass keeps its page state, nil where filtered, in the machine's notice
+// scratch (WirePool), and the second walks it in the same order.
 func (n *Node) invalidate(ivs ...*lrc.Interval) {
-	for _, iv := range ivs {
-		for _, p := range iv.Pages {
-			if ps := n.notice(p, iv.ID); ps != nil {
-				ps.batch++ // a count that wraps only sizes the growth wrong
-			}
-		}
-	}
+	pss := n.wires.notices[:0]
 	for _, iv := range ivs {
 		for _, p := range iv.Pages {
 			ps := n.notice(p, iv.ID)
+			if ps != nil {
+				ps.batch++ // a count that wraps only sizes the growth wrong
+			}
+			pss = append(pss, ps)
+		}
+	}
+	n.wires.notices = pss[:0]
+	for _, iv := range ivs {
+		for _, ps := range pss[:len(iv.Pages)] {
 			if ps == nil {
 				continue
 			}
@@ -170,6 +175,7 @@ func (n *Node) invalidate(ivs ...*lrc.Interval) {
 			ps.batch = 0
 			ps.pending = append(ps.pending, iv.ID)
 		}
+		pss = pss[len(iv.Pages):]
 	}
 }
 

@@ -121,8 +121,13 @@ type wire[P any] struct {
 }
 
 // WirePool is a machine's delivered diff requests and replies, for msg to
-// reuse (DESIGN.md §14); the zero value is empty.
-type WirePool struct{ reqs, reps []*netsim.Message }
+// reuse (DESIGN.md §14), and the notices invalidate takes: a machine's nodes
+// never run at once, so one scratch list serves them all (intervals.go).
+// The zero value is empty.
+type WirePool struct {
+	reqs, reps []*netsim.Message
+	notices    []*pageState
+}
 
 // free is the pool's list for pl's payload type; nil when it is not pooled.
 func (wp *WirePool) free(pl any) *[]*netsim.Message {

@@ -431,11 +431,12 @@ func (n *Node) takePf(p pagemem.PageID, ids []lrc.IntervalID) (outcome int64) {
 
 // NewNode constructs protocol node id of the machine whose interval log is
 // log — one list per node, len(log) nodes, shared by all of them: each node
-// appends the intervals it closes to its own list — and wire pool wires,
-// running the backend cfg selects. Wire Send before use. Protocol occurrences are emitted on k's event bus;
-// subscribe a stats.Collector to derive per-node counters. NewNode panics
+// appends the intervals it closes to its own list — wire pool wires and
+// page-buffer pool pages, running the backend cfg selects. Wire Send before
+// use. Protocol occurrences are emitted on k's event bus; subscribe a
+// stats.Collector to derive per-node counters. NewNode panics
 // on an invalid Spec — callers validate user input with Spec.Validate first.
-func NewNode(id int, log [][]*lrc.Interval, wires *WirePool, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
+func NewNode(id int, log [][]*lrc.Interval, wires *WirePool, pages *pagemem.Pool, k *sim.Kernel, cpu *sim.CPU, c *Costs, cfg Spec) *Node {
 	if err := cfg.Validate(); err != nil {
 		configInvariantf("proto: %v", err)
 	}
@@ -448,7 +449,7 @@ func NewNode(id int, log [][]*lrc.Interval, wires *WirePool, k *sim.Kernel, cpu 
 		CPU:     cpu,
 		C:       c,
 		bus:     k.Bus(),
-		Store:   pagemem.NewStore(),
+		Store:   pages.NewStore(),
 		vc:      lrc.NewVC(n),
 		log:     log,
 		wires:   wires,

@@ -38,9 +38,9 @@ func newRigCfg(n int, cfg Spec) *rig {
 	r.st = make([]stats.Node, n)
 	r.k.Bus().Subscribe(stats.NewCollector(r.st))
 	r.net = netsim.New(r.k, n, netsim.DefaultConfig(), r.deliver)
-	wires := new(WirePool) // one per machine, like log
+	wires, pages := new(WirePool), new(pagemem.Pool) // one each per machine, like log
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, r.log, wires, r.k, sim.NewCPU(r.k), &r.costs, cfg)
+		nd := NewNode(i, r.log, wires, pages, r.k, sim.NewCPU(r.k), &r.costs, cfg)
 		nd.Send = r.net.Send
 		r.nodes = append(r.nodes, nd)
 	}

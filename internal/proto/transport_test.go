@@ -21,9 +21,9 @@ func newFaultRig(n int, plan netsim.FaultPlan) *rig {
 	cfg := netsim.DefaultConfig()
 	cfg.Faults = plan
 	r.net = netsim.New(r.k, n, cfg, r.deliver)
-	wires := new(WirePool)
+	wires, pages := new(WirePool), new(pagemem.Pool)
 	for i := 0; i < n; i++ {
-		nd := NewNode(i, r.log, wires, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
+		nd := NewNode(i, r.log, wires, pages, r.k, sim.NewCPU(r.k), &r.costs, Spec{})
 		nd.Send = r.net.Send
 		nd.EnableTransport()
 		r.nodes = append(r.nodes, nd)
