@@ -48,24 +48,32 @@ var witnesses = []struct{ file, args string }{
 	{"loss8-lrc.txt", "-app all -scale unit -procs 8 -prefetch -loss 0.05 -dup 0.02 -kinds"},
 }
 
+// unitGrid is the equivalence rows' run: three apps on the default
+// machine's size, cheap enough to run twice a row.
+const unitGrid = "-app SOR,FFT,OCEAN -scale unit -procs 4 -kinds"
+
+// equivalences are witness rows of the other form: two dsmrun command lines
+// that are spellings of one run, or runs a layer promises not to perturb,
+// and must print the same bytes.
+var equivalences = []struct{ name, args, same string }{
+	// Naming the default machine is the default machine.
+	{"default-machine", unitGrid, unitGrid + " -protocol lrc -topology single -barrier central"},
+	// A static home policy disables every dynamic code path.
+	{"home-policy-static", unitGrid + " -protocol hlrc", unitGrid + " -protocol hlrc -home-policy static"},
+	// The race detector observes the machine without perturbing it.
+	{"race-check", unitGrid, unitGrid + " -race-check"},
+}
+
 // TestWitnesses runs every witness row in process and compares its report
-// with the committed bytes, naming the first line that differs.
+// with the committed bytes, or with the report of its equivalent command
+// line, naming the first line that differs.
 func TestWitnesses(t *testing.T) {
 	for _, w := range witnesses {
 		t.Run(strings.TrimSuffix(w.file, ".txt"), func(t *testing.T) {
-			fs := flag.NewFlagSet("dsmrun", flag.ContinueOnError)
-			fs.SetOutput(io.Discard)
-			o, err := parseFlags(fs, strings.Fields(w.args))
-			if err != nil {
-				t.Fatalf("dsmrun %s: %v", w.args, err)
-			}
-			var got bytes.Buffer
-			if err := run(o, &got, nil); err != nil {
-				t.Fatalf("dsmrun %s: %v", w.args, err)
-			}
+			got := dsmrun(t, w.args)
 			path := filepath.Join("testdata", w.file)
 			if *update {
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -74,11 +82,35 @@ func TestWitnesses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := firstDiff(got.String(), string(want)); d != "" {
+			if d := firstDiff(got, string(want)); d != "" {
 				t.Errorf("dsmrun %s\nprints other bytes than %s:\n%s", w.args, path, d)
 			}
 		})
 	}
+	for _, eq := range equivalences {
+		t.Run(eq.name, func(t *testing.T) {
+			if d := firstDiff(dsmrun(t, eq.same), dsmrun(t, eq.args)); d != "" {
+				t.Errorf("dsmrun %s\nprints other bytes than\ndsmrun %s:\n%s", eq.same, eq.args, d)
+			}
+		})
+	}
+}
+
+// dsmrun runs dsmrun with the given arguments in process and returns what
+// it prints.
+func dsmrun(t *testing.T, args string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("dsmrun", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o, err := parseFlags(fs, strings.Fields(args))
+	if err != nil {
+		t.Fatalf("dsmrun %s: %v", args, err)
+	}
+	var got bytes.Buffer
+	if err := run(o, &got, nil); err != nil {
+		t.Fatalf("dsmrun %s: %v", args, err)
+	}
+	return got.String()
 }
 
 // firstDiff describes the first line where got departs from want, after the

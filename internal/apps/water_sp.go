@@ -120,14 +120,16 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 
 	nBlocks := (n + waterNsqBlk - 1) / waterNsqBlk
 
-	// listOf reads cell c's molecule list through the shared pointers.
-	listOf := func(e *dsm.Env, c int) []int {
-		var out []int
+	// listOf reads cell c's molecule list through the shared pointers,
+	// appends it to record and returns record and the list: the stretch of
+	// record it fills, capped so that later appends never write into it.
+	listOf := func(e *dsm.Env, c int, record []int) ([]int, []int) {
+		start := len(record)
 		for i := e.ReadI64(head.at(c)); i >= 0; i = e.ReadI64(next.at(int(i))) {
-			out = append(out, int(i))
+			record = append(record, int(i))
 			e.Compute(costKeyOp)
 		}
-		return out
+		return record, record[start:len(record):len(record)]
 	}
 
 	run := func(e *dsm.Env) {
@@ -141,8 +143,11 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 		// prevRecord is the paper's history array: the molecule traversal
 		// order recorded in the previous step. The cell structure changes
 		// little between steps, so dereferencing it prefetches the pointer
-		// chain's data well ahead of the pointer-chasing traversal.
-		var prevRecord []int
+		// chain's data well ahead of the pointer-chasing traversal. record
+		// is this step's, built in the array of the step before last, and
+		// lists maps each cell walked this step to its stretch of record.
+		var record, prevRecord []int
+		lists := make(map[int][]int)
 		for step := 0; step < p.steps; step++ {
 			// Rebuild cell lists: reset owned heads, then zero owned forces
 			// and the processor's accumulator.
@@ -180,14 +185,13 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 
 			// Traversal pass: record the order of every list this thread
 			// walks (own cells + their half shells).
-			var record []int
-			lists := make(map[int][]int)
+			record = record[:0]
+			clear(lists)
 			cellList := func(c int) []int {
 				l, ok := lists[c]
 				if !ok {
-					l = listOf(e, c)
+					record, l = listOf(e, c, record)
 					lists[c] = l
-					record = append(record, l...)
 				}
 				return l
 			}
@@ -201,7 +205,7 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 					}
 				})
 			}
-			prevRecord = record
+			record, prevRecord = prevRecord, record
 
 			// All siblings must finish their pairs before merging the
 			// shared accumulator.

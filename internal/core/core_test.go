@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
@@ -359,6 +360,52 @@ func TestSystemsShareNoPageBuffer(t *testing.T) {
 	for b := range sys[0].bufs {
 		if sys[1].bufs[b] {
 			t.Fatal("both systems handed out one page buffer")
+		}
+	}
+}
+
+// TestSystemsShareNoDiffChunk: each machine carves its diffs from its own
+// pool. Two Systems running at once take turns making a diff of a page of
+// theirs, one each a turn. Under lrc nothing else makes a diff (no node
+// asks for that page), so were the two pools one, system 1's diff of turn
+// k would be the header carved between system 0's diffs of turns k and
+// k+1; with pools of their own that header lies in another chunk.
+func TestSystemsShareNoDiffChunk(t *testing.T) {
+	const procs, rounds = 2, 16
+	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turn[0] <- struct{}{}
+	made := make([][]*pagemem.Diff, 2) // each system's diffs, in turn order
+	var wg sync.WaitGroup
+	for i := range made {
+		s := NewSystem(smallConfig(procs, 1))
+		arr := s.Alloc.Alloc(procs*pagemem.PageSize, pagemem.PageSize)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Run(func(e *Env) {
+				p := pagemem.PageOf(arr)
+				for r := 0; r < rounds; r++ {
+					if e.ProcID() == 0 {
+						e.WriteF64(p.Base(), float64(r+1)) // twinned from the first write on
+						<-turn[i]
+						made[i] = append(made[i], s.Nodes[0].Store.MakeDiff(p))
+						turn[1-i] <- struct{}{}
+					}
+					e.Barrier(r)
+				}
+			})
+		}()
+	}
+	wg.Wait()
+	at := func(d *pagemem.Diff) uintptr { return uintptr(unsafe.Pointer(d)) }
+	size := unsafe.Sizeof(pagemem.Diff{})
+	for k := range rounds - 1 {
+		if made[0][k] == nil || made[1][k] == nil {
+			t.Fatalf("turn %d made no diff", k)
+		}
+		a, b, next := at(made[0][k]), at(made[1][k]), at(made[0][k+1])
+		if next == a+2*size && b == a+size {
+			t.Fatalf("turn %d: system 1's diff was carved between two of system 0's", k)
 		}
 	}
 }

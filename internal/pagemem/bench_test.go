@@ -64,6 +64,33 @@ func BenchmarkMakeDiff(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolMakeDiff is BenchmarkMakeDiff through a Store: the diff is
+// carved from the store's pool, which the benchmark keeps warm.
+func BenchmarkPoolMakeDiff(b *testing.B) {
+	for _, pattern := range []string{"unchanged", "sparse", "dense", "floats", "full"} {
+		b.Run(pattern, func(b *testing.B) {
+			s := twinnedStore(pattern)
+			b.SetBytes(PageSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MakeDiff(1)
+			}
+		})
+	}
+}
+
+// twinnedStore returns a store whose page 1 is pattern's modified page,
+// twinned against its original.
+func twinnedStore(pattern string) *Store {
+	twin, cur := benchPages(pattern)
+	s := NewStore()
+	copy(s.Frame(1), twin)
+	s.MakeTwin(1)
+	copy(s.Frame(1), cur)
+	return s
+}
+
 func BenchmarkDiffApply(b *testing.B) {
 	for _, pattern := range []string{"sparse", "dense", "floats", "full"} {
 		b.Run(pattern, func(b *testing.B) {
@@ -97,9 +124,9 @@ func BenchmarkTwinCycle(b *testing.B) {
 	}
 }
 
-// TestMakeDiffAllocs locks in the pooling win: an unchanged page must not
-// allocate at all, and a diffed page must allocate exactly twice (the Diff
-// and its encoded runs), no matter how many runs it has.
+// TestMakeDiffAllocs: the package-level MakeDiff allocates nothing for an
+// unchanged page and exactly twice (the Diff and its encoded runs) for a
+// diffed one, no matter how many runs it has.
 func TestMakeDiffAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; counts not meaningful")
@@ -133,32 +160,56 @@ func TestMakeDiffAllocs(t *testing.T) {
 }
 
 // TestDiffHostFootprint: what a diff retains on the host stays near what it
-// is modelled to occupy on the wire. The page is LU's and SOR's: every
-// float changed in 7 of its 8 bytes, 512 runs, 5 640 bytes in a message. (As
-// a slice of run headers over a payload the same diff held about 20 KB.)
+// is modelled to occupy on the wire, made alone or carved from a pool. The
+// page is LU's and SOR's: every float changed in 7 of its 8 bytes, 512
+// runs, 5 640 bytes in a message. (As a slice of run headers over a payload
+// the same diff held about 20 KB.)
 func TestDiffHostFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; allocated bytes not meaningful")
 	}
 	twin, cur := benchPages("floats")
-	const k = 64
-	held := make([]*Diff, 0, k)
-	held = append(held, MakeDiff(0, twin, cur)) // warms the scratch pool
-	wire := held[0].WireSize()
-	if wire != 8+512*(runHeaderSize+7) {
-		t.Fatalf("WireSize = %d, want 5640", wire)
+	s := twinnedStore("floats")
+	for _, maker := range []struct {
+		name string
+		make func() *Diff
+	}{
+		{"MakeDiff", func() *Diff { return MakeDiff(0, twin, cur) }},
+		{"Store.MakeDiff", func() *Diff { return s.MakeDiff(1) }},
+	} {
+		const k = 64
+		held := make([]*Diff, 0, k)
+		held = append(held, maker.make()) // warms the scratch
+		wire := held[0].WireSize()
+		if wire != 8+512*(runHeaderSize+7) {
+			t.Fatalf("%s: WireSize = %d, want 5640", maker.name, wire)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for len(held) < k {
+			held = append(held, maker.make())
+		}
+		runtime.ReadMemStats(&after)
+		perDiff := float64(after.TotalAlloc-before.TotalAlloc) / (k - 1)
+		if perDiff > 1.5*float64(wire) {
+			t.Errorf("%s: a diff of %d wire bytes holds %.0f host bytes, want at most 1.5 times as many",
+				maker.name, wire, perDiff)
+		}
+		runtime.KeepAlive(held)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for len(held) < k {
-		held = append(held, MakeDiff(0, twin, cur))
+}
+
+// TestPoolMakeDiffAllocs: a diff carved from a warm pool costs no
+// allocation of its own, whatever its fragmentation; only a new chunk
+// allocates, once every many diffs.
+func TestPoolMakeDiffAllocs(t *testing.T) {
+	for _, pattern := range []string{"unchanged", "sparse", "dense", "floats", "full"} {
+		s := twinnedStore(pattern)
+		s.MakeDiff(1)
+		if got := testing.AllocsPerRun(100, func() { s.MakeDiff(1) }); got != 0 {
+			t.Errorf("Store.MakeDiff(%s) allocates %.2f times per call, want 0", pattern, got)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	perDiff := float64(after.TotalAlloc-before.TotalAlloc) / (k - 1)
-	if perDiff > 1.5*float64(wire) {
-		t.Errorf("a diff of %d wire bytes holds %.0f host bytes, want at most 1.5 times as many", wire, perDiff)
-	}
-	runtime.KeepAlive(held)
 }
 
 // TestTwinCycleAllocs: after the first cycle, twinning reuses retired

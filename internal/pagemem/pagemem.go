@@ -45,9 +45,10 @@ func (p PageID) Base() Addr { return Addr(p) << PageShift }
 // the run-length encoding TreadMarks puts on the wire, held in one buffer.
 // enc is a table of the runs in page order — 4 bytes each, the run's offset
 // within the page and its length as little-endian uint16s — followed by the
-// runs' modified bytes back to back. A diff is therefore two allocations
-// whatever its fragmentation, holds no pointer but enc, and retains little
-// more than its modelled size (WireSize less the 8-byte preamble).
+// runs' modified bytes back to back. A diff holds no pointer but enc and
+// retains little more than its modelled size (WireSize less the 8-byte
+// preamble); one made by Store.MakeDiff is carved, header and encoding,
+// from its machine's Pool and costs no allocation of its own.
 //
 // A diff is immutable once made: the protocol hands one *Diff to every node
 // that asks for it. The zero Diff (and a nil *Diff) has no runs.
@@ -69,17 +70,18 @@ const wordSize = 8
 // byte.
 const maxRuns = PageSize / 2
 
-// diffScratch is where MakeDiff builds the table and the payload before it
-// knows either's size; the returned Diff holds an exact-size copy. The
-// wordSize of slack lets a short run be copied as one whole word. A
-// sync.Pool keeps the scratch safe to share between concurrently running
-// simulations.
+// diffScratch is where the scanner builds the table and the payload before
+// it knows either's size; the diff made from it holds a copy of both. The
+// wordSize of slack lets a short run be copied as one whole word.
 type diffScratch struct {
 	table [maxRuns * runHeaderSize]byte
 	data  [PageSize + wordSize]byte
 	t, w  int // bytes of table and of data in use
 }
 
+// diffPool is the package-level MakeDiff's scratch: a sync.Pool keeps it
+// safe to share between concurrently running callers. A Store's diffs use
+// their machine Pool's scratch instead.
 var diffPool = sync.Pool{New: func() any { return new(diffScratch) }}
 
 // add records the run current[start:end].
@@ -97,16 +99,12 @@ func (sc *diffScratch) add(current []byte, start, end int) {
 	sc.w += n
 }
 
-// MakeDiff compares a modified page against its twin and returns the RLE
-// diff, or nil if the page is unchanged. Both slices must be PageSize long.
-//
-// The comparison runs a word (8 bytes) at a time: the XOR of the two words
-// is reduced to one bit per differing byte, and a run starts or ends
-// wherever that bit pattern, carried across words, flips. Runs are recorded
-// in pooled scratch as they are found and the diff keeps an exact-size copy,
-// so a call performs two allocations regardless of how fragmented the
-// modifications are, and none when the page is unchanged.
-func MakeDiff(page PageID, twin, current []byte) *Diff {
+// scan compares a modified page against its twin, a word (8 bytes) at a
+// time, and records the runs where they differ into sc, which it resets
+// first; none are recorded when the page is unchanged. The XOR of two
+// words is reduced to one bit per differing byte, and a run starts or ends
+// wherever that bit pattern, carried across words, flips.
+func (sc *diffScratch) scan(twin, current []byte) {
 	if len(twin) != PageSize || len(current) != PageSize {
 		panic(fmt.Sprintf("pagemem: MakeDiff on %d/%d byte buffers", len(twin), len(current)))
 	}
@@ -115,16 +113,12 @@ func MakeDiff(page PageID, twin, current []byte) *Diff {
 		high   = 0x8080808080808080
 		gather = 0x0102040810204080 // moves the high bit of byte k to bit 56+k
 	)
-	var sc *diffScratch
+	sc.t, sc.w = 0, 0
 	open := -1 // where the run being scanned started; -1 between runs
 	for i := 0; i < PageSize; i += wordSize {
 		x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(current[i:])
 		if x == 0 && open < 0 {
 			continue
-		}
-		if sc == nil {
-			sc = diffPool.Get().(*diffScratch)
-			sc.t, sc.w = 0, 0
 		}
 		differs := ((x&low7 + low7) | x) & high // the high bit of every byte that differs
 		if differs == high && open >= 0 {
@@ -147,17 +141,35 @@ func MakeDiff(page PageID, twin, current []byte) *Diff {
 			}
 		}
 	}
-	if sc == nil {
-		return nil
-	}
 	if open >= 0 {
 		sc.add(current, open, PageSize)
 	}
-	enc := make([]byte, sc.t+sc.w)
-	copy(enc, sc.table[:sc.t])
-	copy(enc[sc.t:], sc.data[:sc.w])
-	d := &Diff{Page: page, runs: int32(sc.t / runHeaderSize), enc: enc}
-	diffPool.Put(sc)
+}
+
+// size is the length of the encoding of the scanned runs.
+func (sc *diffScratch) size() int { return sc.t + sc.w }
+
+// encode writes the scanned runs into d, whose enc must be size() long.
+func (sc *diffScratch) encode(d *Diff) {
+	d.runs = int32(sc.t / runHeaderSize)
+	copy(d.enc, sc.table[:sc.t])
+	copy(d.enc[sc.t:], sc.data[:sc.w])
+}
+
+// MakeDiff compares a modified page against its twin and returns the RLE
+// diff, or nil if the page is unchanged. Both slices must be PageSize long.
+// The diff is two allocations of its own, its header and an exact-size
+// encoding, whatever its fragmentation, and a clean page costs none; a
+// node's diffs come from Store.MakeDiff, which allocates neither.
+func MakeDiff(page PageID, twin, current []byte) *Diff {
+	sc := diffPool.Get().(*diffScratch)
+	defer diffPool.Put(sc)
+	sc.scan(twin, current)
+	if sc.size() == 0 {
+		return nil
+	}
+	d := &Diff{Page: page, enc: make([]byte, sc.size())}
+	sc.encode(d)
 	return d
 }
 
@@ -262,23 +274,35 @@ type pageBuf = [PageSize]byte
 // storeEntry is one page's frame and twin; nil until materialised.
 type storeEntry struct{ frame, twin *pageBuf }
 
-// Pool is one machine's page buffers: every node's Store carves its frames
-// and twins from the pool's current slab, and a twin retired on any node
-// serves the next buffer any node asks for, so steady-state twinning does
-// not allocate and a machine carries one partly used slab, not one per
-// node. The zero Pool is empty and ready to use; like its stores it
-// belongs to one machine and is not safe for concurrent use.
+// Pool is one machine's page buffers and diffs: every node's Store carves
+// its frames and twins from the pool's current slab, and a twin retired on
+// any node serves the next buffer any node asks for, so steady-state
+// twinning does not allocate and a machine carries one partly used slab,
+// not one per node. Diffs are carved the same way, headers from one chunk
+// and encodings from another; a diff is never handed back, and a chunk is
+// freed by the collector once no diff in it is reachable. The zero Pool is
+// empty and ready to use; like its stores it belongs to one machine and is
+// not safe for concurrent use.
 type Pool struct {
 	slab   []pageBuf  // remainder of the current zeroed allocation slab
 	carved int        // page buffers allocated so far, over all slabs
 	free   []*pageBuf // retired twin buffers, dirty
+
+	diffs   []Diff       // remainder of the current chunk of diff headers
+	enc     []byte       // remainder of the current chunk of diff encodings
+	scratch *diffScratch // the diff scanner's, made on first use
 }
 
 // The pool's first slab provides minSlabPages page buffers and each later one
-// doubles what the pool holds, up to maxSlabPages a slab.
+// doubles what the pool holds, up to maxSlabPages a slab. A chunk of diff
+// headers holds diffChunk of them and a chunk of encodings encChunk bytes,
+// a dozen pages' diffs; a diff longer than what is left of a chunk starts
+// the next one.
 const (
 	minSlabPages = 2
 	maxSlabPages = 64
+	diffChunk    = 64
+	encChunk     = 64 << 10
 )
 
 // NewStore returns an empty store drawing from pool p.
@@ -347,6 +371,49 @@ func (s *Store) DropTwin(p PageID) {
 		s.pool.free = append(s.pool.free, e.twin)
 		e.twin = nil
 	}
+}
+
+// MakeDiff compares page p's frame against its twin and returns the RLE
+// diff, or nil if the page is unchanged. It panics if p has no twin. The
+// diff is carved from the pool: its encoding is an exact-length stretch of
+// the current encoding chunk, capped so that nothing can grow it into the
+// next diff's, and its header is the next of the current header chunk.
+func (s *Store) MakeDiff(p PageID) *Diff {
+	e := s.pages.Lookup(p)
+	if e == nil || e.twin == nil {
+		panic(fmt.Sprintf("pagemem: MakeDiff of page %d, which has no twin", p))
+	}
+	pl := s.pool
+	if pl.scratch == nil {
+		pl.scratch = new(diffScratch)
+	}
+	sc := pl.scratch
+	sc.scan(e.twin[:], e.frame[:])
+	n := sc.size()
+	if n == 0 {
+		return nil
+	}
+	if len(pl.enc) < n {
+		pl.enc = make([]byte, encChunk) // a diff's encoding is under 11 KB
+	}
+	d := s.EmptyDiff(p)
+	d.enc = pl.enc[:n:n]
+	pl.enc = pl.enc[n:]
+	sc.encode(d)
+	return d
+}
+
+// EmptyDiff returns an explicit empty diff of page p, carved from the pool:
+// what the protocol stores for an interval that wrote p without changing it.
+func (s *Store) EmptyDiff(p PageID) *Diff {
+	pl := s.pool
+	if len(pl.diffs) == 0 {
+		pl.diffs = make([]Diff, diffChunk)
+	}
+	d := &pl.diffs[0]
+	pl.diffs = pl.diffs[1:]
+	d.Page = p
+	return d
 }
 
 // Allocator is a bump allocator for the shared heap. All nodes run the same

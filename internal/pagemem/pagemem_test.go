@@ -30,6 +30,67 @@ func TestMakeDiffNilWhenUnchanged(t *testing.T) {
 	if d := MakeDiff(0, twin, cur); d != nil {
 		t.Fatalf("diff of identical pages = %+v, want nil", d)
 	}
+	s := NewStore()
+	s.Frame(2)[9] = 1
+	s.MakeTwin(2)
+	if d := s.MakeDiff(2); d != nil || d.WireSize() != 0 {
+		t.Fatalf("Store.MakeDiff of an unchanged page = %+v, want nil", d)
+	}
+}
+
+// storeDiff makes page p's diff through store s, which carves it from its
+// pool: twin is the page before the interval, cur after it.
+func storeDiff(s *Store, p PageID, twin, cur []byte) *Diff {
+	copy(s.Frame(p), twin)
+	s.MakeTwin(p)
+	copy(s.Frame(p), cur)
+	d := s.MakeDiff(p)
+	s.DropTwin(p)
+	return d
+}
+
+// TestPoolDiffsDoNotAlias: diffs carved back to back from one pool, over
+// several chunks of each kind, keep their own runs while later diffs are
+// made, and growing one's encoding cannot write into another's.
+func TestPoolDiffsDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewStore()
+	twin := make([]byte, PageSize)
+	type made struct {
+		d    *Diff
+		enc  []byte // a copy of d's encoding when it was made
+		want []refRun
+	}
+	var held []made
+	for len(held) < 3*diffChunk {
+		cur := append([]byte(nil), twin...)
+		for range 1 + rng.Intn(60) { // up to a dense page's fragmentation
+			off := rng.Intn(PageSize - 64)
+			for j := range 1 + rng.Intn(64) {
+				cur[off+j] ^= byte(1 + rng.Intn(255))
+			}
+		}
+		p := PageID(1 + len(held)%5)
+		d := storeDiff(s, p, twin, cur)
+		if d.Page != p {
+			t.Fatalf("diff %d names page %d, want %d", len(held), d.Page, p)
+		}
+		held = append(held, made{d, bytes.Clone(d.enc), refRuns(twin, cur)})
+		twin = cur
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, h := range held {
+			if !bytes.Equal(h.d.enc, h.enc) || !diffHasRuns(h.d, h.want) {
+				t.Fatalf("%s: diff %d no longer holds the runs it was made with", when, i)
+			}
+		}
+	}
+	check("after every diff was made")
+	for _, h := range held {
+		_ = append(h.d.enc, bytes.Repeat([]byte{0xFF}, 64)...)
+	}
+	check("after appending to each diff's encoding")
 }
 
 func TestDiffSingleRun(t *testing.T) {
@@ -279,14 +340,18 @@ func TestApplyWritesOnlyItsRuns(t *testing.T) {
 }
 
 // FuzzDiffRoundTrip: for any twin and any set of modified stretches, the
-// diff has exactly the reference scan's runs and modelled sizes, and
-// applying it to the twin reproduces the page.
+// diff has exactly the reference scan's runs and modelled sizes, applying
+// it to the twin reproduces the page, and Store.MakeDiff encodes the same
+// bytes.
 func FuzzDiffRoundTrip(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{0, 0, 16, 0})                  // a full-page run
 	f.Add(int64(3), []byte{0xFF, 0x0F, 1, 0})             // the last byte alone
 	f.Add(int64(4), []byte{0, 0, 1, 0, 2, 0, 7, 0})       // first byte, then a float's 7 bytes
 	f.Add(int64(5), []byte{0xF9, 0x0F, 7, 0, 8, 0, 9, 1}) // a short run ending the page
+
+	// One pool across inputs: their diffs are carved from shared chunks.
+	store := NewStore()
 	f.Fuzz(func(t *testing.T, seed int64, mods []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		twin := make([]byte, PageSize)
@@ -304,6 +369,11 @@ func FuzzDiffRoundTrip(f *testing.F) {
 		d := MakeDiff(5, twin, cur)
 		if want := refRuns(twin, cur); !diffHasRuns(d, want) {
 			t.Fatalf("diff %+v, reference runs %+v", d, want)
+		}
+		// A store's diff, carved from its pool, is the same encoding.
+		if sd := storeDiff(store, 5, twin, cur); (sd == nil) != (d == nil) ||
+			d != nil && (sd.Page != d.Page || sd.runs != d.runs || !bytes.Equal(sd.enc, d.enc)) {
+			t.Fatalf("Store.MakeDiff = %+v, MakeDiff = %+v", sd, d)
 		}
 		rebuilt := append([]byte(nil), twin...)
 		if d != nil {

@@ -159,15 +159,11 @@ func (c *adpCoherence) AfterClose(iv *lrc.Interval) {
 		cl := c.acc.cell(p)
 		cl.writes++
 		if c.homeMode(p) {
-			if c.hl.home(p) != n.ID {
-				// Size the flush before flushPage drops the twin, so the
-				// decide rule can compare flush volume against page-sized
-				// replies (self-home flushes move nothing).
-				if d := pagemem.MakeDiff(p, n.Store.Twin(p), n.Store.Frame(p)); d != nil {
-					cl.bytes += int64(d.DataBytes())
-				}
-			}
-			cost = c.hl.flushPage(iv.ID, p, cost)
+			// Count the flush's volume, so the decide rule can compare it
+			// against page-sized replies (self-home flushes move nothing).
+			var flushed int
+			cost, flushed = c.hl.flushPage(iv.ID, p, cost)
+			cl.bytes += int64(flushed)
 		}
 	}
 	if cost > 0 {

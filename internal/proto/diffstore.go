@@ -77,9 +77,7 @@ func (n *Node) makeOwnDiff(p pagemem.PageID) sim.Time {
 	if !ps.twinned {
 		return 0
 	}
-	twin := n.Store.Twin(p)
-	frame := n.Store.Frame(p)
-	d := pagemem.MakeDiff(p, twin, frame)
+	d := n.Store.MakeDiff(p)
 	n.bus.Emit(event.DiffMake(n.ID, int64(p), d.DataBytes()))
 	cost := n.C.DiffMake + sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize))
 	n.Store.DropTwin(p)
@@ -98,7 +96,7 @@ func (n *Node) makeOwnDiff(p pagemem.PageID) sim.Time {
 	id := ps.undiffed
 	ps.hasUndiffed = false
 	if d == nil {
-		d = &pagemem.Diff{Page: p} // store an explicit empty diff
+		d = n.Store.EmptyDiff(p) // store an explicit empty diff
 	}
 	n.putDiff(id, p, d, false)
 	return cost

@@ -172,15 +172,15 @@ func TestRecycledFetchStartsClean(t *testing.T) {
 	}
 }
 
-// diffFetchAllocs is what one demand diff fetch may allocate, end to end: the
-// diff the writer makes lazily, its header and its data. Nothing else
-// allocates once warm: the request and the reply are the wires the rig's
-// pool got back when the previous round's were delivered, each with its
-// list's capacity; the regrouped ids, the request list and the reply's items
-// are node scratch; the fetch record is a recycled one; and scheduling the
-// two sends, the two deliveries and the waiters' wake-up is a bound method
-// with the message or the fetch as its argument.
-const diffFetchAllocs = 2
+// diffFetchAllocs is what one demand diff fetch may allocate, end to end:
+// nothing, once warm. The diff the writer makes lazily is carved from the
+// rig's page pool; the request and the reply are the wires the rig's pool
+// got back when the previous round's were delivered, each with its list's
+// capacity; the regrouped ids, the request list and the reply's items are
+// node scratch; the fetch record is a recycled one; and scheduling the two
+// sends, the two deliveries and the waiters' wake-up is a bound method with
+// the message or the fetch as its argument.
+const diffFetchAllocs = 0
 
 // TestDiffFetchAllocs pins the allocations of one fault → diff request →
 // diff reply → install round trip on a two-node lrc rig.

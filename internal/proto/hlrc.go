@@ -93,7 +93,7 @@ func (c *hlrcCoherence) AfterClose(iv *lrc.Interval) {
 	n := c.n
 	var cost sim.Time
 	for _, p := range iv.Pages {
-		cost = c.flushPage(iv.ID, p, cost)
+		cost, _ = c.flushPage(iv.ID, p, cost)
 	}
 	if cost > 0 {
 		n.CPU.Service(cost, sim.CatDSM)
@@ -102,18 +102,16 @@ func (c *hlrcCoherence) AfterClose(iv *lrc.Interval) {
 
 // flushPage diffs one just-closed page and flushes it to its home. cost is
 // the running CPU charge accumulated by the caller; sends drain it and the
-// remainder is returned for the caller to charge.
-func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.Time) sim.Time {
+// remainder is returned for the caller to charge, with the data bytes the
+// flush carries to a remote home (0 when this node is the home).
+func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.Time) (sim.Time, int) {
 	n := c.n
 	ps := n.page(p)
 	if !ps.twinned {
 		n.pageInvariantf(p, "interval page %d lost its twin before the flush", p)
 	}
-	d := pagemem.MakeDiff(p, n.Store.Twin(p), n.Store.Frame(p))
-	db := 0
-	if d != nil {
-		db = d.DataBytes()
-	}
+	d := n.Store.MakeDiff(p)
+	db := d.DataBytes()
 	n.bus.Emit(event.DiffMake(n.ID, int64(p), db))
 	cost += n.C.DiffMake + sim.Time(n.C.DiffScanNs*float64(pagemem.PageSize))
 	n.Store.DropTwin(p)
@@ -130,14 +128,14 @@ func (c *hlrcCoherence) flushPage(id lrc.IntervalID, p pagemem.PageID, cost sim.
 			// writes, so route them through the buffered-flush replay.
 			st.buf = append(st.buf, &msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d})
 		}
-		return cost
+		return cost, 0
 	}
 	if c.track {
 		c.acc.cells[p].bytes += int64(db)
 	}
 	n.bus.Emit(event.HomeFlush(n.ID, home, int64(p), db))
 	n.post(cost, msg(n, home, KindHomeFlush, msgHomeFlush{From: n.ID, ID: id, Page: p, Diff: d}))
-	return 0
+	return 0, db
 }
 
 // Handle dispatches the home-based coherence messages.

@@ -159,7 +159,7 @@ func (c *hlrcCoherence) installXfer(p pagemem.PageID, st *xferIn) {
 	x := st.xfer
 	var lm *pagemem.Diff
 	if ps.twinned {
-		lm = pagemem.MakeDiff(p, n.Store.Twin(p), n.Store.Frame(p))
+		lm = n.Store.MakeDiff(p)
 	}
 	copy(n.Store.Frame(p), x.Data)
 	c.applied[p] = x.Applied.Clone()

@@ -393,7 +393,7 @@ func (n *Node) install(p pagemem.PageID, base []byte, from int, ids []lrc.Interv
 	var lm *pagemem.Diff
 	if ps.twinned && (base != nil || len(ids) > 0) {
 		if base != nil {
-			lm = pagemem.MakeDiff(p, n.Store.Twin(p), n.Store.Frame(p))
+			lm = n.Store.MakeDiff(p)
 		}
 		cost += n.makeOwnDiff(p)
 	}
