@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"godsm/internal/lrc"
 	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/proto"
@@ -412,10 +414,18 @@ func TestSystemsShareNoDiffChunk(t *testing.T) {
 
 // TestSystemsShareNoWire: each machine pools its own delivered diff requests
 // and replies, so two Systems running at once reuse messages, but never
-// each other's.
+// each other's; and it carves its interval records from chunks of its own.
+// Only proc 0 writes, under lock 0 (node 0's: the release sends nothing),
+// and the two Systems take turns at the release that closes its interval.
+// Were the carvers one, system 1's record of turn k would be carved between
+// system 0's records of turns k and k+1. Each release of the barrier tree
+// carries node 0's new record.
 func TestSystemsShareNoWire(t *testing.T) {
 	const procs, rounds = 4, 4
+	turn := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	turn[0] <- struct{}{}
 	sent := make([]map[*netsim.Message]int, 2)
+	recs := make([][]*lrc.Interval, 2) // each system's node 0 records, in turn order
 	var wg sync.WaitGroup
 	for i := range sent {
 		sys := NewSystem(smallConfig(procs, 1))
@@ -424,8 +434,16 @@ func TestSystemsShareNoWire(t *testing.T) {
 		for _, nd := range sys.Nodes {
 			send := nd.Send
 			nd.Send = func(m *netsim.Message) sim.Time {
-				if m.Kind == proto.KindDiffReq || m.Kind == proto.KindDiffReply {
+				switch m.Kind {
+				case proto.KindDiffReq, proto.KindDiffReply:
 					seen[m]++
+				case proto.KindBarRelease:
+					ivs := reflect.ValueOf(m.Payload).Elem().FieldByName("Ivs").Interface().([]*lrc.Interval)
+					for _, iv := range ivs {
+						if iv.ID.Node == 0 && int(iv.ID.Seq) > len(recs[i]) {
+							recs[i] = append(recs[i], iv)
+						}
+					}
 				}
 				return send(m)
 			}
@@ -436,7 +454,13 @@ func TestSystemsShareNoWire(t *testing.T) {
 			defer wg.Done()
 			sys.Run(func(e *Env) {
 				for r := 0; r < rounds; r++ {
-					e.WriteF64(arr+Addr(e.ProcID()*pagemem.PageSize), float64(r))
+					if e.ProcID() == 0 {
+						e.Lock(0)
+						e.WriteF64(arr, float64(r))
+						<-turn[i]
+						e.Unlock(0) // closes the interval: its record is carved now
+						turn[1-i] <- struct{}{}
+					}
 					e.Barrier(2 * r)
 					for q := 0; q < procs; q++ {
 						e.ReadF64(arr + Addr(q*pagemem.PageSize))
@@ -457,6 +481,17 @@ func TestSystemsShareNoWire(t *testing.T) {
 		}
 		if len(seen) == 0 || len(seen) == sends {
 			t.Errorf("system %d sent %d diff requests and replies in %d messages, want fewer messages", i, sends, len(seen))
+		}
+	}
+	if len(recs[0]) != rounds || len(recs[1]) != rounds {
+		t.Fatalf("the releases carried %d and %d of node 0's records, want %d each", len(recs[0]), len(recs[1]), rounds)
+	}
+	at := func(iv *lrc.Interval) uintptr { return uintptr(unsafe.Pointer(iv)) }
+	size := unsafe.Sizeof(lrc.Interval{})
+	for k := range rounds - 1 {
+		a, b, next := at(recs[0][k]), at(recs[1][k]), at(recs[0][k+1])
+		if next == a+2*size && b == a+size {
+			t.Fatalf("turn %d: system 1's record was carved between two of system 0's", k)
 		}
 	}
 }

@@ -74,7 +74,7 @@ type IntervalID struct {
 // Interval is the metadata a processor publishes about one of its
 // intervals: its identity, the creator's vector timestamp at creation, and
 // the pages written during it (the write notices). Build one with
-// NewInterval, which computes the causal sort key once.
+// NewInterval or a Carver, which compute the causal sort key once.
 type Interval struct {
 	ID    IntervalID
 	VC    VC // creator's vector time when the interval began
@@ -87,7 +87,53 @@ type Interval struct {
 // which wrote pages. The record keeps vc and pages; callers hand over their
 // own copies.
 func NewInterval(id IntervalID, vc VC, pages []pagemem.PageID) *Interval {
-	return &Interval{ID: id, VC: vc, Pages: pages, sum: vcSum(vc)}
+	return initInterval(new(Interval), id, vc, pages)
+}
+
+// initInterval fills iv as the record of interval id and returns it.
+func initInterval(iv *Interval, id IntervalID, vc VC, pages []pagemem.PageID) *Interval {
+	*iv = Interval{ID: id, VC: vc, Pages: pages, sum: vcSum(vc)}
+	return iv
+}
+
+// carveChunk is the size, in entries, of the chunks a Carver cuts from.
+const carveChunk = 128
+
+// A Carver builds interval records from chunks: the record, its copy of the
+// vector time and its copy of the pages are each cut from a chunk of
+// carveChunk entries (or of the request, if larger), so a record costs an
+// allocation per chunk, not three. There is no free list: records are
+// immutable and the interval log keeps them for the run. The zero value is
+// ready to use; a machine has one, since its nodes never run at once.
+type Carver struct {
+	ivs   []Interval
+	vcs   []int32
+	pages []pagemem.PageID
+}
+
+// New returns the record of interval id, created at vector time vc, which
+// wrote pages: like NewInterval, but with vc and pages copied into the
+// carver's chunks, so the caller keeps its own.
+func (c *Carver) New(id IntervalID, vc VC, pages []pagemem.PageID) *Interval {
+	if len(c.ivs) == cap(c.ivs) {
+		c.ivs = make([]Interval, 0, carveChunk)
+	}
+	c.ivs = c.ivs[:len(c.ivs)+1]
+	return initInterval(&c.ivs[len(c.ivs)-1], id, carve(&c.vcs, []int32(vc)), carve(&c.pages, pages))
+}
+
+// carve copies src into the next len(src) entries of *chunk, allocating a
+// chunk when the current one lacks room, and returns the copy. Its capacity
+// ends at its length, so an append to it reallocates rather than write into
+// the copy carved next.
+func carve[E any](chunk *[]E, src []E) []E {
+	k := len(src)
+	if cap(*chunk)-len(*chunk) < k {
+		*chunk = make([]E, 0, max(k, carveChunk))
+	}
+	l := len(*chunk)
+	*chunk = append(*chunk, src...)
+	return (*chunk)[l : l+k : l+k]
 }
 
 // HappensBefore reports whether interval a happened before interval b under
@@ -120,7 +166,7 @@ func Concurrent(a, b *Interval) bool {
 //
 // (sum, Node, Seq) is a strict total order — no two intervals share an id —
 // so the result does not depend on the input order. The sum is O(N) in the
-// machine's width, so NewInterval computes it once per record, not per sort.
+// machine's width, so it is computed once per record, not per sort.
 func SortCausally(ivs []*Interval) {
 	slices.SortFunc(ivs, func(a, b *Interval) int {
 		return cmp.Or(cmp.Compare(a.sum, b.sum),

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"godsm/internal/pagemem"
 )
 
 func TestVCCovers(t *testing.T) {
@@ -213,5 +215,46 @@ func TestSortCausallyMatchesReference(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { SortCausally(few) }); a != 0 {
 			t.Errorf("width %d: sorting %d intervals allocates %.0f times, want 0", width, len(few), a)
 		}
+	}
+}
+
+// Records carved back to back share chunks, and each VC and page list is
+// cut with its capacity at its length: appending to one record's lists
+// moves them and leaves the next record as it was. The carver copies what
+// it is handed, so the caller's vector time and pages stay the caller's.
+func TestCarvedRecordsDoNotAlias(t *testing.T) {
+	var c Carver
+	vc, pages := VC{1, 0, 2}, []pagemem.PageID{4, 5}
+	a := c.New(IntervalID{Node: 0, Seq: 1}, vc, pages)
+	vc[0], pages[0] = 2, 6
+	b := c.New(IntervalID{Node: 0, Seq: 2}, vc, pages[:1])
+	vc[0], pages[0] = 9, 9
+	if &c.ivs[0] != a || &c.ivs[1] != b || &c.vcs[3] != &b.VC[0] || &c.pages[2] != &b.Pages[0] {
+		t.Fatal("the second record was not carved right after the first")
+	}
+	a.VC = append(a.VC, 7)
+	a.Pages = append(a.Pages, 8)
+	if !slices.Equal(b.VC, VC{2, 0, 2}) || !slices.Equal(b.Pages, []pagemem.PageID{6}) {
+		t.Fatalf("after appending to the first record the second reads VC %v pages %v, want [2 0 2] [6]", b.VC, b.Pages)
+	}
+	if !slices.Equal(a.VC, VC{1, 0, 2, 7}) || !slices.Equal(a.Pages, []pagemem.PageID{4, 5, 8}) {
+		t.Fatalf("the first record reads VC %v pages %v", a.VC, a.Pages)
+	}
+	if a.sum != 3 || b.sum != 4 {
+		t.Fatalf("carved records with sort keys %d and %d, want 3 and 4", a.sum, b.sum)
+	}
+}
+
+// A carver with room in its chunks builds a record without allocating.
+func TestCarverAllocs(t *testing.T) {
+	const records = 101 // AllocsPerRun's warm-up run and its 100
+	vc, pages := NewVC(8), []pagemem.PageID{1, 2}
+	c := Carver{ivs: make([]Interval, 0, records), vcs: make([]int32, 0, records*len(vc)),
+		pages: make([]pagemem.PageID, 0, records*len(pages))}
+	if got := testing.AllocsPerRun(100, func() { c.New(IntervalID{}, vc, pages) }); got != 0 {
+		t.Fatalf("carving a record allocates %v times, want 0", got)
+	}
+	if len(c.ivs) != records {
+		t.Fatalf("carved %d records, want %d", len(c.ivs), records)
 	}
 }

@@ -82,8 +82,10 @@ func vcMinInto(dst, o lrc.VC) {
 func (tb *treeBarrier) Barrier(id int, onRelease func()) {
 	n := tb.n
 	n.closeInterval()
-	own := n.ownSinceBarrier
-	n.ownSinceBarrier = nil
+	var own []*lrc.Interval // the records closed since the last arrival
+	if mine := n.log[n.ID]; n.ownMark < len(mine) {
+		own, n.ownMark = mine[n.ownMark:len(mine):len(mine)], len(mine)
+	}
 	n.bus.Emit(event.BarArrive(n.ID, id))
 	tb.start = n.K.Now()
 	tb.wait = onRelease

@@ -172,6 +172,45 @@ func TestRecycledFetchStartsClean(t *testing.T) {
 	}
 }
 
+// TestRecycledPfStateStartsClean: the prefetch record a fault retires is
+// freed blank but for its list's capacity, and the node's next prefetch
+// draws it, asking only for what it asks now.
+func TestRecycledPfStateStartsClean(t *testing.T) {
+	r := newRig(2)
+	nd := r.nodes[1]
+	prefetch := func(round int) *pfState {
+		t.Helper()
+		r.k.At(r.k.Now(), func() { r.write(0, page0, float64(round)) })
+		r.k.Run()
+		r.barrierAll(round)
+		if sent := nd.Prefetch(pg1); sent != 1 {
+			t.Fatalf("round %d: the prefetch sent %d requests, want 1", round, sent)
+		}
+		st := nd.pf[pg1]
+		want := []lrc.IntervalID{{Node: 0, Seq: int32(round + 1)}}
+		if st == nil || st.inflight != 1 || !slices.Equal(st.requested, want) {
+			t.Fatalf("round %d: prefetch record %+v, want one request in flight asking %v", round, st, want)
+		}
+		r.k.Run()
+		nd.Fault(pg1, func() {})
+		r.k.Run()
+		if len(nd.freePf) != 1 || nd.freePf[0] != st {
+			t.Fatalf("round %d: free list %v, want the retired record %p", round, nd.freePf, st)
+		}
+		if !reflect.DeepEqual(*st, pfState{requested: st.requested[:0]}) || cap(st.requested) == 0 {
+			t.Fatalf("round %d: retired record not blank with its list's capacity: %+v", round, *st)
+		}
+		return st
+	}
+	first := prefetch(0)
+	if second := prefetch(1); second != first {
+		t.Fatalf("the second prefetch drew %p, want the retired record %p", second, first)
+	}
+	if r.read(1, page0) != 1 {
+		t.Fatalf("node 1 read %v, want 1", r.read(1, page0))
+	}
+}
+
 // diffFetchAllocs is what one demand diff fetch may allocate, end to end:
 // nothing, once warm. The diff the writer makes lazily is carved from the
 // rig's page pool; the request and the reply are the wires the rig's pool

@@ -30,17 +30,14 @@ func (n *Node) closeInterval() *lrc.Interval {
 	if len(n.pendingNotices) == 0 {
 		return nil
 	}
-	pages := slices.Clone(n.pendingNotices)
-	slices.Sort(pages)
-	n.pendingNotices = n.pendingNotices[:0]
-
+	slices.Sort(n.pendingNotices)
 	n.vc[n.ID]++
-	iv := lrc.NewInterval(lrc.IntervalID{Node: n.ID, Seq: n.vc[n.ID]}, n.vc.Clone(), pages)
+	iv := n.wires.records.New(lrc.IntervalID{Node: n.ID, Seq: n.vc[n.ID]}, n.vc, n.pendingNotices)
+	n.pendingNotices = n.pendingNotices[:0]
 	n.bus.Emit(event.IntervalClose(n.ID, iv.ID.Seq, len(iv.Pages)))
 	n.log[n.ID] = append(n.log[n.ID], iv)
 	n.held[n.ID] = iv.ID.Seq
-	n.ownSinceBarrier = append(n.ownSinceBarrier, iv)
-	for _, p := range pages {
+	for _, p := range iv.Pages {
 		ps := n.page(p)
 		if ps.hasUndiffed {
 			n.pageInvariantf(p, "page %d already has an undiffed notice", p)
@@ -301,7 +298,7 @@ func (n *Node) checkContiguity() {
 
 // missingIvs returns the interval records this node knows about that are
 // not covered by v, excluding intervals created by `exclude` (pass -1 to
-// exclude none). Used to build lock grants and barrier releases.
+// exclude none), in a list of their own: a barrier release keeps it.
 func (n *Node) missingIvs(v lrc.VC, exclude int) []*lrc.Interval {
 	total := 0
 	for q, s := range n.vc {
@@ -312,7 +309,12 @@ func (n *Node) missingIvs(v lrc.VC, exclude int) []*lrc.Interval {
 	if total == 0 {
 		return nil
 	}
-	out := make([]*lrc.Interval, 0, total)
+	return n.appendMissing(make([]*lrc.Interval, 0, total), v, exclude)
+}
+
+// appendMissing appends missingIvs's records to out and returns the list;
+// a lock grant lists them in node scratch.
+func (n *Node) appendMissing(out []*lrc.Interval, v lrc.VC, exclude int) []*lrc.Interval {
 	for q := 0; q < n.N; q++ {
 		if q == exclude {
 			continue

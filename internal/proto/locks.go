@@ -79,13 +79,15 @@ type lockState struct {
 	// Holder-side.
 	owned      bool        // this node holds the token
 	held       bool        // a local thread currently holds the lock
-	pendingFwd *msgLockAcq // successor waiting for our release
+	pendingFwd *msgLockAcq // successor waiting for our release; nil or &fwd
 	waiting    func()      // local continuation once our grant arrives
 	reqStart   sim.Time
 
 	// Manager-side, noTokenCache only: a redirected request waiting for
-	// the token to come back from its last holder.
+	// the token to come back from its last holder; nil or &retry.
 	retryQ *msgLockAcq
+
+	fwd, retry msgLockAcq // the parked requests, copied (park): the delivered one is pooled
 
 	// Tenure tagging: mySeq counts this node's acquires of the lock;
 	// lastReqSeq (manager side) is the sequence of lastRequester's acquire.
@@ -133,16 +135,23 @@ func (sm *syncManager) AcquireLock(id int, onGranted func()) (immediate bool) {
 	ls.waiting = onGranted
 	ls.reqStart = n.K.Now()
 	ls.mySeq++
-	req := msgLockAcq{Lock: id, Requester: n.ID, VC: n.vc.Clone(), Seq: ls.mySeq}
+	req := msgLockAcq{Lock: id, Requester: n.ID, VC: n.vc, Seq: ls.mySeq} // msg copies VC
 	mgr := sm.lockManager(id)
 	if mgr == n.ID {
-		local := req // only this path allocates the payload alone
+		local := req // only this path keeps the payload without msg
+		local.VC = n.vc.Clone()
 		done := n.CPU.Service(n.C.LockMgr, sim.CatDSM)
 		n.K.At(done, func() { sm.handleLockAcqAtManager(&local) })
 		return false
 	}
 	n.post(0, msg(n, mgr, KindLockAcq, req))
 	return false
+}
+
+// park copies req into dst, the lock state's own storage, and returns dst.
+func park(dst, req *msgLockAcq) *msgLockAcq {
+	*dst = dst.own(*req)
+	return dst
 }
 
 // handleLockAcqAtManager runs at the lock's manager: it records the new
@@ -189,12 +198,12 @@ func (sm *syncManager) handleLockForward(req *msgLockAcq) {
 		if sm.noTokenCache && req.PrevSeq != ls.mySeq {
 			n.invariantf("lock %d forward for stale tenure while held", req.Lock)
 		}
-		ls.pendingFwd = req
+		ls.pendingFwd = park(&ls.fwd, req)
 		return
 	}
 	if ls.waiting != nil && (!sm.noTokenCache || req.PrevSeq == ls.mySeq) {
 		// The request chains after our pending tenure.
-		ls.pendingFwd = req
+		ls.pendingFwd = park(&ls.fwd, req)
 		return
 	}
 	if !sm.noTokenCache {
@@ -215,16 +224,19 @@ func (sm *syncManager) handleLockRetry(req *msgLockAcq) {
 	if ls.retryQ != nil {
 		sm.n.invariantf("lock %d has two redirected requests", req.Lock)
 	}
-	ls.retryQ = req
+	ls.retryQ = park(&ls.retry, req)
 }
 
 // passToken ships lock id's token to node `to` (kind tells a grant from a
 // return to the manager) with the write notices `to` lacks, judged by its
-// vector time have. The caller must own the token and the lock must be free.
+// vector time have, listed in node scratch (msg copies them and the VC). The
+// caller must own the token and the lock must be free.
 func (sm *syncManager) passToken(kind netsim.Kind, id, to int, have lrc.VC) {
 	n := sm.n
 	sm.lock(id).owned = false
-	n.post(n.C.GrantMake, msg(n, to, kind, msgLockGrant{Lock: id, VC: n.vc.Clone(), Ivs: n.missingIvs(have, to)}))
+	ivs := n.appendMissing(n.ivScratch[:0], have, to)
+	n.post(n.C.GrantMake, msg(n, to, kind, msgLockGrant{Lock: id, VC: n.vc, Ivs: ivs}))
+	n.ivScratch = ivs[:0]
 }
 
 // returnToken ships the token back to the manager (noTokenCache), carrying
@@ -232,7 +244,7 @@ func (sm *syncManager) passToken(kind netsim.Kind, id, to int, have lrc.VC) {
 // consistent.
 func (sm *syncManager) returnToken(id int) {
 	sm.n.bus.Emit(event.LockReturn(sm.n.ID, id))
-	sm.passToken(KindLockReturn, id, sm.lockManager(id), sm.n.gcBase.Clone())
+	sm.passToken(KindLockReturn, id, sm.lockManager(id), sm.n.gcBase)
 }
 
 // handleLockReturn restores manager ownership and serves any redirected

@@ -1,8 +1,12 @@
 package proto
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
+	"godsm/internal/lrc"
+	"godsm/internal/netsim"
 	"godsm/internal/pagemem"
 	"godsm/internal/sim"
 )
@@ -156,5 +160,158 @@ func TestNoTokenCacheChainUnderContention(t *testing.T) {
 	}
 	if got != rounds*4 {
 		t.Fatalf("counter = %d, want %d", got, rounds*4)
+	}
+}
+
+// handoffLock is the lock of the handoff rig: managed by node 2 of three.
+const handoffLock = 2
+
+// handoff is a rig where nodes 0 and 1 take turns incrementing a counter
+// on page 1 under handoffLock. body[i] is node i's critical section: fault
+// the page in if the grant invalidated it, increment, release.
+type handoff struct {
+	*rig
+	body [2]func()
+}
+
+func newHandoff() *handoff {
+	h := &handoff{rig: newRig(3)}
+	for i := range h.body {
+		nd := h.nodes[i]
+		incr := func() {
+			h.write(i, page0, h.read(i, page0)+1)
+			nd.ReleaseLock(handoffLock)
+		}
+		h.body[i] = func() {
+			if nd.PageValid(pg1) {
+				incr()
+				return
+			}
+			nd.Fault(pg1, incr)
+		}
+	}
+	return h
+}
+
+// turn runs node i's acquire, critical section and release to completion:
+// a lock request to the manager, a forward to the last holder, a grant
+// carrying its interval record, a diff fetch of the page, and the release's
+// interval close.
+func (h *handoff) turn(i int) {
+	if h.nodes[i].AcquireLock(handoffLock, h.body[i]) {
+		h.body[i]()
+	}
+	h.k.Run()
+}
+
+// lockHandoffAllocs is what one warm turn may allocate: nothing. The
+// request, forward and grant come back from the rig's wire pool with their
+// vector time's and records' storage, the grant's records are listed in
+// node scratch, the new interval record is carved from the machine's
+// chunks, and the diff fetch is TestDiffFetchAllocs's.
+const lockHandoffAllocs = 0
+
+// TestLockHandoffAllocs pins the allocations of one lock handoff between
+// two nodes, with the interval close at its release.
+func TestLockHandoffAllocs(t *testing.T) {
+	h := newHandoff()
+	var perRound []uint64
+	const rounds = 16
+	for round := range rounds {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.turn(round % 2)
+		runtime.ReadMemStats(&after)
+		perRound = append(perRound, after.Mallocs-before.Mallocs)
+	}
+	if got := h.read(1, page0); got != rounds {
+		t.Fatalf("the counter reads %v after %d turns", got, rounds)
+	}
+	if n, _ := h.net.KindStats(KindLockForward); n != rounds-1 {
+		t.Fatalf("%d forwards in %d turns, want every turn after the first to chain after the last holder", n, rounds)
+	}
+	// The first rounds grow the event queue, the tables, the scratch and
+	// the pools, and a page's held diffs and a carver's chunks run out now
+	// and then, so the pin is the leanest round.
+	if got := slices.Min(perRound); got > lockHandoffAllocs {
+		t.Errorf("a lock handoff allocates %d times, want at most %d (rounds: %v)",
+			got, lockHandoffAllocs, perRound)
+	}
+}
+
+// BenchmarkLockHandoff is one turn of TestLockHandoffAllocs's rig. A fresh
+// rig every 256 turns is built off the clock: a page's held diffs grow by
+// one a turn, and finding one is a scan.
+func BenchmarkLockHandoff(b *testing.B) {
+	var h *handoff
+	b.ReportAllocs()
+	for i := range b.N {
+		if i%256 == 0 {
+			b.StopTimer()
+			h = newHandoff()
+			b.StartTimer()
+		}
+		h.turn(i % 2)
+	}
+}
+
+// A forwarded request parked until the holder's release is a copy the lock
+// state owns: once the delivered forward goes back to the wire pool and is
+// reused for another node's request, the parked one still names its
+// requester and carries its vector time, and the release grants to it. A
+// redirected request the manager parks (NoTokenCache) is a copy as well.
+func TestParkedForwardOutlivesItsMessage(t *testing.T) {
+	r := newRig(3)
+	var fwd *netsim.Message
+	r.tap = func(m *netsim.Message) {
+		if m.Kind == KindLockForward {
+			fwd = m
+		}
+	}
+	r.k.At(0, func() { r.nodes[0].AcquireLock(1, func() {}) }) // lock 1: node 1 manages
+	r.k.Run()
+	r.write(2, page0, 5)
+	r.nodes[2].closeInterval()
+	want := slices.Clone(r.nodes[2].vc)
+	got2 := false
+	r.nodes[2].AcquireLock(1, func() { got2 = true })
+	r.k.Run()
+	ls := r.nodes[0].sync.lock(1)
+	if fwd == nil || ls.pendingFwd == nil {
+		t.Fatalf("node 0 holds no parked forward (forward sent: %v)", fwd != nil)
+	}
+
+	// Node 1 opens an interval of its own and asks node 0 for lock 0: the
+	// pool hands it the delivered forward.
+	r.write(1, page0+pagemem.PageSize, 1)
+	r.nodes[1].closeInterval()
+	var reused *netsim.Message
+	r.tap = func(m *netsim.Message) {
+		if m.Kind == KindLockAcq {
+			reused = m
+		}
+	}
+	r.nodes[1].AcquireLock(0, func() {})
+	r.k.Run()
+	if reused != fwd {
+		t.Fatalf("node 1's request did not reuse the delivered forward")
+	}
+	if p := ls.pendingFwd; p.Requester != 2 || !slices.Equal(p.VC, want) {
+		t.Fatalf("after the pool reused its message the parked forward names node %d at %v, want node 2 at %v",
+			p.Requester, p.VC, want)
+	}
+	r.nodes[0].ReleaseLock(1)
+	r.k.Run()
+	if !got2 || !r.nodes[2].sync.lock(1).owned {
+		t.Fatal("node 0's release did not grant the lock to node 2")
+	}
+
+	nt := newRigCfg(3, Spec{NoTokenCache: true}).nodes[1]
+	nt.sync.lock(1).owned = false // the token is out
+	req := &msgLockAcq{Lock: 1, Requester: 2, VC: lrc.VC{0, 0, 4}, Seq: 1}
+	nt.sync.handleLockRetry(req)
+	req.Requester, req.VC[2] = 0, 7 // the pool reuses the delivered message
+	if p := nt.sync.lock(1).retryQ; p == nil || p.Requester != 2 || !slices.Equal(p.VC, lrc.VC{0, 0, 4}) {
+		t.Fatalf("the parked redirect reads %+v after its message was reused, want node 2 at [0 0 4]", p)
 	}
 }

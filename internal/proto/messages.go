@@ -120,13 +120,15 @@ type wire[P any] struct {
 	pl P
 }
 
-// WirePool is a machine's delivered diff requests and replies, for msg to
-// reuse (DESIGN.md §14), and the notices invalidate takes: a machine's nodes
-// never run at once, so one scratch list serves them all (intervals.go).
-// The zero value is empty.
+// WirePool is a machine's delivered messages of the pooled kinds, for msg
+// to reuse (DESIGN.md §14), and what its nodes share as they never run at
+// once: invalidate's notice list and closeInterval's record chunks
+// (intervals.go). The zero value is empty.
 type WirePool struct {
-	reqs, reps []*netsim.Message
-	notices    []*pageState
+	reqs, reps, acqs, grants, eager []*netsim.Message
+
+	notices []*pageState
+	records lrc.Carver
 }
 
 // free is the pool's list for pl's payload type; nil when it is not pooled.
@@ -136,15 +138,25 @@ func (wp *WirePool) free(pl any) *[]*netsim.Message {
 		return &wp.reqs
 	case *msgDiffReply:
 		return &wp.reps
+	case *msgLockAcq:
+		return &wp.acqs
+	case *msgLockGrant:
+		return &wp.grants
+	case *msgEagerNotice:
+		return &wp.eager
 	}
 	return nil
 }
 
-// release pools a delivered message of a pooled type; a reply drops its diffs.
+// release pools a delivered message of a pooled type; a reply drops its
+// diffs, and a grant its records.
 func (wp *WirePool) release(m *netsim.Message) {
 	if free := wp.free(m.Payload); free != nil {
-		if rep, ok := m.Payload.(*msgDiffReply); ok {
-			clear(rep.Items)
+		switch pl := m.Payload.(type) {
+		case *msgDiffReply:
+			clear(pl.Items)
+		case *msgLockGrant:
+			clear(pl.Ivs)
 		}
 		*free = append(*free, m)
 	}
@@ -260,6 +272,12 @@ type msgLockAcq struct {
 	PrevSeq   int    // set on forward: the predecessor tenure this chains after
 }
 
+// own moves pl's vector time into storage m keeps across uses.
+func (m *msgLockAcq) own(pl msgLockAcq) msgLockAcq {
+	pl.VC = append(m.VC[:0], pl.VC...)
+	return pl
+}
+
 func (m *msgLockAcq) wireSize(c *Costs, nprocs int) int { return c.ReqBytes + 4*nprocs }
 
 // msgLockGrant transfers lock ownership, piggybacking the write notices the
@@ -269,6 +287,13 @@ type msgLockGrant struct {
 	Lock int
 	VC   lrc.VC // granter's vector time
 	Ivs  []*lrc.Interval
+}
+
+// own moves pl's vector time and records into storage m keeps across uses.
+func (m *msgLockGrant) own(pl msgLockGrant) msgLockGrant {
+	pl.VC = append(m.VC[:0], pl.VC...)
+	pl.Ivs = append(m.Ivs[:0], pl.Ivs...)
+	return pl
 }
 
 func (m *msgLockGrant) wireSize(c *Costs, nprocs int) int {

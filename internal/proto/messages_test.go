@@ -127,7 +127,8 @@ func sameExported(a, b any) bool {
 
 // TestMessageIsOneAllocation: a fresh message and its payload are one
 // allocation, for every kind, plus the copy of a request's ids or a reply's
-// items when there are more than the one kept inline; a message taken from
+// items when there are more than the one kept inline, and a lock message's
+// copy of its vector time and of a grant's records; a message taken from
 // the wire pool allocates nothing. The reply owns its items: overwriting the
 // sender's scratch after msg leaves the sent payload as it was (a request's
 // ids are TestDiffReqsOutliveTheScratch's).
@@ -136,11 +137,22 @@ func TestMessageIsOneAllocation(t *testing.T) {
 	n := &Node{ID: 1, N: 8, C: &costs, wires: new(WirePool)}
 	for _, s := range wireSamples() {
 		want := 1.0
-		if r, ok := s.pl.(*msgDiffReply); ok && len(r.Items) > 1 {
+		switch pl := s.pl.(type) {
+		case *msgDiffReply:
+			if len(pl.Items) > 1 {
+				want = 2
+			}
+		case *msgDiffReq:
+			if len(pl.Wants) > 1 {
+				want = 2
+			}
+		case *msgLockAcq:
 			want = 2
-		}
-		if r, ok := s.pl.(*msgDiffReq); ok && len(r.Wants) > 1 {
+		case *msgLockGrant:
 			want = 2
+			if len(pl.Ivs) > 0 {
+				want = 3
+			}
 		}
 		if got := testing.AllocsPerRun(100, func() { s.build(n) }); got != want {
 			t.Errorf("%s: building the message allocates %v times, want %v", s.name, got, want)
@@ -202,6 +214,31 @@ func TestPooledWireCarriesOnlyItsPayload(t *testing.T) {
 	m = msg(n, 4, KindDiffReply, msgDiffReply{Page: 6, Items: items[:1]})
 	if m != old || rep.Prefetch || rep.Page != 6 || !slices.Equal(rep.Items, items[:1]) || m.Size != 40+12+diff.WireSize() {
 		t.Errorf("reused reply %+v carries %+v", *m, *rep)
+	}
+
+	vc := lrc.VC{1, 2, 3, 4, 5, 6, 7, 8}
+	old = msg(n, 5, KindLockForward, msgLockAcq{Lock: 1, Requester: 2, VC: vc, Seq: 3, PrevSeq: 2})
+	n.wires.release(old)
+	newVC := lrc.NewVC(8)
+	newVC[1] = 9
+	m = msg(n, 4, KindLockAcq, msgLockAcq{Lock: 4, Requester: 1, VC: newVC, Seq: 1})
+	acq := m.Payload.(*msgLockAcq)
+	newVC[1] = 10 // the sender's live vector time moves on
+	if m != old || acq.Lock != 4 || acq.Requester != 1 || acq.Seq != 1 || acq.PrevSeq != 0 ||
+		!slices.Equal(acq.VC, lrc.VC{0, 9, 0, 0, 0, 0, 0, 0}) || m.Kind != KindLockAcq || m.Dst != 4 {
+		t.Errorf("reused acquire %+v carries %+v, want the new request with VC [0 9 0 …]", *m, *acq)
+	}
+
+	ivs := []*lrc.Interval{lrc.NewInterval(id(1), vc, nil), lrc.NewInterval(id(2), vc, nil)}
+	old = msg(n, 5, KindLockGrant, msgLockGrant{Lock: 1, VC: vc, Ivs: ivs})
+	g := old.Payload.(*msgLockGrant)
+	n.wires.release(old)
+	if slices.ContainsFunc(g.Ivs[:cap(g.Ivs)], func(iv *lrc.Interval) bool { return iv != nil }) {
+		t.Errorf("a released grant still holds a record: %v", g.Ivs[:cap(g.Ivs)])
+	}
+	m = msg(n, 4, KindLockReturn, msgLockGrant{Lock: 2, VC: newVC, Ivs: ivs[1:]})
+	if m != old || g.Lock != 2 || !slices.Equal(g.VC, newVC) || !slices.Equal(g.Ivs, ivs[1:]) || m.Size != 40+32+40 {
+		t.Errorf("reused grant %+v carries %+v", *m, *g)
 	}
 }
 

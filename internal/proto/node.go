@@ -132,16 +132,18 @@ type Node struct {
 	// interval's write notices.
 	pendingNotices []pagemem.PageID
 
-	// Own intervals not yet shipped to the barrier manager.
-	ownSinceBarrier []*lrc.Interval
+	// ownMark is the length of this node's own log list at its last barrier
+	// arrival: the records past it are not yet shipped to the manager.
+	ownMark int
 
 	// In-flight demand fetches, by page (request combining), and completed
 	// fetch records for newFetch to reuse.
 	fetches     map[pagemem.PageID]*fetch
 	freeFetches []*fetch
 
-	// Prefetch state, by page.
+	// Prefetch state, by page, and retired records for issuePrefetch.
 	pf        map[pagemem.PageID]*pfState
+	freePf    []*pfState
 	pfHeap    int64 // bytes in the prefetch cache (the "separate heap")
 	diffBytes int64 // bytes of ordinary stored diffs (GC accounting)
 
@@ -415,18 +417,20 @@ func (n *Node) install(p pagemem.PageID, base []byte, from int, ids []lrc.Interv
 // takePf removes p's prefetch bookkeeping at a fault and classifies the
 // fault for Figure 3 against ids, the intervals the fault must resolve: no
 // prefetch was issued, the prefetch predates some of them (invalidated), or
-// it asked for all of them and has not landed (late).
+// it asked for all of them and has not landed (late). It frees the record.
 func (n *Node) takePf(p pagemem.PageID, ids []lrc.IntervalID) (outcome int64) {
 	pfst := n.pf[p]
-	delete(n.pf, p)
-	switch {
-	case pfst == nil:
+	if pfst == nil {
 		return event.OutcomeNoPf
-	case anyOutside(ids, pfst.requested):
-		return event.OutcomePfInvalided
-	default:
-		return event.OutcomePfLate
 	}
+	delete(n.pf, p)
+	outcome = event.OutcomePfLate
+	if anyOutside(ids, pfst.requested) {
+		outcome = event.OutcomePfInvalided
+	}
+	*pfst = pfState{requested: pfst.requested[:0]}
+	n.freePf = append(n.freePf, pfst)
+	return outcome
 }
 
 // NewNode constructs protocol node id of the machine whose interval log is

@@ -55,7 +55,11 @@ func (n *Node) admitPrefetch(p pagemem.PageID, th *pfThrottle, local bool) bool 
 func (n *Node) issuePrefetch(p pagemem.PageID, ids []lrc.IntervalID, msgs ...*netsim.Message) int {
 	st, ok := n.pf[p]
 	if !ok {
-		st = &pfState{}
+		if k := len(n.freePf); k > 0 {
+			st, n.freePf = n.freePf[k-1], n.freePf[:k-1]
+		} else {
+			st = &pfState{}
+		}
 		n.pf[p] = st
 	}
 	for _, id := range ids {
