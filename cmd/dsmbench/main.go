@@ -5,6 +5,7 @@
 //	dsmbench [-exp all|fig1|fig2|table1|fig3|fig4|table2|fig5|...]
 //	         [-scale unit|small|paper] [-procs N] [-apps FFT,SOR,...]
 //	         [-protocol lrc|erc|hlrc|adp] [-workers N] [-json FILE] [-verify]
+//	         [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // Each experiment prints the same rows/series as the corresponding artifact
 // in "Comparative Evaluation of Latency Tolerance Techniques for Software
@@ -19,7 +20,9 @@
 // byte-identical for any worker count, host and rerun; wall-clock timing
 // goes to standard error. -json writes a machine-readable summary (wall
 // clock per experiment, aggregate simulation time, effective speedup over a
-// sequential run) for tracking performance across commits.
+// sequential run) for tracking performance across commits. -cpuprofile and
+// -memprofile write pprof profiles of the host process: CPU time, and
+// allocations with what is live at the end.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"godsm/dsm"
 	"godsm/internal/apps"
 	"godsm/internal/harness"
+	"godsm/internal/hostprof"
 )
 
 // benchResult is the machine-readable summary written by -json.
@@ -79,6 +83,8 @@ func main() {
 	nsProcs := flag.String("nodescale-procs", "", "comma-separated processor sweep for the nodescale experiment (default 8,64,256,1024)")
 	nsJSON := flag.String("nodescale-json", "", "write the nodescale experiment's snapshot here ('' = off)")
 	raceCheck := flag.Bool("race-check", false, "run every simulation under the happens-before race detector (the racecheck experiment always does)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the host process to this file")
 	flag.Parse()
 
 	sc, err := apps.ParseScale(*scale)
@@ -124,6 +130,10 @@ func main() {
 		selected = []harness.Experiment{e}
 	}
 
+	stop, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
 	start := harness.Wallclock()
 	// Every experiment starts at once, so the worker pool is busy end to
 	// end; each renders into a buffer and they print in paper order.
@@ -147,6 +157,7 @@ func main() {
 	for i, e := range selected {
 		r := <-results[i]
 		if r.err != nil {
+			_ = stop() // keep the profiles up to the failure; the failure is the error to report
 			fatal(fmt.Errorf("%s: %w", e.ID, r.err))
 		}
 		if i > 0 {
@@ -157,6 +168,9 @@ func main() {
 		times = append(times, experimentTimes{ID: e.ID, WallS: r.wall.Seconds()})
 	}
 	total := harness.Wallclock().Sub(start)
+	if err := stop(); err != nil {
+		fatal(err)
+	}
 
 	simRuns, simWall := session.SimStats()
 	speedup := 0.0

@@ -15,6 +15,7 @@
 //	       [-loss P] [-dup P] [-fault-seed N] [-faults light|moderate|heavy]
 //	       [-trace out.json]
 //	       [-race-check] [-race-granularity word|page]
+//	       [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -protocol selects the coherence backend from the protocol table
 // (default lrc, the TreadMarks baseline). Unknown names and knob
@@ -57,6 +58,9 @@
 // in Perfetto (ui.perfetto.dev) or chrome://tracing: one track per simulated
 // processor plus a network track. Same seed, same trace — byte for byte.
 //
+// -cpuprofile and -memprofile write pprof profiles of the host process:
+// CPU time, and allocations with what is live at the end (go tool pprof).
+//
 // -app accepts a single name, a comma-separated list, or "all". With more
 // than one application the independent simulations fan out over a worker
 // pool (-workers, default GOMAXPROCS) and the reports print in the
@@ -76,6 +80,7 @@ import (
 	"godsm/internal/apps"
 	"godsm/internal/event"
 	"godsm/internal/harness"
+	"godsm/internal/hostprof"
 	"godsm/internal/netsim"
 	"godsm/internal/proto"
 	"godsm/internal/sim"
@@ -91,6 +96,8 @@ type options struct {
 	kinds     bool
 	tracePath string
 	workers   int
+	// cpuProfile and memProfile are the host profiles' files ("" = off).
+	cpuProfile, memProfile string
 }
 
 // parseFlags registers the flags on fs — each machine flag bound straight
@@ -122,6 +129,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.kinds, "kinds", false, "print per-message-kind traffic table")
 	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome/Perfetto trace_event JSON of the run to this file (single app only)")
 	fs.IntVar(&o.workers, "workers", 0, "max simulations running concurrently (0 = GOMAXPROCS)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the host process to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof allocation profile of the host process to this file")
 	fs.BoolVar(&cfg.RaceCheck, "race-check", false, "detect data races against the Lock/Barrier happens-before order (exit 1 on the first race)")
 	fs.StringVar(&cfg.RaceGranularity, "race-granularity", "", "race-detector conflict unit: word (default) or page")
 	fs.Float64Var(&faults.Loss, "loss", 0, "message loss probability (nonzero enables fault injection)")
@@ -214,7 +223,15 @@ func main() {
 		}
 		tw = event.NewTraceWriter(f)
 	}
-	if err := run(o, os.Stdout, tw); err != nil {
+	stop, err := hostprof.Start(o.cpuProfile, o.memProfile)
+	if err != nil {
+		usageErr("%v", err)
+	}
+	err = run(o, os.Stdout, tw)
+	if perr := stop(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fatal(err)
 	}
 }

@@ -66,10 +66,13 @@ var equivalences = []struct{ name, args, same string }{
 
 // TestWitnesses runs every witness row in process and compares its report
 // with the committed bytes, or with the report of its equivalent command
-// line, naming the first line that differs.
+// line, naming the first line that differs. The rows run in parallel: run
+// keeps no package-level state, and two Systems share nothing but the
+// applications' read-only inputs.
 func TestWitnesses(t *testing.T) {
 	for _, w := range witnesses {
 		t.Run(strings.TrimSuffix(w.file, ".txt"), func(t *testing.T) {
+			t.Parallel()
 			got := dsmrun(t, w.args)
 			path := filepath.Join("testdata", w.file)
 			if *update {
@@ -89,6 +92,7 @@ func TestWitnesses(t *testing.T) {
 	}
 	for _, eq := range equivalences {
 		t.Run(eq.name, func(t *testing.T) {
+			t.Parallel()
 			if d := firstDiff(dsmrun(t, eq.same), dsmrun(t, eq.args)); d != "" {
 				t.Errorf("dsmrun %s\nprints other bytes than\ndsmrun %s:\n%s", eq.same, eq.args, d)
 			}

@@ -121,7 +121,7 @@ func BuildFFT(sys *dsm.System, opt Options) *Instance {
 	n := m * m
 	a := allocWords[float64](sys, 2*n) // interleaved re/im
 	b := allocWords[float64](sys, 2*n)
-	input := fftInput(n)
+	input := sharedInput(inputKey{gen: "fft", n: n}, func() []complex128 { return fftInput(n) })
 	var box errBox
 
 	// transpose writes dst rows [lo,hi) from src columns, iterating over

@@ -335,7 +335,7 @@ func buildLU(sys *dsm.System, opt Options, sizes [3]luParams) *Instance {
 	n, b := p.n, p.b
 	nb := n / b
 	lay := luLayout{arr: allocWords[float64](sys, n*n), n: n, b: b, cont: cont}
-	input := luInput(n)
+	input := sharedInput(inputKey{gen: "lu", n: n}, func() []float64 { return luInput(n) }) // both variants
 	var box errBox
 
 	run := func(e *dsm.Env) {

@@ -50,7 +50,8 @@ func BuildRadix(sys *dsm.System, opt Options) *Instance {
 	for maxv := p.maxKey - 1; maxv > 0; maxv >>= p.bits {
 		passes++
 	}
-	input := radixInput(p.n, p.maxKey)
+	input := sharedInput(inputKey{gen: "radix", n: p.n, m: int(p.maxKey)},
+		func() []int64 { return radixInput(p.n, p.maxKey) })
 
 	src := allocWords[int64](sys, p.n)
 	dst := allocWords[int64](sys, p.n)

@@ -270,7 +270,7 @@ func BuildWaterNsq(sys *dsm.System, opt Options) *Instance {
 	p := sized(opt.Scale, waterNsqSizes)
 	n := p.n
 	w := newWaterMols(sys, n)
-	init := waterInitPos(n)
+	init := sharedInput(inputKey{gen: "water", n: n}, func() [][3]float64 { return waterInitPos(n) })
 	var box errBox
 
 	nBlocks := (n + waterNsqBlk - 1) / waterNsqBlk

@@ -1,10 +1,6 @@
 package apps
 
-import (
-	"slices"
-
-	"godsm/dsm"
-)
+import "godsm/dsm"
 
 // WATER-SP: the O(n) spatial variant of the water simulation. Molecules are
 // binned into a 3D cell grid whose lists (head/next) live in shared memory:
@@ -115,7 +111,7 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 	w := newWaterMols(sys, n)
 	head := allocWords[int64](sys, ncells)
 	next := allocWords[int64](sys, n)
-	init := waterInitPosSorted(n, nc)
+	init := sharedInput(inputKey{gen: "water-sp", n: n, m: nc}, func() [][3]float64 { return waterInitPosSorted(n, nc) })
 	var box errBox
 
 	nBlocks := (n + waterNsqBlk - 1) / waterNsqBlk
@@ -271,9 +267,26 @@ func BuildWaterSp(sys *dsm.System, opt Options) *Instance {
 // waterInitPosSorted returns the deterministic initial positions sorted by
 // cell index, so that index-chunked molecule ownership is spatially
 // coherent — as in SPLASH-2, where each processor's molecules occupy its
-// region of the cell grid and list insertion is mostly processor-local.
+// region of the cell grid and list insertion is mostly processor-local. A
+// counting sort by cell keeps the molecules of one cell in their generated
+// order.
 func waterInitPosSorted(n, nc int) [][3]float64 {
 	pos := waterInitPos(n)
-	slices.SortStableFunc(pos, func(a, b [3]float64) int { return cellOf(a, nc) - cellOf(b, nc) })
-	return pos
+	cell := make([]int, n)
+	// next[c+1] counts cell c's molecules; after the prefix sum, next[c] is
+	// the slot of cell c's next molecule.
+	next := make([]int, nc*nc*nc+1)
+	for i, p := range pos {
+		cell[i] = cellOf(p, nc)
+		next[cell[i]+1]++
+	}
+	for c := 1; c < len(next); c++ {
+		next[c] += next[c-1]
+	}
+	sorted := make([][3]float64, n)
+	for i, p := range pos {
+		sorted[next[cell[i]]] = p
+		next[cell[i]]++
+	}
+	return sorted
 }
