@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"slices"
+
 	"godsm/internal/event"
 	"godsm/internal/lrc"
 	"godsm/internal/pagemem"
@@ -20,14 +22,34 @@ type heldDiff struct {
 	d  *pagemem.Diff
 }
 
-// held finds the stored diff interval id made of this page; ok tells
-// "stored as empty" from "not stored". The scan runs from the newest entry:
-// the ids asked about are the pending ones, whose diffs arrived last.
-func (ps *pageState) held(id lrc.IntervalID) (d *pagemem.Diff, ok bool) {
-	for i := len(ps.diffs) - 1; i >= 0; i-- {
-		if ps.diffs[i].id == id {
-			return ps.diffs[i].d, true
+// idLess orders interval ids by (Seq, Node), roughly the order diffs arrive.
+func idLess(a, b lrc.IntervalID) bool {
+	return a.Seq < b.Seq || a.Seq == b.Seq && a.Node < b.Node
+}
+
+// find bisects the page's held diffs for id: its index if held, else where
+// it would go. The tail is checked first: most diffs are appended there.
+func (ps *pageState) find(id lrc.IntervalID) (int, bool) {
+	lo, hi := 0, len(ps.diffs)-1
+	if hi < 0 || idLess(ps.diffs[hi].id, id) {
+		return hi + 1, false
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if idLess(ps.diffs[m].id, id) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
+	}
+	return lo, ps.diffs[lo].id == id
+}
+
+// held finds the stored diff interval id made of this page; ok tells
+// "stored as empty" from "not stored".
+func (ps *pageState) held(id lrc.IntervalID) (d *pagemem.Diff, ok bool) {
+	if i, ok := ps.find(id); ok {
+		return ps.diffs[i].d, true
 	}
 	return nil, false
 }
@@ -46,10 +68,11 @@ func (n *Node) storedDiff(id lrc.IntervalID, p pagemem.PageID) (*pagemem.Diff, b
 // must not count its bytes twice.
 func (n *Node) putDiff(id lrc.IntervalID, p pagemem.PageID, d *pagemem.Diff, prefetched bool) {
 	ps := n.page(p)
-	if _, dup := ps.held(id); dup {
+	i, dup := ps.find(id)
+	if dup {
 		return
 	}
-	ps.diffs = append(ps.diffs, heldDiff{id, d})
+	ps.diffs = slices.Insert(ps.diffs, i, heldDiff{id, d})
 	if prefetched {
 		n.pfHeap += int64(d.WireSize())
 	} else {

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -147,6 +149,127 @@ func TestDiffStoreSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestHeldDiffsMatchScan stores diffs in random orders, with duplicates and
+// explicit empty diffs, and checks every lookup against a linear scan of the
+// arrivals: the first diff stored for an id stays, and so do its bytes.
+func TestHeldDiffsMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round := 0; round < 200; round++ {
+		n := newRig(4).nodes[0]
+		var arrived []heldDiff // the reference: arrival order, scanned
+		scan := func(id lrc.IntervalID) (*pagemem.Diff, bool) {
+			for _, a := range arrived {
+				if a.id == id {
+					return a.d, true
+				}
+			}
+			return nil, false
+		}
+		var space []lrc.IntervalID
+		for seq := int32(1); seq <= 1+int32(round%40); seq++ {
+			for node := 1; node < 4; node++ {
+				space = append(space, lrc.IntervalID{Node: node, Seq: seq})
+			}
+		}
+		var wire int64
+		for range 2 * len(space) {
+			id := space[rng.IntN(len(space))]
+			var d *pagemem.Diff
+			switch rng.IntN(3) {
+			case 0:
+				d = wordDiff(rng.IntN(pagemem.PageSize/8), rng.Float64())
+			case 1:
+				d = &pagemem.Diff{Page: pg1} // what makeOwnDiff stores for an unchanged page
+			}
+			if _, dup := scan(id); !dup {
+				arrived = append(arrived, heldDiff{id, d})
+				wire += int64(d.WireSize())
+			}
+			n.putDiff(id, pg1, d, false)
+		}
+		if n.diffBytes != wire {
+			t.Fatalf("round %d: diffBytes %d, want %d", round, n.diffBytes, wire)
+		}
+		for _, id := range space {
+			want, wantOK := scan(id)
+			if got, ok := n.storedDiff(id, pg1); got != want || ok != wantOK {
+				t.Fatalf("round %d: storedDiff(%v) = %p, %v; the scan finds %p, %v", round, id, got, ok, want, wantOK)
+			}
+		}
+		ps := n.page(pg1)
+		ps.pending = ps.pending[:0]
+		for _, i := range rng.Perm(len(space))[:len(space)/2] {
+			ps.pending = append(ps.pending, space[i])
+		}
+		var want []lrc.IntervalID
+		for _, id := range ps.pending {
+			if _, ok := scan(id); !ok {
+				want = append(want, id)
+			}
+		}
+		if got := n.missingDiffs(pg1); !slices.Equal(got, want) {
+			t.Fatalf("round %d: missingDiffs = %v, the scan finds %v", round, got, want)
+		}
+	}
+}
+
+// BenchmarkHeldDiffs is one lookup in a page's held diffs, at 2, 64 and 512
+// held: a hit cycles over every held id, a miss over ids between them.
+func BenchmarkHeldDiffs(b *testing.B) {
+	for _, held := range []int{2, 64, 512} {
+		n := newRig(4).nodes[0]
+		for i := range held {
+			n.putDiff(lrc.IntervalID{Node: 1 + i%3, Seq: int32(2 * (1 + i/3))}, pg1, nil, false)
+		}
+		ps := n.page(pg1)
+		for _, hit := range []bool{true, false} {
+			name := fmt.Sprintf("miss/held=%d", held)
+			if hit {
+				name = fmt.Sprintf("hit/held=%d", held)
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					j := i % held
+					id := lrc.IntervalID{Node: 1 + j%3, Seq: int32(2 * (1 + j/3))}
+					if !hit {
+						id.Seq--
+					}
+					if _, ok := ps.held(id); ok != hit {
+						b.Fatalf("held(%v) = %v", id, ok)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSortedIDsMatchScan adds random batches, with repeats, to a sortedIDs
+// and removes random ids, checking membership against a plain list.
+func TestSortedIDsMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	var s sortedIDs
+	var ref []lrc.IntervalID
+	for step := 0; step < 2000; step++ {
+		id := lrc.IntervalID{Node: rng.IntN(4), Seq: rng.Int32N(8)}
+		if rng.IntN(2) == 0 {
+			batch := []lrc.IntervalID{id, {Node: rng.IntN(4), Seq: rng.Int32N(8)}, id}
+			s.addAll(batch)
+			for _, x := range batch {
+				if !slices.Contains(ref, x) {
+					ref = append(ref, x)
+				}
+			}
+		} else if held := slices.Index(ref, id); s.remove(id) != (held >= 0) {
+			t.Fatalf("step %d: remove(%v) disagrees with the list %v", step, id, ref)
+		} else if held >= 0 {
+			ref = slices.Delete(ref, held, held+1)
+		}
+		if len(s) != len(ref) || anyOutside(ref, s) {
+			t.Fatalf("step %d: set %v, list %v", step, s, ref)
+		}
+	}
+}
+
 func TestIDSet(t *testing.T) {
 	id := func(node int, seq int32) lrc.IntervalID { return lrc.IntervalID{Node: node, Seq: seq} }
 	a, b, c := id(0, 1), id(1, 1), id(0, 2)
@@ -185,8 +308,7 @@ func TestIDSet(t *testing.T) {
 		}
 	}
 
-	s = idSet{a, b}
-	if anyOutside([]lrc.IntervalID{a, b}, s) || !anyOutside([]lrc.IntervalID{a, c}, s) || anyOutside(nil, nil) {
+	if s := (sortedIDs{a, b}); anyOutside([]lrc.IntervalID{a, b}, s) || !anyOutside([]lrc.IntervalID{a, c}, s) || anyOutside(nil, nil) {
 		t.Error("anyOutside disagrees with has")
 	}
 }

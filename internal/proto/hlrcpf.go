@@ -14,7 +14,7 @@ import (
 // pfPage is one cached whole-page prefetch reply.
 type pfPage struct {
 	data   []byte
-	covers idSet // intervals the snapshot is known to cover
+	covers sortedIDs // intervals the snapshot is known to cover
 }
 
 // takePfPage removes and returns the cached copy of p, if any, releasing
@@ -51,9 +51,7 @@ func (c *hlrcCoherence) cachePfReply(rep *msgPageReply) {
 	}
 	pg.data = append(pg.data[:0], rep.Data...)
 	pg.covers = pg.covers[:0]
-	for _, id := range rep.Covers {
-		pg.covers.add(id)
-	}
+	pg.covers.addAll(rep.Covers)
 }
 
 // Prefetch issues a whole-page prefetch to p's home. Pages homed here never

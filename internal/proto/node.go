@@ -28,7 +28,7 @@
 //	intervals.go  interval records, write notices, vector-time intake
 //	diffstore.go  the diffs a page's state holds, lazy own-diff creation,
 //	              causal apply
-//	idset.go      idSet: the small ordered sets of interval ids fetches keep
+//	idset.go      sortedIDs and idSet: the interval-id sets fetches keep
 //	prefetch.go   the shared prefetch chassis: admit, throttle, issue
 //	lrc.go        lrcCoherence: demand and prefetch diff fetch, eager-RC
 //	              broadcast
@@ -202,7 +202,7 @@ type pageState struct {
 	flushed int32
 
 	// diffs are the diffs of this page the node holds, its own and those it
-	// fetched, in arrival order until a collection drops them (diffstore.go).
+	// fetched, sorted by idLess until a collection drops them (diffstore.go).
 	diffs []heldDiff
 }
 
@@ -224,8 +224,8 @@ type fetch struct {
 	// arrived; nothing more is asked while it is non-empty. asked holds
 	// every base-side id requested from the home so far (a diff-side id is
 	// asked until its diff is stored, so needed says all there is).
-	needed idSet
-	asked  idSet
+	needed sortedIDs
+	asked  sortedIDs
 
 	// base is the newest copy the home sent, nil until one arrives; each
 	// reply's copy covers everything an earlier one did, since the home's
@@ -245,8 +245,8 @@ type fetch struct {
 }
 
 type pfState struct {
-	requested idSet // intervals the prefetch asked for
-	inflight  int   // outstanding request messages
+	requested sortedIDs // intervals the prefetch asked for
+	inflight  int       // outstanding request messages
 }
 
 // newFetch returns a blank fetch of page p, reused from a completed one when
@@ -322,8 +322,8 @@ func (n *Node) tryComplete(p pagemem.PageID, entry, flushDone sim.Time) {
 	n.missScratch, n.diffScratch = ask, diffs
 	if len(ask) > 0 {
 		if baseLacks {
-			f.needed = append(f.needed, ask...)
-			f.asked = append(f.asked, ask...)
+			f.needed.addAll(ask)
+			f.asked.addAll(ask)
 			n.post(entry, n.hl.pageReq(p, slices.Clone(ask), false))
 			return
 		}
@@ -369,7 +369,7 @@ func (n *Node) wakeWaiters(a any) {
 // request per writer, charging entry with the sends. ids may be scratch:
 // needed copies them, and each request its writer's.
 func (n *Node) askDiffs(f *fetch, entry sim.Time, ids []lrc.IntervalID) {
-	f.needed = append(f.needed, ids...)
+	f.needed.addAll(ids)
 	msgs := n.diffReqs(f.page, ids, false)
 	done := n.CPU.Service(entry+sim.Time(len(msgs))*n.C.MsgSend, sim.CatDSM)
 	for _, m := range msgs {

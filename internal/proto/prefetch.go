@@ -62,9 +62,7 @@ func (n *Node) issuePrefetch(p pagemem.PageID, ids []lrc.IntervalID, msgs ...*ne
 		}
 		n.pf[p] = st
 	}
-	for _, id := range ids {
-		st.requested.add(id)
-	}
+	st.requested.addAll(ids)
 	st.inflight += len(msgs)
 	n.bus.Emit(event.PfIssue(n.ID, int64(p), len(msgs)))
 	cost := n.C.PfIssue + sim.Time(len(msgs)-1)*n.C.MsgSend
